@@ -42,7 +42,6 @@ import json
 import os
 import time
 
-import repro.engine.sharding as _sharding
 from repro.algorithms.registry import get_cd_algorithm, get_cs_algorithm
 from repro.analysis.batch import pick_query_vertices
 from repro.core.kcore import core_decomposition
@@ -211,88 +210,6 @@ def test_truss_cache_retention(benchmark, dblp, quick):
                           "evict_all": evictall["hit_rate"]},
         "requery_seconds": {"selective": selective["seconds"],
                             "evict_all": evictall["seconds"]},
-    }, quick=quick)
-
-
-def test_worker_full_query(benchmark, dblp, quick):
-    """The whole-query acceptance shape: finishing a sharded ACQ query
-    through the whole-query worker pipeline (keyword enumeration on
-    the frozen CSR payload, postings fast path, vectorised peel
-    initialisation) beats the parent-verification path (enumeration
-    on mutable set adjacency in the parent) on the sharded DBLP
-    workload -- even serially, before any process parallelism."""
-    distinct, repeats = _pool_shape(quick)
-    pool = pick_query_vertices(dblp, K, distinct, seed=23) * repeats
-    finish = _sharding.worker_finish
-
-    def disabled_finish(*args, **kwargs):
-        """Force the pre-refactor parent-verification fallback."""
-        raise CExplorerError("worker finish disabled for baseline")
-
-    def run_variant(worker, backend="thread"):
-        explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
-                             backend=backend)
-        explorer.add_graph("dblp", dblp, shards=4,
-                           partitioner="greedy")
-        _sharding.worker_finish = finish if worker else disabled_finish
-        try:
-            # Warm the structural caches (shard cores, payloads) so
-            # the timed passes compare the finishing phase, not
-            # first-query index builds both variants share.
-            explorer.search("acq", pool[0], k=K, use_cache=False)
-            start = time.perf_counter()
-            answers = [explorer.search("acq", q, k=K, use_cache=False)
-                       for q in pool]
-            seconds = time.perf_counter() - start
-            stats = {
-                "worker_full_query":
-                    explorer.engine.stats.get("worker_full_query"),
-                "full_query_fallbacks":
-                    explorer.engine.stats.get("full_query_fallbacks"),
-            }
-            return seconds, answers, stats
-        finally:
-            _sharding.worker_finish = finish
-            explorer.engine.shutdown()
-
-    def run():
-        parent_s, parent_out, _ = run_variant(worker=False)
-        worker_s, worker_out, stats = run_variant(worker=True)
-        process_s, process_out, _ = run_variant(worker=True,
-                                                backend="process")
-        assert parent_out == worker_out == process_out
-        return {
-            "parent_verification_seconds": round(parent_s, 6),
-            "worker_full_query_seconds": round(worker_s, 6),
-            "worker_full_query_process_seconds": round(process_s, 6),
-            "speedup": round(parent_s / worker_s, 2) if worker_s
-            else float("inf"),
-            "stats": stats,
-        }
-
-    doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Every query of the worker variant ran the whole-query pipeline.
-    assert doc["stats"]["worker_full_query"] >= len(pool)
-    assert doc["stats"]["full_query_fallbacks"] == 0
-    # The acceptance floor: the worker pipeline beats parent
-    # verification.  The tiny quick pool mostly measures fixed
-    # overheads on a shared runner, so it only has to not lose badly.
-    if quick:
-        assert doc["speedup"] >= 0.7, doc
-    else:
-        assert doc["speedup"] > 1.0, doc
-    write_artifact("worker_full_query.json", json.dumps(doc, indent=2))
-    update_bench_trajectory("worker_full_query", {
-        "queries": len(pool),
-        "k": K,
-        "seconds": {
-            "parent_verification":
-                doc["parent_verification_seconds"],
-            "worker_full_query": doc["worker_full_query_seconds"],
-            "worker_full_query_process":
-                doc["worker_full_query_process_seconds"],
-        },
-        "speedup": doc["speedup"],
     }, quick=quick)
 
 

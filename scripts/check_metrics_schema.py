@@ -43,7 +43,7 @@ ENGINE_KEYS = ("queue_depth", "in_flight", "workers", "counters",
                "latency", "traces", "resilience", "payloads")
 # The payload-plane block (see repro.engine.payloads.plane_stats).
 PAYLOAD_KEYS = ("transport", "shm_available", "shm_segments",
-                "payload_bytes", "registry_entries", "attach_failures")
+                "payload_bytes", "attach_failures")
 TRACE_KEYS = ("enabled", "capacity", "buffered", "recorded",
               "slow_queries", "slow_threshold_seconds")
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",
@@ -122,20 +122,16 @@ def check_json_metrics(doc):
                 or counters.get(key) < 0:
             yield ("resilience counter {!r} is {!r}, not a "
                    "non-negative int".format(key, counters.get(key)))
-    breakers = resilience.get("breakers", {})
-    for backend in ("process", "thread"):
-        breaker = breakers.get(backend)
-        if breaker is None:
-            yield "no {!r} circuit breaker in resilience doc".format(
-                backend)
-            continue
+    breaker = resilience.get("breakers", {}).get("process")
+    if breaker is None:
+        yield "no 'process' circuit breaker in resilience doc"
+    else:
         for key in BREAKER_KEYS:
             if key not in breaker:
-                yield "breaker {!r} missing key {!r}".format(
-                    backend, key)
+                yield "breaker 'process' missing key {!r}".format(key)
         if breaker.get("state") not in BREAKER_STATES:
-            yield "breaker {!r} has unknown state {!r}".format(
-                backend, breaker.get("state"))
+            yield "breaker 'process' has unknown state {!r}".format(
+                breaker.get("state"))
     latency = engine.get("latency", {})
     if "search" not in latency:
         yield "no 'search' latency histogram after a search request"

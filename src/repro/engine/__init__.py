@@ -51,7 +51,7 @@ The modules
 
 ``stats``
     :class:`~repro.engine.stats.EngineStats`: latency histograms
-    (p50/p95) and throughput counters behind ``/api/metrics``, plus
+    (p50/p95) and throughput counters behind ``/v1/metrics``, plus
     per-shard fan-out latency and skew.
 
 ``sharding``
@@ -59,17 +59,20 @@ The modules
     :class:`~repro.engine.sharding.GraphPartitioner` (deterministic
     hash or greedy edge-cut placement),
     :class:`~repro.engine.sharding.ShardedIndexManager` (one versioned
-    CL-tree/k-core/truss index per shard, maintenance routed to the
-    owning shard only), and the exact fan-out/merge query paths behind
-    :meth:`~repro.engine.executor.QueryEngine.search_sharded` -- the
-    k-core family merges certified vertices, the truss family merges
-    certified edges and peels only the uncertain/cut remainder.
+    index entry and frozen payload per shard, maintenance routed to
+    the owning shard only), and the exact fan-out/merge query paths
+    behind :meth:`~repro.engine.executor.QueryEngine.search_sharded`
+    -- the k-core family merges certified vertices, the truss family
+    merges certified edges and peels only the uncertain/cut remainder.
 
-``backends``
-    Execution backends.  :class:`~repro.engine.backends.ProcessBackend`
-    plus the picklable job functions that let shard subqueries and
-    CL-tree builds run in a ``multiprocessing`` pool over frozen CSR
-    snapshots (:class:`~repro.graph.frozen.FrozenGraph`).
+``backends``, ``retry``, ``payloads``
+    The job pipeline under
+    :meth:`~repro.engine.executor.QueryEngine.run_jobs`: the two
+    substrates a job runs on (worker process, calling thread) and the
+    picklable job functions; the retry / hedge / circuit-breaker
+    policy applied to every dispatch; and the zero-copy transport
+    (shared-memory segments, pickle where none can be created) that
+    carries :class:`~repro.graph.frozen.FrozenGraph` payloads.
 
 Choosing a backend
 ==================
@@ -77,17 +80,16 @@ Choosing a backend
 ``QueryEngine(backend="thread")`` (default) keeps everything
 in-process: shared memory, no serialisation, lowest latency -- the
 right choice for small graphs, warm-cache interactive traffic, and
-single-core hosts, and exactly the pre-backend behaviour.
-``backend="process"`` ships CPU-bound structural work (per-shard
-certification scans, core decompositions, CL-tree builds) to worker
-processes fed by pickled :class:`~repro.graph.frozen.FrozenGraph`
-snapshots, dodging the GIL where the ROADMAP says it hurts most --
-pick it for sharded graphs on multi-core hosts where cold structural
-queries and index builds dominate.  Results are identical either way
-(a property-tested invariant); the process backend transparently
-falls back in-process on any pool failure, and its overheads are
-observable as ``snapshot_build`` / ``shard_ipc`` /
-``index_build_ipc`` latency ops in ``/api/metrics``::
+single-core hosts.  ``backend="process"`` ships CPU-bound structural
+work (per-shard certification scans, whole queries, detections,
+CL-tree builds) to worker processes over frozen
+:class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the GIL
+-- pick it for multi-core hosts where cold structural queries and
+index builds dominate.  Results are identical either way (a
+property-tested invariant); the process backend transparently falls
+back inline on any pool failure, and its overheads are observable as
+``snapshot_build`` / ``shard_ipc`` / ``index_build_ipc`` latency ops
+in ``/v1/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
     explorer.add_graph("dblp", generate_dblp_graph(),
@@ -100,9 +102,10 @@ Sharded graphs
 
 A graph registered with ``shards > 1`` is partitioned once; each
 shard gets its own versioned index entry, and shardable searches
-(``global`` and the ACQ family) fan their structural phase out over
-the worker pool -- each shard scans only its own vertices, certifying
-survivors with its shard-local core numbers -- then the engine merges,
+(``global``, the ACQ family, ``k-truss``/``atc``) fan their structural
+phase out as one job per shard -- each shard scans only its own
+vertices, certifying survivors with its shard-local core numbers --
+then the engine merges,
 re-verifies boundary-crossing vertices, and caches the merged result
 under the same key the unsharded path uses.  ``shards=1`` keeps the
 exact pre-sharding execution path, and sharded results are identical

@@ -1,45 +1,43 @@
-"""Execution backends: where engine work actually runs.
+"""Execution substrates and job functions: where engine work runs.
 
 The :class:`~repro.engine.executor.QueryEngine` always owns a bounded
 *thread* pool -- admission control, deadlines and cancellation live
-there, and for I/O-light interactive traffic (cache hits, planning,
-small searches) threads are the right tool.  But the CPU-heavy
-structural kernels (core decomposition, per-shard certification,
-CL-tree builds) serialise behind the GIL: a thread fan-out buys
-concurrency, not parallelism.  This module adds the **process
-backend** that the ROADMAP's "process-pool workers are now per-shard"
-follow-on asks for:
+there.  A unit of engine work below that is a **job**: a module-level
+function plus picklable arguments, a pure function of an immutable
+frozen payload.  This module holds both halves of that contract:
 
-* :class:`ProcessBackend` -- a lazily started
-  ``concurrent.futures.ProcessPoolExecutor`` (``fork`` context where
-  available, so workers start fast and inherit the interpreter state)
-  with per-job child-side timing, so fan-out skew stats stay exact and
-  the parent can report IPC overhead (round-trip minus child compute)
-  separately;
-* module-level **job functions** -- process jobs must be picklable,
-  so the work units ship as top-level functions fed by pickled
-  :class:`~repro.graph.frozen.FrozenGraph` payloads:
-  :func:`shard_candidates_job` (one shard's certify/drop/classify
-  scan, the sharded query fan-out) and :func:`build_index_job` (a
-  full core + CL-tree build, the shard-parallel index construction);
-* a small **worker-side payload cache** keyed by
-  ``(graph, shard, version)`` -- repeated queries against an unchanged
-  shard skip both the unpickle and the shard-local core decomposition
-  in the worker.
+* the two **substrates** a job can run on, each exposing
+  ``submit_job(fn, args, fault, deadline) -> future`` and
+  ``job_result(future, budget)`` and each executing
+  :func:`_timed_job` -- so fault application, the cooperative
+  deadline, worker-span collection and child timing are written once:
+  :class:`ProcessBackend`, a lazily started process pool (``fork``
+  context where available) that escapes the GIL for CPU-bound
+  structural work, and :class:`InlineBackend`, the calling thread
+  (under the GIL a thread fan-out measured no faster, see
+  ``docs/ARCHITECTURE.md``);
+* the **job functions** -- per-shard scans, whole searches and
+  batches of them, CD detections, index builds.  A payload travels in
+  a job's arguments as a *handle* :func:`_loads_payload` resolves: a
+  shared-memory ref is attached, pickled bytes are unpickled, an
+  in-process object is used as is;
+* the **worker-side payload cache**, one entry per payload identity
+  ``(manager epoch, graph, shard)``: repeated jobs against an
+  unchanged payload skip the resolve and every derived decomposition,
+  and a newer version of an identity evicts its predecessor.
 
 Choosing a backend
 ==================
 
-``backend="thread"`` (default): lowest latency, shared memory, exact
-pre-PR behaviour.  Right for small graphs, cache-heavy interactive
-traffic, or single-core hosts.  ``backend="process"``: per-shard
-subqueries and CL-tree builds run in separate processes on frozen CSR
+``backend="thread"`` (default): jobs run inline on the engine's
+admission threads -- lowest latency, no payload shipping.  Right for
+small graphs, cache-heavy interactive traffic, or single-core hosts.
+``backend="process"``: jobs ship to worker processes over frozen CSR
 snapshots -- real parallelism for CPU-bound structural work on
-multi-core hosts, at the cost of payload shipping (measured and
-reported as ``snapshot_build`` / ``shard_ipc`` in ``/api/metrics``).
-Results are identical either way (a tested invariant); every process
-failure falls back to in-process execution rather than failing the
-query.
+multi-core hosts, at the cost of payload shipping (reported as
+``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``).  Results are
+identical either way (a tested invariant); every process failure
+falls back to inline execution rather than failing the query.
 """
 
 import pickle
@@ -59,14 +57,17 @@ from repro.util.errors import (
     EngineError,
     JobPayloadError,
     PayloadCorruptionError,
+    QueryCancelledError,
     QueryTimeoutError,
 )
 
 BACKENDS = ("thread", "process")
 
-# Worker-side cache: payload key (manager epoch, name, shard, version)
-# -> (old_ids, global_degree, shard-local core numbers).  Bounded:
-# version churn on long-lived workers must not grow it without limit.
+# Worker-side cache: payload identity (manager epoch, name, shard)
+# -> (version, entry), where the entry holds the resolved payload and
+# its lazily built decompositions.  One entry per identity, so version
+# churn on a long-lived worker replaces instead of accumulating; the
+# cap only bounds how many distinct graphs/shards stay resident.
 _WORKER_CACHE = {}
 _WORKER_CACHE_MAX = 64
 
@@ -91,8 +92,8 @@ def validate_backend(backend):
 
 # Per-execution-context job environment.  In a worker process jobs run
 # one at a time so this is effectively process-global; in the parent
-# (thread backend / inline fallback) it is per-thread, which is
-# exactly the job granularity there.  Wall-clock based: the deadline
+# (inline substrate) it is per-thread, which is exactly the job
+# granularity there.  Wall-clock based: the deadline
 # crosses a process boundary, where perf_counter epochs differ.
 _job_env = threading.local()
 
@@ -150,51 +151,81 @@ def _timed_job(fn, args, fault=None, deadline=None):
     return time.perf_counter() - start, log.wire(), result
 
 
-def _loads_payload(key, blob):
-    """Resolve a shipped payload to its object form.
-
-    ``blob`` is either a payload-plane ref (shared-memory segment or
-    fork-registry locator, resolved zero-copy by
-    :func:`repro.engine.payloads.attach`) or the pickled bytes of the
-    fallback rung.  Any failure -- torn segment, registry miss,
-    undecodable bytes -- becomes
+def _loads_payload(key, handle):
+    """Resolve a job's payload handle to its object form: a
+    payload-plane ref is attached zero-copy
+    (:func:`repro.engine.payloads.attach`), pickled bytes are
+    unpickled, and an in-process payload object is already it.  Any
+    failure -- torn segment, undecodable bytes -- becomes
     :class:`~repro.util.errors.PayloadCorruptionError` carrying the
     payload identity, the signal the engine's quarantine keys on."""
-    if payload_plane.is_ref(blob):
-        return payload_plane.attach(blob)
-    try:
-        return pickle.loads(blob)
-    except Exception as exc:
-        raise PayloadCorruptionError(
-            "payload {!r} failed to unpickle: {}".format(key, exc),
-            key=key) from exc
+    if payload_plane.is_ref(handle):
+        with tracing.span("index_thaw", zero_copy=True):
+            return payload_plane.attach(handle)
+    if not isinstance(handle, (bytes, bytearray)):
+        return handle
+    with tracing.span("index_thaw", bytes=len(handle)):
+        try:
+            return pickle.loads(handle)
+        except Exception as exc:
+            raise PayloadCorruptionError(
+                "payload {!r} failed to unpickle: {}".format(key, exc),
+                key=key) from exc
 
 
-def shard_candidates_job(key, blob, k):
-    """One shard's certify/drop/classify scan, in a worker process.
+def _payload_entry(key, handle):
+    """This process's cached state for the payload ``key`` names.
 
-    ``blob`` is the pickled ``(FrozenGraph, old_ids, global_degree)``
-    payload built by
+    ``key`` is ``(manager epoch, graph, shard | "full", version)``.
+    The returned dict holds the resolved snapshot (``frozen``), a
+    shard payload's ``(old_ids, global_degree)`` (``extras``) and,
+    lazily, every derived structure a job may need -- core numbers,
+    the CL-tree, the truss map -- so an unchanged payload pays each
+    once per worker, not once per query.  The cache keeps one entry
+    per identity ``key[:3]``: a newer version evicts its predecessor
+    (before resolving, so the attach can close the old mapping), and
+    a late job for an older version is served without displacing the
+    newer entry.
+    """
+    identity, version = key[:3], key[3:]
+    cached = _WORKER_CACHE.get(identity)
+    if cached is not None and cached[0] == version:
+        return cached[1]
+    newer = cached is None or version > cached[0]
+    if newer:
+        _WORKER_CACHE.pop(identity, None)
+    cached = None
+    value = _loads_payload(key, handle)
+    frozen, extras = (value[0], value[1:]) \
+        if isinstance(value, tuple) else (value, None)
+    entry = {"frozen": frozen, "extras": extras}
+    if newer:
+        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
+            _WORKER_CACHE.clear()
+        _WORKER_CACHE[identity] = (version, entry)
+    return entry
+
+
+def shard_candidates_job(key, handle, k):
+    """One shard's certify/drop/classify scan.
+
+    ``handle`` resolves to the ``(FrozenGraph, old_ids,
+    global_degree)`` payload built by
     :meth:`~repro.engine.sharding.ShardedIndexManager.shard_payload`;
     ``key`` is its ``(manager epoch, graph, shard, version)`` identity,
-    so an unchanged shard is unpickled (and its shard-local core
-    numbers computed) once per worker, not once per query.  Returns plain
-    ``(certified, uncertain, dropped)`` containers in *global* vertex
-    ids -- the merge step rebuilds its
+    so an unchanged shard is resolved (and its shard-local core
+    numbers computed) once per worker, not once per query.  A vertex
+    whose shard-local core number reaches ``k`` is *certified* (core
+    numbers of a subgraph lower-bound the global ones), one whose
+    global degree is below ``k`` is *dropped*, the rest are
+    *uncertain*.  Returns plain ``(certified, uncertain, dropped)``
+    containers in *global* vertex ids -- the merge step rebuilds its
     :class:`~repro.engine.sharding.ShardReport` from them.
     """
     check_deadline()
-    entry = _WORKER_CACHE.get(key)
-    if entry is None:
-        with tracing.span("index_thaw"):
-            frozen, old_ids, global_degree = _loads_payload(key, blob)
-        with tracing.span("core_build"):
-            entry = (old_ids, global_degree,
-                     core_decomposition(frozen))
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = entry
-    old_ids, global_degree, local_core = entry
+    entry = _payload_entry(key, handle)
+    old_ids, global_degree = entry["extras"]
+    local_core = _entry_core(entry)
     certified = []
     uncertain = {}
     dropped = []
@@ -210,12 +241,12 @@ def shard_candidates_job(key, blob, k):
     return certified, uncertain, dropped
 
 
-def shard_truss_job(key, blob, k):
-    """One shard's truss certify/classify scan, in a worker process.
+def shard_truss_job(key, handle, k):
+    """One shard's truss certify/classify scan.
 
-    ``blob`` is the same pre-pickled ``(FrozenGraph, old_ids,
-    global_degree)`` payload the core path ships; the worker runs the
-    CSR support-counting kernel plus a truss decomposition over the
+    ``handle`` resolves to the same ``(FrozenGraph, old_ids,
+    global_degree)`` payload the core path uses; the job runs the CSR
+    support-counting kernel plus a truss decomposition over the
     frozen shard (cached per payload identity, so an unchanged shard
     pays once per worker).  Returns ``(certified, uncertain)`` edge
     lists in *global* vertex ids: ``certified`` edges have shard-local
@@ -224,18 +255,12 @@ def shard_truss_job(key, blob, k):
     merge peels with exact global supports.
     """
     check_deadline()
-    cache_key = (key, "truss")
-    entry = _WORKER_CACHE.get(cache_key)
-    if entry is None:
-        with tracing.span("index_thaw"):
-            frozen, old_ids, _ = _loads_payload(key, blob)
-        with tracing.span("truss_build"):
-            entry = (old_ids, truss_decomposition(frozen),
-                     list(frozen.edges()))
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[cache_key] = entry
-    old_ids, local_truss, local_edges = entry
+    entry = _payload_entry(key, handle)
+    old_ids = entry["extras"][0]
+    local_truss = _entry_truss(entry)
+    local_edges = entry.get("edges")
+    if local_edges is None:
+        local_edges = entry["edges"] = list(entry["frozen"].edges())
     certified = []
     uncertain = []
     for u, v in local_edges:
@@ -246,37 +271,6 @@ def shard_truss_job(key, blob, k):
         else:
             uncertain.append(edge)
     return certified, uncertain
-
-
-def _full_graph_entry(key, payload):
-    """The worker's cached state for one whole-graph payload.
-
-    ``payload`` is either the pickled :class:`~repro.graph.frozen.
-    FrozenGraph` blob (process shipping) or the snapshot object itself
-    (in-process fallback, where no serialisation hop exists).  The
-    returned dict caches the snapshot and, lazily, every derived
-    structure a whole query may need -- core numbers, the CL-tree, the
-    truss map -- so an unchanged graph pays each decomposition once
-    per worker, not once per query.
-    """
-    entry = _WORKER_CACHE.get(key)
-    if entry is None:
-        if isinstance(payload, (bytes, bytearray)):
-            with tracing.span("index_thaw", bytes=len(payload)):
-                frozen = _loads_payload(key, payload)
-        elif payload_plane.is_ref(payload):
-            # Zero-copy rung: attach the shared segment (or registry
-            # snapshot) instead of unpickling -- near-free, but still
-            # spanned so traces show which rung served the query.
-            with tracing.span("index_thaw", zero_copy=True):
-                frozen = _loads_payload(key, payload)
-        else:
-            frozen = payload
-        entry = {"frozen": frozen}
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = entry
-    return entry
 
 
 def _entry_core(entry):
@@ -313,11 +307,9 @@ class FixedBaseIndex:
     """Index shim answering the one ``community_vertices(q, k)``
     probe the ACQ family makes with a precomputed structural base.
 
-    Used on both sides of the pipeline: the parent hands it the
-    sharded-merged component when finishing an ACQ query in-process,
-    and :func:`shard_full_query_job` hands it the base the parent's
-    cross-shard merge shipped -- either way the keyword enumeration
-    runs on exactly the base the CL-tree would have computed.
+    :func:`shard_full_query_job` hands it the base the parent's
+    cross-shard merge shipped, so the keyword enumeration runs on
+    exactly the base the CL-tree would have computed.
     ``base=None`` encodes "no structural community exists".
     """
 
@@ -368,7 +360,7 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
     from repro.core.acq import acq_search
 
     check_deadline()
-    entry = _full_graph_entry(key, payload)
+    entry = _payload_entry(key, payload)
     frozen = entry["frozen"]
     q0 = q if isinstance(q, int) else tuple(q)[0]
     base_kind, base_value = base if base is not None else (None, None)
@@ -461,7 +453,7 @@ def component_detect_job(key, payload, algorithm, component, params):
     from repro.algorithms.registry import get_cd_algorithm
 
     check_deadline()
-    entry = _full_graph_entry(key, payload)
+    entry = _payload_entry(key, payload)
     frozen = entry["frozen"]
     old_ids = None
     if component is not None:
@@ -495,17 +487,68 @@ def build_index_job(frozen, core=None):
 
 
 # ----------------------------------------------------------------------
-# the process pool
+# the substrates
 # ----------------------------------------------------------------------
+
+class _InlineFuture:
+    """A job the inline substrate accepted.  It runs, once, on the
+    thread that asks for its result -- so the unstarted siblings of a
+    failed fan-out can still be cancelled, exactly like jobs waiting
+    in a pool's queue."""
+
+    __slots__ = ("_call",)
+
+    def __init__(self, call):
+        self._call = call
+
+    def cancel(self):
+        self._call = None
+
+    def done(self):
+        return self._call is None
+
+    def run(self):
+        call, self._call = self._call, None
+        if call is None:
+            raise QueryCancelledError("inline job was cancelled")
+        return _timed_job(*call)
+
+
+class InlineBackend:
+    """The substrate that always works: jobs run on the calling
+    thread, through the same :func:`_timed_job` wrapper a worker
+    process uses (drawn faults, cooperative deadline, span collection,
+    child timing) -- the floor of the ``process -> inline`` ladder and
+    the only substrate under ``backend="thread"``."""
+
+    name = "inline"
+
+    @staticmethod
+    def submit_job(fn, args, fault=None, deadline=None):
+        """Accept one job; it runs when its result is first asked
+        for (see :class:`_InlineFuture`)."""
+        return _InlineFuture((fn, args, fault, deadline))
+
+    @staticmethod
+    def job_result(future, budget=None):
+        """Run the job and return its ``(child_seconds, spans,
+        result)``; whatever it raises propagates as itself.  There
+        is nothing to wait on, so ``budget`` is moot: the job's own
+        cooperative deadline bounds it."""
+        return future.run()
+
 
 class ProcessBackend:
     """A lazily started process pool with per-job child timing.
 
-    Thin by design: admission control, deadlines and stats stay in the
-    :class:`~repro.engine.executor.QueryEngine`; this class only ships
-    picklable jobs and reports ``(results, child_seconds,
-    ipc_seconds)`` so the engine can separate compute from transport.
+    Thin by design: admission control, deadlines, retries, fan-out
+    and stats stay in the :class:`~repro.engine.executor.QueryEngine`;
+    this class only ships one picklable job at a time and reports its
+    ``(child_seconds, spans, result)`` so the engine can separate
+    compute from transport.
     """
+
+    name = "process"
 
     def __init__(self, workers):
         self.workers = max(1, int(workers))
@@ -573,60 +616,6 @@ class ProcessBackend:
             # AttributeError, an unpicklable value a TypeError).
             raise JobPayloadError(
                 "job payload did not pickle: {}".format(exc)) from exc
-
-    def run_jobs(self, jobs, timeout=None, collect_spans=False):
-        """Run ``(fn, args)`` jobs concurrently in worker processes.
-
-        Returns ``(results, child_seconds, ipc_seconds)`` in job
-        order; ``child_seconds[i]`` is job ``i``'s in-worker compute
-        time, ``ipc_seconds[i]`` the rest of its round-trip (queueing
-        + pickling both ways).  With ``collect_spans=True`` a fourth
-        element is appended: per-job wire-format tracing span lists
-        recorded inside the workers (the engine grafts them into the
-        query's trace).  Raises :class:`ProcessBackendError` on a
-        broken pool, :class:`~repro.util.errors.JobPayloadError` for
-        an unpicklable job (pool intact), and
-        :class:`QueryTimeoutError` when ``timeout`` elapses.
-        """
-        wall_deadline = (time.time() + timeout
-                         if timeout is not None else None)
-        submitted = [(time.perf_counter(),
-                      self.submit_job(fn, args, deadline=wall_deadline))
-                     for fn, args in jobs]
-        results = []
-        child_seconds = []
-        ipc_seconds = []
-        job_spans = []
-        deadline = (time.perf_counter() + timeout
-                    if timeout is not None else None)
-        for i, (started, future) in enumerate(submitted):
-            budget = None
-            if deadline is not None:
-                budget = max(deadline - time.perf_counter(), 0.0)
-            try:
-                child, spans, result = self.job_result(future, budget)
-            except QueryTimeoutError:
-                for _, later in submitted[i:]:
-                    later.cancel()
-                raise QueryTimeoutError(
-                    "process fan-out did not finish within "
-                    "{:.3f}s".format(timeout)) from None
-            roundtrip = time.perf_counter() - started
-            results.append(result)
-            child_seconds.append(child)
-            ipc_seconds.append(max(roundtrip - child, 0.0))
-            job_spans.append(spans)
-        if collect_spans:
-            return results, child_seconds, ipc_seconds, job_spans
-        return results, child_seconds, ipc_seconds
-
-    def run_build(self, frozen, core=None):
-        """One :func:`build_index_job` in a worker; returns
-        ``(core, cltree, child_seconds)``."""
-        results, child_seconds, _ = self.run_jobs(
-            [(build_index_job, (frozen, core))])
-        core, tree = results[0]
-        return core, tree, child_seconds[0]
 
     def _break(self):
         """Drop a broken pool so the next use starts a fresh one."""

@@ -22,24 +22,26 @@ algorithms (the Polynesia argument in PAPERS.md):
   :class:`~repro.engine.cache.SubproblemMemo`, wired to the
   :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
-* **sharded fan-out** -- :meth:`QueryEngine.map_shards` pushes
-  per-shard subqueries onto the same pool with *work stealing*: the
-  coordinating thread claims any subjob no worker has started (via the
-  future's run-once CAS) and executes it inline, so a fan-out makes
-  progress even when every worker is busy -- including when the
-  coordinator *is* the only worker (no nested-submission deadlock).
-  :meth:`QueryEngine.search_sharded` is the full partition-parallel
-  search path (see :mod:`repro.engine.sharding`);
-* an **execution backend** (``backend="thread" | "process"``, see
-  :mod:`repro.engine.backends`) -- with the process backend,
-  :meth:`QueryEngine.map_shard_jobs` ships per-shard subqueries (and
-  the index manager's CL-tree builds) to a ``multiprocessing`` pool
-  as pickled frozen-graph payloads, dodging the GIL for CPU-bound
-  structural work; any pool failure falls back to in-process
-  execution with identical results;
+* **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
+  path every unit of engine work below a query takes (per-shard
+  scans, whole queries, query batches, detections, CL-tree builds):
+  a job is a module-level function over an immutable frozen payload,
+  dispatched on the substrate the resilience plane's ``process ->
+  inline`` ladder picks (see :mod:`repro.engine.backends`), with
+  fault injection, retries, hedging, demotion, deadlines and the
+  ``op`` / ``shard_ipc`` / ``worker_execute`` accounting applied
+  once.  :meth:`QueryEngine.search_sharded` is the full
+  partition-parallel search path built on it (see
+  :mod:`repro.engine.sharding`);
+* an **execution backend** (``backend="thread" | "process"``) --
+  with the process backend, jobs ship to a ``multiprocessing`` pool
+  as frozen-graph payloads (zero-copy shared-memory refs, see
+  :mod:`repro.engine.payloads`), dodging the GIL for CPU-bound
+  structural work; any pool failure falls back to inline execution
+  with identical results;
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
-  ``/api/metrics``, including per-shard fan-out latency/skew and the
-  process backend's ``snapshot_build`` / ``shard_ipc`` overheads.
+  ``/v1/metrics``, including per-shard fan-out latency/skew and the
+  ``snapshot_build`` / ``shard_ipc`` payload overheads.
 
 Synchronous callers (library users, the batch harness) use
 :meth:`QueryEngine.execute`; the server uses :meth:`submit` /
@@ -50,22 +52,20 @@ import queue
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as _futures_wait
 
 from repro.core.community import Community
 from repro.engine import faults as fault_injection
 from repro.engine.backends import (
+    InlineBackend,
     ProcessBackend,
     ProcessBackendError,
-    set_job_deadline,
     validate_backend,
 )
 from repro.engine.cache import ResultCache, SubproblemMemo
 from repro.engine.faults import FaultPlan
 from repro.engine.index_manager import IndexManager
 from repro.engine import payloads as payload_plane
-from repro.engine.retry import RETRYABLE, ResiliencePlane
+from repro.engine.retry import Attempt, ResiliencePlane
 from repro.engine.stats import EngineStats
 from repro.engine import tracing
 from repro.engine.tracing import TraceRecorder
@@ -116,8 +116,7 @@ class EngineFuture:
     # -- state transitions (engine side) --------------------------------
     def set_running(self):
         """Claim the job (run-once CAS); False when already claimed,
-        cancelled or done -- the work-stealing fan-out races workers
-        on exactly this call."""
+        cancelled or done."""
         with self._lock:
             if self._state != _PENDING:
                 return False
@@ -282,13 +281,12 @@ class QueryEngine:
         self._in_flight = 0
         self._lifecycle = threading.Lock()
         self._shutdown = False
+        self._inline = InlineBackend()
         self._process = None
         self._last_detect_parallelism = 0
         if self.backend == "process":
             self._process = ProcessBackend(workers)
-            # Index builds (including every per-shard CL-tree) route
-            # through the pool: an upload of a sharded graph builds
-            # all shard trees genuinely in parallel.
+            # CL-tree builds route through the pool too.
             self.indexes.build_executor = self._build_in_process
         self.indexes.subscribe(self._on_index_event)
 
@@ -508,406 +506,148 @@ class QueryEngine:
         return self.explorer
 
     # ------------------------------------------------------------------
-    # sharded fan-out
+    # the job pipeline
     # ------------------------------------------------------------------
-    def map_shards(self, fns, graph=None, op="shard", resilient=True):
-        """Run per-shard callables on the pool with work stealing.
+    def run_jobs(self, jobs, op="shard", graph=None):
+        """Run ``(fn, args)`` jobs and return their results in job
+        order -- the engine's one fan-out.  Every unit of engine work
+        (shard scans, whole queries, query batches, detections, index
+        builds) is such a job: a module-level function over picklable
+        arguments, a pure function of an immutable frozen payload.
 
-        Every ``fn`` is submitted as a pool job; the calling thread
-        then walks its futures in order and *claims* any job no worker
-        has started yet (the future's ``set_running`` CAS), executing
-        it inline.  Free workers therefore supply parallelism, but the
-        fan-out never waits on a saturated pool -- in the worst case
-        the coordinator runs every shard itself, which is exactly the
-        unsharded serial cost.  Jobs rejected by admission control run
-        inline immediately (internal subqueries must not 429).
-
-        Returns ``(results, seconds)`` in submission order, where
-        ``seconds[i]`` is shard ``i``'s execution time.  ``graph``
-        names the graph being fanned over; when given, the per-shard
-        durations are recorded as that graph's fan-out/skew stats.
-
-        With ``resilient=True`` (default) each callable is wrapped in
-        the per-job retry/fault policy for ``op``: a transient failure
-        (injected kill, corrupt payload) retries that shard alone with
-        backoff before the fan-out fails -- blast-radius isolation for
-        the thread substrate.  A shard that exhausts its retries (or
-        raises a non-retryable error) still propagates to the caller.
-        """
-        if resilient:
-            deadline = self._fanout_deadline()
-            fns = [self._resilient_call(fn, None, op, i, deadline,
-                                        substrate="thread")
-                   for i, fn in enumerate(fns)]
-        futures = []
-        for fn in fns:
-            wrapped = self._timed(fn)
-            try:
-                futures.append((self.submit(wrapped, op=op), wrapped))
-            except EngineBusyError:
-                futures.append((None, wrapped))
-        results = []
-        seconds = []
-        for i, (future, wrapped) in enumerate(futures):
-            try:
-                if future is None or future.set_running():
-                    # Rejected at admission, or claimed before any
-                    # worker got to it: run inline on the
-                    # coordinating thread.
-                    if future is not None:
-                        self.stats.count("shards_inline")
-                    try:
-                        with tracing.span("worker_execute", shard=i,
-                                          backend="inline"):
-                            elapsed, value = wrapped()
-                    except BaseException as exc:
-                        if future is not None:
-                            future.set_exception(exc)
-                        raise
-                    if future is not None:
-                        future.set_result((elapsed, value))
-                    self.stats.observe(op, elapsed)
-                else:
-                    elapsed, value = future.result(self.default_timeout)
-                    # The shard ran on another worker thread (outside
-                    # this trace's context); record its measured span
-                    # from here so the fan-out is still attributable.
-                    tracing.add_span("worker_execute", elapsed,
-                                     shard=i, backend="thread")
-            except BaseException:
-                # Don't orphan the rest of the fan-out in the shared
-                # queue: unclaimed siblings are cancelled (running
-                # ones finish and are discarded).
-                for later, _ in futures[i + 1:]:
-                    if later is not None:
-                        later.cancel()
-                raise
-            results.append(value)
-            seconds.append(elapsed)
-        if graph is not None:
-            self.stats.observe_fanout(graph, seconds)
-        return results, seconds
-
-    @staticmethod
-    def _timed(fn):
-        def run():
-            """Execute ``fn`` and return ``(seconds, value)``."""
-            start = time.perf_counter()
-            value = fn()
-            return time.perf_counter() - start, value
-        return run
-
-    def map_shard_jobs(self, jobs, graph=None, op="shard"):
-        """Run picklable ``(fn, args)`` per-shard jobs on the process
-        backend; the GIL-free counterpart of :meth:`map_shards`.
-
-        The fault-tolerant fan-out.  The substrate is chosen by the
-        resilience plane's degradation ladder (``process`` ->
-        ``thread`` -> ``inline``): an open process breaker skips the
-        pool entirely, a pool death mid fan-out records a breaker
-        failure and falls back in-process -- results are identical,
-        only the parallelism differs.  On the process path each job
-        individually retries transient failures with backoff (capped
-        by the caller's remaining deadline, which also ships into the
-        worker for cooperative self-cancellation), a straggler past
-        p95 x alpha gets one hedged duplicate, an unpicklable job runs
-        inline without disturbing siblings, and a corrupt payload is
-        quarantined.  Per-shard child compute times feed the same
-        fan-out/skew stats as the thread path; transport overhead is
-        recorded under the ``shard_ipc`` latency op.
+        The substrate comes from the resilience plane's ``process ->
+        inline`` ladder: without a pool, or while its breaker is open,
+        jobs run inline on the calling thread; a pool death mid
+        fan-out feeds the breaker, counts ``process_fallbacks`` and
+        finishes the jobs not yet collected inline -- same results,
+        less parallelism.  Each job retries transient failures with
+        backoff within the caller's remaining deadline (which also
+        ships into the worker for cooperative self-cancellation), a
+        straggler gets one hedged duplicate, an unpicklable job runs
+        inline without disturbing its siblings
+        (``job_inline_fallbacks``), a corrupt payload is quarantined,
+        and a failed job cancels the siblings that have not started.
+        With ``graph`` given, the per-job compute times are recorded
+        as that graph's fan-out/skew stats.
         """
         jobs = list(jobs)
         deadline = self._fanout_deadline()
         # One fault draw per job for the whole dispatch -- however the
         # substrate ladder reroutes it, the injection stream stays
         # aligned with the (op, invocation) counter, so a plan replays
-        # identically whatever the breakers are doing.
+        # identically whatever the breaker is doing.
         faults = [self.faults.draw(op) if self.faults is not None
                   else None for _ in jobs]
-        if self._process is not None:
-            level, _ = self.resilience.substrate("process")
-        else:
-            level, _ = self.resilience.substrate("thread")
-        if level == "process":
-            try:
-                results = self._map_jobs_process(jobs, faults, graph,
-                                                 op, deadline)
-            except ProcessBackendError:
-                self.stats.count("process_fallbacks")
-                self.resilience.record("process", False)
-                level, _ = self.resilience.substrate("thread")
-            else:
-                self.resilience.record("process", True)
-                return results
-        return self._map_jobs_fallback(jobs, faults, graph, op,
-                                       deadline, level)
-
-    # -- the process substrate ------------------------------------------
-    def _map_jobs_process(self, jobs, faults, graph, op, deadline):
+        outcomes = []
         pool = self._process
-        policy = self.resilience.policy(op)
-        trace = tracing.current_trace()
-        wall = self._wall_deadline(deadline)
-        submitted = []
-        for i, (fn, args) in enumerate(jobs):
-            actions = faults[i]
+        if pool is not None \
+                and self.resilience.substrate("process")[0] == "process":
+            healthy = True
             try:
-                future = pool.submit_job(
-                    fn, self._apply_parent_faults(actions, args),
-                    fault=fault_injection.worker_actions(actions),
-                    deadline=wall)
-            except JobPayloadError:
-                # This job cannot ship; run it inline later, leave
-                # the pool (and every sibling) alone.
-                future = None
-            done_at = []
-            if future is not None:
-                # Timestamp completion on the parent's clock (the
-                # callback runs in the pool's result-handler thread):
-                # the fan-out is collected serially, so "collection
-                # time minus child" would charge sibling compute skew
-                # to ``shard_ipc``; the done timestamp does not.
-                future.add_done_callback(
-                    lambda _f, _box=done_at:
-                        _box.append(time.perf_counter()))
-            submitted.append((time.perf_counter(), future, done_at))
-        results = []
-        child_seconds = []
+                self._collect(pool, jobs, faults, outcomes, op,
+                              deadline)
+            except ProcessBackendError:
+                healthy = False
+                self.stats.count("process_fallbacks")
+            finally:
+                # Also on a job's own failure: the pool did its part,
+                # and a half-open probe must always report back.
+                self.resilience.record("process", healthy)
+        if len(outcomes) < len(jobs):
+            self._collect(self._inline, jobs, faults, outcomes, op,
+                          deadline)
+        if graph is not None:
+            self.stats.observe_fanout(
+                graph, [child for child, _ in outcomes])
+        return [value for _, value in outcomes]
+
+    def _collect(self, substrate, jobs, faults, outcomes, op,
+                 deadline, stop=None):
+        """Start ``jobs[len(outcomes):stop]`` on ``substrate``, then
+        collect them in order, appending ``(child_seconds, value)``
+        to ``outcomes`` -- the ordered-collection loop every job
+        passes through, where its ``op`` / ``shard_ipc`` latency and
+        its ``worker_execute`` span are recorded."""
+        shipped = substrate is not self._inline
+        wall = self._wall_deadline(deadline)
+        trace = tracing.current_trace()
+        ipc_op = "index_build_ipc" if op == "index_build" \
+            else "shard_ipc"
+
+        def start(i, actions=None):
+            fn, args = jobs[i]
+            if shipped:
+                args = self._apply_parent_faults(actions, args)
+            return Attempt(substrate.submit_job(
+                fn, args, fault=fault_injection.worker_actions(actions),
+                deadline=wall))
+
+        def wait(attempt, budget):
+            return substrate.job_result(attempt.future, budget)
+
+        base = len(outcomes)
+        pending = []
         try:
-            for i, (started, future, done_at) in enumerate(submitted):
-                fn, args = jobs[i]
-                if future is None:
-                    child, spans, value = self._run_job_inline(
-                        fn, args, op, i, deadline)
-                    ipc = 0.0
-                else:
+            for i in range(base, len(jobs) if stop is None else stop):
+                try:
+                    pending.append(start(i, faults[i]))
+                except JobPayloadError:
+                    pending.append(None)
+            for i, attempt in enumerate(pending, base):
+                outcome = None
+                if attempt is not None:
                     try:
-                        child, spans, value, started = \
-                            self._collect_with_retries(
-                                pool, future, fn, args, op, i, started,
-                                deadline, wall, policy)
-                        # Prefer the done-callback timestamp; a retry
-                        # or hedge that won on a different future (its
-                        # completion predates the winning submission,
-                        # or never fired) falls back to now.
-                        now = time.perf_counter()
-                        done = next((t for t in done_at
-                                     if t >= started), now)
-                        ipc = max(done - started - child, 0.0)
+                        # Retries and hedges resubmit the pristine
+                        # job: its injected faults were one-shot.
+                        outcome, attempt = \
+                            self.resilience.retrying_result(
+                                op, i, attempt,
+                                lambda i=i: start(i), wait, deadline,
+                                self._quarantine_if_corrupt)
                     except JobPayloadError:
                         # Pickling failed in the pool's feeder thread
-                        # (surfaces on the future, not at submit):
-                        # same escape hatch, pool and siblings intact.
-                        child, spans, value = self._run_job_inline(
-                            fn, args, op, i, deadline)
-                        ipc = 0.0
-                # Payload resolution inside the worker (the
-                # ``index_thaw`` spans: unpickling a shipped blob, or
-                # attaching a shared segment) is transport cost, not
-                # query compute -- fold it into ``shard_ipc`` so the
-                # stat honestly prices what the chosen transport pays
-                # and the op histogram prices only the algorithm.
+                        # (it surfaces on the future, not at submit).
+                        pass
+                if outcome is None:
+                    # This job cannot ship: run it inline, leave the
+                    # pool (and every sibling) alone.
+                    self.stats.count("job_inline_fallbacks")
+                    self._collect(self._inline, jobs, faults, outcomes,
+                                  op, deadline, stop=i + 1)
+                    continue
+                child, spans, value = outcome
+                ipc = 0.0
+                if shipped:
+                    # Collection is serial, so "collection time minus
+                    # child" would charge sibling compute skew to
+                    # ``shard_ipc``; the done-callback stamp does not.
+                    done = attempt.done_at or time.perf_counter()
+                    ipc = max(done - attempt.started - child, 0.0)
+                # Payload resolution inside the job (``index_thaw``:
+                # unpickling a blob, attaching a segment) is transport
+                # cost, not query compute: ``shard_ipc`` prices what
+                # the transport pays, the op histogram the algorithm.
                 thaw = min(child, sum(
                     s[2] for s in spans if s[0] == "index_thaw"))
                 self.stats.observe(op, child - thaw)
-                self.stats.observe("shard_ipc", ipc + thaw)
+                self.stats.observe(ipc_op, ipc + thaw)
                 if trace is not None:
                     index = trace.add_span(
                         "worker_execute", child,
-                        tags={"shard": i, "backend": "process"})
+                        tags={"shard": i, "backend": substrate.name})
                     trace.graft(index, spans)
                     trace.add_span("shard_ipc", ipc + thaw,
                                    tags={"shard": i})
-                results.append(value)
-                child_seconds.append(child)
+                outcomes.append((child, value))
         except BaseException:
             # Don't leave the rest of the fan-out running for nobody:
             # cancel what has not started (running jobs self-cancel
             # at their next cooperative deadline check).
-            for _, later, _ in submitted[len(results):]:
+            for later in pending[len(outcomes) - base:]:
                 if later is not None:
-                    later.cancel()
+                    later.future.cancel()
             raise
-        if graph is not None:
-            self.stats.observe_fanout(graph, child_seconds)
-        return results
 
-    def _collect_with_retries(self, pool, future, fn, args, op, index,
-                              started, deadline, wall, policy):
-        """One process job's result, absorbing transient failures up
-        to the policy's budget (and never past the deadline).  Returns
-        ``(child_seconds, spans, value, started)`` where ``started``
-        is the winning attempt's submission time."""
-        attempt = 1
-        while True:
-            try:
-                child, spans, value = self._job_result_hedged(
-                    pool, future, fn, args, op, started, deadline,
-                    wall, policy)
-                return child, spans, value, started
-            except RETRYABLE as exc:
-                self._quarantine_if_corrupt(exc)
-                delay = policy.backoff(
-                    attempt, token="{}:{}".format(op, index))
-                if attempt >= policy.attempts or (
-                        deadline is not None
-                        and time.perf_counter() + delay >= deadline):
-                    self.stats.count("retry_exhausted")
-                    raise
-                self.stats.count("retries")
-                tracing.add_span("retry", delay, op=op, shard=index,
-                                 attempt=attempt,
-                                 error=type(exc).__name__)
-                time.sleep(delay)
-                attempt += 1
-                started = time.perf_counter()
-                # Retry with the *original* args: parent-side fault
-                # mutations (corruption) were one-shot on the copy.
-                future = pool.submit_job(fn, args, deadline=wall)
-
-    def _job_result_hedged(self, pool, future, fn, args, op, started,
-                           deadline, wall, policy):
-        """Await one job, hedging a straggler: past the p95-based
-        threshold a duplicate is submitted, the first to finish wins,
-        and the loser is cancelled (cooperatively, in the worker, via
-        the shipped deadline)."""
-        budget = self._remaining(deadline)
-        threshold = self.resilience.hedge_threshold(op)
-        if threshold is None:
-            return pool.job_result(future, budget)
-        elapsed = time.perf_counter() - started
-        first_wait = max(threshold - elapsed, 0.0)
-        if budget is not None:
-            first_wait = min(first_wait, budget)
-        try:
-            return pool.job_result(future, first_wait)
-        except QueryTimeoutError:
-            if future.done():
-                # The *worker* reported a deadline expiry; that is
-                # the job's result, not a straggler signal.
-                raise
-            if deadline is not None \
-                    and time.perf_counter() >= deadline:
-                raise
-        try:
-            hedge = pool.submit_job(fn, args, deadline=wall)
-        except (ProcessBackendError, JobPayloadError):
-            # No capacity for a duplicate; keep waiting on the
-            # primary within the remaining budget.
-            return pool.job_result(future, self._remaining(deadline))
-        self.stats.count("hedges")
-        hedge_started = time.perf_counter()
-        done, _ = _futures_wait({future, hedge},
-                                timeout=self._remaining(deadline),
-                                return_when=FIRST_COMPLETED)
-        if not done:
-            hedge.cancel()
-            future.cancel()
-            raise QueryTimeoutError(
-                "hedged job pair missed the deadline")
-        winner = future if future in done else hedge
-        loser = hedge if winner is future else future
-        loser.cancel()
-        won = winner is hedge
-        self.stats.count("hedges_won" if won else "hedges_lost")
-        tracing.add_span("hedge",
-                         time.perf_counter() - hedge_started, op=op,
-                         won=won)
-        return pool.job_result(winner, self._remaining(deadline))
-
-    # -- the thread / inline substrates ---------------------------------
-    def _map_jobs_fallback(self, jobs, faults, graph, op, deadline,
-                           level):
-        """Run fan-out jobs in-process: through the work-stealing
-        thread fan-out normally, serially on the coordinating thread
-        when the thread breaker is open (the ladder's floor)."""
-        if len(jobs) == 1 or level != "thread":
-            # One job (the queue round-trip buys nothing) or inline
-            # degradation: run on the calling thread, keep the stats.
-            results = []
-            seconds = []
-            for i, (fn, args) in enumerate(jobs):
-                call = self._resilient_call(fn, args, op, i, deadline,
-                                            substrate=level,
-                                            actions=faults[i])
-                start = time.perf_counter()
-                with tracing.span("worker_execute", shard=i,
-                                  backend="inline"):
-                    results.append(call())
-                elapsed = time.perf_counter() - start
-                seconds.append(elapsed)
-                self.stats.observe(op, elapsed)
-            if graph is not None and len(jobs) > 1:
-                self.stats.observe_fanout(graph, seconds)
-            return results
-        fns = [self._resilient_call(fn, args, op, i, deadline,
-                                    substrate="thread",
-                                    actions=faults[i])
-               for i, (fn, args) in enumerate(jobs)]
-        return self.map_shards(fns, graph=graph, op=op,
-                               resilient=False)[0]
-
-    #: sentinel: "no pre-drawn actions -- draw at wrap time"
-    _DRAW = object()
-
-    def _resilient_call(self, fn, args, op, index, deadline,
-                        substrate="thread", actions=_DRAW):
-        """A zero-arg callable running ``fn`` under the in-process
-        fault/retry policy: drawn faults fire as they would in a
-        worker (corruption and pool-break are serialisation/pool
-        faults and do not apply in-process), the caller's deadline is
-        visible through the cooperative check, and transient failures
-        retry with backoff within the deadline.  ``args=None`` wraps
-        an already-bound callable; ``actions`` carries the dispatch's
-        pre-drawn faults (the default draws fresh -- the
-        :meth:`map_shards` direct path, which is its own dispatch)."""
-        policy = self.resilience.policy(op)
-        if actions is QueryEngine._DRAW:
-            actions = self.faults.draw(op) \
-                if self.faults is not None else None
-        shipped = fault_injection.worker_actions(actions)
-        wall = self._wall_deadline(deadline)
-        breaker = substrate == "thread"
-
-        def call():
-            attempt = 1
-            fault = shipped
-            while True:
-                set_job_deadline(wall)
-                try:
-                    fault_injection.apply_worker_actions(fault)
-                    value = fn(*args) if args is not None else fn()
-                    if fault_injection.wants_duplicate(fault):
-                        value = fn(*args) if args is not None else fn()
-                except RETRYABLE as exc:
-                    self._quarantine_if_corrupt(exc)
-                    if breaker:
-                        self.resilience.record("thread", False)
-                    delay = policy.backoff(
-                        attempt, token="{}:{}".format(op, index))
-                    if attempt >= policy.attempts or (
-                            deadline is not None
-                            and time.perf_counter() + delay
-                            >= deadline):
-                        self.stats.count("retry_exhausted")
-                        raise
-                    self.stats.count("retries")
-                    tracing.add_span("retry", delay, op=op,
-                                     shard=index, attempt=attempt,
-                                     error=type(exc).__name__)
-                    time.sleep(delay)
-                    attempt += 1
-                    fault = None  # injected faults are one-shot
-                else:
-                    if breaker:
-                        self.resilience.record("thread", True)
-                    return value
-                finally:
-                    set_job_deadline(None)
-
-        return call
-
-    # -- shared fan-out plumbing ----------------------------------------
     def _fanout_deadline(self):
         """The executing job's deadline (perf_counter based), falling
         back to ``default_timeout`` from now -- the budget every
@@ -920,12 +660,6 @@ class QueryEngine:
         return None
 
     @staticmethod
-    def _remaining(deadline):
-        if deadline is None:
-            return None
-        return max(deadline - time.perf_counter(), 0.0)
-
-    @staticmethod
     def _wall_deadline(deadline):
         """Translate a perf_counter deadline to the wall clock (what
         crosses the process boundary)."""
@@ -934,14 +668,15 @@ class QueryEngine:
         return time.time() + max(deadline - time.perf_counter(), 0.0)
 
     def _apply_parent_faults(self, actions, args):
-        """Fire parent-side fault actions at the dispatch site:
-        ``pool_break`` fails the submission as a dead pool would,
-        ``corrupt`` poisons each shipped payload -- a flipped byte in
-        a pickled blob, a detectably-corrupted locator for a
+        """Fire parent-side fault actions where a job ships to the
+        pool: ``pool_break`` fails the submission as a dead pool
+        would, ``corrupt`` poisons each shipped payload -- a flipped
+        byte in a pickled blob, a detectably-corrupted locator for a
         zero-copy ref (both on copies: retries resubmit the pristine
         original) -- and ``segment_loss`` unlinks the shared-memory
         segment a ref points at *in place*, simulating a torn
-        attachment the worker only discovers at attach time."""
+        attachment the worker only discovers at attach time.  None
+        applies to a job that runs inline."""
         if not actions:
             return args
         for kind, _ in actions:
@@ -960,17 +695,6 @@ class QueryEngine:
                     if payload_plane.is_ref(value):
                         payload_plane.lose_segment(value)
         return args
-
-    def _run_job_inline(self, fn, args, op, index, deadline):
-        """One job on the coordinating thread (the unpicklable-job
-        escape hatch): same timing/span contract as a worker."""
-        self.stats.count("job_inline_fallbacks")
-        call = self._resilient_call(fn, args, op, index, deadline,
-                                    substrate="inline")
-        start = time.perf_counter()
-        with tracing.collect_worker_spans() as log:
-            value = call()
-        return time.perf_counter() - start, log.wire(), value
 
     def _graph_version(self, name):
         """Current index-manager version of ``name``, or ``None`` when
@@ -999,7 +723,6 @@ class QueryEngine:
         key = exc.key
         if key is None:
             return
-        payload_plane.note_attach_failure(key)
         if self.resilience.quarantine(key):
             discard = getattr(self.indexes, "discard_payload", None)
             if discard is not None:
@@ -1009,29 +732,30 @@ class QueryEngine:
         """Index-build executor wired into the
         :class:`~repro.engine.index_manager.IndexManager` when the
         process backend is active: freeze the graph, build core
-        numbers + CL-tree in a worker process, rebind the tree to the
-        live graph object.  Raises on any pool failure; the manager
-        falls back to the in-process build."""
+        numbers + CL-tree as one :func:`~repro.engine.backends.
+        build_index_job` through :meth:`run_jobs`, rebind the tree to
+        the live graph object.  If it raises, the manager falls back
+        to its own in-process build."""
+        from repro.engine.backends import build_index_job
         from repro.graph.frozen import FrozenGraph
 
         start = time.perf_counter()
         frozen = FrozenGraph.from_graph(graph)
-        freeze_seconds = time.perf_counter() - start
-        self.stats.observe("snapshot_build", freeze_seconds)
-        core, cltree, child_seconds = self._process.run_build(
-            frozen, core)
+        self.stats.observe("snapshot_build",
+                           time.perf_counter() - start)
+        (core, cltree), = self.run_jobs(
+            [(build_index_job, (frozen, core))], op="index_build")
         cltree.graph = graph
-        total = time.perf_counter() - start
-        self.stats.observe(
-            "index_build_ipc",
-            max(total - freeze_seconds - child_seconds, 0.0))
         return core, cltree
 
     def search_sharded(self, name, algorithm, q, k, keywords=None):
         """Partition-parallel execution of one shardable search:
-        fan per-shard structural subqueries out over the pool, merge
-        and re-verify at the engine layer.  Results are identical to
-        unsharded execution (see :mod:`repro.engine.sharding`)."""
+        fan per-shard structural jobs out through :meth:`run_jobs`,
+        merge and re-verify at the engine layer, finish through
+        :meth:`search_full_query`.  Results are identical to unsharded
+        execution; ``None`` means the sharded plan could not answer
+        and the caller should run the unsharded one (see
+        :func:`repro.engine.sharding.sharded_search`)."""
         from repro.engine.sharding import sharded_search
         return sharded_search(self, name, algorithm, q, k,
                               keywords=keywords)
@@ -1052,31 +776,35 @@ class QueryEngine:
         ready = getattr(self.indexes, "full_payload_ready", None)
         return bool(ready is not None and ready(name))
 
-    def _with_fresh_payload_retry(self, run):
-        """Run a payload-backed fan-out, retrying once from a freshly
+    def _with_fresh_payload_retry(self, name, op, make_jobs):
+        """Run ``make_jobs(payload key, payload handle)`` over graph
+        ``name``'s whole-graph payload, retrying once from a freshly
         frozen payload when corruption escaped the per-job retries.
         The quarantine hook already discarded the cached copy, so the
-        inner ``run`` re-freezes from the live graph -- the one
+        second pass re-freezes from the live graph -- the one
         recovery that helps when the cached bytes themselves (not a
         transient transport) are what is poisoned."""
+        def run():
+            payload, fresh = self.indexes.full_payload(name)
+            return self.run_jobs(
+                make_jobs(payload.key,
+                          self.payload_arg(payload, fresh)), op=op)
         try:
             return run()
         except PayloadCorruptionError:
             self.stats.count("payload_retries")
             return run()
 
-    def _full_payload_job_arg(self, name):
-        """``(payload, job payload argument)`` for graph ``name``:
-        a zero-copy locator (or pickled blob, if the payload plane
-        fell back) when jobs ship to worker processes, the snapshot
-        object itself when they run in-process (no serialisation hop
-        to pay)."""
-        payload, fresh = self.indexes.full_payload(name)
+    def payload_arg(self, payload, fresh):
+        """The handle a job should carry for ``payload``: a zero-copy
+        locator (or pickled blob, if no segment could be created)
+        when jobs ship to worker processes, the payload object itself
+        when they run in-process.  ``fresh`` says the payload was
+        just frozen -- its build time is then recorded under the
+        ``snapshot_build`` latency op."""
         if fresh:
             self.stats.observe("snapshot_build", payload.build_seconds)
-        arg = payload.job_arg() if self._process is not None \
-            else payload.frozen
-        return payload, arg
+        return payload.job_arg(shipped=self._process is not None)
 
     def search_full_query(self, name, algorithm, q, k, keywords=None,
                           base=None):
@@ -1093,14 +821,10 @@ class QueryEngine:
         """
         from repro.engine.backends import shard_full_query_job
 
-        def run():
-            payload, arg = self._full_payload_job_arg(name)
-            return self.map_shard_jobs(
-                [(shard_full_query_job,
-                  (payload.key, arg, algorithm, q, k, keywords,
-                   base))],
-                op="full_query")
-        wires = self._with_fresh_payload_retry(run)
+        wires = self._with_fresh_payload_retry(
+            name, "full_query", lambda key, handle: [
+                (shard_full_query_job,
+                 (key, handle, algorithm, q, k, keywords, base))])
         self.stats.count("worker_full_query")
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires[0]]
@@ -1120,19 +844,17 @@ class QueryEngine:
         """
         from repro.engine.backends import batch_full_query_job
 
-        def run():
-            payload, arg = self._full_payload_job_arg(name)
+        def jobs(key, handle):
             member_faults = None
             if self.faults is not None:
                 drawn = [fault_injection.worker_actions(
                             self.faults.draw("batch_member"))
                          for _ in specs]
                 member_faults = drawn if any(drawn) else None
-            return self.map_shard_jobs(
-                [(batch_full_query_job,
-                  (payload.key, arg, tuple(specs), member_faults))],
-                op="full_query_batch")
-        wires = self._with_fresh_payload_retry(run)
+            return [(batch_full_query_job,
+                     (key, handle, tuple(specs), member_faults))]
+        wires = self._with_fresh_payload_retry(
+            name, "full_query_batch", jobs)
         self.stats.count("worker_full_query", len(specs))
         graph = self.indexes.graph(name)
         results = []
@@ -1178,14 +900,11 @@ class QueryEngine:
         self.stats.count("detect_jobs", len(components))
         self._last_detect_parallelism = len(components)
 
-        def run():
-            payload, arg = self._full_payload_job_arg(name)
-            jobs = [(component_detect_job,
-                     (payload.key, arg, algorithm, component,
-                      wire_params))
-                    for component in components]
-            return self.map_shard_jobs(jobs, op="detect")
-        wires = self._with_fresh_payload_retry(run)
+        wires = self._with_fresh_payload_retry(
+            name, "detect", lambda key, handle: [
+                (component_detect_job,
+                 (key, handle, algorithm, component, wire_params))
+                for component in components])
         communities = []
         for wire_list in wires:
             communities.extend(Community.from_wire(graph, wire)
@@ -1225,19 +944,11 @@ class QueryEngine:
         future = job.future
         trace = job.trace
         if not future.set_running():
-            # Either cancelled by the caller, or a fan-out
-            # coordinator claimed (stole) the job and ran it
-            # inline before this worker got to it.
-            if future.cancelled():
-                self.stats.count("cancelled")
-                self.tracer.finish(trace, "cancelled")
-            else:
-                self.stats.count("stolen")
+            # Cancelled by the caller while it waited in the queue.
+            self.stats.count("cancelled")
+            self.tracer.finish(trace, "cancelled")
             return
         queue_wait = time.perf_counter() - job.submitted_at
-        # Deadline check only after winning the claim: a stolen
-        # job already completed elsewhere and must not be counted
-        # (or marked) as timed out.
         if (job.deadline is not None
                 and time.perf_counter() > job.deadline):
             self.stats.count("timeouts")
@@ -1291,7 +1002,7 @@ class QueryEngine:
         return self._queue.qsize() < self.max_queue
 
     def snapshot(self):
-        """Everything ``/api/metrics`` reports about the engine."""
+        """Everything ``/v1/metrics`` reports about the engine."""
         doc = self.stats.snapshot()
         doc.update({
             "backend": self.backend,

@@ -92,18 +92,18 @@ class _IndexEntry:
 
 
 class GraphPayload:
-    """A whole graph, frozen and ready to ship to a worker process.
+    """A whole graph, frozen and ready to hand to a job.
 
-    ``frozen`` is the CSR snapshot (what an in-process job consumes
-    directly); ``blob`` lazily pickles it once for process shipping,
-    and :meth:`job_arg` prefers the zero-copy payload plane
-    (:mod:`repro.engine.payloads`): the snapshot is published once
-    into a shared-memory segment and jobs carry a tiny ref instead of
-    the blob.  ``key`` is the ``(manager epoch, graph, "full",
-    version)`` identity workers cache their attached/unpickled copy
-    -- and every derived structure (core numbers, CL-tree, truss map)
-    -- under, so repeated whole-query jobs against an unchanged graph
-    pay neither the transfer nor the decompositions.
+    ``frozen`` is the CSR snapshot; :meth:`job_arg` is the handle a
+    job carries for it -- the payload object itself when the job runs
+    in this process, else a zero-copy payload-plane ref
+    (:mod:`repro.engine.payloads`: the snapshot is published once into
+    a shared-memory segment) or, when no segment can be created, the
+    pickled ``blob``.  ``key`` is the ``(manager epoch, graph,
+    "full", version)`` identity workers cache the resolved payload --
+    and every derived structure (core numbers, CL-tree, truss map) --
+    under, so repeated jobs against an unchanged graph pay neither
+    the transfer nor the decompositions.
     """
 
     __slots__ = ("key", "version", "frozen", "_blob", "_segment",
@@ -118,24 +118,34 @@ class GraphPayload:
         self._transport_lock = threading.Lock()
         self.build_seconds = build_seconds
 
-    @property
-    def blob(self):
-        """The pickled snapshot (serialised once, on first use)."""
-        if self._blob is None:
-            with tracing.span("payload_pickle"):
-                self._blob = pickle.dumps(
-                    self.frozen, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._blob
-
     def _extras(self):
         """Sidecar tuple published next to the CSR (none for a whole
         graph; shard payloads override)."""
         return None
 
+    def value(self):
+        """The object a job resolves this payload to: the bare
+        snapshot, or ``(frozen, *extras)`` for a shard payload -- the
+        same shape on every transport."""
+        extras = self._extras()
+        if extras is None:
+            return self.frozen
+        return (self.frozen,) + tuple(extras)
+
+    @property
+    def blob(self):
+        """The pickled :meth:`value` (serialised once, on first
+        use)."""
+        if self._blob is None:
+            with tracing.span("payload_pickle"):
+                self._blob = pickle.dumps(
+                    self.value(), protocol=pickle.HIGHEST_PROTOCOL)
+        return self._blob
+
     def ref(self):
         """The payload-plane locator, publishing on first use (one
         segment per payload, guarded against concurrent queries).
-        ``None`` when every zero-copy rung is unavailable."""
+        ``None`` when no segment can be created."""
         with self._transport_lock:
             if self._segment is None:
                 self._segment = payloads.publish(
@@ -143,9 +153,13 @@ class GraphPayload:
             return self._segment.ref if self._segment is not None \
                 else None
 
-    def job_arg(self):
-        """What a process-shipped job should carry: the zero-copy ref
-        when the plane is up, else the pickled blob."""
+    def job_arg(self, shipped=True):
+        """The handle a job should carry: the zero-copy ref (else the
+        pickled blob) when it ships to a worker process, the payload
+        object itself -- no serialisation hop to pay -- when it runs
+        in this one."""
+        if not shipped:
+            return self.value()
         ref = self.ref()
         return ref if ref is not None else self.blob
 
@@ -202,10 +216,9 @@ class IndexManager:
             self, _release_orphaned, self._lock, self._payload_stores)
         # Optional build delegate ``(graph, core=None) -> (core,
         # cltree)``; the engine's process backend installs one so
-        # CL-tree builds (every graph *and* every shard entry, so an
-        # upload builds all shard trees concurrently) run in worker
-        # processes instead of under the GIL.  Any executor failure
-        # falls back to the in-process build below.
+        # CL-tree builds run in worker processes instead of under the
+        # GIL.  Any executor failure falls back to the in-process
+        # build below.
         self.build_executor = None
         # How many delegated builds failed and fell back locally --
         # surfaced through the engine snapshot so a permanently broken

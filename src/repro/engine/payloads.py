@@ -11,26 +11,24 @@ carry a tiny picklable *ref*, and workers attach the mapping and build
 a :class:`FrozenGraph` over ``memoryview`` slices of it -- zero-copy,
 amortised across every dispatch and every worker.
 
-Transport ladder (each rung degrades to the next automatically):
+Transport ladder (the first rung degrades to the second by itself):
 
 1. **shm** -- ``multiprocessing.shared_memory`` segments.  One
    refcounted :class:`Segment` per ``(graph, shard, version)`` payload,
    owned by the parent; unlinked on version bump, eviction, engine
    shutdown, and (backstop) at interpreter exit, so no
    ``resource_tracker`` leak warnings survive a clean run.
-2. **registry** -- a fork-inherited module-level snapshot registry.
-   Workers forked *after* a payload was registered see it for free via
-   copy-on-write; a registry miss (worker forked too early) disables
-   the rung for the process and falls through.
-3. **pickle** -- the original pickled-blob path, always correct.
+2. **pickle** -- the pickled-blob path: the only transport on hosts
+   without ``/dev/shm`` (segment creation failing poisons the shm
+   rung for the process) and the reference the transport-equivalence
+   tests compare against.
 
 A failed attach in a worker raises
 :class:`~repro.util.errors.PayloadCorruptionError` carrying the
 payload key, which plugs into the existing resilience ladder:
 quarantine -> ``discard_payload`` (which unlinks the segment) -> one
-retry against a freshly published payload, with the full-query path
-falling back to pickled transport on that retry.  The chaos plane's
-``segment_loss`` fault exercises exactly this recovery.
+retry against a freshly frozen and published payload.  The chaos
+plane's ``segment_loss`` fault exercises exactly this recovery.
 
 Persistence rides on the same byte layout: :class:`GraphStore` writes
 the packed payload to ``frozen.bin`` (re-loaded via ``mmap``, also
@@ -52,7 +50,6 @@ import shutil
 import struct
 import threading
 from array import array
-from collections import OrderedDict
 
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
@@ -64,7 +61,7 @@ except ImportError:  # pragma: no cover - always present on CPython 3.8+
     _resource_tracker = None
 
 ENV_TRANSPORT = "REPRO_PAYLOAD_TRANSPORT"
-TRANSPORTS = ("shm", "registry", "pickle")
+TRANSPORTS = ("shm", "pickle")
 
 # Packed payload layout: magic, then byte lengths of the four parts
 # (raw int32 indptr, raw int32 indices, pickled shard extras, pickled
@@ -79,13 +76,13 @@ _HEADER = struct.Struct("<4sQQQQ")
 
 _lock = threading.RLock()
 _segments = {}            # name -> Segment (parent-side owners)
-_attached = {}            # name -> SharedMemory (worker-side keep-alive)
-_decoded = OrderedDict()  # name -> decoded payload (attach memo)
-_DECODED_CAP = 64         # segments outliving their decode memo entry
+# Payload identity ``key[:3]`` -> (version, segment name, SharedMemory
+# or None, decoded payload): the one attachment this process keeps per
+# graph/shard.  A newer version of the same identity replaces (and
+# closes) its predecessor, so version churn never accumulates
+# mappings in a long-lived worker.
+_attached = {}
 _mmaps = []               # (mmap, file) keep-alive for store loads
-_fork_registry = {}       # payload key -> decoded payload object
-_registry_owned = set()   # keys this process published to the registry
-_registry_ok = True       # poisoned on the first fork-miss
 _shm_ok = True            # poisoned when segment creation fails
 _seq = 0
 _attach_failures = 0
@@ -97,9 +94,9 @@ def _transport():
 
 
 def configure(transport):
-    """Force the payload transport (``shm``/``registry``/``pickle``).
+    """Force the payload transport (``shm``/``pickle``).
 
-    Used by tests and benchmarks to compare rungs of the ladder; the
+    Used by tests and benchmarks to compare the two transports; the
     environment variable :data:`ENV_TRANSPORT` does the same for a
     whole process.  Returns the previous mode.
     """
@@ -204,23 +201,10 @@ class ShmPayloadRef:
             self.segment, self.key)
 
 
-class RegistryPayloadRef:
-    """Locator for a payload in the fork-inherited registry."""
-
-    __slots__ = ("key", "corrupted")
-
-    def __init__(self, key, corrupted=False):
-        self.key = key
-        self.corrupted = corrupted
-
-    def __repr__(self):
-        return "RegistryPayloadRef(key={!r})".format(self.key)
-
-
 def is_ref(obj):
     """Whether ``obj`` is a payload-plane locator (vs a pickled blob
     or an in-process payload object)."""
-    return isinstance(obj, (ShmPayloadRef, RegistryPayloadRef))
+    return isinstance(obj, ShmPayloadRef)
 
 
 def corrupt_ref(ref):
@@ -228,10 +212,8 @@ def corrupt_ref(ref):
     ``corrupt`` fault on zero-copy transport): attaching it raises
     :class:`PayloadCorruptionError` with the *real* key, so quarantine
     targets the right payload."""
-    if isinstance(ref, ShmPayloadRef):
-        return ShmPayloadRef(ref.segment, ref.key, ref.nbytes,
-                             corrupted=True)
-    return RegistryPayloadRef(ref.key, corrupted=True)
+    return ShmPayloadRef(ref.segment, ref.key, ref.nbytes,
+                         corrupted=True)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +236,11 @@ if _shared_memory is not None:
             try:
                 super().close()
             except BufferError:
-                pass
+                # The views pin the mapping, not the descriptor:
+                # close that now or every replaced segment leaks one.
+                if self._fd >= 0:
+                    os.close(self._fd)
+                    self._fd = -1
 
         def __del__(self):
             try:
@@ -302,7 +288,10 @@ class Segment:
         with _lock:
             shm, self._shm = self._shm, None
             _segments.pop(self.name, None)
-            _decoded.pop(self.name, None)
+            identity = self.key[:3]
+            kept = _attached.get(identity)
+            if kept is not None and kept[1] == self.name:
+                del _attached[identity]
         if shm is None or self._pid != os.getpid():
             return
         try:
@@ -315,42 +304,6 @@ class Segment:
             pass
 
 
-class _RegistrySlot:
-    """Segment-shaped owner for the fork-registry rung."""
-
-    __slots__ = ("key", "nbytes", "_refs")
-
-    def __init__(self, key, nbytes):
-        self.key = key
-        self.nbytes = nbytes
-        self._refs = 1
-
-    @property
-    def name(self):
-        return None
-
-    @property
-    def ref(self):
-        return RegistryPayloadRef(self.key)
-
-    def acquire(self):
-        with _lock:
-            self._refs += 1
-        return self
-
-    def release(self):
-        with _lock:
-            self._refs -= 1
-            dead = self._refs <= 0
-        if dead:
-            self.destroy()
-
-    def destroy(self):
-        with _lock:
-            _fork_registry.pop(self.key, None)
-            _registry_owned.discard(self.key)
-
-
 def _next_segment_name():
     global _seq
     with _lock:
@@ -359,43 +312,34 @@ def _next_segment_name():
 
 
 def publish(key, frozen, extras=None):
-    """Place one frozen payload on the best available zero-copy rung.
+    """Place one frozen payload in a shared-memory segment.
 
-    Returns a :class:`Segment`/:class:`_RegistrySlot` owner (holding
-    one reference) or ``None`` when the plane is disabled or every
-    rung is unavailable -- the caller then ships the pickled blob.
+    Returns the :class:`Segment` owner (holding one reference) or
+    ``None`` when the plane is disabled or segment creation fails --
+    the caller then ships the pickled blob.
     """
     global _shm_ok
-    mode = _transport()
-    if mode == "pickle":
+    if _transport() != "shm" or not _shm_ok or _shared_memory is None:
         return None
-    if mode == "shm" and _shm_ok and _shared_memory is not None:
-        chunks = pack_payload(frozen, extras)
-        nbytes = sum(len(c) for c in chunks)
-        try:
-            shm = _QuietSharedMemory(
-                name=_next_segment_name(), create=True,
-                size=max(nbytes, 1))
-            off = 0
-            for chunk in chunks:
-                shm.buf[off:off + len(chunk)] = chunk
-                off += len(chunk)
-        except Exception:
-            # /dev/shm missing, full, or unwritable: poison the rung
-            # for this process and fall through to the registry.
-            _shm_ok = False
-        else:
-            segment = Segment(shm, key, nbytes)
-            with _lock:
-                _segments[segment.name] = segment
-            return segment
-    if _registry_ok:
-        payload = frozen if extras is None else (frozen,) + tuple(extras)
-        with _lock:
-            _fork_registry[key] = payload
-            _registry_owned.add(key)
-        return _RegistrySlot(key, 0)
-    return None
+    chunks = pack_payload(frozen, extras)
+    nbytes = sum(len(c) for c in chunks)
+    try:
+        shm = _QuietSharedMemory(
+            name=_next_segment_name(), create=True,
+            size=max(nbytes, 1))
+        off = 0
+        for chunk in chunks:
+            shm.buf[off:off + len(chunk)] = chunk
+            off += len(chunk)
+    except Exception:
+        # /dev/shm missing, full, or unwritable: poison the rung for
+        # this process; payloads ship pickled from here on.
+        _shm_ok = False
+        return None
+    segment = Segment(shm, key, nbytes)
+    with _lock:
+        _segments[segment.name] = segment
+    return segment
 
 
 # ----------------------------------------------------------------------
@@ -430,41 +374,37 @@ def _attach_shm(name):
 def attach(ref):
     """Resolve a payload ref to the payload object, zero-copy.
 
-    Any failure -- corrupted ref, unlinked segment, registry miss --
-    raises :class:`PayloadCorruptionError` carrying the payload key,
-    which the engine's quarantine/retry ladder turns into a fresh
-    payload on the next attempt.
+    Any failure -- corrupted ref, unlinked segment -- raises
+    :class:`PayloadCorruptionError` carrying the payload key, which
+    the engine's quarantine/retry ladder turns into a fresh payload
+    on the next attempt.
+
+    The process keeps one attachment per payload identity
+    (``key[:3]``: manager epoch, graph, shard): repeat jobs against
+    the same segment reuse its decoded payload, a segment at least as
+    new as the kept one replaces it -- closing the predecessor's
+    mapping -- and a late job for an older version is served without
+    displacing the newer attachment.
     """
-    global _attach_failures, _registry_ok
-    if getattr(ref, "corrupted", False):
+    global _attach_failures
+    if ref.corrupted:
         with _lock:
             _attach_failures += 1
         raise PayloadCorruptionError(
             "payload ref corrupted in flight", key=ref.key)
-    if isinstance(ref, RegistryPayloadRef):
-        with _lock:
-            payload = _fork_registry.get(ref.key)
-        if payload is None:
-            with _lock:
-                _attach_failures += 1
-                _registry_ok = False
-            raise PayloadCorruptionError(
-                "payload missing from fork registry (worker forked "
-                "before publish)", key=ref.key)
-        return payload
+    identity, version = ref.key[:3], ref.key[3:]
     with _lock:
-        cached = _decoded.get(ref.segment)
-        if cached is not None:
-            _decoded.move_to_end(ref.segment)
-            return cached
+        kept = _attached.get(identity)
         owner = _segments.get(ref.segment)
-        shm = _attached.get(ref.segment)
+    if kept is not None and kept[1] == ref.segment:
+        return kept[3]
+    kept = None  # never pin a predecessor this attach may displace
+    shm = None
     if owner is not None and owner._shm is not None:
-        # In-process resolution (inline fallback, thread backend): the
-        # segment is our own -- decode straight from the live mapping.
-        return _memo_decoded(ref.segment, unpack_payload(
-            owner._shm.buf, key=ref.key))
-    if shm is None:
+        # In-process resolution (inline substrate): the segment is
+        # our own -- decode straight from the live mapping.
+        buf = owner._shm.buf
+    else:
         try:
             shm = _attach_shm(ref.segment)
         except Exception as exc:
@@ -473,57 +413,45 @@ def attach(ref):
             raise PayloadCorruptionError(
                 "shared-memory attach failed: {}".format(exc),
                 key=ref.key)
-        with _lock:
-            # Keep the mapping alive for the worker's lifetime: the
-            # decoded FrozenGraph holds memoryviews into it, and a
-            # parent-side unlink leaves attached mappings valid.
-            _attached.setdefault(ref.segment, shm)
-    return _memo_decoded(ref.segment, unpack_payload(shm.buf,
-                                                     key=ref.key))
-
-
-def _memo_decoded(name, payload):
-    """Memoize the decoded payload per (never-reused) segment name:
-    repeat jobs against the same immutable snapshot skip the sidecar
-    decode entirely -- the amortisation that makes attach cost
-    per-segment, not per-dispatch."""
-    with _lock:
-        _decoded[name] = payload
-        _decoded.move_to_end(name)
-        while len(_decoded) > _DECODED_CAP:
-            _decoded.popitem(last=False)
+        buf = shm.buf
+    payload = unpack_payload(buf, key=ref.key)
+    displaced = _keep(identity, version, ref.segment, shm, payload)
+    if displaced is not None:
+        displaced.close()
     return payload
+
+
+def _keep(identity, version, segment, shm, payload):
+    """Make this the identity's kept attachment unless a newer one is
+    already kept.  Returns the displaced predecessor's mapping for the
+    caller to close -- after this frame has dropped the predecessor's
+    decoded payload, whose views would otherwise pin it."""
+    with _lock:
+        kept = _attached.get(identity)
+        if kept is not None and version < kept[0]:
+            return None
+        # The kept mapping stays open as long as it is kept: the
+        # decoded FrozenGraph holds memoryviews into it, and a
+        # parent-side unlink leaves attached mappings valid.
+        _attached[identity] = (version, segment, shm, payload)
+        return kept[2] if kept is not None else None
 
 
 def lose_segment(ref):
     """Destroy the backing of ``ref`` in place (the ``segment_loss``
     chaos fault: a torn attachment).  The ref itself still travels, so
     the worker's attach fails exactly like a real loss."""
-    if isinstance(ref, ShmPayloadRef):
-        with _lock:
-            owner = _segments.get(ref.segment)
-        if owner is not None:
-            owner.destroy()
-        elif _shared_memory is not None:
-            try:
-                shm = _attach_shm(ref.segment)
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
-    else:
-        with _lock:
-            _fork_registry.pop(ref.key, None)
-
-
-def note_attach_failure(key):
-    """Parent-side hook: a worker reported a failed attach for
-    ``key``.  If the key rode the fork registry, the rung is poisoned
-    (later forks will not inherit later payloads either)."""
-    global _registry_ok
     with _lock:
-        if key in _registry_owned:
-            _registry_ok = False
+        owner = _segments.get(ref.segment)
+    if owner is not None:
+        owner.destroy()
+    elif _shared_memory is not None:
+        try:
+            shm = _attach_shm(ref.segment)
+            shm.close()
+            shm.unlink()
+        except Exception:
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -548,14 +476,12 @@ def live_bytes():
 def plane_stats():
     """The payload-plane block of the engine metrics document."""
     with _lock:
-        registry_entries = len(_fork_registry)
         failures = _attach_failures
     return {
         "transport": _transport(),
         "shm_available": bool(_shared_memory is not None and _shm_ok),
         "shm_segments": live_segments(),
         "payload_bytes": live_bytes(),
-        "registry_entries": registry_entries,
         "attach_failures": failures,
     }
 
@@ -565,8 +491,8 @@ def _sweep():
     """Backstop: unlink every still-owned segment at interpreter exit
     so no run -- even one that skipped engine shutdown -- leaves
     ``resource_tracker`` warnings or orphaned ``/dev/shm`` files.
-    Guarded per-segment by owner pid: forked workers inherit the
-    registry but must never unlink the parent's segments."""
+    Guarded per-segment by owner pid: forked workers inherit
+    ``_segments`` but must never unlink the parent's segments."""
     pid = os.getpid()
     with _lock:
         owned = [seg for seg in _segments.values() if seg._pid == pid]

@@ -1,43 +1,54 @@
 """Retry, hedging and circuit-breaking policy: how the engine reacts
 to failure instead of propagating it.
 
-Three mechanisms, composed by the executor's fan-out paths:
+Three mechanisms, composed by the engine's one fan-out
+(:meth:`~repro.engine.executor.QueryEngine.run_jobs`), which hands
+them "start another attempt" and "wait for that attempt" as callables
+-- so each is written once, whatever substrate the attempt runs on:
 
-* :class:`RetryPolicy` -- per-job-class retry budgets.  Every engine
-  job class (``shard``, ``full_query``, ``full_query_batch``,
-  ``detect``) is a pure function of an immutable frozen payload, so
-  retries are always safe; the policy only decides *how many* and *how
-  spaced* (capped exponential backoff with deterministic jitter), and
-  the remaining-deadline budget always wins -- a retry whose backoff
-  would outlive the caller's deadline is not attempted.
+* :class:`RetryPolicy` / :meth:`ResiliencePlane.retrying_result` --
+  per-job-class retry budgets.  Every engine job class (``shard``,
+  ``full_query``, ``full_query_batch``, ``detect``) is a pure function
+  of an immutable frozen payload, so retries are always safe; the
+  policy only decides *how many* and *how spaced* (capped exponential
+  backoff with deterministic jitter), and the remaining-deadline
+  budget always wins -- a retry whose backoff would outlive the
+  caller's deadline is not attempted.
 
-* **Hedging** -- a straggler job past the observed p95 of its class
-  (times :data:`HEDGE_ALPHA`) gets one duplicate submission; the first
-  result wins and the loser is cancelled (best-effort parent-side,
-  cooperatively in the worker via the shipped deadline).  Hedging is
-  the standard tail-latency answer when a worker stalls rather than
-  dies; idempotent jobs make it free of semantic risk.
+* **Hedging** (:meth:`ResiliencePlane.hedged_result`) -- a straggler
+  job past the observed p95 of its class (times :data:`HEDGE_ALPHA`)
+  gets one duplicate submission; the first result wins and the loser
+  is cancelled (best-effort parent-side, cooperatively in the worker
+  via the shipped deadline).  Hedging is the standard tail-latency
+  answer when a worker stalls rather than dies; idempotent jobs make
+  it free of semantic risk.  (An inline attempt runs to completion
+  on the waiting thread: it never looks like a straggler.)
 
-* :class:`CircuitBreaker` / :class:`ResiliencePlane` -- per-substrate
-  breakers implementing the degradation ladder
-  ``process -> thread -> inline``.  Consecutive infrastructure
-  failures (pool death, submission failure) open the breaker; while
-  open, fan-outs skip the substrate entirely (no doomed submissions,
+* :class:`CircuitBreaker` / :class:`ResiliencePlane` -- the breaker
+  behind the degradation ladder ``process -> inline``.  Consecutive
+  infrastructure failures (pool death, submission failure) open it;
+  while open, fan-outs skip the pool entirely (no doomed submissions,
   no fallback latency); after a cooldown one *probe* fan-out is let
-  through (half-open), and its success promotes the substrate back.
+  through (half-open), and its success promotes the pool back.
   Payload corruption deliberately does **not** count against the
   breaker -- a poisoned ``(graph, version)`` payload is quarantined
-  individually (see ``QueryEngine._quarantine``) so one bad graph
-  cannot condemn an otherwise healthy backend.
+  individually (see ``QueryEngine._quarantine_if_corrupt``) so one bad
+  graph cannot condemn an otherwise healthy backend.
 """
 
 import threading
 import time
 import zlib
+from concurrent.futures import FIRST_COMPLETED
+from concurrent.futures import wait as _futures_wait
 
+from repro.engine import tracing
+from repro.engine.backends import ProcessBackendError
 from repro.util.errors import (
     FaultInjectedError,
+    JobPayloadError,
     PayloadCorruptionError,
+    QueryTimeoutError,
     WorkerKilledError,
 )
 
@@ -60,7 +71,35 @@ HEDGE_MIN_SAMPLES = 20
 HEDGE_MIN_SECONDS = 0.05
 
 #: the degradation ladder, most- to least-parallel.
-SUBSTRATES = ("process", "thread", "inline")
+SUBSTRATES = ("process", "inline")
+
+
+def remaining(deadline):
+    """Seconds left until a ``perf_counter`` deadline (``None`` when
+    unbounded, never negative)."""
+    if deadline is None:
+        return None
+    return max(deadline - time.perf_counter(), 0.0)
+
+
+class Attempt:
+    """One started attempt of a job: its substrate future, when it
+    was submitted and -- stamped by the future's done callback, where
+    the substrate has one -- when it completed, both on this
+    process's ``perf_counter``."""
+
+    __slots__ = ("future", "started", "done_at")
+
+    def __init__(self, future):
+        self.future = future
+        self.started = time.perf_counter()
+        self.done_at = None
+        callback = getattr(future, "add_done_callback", None)
+        if callback is not None:
+            callback(self._stamp)
+
+    def _stamp(self, _future):
+        self.done_at = time.perf_counter()
 
 
 class RetryPolicy:
@@ -244,8 +283,6 @@ class ResiliencePlane:
         self.breakers = {
             "process": CircuitBreaker("process",
                                       cooldown=breaker_cooldown),
-            "thread": CircuitBreaker("thread",
-                                     cooldown=breaker_cooldown),
         }
         self._lock = threading.Lock()
         self._quarantined = set()
@@ -262,14 +299,9 @@ class ResiliencePlane:
         first substrate whose breaker admits work.  Returns
         ``(substrate, probe)`` -- ``probe`` flags a half-open trial
         whose outcome the caller must report.  ``inline`` has no
-        breaker: serial execution on the coordinating thread is the
-        floor that always works."""
-        start = SUBSTRATES.index(preferred)
-        for level in SUBSTRATES[start:]:
-            breaker = self.breakers.get(level)
-            if breaker is None:
-                return level, False
-            verdict = breaker.allow()
+        breaker: the calling thread is the floor that always works."""
+        for level in SUBSTRATES[SUBSTRATES.index(preferred):-1]:
+            verdict = self.breakers[level].allow()
             if verdict:
                 return level, verdict == "probe"
             self.stats.count("breaker_rejections")
@@ -287,8 +319,96 @@ class ResiliencePlane:
             breaker.record_failure()
 
     # ------------------------------------------------------------------
+    # retries
+    # ------------------------------------------------------------------
+    def retrying_result(self, op, index, attempt, restart, wait,
+                        deadline, on_failure):
+        """One job's result, absorbing transient failures up to the
+        policy's budget for ``op`` (and never past ``deadline``, a
+        ``perf_counter`` instant or ``None``).
+
+        ``attempt`` is the job's already-started first attempt (an
+        object with ``future`` and ``started``); ``restart()`` starts
+        a pristine further one -- injected faults are one-shot, so a
+        retry or hedge never re-applies them -- and ``wait(attempt,
+        budget)`` blocks for an attempt's result.  ``on_failure(exc)``
+        sees every retryable failure first (the quarantine hook).
+        Returns ``(result, winning attempt)``.
+        """
+        policy = self.policy(op)
+        tries = 1
+        while True:
+            try:
+                return self.hedged_result(op, attempt, restart, wait,
+                                          deadline)
+            except RETRYABLE as exc:
+                on_failure(exc)
+                delay = policy.backoff(
+                    tries, token="{}:{}".format(op, index))
+                if tries >= policy.attempts or (
+                        deadline is not None
+                        and time.perf_counter() + delay >= deadline):
+                    self.stats.count("retry_exhausted")
+                    raise
+                self.stats.count("retries")
+                tracing.add_span("retry", delay, op=op, shard=index,
+                                 attempt=tries,
+                                 error=type(exc).__name__)
+                time.sleep(delay)
+                tries += 1
+                attempt = restart()
+
+    # ------------------------------------------------------------------
     # hedging
     # ------------------------------------------------------------------
+    def hedged_result(self, op, attempt, restart, wait, deadline):
+        """Await one attempt, hedging a straggler: past the p95-based
+        threshold a duplicate is started, the first to finish wins,
+        and the loser is cancelled (cooperatively, in the worker, via
+        the shipped deadline).  Returns ``(result, winning
+        attempt)``."""
+        threshold = self.hedge_threshold(op)
+        if threshold is None:
+            return wait(attempt, remaining(deadline)), attempt
+        first_wait = max(
+            threshold - (time.perf_counter() - attempt.started), 0.0)
+        budget = remaining(deadline)
+        if budget is not None:
+            first_wait = min(first_wait, budget)
+        try:
+            return wait(attempt, first_wait), attempt
+        except QueryTimeoutError:
+            if attempt.future.done():
+                # The *worker* reported a deadline expiry; that is
+                # the job's result, not a straggler signal.
+                raise
+            if deadline is not None \
+                    and time.perf_counter() >= deadline:
+                raise
+        try:
+            hedge = restart()
+        except (ProcessBackendError, JobPayloadError):
+            # No capacity for a duplicate; keep waiting on the
+            # primary within the remaining budget.
+            return wait(attempt, remaining(deadline)), attempt
+        self.stats.count("hedges")
+        done, _ = _futures_wait({attempt.future, hedge.future},
+                                timeout=remaining(deadline),
+                                return_when=FIRST_COMPLETED)
+        if not done:
+            hedge.future.cancel()
+            attempt.future.cancel()
+            raise QueryTimeoutError(
+                "hedged job pair missed the deadline")
+        won = attempt.future not in done
+        winner, loser = (hedge, attempt) if won else (attempt, hedge)
+        loser.future.cancel()
+        self.stats.count("hedges_won" if won else "hedges_lost")
+        tracing.add_span("hedge",
+                         time.perf_counter() - hedge.started, op=op,
+                         won=won)
+        return wait(winner, remaining(deadline)), winner
+
     def hedge_threshold(self, op):
         """Seconds after which a running ``op`` job deserves a hedged
         duplicate, or ``None`` while the latency history is too cold

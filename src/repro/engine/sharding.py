@@ -46,43 +46,35 @@ and combine at the engine layer:
   the only vertices that can still move.
 
 * :func:`sharded_search` -- runs one shardable community search end to
-  end: structural phase fanned out over
-  :meth:`~repro.engine.executor.QueryEngine.map_shards`, then the
+  end: structural phase fanned out through
+  :meth:`~repro.engine.executor.QueryEngine.run_jobs`, then the
   algorithm-specific finish (``global`` builds the community directly;
-  the ACQ family re-runs its keyword enumeration over the merged base,
-  which re-verifies the keyword constraints on the full graph).  With
-  ``shards=1`` nothing here runs at all -- the engine keeps the exact
-  pre-sharding code path.
+  every other family finishes through the whole-query job over the
+  frozen payload, handed the merged base).  Any failure of the sharded
+  plan hands the query back to the caller's unsharded path
+  (``shard_fallbacks``).  With ``shards=1`` nothing here runs at all
+  -- the engine keeps the exact pre-sharding code path.
 
-* **process-backend fan-out** -- with
-  ``QueryEngine(backend="process")`` the per-shard scans leave the
-  parent interpreter entirely: :class:`ShardPayload` caches, per
-  ``(graph, version, shard)``, a pre-pickled CSR
+* **one scan per shard, on every backend** -- :class:`ShardPayload`
+  caches, per ``(graph, version, shard)``, a CSR
   :class:`~repro.graph.frozen.FrozenGraph` snapshot of the shard (plus
   id map and global degrees), and
-  :func:`~repro.engine.backends.shard_candidates_job` answers the
-  certify/drop/classify probe in a ``multiprocessing`` worker.  The
-  payload is serialised once per shard version -- not per query -- and
-  maintenance invalidates it exactly when it bumps the shard's index
-  version.  Merge, cascade drain and boundary re-verification stay in
-  the parent, so sharded/process results remain byte-identical to
-  unsharded/thread execution.
+  :func:`~repro.engine.backends.shard_candidates_job` /
+  :func:`~repro.engine.backends.shard_truss_job` answer the
+  certify/drop/classify probe over it -- in a ``multiprocessing``
+  worker under ``backend="process"`` (the payload ships as a
+  shared-memory ref), inline under ``backend="thread"`` (the payload
+  object itself is the handle).  The payload is frozen once per shard
+  version -- not per query -- and maintenance invalidates it exactly
+  when it bumps the shard's index version.  Merge, cascade drain and
+  boundary re-verification stay in the parent, so results are
+  byte-identical to unsharded execution on either backend.
 """
 
-import pickle
 import time
 
-from repro.algorithms.attributed_truss import attributed_truss_search
-from repro.algorithms.truss_search import truss_community_search
-from repro.core.acq import acq_search
 from repro.core.community import Community
-from repro.core.kcore import connected_k_core, core_decomposition
-from repro.core.ktruss import truss_decomposition
-from repro.engine.backends import (
-    FixedBaseIndex,
-    shard_candidates_job,
-    shard_truss_job,
-)
+from repro.engine.backends import shard_candidates_job, shard_truss_job
 from repro.engine import tracing
 from repro.engine.index_manager import GraphPayload, IndexManager
 from repro.engine.plans import FANOUT_ALGORITHMS, TRUSS_FAMILY
@@ -285,18 +277,16 @@ class TrussShardReport:
 
 
 class ShardPayload(GraphPayload):
-    """One shard's frozen snapshot, ready to ship to a worker process.
+    """One shard's frozen snapshot, ready to hand to a shard job.
 
     The payload bundles the ``(FrozenGraph, old_ids, global_degree)``
-    triple a shard job needs.  :meth:`job_arg` ships it zero-copy
-    through the payload plane (one shared-memory segment per shard
-    version, a tiny ref per dispatch); ``blob`` is the pickled-triple
-    fallback, serialised lazily **once per shard version** and reused
-    until maintenance bumps the shard.  ``key`` is the ``(manager
-    epoch, graph, shard, version)`` identity workers cache their
-    attached/unpickled copy (and its shard-local core numbers) under
-    -- the epoch keeps same-named graphs of different managers apart
-    when jobs run inline in a shared parent process.
+    triple a shard job needs; the transports are the parent class's
+    (in-process object, one shared-memory segment per shard version,
+    or the pickled triple).  ``key`` is the ``(manager epoch, graph,
+    shard, version)`` identity workers cache the resolved triple (and
+    its shard-local core/truss numbers) under -- the epoch keeps
+    same-named graphs of different managers apart when jobs run
+    inline in a shared parent process.
     """
 
     __slots__ = ("old_ids", "global_degree")
@@ -306,16 +296,6 @@ class ShardPayload(GraphPayload):
         super().__init__(key, version, frozen, build_seconds)
         self.old_ids = old_ids
         self.global_degree = global_degree
-
-    @property
-    def blob(self):
-        """The pickled job triple (serialised once, on first use)."""
-        if self._blob is None:
-            with tracing.span("payload_pickle"):
-                self._blob = pickle.dumps(
-                    (self.frozen, self.old_ids, self.global_degree),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-        return self._blob
 
     def _extras(self):
         return (self.old_ids, self.global_degree)
@@ -340,8 +320,8 @@ class ShardedIndexManager(IndexManager):
     ``register(..., shards=n)`` additionally materialises the ``n``
     induced shard subgraphs and registers each under
     ``<name>#shard<i>`` -- a full versioned index entry of its own, so
-    shard CL-trees build lazily/eagerly like any other index and
-    ``/api/metrics`` reports per-shard versions for free.  With
+    ``/v1/metrics`` reports per-shard versions for free (shard entries
+    are always lazy: nothing reads a shard CL-tree).  With
     ``shards=1`` (the default) behaviour is exactly the parent's.
     """
 
@@ -386,8 +366,10 @@ class ShardedIndexManager(IndexManager):
                 entry = shard_entry_name(name, i)
                 # Replaces a same-named entry from a previous sharded
                 # registration in place -- no window where a shard
-                # entry is missing.
-                super().register(entry, sub, build=build)
+                # entry is missing.  Always lazy: shard entries exist
+                # for their versions; nothing reads a shard CL-tree,
+                # so ``build=`` applies to the parent entry alone.
+                super().register(entry, sub, build="lazy")
                 names.append(entry)
                 graphs.append(sub)
                 mappings.append(old_to_new)
@@ -493,96 +475,16 @@ class ShardedIndexManager(IndexManager):
         }
         return doc
 
-    def shard_candidates(self, name, shard, k):
-        """One shard's :class:`ShardReport` for a level-``k`` query.
-
-        Runs as a fan-out job on the worker pool: scans only the
-        shard's own vertices, certifying via the shard-local core
-        numbers (cached per shard version, so only maintenance on
-        *this* shard ever forces a recompute).
-        """
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                raise CExplorerError(
-                    "graph {!r} is not sharded".format(name))
-        sub = part.graphs[shard]
-        try:
-            # Only trust the cached per-version decomposition when the
-            # index entry still holds *this* shard set's subgraph
-            # (a concurrent re-registration may have replaced it).
-            if self.graph(part.names[shard]) is sub:
-                local_core = self.core(part.names[shard])
-            else:
-                local_core = core_decomposition(sub)
-        except CExplorerError:
-            local_core = core_decomposition(sub)
-        mapping = part.old_to_new[shard]
-        graph = self.graph(name)
-        certified = set()
-        uncertain = {}
-        dropped = []
-        for old, new in mapping.items():
-            if local_core[new] >= k:
-                certified.add(old)
-                continue
-            degree = graph.degree(old)
-            if degree < k:
-                dropped.append(old)
-            else:
-                uncertain[old] = degree
-        return ShardReport(shard, certified, uncertain, dropped)
-
-    def shard_truss_candidates(self, name, shard, k):
-        """One shard's :class:`TrussShardReport` for a level-``k``
-        truss query.
-
-        Runs as a fan-out job on the worker pool: decomposes only the
-        shard's own induced subgraph (cached per shard truss version,
-        so only maintenance on *this* shard ever forces a recompute)
-        and certifies edges whose shard-local truss number reaches
-        ``k``.
-        """
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                raise CExplorerError(
-                    "graph {!r} is not sharded".format(name))
-        sub = part.graphs[shard]
-        try:
-            # Only trust the cached per-version decomposition when the
-            # index entry still holds *this* shard set's subgraph.
-            if self.graph(part.names[shard]) is sub:
-                local_truss = self.truss(part.names[shard])
-            else:
-                local_truss = truss_decomposition(sub)
-        except CExplorerError:
-            local_truss = truss_decomposition(sub)
-        mapping = part.old_to_new[shard]
-        old_ids = [0] * len(mapping)
-        for old, new in mapping.items():
-            old_ids[new] = old
-        certified = set()
-        uncertain = set()
-        for u, v in sub.edges():
-            a, b = old_ids[u], old_ids[v]
-            edge = (a, b) if a < b else (b, a)
-            if local_truss.get((u, v), 0) >= k:
-                certified.add(edge)
-            else:
-                uncertain.add(edge)
-        return TrussShardReport(shard, certified, uncertain)
-
     def shard_payload(self, name, shard):
-        """The pickled-frozen snapshot of one shard, cached per
+        """The frozen snapshot of one shard, cached per
         ``(graph, version, shard)``.
 
         Returns ``(payload, fresh)`` where ``fresh`` says the snapshot
         was (re)built by this call -- the engine records the build
         time under the ``snapshot_build`` latency op.  The payload
         bundles everything :func:`~repro.engine.backends.
-        shard_candidates_job` needs to answer a level-``k`` probe in a
-        worker process: the shard subgraph as a CSR
+        shard_candidates_job` needs to answer a level-``k`` probe: the
+        shard subgraph as a CSR
         :class:`~repro.graph.frozen.FrozenGraph`, the local-to-global
         id map, and the owned vertices' *global* degrees (an edge
         update always bumps both endpoint owners' shard versions, so a
@@ -612,10 +514,10 @@ class ShardedIndexManager(IndexManager):
             for old, new in mapping.items():
                 old_ids[new] = old
             global_degree = [graph.degree(old) for old in old_ids]
-        # Serialisation is lazy: the payload plane ships the frozen
-        # arrays zero-copy through a shared-memory segment, so the
-        # pickle (``payload.blob``) only ever runs on the fallback
-        # rung -- cold queries stop paying ``payload_pickle`` at all.
+        # Serialisation is lazy: in-process jobs take the payload
+        # object itself and the payload plane ships the frozen arrays
+        # zero-copy through a shared-memory segment, so the pickle
+        # (``payload.blob``) only ever runs on the fallback rung.
         payload = ShardPayload(
             (self._payload_epoch, name, shard, version), version,
             frozen, old_ids, global_degree,
@@ -627,8 +529,8 @@ class ShardedIndexManager(IndexManager):
             # shard set at the version it was cut at; an unpublished
             # (raced) payload is still a consistent snapshot of the
             # state it was cut from, so the in-flight query may use
-            # it -- the same either-state semantics the thread path
-            # has for queries concurrent with mutations.
+            # it -- the same either-state semantics every query
+            # concurrent with a mutation has.
             if fresh is part and self.version(entry_name) == version:
                 replaced = self._payloads.get((name, shard))
                 self._payloads[(name, shard)] = payload
@@ -869,7 +771,8 @@ def verify_boundary(graph, partition, component, k):
     within-community degree -- boundary-crossing vertices included,
     which is where a bad merge would first show.  A violation raises
     :class:`ShardMergeError` rather than returning a silently wrong
-    community (the caller answers it by recomputing serially).
+    community (:func:`sharded_search` answers it by handing the query
+    back to the unsharded path).
     """
     for v in component:
         internal = sum(1 for u in graph.neighbors(v) if u in component)
@@ -880,70 +783,48 @@ def verify_boundary(graph, partition, component, k):
                                      k))
 
 
+def _run_shard_jobs(engine, name, shards, job, k):
+    """Fan ``job`` out over every shard's cached frozen payload
+    through the engine's job pipeline; returns the raw per-shard
+    results in shard order."""
+    jobs = []
+    for shard in range(shards):
+        payload, fresh = engine.indexes.shard_payload(name, shard)
+        jobs.append((job, (payload.key,
+                           engine.payload_arg(payload, fresh), k)))
+    return engine.run_jobs(jobs, op="shard", graph=name)
+
+
 def sharded_structural_community(engine, name, q, k):
     """The exact connected k-core component of ``q`` at level ``k``,
-    computed shard-parallel over ``engine``'s worker pool.
+    computed shard-parallel through ``engine``'s job pipeline.
 
-    Fan-out: one :meth:`ShardedIndexManager.shard_candidates` job per
-    shard (certify / drop / classify, each scanning only its own
+    Fan-out: one :func:`~repro.engine.backends.shard_candidates_job`
+    per shard (certify / drop / classify, each scanning only its own
     vertices).  Merge: drain the peeling cascade, take ``q``'s
     component, re-verify boundary crossers.  Returns ``None`` when
-    ``q`` is not in the k-core.
+    ``q`` is not in the k-core; raises when the graph is (no longer)
+    sharded or the merge fails re-verification.
     """
     indexes = engine.indexes
     graph = indexes.graph(name)
     partition = indexes.partition(name)
     if partition is None:
-        # Raced a re-registration down to shards=1: answer exactly,
-        # just without the fan-out.
-        return connected_k_core(graph, q, k)
-    try:
-        if getattr(engine, "backend", "thread") == "process":
-            # GIL-free fan-out: ship each shard's cached frozen
-            # snapshot to the process pool; workers certify against
-            # shard-local CSR core numbers and return plain
-            # containers in global ids.
-            jobs = []
-            for shard in range(partition.shards):
-                payload, fresh = indexes.shard_payload(name, shard)
-                if fresh:
-                    engine.stats.observe("snapshot_build",
-                                         payload.build_seconds)
-                jobs.append((shard_candidates_job,
-                             (payload.key, payload.job_arg(), k)))
-            raw = engine.map_shard_jobs(jobs, graph=name)
-            reports = [
-                ShardReport(shard, set(certified), dict(uncertain),
-                            list(dropped))
-                for shard, (certified, uncertain, dropped)
-                in enumerate(raw)
-            ]
-        else:
-            jobs = [
-                (lambda shard=shard:
-                 indexes.shard_candidates(name, shard, k))
-                for shard in range(partition.shards)
-            ]
-            reports, _ = engine.map_shards(jobs, graph=name)
-        extra = range(len(partition.assignment), graph.vertex_count)
-        with tracing.span("merge", shards=partition.shards, kind="core"):
-            component = merge_shard_reports(graph, reports, q, k,
-                                            extra_vertices=extra)
-            if component is not None:
-                verify_boundary(graph, partition, component, k)
-        return component
-    except (QueryTimeoutError, QueryCancelledError):
-        # Deadline/cancellation signals belong to admission control;
-        # never convert them into more (serial) work.
-        raise
-    except (CExplorerError, IndexError, RuntimeError):
-        # A concurrent re-registration or maintenance update mutated
-        # the shard set under the fan-out (stale entries, dict/set
-        # changed during iteration, or a merge that failed
-        # re-verification).  Fall back to the exact serial
-        # computation; the stats counter keeps the event visible.
-        engine.stats.count("shard_fallbacks")
-        return connected_k_core(indexes.graph(name), q, k)
+        raise CExplorerError("graph {!r} is not sharded".format(name))
+    raw = _run_shard_jobs(engine, name, partition.shards,
+                          shard_candidates_job, k)
+    reports = [
+        ShardReport(shard, set(certified), dict(uncertain),
+                    list(dropped))
+        for shard, (certified, uncertain, dropped) in enumerate(raw)
+    ]
+    extra = range(len(partition.assignment), graph.vertex_count)
+    with tracing.span("merge", shards=partition.shards, kind="core"):
+        component = merge_shard_reports(graph, reports, q, k,
+                                        extra_vertices=extra)
+        if component is not None:
+            verify_boundary(graph, partition, component, k)
+    return component
 
 
 # ----------------------------------------------------------------------
@@ -1023,8 +904,8 @@ def verify_truss_boundary(graph, strong, suspects, k):
     merge peel) are where a bad merge would first show.  Each must
     close at least ``k - 2`` triangles whose other two edges are in
     ``strong``; a violation raises :class:`ShardMergeError` rather
-    than returning a silently wrong truss (the caller answers by
-    recomputing serially).
+    than returning a silently wrong truss (:func:`sharded_search`
+    answers it by handing the query back to the unsharded path).
     """
     nbrs = graph.neighbors
     for u, v in suspects:
@@ -1044,11 +925,10 @@ def sharded_truss_edge_set(engine, name, k):
     """The exact global k-truss edge set of graph ``name``, computed
     shard-parallel over ``engine``'s worker pool.
 
-    Fan-out: one truss certify/classify job per shard (thread backend:
-    :meth:`ShardedIndexManager.shard_truss_candidates`; process
-    backend: :func:`~repro.engine.backends.shard_truss_job` over the
-    cached frozen shard payloads, running the CSR support-counting
-    kernel GIL-free).  Merge: peel the uncertain and cut edges with
+    Fan-out: one :func:`~repro.engine.backends.shard_truss_job` per
+    shard over the
+    cached frozen shard payloads (the CSR support-counting kernel).
+    Merge: peel the uncertain and cut edges with
     exact global supports (cut-edge supports come from the manager's
     per-graph cache, invalidated only by each update's
     neighbourhood), then re-verify the survivors.  The merged edge
@@ -1056,13 +936,10 @@ def sharded_truss_edge_set(engine, name, k):
     :class:`~repro.engine.cache.SubproblemMemo` -- queries for
     different vertices at the same level share one fan-out, and the
     truss-version key means the entry survives anything that does not
-    move the truss index.  Returns ``None`` when the graph is (no
-    longer) sharded.
+    move the truss index.  Raises when the graph is (no longer)
+    sharded or the merge fails re-verification.
     """
     indexes = engine.indexes
-    partition = indexes.partition(name)
-    if partition is None:
-        return None
     truss_version = indexes.truss_version(name)
     return engine.memo.get_or_compute(
         name, truss_version, "ktruss-strong", k,
@@ -1076,28 +953,13 @@ def _compute_sharded_truss_edge_set(engine, name, k):
     graph = indexes.graph(name)
     partition = indexes.partition(name)
     if partition is None:
-        return None
-    if getattr(engine, "backend", "thread") == "process":
-        jobs = []
-        for shard in range(partition.shards):
-            payload, fresh = indexes.shard_payload(name, shard)
-            if fresh:
-                engine.stats.observe("snapshot_build",
-                                     payload.build_seconds)
-            jobs.append((shard_truss_job,
-                         (payload.key, payload.job_arg(), k)))
-        raw = engine.map_shard_jobs(jobs, graph=name)
-        reports = [
-            TrussShardReport(shard, set(certified), set(uncertain))
-            for shard, (certified, uncertain) in enumerate(raw)
-        ]
-    else:
-        jobs = [
-            (lambda shard=shard:
-             indexes.shard_truss_candidates(name, shard, k))
-            for shard in range(partition.shards)
-        ]
-        reports, _ = engine.map_shards(jobs, graph=name)
+        raise CExplorerError("graph {!r} is not sharded".format(name))
+    raw = _run_shard_jobs(engine, name, partition.shards,
+                          shard_truss_job, k)
+    reports = [
+        TrussShardReport(shard, set(certified), set(uncertain))
+        for shard, (certified, uncertain) in enumerate(raw)
+    ]
     # Cut edges and post-partition edges belong to no shard subgraph;
     # classify them at the merge so coverage stays total.
     assigned = len(partition.assignment)
@@ -1110,9 +972,7 @@ def _compute_sharded_truss_edge_set(engine, name, k):
     # global supports come from the manager's per-(graph) cache,
     # which maintenance invalidates by the update's neighbourhood
     # only (see ShardedIndexManager.cut_edge_supports).
-    supports_fn = getattr(indexes, "cut_edge_supports", None)
-    known_supports = supports_fn(name, extra) \
-        if supports_fn is not None else None
+    known_supports = indexes.cut_edge_supports(name, extra)
     with tracing.span("merge", shards=partition.shards, kind="truss"):
         strong, suspects = merge_truss_reports(
             graph, reports, k, extra_edges=extra,
@@ -1121,116 +981,62 @@ def _compute_sharded_truss_edge_set(engine, name, k):
     return strong
 
 
-def worker_finish(engine, name, algorithm, q, k, keywords, base):
-    """Finish one sharded query inside the whole-query worker
-    pipeline: the parent's merge reconciled the cross-shard structural
-    phase into ``base``; the verification / keyword-enumeration phase
-    runs against the cached frozen payload (in a worker process under
-    the process backend, in-process on the same CSR snapshot
-    otherwise).  Raising callers fall back to the parent-side finish.
-    """
-    return engine.search_full_query(name, algorithm, q, k,
-                                    keywords=keywords, base=base)
-
-
-def sharded_truss_search(engine, name, algorithm, q, k, keywords=None):
-    """Run one triangle-family search partition-parallel.
-
-    ``k-truss``: the merged k-truss edge set replaces the global
-    decomposition (a level-``k`` query only ever asks "is this edge's
-    truss >= k"), and the triangle-connectivity BFS runs unchanged.
-    ``atc``: the merged edge set is the structural base (the
-    whole-graph truss reduction).  The finishing phase -- triangle
-    BFS or keyword enumeration -- runs through the whole-query worker
-    pipeline over the frozen payload; the parent-side finish remains
-    as the fallback.  Results are identical to unsharded execution.
-    """
-    graph = engine.indexes.graph(name)
-    q0 = q if isinstance(q, int) else tuple(q)[0]
-    if k < 2:
-        # Match the serial implementations' validation errors exactly.
-        if algorithm == "k-truss":
-            raise QueryError("k must be >= 2 for a k-truss community")
-        raise QueryError("truss order k must be >= 2")
-    try:
-        strong = sharded_truss_edge_set(engine, name, k)
-    except (QueryTimeoutError, QueryCancelledError):
-        # Deadline/cancellation signals belong to admission control;
-        # never convert them into more (serial) work.
-        raise
-    except (CExplorerError, IndexError, KeyError, RuntimeError):
-        # A concurrent re-registration or maintenance update mutated
-        # the shard set under the fan-out, or the merge failed
-        # re-verification.  Fall back to the exact serial computation.
-        engine.stats.count("shard_fallbacks")
-        strong = None
-    if strong is None:
-        if algorithm == "k-truss":
-            return truss_community_search(graph, q0, k)
-        return attributed_truss_search(graph, q, k, keywords=keywords)
-    try:
-        return worker_finish(engine, name, algorithm, q, k, keywords,
-                             ("edges", tuple(sorted(strong))))
-    except (QueryTimeoutError, QueryCancelledError):
-        raise
-    except QueryError:
-        # Genuine query validation errors are identical either way;
-        # re-running the finish in the parent would only raise again.
-        raise
-    except (CExplorerError, IndexError, KeyError, RuntimeError):
-        engine.stats.count("full_query_fallbacks")
-    if algorithm == "k-truss":
-        return truss_community_search(graph, q0, k,
-                                      truss={e: k for e in strong})
-    return attributed_truss_search(graph, q, k, keywords=keywords,
-                                   base_edges=strong)
-
-
 def sharded_search(engine, name, algorithm, q, k, keywords=None):
     """Run one shardable community search; results are identical to
     the unsharded path (the equivalence the tests prove).
 
-    ``global``: the merged component *is* the answer.  ACQ family: the
-    merged component is the structural base; the keyword enumeration
-    (bounded by the community, not the graph) runs through the
-    whole-query worker pipeline against the frozen payload -- the
-    parent's merge only reconciles the cross-shard component -- with
-    the parent-side enumeration kept as the fallback.  Triangle
-    family (``k-truss``/``atc``): dispatched to
-    :func:`sharded_truss_search`, whose structural phase is the merged
-    global k-truss edge set.
+    The structural phase fans out over the shards and is merged
+    here: the connected k-core component of ``q`` for the k-core
+    families, the global k-truss edge set for the triangle families
+    (``k-truss``/``atc``; a level-``k`` query only ever asks "is this
+    edge's truss >= k").  ``global``: the merged component *is* the
+    answer.  Every other algorithm finishes -- keyword enumeration,
+    triangle-connectivity BFS -- through the whole-query job over the
+    frozen payload, handed the merged phase as its structural base.
+
+    The sharded plan has one escape hatch: any failure that is not a
+    deadline, a cancellation or a query validation error -- a shard
+    set mutated under the fan-out by a concurrent re-registration, a
+    lost payload, a merge that failed re-verification, a finish that
+    broke -- counts ``shard_fallbacks`` and returns ``None``, and the
+    caller answers with its unsharded path.
     """
     if algorithm not in SHARDABLE_ALGORITHMS:
         raise CExplorerError(
             "algorithm {!r} does not support sharded execution"
             .format(algorithm))
-    if algorithm in TRUSS_FAMILY:
-        return sharded_truss_search(engine, name, algorithm, q, k,
-                                    keywords=keywords)
-    if k < 0:
+    # Match the serial implementations' validation errors exactly.
+    if algorithm == "k-truss" and k < 2:
+        raise QueryError("k must be >= 2 for a k-truss community")
+    if algorithm == "atc" and k < 2:
+        raise QueryError("truss order k must be >= 2")
+    if algorithm not in TRUSS_FAMILY and k < 0:
         raise QueryError("degree constraint k must be >= 0")
-    graph = engine.indexes.graph(name)
     q0 = q if isinstance(q, int) else tuple(q)[0]
-    component = sharded_structural_community(engine, name, q0, k)
-    if algorithm == "global":
-        if component is None:
-            return []
-        return [Community(graph, component, method="Global",
-                          query_vertices=(q0,), k=k)]
-    variant = "dec" if algorithm == "acq" else algorithm[len("acq-"):]
-    if component is not None:
-        try:
-            return worker_finish(
-                engine, name, algorithm, q, k, keywords,
-                ("component", tuple(sorted(component))))
-        except (QueryTimeoutError, QueryCancelledError):
-            raise
-        except QueryError:
-            # Validation errors (bad keywords, foreign vertices) are
-            # identical either way; surface them directly.
-            raise
-        except (CExplorerError, IndexError, KeyError, RuntimeError):
-            engine.stats.count("full_query_fallbacks")
-    shim = FixedBaseIndex(graph, q0, k, component)
-    return acq_search(graph, q, k, keywords=keywords,
-                      algorithm=variant, index=shim)
+    try:
+        if algorithm in TRUSS_FAMILY:
+            strong = sharded_truss_edge_set(engine, name, k)
+            base = ("edges", tuple(sorted(strong)))
+        else:
+            component = sharded_structural_community(engine, name,
+                                                     q0, k)
+            if algorithm == "global":
+                if component is None:
+                    return []
+                return [Community(engine.indexes.graph(name),
+                                  component, method="Global",
+                                  query_vertices=(q0,), k=k)]
+            # ``("component", None)``: no structural community
+            # exists; the finish still runs for its validation.
+            base = ("component", None if component is None
+                    else tuple(sorted(component)))
+        return engine.search_full_query(name, algorithm, q, k,
+                                        keywords=keywords, base=base)
+    except (QueryTimeoutError, QueryCancelledError, QueryError):
+        # Deadline/cancellation signals belong to admission control
+        # and validation errors are identical on every path; never
+        # convert either into more (serial) work.
+        raise
+    except (CExplorerError, IndexError, KeyError, RuntimeError):
+        engine.stats.count("shard_fallbacks")
+        return None

@@ -444,11 +444,13 @@ class CExplorer:
                 return cached
         result = None
         if plan.fanout and not params and self._fanout_applicable(plan, q):
-            # Partition-parallel: per-shard structural subqueries on
-            # the worker pool, merged at the engine layer, finished
-            # through the whole-query worker pipeline.  Results are
-            # identical to the unsharded path, so the merged result is
-            # cached under the same key below.
+            # Partition-parallel: per-shard structural jobs, merged
+            # at the engine layer, finished through the whole-query
+            # job.  Results are identical to the unsharded path, so
+            # the merged result is cached under the same key below;
+            # ``None`` means the sharded plan could not answer
+            # (counted ``shard_fallbacks``) and the unsharded path
+            # below does.
             result = self.engine.search_sharded(name, plan.algorithm,
                                                 q, k, keywords=keywords)
         elif plan.worker_full_query and not params:

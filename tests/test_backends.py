@@ -12,14 +12,18 @@ The load-bearing invariants:
   bumps the shard version, so process results track mutations;
 * **index builds** -- eager/background CL-tree builds route through
   the process pool and install snapshots equivalent to local builds;
-* **fallback** -- a thread-backend engine runs process-style jobs
+* **fallback** -- a thread-backend engine runs the same jobs
   inline, and pool failures degrade to in-process execution instead
   of failing the query.
+
+The dispatch contract both substrates share is
+``test_job_pipeline.py``'s.
 """
 
 import pytest
 from hypothesis import given, settings
 
+from repro.engine import backends
 from repro.engine.backends import (
     BACKENDS,
     ProcessBackend,
@@ -79,19 +83,32 @@ class TestBackendConfig:
 # job functions (in-process: they are plain picklable functions)
 # ----------------------------------------------------------------------
 class TestJobFunctions:
-    def test_shard_candidates_job_matches_manager(self, karate):
+    def test_shard_candidates_job_same_on_every_handle(self, karate):
+        """One resolver: the in-process payload object, the pickled
+        blob and the shared-memory ref all resolve to the same shard
+        scan, and its certificates are sound against the whole
+        graph's core numbers."""
         explorer = CExplorer()
         explorer.add_graph("k", karate, shards=2, partitioner="greedy")
         indexes = explorer.indexes
+        core = core_decomposition(karate)
         for k in (1, 2, 3):
             for shard in range(2):
-                report = indexes.shard_candidates("k", shard, k)
                 payload, _ = indexes.shard_payload("k", shard)
-                certified, uncertain, dropped = shard_candidates_job(
-                    payload.key, payload.blob, k)
-                assert set(certified) == report.certified
-                assert dict(uncertain) == report.uncertain
-                assert sorted(dropped) == sorted(report.dropped)
+                in_process = shard_candidates_job(
+                    payload.key, payload.job_arg(shipped=False), k)
+                certified, uncertain, dropped = in_process
+                assert all(core[v] >= k for v in certified)
+                assert all(karate.degree(v) < k for v in dropped)
+                assert all(karate.degree(v) == degree
+                           for v, degree in uncertain.items())
+                for handle in (payload.blob, payload.job_arg()):
+                    # Each handle must be resolved, not served from
+                    # the entry the previous one cached.
+                    backends._WORKER_CACHE.pop(payload.key[:3])
+                    assert shard_candidates_job(
+                        payload.key, handle, k) == in_process
+        explorer.engine.shutdown()
 
     def test_build_index_job_matches_local_build(self, karate):
         from repro.core.cltree import build_cltree
@@ -212,6 +229,23 @@ class TestProcessBackendEquivalence:
             _equivalent(plain, proc, [(0, 2), (33, 3)])
         proc.engine.shutdown()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sharded_eager_build_builds_one_cltree(self, karate,
+                                                   backend):
+        """``build=`` is the parent entry's policy: nothing reads a
+        shard entry's CL-tree, so none is ever built."""
+        explorer = CExplorer(workers=2, backend=backend)
+        try:
+            explorer.add_graph("k", karate, build="eager", shards=2)
+            indexes = explorer.indexes
+            assert indexes.stats("k")["builds"] == 1
+            assert explorer.search("acq", 0, k=2)
+            for entry in indexes.shard_names("k"):
+                assert indexes.stats(entry)["builds"] == 0
+                assert not indexes.stats(entry)["building"]
+        finally:
+            explorer.engine.shutdown()
+
     def test_process_index_builds(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small, build="eager")
@@ -235,11 +269,13 @@ class TestFallbacks:
         explorer.add_graph("k", karate, shards=2)
         indexes = explorer.indexes
         payload, _ = indexes.shard_payload("k", 0)
-        results = explorer.engine.map_shard_jobs(
+        results = explorer.engine.run_jobs(
             [(shard_candidates_job, (payload.key, payload.blob, 2))])
         certified, uncertain, dropped = results[0]
-        report = indexes.shard_candidates("k", 0, 2)
-        assert set(certified) == report.certified
+        core = core_decomposition(karate)
+        assert certified and all(core[v] >= 2 for v in certified)
+        assert sorted([*certified, *uncertain, *dropped]) \
+            == indexes.partition("k").members(0)
 
     def test_broken_pool_falls_back_inline(self, karate):
         proc = CExplorer(workers=2, backend="process")
@@ -291,12 +327,13 @@ class TestFallbacks:
 
     def test_pool_recovers_after_break(self, karate):
         backend = ProcessBackend(workers=1)
-        results, child, ipc = backend.run_jobs(
-            [(core_decomposition, (freeze(karate),))])
-        assert results[0] == core_decomposition(karate)
-        assert len(child) == len(ipc) == 1
-        backend._break()
-        results, _, _ = backend.run_jobs(
-            [(core_decomposition, (freeze(karate),))])
-        assert results[0] == core_decomposition(karate)
-        backend.close()
+        try:
+            for _ in range(2):
+                future = backend.submit_job(core_decomposition,
+                                            (freeze(karate),))
+                child, spans, result = backend.job_result(future, 30.0)
+                assert result == core_decomposition(karate)
+                assert child > 0
+                backend._break()
+        finally:
+            backend.close()

@@ -1,11 +1,10 @@
 """The zero-copy payload plane.
 
-The load-bearing claims: (1) whatever transport ships a frozen
-payload to a worker -- pickled bytes, a fork-inherited registry
-snapshot, or a shared-memory segment attached zero-copy -- query
-results are identical; (2) segments are reference-counted and
-unlinked on version bumps, quarantine discards, and engine shutdown,
-so no run leaks ``/dev/shm`` entries; (3) a lost segment (the
+The load-bearing claims: (1) whichever transport ships a frozen
+payload to a worker -- pickled bytes or a shared-memory segment
+attached zero-copy -- query results are identical; (2) segments are
+reference-counted and unlinked on version bumps, quarantine discards,
+and engine shutdown, so no run leaks ``/dev/shm`` entries; (3) a lost segment (the
 ``segment_loss`` chaos fault) is absorbed by the re-freeze ladder;
 (4) the persistent store round-trips frozen payloads and CL-trees so
 a restarted explorer comes up warm without rebuilding, and spilled
@@ -27,7 +26,7 @@ from repro.explorer.cexplorer import CExplorer
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
-TRANSPORTS = ("pickle", "registry", "shm")
+TRANSPORTS = ("pickle", "shm")
 
 
 @pytest.fixture(autouse=True)
@@ -162,9 +161,37 @@ def test_corrupt_ref_fails_attach(transport_mode, dblp_small):
         segment.release()
 
 
+def test_one_attachment_per_payload_identity(transport_mode,
+                                            dblp_small):
+    """Version churn replaces the kept attachment of a payload
+    identity instead of accumulating one per version; a late ref to
+    an older version is served without displacing the newer one."""
+    frozen = freeze(dblp_small)
+    identity = ("epoch-t", "g", "full")
+    segments = [payload_plane.publish(identity + (version,), frozen)
+                for version in (1, 2, 3)]
+    try:
+        for segment in segments:
+            payload_plane.attach(segment.ref)
+            kept = payload_plane._attached[identity]
+            assert kept[1] == segment.name
+        late = payload_plane.attach(segments[0].ref)
+        assert _csr_lists(late) == _csr_lists(frozen)
+        assert payload_plane._attached[identity][1] \
+            == segments[2].name
+        assert sum(1 for key in payload_plane._attached
+                   if key[0] == "epoch-t") == 1
+    finally:
+        for segment in segments:
+            segment.release()
+    assert identity not in payload_plane._attached
+
+
 def test_configure_rejects_unknown_transport():
     with pytest.raises(CExplorerError):
         payload_plane.configure("carrier-pigeon")
+    with pytest.raises(CExplorerError):
+        payload_plane.configure("registry")
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +209,13 @@ def _answers(explorer, vertices):
 def test_process_transport_equivalence(transport_mode, dblp_small,
                                        shards):
     """Sharded and unsharded process execution returns identical
-    communities on every rung of the transport ladder."""
+    communities on both transports."""
     vertices = [dblp_small.label(v) for v in (10, 25)]
     results = {}
     for transport in TRANSPORTS:
         transport_mode(transport)
-        # The failure counter is process-global and cumulative (the
-        # registry rung legitimately records fork misses): diff it.
+        # The failure counter is process-global and cumulative:
+        # diff it.
         failures = payload_plane.plane_stats()["attach_failures"]
         explorer = CExplorer(workers=2, backend="process")
         try:
@@ -203,7 +230,6 @@ def test_process_transport_equivalence(transport_mode, dblp_small,
         # Shutdown releases every payload this engine published.
         assert payload_plane.live_segments() == 0
     assert results["shm"] == results["pickle"]
-    assert results["registry"] == results["pickle"]
 
 
 def test_thread_backend_equivalence(transport_mode, dblp_small):

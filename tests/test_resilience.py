@@ -7,7 +7,9 @@ a stable error from the registered taxonomy -- and no future is ever
 left hanging.  Plus the machinery itself: deterministic fault plans,
 retry backoff, circuit-breaker demotion/re-promotion, payload
 quarantine, cooperative worker deadlines, and the health/readiness
-serving surfaces.
+serving surfaces.  (How one dispatch applies them -- one-shot faults,
+retry budgets, deadlines, the unpicklable-job escape -- is the
+substrate contract in ``test_job_pipeline.py``.)
 """
 
 import json
@@ -33,7 +35,6 @@ from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import (
     CExplorerError,
     FaultInjectedError,
-    JobPayloadError,
     PayloadCorruptionError,
     QueryTimeoutError,
     WorkerKilledError,
@@ -263,7 +264,7 @@ class TestWorkerDeadlines:
 # ----------------------------------------------------------------------
 
 class TestRetryAbsorption:
-    def test_thread_fanout_retries_injected_kills(self):
+    def test_inline_fanout_retries_injected_kills(self):
         baseline = _explorer(shards=2)
         expected = [_canon(baseline.search("acq", v, k=3))
                     for v in VERTICES]
@@ -292,40 +293,6 @@ class TestRetryAbsorption:
         finally:
             chaotic.engine.shutdown()
 
-    def test_injected_faults_are_one_shot_across_retries(self):
-        explorer = _explorer(
-            faults=FaultPlan.from_spec("seed=3;error:fanout@1.0"))
-        engine = explorer.engine
-        runs = []
-
-        def job():
-            runs.append(1)
-            return "ok"
-
-        # attempt 1 dies to the injected fault *before* the job body;
-        # the retry drops the (one-shot) fault and succeeds
-        results, _ = engine.map_shards([job], op="fanout")
-        assert results == ["ok"]
-        assert len(runs) == 1
-        assert _resilience(explorer)["counters"]["retries"] >= 1
-
-    def test_exhausted_retries_surface_the_fault(self):
-        explorer = _explorer()
-        engine = explorer.engine
-        attempts = []
-
-        def always_dies():
-            attempts.append(1)
-            raise WorkerKilledError("this job never survives")
-
-        with pytest.raises(WorkerKilledError):
-            engine.map_shards([always_dies], op="fanout")
-        # DEFAULT_POLICY gives unknown job classes two attempts
-        assert len(attempts) == 2
-        counters = _resilience(explorer)["counters"]
-        assert counters["retries"] == 1
-        assert counters["retry_exhausted"] == 1
-
     def test_span_fault_fires_inside_named_span(self):
         from repro.engine import tracing
         explorer = _explorer(
@@ -340,7 +307,7 @@ class TestRetryAbsorption:
 
 
 # ----------------------------------------------------------------------
-# degradation ladder: process -> thread -> promotion back
+# degradation ladder: process -> inline -> promotion back
 # ----------------------------------------------------------------------
 
 class TestBreakerDegradation:
@@ -357,7 +324,7 @@ class TestBreakerDegradation:
                     for v in VERTICES}
         try:
             # three broken dispatches: every query still answers
-            # (thread/inline fallback), then the breaker is open
+            # (inline fallback), then the breaker is open
             for v in VERTICES[:3]:
                 assert _canon(explorer.search("acq", v, k=3)) \
                     == expected[v]
@@ -375,25 +342,6 @@ class TestBreakerDegradation:
             assert doc["opens"] == 1
             assert doc["promotions"] == 1
             assert not _resilience(explorer)["degraded"]
-        finally:
-            engine.shutdown()
-
-    def test_unpicklable_job_runs_inline_pool_intact(self):
-        explorer = _explorer(backend="process")
-        engine = explorer.engine
-        try:
-            token = object()  # pickles fine; the lambda below won't
-
-            def job(value=lambda: token):
-                return "ran"
-
-            results = engine.map_shard_jobs(
-                [(job, (lambda: 1,))], op="probe_payload")
-            assert results == ["ran"]
-            doc = engine.snapshot()
-            assert doc.get("process_fallbacks", 0) == 0
-            assert engine.resilience.breakers["process"].state \
-                == "closed"
         finally:
             engine.shutdown()
 
@@ -582,7 +530,7 @@ class TestServingSurfaces:
         explorer = _explorer()
         doc = explorer.engine.snapshot()["resilience"]
         assert set(doc["counters"]) == set(ResiliencePlane.COUNTER_KEYS)
-        assert set(doc["breakers"]) == {"process", "thread"}
+        assert set(doc["breakers"]) == {"process"}
         for breaker in doc["breakers"].values():
             assert {"state", "opens", "probes", "promotions",
                     "degraded_seconds"} <= set(breaker)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kcore import core_decomposition
+from repro.engine.backends import shard_candidates_job
 from repro.engine.sharding import (
     GraphPartitioner,
     ShardMergeError,
@@ -149,16 +150,24 @@ class TestShardedIndexManager:
 
     def test_shard_candidates_certify_soundly(self, karate):
         """Shard-local core >= k certifies global membership; every
-        certified vertex must be in the true global k-core."""
+        certified vertex must be in the true global k-core, every
+        dropped one below degree k, and the three classes partition
+        the shard."""
         manager = ShardedIndexManager()
         manager.register("k", karate, shards=2, partitioner="greedy")
         core = core_decomposition(karate)
+        part = manager.partition("k")
         for k in (1, 2, 3):
             for shard in range(2):
-                report = manager.shard_candidates("k", shard, k)
-                assert all(core[v] >= k for v in report.certified)
-                assert all(karate.degree(v) < k
-                           for v in report.dropped)
+                payload, _ = manager.shard_payload("k", shard)
+                certified, uncertain, dropped = shard_candidates_job(
+                    payload.key, payload.job_arg(shipped=False), k)
+                assert all(core[v] >= k for v in certified)
+                assert all(karate.degree(v) < k for v in dropped)
+                assert all(karate.degree(v) == degree >= k
+                           for v, degree in uncertain.items())
+                assert sorted([*certified, *uncertain, *dropped]) \
+                    == part.members(shard)
 
     def test_shard_stats_surface_partition(self, karate):
         manager = ShardedIndexManager()
@@ -196,8 +205,10 @@ class TestMaintenanceRouting:
         # The edge reached the owning shard's subgraph: its shard-local
         # core numbers keep lower-bounding the (new) global ones.
         core = core_decomposition(karate)
-        report = explorer.indexes.shard_candidates("k", owner, 2)
-        assert all(core[w] >= 2 for w in report.certified)
+        payload, _ = explorer.indexes.shard_payload("k", owner)
+        certified, _, _ = shard_candidates_job(
+            payload.key, payload.job_arg(shipped=False), 2)
+        assert all(core[w] >= 2 for w in certified)
 
     def test_cross_shard_update_bumps_both_owners(self, karate):
         explorer = CExplorer()

@@ -33,6 +33,7 @@ from repro.core.truss_maintenance import (
     truss_affected_vertices,
 )
 from repro.engine.cache import ResultCache
+from repro.engine.backends import shard_truss_job
 from repro.engine.sharding import (
     TrussShardReport,
     ShardMergeError,
@@ -341,14 +342,22 @@ class TestTrussMergePrimitives:
             # never include it.
             verify_truss_boundary(g, set(g.edges()), {(0, 3)}, 3)
 
-    def test_shard_truss_candidates_certify_soundly(self, karate):
+    def test_shard_truss_job_certifies_soundly(self, karate):
         manager = ShardedIndexManager()
         manager.register("k", karate, shards=2, partitioner="greedy")
         truss = truss_decomposition(karate)
+        part = manager.partition("k")
         for k in (3, 4):
             for shard in range(2):
-                report = manager.shard_truss_candidates("k", shard, k)
-                assert all(truss[e] >= k for e in report.certified)
+                payload, _ = manager.shard_payload("k", shard)
+                certified, uncertain = shard_truss_job(
+                    payload.key, payload.job_arg(shipped=False), k)
+                assert all(truss[e] >= k for e in certified)
+                # Together the two classes are exactly the shard's
+                # intra-shard edges, in global ids.
+                assert sorted(certified + uncertain) == sorted(
+                    (u, v) for u, v in karate.edges()
+                    if part.owner(u) == part.owner(v) == shard)
 
 
 # ----------------------------------------------------------------------
