@@ -35,13 +35,21 @@ def write_artifact(name, text):
 
 
 def current_commit():
-    """The HEAD commit hash, or "unknown" outside a git checkout."""
+    """The HEAD commit hash, or "unknown" outside a git checkout.
+
+    A checkout whose tracked files differ from HEAD (the trajectory
+    file itself aside) reads ``<hash>-dirty``: its numbers are not that
+    commit's, and must not be recorded under its name.
+    """
+    def git(*args):
+        return subprocess.run(("git",) + args, cwd=REPO_ROOT,
+                              capture_output=True, text=True, timeout=10)
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10)
+        out = git("rev-parse", "HEAD")
         if out.returncode == 0:
-            return out.stdout.strip()
+            dirty = git("diff", "--quiet", "HEAD", "--", ".",
+                        ":(exclude)BENCH_engine.json").returncode == 1
+            return out.stdout.strip() + ("-dirty" if dirty else "")
     except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"

@@ -10,13 +10,11 @@ compute, which hold their meaning across pool sizes and runners:
 
 * ``kernels.core_decomposition.<graph>.speedup`` -- CSR kernel vs the
   seed set path (higher is better);
-* ``engine.speedup_warm_vs_direct`` -- warm-cache throughput vs
-  direct execution (higher is better);
 * ``truss_maintenance.warm_hit_rate.selective`` -- selective
   invalidation's warm hit rate (higher is better);
-* ``serving.speedup`` -- async+batched serving throughput vs the
-  thread-per-request baseline on the concurrent overlapping workload
-  (higher is better);
+* ``serving.coalesced_share`` -- the share of a thundering herd's
+  followers the batcher answered from a leader's execution instead of
+  recomputing (higher is better; 1.0 when every round coalesced);
 * ``resilience.success_rate`` / ``resilience.identical_rate`` --
   queries answered, and answered byte-identically to the fault-free
   run, under the seeded 5% worker-kill plan (higher is better;
@@ -24,6 +22,22 @@ compute, which hold their meaning across pool sizes and runners:
 * ``payload_plane.shard_ipc_collapse`` -- how many times the pickled
   transport's ``shard_ipc`` time exceeds the zero-copy shared-memory
   transport's on the same sharded cold workload (higher is better).
+
+Two ratios the trajectory records are deliberately **not** gated:
+``engine.speedup_warm_vs_direct`` (direct ACQ seconds / warm-cache
+seconds) and ``serving.speedup`` (thread-per-request seconds /
+async+batched seconds, the former being one full search per client).
+Their numerator is the cold kernel -- the very thing a kernel PR
+optimises -- so a 5x faster ACQ drops both while the path they were
+meant to watch (the cache hit, the batcher) has not moved: a ratio
+whose numerator is the quantity being optimised cannot be a health
+metric.  What they stood for is still checked.  The bench asserts
+``hits >= len(pool)`` and warm at least 2x/10x faster than direct,
+and the hit path's absolute cost is gated end to end by the
+``browse_hot`` workload of ``BENCHMARK.json``.  For serving the bench
+keeps its own floors on the ratio (>= 1.5 full, a measured gross-loss
+floor quick), and the gate watches the batcher through a quantity the
+kernel's speed cannot move: ``serving.coalesced_share``.
 
 Usage: ``python scripts/check_bench_regression.py [--threshold 0.2]``
 (run after the bench has written the current commit's entry).  Exits
@@ -49,12 +63,10 @@ METRICS = (
      "CSR core_decomposition speedup (dblp)"),
     (("kernels", "core_decomposition", "lfr", "speedup"),
      "CSR core_decomposition speedup (lfr)"),
-    (("engine", "speedup_warm_vs_direct"),
-     "warm cache speedup vs direct"),
     (("truss_maintenance", "warm_hit_rate", "selective"),
      "selective truss warm hit rate"),
-    (("serving", "speedup"),
-     "async+batched serving speedup vs thread-per-request"),
+    (("serving", "coalesced_share"),
+     "herd followers answered from a leader's execution"),
     (("resilience", "success_rate"),
      "query success rate under 5% worker-kill plan"),
     (("resilience", "identical_rate"),

@@ -26,6 +26,13 @@ force that enumerates every subset of ``S``
 (:func:`brute_force_acq`) is included as the exponential strawman the
 paper dismisses, and as the oracle for correctness tests.
 
+``Inc-T`` and ``Dec`` read keywords through one seam, the index:
+``keyword_vertex_sets(q, k, S)`` (per keyword, its carriers in ``q``'s
+k-core component) and, for the no-keyword fallback only,
+``community_vertices(q, k)`` -- a :class:`~repro.core.cltree.CLTree`,
+or the engine's ``FixedBaseIndex`` over a pre-merged base.  The index
+must describe the graph's current edges *and* keywords.
+
 The multi-vertex variant (a set ``Q`` of query vertices; Section 3.2)
 is supported uniformly: every function accepts either a single vertex
 id or an iterable of them.
@@ -36,6 +43,7 @@ from itertools import combinations
 from repro.core.cltree import build_cltree
 from repro.core.community import Community
 from repro.core.kcore import connected_k_core, peel_to_min_degree
+from repro.graph.frozen import neighbor_function
 from repro.util.errors import QueryError
 
 _ALGORITHMS = {}
@@ -95,43 +103,63 @@ def _structural_community(query, index=None):
     query vertex below k, or the query vertices fall into different
     k-core components).
     """
-    graph, k = query.graph, query.k
     q0 = query.query_vertices[0]
     if index is not None:
-        members = index.community_vertices(q0, k)
-        if members is None:
-            return None
+        members = index.community_vertices(q0, query.k)
     else:
-        members = connected_k_core(graph, q0, k)
-        if members is None:
-            return None
-    for q in query.query_vertices[1:]:
-        if q not in members:
-            return None
+        members = connected_k_core(query.graph, q0, query.k)
+    if members is None or not members.issuperset(query.query_vertices):
+        return None
     return members
 
 
-def _verify(query, candidate_vertices):
-    """Check whether ``candidate_vertices`` supports an AC.
+def _component_within(neighbors, start, members):
+    """Connected component of ``start`` in the subgraph induced by
+    ``members`` (which contains it): one set intersection per reached
+    vertex against the members not reached yet, and nothing outside
+    the component is ever expanded."""
+    rest = set(members)
+    rest.discard(start)
+    comp = {start}
+    frontier = [start]
+    while frontier and rest:
+        found = rest.intersection(neighbors(frontier.pop()))
+        rest -= found
+        comp |= found
+        frontier.extend(found)
+    return comp
 
-    Peels the induced subgraph to min degree >= k and takes the
-    connected component of the query vertices.  Returns the community
-    vertex set, or ``None``.
+
+def _verify(query, candidates):
+    """The AC the vertex set ``candidates`` supports, or ``None``:
+    the component of the query vertices in the largest subgraph of
+    ``G[candidates]`` with min degree >= k.  Cheapest step first:
+
+    1. neighbour support: a query vertex outside the set, or with
+       fewer than ``k`` neighbours inside it, cannot survive;
+    2. the query vertices' component *inside the candidate set* --
+       peeling never crosses a component boundary, so the rest of the
+       set (a keyword's carriers are scattered over the whole
+       structural community) is never looked at;
+    3. peel that component; only if the peel removed something can it
+       have split, and is the component taken again.
     """
-    graph, k, qs = query.graph, query.k, query.query_vertices
-    survivors = peel_to_min_degree(graph, candidate_vertices, k, protect=qs)
+    k, qs = query.k, query.query_vertices
+    neighbors = neighbor_function(query.graph)
+    for q in qs:
+        if q not in candidates \
+                or len(candidates.intersection(neighbors(q))) < k:
+            return None
+    comp = _component_within(neighbors, qs[0], candidates)
+    if not comp.issuperset(qs):
+        return None
+    survivors = peel_to_min_degree(query.graph, comp, k, protect=qs)
     if survivors is None:
         return None
-    comp = {qs[0]}
-    frontier = [qs[0]]
-    while frontier:
-        u = frontier.pop()
-        for w in graph.neighbors(u):
-            if w in survivors and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    if not all(q in comp for q in qs):
-        return None
+    if len(survivors) < len(comp):
+        comp = _component_within(neighbors, qs[0], survivors)
+        if not comp.issuperset(qs):
+            return None
     return comp
 
 
@@ -158,37 +186,18 @@ def _communities_from_sets(query, winning):
     return out
 
 
-def _fallback(query, base):
+def _fallback(query, index):
     """No keyword subset works: return the structural community.
 
-    Its shared keyword set is empty; maximality holds trivially.
+    Its shared keyword set is empty; maximality holds trivially.  The
+    only place the index-driven variants materialise it -- and where a
+    multi-vertex query whose vertices share no k-core component ends
+    up (all its verifications failed): with the empty answer.
     """
+    base = _structural_community(query, index)
+    if base is None:
+        return []
     return _communities_from_sets(query, [base])
-
-
-def _candidate_vertex_sets(graph, base, keywords):
-    """Map each keyword to the base vertices whose W(v) contains it.
-
-    Frozen (CSR) graphs take the inverted-index fast path: each
-    keyword's qualifying set is one postings-list intersection with
-    the structural base instead of a scan over every base vertex's
-    keyword set (the keyword-verification loop is where ACQ spends
-    most of its time, so this is the intersection worth indexing).
-    """
-    postings = getattr(graph, "keyword_postings", None)
-    if postings is not None:
-        lists = postings()
-        base = base if isinstance(base, (set, frozenset)) \
-            else set(base)
-        return {w: set(lists[w] & base) if w in lists else set()
-                for w in keywords}
-    by_kw = {w: set() for w in keywords}
-    for v in base:
-        kws = graph.keywords(v)
-        for w in keywords:
-            if w in kws:
-                by_kw[w].add(v)
-    return by_kw
 
 
 def _apriori_next(level_sets):
@@ -221,20 +230,17 @@ def acq_inc_s(query, index=None):
 
     Enumerates keyword combinations bottom-up (size 1, 2, ...); the
     qualifying vertex set of every candidate is recomputed by scanning
-    the structural community.  Simple, space-efficient, slowest.
+    the structural community.  Simple, space-efficient, slowest -- the
+    paper's index-free strawman, kept definitional on purpose (an
+    ``index`` only spares it the structural peel).
     """
     base = _structural_community(query, index)
     if base is None:
         return []
     graph, k = query.graph, query.k
-    q_kws = frozenset.intersection(
-        *(graph.keywords(q) for q in query.query_vertices))
-    keywords = sorted(query.keywords & q_kws)
-    if not keywords:
-        return _fallback(query, base)
 
     best = []
-    level = [(w,) for w in keywords]
+    level = [(w,) for w in sorted(query.keywords)]
     while level:
         verified = []
         winners = []
@@ -253,7 +259,7 @@ def acq_inc_s(query, index=None):
         best = winners
         level = _apriori_next(verified)
     if not best:
-        return _fallback(query, base)
+        return _communities_from_sets(query, [base])
     return _communities_from_sets(query, best)
 
 
@@ -261,53 +267,51 @@ def acq_inc_t(query, index=None):
     """Incremental ACQ with CL-tree support (``Inc-T``).
 
     Same enumeration order as ``Inc-S`` but qualifying vertex sets come
-    from inverted-list intersections, and keywords whose support within
-    the structural community is at most ``k`` are dropped up front
-    (an AC needs at least ``k + 1`` vertices).
+    from the index's inverted lists (``keyword_vertex_sets``), and
+    keywords whose support within the structural community is at most
+    ``k`` are dropped up front (an AC needs at least ``k + 1``
+    vertices).  A candidate extends its verified prefix's *community*,
+    not the prefix's raw vertex set: an AC for a superset of the
+    keywords is a connected k-core around the query vertices inside
+    the prefix's qualifying set, hence inside the maximal one.
     """
     if index is None:
         index = build_cltree(query.graph)
-    base = _structural_community(query, index)
-    if base is None:
+    k = query.k
+    by_kw = index.keyword_vertex_sets(query.query_vertices[0], k,
+                                      query.keywords)
+    if by_kw is None:
         return []
-    graph, k = query.graph, query.k
-    q_kws = frozenset.intersection(
-        *(graph.keywords(q) for q in query.query_vertices))
-    by_kw = _candidate_vertex_sets(graph, base, query.keywords & q_kws)
-    keywords = sorted(w for w, vs in by_kw.items() if len(vs) > k)
-    if not keywords:
-        return _fallback(query, base)
 
     best = []
-    level = [(w,) for w in keywords]
-    cache = {(): frozenset(base)}
+    level = [(w,) for w in sorted(by_kw) if len(by_kw[w]) > k]
+    narrowed = {}          # verified keyword tuple -> its community
     while level:
-        verified = []
-        winners = []
+        verified = {}
         for cand in level:
-            members = cache.get(cand[:-1], frozenset(base)) & by_kw[cand[-1]]
+            members = by_kw[cand[-1]]
+            if len(cand) > 1:
+                members = narrowed[cand[:-1]] & members
             if len(members) <= k:
                 continue
-            cache[cand] = members
             community = _verify(query, members)
             if community is not None:
-                verified.append(cand)
-                winners.append(community)
+                verified[cand] = community
         if not verified:
             break
-        best = winners
-        next_level = _apriori_next(verified)
-        cache = {cand: cache[cand] for cand in verified}
-        level = next_level
+        best = list(verified.values())
+        narrowed = verified
+        level = _apriori_next(verified)
     if not best:
-        return _fallback(query, base)
+        return _fallback(query, index)
     return _communities_from_sets(query, best)
 
 
 def acq_dec(query, index=None):
     """Decremental ACQ (``Dec``) -- the algorithm C-Explorer ships with.
 
-    Works top-down from the full keyword set:
+    Works top-down from the full keyword set, over the index's
+    per-keyword qualifying vertex sets (``keyword_vertex_sets``):
 
     1. shrink ``S``: a keyword whose qualifying vertex set has at most
        ``k`` members is dropped; then each surviving keyword ``w`` is
@@ -319,6 +323,12 @@ def acq_dec(query, index=None):
     2. try candidate keyword sets by decreasing size, starting from the
        shrunken ``S`` itself; the first size producing any valid AC is
        the answer, and only candidates down to that size are verified.
+       A multi-keyword candidate intersects its keywords' *singleton
+       communities*, not their raw qualifying sets: an AC for a set
+       containing ``w`` is a connected k-core around the query
+       vertices inside ``w``'s qualifying set, hence inside the
+       maximal one step 1 found -- so the narrowed intersection
+       verifies to the same community from a far smaller set.
 
     On graphs where communities share most of their theme (the typical
     attributed-graph case) step 2 terminates within the first level or
@@ -326,35 +336,26 @@ def acq_dec(query, index=None):
     """
     if index is None:
         index = build_cltree(query.graph)
-    base = _structural_community(query, index)
-    if base is None:
+    k = query.k
+    by_kw = index.keyword_vertex_sets(query.query_vertices[0], k,
+                                      query.keywords)
+    if by_kw is None:
         return []
-    graph, k = query.graph, query.k
-    q_kws = frozenset.intersection(
-        *(graph.keywords(q) for q in query.query_vertices))
-    by_kw = _candidate_vertex_sets(graph, base, query.keywords & q_kws)
 
     # Support filter, then the (sound) singleton-verification filter.
     singleton_hits = {}
-    keywords = []
     for w in sorted(by_kw):
         if len(by_kw[w]) <= k:
             continue
         community = _verify(query, by_kw[w])
         if community is not None:
-            keywords.append(w)
             singleton_hits[w] = community
-    if not keywords:
-        return _fallback(query, base)
 
-    for size in range(len(keywords), 0, -1):
+    for size in range(len(singleton_hits), 1, -1):
         winners = []
-        for cand in combinations(keywords, size):
-            if size == 1:
-                winners.append(singleton_hits[cand[0]])
-                continue
-            members = frozenset.intersection(
-                *(frozenset(by_kw[w]) for w in cand))
+        for cand in combinations(singleton_hits, size):
+            members = set.intersection(
+                *(singleton_hits[w] for w in cand))
             if len(members) <= k:
                 continue
             community = _verify(query, members)
@@ -362,7 +363,9 @@ def acq_dec(query, index=None):
                 winners.append(community)
         if winners:
             return _communities_from_sets(query, winners)
-    return _fallback(query, base)
+    if singleton_hits:
+        return _communities_from_sets(query, singleton_hits.values())
+    return _fallback(query, index)
 
 
 def brute_force_acq(query):
@@ -387,7 +390,7 @@ def brute_force_acq(query):
                 winners.append(community)
         if winners:
             return _communities_from_sets(query, winners)
-    return _fallback(query, base)
+    return _communities_from_sets(query, [base])
 
 
 _ALGORITHMS.update({
@@ -416,8 +419,11 @@ def acq_search(graph, q, k, keywords=None, algorithm="dec", index=None):
         ``"dec"`` (default, as in the deployed system), ``"inc-s"`` or
         ``"inc-t"``.
     index:
-        An optional prebuilt :class:`~repro.core.cltree.CLTree`;
-        ``inc-t`` and ``dec`` build one on the fly when omitted.
+        An optional prebuilt :class:`~repro.core.cltree.CLTree` (or
+        any object with its ``keyword_vertex_sets`` /
+        ``community_vertices`` methods) describing ``graph``'s current
+        edges and keywords; ``inc-t`` and ``dec`` build one on the
+        fly when omitted.
 
     Returns a list of :class:`Community`, all sharing the maximal
     number of keywords from ``S``, sorted largest-theme-first.

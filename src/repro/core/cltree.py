@@ -157,6 +157,29 @@ class CLTree:
                     counts[w] += len(lst)
         return counts
 
+    def keyword_vertex_sets(self, q, k, keywords):
+        """``{w: vertices of q's k-core component carrying w}``.
+
+        The ACQ family's qualifying-vertex-set lookup: one walk of
+        :meth:`component_root`'s subtree, unioning each node's
+        inverted list per keyword -- no scan of the component, which
+        is never materialised.  Returns ``None`` when ``core(q) < k``.
+        For ``k = 0`` the root covers the whole 0-core, so the sets
+        may span several connected components; ACQ verification takes
+        the query's component inside the set before anything else.
+        """
+        root = self.component_root(q, k)
+        if root is None:
+            return None
+        sets = {w: set() for w in keywords}
+        for node in root.subtree_nodes():
+            inverted = node.inverted
+            for w, members in sets.items():
+                homed = inverted.get(w)
+                if homed:
+                    members.update(homed)
+        return sets
+
     def vertices_with_keyword(self, root, keyword):
         """Set of subtree vertices whose keyword set contains ``keyword``."""
         result = set()

@@ -16,23 +16,24 @@ rest of the system:
   engine-indexed callers reuse the versioned decomposition instead of
   recomputing O(n + m) per query.
 
-Every kernel has two code paths with identical results (a tested
-invariant):
-
-* the seed **adjacency-set** path for mutable
-  :class:`~repro.graph.attributed.AttributedGraph` objects;
-* a **CSR fast path** for :class:`~repro.graph.frozen.FrozenGraph`
-  snapshots, walking the flat ``indptr``/``indices`` arrays directly
-  (no per-edge set lookups, no per-call bounds checks).  When NumPy is
-  importable, :func:`core_decomposition` additionally vectorises the
-  CSR case as level-synchronous peeling (remove every vertex below the
-  current level at once, decrement neighbours with one scatter-add) --
-  the same peeling order as Batagelj-Zaversnik, so core numbers are
-  identical, but each round is a handful of array ops instead of a
-  Python loop over edges.
+:func:`peel_to_min_degree` and :func:`connected_k_core` are written
+once, against the unchecked neighbour accessor
+:func:`~repro.graph.frozen.neighbor_function` returns for either
+representation.  :func:`core_decomposition` has two code paths with
+identical results (a tested invariant): the seed **adjacency-set**
+path for mutable graphs, and a **CSR fast path** for frozen snapshots
+walking the flat ``indptr``/``indices`` arrays.  When NumPy is
+importable the CSR case is vectorised as level-synchronous peeling
+(remove every vertex below the current level at once, decrement
+neighbours with one scatter-add) -- the same peeling order as
+Batagelj-Zaversnik, so core numbers are identical, but each round is
+a handful of array ops instead of a Python loop over edges;
+:func:`peel_to_min_degree` borrows the trick for the induced degrees
+of large candidate sets over a frozen graph.
 """
 
 from repro.graph.frozen import neighbor_function
+from repro.util.errors import UnknownVertexError
 
 try:
     import numpy as _np
@@ -200,6 +201,12 @@ def k_core(graph, k):
     return {v for v in graph.vertices() if core[v] >= k}
 
 
+def _require_vertex(graph, v):
+    """Raise ``UnknownVertexError`` unless ``v`` is a vertex of ``graph``."""
+    if v not in graph:
+        raise UnknownVertexError(v)
+
+
 def peel_to_min_degree(graph, candidates, k, protect=()):
     """Largest subset of ``candidates`` whose induced min degree >= k.
 
@@ -208,23 +215,27 @@ def peel_to_min_degree(graph, candidates, k, protect=()):
     is considered failed and ``None`` is returned -- this is how ACQ
     verification notices that the query vertex cannot survive.
 
-    Runs in O(sum of candidate degrees); frozen graphs walk the flat
-    CSR arrays instead of per-vertex neighbour sets, and -- when NumPy
-    is importable -- vectorise the induced-degree initialisation (one
-    gather + one segmented sum instead of a Python membership test
-    per half-edge).  That initialisation is where ACQ's keyword
-    verification loop spends most of its time: every candidate
-    keyword set is peeled once, and typically most of it survives.
+    Runs in O(sum of candidate degrees): one
+    ``alive.intersection(neighbors(v))`` per candidate on either
+    representation, so the per-half-edge membership test runs inside
+    the set implementation, not in the interpreter.  Large candidate
+    sets over a frozen graph vectorise that initialisation under
+    NumPy instead (:func:`_induced_degrees`) -- what keeps ``Global``'s
+    whole-graph peel and the process backend's frozen path fast.
     """
     alive = set(candidates)
     protect = set(protect)
     if not protect <= alive:
         return None
+    if alive:
+        # The accessor below is unchecked exactly where ids are a
+        # contiguous range, so the extremes vouch for the whole set.
+        _require_vertex(graph, min(alive))
+        _require_vertex(graph, max(alive))
     neighbors = neighbor_function(graph)
     deg = _induced_degrees(graph, alive)
     if deg is None:
-        deg = {v: sum(1 for u in neighbors(v) if u in alive)
-               for v in alive}
+        deg = {v: len(alive.intersection(neighbors(v))) for v in alive}
     queue = [v for v, d in deg.items() if d < k]
     removed = set(queue)
     while queue:
@@ -232,12 +243,11 @@ def peel_to_min_degree(graph, candidates, k, protect=()):
         if v in protect:
             return None
         alive.discard(v)
-        for u in neighbors(v):
-            if u in alive:
-                deg[u] -= 1
-                if deg[u] < k and u not in removed:
-                    removed.add(u)
-                    queue.append(u)
+        for u in alive.intersection(neighbors(v)):
+            deg[u] -= 1
+            if deg[u] < k and u not in removed:
+                removed.add(u)
+                queue.append(u)
     if not protect <= alive:
         return None
     return alive
@@ -248,7 +258,7 @@ def _induced_degrees(graph, alive):
 
     Returns ``None`` when the fast path does not apply (no NumPy, not
     a CSR graph, or a candidate set too small to amortise the array
-    setup); callers fall back to the per-edge Python count.
+    setup); callers fall back to one set intersection per vertex.
     """
     if _np is None or len(alive) < 48:
         return None
@@ -297,6 +307,7 @@ def connected_k_core(graph, q, k, core=None):
     skip the O(n + m) recomputation; when given it must describe
     ``graph``'s current state.
     """
+    _require_vertex(graph, q)
     if core is None:
         core = core_decomposition(graph)
     if core[q] < k:

@@ -22,6 +22,7 @@ Both paths are property-tested against full recomputation.
 """
 
 from repro.core.kcore import core_decomposition
+from repro.graph.frozen import neighbor_function
 
 
 class CoreMaintainer:
@@ -52,18 +53,21 @@ class CoreMaintainer:
     # ------------------------------------------------------------------
     def add_listener(self, callback):
         """Subscribe to mutations: ``callback(event)`` runs after each
-        applied edge update with ``{"kind", "edge", "changed"}`` where
-        ``changed`` is the set of vertices whose core number moved.
+        applied update with ``{"kind", "edge", "changed"}``.  For an
+        edge update ``kind`` is ``"insert"``/``"remove"`` and
+        ``changed`` is the set of vertices whose core number moved;
+        for :meth:`add_vertex` ``kind`` is ``"vertex"``, ``edge`` is
+        ``()`` and ``changed`` holds the new vertex.
 
         The index manager uses this to bump index versions and evict
         affected cache entries without polling.
         """
         self._listeners.append(callback)
 
-    def _notify(self, kind, u, v, changed):
+    def _notify(self, kind, edge, changed):
         if not self._listeners:
             return
-        event = {"kind": kind, "edge": (u, v),
+        event = {"kind": kind, "edge": edge,
                  "changed": frozenset(changed)}
         for callback in list(self._listeners):
             callback(event)
@@ -83,9 +87,15 @@ class CoreMaintainer:
     # mutations
     # ------------------------------------------------------------------
     def add_vertex(self, label=None, keywords=()):
-        """Add an isolated vertex (core number 0) to the graph."""
+        """Add an isolated vertex (core number 0) to the graph.
+
+        Listeners hear of it like of an edge update: every index built
+        before the call (core array, CL-tree, its inverted lists) is
+        one vertex short and must not answer for the new vertex.
+        """
         vid = self.graph.add_vertex(label, keywords)
         self._core.append(0)
+        self._notify("vertex", (), {vid})
         return vid
 
     def insert_edge(self, u, v):
@@ -108,7 +118,7 @@ class CoreMaintainer:
         for w in promoted:
             core[w] = k + 1
             self.promotions += 1
-        self._notify("insert", u, v, promoted)
+        self._notify("insert", (u, v), promoted)
         return True
 
     def remove_edge(self, u, v):
@@ -125,7 +135,7 @@ class CoreMaintainer:
         core = self._core
         k = min(core[u], core[v])
         if k == 0:
-            self._notify("remove", u, v, ())
+            self._notify("remove", (u, v), ())
             return
         cd = {}
 
@@ -155,7 +165,7 @@ class CoreMaintainer:
                     if cd[x] < k:
                         dropped.add(x)
                         queue.append(x)
-        self._notify("remove", u, v, dropped)
+        self._notify("remove", (u, v), dropped)
 
     # ------------------------------------------------------------------
     # internals
@@ -190,7 +200,7 @@ class CoreMaintainer:
         k-shell spans a third of the graph.
         """
         core = self._core
-        adj = self.graph._adj  # hot path: skip per-call bounds checks
+        adj = neighbor_function(self.graph)  # no per-call bounds check
         mcd_cache = {}
 
         def mcd(w):
@@ -198,7 +208,7 @@ class CoreMaintainer:
             value = mcd_cache.get(w)
             if value is None:
                 value = 0
-                for x in adj[w]:
+                for x in adj(w):
                     if core[x] >= k:
                         value += 1
                 mcd_cache[w] = value
@@ -207,7 +217,7 @@ class CoreMaintainer:
         def pcd(w):
             """Pure-core degree of ``w``."""
             value = 0
-            for x in adj[w]:
+            for x in adj(w):
                 cx = core[x]
                 if cx > k or (cx == k and mcd(x) > k):
                     value += 1
@@ -225,7 +235,7 @@ class CoreMaintainer:
                         stack.append(r)
         while stack:
             w = stack.pop()
-            for x in adj[w]:
+            for x in adj(w):
                 if core[x] == k and x not in seen:
                     seen.add(x)
                     if mcd(x) > k:

@@ -304,13 +304,16 @@ def _entry_truss(entry):
 
 
 class FixedBaseIndex:
-    """Index shim answering the one ``community_vertices(q, k)``
-    probe the ACQ family makes with a precomputed structural base.
+    """The ACQ family's index seam (``keyword_vertex_sets`` +
+    ``community_vertices``, see :mod:`repro.core.acq`) over a
+    precomputed structural base.
 
     :func:`shard_full_query_job` hands it the base the parent's
     cross-shard merge shipped, so the keyword enumeration runs on
-    exactly the base the CL-tree would have computed.
-    ``base=None`` encodes "no structural community exists".
+    exactly the sets the CL-tree would have produced: a keyword's
+    qualifying set is its posting in the frozen snapshot intersected
+    with the base.  ``base=None`` encodes "no structural community
+    exists".
     """
 
     __slots__ = ("graph", "_q", "_k", "_base")
@@ -328,6 +331,15 @@ class FixedBaseIndex:
         # Defensive: an unexpected probe falls back to the exact
         # definition rather than answering for the wrong query.
         return connected_k_core(self.graph, q, k)
+
+    def keyword_vertex_sets(self, q, k, keywords):
+        """``{w: base vertices carrying w}``; ``None`` without a base."""
+        base = self.community_vertices(q, k)
+        if base is None:
+            return None
+        postings = self.graph.keyword_postings()
+        return {w: base.intersection(postings.get(w, ()))
+                for w in keywords}
 
 
 def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,

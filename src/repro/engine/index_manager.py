@@ -698,7 +698,9 @@ class IndexManager:
         maintainer's patched core numbers, and reports the affected
         region: the edge's endpoints, every promoted/demoted vertex,
         and the changed vertices' neighbourhoods (a component merge or
-        split must pass through one of those).
+        split must pass through one of those).  A vertex added through
+        the maintainer bumps the version the same way (region: the new
+        vertex), so no index built without it answers for it.
         """
         with self._lock:
             entry = self._entry(name)
@@ -722,13 +724,15 @@ class IndexManager:
                 affected.update(graph.neighbors(w))
             truss_affected = None
             tm = self._truss_maintainer_for(name, graph)
-            if tm is not None:
+            if tm is not None and event["edge"]:
                 # The core maintainer already applied the edge update
                 # to the graph; patch the truss structures for it and
                 # collect the support cascade's vertex footprint.  The
                 # patched map itself is *not* copied here -- the next
                 # :meth:`truss` read refetches it from the maintainer
                 # lazily, so an update costs its cascade, not O(m).
+                # (A vertex event has no edge and nothing to patch;
+                # triangle-family entries are evicted conservatively.)
                 truss_event = tm.apply(event["kind"], *event["edge"])
                 truss_affected = truss_affected_vertices(graph,
                                                          truss_event)

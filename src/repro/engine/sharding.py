@@ -657,6 +657,10 @@ class ShardedIndexManager(IndexManager):
         return maintainer
 
     def _route_update(self, name, event):
+        if not event["edge"]:
+            # A vertex event: the isolated newcomer joins its hash
+            # shard with its first edge (``_adopt_vertex`` below).
+            return
         # The shard-subgraph mutation happens under the manager lock
         # so :meth:`shard_payload` (which snapshots a subgraph under
         # the same lock) can never observe a half-applied update and

@@ -82,7 +82,17 @@ class AttributedGraph:
         self._m -= 1
 
     def set_keywords(self, v, keywords):
-        """Replace the keyword set ``W(v)``."""
+        """Replace the keyword set ``W(v)``.
+
+        A **load-time** call (its callers are the readers in
+        :mod:`repro.graph.io` and :mod:`repro.datasets.dblp`): there is
+        no post-registration gateway for keyword edits, so nothing
+        versions them.  An index built before the edit -- a CL-tree's
+        inverted lists, which the ACQ family reads instead of
+        ``keywords()`` -- describes the old keywords; an ``index=``
+        handed to :func:`~repro.core.acq.acq_search` must describe the
+        graph's current keywords as well as its edges.
+        """
         self._check_vertex(v)
         self._keywords[v] = frozenset(keywords)
 

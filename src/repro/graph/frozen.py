@@ -47,6 +47,7 @@ mutable graph; freezing an already frozen graph returns it unchanged.
 from array import array
 from bisect import bisect_left
 
+from repro.graph.attributed import AttributedGraph
 from repro.util.errors import GraphFormatError, UnknownVertexError
 
 try:
@@ -240,11 +241,12 @@ class FrozenGraph:
         """The inverted keyword index ``{keyword: frozenset of ids}``.
 
         Built lazily in one pass and cached for the snapshot's
-        lifetime (it can never go stale).  This is the CSR-side fast
-        path for the ACQ family's qualifying-vertex-set computation:
-        intersecting a posting with the structural base replaces a
-        scan of every base vertex's keyword set.  The returned dict
-        and its values must be treated as read-only.
+        lifetime (it can never go stale).  The engine's
+        ``FixedBaseIndex`` intersects these postings with a
+        pre-merged structural base to answer the ACQ family's
+        qualifying-vertex-set lookup where no CL-tree covers the
+        base.  The returned dict and its values must be treated as
+        read-only.
         """
         if self._postings is None:
             self._ensure_sidecar()
@@ -398,10 +400,22 @@ def neighbor_function(graph):
     """The fastest neighbour accessor for ``graph``.
 
     Hot kernels call this once per pass instead of branching per
-    vertex: frozen graphs get a closure over the flat CSR arrays (no
-    per-call bounds check), everything else gets the graph's own
-    bound ``neighbors`` method.
+    vertex, and get an accessor with no per-call bounds check on
+    either representation: a closure over the flat CSR arrays for a
+    frozen graph, the live neighbour sets for an
+    :class:`~repro.graph.attributed.AttributedGraph`.  Anything else
+    -- a view, or a subclass that may override ``neighbors`` -- keeps
+    its own bound ``neighbors`` method.  What comes back per vertex is
+    the read protocol's neighbour iterable (see
+    :mod:`repro.graph.protocol`), so a kernel written once against
+    ``members.intersection(neighbors(v))`` runs unchanged on both.
+
+    The unchecked accessors index a list, where a negative id wraps:
+    callers validate the ids they were handed (``v in graph``) before
+    the first call and must not mutate what comes back.
     """
+    if type(graph) is AttributedGraph:
+        return graph._adj.__getitem__
     csr = getattr(graph, "csr", None)
     if csr is None:
         return graph.neighbors

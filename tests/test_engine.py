@@ -418,6 +418,51 @@ class TestExplorerEngineIntegration:
         explorer.search("global", 0, k=2)
         assert explorer.cache.stats()["hits"] == hits_before + 1
 
+    def test_added_vertex_is_versioned_and_queryable(self, karate):
+        """A vertex added through the maintainer bumps the version like
+        an edge update, so no index built without it (core array,
+        CL-tree, inverted lists) answers for it: these three calls
+        raised ``IndexError`` while ``add_vertex`` notified nobody."""
+        import json
+        import urllib.request
+
+        from repro.server.app import make_server
+
+        explorer = CExplorer()
+        explorer.add_graph("karate", karate, build="eager")
+        explorer.index()
+        version = explorer.indexes.version("karate")
+        v = explorer.maintainer().add_vertex("new author",
+                                             ["data", "graph"])
+        assert explorer.indexes.version("karate") == version + 1
+        assert len(explorer.indexes.core("karate")) == v + 1
+        assert explorer.search("acq", v, k=1) == []
+        assert explorer.search("global", v, k=1) == []
+        alone, = explorer.search("global", v, k=0)
+        assert sorted(alone.vertices) == [v]
+        alone, = explorer.search("acq", v, k=0)
+        assert sorted(alone.vertices) == [v]
+        assert alone.shared_keywords == {"data", "graph"}
+
+        server = make_server(explorer, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True,
+                         kwargs={"poll_interval": 0.01}).start()
+        try:
+            for body in ({"vertex": "new author", "k": 1},
+                         {"vertex": "new author", "k": 0,
+                          "algorithm": "global"}):
+                request = urllib.request.Request(
+                    "http://127.0.0.1:{}/v1/search".format(
+                        server.server_address[1]),
+                    data=json.dumps(body).encode("utf-8"),
+                    headers={"Content-Type": "application/json"})
+                with urllib.request.urlopen(request) as resp:
+                    assert resp.status == 200
+                    assert json.loads(resp.read())["ok"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_keyword_candidates_memoized(self, fig5):
         explorer = CExplorer()
         explorer.add_graph("fig5", fig5)

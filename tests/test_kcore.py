@@ -15,6 +15,8 @@ from repro.core.kcore import (
     max_core_number,
     peel_to_min_degree,
 )
+from repro.graph import AttributedGraph, freeze
+from repro.util.errors import UnknownVertexError
 
 from conftest import build_graph, random_graphs
 
@@ -148,3 +150,31 @@ class TestPeeling:
         small = peel_to_min_degree(g, half, 2)
         large = peel_to_min_degree(g, g.vertices(), 2)
         assert small <= large
+
+
+class TestUnknownIds:
+    """The kernels read adjacency unchecked, where a negative id would
+    wrap around; they validate what they were handed up front."""
+
+    @pytest.mark.parametrize("wrap", [lambda g: g, freeze])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_connected_k_core_rejects_unknown_query(self, wrap, bad):
+        graph = wrap(_square())
+        with pytest.raises(UnknownVertexError):
+            connected_k_core(graph, bad, 1)
+
+    @pytest.mark.parametrize("wrap", [lambda g: g, freeze])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_peel_rejects_unknown_candidates(self, wrap, bad):
+        graph = wrap(_square())
+        with pytest.raises(UnknownVertexError):
+            peel_to_min_degree(graph, {0, 1, 2, bad}, 1)
+
+
+def _square():
+    graph = AttributedGraph()
+    for i in range(4):
+        graph.add_vertex("v{}".format(i))
+    for i in range(4):
+        graph.add_edge(i, (i + 1) % 4)
+    return graph
