@@ -142,6 +142,30 @@ def expect_code(probes, name, got, want_code, want_status):
     return error.get("code")
 
 
+def check_search_hit(base, search, miss):
+    """``/v1/search`` splices pre-encoded text into its body: the
+    repeat of a traced search (a cache hit, so untraced) and the
+    legacy shim must still parse to the same data document."""
+    want = dict(miss.get("data") or {})
+    want["query"] = {key: value
+                     for key, value in want.get("query", {}).items()
+                     if key != "trace"}
+    if not want.get("communities"):
+        yield "/v1/search: the probe search found no community"
+    status, _, hit = post(base, "/v1/search", search)
+    for problem in check_envelope("/v1/search (hit)", status, hit):
+        yield problem
+    if "trace" in hit:
+        yield "/v1/search (hit): a cache hit carries a trace id"
+    if hit.get("data") != want:
+        yield ("/v1/search (hit): data differs from the miss by more "
+               "than query.trace")
+    status, _, legacy = post(base, "/api/search", search)
+    if status != 200 or legacy != want:
+        yield ("/api/search: shim body is not the /v1 data document "
+               "(HTTP {})".format(status))
+
+
 def check_server(base, kind):
     """Probe one live server; yield problem strings."""
     problems = []
@@ -156,9 +180,10 @@ def check_server(base, kind):
             problems.append("{}: HTTP {}".format(path, status))
 
     # -- a traced search: envelope + top-level trace id ----------------
-    status, _, doc = post(base, "/v1/search",
-                          {"vertex": "Jim Gray", "k": 3})
+    search = {"vertex": "Jim Gray", "k": 3, "session": "schema"}
+    status, _, doc = post(base, "/v1/search", search)
     problems.extend(check_envelope("/v1/search", status, doc))
+    problems.extend(check_search_hit(base, search, doc))
     trace_id = doc.get("trace")
     if not trace_id:
         problems.append("/v1/search: traced query has no top-level "

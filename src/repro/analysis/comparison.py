@@ -9,7 +9,6 @@ community lists for the "view" links.
 import time
 
 from repro.algorithms.registry import get_cs_algorithm
-from repro.analysis.metrics import cmf, cpj
 from repro.analysis.statistics import format_table, statistics_table
 
 
@@ -21,30 +20,29 @@ class ComparisonReport:
         self.k = k
         self.results = results      # method -> list[Community]
         self.timings = timings      # method -> seconds
+        self._rows = None
 
     def table_rows(self):
-        """Figure 6(a) statistics table rows."""
-        return statistics_table(self.results, query_vertex=self.query_vertex)
+        """Figure 6(a) statistics table rows.
+
+        Computed once per report: CPJ samples up to 200 000 member
+        pairs per community, and the document, the charts and the
+        text rendering all read the same rows.
+        """
+        if self._rows is None:
+            self._rows = statistics_table(
+                self.results, query_vertex=self.query_vertex)
+        return self._rows
 
     def quality_bars(self):
         """CPJ / CMF per method -- the bar charts of Figure 6(a).
 
-        Returns ``{method: {"cpj": float, "cmf": float}}``, averaging
-        across each method's communities.
+        Returns ``{method: {"cpj": float, "cmf": float}}``, averaged
+        across each method's communities: the ``cpj`` and ``cmf``
+        columns of :meth:`table_rows`.
         """
-        bars = {}
-        for method, communities in self.results.items():
-            if not communities:
-                bars[method] = {"cpj": 0.0, "cmf": 0.0}
-                continue
-            bars[method] = {
-                "cpj": round(sum(cpj(c) for c in communities)
-                             / len(communities), 4),
-                "cmf": round(sum(cmf(c, query_vertex=self.query_vertex)
-                                 for c in communities)
-                             / len(communities), 4),
-            }
-        return bars
+        return {row["method"]: {"cpj": row["cpj"], "cmf": row["cmf"]}
+                for row in self.table_rows()}
 
     def overlap_matrix(self):
         """Jaccard overlap of member sets between methods' top results.

@@ -37,6 +37,7 @@ from repro.analysis.comparison import compare_methods
 from repro.analysis.graph_stats import graph_summary
 from repro.analysis.metrics import cmf, community_conductance, \
     community_density, cpj
+from repro.core.community import Community
 from repro.engine import payloads as payload_plane
 from repro.engine import tracing
 from repro.engine.executor import QueryEngine
@@ -204,6 +205,7 @@ class CExplorer:
         self._current = name
 
     def graph_names(self):
+        """Names of the uploaded graphs, sorted."""
         return sorted(self._graphs)
 
     @property
@@ -407,6 +409,12 @@ class CExplorer:
         entries they could have changed -- unless extra ``params`` are
         given or ``use_cache=False``.
 
+        ``global`` answers for different query vertices of one
+        connected k-core component are distinct communities around
+        one shared :class:`~repro.core.community.CommunityBody` (see
+        :meth:`_component_bodies`): the component, its statistics and
+        its JSON text are computed once per graph version.
+
         Every search runs under a query trace: when the engine's
         queue path submitted this call its trace is already active on
         the thread; direct library calls open (and finish) a root
@@ -472,6 +480,16 @@ class CExplorer:
                 # concurrent out-of-gateway mutation: run inline,
                 # visibly.
                 self.engine.stats.count("full_query_fallbacks")
+        bodies = None
+        if result is None and algo.name == "global" and not params \
+                and isinstance(q, int):
+            bodies = self._component_bodies(name, k)
+            body = next((b for b in bodies if q in b.vertices), None)
+            if trace is not None:
+                trace.tag(shared_body=body is not None)
+            if body is not None:
+                result = [Community(graph, body, method="Global",
+                                    query_vertices=(q,), k=k)]
         if result is None:
             if plan.use_index and algo.name.startswith("acq") \
                     and "index" not in params:
@@ -489,10 +507,34 @@ class CExplorer:
                 # decomposition.
                 params["truss"] = self.indexes.truss(name)
             result = algo(graph, q, k, keywords=keywords, **params)
+            if bodies is not None and result:
+                bodies.append(result[0].body)
         if cache_key is not None:
-            footprint = {v for c in result for v in c}
+            # A one-community answer's footprint is its (possibly
+            # shared) member frozenset, not a copy of it per entry.
+            footprint = result[0].vertices if len(result) == 1 \
+                else {v for c in result for v in c}
             self.cache.put(cache_key, result, vertices=footprint)
         return result
+
+    def _component_bodies(self, name, k):
+        """The ``global`` answers computed so far on graph ``name`` at
+        degree ``k``: a list of
+        :class:`~repro.core.community.CommunityBody`, one per
+        connected k-core component already asked for.
+
+        Connected k-core components partition the k-core, so every
+        query vertex of one component has the same members and its
+        answer is *the* body that contains it.  The list lives in the
+        engine's memo under ``(graph, version, k)``: a maintenance
+        update bumps the version, which orphans it whole.  It is
+        keyed by membership, not by CL-tree node, so reading it needs
+        no current tree -- a ``global`` read after an update never
+        pays an index rebuild.  Two threads racing a component's
+        first query may each append a body; either one is correct.
+        """
+        return self.engine.memo.get_or_compute(
+            name, self.indexes.version(name), "global-bodies", k, list)
 
     @staticmethod
     def _fanout_applicable(plan, q):

@@ -154,6 +154,7 @@ class AuthorProfile:
         self.synthetic = synthetic
 
     def to_dict(self):
+        """JSON-friendly representation used by the HTTP server."""
         return {
             "name": self.name,
             "areas": self.areas,

@@ -50,6 +50,8 @@ class QueryCache:
             return self._data[key]
 
     def put(self, key, value):
+        """Insert ``value``, evicting least-recently-used entries
+        beyond the capacity."""
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -71,6 +73,7 @@ class QueryCache:
         return len(self._data)
 
     def stats(self):
+        """Occupancy and hit-rate counters."""
         total = self.hits + self.misses
         return {
             "entries": len(self._data),
@@ -109,6 +112,7 @@ class ExplorationSession:
         return entries[:limit] if limit is not None else entries
 
     def last(self):
+        """The most recent entry, or ``None``."""
         return self._entries[-1] if self._entries else None
 
     def __len__(self):

@@ -93,34 +93,42 @@ class CExplorerServer(ThreadingHTTPServer):
     # -- the historical embedding surface, delegated to the state ------
     @property
     def explorer(self):
+        """The :class:`CExplorer` being served."""
         return self.state.explorer
 
     @property
     def engine(self):
+        """The explorer's :class:`QueryEngine`."""
         return self.state.engine
 
     @property
     def query_timeout(self):
+        """The per-query server deadline, in seconds."""
         return self.state.query_timeout
 
     @property
     def sessions(self):
+        """The server's session store."""
         return self.state.sessions
 
     @property
     def started_at(self):
+        """Wall-clock time the server state was created."""
         return self.state.started_at
 
     @property
     def request_counts(self):
+        """Request counters by route template."""
         return self.state.request_counts
 
     @property
     def error_count(self):
+        """How many requests ended in an error body."""
         return self.state.error_count
 
     @property
     def write_lock(self):
+        """The lock graph mutations are applied under."""
         return self.state.write_lock
 
     def metrics(self):
@@ -136,6 +144,7 @@ class CExplorerServer(ThreadingHTTPServer):
         return self.state.engine.execute(fn, *args, **kwargs)
 
     def server_close(self):
+        """Close the server state (engine included), then the socket."""
         self.state.close()
         super().server_close()
 

@@ -130,13 +130,17 @@ class AsyncCExplorerServer:
     # -- conveniences mirroring the sync server's embedding surface ----
     @property
     def explorer(self):
+        """The :class:`CExplorer` being served."""
         return self.state.explorer
 
     @property
     def engine(self):
+        """The explorer's :class:`QueryEngine`."""
         return self.state.engine
 
     def metrics(self):
+        """The ``/v1/metrics`` document (see
+        :meth:`ServerState.metrics`)."""
         return self.state.metrics()
 
     # ------------------------------------------------------------------

@@ -32,7 +32,8 @@ request/response shape.  This module redesigns that surface as a
 
 Handlers are transport-agnostic: they take ``(state, request)`` --
 :class:`~repro.server.state.ServerState` plus a parsed
-:class:`Request` -- and return plain data, a :class:`Response`, a
+:class:`Request` -- and return plain data (or an :class:`Encoded`
+document: data already rendered as JSON text), a :class:`Response`, a
 :class:`Raw` byte body, or a :class:`Pending` wrapping an
 :class:`~repro.engine.executor.EngineFuture`.  How a ``Pending`` is
 awaited is the *only* per-server decision: the sync server blocks its
@@ -181,6 +182,22 @@ class Raw:
         self.content_type = content_type
 
 
+class Encoded:
+    """A data document already encoded as JSON text.
+
+    ``/v1/search`` builds its document from the communities'
+    pre-encoded fragments (:meth:`Community.to_json
+    <repro.core.community.Community.to_json>`);
+    :func:`render_success` splices the text into the envelope instead
+    of re-encoding a dict.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
 class Pending:
     """A handler outcome still executing on the engine.
 
@@ -274,26 +291,31 @@ def _graph_doc(explorer, name):
 
 
 def h_index_page(state, req):
+    """``GET /``: the built-in HTML client page."""
     return Raw(INDEX_HTML.encode("utf-8"), "text/html; charset=utf-8")
 
 
 def h_prometheus(state, req):
+    """``GET /metrics``: the Prometheus text exposition."""
     text = render_prometheus(state.metrics())
     return Raw(text.encode("utf-8"),
                "text/plain; version=0.0.4; charset=utf-8")
 
 
 def h_algorithms(state, req):
+    """``GET /v1/algorithms``: registered CS/CD algorithm names."""
     return state.explorer.available_algorithms()
 
 
 def h_graphs(state, req):
+    """``GET /v1/graphs``: every uploaded graph with its size."""
     explorer = state.explorer
     return {"graphs": [_graph_doc(explorer, name)
                        for name in explorer.graph_names()]}
 
 
 def h_graph(state, req):
+    """``GET /v1/graphs/{name}``: one graph plus its index state."""
     explorer = state.explorer
     name = req.params["name"]
     if name not in explorer.graph_names():
@@ -305,10 +327,12 @@ def h_graph(state, req):
 
 
 def h_stats(state, req):
+    """``GET /v1/stats``: whole-graph statistics of the active graph."""
     return state.explorer.summary()
 
 
 def h_metrics(state, req):
+    """``GET /v1/metrics``: the operational metrics document."""
     return state.metrics()
 
 
@@ -347,6 +371,7 @@ def h_ready(state, req):
 
 
 def h_traces(state, req):
+    """``GET /v1/traces``: recent and slow query-trace summaries."""
     tracer = state.engine.tracer
     limit = req.int_query("limit", 50)
     return {
@@ -358,6 +383,7 @@ def h_traces(state, req):
 
 
 def h_trace(state, req):
+    """``GET /v1/traces/{query_id}``: one trace's full span tree."""
     query_id = req.params["query_id"]
     trace = state.engine.tracer.get(query_id)
     if trace is None:
@@ -368,6 +394,7 @@ def h_trace(state, req):
 
 
 def h_upload(state, req):
+    """``POST /v1/upload``: load a graph file and select it."""
     body = req.body
     path = body.get("path")
     if not path:
@@ -391,6 +418,7 @@ def h_upload(state, req):
 
 
 def h_options(state, req):
+    """``POST /v1/options``: degree choices and keywords of a vertex."""
     return state.explorer.query_options(need(req.body, "vertex"))
 
 
@@ -433,6 +461,13 @@ def _search_pending(state, req, finish_data):
 
 
 def h_search(state, req):
+    """``POST /v1/search``: run (or fetch the cached answer of) a CS
+    query and record it in the session.
+
+    The data document is built as text: the communities contribute
+    their pre-encoded fragments, so a cache hit on a large answer
+    re-derives and re-encodes nothing.
+    """
     body = req.body
 
     def finish_data(communities, query):
@@ -444,16 +479,17 @@ def h_search(state, req):
         session.record(query["algorithm"], str(query["vertex"]),
                        query["k"], len(communities),
                        keywords=query["keywords"])
-        return {
-            "session": session.session_id,
-            "query": query,
-            "communities": [c.to_dict() for c in communities],
-        }
+        head = json.dumps({"session": session.session_id,
+                           "query": query})
+        return Encoded('{}, "communities": [{}]}}'.format(
+            head[:-1], ", ".join(c.to_json() for c in communities)))
 
     return _search_pending(state, req, finish_data)
 
 
 def h_display(state, req):
+    """``POST /v1/display``: search, then lay out and render one
+    community of the answer."""
     body = req.body
 
     def finish_data(communities, query):
@@ -481,6 +517,7 @@ def h_display(state, req):
 
 
 def h_detect(state, req):
+    """``POST /v1/detect``: run a CD algorithm on the active graph."""
     body = req.body
     algorithm = body.get("algorithm", "codicil")
     params = body.get("params") or {}
@@ -499,10 +536,12 @@ def h_detect(state, req):
 
 
 def h_profile(state, req):
+    """``POST /v1/profile``: the Figure 2 author-profile card."""
     return state.explorer.profile(need(req.body, "vertex")).to_dict()
 
 
 def h_compare(state, req):
+    """``POST /v1/compare``: the Figure 6 comparison report."""
     body = req.body
     vertex = need(body, "vertex")
     k = as_int(body.get("k", 4), "k")
@@ -525,6 +564,7 @@ def h_compare(state, req):
 
 
 def h_suggest(state, req):
+    """``POST /v1/suggest``: name autocompletion for the query box."""
     body = req.body
     prefix = str(body.get("prefix", ""))
     limit = as_int(body.get("limit", 10), "limit")
@@ -535,6 +575,7 @@ def h_suggest(state, req):
 
 
 def h_history(state, req):
+    """``POST /v1/history``: a session's query trail."""
     body = req.body
     session_id = str(need(body, "session"))
     session = state.sessions.get(session_id, create_missing=False)
@@ -673,13 +714,21 @@ def match_route(method, path):
 
 def render_success(route, response):
     """The success body for a route: envelope on ``/v1``, the bare
-    data document on the legacy shim."""
+    data document on the legacy shim.  An :class:`Encoded` document
+    comes back as the finished ``bytes`` (same text ``json.dumps`` of
+    the equivalent dict gives), anything else as the dict to encode.
+    """
+    data = response.data
+    encoded = isinstance(data, Encoded)
     if route.legacy:
-        return response.data
-    doc = {"ok": True, "data": response.data, "error": None}
+        return data.text.encode("utf-8") if encoded else data
+    tail = {"error": None}
     if response.trace is not None:
-        doc["trace"] = response.trace
-    return doc
+        tail["trace"] = response.trace
+    if not encoded:
+        return {"ok": True, "data": data, **tail}
+    return '{{"ok": true, "data": {}, {}'.format(
+        data.text, json.dumps(tail)[1:]).encode("utf-8")
 
 
 def render_error(exc, legacy):
