@@ -1,18 +1,14 @@
 """Engine bench -- repeated/overlapping searches direct vs. through
-the query engine, the sharded fan-out path per execution backend, and
-the CSR kernel trajectory.
+the query engine, and the CSR kernel trajectory.
 
 Interactive exploration traffic repeats itself (every display click
 re-runs its search, hub authors get probed by many users), which is
 exactly what the engine's result cache converts into dictionary hits.
 This bench measures throughput over a repeated query pool: direct
 algorithm calls (the seed behaviour), engine cold (cache filling as
-the pool drains), engine warm (every query a cache hit), engine warm
-with 4 workers (the server's concurrent configuration), and a
-4-shard/4-worker engine draining the same pool cold through the
-partition-parallel fan-out -- once per execution backend (``thread``
-and ``process``), so the GIL-dodging process pool has a recorded
-baseline against the thread pool on every runner.
+the pool drains), engine warm (every query a cache hit), and the
+same cold/warm pair with 4 workers (the server's concurrent
+configuration).
 
 The kernel bench times the structural hot paths both ways: the seed
 adjacency-set ``core_decomposition`` against the CSR fast path over a
@@ -21,11 +17,8 @@ adjacency-set ``core_decomposition`` against the CSR fast path over a
 CSR wins by >= 2x (the PR-3 acceptance floor).
 
 Shape assertions for the engine path: the warm engine answers the
-repeated workload at least 10x faster than direct execution, the cold
-engine is never worse than ~2x direct, and sharded/process results
-stay identical to unsharded/thread execution.  The process-beats-
-thread assertion only fires on a multi-core runner with the full
-pool -- on one core the process pool cannot win, it can only record.
+repeated workload at least 10x faster than direct execution, and the
+cold engine is never worse than ~2x direct.
 
 Quick mode (``--quick`` or ``REPRO_BENCH_QUICK=1``, the CI smoke
 job) shrinks the query pool and relaxes the speedup floor so the whole
@@ -34,8 +27,8 @@ every path and emitting the timing artifacts.
 
 Artifacts: ``benchmarks/out/engine.json`` (the per-run snapshot) and
 ``BENCH_engine.json`` at the repo root -- the stable-schema perf
-*trajectory*, one entry per commit (kernel timings cold/warm, sharded
-per backend), so future perf PRs have a baseline to beat.
+*trajectory*, one entry per commit (kernel timings cold/warm), so
+future perf PRs have a baseline to beat.
 """
 
 import json
@@ -213,98 +206,6 @@ def test_truss_cache_retention(benchmark, dblp, quick):
     }, quick=quick)
 
 
-def test_payload_plane(benchmark, dblp, quick):
-    """The zero-copy payload transport on the sharded-cold path: every
-    query is preceded by invalidating the shard index entries, so each
-    fan-out must re-ship fresh per-shard CSR snapshots to the process
-    workers (the worker payload cache never hits).  Under the
-    ``pickle`` transport each ship copies and re-unpickles the whole
-    payload in the worker; under ``shm`` the workers attach the
-    parent's shared-memory segments zero-copy and the keyword sidecar
-    stays undecoded, so the ``shard_ipc`` latency op -- transport
-    overhead: ship plus in-worker payload resolution -- collapses.
-    Results must be identical; the collapse ratio is the trajectory
-    metric the regression gate watches."""
-    from repro.engine import payloads as payload_plane
-
-    distinct, repeats = _pool_shape(quick)
-    pool = pick_query_vertices(dblp, K, distinct, seed=29) * repeats
-
-    def run_variant(transport):
-        previous = payload_plane.configure(transport)
-        explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
-                             backend="process")
-        try:
-            # Two shards: per-shard payloads stay large enough that
-            # transport cost dominates the pool's fixed per-job
-            # scheduling floor, which both variants pay equally.
-            explorer.add_graph("dblp", dblp, shards=2,
-                               partitioner="greedy")
-            # Warm the parent-side structural caches (CL-tree, full
-            # payload) and spawn the pool once -- the timed pass
-            # compares the per-shard transport, not index builds and
-            # worker forks both variants share.
-            explorer.search("acq", pool[0], k=K, use_cache=False)
-            shard_entries = explorer.indexes.shard_names("dblp")
-
-            def ipc_total():
-                snap = explorer.engine.snapshot()
-                return (snap["latency"].get("shard_ipc")
-                        or {}).get("total_seconds", 0.0)
-
-            base_ipc = ipc_total()
-            start = time.perf_counter()
-            answers = []
-            for q in pool:
-                # Cold rounds: bump every shard entry's version so the
-                # next fan-out re-ships each shard payload instead of
-                # hitting the worker-side payload cache.
-                for entry in shard_entries:
-                    explorer.indexes.invalidate(entry)
-                answers.append(explorer.search("acq", q, k=K,
-                                               use_cache=False))
-            seconds = time.perf_counter() - start
-            ipc = ipc_total() - base_ipc
-            plane = explorer.engine.snapshot()["payloads"]
-            return seconds, ipc, plane, answers
-        finally:
-            explorer.engine.shutdown()
-            payload_plane.configure(previous)
-
-    def run():
-        pickled_s, pickled_ipc, _, pickled_out = run_variant("pickle")
-        shm_s, shm_ipc, plane, shm_out = run_variant("shm")
-        assert pickled_out == shm_out
-        return {
-            "queries": len(pool),
-            "pickle_seconds": round(pickled_s, 6),
-            "shm_seconds": round(shm_s, 6),
-            "pickle_shard_ipc_seconds": round(pickled_ipc, 6),
-            "shm_shard_ipc_seconds": round(shm_ipc, 6),
-            "shard_ipc_collapse": round(pickled_ipc / shm_ipc, 2)
-            if shm_ipc > 0 else float("inf"),
-            "shm_available": plane["shm_available"],
-            "attach_failures": plane["attach_failures"],
-        }
-
-    doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Zero-copy attach must never fall back on a healthy host.
-    assert doc["attach_failures"] == 0, doc
-    if doc["shm_available"]:
-        # The acceptance floor: shared-memory transport collapses the
-        # per-shard ship cost.  Quick mode's tiny pool still shows the
-        # collapse -- the cost scales with payload bytes, which quick
-        # mode does not shrink per ship.
-        floor = 2.0 if quick else 5.0
-        collapse = doc["shard_ipc_collapse"]
-        assert collapse >= floor, doc
-    write_artifact("payload_plane.json", json.dumps(doc, indent=2))
-    entry = dict(doc)
-    if entry["shard_ipc_collapse"] == float("inf"):
-        entry["shard_ipc_collapse"] = None
-    update_bench_trajectory("payload_plane", entry, quick=quick)
-
-
 def _disjoint_copies(graph, copies):
     """``copies`` disjoint copies of ``graph`` in one AttributedGraph
     (the embarrassingly-parallel per-component detection workload)."""
@@ -427,44 +328,13 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
         results["engine_warm_4w"] = time.perf_counter() - start
         explorer4.engine.shutdown()
 
-        # 4 shards on 4 workers, cold, once per execution backend:
-        # the partition-parallel fan-out path (per-shard certification
-        # + engine-level merge) drains the same pool; the thread pool
-        # shares the GIL, the process pool ships frozen CSR payloads
-        # and escapes it.  Results must agree exactly.
-        sharded_results = {}
-        for backend in ("thread", "process"):
-            sharded = CExplorer(workers=4, max_queue=len(pool) + 1,
-                                backend=backend)
-            sharded.add_graph("dblp", dblp, shards=4,
-                              partitioner="greedy")
-            start = time.perf_counter()
-            answers = [sharded.engine.search_sync("acq", q, k=K,
-                                                  timeout=60)
-                       for q in pool]
-            results["engine_sharded_cold_4w_{}".format(backend)] = \
-                time.perf_counter() - start
-            sharded_results[backend] = answers
-            if backend == "thread":
-                results["sharding"] = \
-                    sharded.engine.stats.snapshot().get("sharding", {})
-            else:
-                results["process_fallbacks"] = \
-                    sharded.engine.stats.get("process_fallbacks")
-                results["index_build_fallbacks"] = \
-                    sharded.indexes.build_fallbacks
-            sharded.engine.shutdown()
-        assert sharded_results["thread"] == sharded_results["process"]
-        results["engine_sharded_cold_4w"] = \
-            results["engine_sharded_cold_4w_thread"]
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     direct = results["direct"]
     warm = results["engine_warm_1w"]
     seconds = {key: val for key, val in results.items()
-               if key not in ("cache", "sharding", "process_fallbacks",
-                              "index_build_fallbacks")}
+               if key != "cache"}
 
     # The acceptance shape: a warm cache beats recomputation -- >= 10x
     # on the full pool, >= 2x even on the tiny quick-mode pool.
@@ -477,16 +347,6 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
         results
     # The warm pool served everything from cache.
     assert results["cache"]["hits"] >= len(pool)
-    # No silent degradation: the process pass really ran in the pool
-    # (neither shard jobs nor index builds fell back in-process).
-    assert results["process_fallbacks"] == 0, results
-    assert results["index_build_fallbacks"] == 0, results
-    # On a genuinely parallel runner with the full pool, escaping the
-    # GIL must pay on the cold sharded pass; a 1-2 core runner (or the
-    # tiny quick pool) can only record the numbers.
-    if not quick and (os.cpu_count() or 1) >= 4:
-        assert results["engine_sharded_cold_4w_process"] < \
-            results["engine_sharded_cold_4w_thread"], results
 
     n = len(pool)
     distinct, repeats = _pool_shape(quick)
@@ -502,7 +362,6 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
                            for key, val in seconds.items()},
         "speedup_warm_vs_direct": round(direct / warm, 1),
         "cache": results["cache"],
-        "sharding": results["sharding"],
     }
     write_artifact("engine.json", json.dumps(doc, indent=2))
     update_bench_trajectory("engine", {
@@ -510,10 +369,6 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
         "k": K,
         "seconds": doc["seconds"],
         "speedup_warm_vs_direct": doc["speedup_warm_vs_direct"],
-        "sharded_cold_by_backend": {
-            "thread": doc["seconds"]["engine_sharded_cold_4w_thread"],
-            "process": doc["seconds"]["engine_sharded_cold_4w_process"],
-        },
     }, quick=quick)
 
 
@@ -637,20 +492,21 @@ def test_concurrent_serving(benchmark, dblp, quick):
 
 def test_resilience_under_faults(benchmark, dblp, quick):
     """The fault-tolerance acceptance shape: under a seeded 5%
-    worker-kill plan on the sharded fan-out, the retry machinery
+    worker-kill plan on whole-query worker jobs, the retry machinery
     absorbs every injected kill -- the success rate stays at 1.0,
     every answer is byte-identical to the fault-free run, and the
     tail (p99) latency pays only the retry backoff, not a query loss.
 
-    Both passes drain the same cold pool through a 4-shard engine;
-    the faulted pass carries ``kill:shard@0.05`` (every 20th shard
-    job dies before executing and is retried alone with backoff).
+    Both passes drain the same cold pool through a process-backend
+    engine; the faulted pass carries ``kill:full_query@0.05`` (every
+    20th query job dies before executing and is retried with
+    backoff).
     """
     from repro.engine.faults import FaultPlan
 
     distinct, repeats = _pool_shape(quick)
     pool = pick_query_vertices(dblp, K, distinct, seed=53) * repeats
-    plan_spec = "seed=97;kill:shard@0.05"
+    plan_spec = "seed=105;kill:full_query@0.05"
 
     def canon(communities):
         return json.dumps([c.to_dict() for c in communities],
@@ -664,9 +520,8 @@ def test_resilience_under_faults(benchmark, dblp, quick):
     def run_variant(spec):
         faults = FaultPlan.from_spec(spec) if spec else None
         explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
-                             faults=faults)
-        explorer.add_graph("dblp", dblp, shards=4,
-                           partitioner="greedy")
+                             backend="process", faults=faults)
+        explorer.add_graph("dblp", dblp)
         answers, latencies, failures = [], [], 0
         try:
             # Warm the structural caches so both variants time the
@@ -709,7 +564,7 @@ def test_resilience_under_faults(benchmark, dblp, quick):
 
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
     # The acceptance floor: at a 5% kill rate every query survives
-    # (a loss needs three consecutive kills of the same shard job,
+    # (a loss needs three consecutive kills of the same query job,
     # p ~ 1e-4) and survivors are byte-identical to the clean run.
     assert doc["success_rate"] == 1.0, doc
     assert doc["identical_rate"] == 1.0, doc

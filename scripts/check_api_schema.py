@@ -66,7 +66,7 @@ def boot(kind):
 
     explorer = CExplorer(workers=2)
     explorer.add_graph("smoke", generate_dblp_graph(
-        DblpConfig(n_authors=200, n_communities=6, seed=11)), shards=2)
+        DblpConfig(n_authors=200, n_communities=6, seed=11)))
     if kind == "async":
         from repro.server.async_app import make_async_server
         server = make_async_server(explorer, port=0)

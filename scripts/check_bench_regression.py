@@ -18,10 +18,7 @@ compute, which hold their meaning across pool sizes and runners:
 * ``resilience.success_rate`` / ``resilience.identical_rate`` --
   queries answered, and answered byte-identically to the fault-free
   run, under the seeded 5% worker-kill plan (higher is better;
-  both should be 1.0);
-* ``payload_plane.shard_ipc_collapse`` -- how many times the pickled
-  transport's ``shard_ipc`` time exceeds the zero-copy shared-memory
-  transport's on the same sharded cold workload (higher is better).
+  both should be 1.0).
 
 Two ratios the trajectory records are deliberately **not** gated:
 ``engine.speedup_warm_vs_direct`` (direct ACQ seconds / warm-cache
@@ -71,8 +68,6 @@ METRICS = (
      "query success rate under 5% worker-kill plan"),
     (("resilience", "identical_rate"),
      "byte-identical answers under 5% worker-kill plan"),
-    (("payload_plane", "shard_ipc_collapse"),
-     "shard_ipc collapse: pickled / zero-copy transport"),
 )
 
 

@@ -69,8 +69,7 @@ def boot_server():
 
     explorer = CExplorer(workers=2)
     explorer.add_graph("smoke", generate_dblp_graph(
-        DblpConfig(n_authors=200, n_communities=6, seed=11)),
-        shards=2)
+        DblpConfig(n_authors=200, n_communities=6, seed=11)))
     server = make_server(explorer, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

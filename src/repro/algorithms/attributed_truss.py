@@ -89,39 +89,17 @@ def _verify_truss(query, candidates):
     return _query_component(query, survivors)
 
 
-def _base_from_edges(query, edges):
-    """The structural base derived from a precomputed k-truss edge set.
-
-    ``edges`` must be the exact global k-truss edge set (the engine's
-    sharded fan-out produces it); the survivors are its endpoints and
-    the base is the query vertex's component within them -- exactly
-    what ``_verify_truss(query, graph.vertices())`` computes from
-    scratch.
-    """
-    survivors = set()
-    for u, v in edges:
-        survivors.add(u)
-        survivors.add(v)
-    return _query_component(query, survivors)
-
-
-def attributed_truss_search(graph, q, k, keywords=None, base_edges=None):
+def attributed_truss_search(graph, q, k, keywords=None):
     """Attributed truss community (ATC-style) of ``q``.
 
     Returns communities whose induced subgraph is a connected k-truss
     containing ``q`` and whose shared keyword set (within ``S``) has
     maximal size -- ACQ's Problem 1 with the cohesiveness swapped.
-    ``base_edges`` optionally supplies the precomputed global k-truss
-    edge set (the sharded fan-out's merge product), replacing the
-    whole-graph truss reduction of the structural phase.
     """
     if k < 2:
         raise QueryError("truss order k must be >= 2")
     query = AcqQuery(graph, q, k, keywords)
-    if base_edges is None:
-        base = _verify_truss(query, graph.vertices())
-    else:
-        base = _base_from_edges(query, base_edges)
+    base = _verify_truss(query, graph.vertices())
     if base is None:
         return []
     by_kw = {}

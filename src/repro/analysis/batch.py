@@ -82,8 +82,8 @@ def batch_evaluate(graph, methods, k=4, queries=None, n_queries=20,
     ``explorer`` routes every query through a
     :class:`~repro.explorer.cexplorer.CExplorer` facade instead of the
     raw algorithm callable, so planned execution, the engine result
-    cache, and sharded fan-out (graphs registered with ``shards > 1``)
-    all apply -- the way production traffic would run.  The explorer's
+    cache, and whole-query worker execution all apply -- the way
+    production traffic would run.  The explorer's
     active graph must be ``graph``; repeated queries then measure the
     warm path by design.
     """

@@ -8,21 +8,17 @@ Subcommands mirror the paper's API (Figure 4) plus operational verbs::
     python -m repro detect   --graph dblp.json --algorithm codicil
     python -m repro index    --graph dblp.json --out dblp.cltree.json
     python -m repro profile  --name "Michael Stonebraker"
-    python -m repro partition --graph dblp.json --shards 4
     python -m repro cache    --store ./store
     python -m repro cache    --store ./store --clear
-    python -m repro serve    --graph dblp.json --port 8080 --shards 4
+    python -m repro serve    --graph dblp.json --port 8080
     python -m repro serve    --graph dblp.json --server async
     python -m repro trace    --graph dblp.json --vertex "jim gray"
     python -m repro trace    --url http://127.0.0.1:8080 --last 5
 
-Graph-loading subcommands accept ``--shards N`` (with
-``--partitioner hash|greedy``) to register the graph partitioned, so
-shardable searches fan out over the engine's worker pool, and
-``--backend thread|process`` to pick the execution backend
-(``process`` ships shard subqueries and CL-tree builds to a
-multiprocessing pool over frozen CSR snapshots -- real parallelism
-for CPU-bound structural work on multi-core hosts).
+Graph-loading subcommands accept ``--backend thread|process`` to pick
+the execution backend (``process`` ships whole queries and CL-tree
+builds to a multiprocessing pool over frozen CSR snapshots -- real
+parallelism for CPU-bound structural work on multi-core hosts).
 
 Every subcommand prints human-readable text by default; ``--json``
 switches to machine-readable output.
@@ -47,9 +43,7 @@ def _load_explorer(args):
                          backend=getattr(args, "backend", "thread"),
                          faults=_fault_plan(args),
                          store_dir=getattr(args, "store", None))
-    explorer.upload(args.graph, name="cli",
-                    shards=getattr(args, "shards", 1),
-                    partitioner=getattr(args, "partitioner", "hash"))
+    explorer.upload(args.graph, name="cli")
     if getattr(args, "index", None):
         tree = load_cltree(args.index, explorer.graph)
         explorer.indexes.install("cli", tree, core=tree.core)
@@ -141,30 +135,6 @@ def _cmd_index(args):
     print("wrote {} ({} nodes, {} postings, built in {:.3f}s)".format(
         args.out, sizes["nodes"], sizes["postings"],
         tree.build_seconds))
-    return 0
-
-
-def _cmd_partition(args):
-    """Evaluate shard partitionings of a graph: balance vs edge cut."""
-    from repro.engine.sharding import GraphPartitioner
-    from repro.graph.io import load_graph
-
-    graph = load_graph(args.graph)
-    methods = (["hash", "greedy"] if args.partitioner == "both"
-               else [args.partitioner])
-    docs = []
-    for method in methods:
-        part = GraphPartitioner(args.shards, method).partition(graph)
-        docs.append(part.stats())
-    if args.json:
-        print(json.dumps(docs, indent=1))
-        return 0
-    rows = [{"method": doc["method"], "shards": doc["shards"],
-             "cut_edges": doc["cut_edges"], "balance": doc["balance"],
-             "sizes": "/".join(str(s) for s in doc["sizes"])}
-            for doc in docs]
-    print(format_table(rows, columns=("method", "shards", "cut_edges",
-                                      "balance", "sizes")))
     return 0
 
 
@@ -323,25 +293,18 @@ def build_parser():
         p.add_argument("--index", help="prebuilt CL-tree JSON")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--shards", type=int, default=1,
-                       help="partition the graph into N shards and fan "
-                            "structural queries out (default 1)")
-        p.add_argument("--partitioner", default="hash",
-                       choices=["hash", "greedy"],
-                       help="shard placement: deterministic hash or "
-                            "greedy edge-cut balancer")
         p.add_argument("--workers", type=int, default=2,
                        help="engine worker threads (default 2)")
         p.add_argument("--backend", default="thread",
                        choices=["thread", "process"],
-                       help="execution backend: 'process' runs shard "
-                            "subqueries and CL-tree builds in a "
+                       help="execution backend: 'process' runs whole "
+                            "queries and CL-tree builds in a "
                             "multiprocessing pool over frozen CSR "
                             "snapshots (default thread)")
         p.add_argument("--fault-plan",
                        help="seeded fault-injection plan for chaos "
                             "testing: a spec string like "
-                            "'seed=7;kill:shard@0.05' or a path to a "
+                            "'seed=7;kill:full_query@0.05' or a path to a "
                             "JSON plan file (default: the "
                             "REPRO_FAULT_PLAN environment variable)")
         p.add_argument("--store",
@@ -395,16 +358,6 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("partition",
-                       help="evaluate shard partitionings of a graph")
-    p.add_argument("--graph", required=True,
-                   help="edge-list or JSON graph file")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--partitioner", default="both",
-                   choices=["hash", "greedy", "both"])
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_partition)
-
     p = sub.add_parser("serve", help="run the web system")
     common(p, with_vertex=False)
     p.add_argument("--host", default="127.0.0.1")
@@ -433,9 +386,6 @@ def build_parser():
                    help="minimum degree (default 4)")
     p.add_argument("--last", type=int, default=5,
                    help="how many recent traces to print (default 5)")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--partitioner", default="hash",
-                   choices=["hash", "greedy"])
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--backend", default="thread",
                    choices=["thread", "process"])

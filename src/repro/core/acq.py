@@ -29,9 +29,8 @@ paper dismisses, and as the oracle for correctness tests.
 ``Inc-T`` and ``Dec`` read keywords through one seam, the index:
 ``keyword_vertex_sets(q, k, S)`` (per keyword, its carriers in ``q``'s
 k-core component) and, for the no-keyword fallback only,
-``community_vertices(q, k)`` -- a :class:`~repro.core.cltree.CLTree`,
-or the engine's ``FixedBaseIndex`` over a pre-merged base.  The index
-must describe the graph's current edges *and* keywords.
+``community_vertices(q, k)`` -- a :class:`~repro.core.cltree.CLTree`.
+The index must describe the graph's current edges *and* keywords.
 
 The multi-vertex variant (a set ``Q`` of query vertices; Section 3.2)
 is supported uniformly: every function accepts either a single vertex

@@ -253,8 +253,8 @@ def build_cltree(graph, core=None):
 
     Accepts either a mutable :class:`AttributedGraph` or a frozen CSR
     snapshot; the frozen case walks the flat ``indptr``/``indices``
-    arrays directly (the shard-parallel process-backend builds ship
-    frozen subgraphs, see :mod:`repro.engine.backends`).
+    arrays directly (the process-backend builds ship frozen
+    snapshots, see :mod:`repro.engine.backends`).
     """
     if core is None:
         core = core_decomposition(graph)

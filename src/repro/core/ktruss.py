@@ -12,8 +12,8 @@ Support counting has a CSR fast path: over a
 lists are sorted flat-array slices, so each edge's triangle count is a
 sorted-merge intersection over two contiguous runs instead of hash
 probes into scattered set buckets.  That is the kernel the engine's
-process backend runs per shard (see
-:func:`repro.engine.backends.shard_truss_job`).
+process backend runs on its frozen payloads (see
+:func:`repro.engine.backends.full_query_job`).
 """
 
 

@@ -5,8 +5,8 @@ current under edge updates, which is what makes the engine's selective
 cache invalidation sound for the minimum-degree algorithm families
 (ACQ, Global).  The triangle-based families (k-truss, ATC) were left
 behind: core maintenance does not track how triangle support cascades,
-so every maintenance update blindly evicted their cached results and
-sharding excluded them outright.  This module closes that gap.
+so every maintenance update blindly evicted their cached results.
+This module closes that gap.
 
 :class:`TrussMaintainer` keeps two structures exact while the graph
 mutates through it:

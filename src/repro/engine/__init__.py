@@ -10,8 +10,11 @@ The seed reproduction ran every ``/api/search`` inline on its HTTP
 handler thread with no result reuse and ad-hoc lazy index builds --
 fine for one user, hopeless for the ROADMAP's "heavy traffic from
 millions of users".  This package is the execution layer between the
-server and the algorithms; every later scaling step (sharded graphs,
-an async server, a persistent cache) plugs into it.
+server and the algorithms; every later scaling step (an async
+server, a process backend, a persistent cache) plugs into it.
+
+Every graph is held whole: one versioned CL-tree / k-core index per
+graph, the paper's design.
 
 The modules
 ===========
@@ -51,19 +54,7 @@ The modules
 
 ``stats``
     :class:`~repro.engine.stats.EngineStats`: latency histograms
-    (p50/p95) and throughput counters behind ``/v1/metrics``, plus
-    per-shard fan-out latency and skew.
-
-``sharding``
-    Partition-parallel execution for large graphs:
-    :class:`~repro.engine.sharding.GraphPartitioner` (deterministic
-    hash or greedy edge-cut placement),
-    :class:`~repro.engine.sharding.ShardedIndexManager` (one versioned
-    index entry and frozen payload per shard, maintenance routed to
-    the owning shard only), and the exact fan-out/merge query paths
-    behind :meth:`~repro.engine.executor.QueryEngine.search_sharded`
-    -- the k-core family merges certified vertices, the truss family
-    merges certified edges and peels only the uncertain/cut remainder.
+    (p50/p95) and throughput counters behind ``/v1/metrics``.
 
 ``backends``, ``retry``, ``payloads``
     The job pipeline under
@@ -80,9 +71,8 @@ Choosing a backend
 ``QueryEngine(backend="thread")`` (default) keeps everything
 in-process: shared memory, no serialisation, lowest latency -- the
 right choice for small graphs, warm-cache interactive traffic, and
-single-core hosts.  ``backend="process"`` ships CPU-bound structural
-work (per-shard certification scans, whole queries, detections,
-CL-tree builds) to worker processes over frozen
+single-core hosts.  ``backend="process"`` ships CPU-bound work (whole
+queries, detections, CL-tree builds) to worker processes over frozen
 :class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the GIL
 -- pick it for multi-core hosts where cold structural queries and
 index builds dominate.  Results are identical either way (a
@@ -92,40 +82,9 @@ back inline on any pool failure, and its overheads are observable as
 in ``/v1/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
-    explorer.add_graph("dblp", generate_dblp_graph(),
-                       shards=4, partitioner="greedy")
-    explorer.search("acq", "Jim Gray", k=4)   # fan-out in the pool
+    explorer.add_graph("dblp", generate_dblp_graph())
+    explorer.search("acq", "Jim Gray", k=4)   # runs in the pool
     explorer.engine.snapshot()["backend"]     # "process"
-
-Sharded graphs
-==============
-
-A graph registered with ``shards > 1`` is partitioned once; each
-shard gets its own versioned index entry, and shardable searches
-(``global``, the ACQ family, ``k-truss``/``atc``) fan their structural
-phase out as one job per shard -- each shard scans only its own
-vertices, certifying survivors with its shard-local core numbers --
-then the engine merges,
-re-verifies boundary-crossing vertices, and caches the merged result
-under the same key the unsharded path uses.  ``shards=1`` keeps the
-exact pre-sharding execution path, and sharded results are identical
-to unsharded ones by construction (a tested invariant)::
-
-    from repro import CExplorer
-    from repro.datasets import generate_dblp_graph
-
-    explorer = CExplorer(workers=4)
-    explorer.add_graph("dblp", generate_dblp_graph(),
-                       shards=4, partitioner="greedy")
-
-    explorer.search("acq", "Jim Gray", k=4)   # fans out over 4 shards
-    explorer.engine.snapshot()["partitions"]  # balance, cut, versions
-    explorer.engine.stats.snapshot()["sharding"]   # per-shard latency
-
-    maintainer = explorer.maintainer()
-    maintainer.insert_edge(u, v)    # bumps the owning shard's index
-                                    # version; other shards keep their
-                                    # cached decompositions
 
 Quickstart
 ==========
@@ -165,13 +124,6 @@ from repro.engine.retry import (
     ResiliencePlane,
     RetryPolicy,
 )
-from repro.engine.sharding import (
-    GraphPartitioner,
-    Partition,
-    ShardedIndexManager,
-    ShardMergeError,
-    ShardPayload,
-)
 from repro.engine.stats import EngineStats, LatencyHistogram
 from repro.engine.tracing import QueryTrace, TraceRecorder
 
@@ -182,11 +134,9 @@ __all__ = [
     "EngineStats",
     "FaultPlan",
     "FaultRule",
-    "GraphPartitioner",
     "IndexManager",
     "IndexSnapshot",
     "LatencyHistogram",
-    "Partition",
     "ProcessBackend",
     "ProcessBackendError",
     "QueryEngine",
@@ -195,9 +145,6 @@ __all__ = [
     "ResiliencePlane",
     "ResultCache",
     "RetryPolicy",
-    "ShardMergeError",
-    "ShardPayload",
-    "ShardedIndexManager",
     "SubproblemMemo",
     "TraceRecorder",
     "plan_search",

@@ -16,13 +16,13 @@ frozen payload.  This module holds both halves of that contract:
   structural work, and :class:`InlineBackend`, the calling thread
   (under the GIL a thread fan-out measured no faster, see
   ``docs/ARCHITECTURE.md``);
-* the **job functions** -- per-shard scans, whole searches and
-  batches of them, CD detections, index builds.  A payload travels in
+* the **job functions** -- whole searches and batches of them, CD
+  detections, index builds.  A payload travels in
   a job's arguments as a *handle* :func:`_loads_payload` resolves: a
   shared-memory ref is attached, pickled bytes are unpickled, an
   in-process object is used as is;
 * the **worker-side payload cache**, one entry per payload identity
-  ``(manager epoch, graph, shard)``: repeated jobs against an
+  ``(manager epoch, graph, "full")``: repeated jobs against an
   unchanged payload skip the resolve and every derived decomposition,
   and a newer version of an identity evicts its predecessor.
 
@@ -35,7 +35,8 @@ small graphs, cache-heavy interactive traffic, or single-core hosts.
 ``backend="process"``: jobs ship to worker processes over frozen CSR
 snapshots -- real parallelism for CPU-bound structural work on
 multi-core hosts, at the cost of payload shipping (reported as
-``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``).  Results are
+``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``; the latter
+name predates the job pipeline and now prices every shipped job).  Results are
 identical either way (a tested invariant); every process failure
 falls back to inline execution rather than failing the query.
 """
@@ -48,7 +49,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.cltree import build_cltree
-from repro.core.kcore import connected_k_core, core_decomposition
+from repro.core.kcore import core_decomposition
 from repro.core.ktruss import truss_decomposition
 from repro.engine import faults as fault_injection
 from repro.engine import payloads as payload_plane
@@ -63,11 +64,11 @@ from repro.util.errors import (
 
 BACKENDS = ("thread", "process")
 
-# Worker-side cache: payload identity (manager epoch, name, shard)
+# Worker-side cache: payload identity (manager epoch, name, "full")
 # -> (version, entry), where the entry holds the resolved payload and
 # its lazily built decompositions.  One entry per identity, so version
 # churn on a long-lived worker replaces instead of accumulating; the
-# cap only bounds how many distinct graphs/shards stay resident.
+# cap only bounds how many distinct graphs stay resident.
 _WORKER_CACHE = {}
 _WORKER_CACHE_MAX = 64
 
@@ -129,8 +130,8 @@ def _timed_job(fn, args, fault=None, deadline=None):
     ``spans`` is the wire-format list of tracing spans the job
     recorded (index thaw, lazy decomposition builds, algorithm run --
     see :func:`~repro.engine.tracing.collect_worker_spans`); the
-    parent grafts them under the query's per-shard ``worker_execute``
-    span.  ``fault`` carries worker-side fault actions the parent's
+    parent grafts them under the job's ``worker_execute`` span.
+    ``fault`` carries worker-side fault actions the parent's
     :class:`~repro.engine.faults.FaultPlan` drew for this job;
     ``deadline`` is the caller's remaining wall-clock deadline, made
     visible to the job through :func:`check_deadline`.
@@ -176,9 +177,8 @@ def _loads_payload(key, handle):
 def _payload_entry(key, handle):
     """This process's cached state for the payload ``key`` names.
 
-    ``key`` is ``(manager epoch, graph, shard | "full", version)``.
-    The returned dict holds the resolved snapshot (``frozen``), a
-    shard payload's ``(old_ids, global_degree)`` (``extras``) and,
+    ``key`` is ``(manager epoch, graph, "full", version)``.
+    The returned dict holds the resolved snapshot (``frozen``) and,
     lazily, every derived structure a job may need -- core numbers,
     the CL-tree, the truss map -- so an unchanged payload pays each
     once per worker, not once per query.  The cache keeps one entry
@@ -195,82 +195,12 @@ def _payload_entry(key, handle):
     if newer:
         _WORKER_CACHE.pop(identity, None)
     cached = None
-    value = _loads_payload(key, handle)
-    frozen, extras = (value[0], value[1:]) \
-        if isinstance(value, tuple) else (value, None)
-    entry = {"frozen": frozen, "extras": extras}
+    entry = {"frozen": _loads_payload(key, handle)}
     if newer:
         if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
             _WORKER_CACHE.clear()
         _WORKER_CACHE[identity] = (version, entry)
     return entry
-
-
-def shard_candidates_job(key, handle, k):
-    """One shard's certify/drop/classify scan.
-
-    ``handle`` resolves to the ``(FrozenGraph, old_ids,
-    global_degree)`` payload built by
-    :meth:`~repro.engine.sharding.ShardedIndexManager.shard_payload`;
-    ``key`` is its ``(manager epoch, graph, shard, version)`` identity,
-    so an unchanged shard is resolved (and its shard-local core
-    numbers computed) once per worker, not once per query.  A vertex
-    whose shard-local core number reaches ``k`` is *certified* (core
-    numbers of a subgraph lower-bound the global ones), one whose
-    global degree is below ``k`` is *dropped*, the rest are
-    *uncertain*.  Returns plain ``(certified, uncertain, dropped)``
-    containers in *global* vertex ids -- the merge step rebuilds its
-    :class:`~repro.engine.sharding.ShardReport` from them.
-    """
-    check_deadline()
-    entry = _payload_entry(key, handle)
-    old_ids, global_degree = entry["extras"]
-    local_core = _entry_core(entry)
-    certified = []
-    uncertain = {}
-    dropped = []
-    for new, old in enumerate(old_ids):
-        if local_core[new] >= k:
-            certified.append(old)
-            continue
-        degree = global_degree[new]
-        if degree < k:
-            dropped.append(old)
-        else:
-            uncertain[old] = degree
-    return certified, uncertain, dropped
-
-
-def shard_truss_job(key, handle, k):
-    """One shard's truss certify/classify scan.
-
-    ``handle`` resolves to the same ``(FrozenGraph, old_ids,
-    global_degree)`` payload the core path uses; the job runs the CSR
-    support-counting kernel plus a truss decomposition over the
-    frozen shard (cached per payload identity, so an unchanged shard
-    pays once per worker).  Returns ``(certified, uncertain)`` edge
-    lists in *global* vertex ids: ``certified`` edges have shard-local
-    truss >= k (hence global truss >= k by subgraph monotonicity);
-    ``uncertain`` are the shard's remaining edges, which the engine's
-    merge peels with exact global supports.
-    """
-    check_deadline()
-    entry = _payload_entry(key, handle)
-    old_ids = entry["extras"][0]
-    local_truss = _entry_truss(entry)
-    local_edges = entry.get("edges")
-    if local_edges is None:
-        local_edges = entry["edges"] = list(entry["frozen"].edges())
-    certified = []
-    uncertain = []
-    for u, v in local_edges:
-        a, b = old_ids[u], old_ids[v]
-        edge = (a, b) if a < b else (b, a)
-        if local_truss.get((u, v), 0) >= k:
-            certified.append(edge)
-        else:
-            uncertain.append(edge)
-    return certified, uncertain
 
 
 def _entry_core(entry):
@@ -303,69 +233,18 @@ def _entry_truss(entry):
     return truss
 
 
-class FixedBaseIndex:
-    """The ACQ family's index seam (``keyword_vertex_sets`` +
-    ``community_vertices``, see :mod:`repro.core.acq`) over a
-    precomputed structural base.
-
-    :func:`shard_full_query_job` hands it the base the parent's
-    cross-shard merge shipped, so the keyword enumeration runs on
-    exactly the sets the CL-tree would have produced: a keyword's
-    qualifying set is its posting in the frozen snapshot intersected
-    with the base.  ``base=None`` encodes "no structural community
-    exists".
-    """
-
-    __slots__ = ("graph", "_q", "_k", "_base")
-
-    def __init__(self, graph, q, k, base):
-        self.graph = graph
-        self._q = q
-        self._k = k
-        self._base = base
-
-    def community_vertices(self, q, k):
-        """The fixed structural base for the planned ``(q, k)``."""
-        if q == self._q and k == self._k:
-            return set(self._base) if self._base is not None else None
-        # Defensive: an unexpected probe falls back to the exact
-        # definition rather than answering for the wrong query.
-        return connected_k_core(self.graph, q, k)
-
-    def keyword_vertex_sets(self, q, k, keywords):
-        """``{w: base vertices carrying w}``; ``None`` without a base."""
-        base = self.community_vertices(q, k)
-        if base is None:
-            return None
-        postings = self.graph.keyword_postings()
-        return {w: base.intersection(postings.get(w, ()))
-                for w in keywords}
-
-
-def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
-                         base=None):
+def full_query_job(key, payload, algorithm, q, k, keywords=None):
     """Run one **whole** community search in a worker process.
 
     The worker executes the complete query -- structural phase,
     keyword enumeration, verification -- against the cached frozen
-    whole-graph snapshot, instead of shipping candidate sets back to
-    the parent.  ``base`` optionally carries the structural phase the
-    parent's cross-shard merge already reconciled:
-
-    * ``None`` -- compute everything in the worker (the unsharded
-      whole-query offload; derived structures are cached per payload
-      identity);
-    * ``("component", vertices)`` -- the merged connected k-core
-      component (the k-core family's structural base);
-    * ``("edges", edges)`` -- the merged global k-truss edge set (the
-      triangle family's structural base).
-
-    Returns the communities in :meth:`~repro.core.community.Community.
-    to_wire` form; the parent rebinds them to its live graph object.
+    whole-graph snapshot; derived structures (core numbers, CL-tree,
+    truss map) are cached per payload identity.  Returns the
+    communities in :meth:`~repro.core.community.Community.to_wire`
+    form; the parent rebinds them to its live graph object.
     Results are byte-identical to parent-side execution (the frozen
     equivalence the protocol suite proves).
     """
-    from repro.algorithms.attributed_truss import attributed_truss_search
     from repro.algorithms.global_search import global_search
     from repro.algorithms.registry import get_cs_algorithm
     from repro.algorithms.truss_search import truss_community_search
@@ -375,14 +254,10 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
     entry = _payload_entry(key, payload)
     frozen = entry["frozen"]
     q0 = q if isinstance(q, int) else tuple(q)[0]
-    base_kind, base_value = base if base is not None else (None, None)
     if algorithm in ("acq", "acq-inc-s", "acq-inc-t"):
         variant = "dec" if algorithm == "acq" \
             else algorithm[len("acq-"):]
-        if base_kind == "component":
-            index = FixedBaseIndex(frozen, q0, k, base_value)
-        else:
-            index = _entry_cltree(entry)
+        index = _entry_cltree(entry)
         with tracing.span("algorithm", algorithm=algorithm):
             result = acq_search(frozen, q, k, keywords=keywords,
                                 algorithm=variant, index=index)
@@ -391,19 +266,12 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
         with tracing.span("algorithm", algorithm=algorithm):
             result = global_search(frozen, q0, k, core=core)
     elif algorithm == "k-truss":
-        truss = ({e: k for e in base_value}
-                 if base_kind == "edges" else _entry_truss(entry))
+        truss = _entry_truss(entry)
         with tracing.span("algorithm", algorithm=algorithm):
             result = truss_community_search(frozen, q0, k, truss=truss)
-    elif algorithm == "atc":
-        base_edges = base_value if base_kind == "edges" else None
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = attributed_truss_search(frozen, q, k,
-                                             keywords=keywords,
-                                             base_edges=base_edges)
     else:
         # Every other registered CS algorithm takes the plain
-        # protocol call (codicil, local, steiner, plug-ins).
+        # protocol call (atc, codicil, local, steiner, plug-ins).
         with tracing.span("algorithm", algorithm=algorithm):
             result = get_cs_algorithm(algorithm)(frozen, q, k,
                                                  keywords=keywords)
@@ -419,7 +287,7 @@ def batch_full_query_job(key, payload, specs, member_faults=None):
     structure (core numbers, CL-tree, truss map) shared across the
     group -- the engine-side half of cross-query batching
     (:mod:`repro.engine.batching`).  Each spec still runs the exact
-    :func:`shard_full_query_job` pipeline, so per-query results are
+    :func:`full_query_job` pipeline, so per-query results are
     byte-identical to serial execution.
 
     Returns one ``("ok", wire-form community list)`` or ``("error",
@@ -440,7 +308,7 @@ def batch_full_query_job(key, payload, specs, member_faults=None):
                 member_faults[i] if member_faults else None)
             with tracing.span("batch_member", algorithm=algorithm,
                               k=k):
-                answers.append(("ok", shard_full_query_job(
+                answers.append(("ok", full_query_job(
                     key, payload, algorithm, q, k,
                     keywords=keywords)))
         except QueryTimeoutError:

@@ -27,17 +27,16 @@ multiplying work:
   compatible, and a greedy clique cover turns the QIG into execution
   groups.  A group is answered from **one** engine job -- one queue
   hop, one payload ship, shared worker-side decompositions -- plus
-  per-query finishing, generalising the same-``k`` sharing the
-  ``ktruss-strong`` merge memo already proved out.
+  per-query finishing.
 
 Batched execution is byte-identical to serial execution: each query in
 a group still runs the exact whole-query pipeline
 (:func:`~repro.engine.backends.batch_full_query_job`, which is
-:func:`~repro.engine.backends.shard_full_query_job` per spec) or the
+:func:`~repro.engine.backends.full_query_job` per spec) or the
 plain :meth:`~repro.explorer.cexplorer.CExplorer.search` path --
 grouping changes *where* the work runs and how often shared state is
-rebuilt, never the per-query result (property-tested across shard
-counts and backends).
+rebuilt, never the per-query result (property-tested across
+backends).
 
 The batcher is front-end-agnostic: the async server awaits the
 returned :class:`~repro.engine.executor.EngineFuture` through its
@@ -335,7 +334,6 @@ class QueryBatcher:
             request.algorithm, graph,
             index_ready=explorer.indexes.built(name),
             keywords=request.keywords,
-            shards=explorer.indexes.shards(name),
             full_payload=self.engine.full_query_capable(name))
         algorithm = request.plan.algorithm
         request.cache_key = explorer.cache.key(
@@ -460,13 +458,11 @@ class QueryBatcher:
     def _batch_job_eligible(self, request):
         """Whether one request may ride the single batch worker job.
 
-        Sharded fan-out plans and algorithms outside the whole-query
-        protocol keep the plain search path (results are identical
-        either way; this only picks the substrate).
+        Algorithms outside the whole-query protocol keep the plain
+        search path (results are identical either way; this only picks
+        the substrate).
         """
-        plan = request.plan
-        return (not plan.fanout
-                and plan.algorithm in FULL_QUERY_ALGORITHMS)
+        return request.plan.algorithm in FULL_QUERY_ALGORITHMS
 
     # ------------------------------------------------------------------
     # observability

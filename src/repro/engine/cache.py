@@ -49,12 +49,6 @@ TRUSS_SELECTIVE_ALGORITHMS = frozenset({"k-truss", "atc"})
 # evictions are precise cascades or blind evict-alls.
 INVALIDATION_REASONS = ("core-cascade", "truss-cascade", "evict-all")
 
-# Memo kinds holding *truss* intermediates.  Their entries are keyed
-# on the graph's independent ``truss_version`` (not the CL-tree/k-core
-# index version), so a version-aware invalidation drops them exactly
-# when the truss index moved -- core-only rebuilds leave them warm.
-TRUSS_MEMO_KINDS = frozenset({"ktruss-strong", "truss"})
-
 
 def _canonical(value):
     """A hashable canonical form for one parameter value."""
@@ -265,8 +259,8 @@ class ResultCache:
 
     def entries_by_graph(self):
         """``{graph_name: entry count}`` -- the per-graph occupancy
-        the metrics endpoint reports next to shard/partition stats, so
-        a sharded deployment can see which graph owns the warm set."""
+        the metrics endpoint reports, so a multi-graph deployment can
+        see which graph owns the warm set."""
         with self._lock:
             counts = {}
             for key in self._data:
@@ -332,20 +326,13 @@ class SubproblemMemo:
                 self._data.popitem(last=False)
         return value
 
-    def invalidate(self, graph_name=None, version=None,
-                   truss_version=None):
+    def invalidate(self, graph_name=None, version=None):
         """Drop stale entries (or everything, when nothing is known).
 
         ``graph_name=None`` clears the whole memo.  With only a graph
-        name, every entry of that graph goes (the conservative
-        pre-truss behaviour).  With the graph's *current* versions
-        supplied, the invalidation is version-aware: an entry survives
-        when it is keyed at the current version *for its kind* --
-        truss intermediates (:data:`TRUSS_MEMO_KINDS`) check
-        ``truss_version``, everything else checks ``version``.  That
-        is what lets truss intermediates outlive core-only rebuilds:
-        their keys move with the independent truss index, not with
-        the CL-tree snapshot lifecycle.
+        name, every entry of that graph goes.  With the graph's
+        *current* ``version`` supplied, an entry survives exactly when
+        it is keyed at that version.
         """
         with self._lock:
             if graph_name is None:
@@ -353,14 +340,7 @@ class SubproblemMemo:
                 return
             stale = []
             for key in self._data:
-                if key[0] != graph_name:
-                    continue
-                if version is None and truss_version is None:
-                    stale.append(key)
-                    continue
-                current = truss_version if key[2] in TRUSS_MEMO_KINDS \
-                    else version
-                if key[1] != current:
+                if key[0] == graph_name and key[1] != version:
                     stale.append(key)
             for key in stale:
                 del self._data[key]

@@ -23,16 +23,13 @@ algorithms (the Polynesia argument in PAPERS.md):
   :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
 * **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
-  path every unit of engine work below a query takes (per-shard
-  scans, whole queries, query batches, detections, CL-tree builds):
-  a job is a module-level function over an immutable frozen payload,
-  dispatched on the substrate the resilience plane's ``process ->
-  inline`` ladder picks (see :mod:`repro.engine.backends`), with
-  fault injection, retries, hedging, demotion, deadlines and the
-  ``op`` / ``shard_ipc`` / ``worker_execute`` accounting applied
-  once.  :meth:`QueryEngine.search_sharded` is the full
-  partition-parallel search path built on it (see
-  :mod:`repro.engine.sharding`);
+  path every unit of engine work below a query takes (whole queries,
+  query batches, detections, CL-tree builds): a job is a module-level
+  function over an immutable frozen payload, dispatched on the
+  substrate the resilience plane's ``process -> inline`` ladder picks
+  (see :mod:`repro.engine.backends`), with fault injection, retries,
+  hedging, demotion, deadlines and the ``op`` / ``shard_ipc`` /
+  ``worker_execute`` accounting applied once;
 * an **execution backend** (``backend="thread" | "process"``) --
   with the process backend, jobs ship to a ``multiprocessing`` pool
   as frozen-graph payloads (zero-copy shared-memory refs, see
@@ -40,8 +37,9 @@ algorithms (the Polynesia argument in PAPERS.md):
   structural work; any pool failure falls back to inline execution
   with identical results;
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
-  ``/v1/metrics``, including per-shard fan-out latency/skew and the
-  ``snapshot_build`` / ``shard_ipc`` payload overheads.
+  ``/v1/metrics``, including the ``snapshot_build`` / ``shard_ipc``
+  payload overheads (``shard_ipc`` is the historical name of the
+  per-job transport histogram).
 
 Synchronous callers (library users, the batch harness) use
 :meth:`QueryEngine.execute`; the server uses :meth:`submit` /
@@ -508,12 +506,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # the job pipeline
     # ------------------------------------------------------------------
-    def run_jobs(self, jobs, op="shard", graph=None):
+    def run_jobs(self, jobs, op):
         """Run ``(fn, args)`` jobs and return their results in job
         order -- the engine's one fan-out.  Every unit of engine work
-        (shard scans, whole queries, query batches, detections, index
-        builds) is such a job: a module-level function over picklable
-        arguments, a pure function of an immutable frozen payload.
+        (whole queries, query batches, detections, index builds) is
+        such a job, and ``op`` names its job class -- the latency
+        histogram, retry policy and fault-plan target it answers to.
+        A job is a module-level function over picklable arguments, a
+        pure function of an immutable frozen payload.
 
         The substrate comes from the resilience plane's ``process ->
         inline`` ladder: without a pool, or while its breaker is open,
@@ -527,8 +527,6 @@ class QueryEngine:
         inline without disturbing its siblings
         (``job_inline_fallbacks``), a corrupt payload is quarantined,
         and a failed job cancels the siblings that have not started.
-        With ``graph`` given, the per-job compute times are recorded
-        as that graph's fan-out/skew stats.
         """
         jobs = list(jobs)
         deadline = self._fanout_deadline()
@@ -556,9 +554,6 @@ class QueryEngine:
         if len(outcomes) < len(jobs):
             self._collect(self._inline, jobs, faults, outcomes, op,
                           deadline)
-        if graph is not None:
-            self.stats.observe_fanout(
-                graph, [child for child, _ in outcomes])
         return [value for _, value in outcomes]
 
     def _collect(self, substrate, jobs, faults, outcomes, op,
@@ -634,10 +629,10 @@ class QueryEngine:
                 if trace is not None:
                     index = trace.add_span(
                         "worker_execute", child,
-                        tags={"shard": i, "backend": substrate.name})
+                        tags={"job": i, "backend": substrate.name})
                     trace.graft(index, spans)
                     trace.add_span("shard_ipc", ipc + thaw,
-                                   tags={"shard": i})
+                                   tags={"job": i})
                 outcomes.append((child, value))
         except BaseException:
             # Don't leave the rest of the fan-out running for nobody:
@@ -748,18 +743,6 @@ class QueryEngine:
         cltree.graph = graph
         return core, cltree
 
-    def search_sharded(self, name, algorithm, q, k, keywords=None):
-        """Partition-parallel execution of one shardable search:
-        fan per-shard structural jobs out through :meth:`run_jobs`,
-        merge and re-verify at the engine layer, finish through
-        :meth:`search_full_query`.  Results are identical to unsharded
-        execution; ``None`` means the sharded plan could not answer
-        and the caller should run the unsharded one (see
-        :func:`repro.engine.sharding.sharded_search`)."""
-        from repro.engine.sharding import sharded_search
-        return sharded_search(self, name, algorithm, q, k,
-                              keywords=keywords)
-
     # ------------------------------------------------------------------
     # whole-query worker execution
     # ------------------------------------------------------------------
@@ -806,25 +789,20 @@ class QueryEngine:
             self.stats.observe("snapshot_build", payload.build_seconds)
         return payload.job_arg(shipped=self._process is not None)
 
-    def search_full_query(self, name, algorithm, q, k, keywords=None,
-                          base=None):
+    def search_full_query(self, name, algorithm, q, k, keywords=None):
         """Run one whole community search against the cached frozen
         payload of graph ``name`` -- in a worker process under the
         process backend, in-process (same pipeline, same results)
-        otherwise.
-
-        ``base`` optionally carries a structural phase the sharded
-        merge already reconciled (see :func:`~repro.engine.backends.
-        shard_full_query_job`).  Returns live
+        otherwise.  Returns live
         :class:`~repro.core.community.Community` objects bound to the
         registered graph.
         """
-        from repro.engine.backends import shard_full_query_job
+        from repro.engine.backends import full_query_job
 
         wires = self._with_fresh_payload_retry(
             name, "full_query", lambda key, handle: [
-                (shard_full_query_job,
-                 (key, handle, algorithm, q, k, keywords, base))])
+                (full_query_job,
+                 (key, handle, algorithm, q, k, keywords))])
         self.stats.count("worker_full_query")
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires[0]]
@@ -921,22 +899,12 @@ class QueryEngine:
         ``affected`` scopes eviction for the minimum-degree families,
         ``truss_affected`` (reported by an attached truss maintainer)
         for the triangle families; either being ``None`` makes its
-        families' eviction conservative.  Memo eviction is
-        version-aware: truss intermediates are keyed on (and checked
-        against) the independent ``truss_version``, so they survive
-        events that only moved the CL-tree/k-core index.
+        families' eviction conservative.  Memo entries keyed at an
+        older version (or any, once ``version`` is ``None``) go.
         """
         self.cache.invalidate(name, affected=affected,
                               truss_affected=truss_affected)
-        if version is None:
-            self.memo.invalidate(name)
-            return
-        try:
-            truss_version = self.indexes.truss_version(name)
-        except CExplorerError:
-            truss_version = None
-        self.memo.invalidate(name, version=version,
-                             truss_version=truss_version)
+        self.memo.invalidate(name, version=version)
 
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
@@ -1030,21 +998,6 @@ class QueryEngine:
             "payloads": payload_plane.plane_stats(),
         })
         if self.explorer is not None:
-            names = self.indexes.names()
-            shard_entries = set()
-            for name in names:
-                shard_entries.update(self.indexes.shard_names(name))
-            # Top-level indexes: user-registered graphs only; the
-            # per-shard entries report under "partitions" instead.
-            doc["indexes"] = {
-                name: self.indexes.stats(name)
-                for name in names if name not in shard_entries
-            }
-            partitions = {}
-            for name in names:
-                info = self.indexes.shard_stats(name)
-                if info is not None:
-                    partitions[name] = info
-            if partitions:
-                doc["partitions"] = partitions
+            doc["indexes"] = {name: self.indexes.stats(name)
+                              for name in self.indexes.names()}
         return doc

@@ -4,7 +4,7 @@ A fault-tolerant execution plane is unfalsifiable without a way to
 *cause* the faults it claims to survive.  This module provides the
 seeded :class:`FaultPlan` that the chaos suite, the CI ``chaos`` job
 and the resilience benchmark all drive: a plan can kill worker jobs,
-delay/duplicate/drop shard jobs, corrupt pickled payloads, break the
+delay/duplicate/drop engine jobs, corrupt pickled payloads, break the
 process pool, and raise inside named tracing spans -- each with a
 deterministic, seed-derived decision per injection site, so a failing
 chaos run replays bit-for-bit.
@@ -19,8 +19,9 @@ job up.  The drawn actions ship *with* the job (see
 
 Plans are installable three ways, all equivalent:
 
-* ``QueryEngine(faults=FaultPlan.from_spec("seed=7;kill:shard@0.05"))``
-* the CLI: ``--fault-plan "seed=7;kill:shard@0.05"``
+* ``QueryEngine(faults=FaultPlan.from_spec(
+  "seed=7;kill:full_query@0.05"))``
+* the CLI: ``--fault-plan "seed=7;kill:full_query@0.05"``
 * the environment: ``REPRO_FAULT_PLAN=...`` (what the CI chaos job
   sets; every engine constructed without an explicit plan picks it
   up).
@@ -31,9 +32,10 @@ Spec grammar (``;``-separated tokens)::
     <kind>:<target>@<rate>[=<param>][#<limit>]
 
 ``kind`` is one of :data:`FAULT_KINDS`; ``target`` is an
-``fnmatch``-style pattern over job-class names (``shard``,
-``full_query``, ``full_query_batch``, ``detect``, ``batch_member``)
-or ``span:<name>`` for span-level ``error`` rules; ``rate`` is the
+``fnmatch``-style pattern over the job classes in :data:`JOB_CLASSES`
+or ``span:<name>`` for span-level ``error`` rules -- a job-class
+pattern that matches none of them is rejected, since it could never
+inject anything; ``rate`` is the
 injection probability; ``param`` is kind-specific (sleep seconds for
 ``delay``, message for ``error``); ``#limit`` caps total injections
 from that rule (how tests let a breaker's probe eventually succeed).
@@ -71,6 +73,12 @@ FAULT_KINDS = ("kill", "drop", "delay", "duplicate", "corrupt",
 # Kinds that execute inside the worker (shipped with the job); the
 # rest act at the parent's dispatch site.
 WORKER_KINDS = ("kill", "drop", "delay", "duplicate", "error")
+
+#: the job classes the engine draws faults for: the ``op`` of every
+#: :meth:`~repro.engine.executor.QueryEngine.run_jobs` dispatch, plus
+#: ``batch_member`` (one draw per query inside a batch job).
+JOB_CLASSES = ("full_query", "full_query_batch", "batch_member",
+               "detect", "index_build")
 
 
 class FaultSpecError(EngineError):
@@ -134,14 +142,26 @@ class FaultPlan:
     def from_spec(cls, spec):
         """Parse the compact ``seed=...;kind:target@rate`` grammar (or
         its JSON object equivalent).  Returns ``None`` for an
-        empty/blank spec."""
+        empty/blank spec; raises :class:`FaultSpecError` for a rule
+        whose job-class pattern matches no class in
+        :data:`JOB_CLASSES`."""
         if spec is None:
             return None
         spec = spec.strip()
         if not spec:
             return None
-        if spec.startswith("{"):
-            return cls._from_json(spec)
+        plan = cls._from_json(spec) if spec.startswith("{") \
+            else cls._from_tokens(spec)
+        for rule in plan.rules:
+            if not rule.target.startswith("span:") and not any(
+                    rule.matches(op) for op in JOB_CLASSES):
+                raise FaultSpecError(
+                    "fault target {!r} matches no job class; choose "
+                    "from {}".format(rule.target, JOB_CLASSES))
+        return plan
+
+    @classmethod
+    def _from_tokens(cls, spec):
         seed = 0
         rules = []
         for token in spec.split(";"):

@@ -118,28 +118,13 @@ class GraphPayload:
         self._transport_lock = threading.Lock()
         self.build_seconds = build_seconds
 
-    def _extras(self):
-        """Sidecar tuple published next to the CSR (none for a whole
-        graph; shard payloads override)."""
-        return None
-
-    def value(self):
-        """The object a job resolves this payload to: the bare
-        snapshot, or ``(frozen, *extras)`` for a shard payload -- the
-        same shape on every transport."""
-        extras = self._extras()
-        if extras is None:
-            return self.frozen
-        return (self.frozen,) + tuple(extras)
-
     @property
     def blob(self):
-        """The pickled :meth:`value` (serialised once, on first
-        use)."""
+        """The pickled snapshot (serialised once, on first use)."""
         if self._blob is None:
             with tracing.span("payload_pickle"):
                 self._blob = pickle.dumps(
-                    self.value(), protocol=pickle.HIGHEST_PROTOCOL)
+                    self.frozen, protocol=pickle.HIGHEST_PROTOCOL)
         return self._blob
 
     def ref(self):
@@ -148,8 +133,7 @@ class GraphPayload:
         ``None`` when no segment can be created."""
         with self._transport_lock:
             if self._segment is None:
-                self._segment = payloads.publish(
-                    self.key, self.frozen, self._extras())
+                self._segment = payloads.publish(self.key, self.frozen)
             return self._segment.ref if self._segment is not None \
                 else None
 
@@ -159,7 +143,7 @@ class GraphPayload:
         object itself -- no serialisation hop to pay -- when it runs
         in this one."""
         if not shipped:
-            return self.value()
+            return self.frozen
         ref = self.ref()
         return ref if ref is not None else self.blob
 
@@ -173,17 +157,14 @@ class GraphPayload:
             segment.release()
 
 
-def _release_orphaned(lock, stores):
+def _release_orphaned(lock, payloads_by_name):
     """GC finalizer for a manager dropped without ``shutdown()``: its
     cached payloads must not pin shared-memory segments until the
-    atexit sweep.  ``stores`` is the manager's list of payload dicts
-    (subclasses append their own), captured without a reference to
-    the manager itself."""
-    stale = []
+    atexit sweep.  ``payloads_by_name`` is the manager's payload dict,
+    captured without a reference to the manager itself."""
     with lock:
-        for store in stores:
-            stale.extend(store.values())
-            store.clear()
+        stale = list(payloads_by_name.values())
+        payloads_by_name.clear()
     for payload in stale:
         payload.release()
 
@@ -208,12 +189,10 @@ class IndexManager:
         # bounded by the number of registered graphs.
         self._full_payloads = {}
         self._payload_epoch = next(self._payload_epochs)
-        # Payload dicts to drain when this manager is collected
-        # without an explicit ``release_payloads`` (an engine dropped
-        # without shutdown); subclasses append theirs.
-        self._payload_stores = [self._full_payloads]
+        # Drained when this manager is collected without an explicit
+        # ``release_payloads`` (an engine dropped without shutdown).
         self._payload_finalizer = weakref.finalize(
-            self, _release_orphaned, self._lock, self._payload_stores)
+            self, _release_orphaned, self._lock, self._full_payloads)
         # Optional build delegate ``(graph, core=None) -> (core,
         # cltree)``; the engine's process backend installs one so
         # CL-tree builds run in worker processes instead of under the
@@ -544,24 +523,6 @@ class IndexManager:
             doc["max_cascade_size"] = max(doc["max_cascade_size"],
                                           tm.max_cascade_size)
         return doc
-
-    # ------------------------------------------------------------------
-    # sharding interface -- unsharded defaults, overridden by
-    # :class:`~repro.engine.sharding.ShardedIndexManager` so the
-    # engine can stay polymorphic over both managers.
-    # ------------------------------------------------------------------
-    def shards(self, name):
-        """How many shards ``name`` is held as (always 1 here)."""
-        return 1
-
-    def shard_names(self, name):
-        """Index-entry names of ``name``'s shards (none here)."""
-        return []
-
-    def shard_stats(self, name):
-        """Partition/per-shard stats for ``name`` (``None`` when
-        unsharded)."""
-        return None
 
     # ------------------------------------------------------------------
     # builds

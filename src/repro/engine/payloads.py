@@ -14,7 +14,7 @@ amortised across every dispatch and every worker.
 Transport ladder (the first rung degrades to the second by itself):
 
 1. **shm** -- ``multiprocessing.shared_memory`` segments.  One
-   refcounted :class:`Segment` per ``(graph, shard, version)`` payload,
+   refcounted :class:`Segment` per ``(graph, version)`` payload,
    owned by the parent; unlinked on version bump, eviction, engine
    shutdown, and (backstop) at interpreter exit, so no
    ``resource_tracker`` leak warnings survive a clean run.
@@ -64,10 +64,10 @@ ENV_TRANSPORT = "REPRO_PAYLOAD_TRANSPORT"
 TRANSPORTS = ("shm", "pickle")
 
 # Packed payload layout: magic, then byte lengths of the four parts
-# (raw int32 indptr, raw int32 indices, pickled shard extras, pickled
-# keyword/label sidecar), then the parts themselves.  Extras decode
-# eagerly (shard jobs need ``old_ids``/``global_degree`` up front);
-# the sidecar stays *undecoded in the buffer* until a vertex
+# (raw int32 indptr, raw int32 indices, a reserved slot holding a
+# pickled ``None`` -- kept so stored ``frozen.bin`` files stay
+# readable -- and the pickled keyword/label sidecar), then the parts
+# themselves.  The sidecar stays *undecoded in the buffer* until a vertex
 # attribute is actually read -- structural kernels never pay for it.
 # Identical for shm segments and on-disk ``frozen.bin`` files, so
 # attach and mmap-load share one decoder.
@@ -78,7 +78,7 @@ _lock = threading.RLock()
 _segments = {}            # name -> Segment (parent-side owners)
 # Payload identity ``key[:3]`` -> (version, segment name, SharedMemory
 # or None, decoded payload): the one attachment this process keeps per
-# graph/shard.  A newer version of the same identity replaces (and
+# graph.  A newer version of the same identity replaces (and
 # closes) its predecessor, so version churn never accumulates
 # mappings in a long-lived worker.
 _attached = {}
@@ -119,13 +119,13 @@ def _array_bytes(arr):
     return bytes(arr)
 
 
-def pack_payload(frozen, extras=None):
-    """Pack a frozen graph (plus optional shard ``extras``) into the
-    flat segment/file layout.  Returns a list of byte chunks."""
+def pack_payload(frozen):
+    """Pack a frozen graph into the flat segment/file layout.  Returns
+    a list of byte chunks."""
     frozen._ensure_sidecar()
     indptr = _array_bytes(frozen.indptr)
     indices = _array_bytes(frozen.indices)
-    meta = pickle.dumps(extras, protocol=pickle.HIGHEST_PROTOCOL)
+    meta = pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL)
     sidecar = pickle.dumps((frozen._keywords, frozen._labels),
                            protocol=pickle.HIGHEST_PROTOCOL)
     header = _HEADER.pack(_MAGIC, len(indptr), len(indices),
@@ -138,11 +138,8 @@ def unpack_payload(buf, key=None):
     segment or mmap).  The CSR arrays stay *views into the buffer* --
     this is the zero-copy attach -- and the keyword/label sidecar is
     handed to the snapshot as a lazy loader over its buffer slice, so
-    a structural query never unpickles it; only the small shard
-    ``extras`` decode eagerly.  Returns the same object shape
-    ``pickle.loads`` produced on the blob path: a bare
-    :class:`FrozenGraph` for full payloads, ``(frozen, old_ids,
-    global_degree)`` for shard payloads.
+    a structural query never unpickles it.  Returns the
+    :class:`FrozenGraph` ``pickle.loads`` produces on the blob path.
     """
     from repro.graph.frozen import FrozenGraph
 
@@ -152,12 +149,12 @@ def unpack_payload(buf, key=None):
         if magic != _MAGIC:
             raise ValueError("bad payload magic: {!r}".format(magic))
         off = _HEADER.size
+        if off + n_indptr + n_indices + n_meta + n_sidecar > len(buf):
+            raise ValueError("payload buffer is truncated")
         indptr = buf[off:off + n_indptr].cast("i")
         off += n_indptr
         indices = buf[off:off + n_indices].cast("i")
-        off += n_indices
-        extras = pickle.loads(bytes(buf[off:off + n_meta]))
-        off += n_meta
+        off += n_indices + n_meta
         side = buf[off:off + n_sidecar]
     except PayloadCorruptionError:
         raise
@@ -175,11 +172,8 @@ def unpack_payload(buf, key=None):
                 "payload sidecar decode failed: {}".format(exc),
                 key=key)
 
-    frozen = FrozenGraph(indptr, indices, None, None,
-                         sidecar_loader=load_sidecar)
-    if extras is None:
-        return frozen
-    return (frozen,) + tuple(extras)
+    return FrozenGraph(indptr, indices, None, None,
+                       sidecar_loader=load_sidecar)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +305,7 @@ def _next_segment_name():
         return "repro-{:x}-{:x}".format(os.getpid(), _seq)
 
 
-def publish(key, frozen, extras=None):
+def publish(key, frozen):
     """Place one frozen payload in a shared-memory segment.
 
     Returns the :class:`Segment` owner (holding one reference) or
@@ -321,7 +315,7 @@ def publish(key, frozen, extras=None):
     global _shm_ok
     if _transport() != "shm" or not _shm_ok or _shared_memory is None:
         return None
-    chunks = pack_payload(frozen, extras)
+    chunks = pack_payload(frozen)
     nbytes = sum(len(c) for c in chunks)
     try:
         shm = _QuietSharedMemory(
@@ -380,7 +374,7 @@ def attach(ref):
     on the next attempt.
 
     The process keeps one attachment per payload identity
-    (``key[:3]``: manager epoch, graph, shard): repeat jobs against
+    (``key[:3]``: manager epoch, graph, ``"full"``): repeat jobs against
     the same segment reuse its decoded payload, a segment at least as
     new as the kept one replaces it -- closing the predecessor's
     mapping -- and a late job for an older version is served without

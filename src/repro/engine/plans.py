@@ -20,53 +20,36 @@ SMALL_GRAPH_VERTICES = 2_000
 ACQ_FAMILY = ("acq", "acq-inc-s", "acq-inc-t")
 
 # The triangle-cohesive family: their structural phase is the global
-# k-truss edge set, which shards certify through shard-local truss
-# decompositions (lower bounds by subgraph monotonicity, exactly like
-# shard-local cores) and the engine completes by peeling only the
-# uncertain/cut edges.
+# k-truss edge set rather than a connected k-core component.
 TRUSS_FAMILY = ("k-truss", "atc")
-
-# Algorithms whose structural phase (the connected k-core component,
-# or the k-truss edge set for the triangle family) can fan out over
-# graph shards; :mod:`repro.engine.sharding` aliases this as its
-# SHARDABLE_ALGORITHMS.
-FANOUT_ALGORITHMS = frozenset(ACQ_FAMILY) | {"global"} \
-    | frozenset(TRUSS_FAMILY)
 
 # Algorithms the whole-query worker pipeline can run end-to-end
 # against a cached frozen snapshot (repro.engine.backends.
-# shard_full_query_job): every built-in CS method -- the graph read
+# full_query_job): every built-in CS method -- the graph read
 # protocol guarantees each accepts a FrozenGraph with byte-identical
 # results.  Plug-ins registered after import are dispatched through
 # the same generic protocol call, but the planner only volunteers the
 # worker path for names it knows satisfy it.
-FULL_QUERY_ALGORITHMS = FANOUT_ALGORITHMS \
-    | {"local", "codicil", "steiner"}
+FULL_QUERY_ALGORITHMS = frozenset(ACQ_FAMILY) | frozenset(TRUSS_FAMILY) \
+    | {"global", "local", "codicil", "steiner"}
 
 
 class QueryPlan:
-    """One planned execution: algorithm + index + fan-out decision.
+    """One planned execution: algorithm + index + substrate decision.
 
-    ``fanout=True`` means the graph is registered as shards and the
-    chosen algorithm's structural phase should run partition-parallel
-    (:mod:`repro.engine.sharding`); it is never set when ``shards=1``,
-    so single-shard graphs keep the exact pre-sharding code path.
     ``worker_full_query=True`` means the entire query should run
     inside a worker against the graph's cached frozen payload
-    (:meth:`~repro.engine.executor.QueryEngine.search_full_query`);
-    the sharded fan-out takes precedence when both are set (its
-    finishing phase already runs through the same worker pipeline).
+    (:meth:`~repro.engine.executor.QueryEngine.search_full_query`).
     """
 
-    __slots__ = ("algorithm", "use_index", "reason", "fanout",
+    __slots__ = ("algorithm", "use_index", "reason",
                  "worker_full_query")
 
-    def __init__(self, algorithm, use_index, reason, fanout=False,
+    def __init__(self, algorithm, use_index, reason,
                  worker_full_query=False):
         self.algorithm = algorithm
         self.use_index = use_index
         self.reason = reason
-        self.fanout = fanout
         self.worker_full_query = worker_full_query
 
     def explain(self):
@@ -76,26 +59,22 @@ class QueryPlan:
             "algorithm": self.algorithm,
             "use_index": self.use_index,
             "reason": self.reason,
-            "fanout": self.fanout,
             "worker_full_query": self.worker_full_query,
         }
 
     def __repr__(self):
-        return ("QueryPlan({!r}, use_index={}, fanout={}, "
+        return ("QueryPlan({!r}, use_index={}, "
                 "worker_full_query={}, reason={!r})"
-                .format(self.algorithm, self.use_index, self.fanout,
+                .format(self.algorithm, self.use_index,
                         self.worker_full_query, self.reason))
 
 
 def plan_search(algorithm, graph, index_ready=False, keywords=None,
-                shards=1, full_payload=False):
+                full_payload=False):
     """Choose the concrete algorithm and whether to use the CL-tree.
 
     ``algorithm`` may be a registered CS name (passed through, with
     the index decision made here for the ACQ family) or ``"auto"``.
-    ``shards`` is how many partitions the graph is registered as;
-    with ``shards > 1`` the plan marks shard-fan-out-capable
-    algorithms (the k-core family) for partition-parallel execution.
     ``full_payload`` says a frozen whole-graph payload exists (or the
     engine's backend makes building one worthwhile); the plan then
     marks protocol-capable algorithms for whole-query worker
@@ -116,20 +95,14 @@ def plan_search(algorithm, graph, index_ready=False, keywords=None,
     build a throwaway CL-tree per query.
     """
     plan = _choose(algorithm.lower(), graph, index_ready, keywords)
-    if shards > 1 and plan.algorithm in FANOUT_ALGORITHMS:
-        plan.fanout = True
-        plan.reason += ("; structural phase fans out over {} shards"
-                        .format(shards))
     if full_payload and plan.algorithm in FULL_QUERY_ALGORITHMS:
         plan.worker_full_query = True
-        plan.reason += ("; whole query runs on the frozen payload"
-                        if not plan.fanout else
-                        "; merge finish runs on the frozen payload")
+        plan.reason += "; whole query runs on the frozen payload"
     return plan
 
 
 def _choose(algorithm, graph, index_ready, keywords):
-    """The sharding-oblivious strategy pick (``algorithm`` already
+    """The strategy pick (``algorithm`` already
     lower-cased -- the registry is case-insensitive)."""
     n = graph.vertex_count
     if algorithm == "auto":

@@ -7,9 +7,10 @@ them "start another attempt" and "wait for that attempt" as callables
 -- so each is written once, whatever substrate the attempt runs on:
 
 * :class:`RetryPolicy` / :meth:`ResiliencePlane.retrying_result` --
-  per-job-class retry budgets.  Every engine job class (``shard``,
-  ``full_query``, ``full_query_batch``, ``detect``) is a pure function
-  of an immutable frozen payload, so retries are always safe; the
+  per-job-class retry budgets.  Every engine job class
+  (``full_query``, ``full_query_batch``, ``detect``, ``index_build``)
+  is a pure function of an immutable frozen payload, so retries are
+  always safe; the
   policy only decides *how many* and *how spaced* (capped exponential
   backoff with deterministic jitter), and the remaining-deadline
   budget always wins -- a retry whose backoff would outlive the
@@ -133,7 +134,6 @@ class RetryPolicy:
 #: straggling member -- the batching layer's solo-retry is the better
 #: tool there.
 POLICIES = {
-    "shard": RetryPolicy(attempts=3, hedge=True),
     "full_query": RetryPolicy(attempts=3, hedge=True),
     "full_query_batch": RetryPolicy(attempts=3, hedge=False),
     "detect": RetryPolicy(attempts=2, hedge=False),
@@ -351,7 +351,7 @@ class ResiliencePlane:
                     self.stats.count("retry_exhausted")
                     raise
                 self.stats.count("retries")
-                tracing.add_span("retry", delay, op=op, shard=index,
+                tracing.add_span("retry", delay, op=op, job=index,
                                  attempt=tries,
                                  error=type(exc).__name__)
                 time.sleep(delay)

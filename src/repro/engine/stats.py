@@ -10,13 +10,7 @@ measurement substrate the engine reports through ``/api/metrics``:
   samples (for accurate p50/p95 over the live window);
 * :class:`EngineStats` -- named counters plus one histogram per
   operation kind (``search``, ``detect``, ``compare``, ``batch``),
-  thread-safe, snapshotted as one JSON-friendly dict;
-* per-graph **fan-out/skew counters** for sharded execution
-  (:meth:`EngineStats.observe_fanout`) -- partition skew is the
-  classic hazard of hash-partitioned parallel operators, so each
-  fan-out records its per-shard durations and the skew ratio
-  (slowest shard over mean), exposed under ``sharding`` in the
-  snapshot.
+  thread-safe, snapshotted as one JSON-friendly dict.
 
 Counters are monotonic; histograms age out naturally as the reservoir
 rolls, so percentiles describe recent traffic rather than boot-time
@@ -129,7 +123,6 @@ class EngineStats:
         self._lock = threading.Lock()
         self._counters = {}
         self._histograms = {}
-        self._fanouts = {}
         self._completions = deque()
         self.started_at = time.time()
 
@@ -171,33 +164,6 @@ class EngineStats:
                 return 0, 0.0
             return hist.count, hist.percentile(95)
 
-    def observe_fanout(self, graph, seconds):
-        """Record one sharded fan-out over ``graph``: ``seconds[i]``
-        is shard ``i``'s execution time.  Keeps cumulative per-shard
-        totals, the latest per-shard durations, and the worst skew
-        ratio seen (max shard time over mean) -- the number that says
-        the partitioner is feeding one shard too much."""
-        if not seconds:
-            return
-        mean = sum(seconds) / len(seconds)
-        skew = (max(seconds) / mean) if mean > 0 else 1.0
-        with self._lock:
-            rec = self._fanouts.get(graph)
-            if rec is None or len(rec["total_seconds"]) != len(seconds):
-                rec = self._fanouts[graph] = {
-                    "fanouts": 0,
-                    "total_seconds": [0.0] * len(seconds),
-                    "last_ms": [0.0] * len(seconds),
-                    "last_skew": 1.0,
-                    "max_skew": 1.0,
-                }
-            rec["fanouts"] += 1
-            for i, s in enumerate(seconds):
-                rec["total_seconds"][i] += s
-            rec["last_ms"] = [round(s * 1000, 3) for s in seconds]
-            rec["last_skew"] = round(skew, 4)
-            rec["max_skew"] = max(rec["max_skew"], round(skew, 4))
-
     def snapshot(self):
         """One JSON-friendly dict: counters, latency, throughput."""
         with self._lock:
@@ -206,7 +172,7 @@ class EngineStats:
             completed = sum(h.count for h in self._histograms.values())
             self._prune(now)
             window = max(min(elapsed, RECENT_WINDOW_SECONDS), 1e-9)
-            doc = {
+            return {
                 "uptime_seconds": round(elapsed, 3),
                 "throughput_per_second": round(completed / elapsed, 4),
                 "throughput_recent_per_second": round(
@@ -215,17 +181,3 @@ class EngineStats:
                 "latency": {op: hist.snapshot()
                             for op, hist in self._histograms.items()},
             }
-            if self._fanouts:
-                doc["sharding"] = {
-                    graph: {
-                        "fanouts": rec["fanouts"],
-                        "shards": len(rec["total_seconds"]),
-                        "total_seconds": [round(s, 6)
-                                          for s in rec["total_seconds"]],
-                        "last_ms": list(rec["last_ms"]),
-                        "last_skew": rec["last_skew"],
-                        "max_skew": rec["max_skew"],
-                    }
-                    for graph, rec in self._fanouts.items()
-                }
-            return doc

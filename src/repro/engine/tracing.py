@@ -3,14 +3,14 @@
 The engine's :class:`~repro.engine.stats.EngineStats` histograms say
 how the *population* of queries behaves; they cannot say where one
 slow query spent its time.  After PRs 1-5 a query crosses a planner,
-an admission queue, payload freeze/pickle, a process-pool IPC hop,
-per-shard worker execution and a cross-shard merge -- this module
+an admission queue, payload freeze/pickle, a process-pool IPC hop
+and worker execution -- this module
 makes each of those phases attributable per query, which is the
 measurement substrate the ROADMAP's adaptive-execution item needs:
 
 * :class:`Span` -- one named, timed phase (``plan``, ``queue_wait``,
   ``cache_lookup``, ``payload_freeze``, ``payload_pickle``,
-  ``shard_ipc``, per-shard ``worker_execute``, ``merge``,
+  ``shard_ipc`` (a job's transport cost), per-job ``worker_execute``,
   ``cache_store``, ...) with free-form tags and a parent link, so
   traces render as a waterfall;
 * :class:`QueryTrace` -- one query's span tree plus identity tags
@@ -22,12 +22,12 @@ measurement substrate the ROADMAP's adaptive-execution item needs:
   layer as ``GET /api/traces`` / ``GET /api/traces/<query_id>``;
 * **context propagation** -- :func:`activate` binds a trace to the
   current thread; :func:`span` / :func:`add_span` then attach phases
-  from any layer (cache, index manager, sharding) without threading
+  from any layer (cache, index manager, job pipeline) without threading
   trace objects through every signature.  In a worker *process* no
   trace object exists, so :func:`collect_worker_spans` gathers the
   same spans into a picklable wire list that rides the existing job
   return tuples back to the parent, where
-  :meth:`QueryTrace.graft` re-attaches them under that shard's
+  :meth:`QueryTrace.graft` re-attaches them under that job's
   ``worker_execute`` span;
 * :func:`render_prometheus` -- the ``GET /metrics`` text exposition,
   rendered from the ``/api/metrics`` document (the log-scale latency

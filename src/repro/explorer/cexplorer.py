@@ -41,8 +41,8 @@ from repro.core.community import Community
 from repro.engine import payloads as payload_plane
 from repro.engine import tracing
 from repro.engine.executor import QueryEngine
+from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
-from repro.engine.sharding import ShardedIndexManager
 from repro.explorer.autocomplete import NameIndex
 from repro.explorer.profiles import ProfileStore
 from repro.graph.io import load_graph
@@ -85,9 +85,7 @@ class CExplorer:
         self._graphs = {}
         self._current = None
         self.profiles = profiles if profiles is not None else ProfileStore()
-        # Sharding-aware: graphs registered with shards=1 (the
-        # default) behave exactly as under the plain IndexManager.
-        self.indexes = ShardedIndexManager()
+        self.indexes = IndexManager()
         # Persistent warm store: ``store_dir`` (or REPRO_STORE_DIR)
         # names an on-disk :class:`~repro.engine.payloads.GraphStore`.
         # Registered graphs whose fingerprint matches a stored
@@ -99,7 +97,7 @@ class CExplorer:
         self.store = payload_plane.GraphStore(store_dir) \
             if store_dir else None
         self._persisted = {}
-        # ``backend="process"`` runs shard subqueries and CL-tree
+        # ``backend="process"`` runs whole queries and CL-tree
         # builds in a multiprocessing pool over frozen CSR snapshots
         # (see repro.engine.backends); results are identical to the
         # default thread backend.  ``faults`` installs a seeded
@@ -119,22 +117,27 @@ class CExplorer:
     # ------------------------------------------------------------------
     # graph management ("upload" in the paper API)
     # ------------------------------------------------------------------
-    def upload(self, file_path, name=None, shards=1, partitioner="hash"):
+    def upload(self, file_path, name=None, shards=1):
         """Load a graph file (edge list or JSON) and select it.
 
         Returns the registered graph name.  The paper API's
-        ``upload(String filePath)``, extended with the shard count the
-        server's upload endpoint forwards.
+        ``upload(String filePath)``.  Every graph is held whole, by one
+        CL-tree.  ``shards`` is kept only because existing callers
+        (the end-to-end benchmark's launcher among them) pass
+        ``shards=1``; any other value raises
+        :class:`~repro.util.errors.CExplorerError`.
         """
+        if shards != 1:
+            raise CExplorerError(
+                "every graph is held whole; shards must be 1, "
+                "got {!r}".format(shards))
         graph = load_graph(file_path)
         validate_graph(graph)
         if name is None:
             name = str(file_path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        return self.add_graph(name, graph, shards=shards,
-                              partitioner=partitioner)
+        return self.add_graph(name, graph)
 
-    def add_graph(self, name, graph, select=True, build="lazy",
-                  shards=1, partitioner="hash"):
+    def add_graph(self, name, graph, select=True, build="lazy"):
         """Register an in-memory graph under ``name``.
 
         Re-registering a name replaces the graph, bumps its index
@@ -142,22 +145,14 @@ class CExplorer:
         picks the index policy: ``"lazy"`` (first query pays),
         ``"eager"`` (build-on-upload), or ``"background"`` (a builder
         thread runs while queries fall back to index-free plans).
-
-        ``shards > 1`` registers the graph partitioned: one versioned
-        CL-tree/k-core index per shard, and shardable searches fan
-        their structural phase out over the engine's worker pool
-        (``partitioner`` is ``"hash"`` or ``"greedy"``).  ``shards=1``
-        keeps the exact unsharded execution path.
         """
-        # Register indexes first: a rejected name (e.g. one colliding
-        # with the shard-entry namespace) must not leave a phantom
-        # half-registered graph behind.  Registration notifies the
-        # engine, which evicts the graph's cached results and memoized
-        # subproblems.
-        self.indexes.register(name, graph, build=build, shards=shards,
-                              partitioner=partitioner)
+        # Register indexes first: a rejected build mode must not leave
+        # a phantom half-registered graph behind.  Registration
+        # notifies the engine, which evicts the graph's cached results
+        # and memoized subproblems.
+        self.indexes.register(name, graph, build=build)
         self._graphs[name] = _GraphEntry(name, graph)
-        if self.store is not None and shards == 1:
+        if self.store is not None:
             self._warm_restore(name, graph)
         if select or self._current is None:
             self._current = name
@@ -191,12 +186,6 @@ class CExplorer:
             # Deliberately broad: a torn artefact, a format drift, a
             # filesystem error -- the upload must still succeed cold.
             self.engine.stats.count("warm_restore_failures")
-
-    def shards(self, name=None):
-        """How many shards a graph is registered as (1 = unsharded)."""
-        if name is None:
-            name = self._require_current()
-        return self.indexes.shards(name)
 
     def select_graph(self, name):
         """Switch the active graph (the UI's dataset picker)."""
@@ -235,9 +224,8 @@ class CExplorer:
 
     def _persist_index(self, name, cltree):
         """Write the built index through to the persistent store,
-        once per graph version (unsharded graphs only -- the store
-        keeps whole-graph snapshots)."""
-        if self.store is None or self.indexes.shards(name) != 1:
+        once per graph version."""
+        if self.store is None:
             return
         try:
             version = self.indexes.version(name)
@@ -390,8 +378,7 @@ class CExplorer:
         # authoritative ``plan`` span.
         plan = plan_search(algorithm, self.graph,
                            index_ready=self.indexes.built(name),
-                           keywords=keywords,
-                           shards=self.indexes.shards(name))
+                           keywords=keywords)
         key = self.cache.key(name, plan.algorithm, q, k, keywords)
         return self.cache.get(key, record_miss=False)
 
@@ -436,13 +423,11 @@ class CExplorer:
             plan = plan_search(algorithm, graph,
                                index_ready=self.indexes.built(name),
                                keywords=keywords,
-                               shards=self.indexes.shards(name),
                                full_payload=self.engine
                                .full_query_capable(name))
         algo = get_cs_algorithm(plan.algorithm)
         if trace is not None:
             trace.tag(graph=name, algorithm=plan.algorithm, k=k,
-                      fanout=plan.fanout,
                       worker_full_query=plan.worker_full_query)
         cache_key = None
         if use_cache and not params:
@@ -451,17 +436,7 @@ class CExplorer:
             if cached is not None:
                 return cached
         result = None
-        if plan.fanout and not params and self._fanout_applicable(plan, q):
-            # Partition-parallel: per-shard structural jobs, merged
-            # at the engine layer, finished through the whole-query
-            # job.  Results are identical to the unsharded path, so
-            # the merged result is cached under the same key below;
-            # ``None`` means the sharded plan could not answer
-            # (counted ``shard_fallbacks``) and the unsharded path
-            # below does.
-            result = self.engine.search_sharded(name, plan.algorithm,
-                                                q, k, keywords=keywords)
-        elif plan.worker_full_query and not params:
+        if plan.worker_full_query and not params:
             # Whole-query worker execution: the entire search --
             # structural phase included -- runs against the cached
             # frozen payload (in a worker process under the process
@@ -535,15 +510,6 @@ class CExplorer:
         """
         return self.engine.memo.get_or_compute(
             name, self.indexes.version(name), "global-bodies", k, list)
-
-    @staticmethod
-    def _fanout_applicable(plan, q):
-        """``global`` and ``k-truss`` take a single query vertex; the
-        ACQ family and ``atc`` also accept multi-vertex queries (the
-        "+" button)."""
-        if plan.algorithm in ("global", "k-truss"):
-            return isinstance(q, int)
-        return True
 
     def detect(self, algorithm, per_component=False, **params):
         """Run a CD algorithm on the whole active graph.

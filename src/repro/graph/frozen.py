@@ -7,8 +7,8 @@ community search (core decomposition, peeling, component BFS, the
 CL-tree build) never mutate -- they only walk neighbourhoods -- and
 for them the set representation is pure overhead: scattered hash
 buckets per vertex, a bounds-checking method call per neighbourhood,
-and an object graph that pickles slowly and expensively when a shard
-subquery has to cross a process boundary.
+and an object graph that pickles slowly and expensively when a query
+has to cross a process boundary.
 
 :class:`FrozenGraph` is the read-optimised counterpart: a **CSR**
 (compressed sparse row) snapshot with two flat arrays --
@@ -25,7 +25,7 @@ Properties the rest of the system relies on:
   numbers, CL-trees) computed from a given snapshot stays valid for
   the snapshot's lifetime;
 * **picklable and compact** -- the arrays are ``array('i')`` buffers
-  that pickle as raw bytes, so a shard payload ships to a
+  that pickle as raw bytes, so a graph payload ships to a
   ``multiprocessing`` worker in one cheap memcpy-style hop (see
   :mod:`repro.engine.backends`);
 * **kernel-friendly** -- :meth:`FrozenGraph.csr` exposes the flat
@@ -241,12 +241,8 @@ class FrozenGraph:
         """The inverted keyword index ``{keyword: frozenset of ids}``.
 
         Built lazily in one pass and cached for the snapshot's
-        lifetime (it can never go stale).  The engine's
-        ``FixedBaseIndex`` intersects these postings with a
-        pre-merged structural base to answer the ACQ family's
-        qualifying-vertex-set lookup where no CL-tree covers the
-        base.  The returned dict and its values must be treated as
-        read-only.
+        lifetime (it can never go stale).  The returned dict and its
+        values must be treated as read-only.
         """
         if self._postings is None:
             self._ensure_sidecar()

@@ -13,8 +13,7 @@ JSON documents):
 ``GET  /v1/graphs``             uploaded graph names + sizes
 ``GET  /v1/graphs/{name}``      one graph + its index state (404
                                 ``graph_not_found`` otherwise)
-``POST /v1/upload``             ``{"path", "name", "shards",
-                                "partitioner"}`` -> load a graph file
+``POST /v1/upload``             ``{"path", "name"}`` -> load a graph file
 ``POST /v1/options``            ``{"vertex"}`` -> degree choices + keywords
 ``POST /v1/search``             ``{"vertex", "k", "algorithm", "keywords"}``
 ``POST /v1/detect``             ``{"algorithm", "params"}``

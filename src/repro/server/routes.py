@@ -287,7 +287,7 @@ def as_int(value, name, default=None):
 def _graph_doc(explorer, name):
     graph = explorer.indexes.graph(name)
     return {"name": name, "vertices": graph.vertex_count,
-            "edges": graph.edge_count, "shards": explorer.shards(name)}
+            "edges": graph.edge_count}
 
 
 def h_index_page(state, req):
@@ -399,15 +399,10 @@ def h_upload(state, req):
     path = body.get("path")
     if not path:
         raise ApiError("missing_field", "upload needs a 'path'")
-    shards = as_int(body.get("shards", 1), "shards")
-    if shards < 1:
-        raise ApiError("invalid_parameter", "shards must be >= 1")
     explorer = state.explorer
     try:
         with state.write_lock:
-            name = explorer.upload(
-                path, name=body.get("name"), shards=shards,
-                partitioner=body.get("partitioner", "hash"))
+            name = explorer.upload(path, name=body.get("name"))
     except OSError as exc:
         # A client-supplied path the server cannot read is the
         # client's error, not an internal one.

@@ -113,9 +113,6 @@ class ServerState:
                 "total": truss["changed_edges"],
                 "updates": truss["updates"],
             },
-            # Includes per-shard index versions, partition
-            # balance/cut, and fan-out latency/skew for sharded
-            # graphs (see EngineStats.observe_fanout).
             "engine": self.engine.snapshot(),
         }
         if self.batcher is not None:

@@ -40,7 +40,7 @@ def dblp_medium():
 @pytest.fixture
 def fault_plan():
     """Factory: a seeded fault-injection plan from a spec string
-    (``'seed=7;kill:shard@0.05'`` -- see repro.engine.faults), ready
+    (``'seed=7;kill:full_query@0.05'`` -- see repro.engine.faults), ready
     to hand to ``CExplorer(faults=...)`` / ``QueryEngine(faults=...)``.
     """
     from repro.engine.faults import FaultPlan

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.acq import acq_search
 from repro.core.cltree import build_cltree
-from repro.engine.backends import FixedBaseIndex
 from repro.graph.attributed import AttributedGraph
 from repro.graph.frozen import freeze
 
@@ -101,12 +100,9 @@ def check_against_oracle(graph, qs, k, keywords=None):
     expected = oracle_acq(graph, qs, k,
                           shared if keywords is None else keywords)
     frozen = freeze(graph)
-    fixed = FixedBaseIndex(
-        frozen, qs[0], k,
-        _community(graph, graph.vertices(), qs[:1], k))
     q = qs[0] if len(qs) == 1 else list(qs)
     for g in (graph, frozen):
-        for index in (None, build_cltree(g), fixed):
+        for index in (None, build_cltree(g)):
             for variant in VARIANTS:
                 got = _answer(acq_search(g, q, k, keywords=keywords,
                                          algorithm=variant, index=index))

@@ -3,13 +3,11 @@
 The load-bearing invariants:
 
 * **equivalence** -- the process backend returns results identical to
-  the thread backend (and therefore to unsharded execution: the
-  sharding suite proves that leg) for every shardable algorithm,
-  shards in {2, 4}, keywords or not, property-tested over random
+  the thread backend, keywords or not, property-tested over random
   graphs;
-* **payload lifecycle** -- shard snapshots are serialised once per
-  (graph, version, shard) and invalidated exactly when maintenance
-  bumps the shard version, so process results track mutations;
+* **payload lifecycle** -- whole-graph snapshots are frozen once per
+  (graph, version) and invalidated exactly when maintenance bumps the
+  version, so process results track mutations;
 * **index builds** -- eager/background CL-tree builds route through
   the process pool and install snapshots equivalent to local builds;
 * **fallback** -- a thread-backend engine runs the same jobs
@@ -28,7 +26,7 @@ from repro.engine.backends import (
     BACKENDS,
     ProcessBackend,
     build_index_job,
-    shard_candidates_job,
+    full_query_job,
     validate_backend,
 )
 from repro.core.kcore import core_decomposition
@@ -83,31 +81,27 @@ class TestBackendConfig:
 # job functions (in-process: they are plain picklable functions)
 # ----------------------------------------------------------------------
 class TestJobFunctions:
-    def test_shard_candidates_job_same_on_every_handle(self, karate):
+    def test_full_query_job_same_on_every_handle(self, karate):
         """One resolver: the in-process payload object, the pickled
-        blob and the shared-memory ref all resolve to the same shard
-        scan, and its certificates are sound against the whole
-        graph's core numbers."""
+        blob and the shared-memory ref all resolve to the same whole
+        query, and its answer is the inline search's."""
         explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2, partitioner="greedy")
-        indexes = explorer.indexes
-        core = core_decomposition(karate)
+        explorer.add_graph("k", karate)
+        payload, _ = explorer.indexes.full_payload("k")
         for k in (1, 2, 3):
-            for shard in range(2):
-                payload, _ = indexes.shard_payload("k", shard)
-                in_process = shard_candidates_job(
-                    payload.key, payload.job_arg(shipped=False), k)
-                certified, uncertain, dropped = in_process
-                assert all(core[v] >= k for v in certified)
-                assert all(karate.degree(v) < k for v in dropped)
-                assert all(karate.degree(v) == degree
-                           for v, degree in uncertain.items())
-                for handle in (payload.blob, payload.job_arg()):
-                    # Each handle must be resolved, not served from
-                    # the entry the previous one cached.
-                    backends._WORKER_CACHE.pop(payload.key[:3])
-                    assert shard_candidates_job(
-                        payload.key, handle, k) == in_process
+            expected = [c.to_wire() for c in
+                        explorer.search("global", 0, k=k,
+                                        use_cache=False)]
+            in_process = full_query_job(
+                payload.key, payload.job_arg(shipped=False), "global",
+                0, k)
+            assert in_process == expected
+            for handle in (payload.blob, payload.job_arg()):
+                # Each handle must be resolved, not served from the
+                # entry the previous one cached.
+                backends._WORKER_CACHE.pop(payload.key[:3])
+                assert full_query_job(payload.key, handle, "global",
+                                      0, k) == in_process
         explorer.engine.shutdown()
 
     def test_build_index_job_matches_local_build(self, karate):
@@ -125,70 +119,42 @@ class TestJobFunctions:
 # ----------------------------------------------------------------------
 # payload lifecycle
 # ----------------------------------------------------------------------
-class TestShardPayloads:
+class TestGraphPayloads:
     def test_payload_cached_per_version(self, karate):
         explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        payload, fresh = indexes.shard_payload("k", 0)
+        explorer.add_graph("k", karate)
+        payload, fresh = explorer.indexes.full_payload("k")
         assert fresh
-        again, fresh = indexes.shard_payload("k", 0)
+        again, fresh = explorer.indexes.full_payload("k")
         assert not fresh
         assert again is payload
 
-    def test_maintenance_invalidates_owner_payload_only(self, karate):
+    def test_maintenance_invalidates_payload(self, karate):
         explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        maintainer = explorer.maintainer()
-        part = indexes.partition("k")
-        for shard in range(2):
-            indexes.shard_payload("k", shard)
-        u, v = next(
-            (u, v) for u in karate.vertices() for v in karate.vertices()
-            if u < v and not karate.has_edge(u, v)
-            and part.owner(u) == part.owner(v))
-        owner = part.owner(u)
-        maintainer.insert_edge(u, v)
-        _, fresh_owner = indexes.shard_payload("k", owner)
-        _, fresh_other = indexes.shard_payload("k", 1 - owner)
-        assert fresh_owner            # version bumped: rebuilt
-        assert not fresh_other        # untouched shard: cache hit
+        explorer.add_graph("k", karate.copy())
+        payload, _ = explorer.indexes.full_payload("k")
+        explorer.maintainer().insert_edge(0, 9)
+        rebuilt, fresh = explorer.indexes.full_payload("k")
+        assert fresh                  # version bumped: re-frozen
+        assert rebuilt.key != payload.key
 
     def test_unregister_drops_payloads(self, karate):
         explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        explorer.indexes.shard_payload("k", 0)
+        explorer.add_graph("k", karate)
+        explorer.indexes.full_payload("k")
         explorer.indexes.unregister("k")
-        assert explorer.indexes._payloads == {}
+        assert explorer.indexes._full_payloads == {}
 
 
 # ----------------------------------------------------------------------
 # end-to-end equivalence
 # ----------------------------------------------------------------------
 class TestProcessBackendEquivalence:
-    def test_sharded_process_equals_thread(self, dblp_small):
-        plain = CExplorer()
-        plain.add_graph("g", dblp_small)
-        jim = dblp_small.id_of("Jim Gray")
-        queries = [(jim, 2), (jim, 3), (17, 2), (0, 99)]
-        for shards in (2, 4):
-            proc = CExplorer(workers=2, backend="process")
-            proc.add_graph("g", dblp_small, shards=shards,
-                           partitioner="greedy")
-            _equivalent(plain, proc, queries)
-            # The fan-out really ran in the pool: no fallbacks, and
-            # per-shard stats were recorded.
-            assert proc.engine.stats.get("process_fallbacks") == 0
-            assert proc.engine.stats.get("shard_fallbacks") == 0
-            assert "g" in proc.engine.stats.snapshot()["sharding"]
-            proc.engine.shutdown()
-
     def test_keywords_and_variants(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, shards=4, partitioner="greedy")
+        proc.add_graph("g", dblp_small)
         jim = dblp_small.id_of("Jim Gray")
         keywords = set(sorted(dblp_small.keywords(jim))[:2])
         for algorithm in ("acq", "acq-inc-s", "acq-inc-t"):
@@ -199,17 +165,16 @@ class TestProcessBackendEquivalence:
 
     @settings(max_examples=8, deadline=None)
     @given(random_graphs(max_n=14, max_m=40, keywords=list("ab")))
-    def test_process_equals_unsharded_property(self, graph):
+    def test_process_equals_thread_property(self, graph):
         plain = CExplorer()
         plain.add_graph("g", graph)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", graph, shards=2)
+        proc.add_graph("g", graph)
         try:
             core = core_decomposition(graph)
             queries = [(v, min(core[v], 2)) for v in
                        list(graph.vertices())[:3]]
             _equivalent(plain, proc, queries)
-            assert proc.engine.stats.get("shard_fallbacks") == 0
         finally:
             proc.engine.shutdown()
 
@@ -217,7 +182,7 @@ class TestProcessBackendEquivalence:
         plain = CExplorer()
         plain.add_graph("k", karate.copy())
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("k", karate.copy(), shards=2)
+        proc.add_graph("k", karate.copy())
         mp_, mt = plain.maintainer(), proc.maintainer()
         for u, v in ((0, 9), (4, 12), (33, 9)):
             if proc.indexes.graph("k").has_edge(u, v):
@@ -229,28 +194,11 @@ class TestProcessBackendEquivalence:
             _equivalent(plain, proc, [(0, 2), (33, 3)])
         proc.engine.shutdown()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded_eager_build_builds_one_cltree(self, karate,
-                                                   backend):
-        """``build=`` is the parent entry's policy: nothing reads a
-        shard entry's CL-tree, so none is ever built."""
-        explorer = CExplorer(workers=2, backend=backend)
-        try:
-            explorer.add_graph("k", karate, build="eager", shards=2)
-            indexes = explorer.indexes
-            assert indexes.stats("k")["builds"] == 1
-            assert explorer.search("acq", 0, k=2)
-            for entry in indexes.shard_names("k"):
-                assert indexes.stats(entry)["builds"] == 0
-                assert not indexes.stats(entry)["building"]
-        finally:
-            explorer.engine.shutdown()
-
     def test_process_index_builds(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small, build="eager")
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, build="eager", shards=2)
+        proc.add_graph("g", dblp_small, build="eager")
         assert proc.indexes.built("g")
         jim = dblp_small.id_of("Jim Gray")
         assert proc.search("acq", jim, k=3) == \
@@ -266,20 +214,18 @@ class TestProcessBackendEquivalence:
 class TestFallbacks:
     def test_thread_engine_runs_jobs_inline(self, karate):
         explorer = CExplorer()           # thread backend
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        payload, _ = indexes.shard_payload("k", 0)
+        explorer.add_graph("k", karate)
+        payload, _ = explorer.indexes.full_payload("k")
         results = explorer.engine.run_jobs(
-            [(shard_candidates_job, (payload.key, payload.blob, 2))])
-        certified, uncertain, dropped = results[0]
-        core = core_decomposition(karate)
-        assert certified and all(core[v] >= 2 for v in certified)
-        assert sorted([*certified, *uncertain, *dropped]) \
-            == indexes.partition("k").members(0)
+            [(full_query_job,
+              (payload.key, payload.blob, "global", 0, 2))],
+            op="full_query")
+        assert results[0] == [c.to_wire() for c in
+                              explorer.search("global", 0, k=2)]
 
     def test_broken_pool_falls_back_inline(self, karate):
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("k", karate, shards=2)
+        proc.add_graph("k", karate)
         # Sabotage the pool: close it so the next fan-out breaks and
         # the engine degrades to inline execution.
         proc.engine._process.close()

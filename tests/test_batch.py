@@ -86,12 +86,11 @@ class TestBatchEvaluate:
         assert parallel["global"]["wall_seconds"] >= 0
 
     def test_explorer_routing_matches_raw_algorithms(self, dblp_small):
-        """Routing queries through a (sharded) explorer facade -- the
+        """Routing queries through an explorer facade -- the
         production path -- must not change any aggregate either."""
         from repro.explorer.cexplorer import CExplorer
         explorer = CExplorer(workers=2)
-        explorer.add_graph("dblp", dblp_small, shards=2,
-                           partitioner="greedy")
+        explorer.add_graph("dblp", dblp_small)
         raw = batch_evaluate(dblp_small, ("global",), k=3,
                              n_queries=8, seed=5)
         routed = batch_evaluate(dblp_small, ("global",), k=3,
@@ -99,8 +98,8 @@ class TestBatchEvaluate:
         for field in ("queries", "answered", "avg_vertices",
                       "avg_edges", "avg_degree", "avg_cpj", "avg_cmf"):
             assert raw["global"][field] == routed["global"][field]
-        # The fan-out actually ran.
-        assert "dblp" in explorer.engine.stats.snapshot()["sharding"]
+        # The queries really went through the facade's result cache.
+        assert explorer.cache.stats()["misses"] > 0
 
     def test_explorer_graph_mismatch_rejected(self, dblp_small, fig5):
         from repro.explorer.cexplorer import CExplorer

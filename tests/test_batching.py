@@ -4,8 +4,7 @@ The load-bearing property: batched execution is **byte-identical** to
 serial execution -- the admission window, single-flight dedup, QIG
 grouping and the shared ``batch_full_query_job`` substrate change
 where work runs and how often shared state is rebuilt, never a
-result.  Property-tested across shard counts and both execution
-backends.
+result.  Property-tested across both execution backends.
 """
 
 import json
@@ -41,9 +40,9 @@ def _graph():
     return _GRAPH
 
 
-def _explorer(shards=1, backend="thread", **kwargs):
+def _explorer(backend="thread", **kwargs):
     explorer = CExplorer(backend=backend, **kwargs)
-    explorer.add_graph("dblp", _graph(), shards=shards)
+    explorer.add_graph("dblp", _graph())
     return explorer
 
 
@@ -65,18 +64,17 @@ def _run_batched(explorer, queries, window=0.02):
 class TestBatchedEqualsSerial:
     """The identity property, across substrates."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_mixed_batch_identical(self, shards, backend):
+    def test_mixed_batch_identical(self, backend):
         queries = [("acq", "jim gray", 3),
                    ("acq", "jim gray", 3),          # dedup pair
                    ("acq", "michael stonebraker", 3),
                    ("k-truss", "jim gray", 3),
                    ("global", "gerhard weikum", 4)]
-        serial = _explorer(shards=shards, backend=backend)
+        serial = _explorer(backend=backend)
         expected = [_canon(serial.search(a, v, k=k))
                     for a, v, k in queries]
-        batched = _explorer(shards=shards, backend=backend)
+        batched = _explorer(backend=backend)
         assert _run_batched(batched, queries) == expected
 
     @settings(max_examples=15, deadline=None)
@@ -229,11 +227,11 @@ class TestBatcherBehaviour:
     def test_full_query_batch_rides_one_worker_job(self):
         """An all-eligible group ships one full_query_batch job (the
         shared-payload substrate), not one job per query."""
-        explorer = _explorer(shards=1, backend="process")
+        explorer = _explorer(backend="process")
         explorer.index()
         before = explorer.engine.stats.get("worker_full_query")
         queries = [("k-truss", v, 3) for v in VERTICES[:3]]
-        serial = _explorer(shards=1)
+        serial = _explorer()
         expected = [_canon(serial.search(a, v, k=k))
                     for a, v, k in queries]
         assert _run_batched(explorer, queries) == expected

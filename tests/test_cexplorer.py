@@ -32,6 +32,15 @@ class TestGraphManagement:
         assert name == "fig5"
         assert ex.graph.vertex_count == 10
 
+    def test_upload_rejects_shards(self, fig5, tmp_path):
+        path = str(tmp_path / "fig5.txt")
+        write_edge_list(fig5, path)
+        ex = CExplorer()
+        assert ex.upload(path, shards=1) == "fig5"
+        with pytest.raises(CExplorerError, match="shards must be 1"):
+            ex.upload(path, name="other", shards=2)
+        assert ex.graph_names() == ["fig5"]
+
     def test_add_and_select_graphs(self, fig5, karate):
         ex = CExplorer()
         ex.add_graph("fig5", fig5)

@@ -119,7 +119,7 @@ class TestIndexProfile:
 class TestBackendFlag:
     def test_process_backend_matches_thread(self, dblp_file, capsys):
         args = ["search", "--graph", dblp_file, "--vertex", "Jim Gray",
-                "-k", "3", "--json", "--shards", "2"]
+                "-k", "3", "--json"]
         assert main(args + ["--backend", "thread"]) == 0
         thread_out = json.loads(capsys.readouterr().out)
         assert main(args + ["--backend", "process", "--workers",

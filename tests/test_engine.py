@@ -538,21 +538,8 @@ class TestPlans:
     def test_explain_is_json_friendly(self, dblp_small):
         doc = plan_search("auto", dblp_small).explain()
         assert set(doc) == {"algorithm", "use_index", "reason",
-                            "fanout", "worker_full_query"}
-        assert doc["fanout"] is False
+                            "worker_full_query"}
         assert doc["worker_full_query"] is False
-
-    def test_sharded_graph_plans_fanout(self, dblp_small):
-        plan = plan_search("global", dblp_small, shards=4)
-        assert plan.fanout
-        assert "4 shards" in plan.reason
-        # The triangle family fans out too (sharded truss search)...
-        assert plan_search("k-truss", dblp_small, shards=4).fanout
-        assert plan_search("atc", dblp_small, shards=4).fanout
-        # ...non-shardable algorithms never do...
-        assert not plan_search("local", dblp_small, shards=4).fanout
-        # ...and shards=1 keeps the exact unsharded plan.
-        assert not plan_search("global", dblp_small, shards=1).fanout
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The substrate contract of ``QueryEngine.run_jobs``.
 
-Every unit of engine work below a query -- shard scans, whole
-queries, query batches, detections, index builds -- is a ``(function,
+Every unit of engine work below a query -- whole queries, query
+batches, detections, index builds -- is a ``(function,
 args)`` job dispatched by one method onto one of two substrates: a
 worker process (``backend="process"``) or the calling thread
 (``backend="thread"``, and the floor the process substrate demotes
@@ -20,7 +20,7 @@ import pytest
 from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import backends
 from repro.engine import payloads as payload_plane
-from repro.engine.faults import FaultPlan
+from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.retry import DEFAULT_POLICY
 from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import QueryTimeoutError, WorkerKilledError
@@ -85,6 +85,14 @@ def _worker_state():
             sorted(payload_plane._attached, key=str))
 
 
+def _probe_plan(seed, kind, rate, param=None, limit=None):
+    """A one-rule plan aimed at this suite's ``probe`` job class.
+    Built directly: ``FaultPlan.from_spec`` only accepts targets that
+    match a job class the engine itself dispatches."""
+    return FaultPlan(seed, [FaultRule(kind, "probe", rate, param=param,
+                                      limit=limit)])
+
+
 def _counters(engine):
     return engine.snapshot()["resilience"]["counters"]
 
@@ -104,7 +112,7 @@ class TestDispatch:
         engine = make_engine()
         with engine.tracer.trace("probe") as trace:
             engine.run_jobs([(_square, (n,)) for n in range(3)],
-                            op="probe", graph="g")
+                            op="probe")
         root, *spans = trace.to_dict()["spans"]
         assert root["name"] == "execute"
         # Identical on both substrates: per job one ``worker_execute``
@@ -115,14 +123,13 @@ class TestDispatch:
         workers = [i for i, span in enumerate(spans)
                    if span["name"] == "worker_execute"]
         assert [spans[i]["tags"] for i in workers] == [
-            {"shard": n, "backend": substrate} for n in range(3)]
+            {"job": n, "backend": substrate} for n in range(3)]
         for index in workers:     # parent indices count the root
             assert spans[index]["parent"] == 0
             assert spans[index + 1]["parent"] == index + 1
         doc = engine.snapshot()
         assert doc["latency"]["probe"]["count"] == 3
         assert doc["latency"]["shard_ipc"]["count"] == 3
-        assert doc["sharding"]["g"]["shards"] == 3
 
     def test_index_build_is_a_job(self, make_engine, karate):
         engine = make_engine()
@@ -177,7 +184,7 @@ class TestFaultsAndRetries:
     def test_injected_fault_is_one_shot_across_retries(
             self, make_engine, tmp_path):
         engine = make_engine(
-            faults=FaultPlan.from_spec("seed=3;error:probe@1.0"))
+            faults=_probe_plan(3, "error", 1.0))
         marker = str(tmp_path / "ran")
         # Attempt 1 dies to the injected fault *before* the job body;
         # the retry resubmits the pristine job and succeeds.
@@ -190,8 +197,8 @@ class TestFaultsAndRetries:
 
     def test_one_fault_draw_per_job_per_dispatch(self, make_engine):
         engine = make_engine(
-            faults=FaultPlan.from_spec("seed=3;delay:probe@0.5=0.001"))
-        reference = FaultPlan.from_spec("seed=3;delay:probe@0.5=0.001")
+            faults=_probe_plan(3, "delay", 0.5, param=0.001))
+        reference = _probe_plan(3, "delay", 0.5, param=0.001)
         engine.run_jobs([(_square, (n,)) for n in range(8)],
                         op="probe")
         for _ in range(8):
@@ -242,7 +249,7 @@ class TestLadder:
     def test_pool_break_demotes_then_probe_promotes(
             self, make_engine, substrate, tmp_path):
         engine = make_engine(
-            faults=FaultPlan.from_spec("seed=5;pool_break:probe@1.0#5"))
+            faults=_probe_plan(5, "pool_break", 1.0, limit=5))
         breaker = engine.resilience.breakers["process"]
         breaker.cooldown = 0.2
         marker = str(tmp_path / "ran")
@@ -293,7 +300,7 @@ class TestWorkerState:
                              backend=SUBSTRATES[substrate])
         engine = explorer.engine
         try:
-            explorer.add_graph("g", graph, shards=2)
+            explorer.add_graph("g", graph)
             maintainer = explorer.maintainer()
             epoch = explorer.indexes._payload_epoch
             fringe = sorted(graph.vertices(),
@@ -305,6 +312,9 @@ class TestWorkerState:
                             and inserted < 5:
                         maintainer.insert_edge(u, v)
                         inserted += 1
+                        # Cache the new version's payload so the
+                        # search runs as a job on either substrate.
+                        explorer.indexes.full_payload("g")
                         assert explorer.search(
                             "acq", "jim gray", k=3, use_cache=False)
             assert inserted == 5
@@ -313,11 +323,9 @@ class TestWorkerState:
             mine = {identity: version
                     for identity, version in cache.items()
                     if identity[0] == epoch}
-            # One entry per identity -- the whole graph and each
-            # shard -- and it is the current version's, whatever the
-            # number of versions that passed through.
-            assert set(mine) == {(epoch, "g", "full"),
-                                 (epoch, "g", 0), (epoch, "g", 1)}
+            # One entry per identity, and it is the current version's,
+            # whatever the number of versions that passed through.
+            assert set(mine) == {(epoch, "g", "full")}
             assert mine[(epoch, "g", "full")] == \
                 (explorer.indexes.version("g"),)
             if substrate == "process":

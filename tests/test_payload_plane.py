@@ -24,6 +24,7 @@ from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.frozen import FrozenGraph, freeze
+from repro.graph.io import write_graph_json
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
 TRANSPORTS = ("pickle", "shm")
@@ -70,18 +71,6 @@ def test_pack_unpack_full_payload(dblp_small):
     assert out._sidecar is not None
     assert _attributes(out) == _attributes(frozen)
     assert out._sidecar is None
-
-
-def test_pack_unpack_shard_extras(dblp_small):
-    frozen = freeze(dblp_small)
-    extras = (tuple(range(frozen.vertex_count)),
-              [frozen.degree(v) for v in frozen.vertices()])
-    buf = memoryview(b"".join(
-        payload_plane.pack_payload(frozen, extras=extras)))
-    out, old_ids, degrees = payload_plane.unpack_payload(buf, key="t")
-    assert old_ids == extras[0]
-    assert degrees == extras[1]
-    assert _csr_lists(out) == _csr_lists(frozen)
 
 
 def test_unpack_rejects_torn_buffer(dblp_small):
@@ -205,11 +194,9 @@ def _answers(explorer, vertices):
     return out
 
 
-@pytest.mark.parametrize("shards", (1, 2, 4))
-def test_process_transport_equivalence(transport_mode, dblp_small,
-                                       shards):
-    """Sharded and unsharded process execution returns identical
-    communities on both transports."""
+def test_process_transport_equivalence(transport_mode, dblp_small):
+    """Process execution returns identical communities on both
+    transports."""
     vertices = [dblp_small.label(v) for v in (10, 25)]
     results = {}
     for transport in TRANSPORTS:
@@ -219,8 +206,7 @@ def test_process_transport_equivalence(transport_mode, dblp_small,
         failures = payload_plane.plane_stats()["attach_failures"]
         explorer = CExplorer(workers=2, backend="process")
         try:
-            explorer.add_graph("g", dblp_small, shards=shards,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
             results[transport] = _answers(explorer, vertices)
             if transport == "shm":
                 stats = explorer.engine.snapshot()["payloads"]
@@ -239,8 +225,7 @@ def test_thread_backend_equivalence(transport_mode, dblp_small):
         transport_mode(transport)
         explorer = CExplorer(workers=2, backend="thread")
         try:
-            explorer.add_graph("g", dblp_small, shards=2,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
             results[transport] = _answers(explorer, vertices)
         finally:
             explorer.engine.shutdown()
@@ -250,14 +235,11 @@ def test_thread_backend_equivalence(transport_mode, dblp_small):
 def test_invalidate_releases_segments(transport_mode, dblp_small):
     explorer = CExplorer(workers=2, backend="process")
     try:
-        explorer.add_graph("g", dblp_small, shards=2,
-                           partitioner="greedy")
+        explorer.add_graph("g", dblp_small)
         explorer.search("acq", dblp_small.label(10), k=4,
                         use_cache=False)
         held = payload_plane.live_segments()
         assert held > 0
-        for entry in explorer.indexes.shard_names("g"):
-            explorer.indexes.invalidate(entry)
         explorer.indexes.invalidate("g")
         assert payload_plane.live_segments() < held
     finally:
@@ -267,11 +249,11 @@ def test_invalidate_releases_segments(transport_mode, dblp_small):
 
 def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
     """The ``segment_loss`` fault unlinks a published segment while
-    its ref is in flight.  Each query runs against freshly published
-    segments (shard entries invalidated between queries), so a loss
-    is a genuine torn attachment -- the worker's attach fails, the
-    payload is quarantined (the next fan-out re-publishes), and the
-    query falls back to the exact serial path.  Answers must match
+    its ref is in flight.  Each query runs against a freshly
+    published segment (the graph is invalidated between queries), so
+    a loss is a genuine torn attachment -- the worker's attach fails,
+    the payload is quarantined (the next dispatch re-publishes), and
+    the query still answers exactly.  Answers must match
     fault-free ones and nothing may leak."""
     vertices = [dblp_small.label(v) for v in (10, 25, 40)]
 
@@ -279,12 +261,10 @@ def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
         explorer = CExplorer(workers=2, backend="process",
                              faults=faults)
         try:
-            explorer.add_graph("g", dblp_small, shards=2,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
             answers = []
             for v in vertices:
-                for entry in explorer.indexes.shard_names("g"):
-                    explorer.indexes.invalidate(entry)
+                explorer.indexes.invalidate("g")
                 answers.append(explorer.search("acq", v, k=4,
                                                use_cache=False))
             return answers, explorer.engine.snapshot()
@@ -293,7 +273,7 @@ def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
 
     clean, _ = run(None)
     chaotic, snap = run(
-        FaultPlan.from_spec("seed=11;segment_loss:shard@0.5"))
+        FaultPlan.from_spec("seed=17;segment_loss:full_query@0.5"))
     assert chaotic == clean
     counters = snap["resilience"]["counters"]
     assert counters["faults_injected"] > 0
@@ -363,6 +343,35 @@ def test_warm_restart_skips_rebuild(tmp_path):
         warm_answer = warm.search("acq", vertex, k=4, use_cache=False)
         assert warm.indexes.stats("g")["builds"] == 0
         assert warm_answer == cold_answer
+    finally:
+        warm.engine.shutdown()
+
+
+def test_uploaded_graph_restarts_warm(tmp_path):
+    """A graph loaded through ``upload`` is written through to the
+    store and restored whole on the next upload."""
+    graph = _small_graph()
+    path = str(tmp_path / "dblp.json")
+    write_graph_json(graph, path)
+    store = str(tmp_path / "store")
+    vertex = graph.label(15)
+
+    cold = CExplorer(workers=2, store_dir=store)
+    try:
+        assert cold.upload(path) == "dblp"
+        cold.index()
+        cold_answer = cold.search("acq", vertex, k=4)
+        assert cold.engine.stats.get("store_saves") == 1
+    finally:
+        cold.engine.shutdown()
+
+    warm = CExplorer(workers=2, store_dir=store)
+    try:
+        warm.upload(path, shards=1)
+        assert warm.engine.stats.get("warm_restores") == 1
+        assert warm.search("acq", vertex, k=4,
+                           use_cache=False) == cold_answer
+        assert warm.indexes.stats("dblp")["builds"] == 0
     finally:
         warm.engine.shutdown()
 

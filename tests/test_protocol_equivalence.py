@@ -7,13 +7,11 @@ per algorithm, property-tested over random graphs and checked on the
 DBLP/LFR workloads -- and then proves the execution layers built on
 top of it:
 
-* sharded execution across the full shardable registry for shards in
-  {1, 2, 4} on both backends;
 * whole-query worker execution (process backend) equal to inline
   execution for every CS algorithm;
 * engine detections (whole-graph and per-component) identical between
   inline and worker execution;
-* the payload/memo/cut-support caches behind the pipeline.
+* the payload and memo caches behind the pipeline.
 """
 
 import pytest
@@ -199,35 +197,12 @@ class TestWholeQueryWorkers:
         finally:
             proc.engine.shutdown()
 
-    def test_sharded_full_registry(self, plain, dblp_small):
-        from repro.engine.plans import FANOUT_ALGORITHMS
-        queries = _cs_queries(dblp_small, count=2)
-        for backend in ("thread", "process"):
-            for shards in (1, 2, 4):
-                other = CExplorer(workers=2, backend=backend)
-                other.add_graph("g", dblp_small, shards=shards,
-                                partitioner="greedy")
-                try:
-                    for name in sorted(FANOUT_ALGORITHMS):
-                        k = CS_K.get(name, 2)
-                        for q in queries:
-                            expected = plain.search(name, q, k=k,
-                                                    use_cache=False)
-                            got = other.search(name, q, k=k,
-                                               use_cache=False)
-                            assert got == expected, \
-                                (backend, shards, name, q)
-                    assert other.engine.stats.get("shard_fallbacks") \
-                        == 0
-                finally:
-                    other.engine.shutdown()
-
     def test_keywords_survive_worker_execution(self, plain,
                                                dblp_small):
         jim = dblp_small.id_of("Jim Gray")
         keywords = set(sorted(dblp_small.keywords(jim))[:2])
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, shards=2, partitioner="greedy")
+        proc.add_graph("g", dblp_small)
         try:
             for name in ("acq", "acq-inc-s", "acq-inc-t", "atc"):
                 k = CS_K.get(name, 3)
@@ -242,13 +217,12 @@ class TestWholeQueryWorkers:
         plain = CExplorer()
         plain.add_graph("g", graph)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", graph, shards=2)
+        proc.add_graph("g", graph)
         try:
             for name in ("acq", "global", "k-truss"):
                 k = CS_K.get(name, 1)
                 assert proc.search(name, 0, k=k, use_cache=False) == \
                     plain.search(name, 0, k=k, use_cache=False), name
-            assert proc.engine.stats.get("shard_fallbacks") == 0
         finally:
             proc.engine.shutdown()
 
@@ -351,51 +325,21 @@ class TestPayloadAndMemo:
             plain.search("global", 0, k=2, use_cache=False)
         assert explorer.engine.stats.get("worker_full_query") == 1
 
-    def test_strong_edge_set_memoized_across_queries(self, karate):
-        explorer = CExplorer(workers=2)
-        explorer.add_graph("k", karate, shards=2, partitioner="greedy")
-        explorer.search("k-truss", 0, k=3, use_cache=False)
-        hits = explorer.engine.memo.stats()["hits"]
-        explorer.search("k-truss", 33, k=3, use_cache=False)
-        assert explorer.engine.memo.stats()["hits"] > hits
-
     def test_memo_invalidation_is_version_aware(self):
         from repro.engine.cache import SubproblemMemo
         memo = SubproblemMemo()
         memo.get_or_compute("g", 3, "cltree-keyword", (0,), lambda: "a")
-        memo.get_or_compute("g", 7, "ktruss-strong", 4, lambda: "b")
-        # Core index moved to 4, truss index still at 7: only the
-        # truss intermediate survives.
-        memo.invalidate("g", version=4, truss_version=7)
-        assert memo.get_or_compute("g", 7, "ktruss-strong", 4,
+        memo.get_or_compute("g", 4, "global-bodies", 2, lambda: "b")
+        memo.get_or_compute("h", 3, "global-bodies", 2, lambda: "c")
+        # g moved to version 4: only g's current-version entry
+        # survives, and other graphs are untouched.
+        memo.invalidate("g", version=4)
+        assert memo.get_or_compute("g", 4, "global-bodies", 2,
                                    lambda: "FRESH") == "b"
         assert memo.get_or_compute("g", 3, "cltree-keyword", (0,),
                                    lambda: "FRESH") == "FRESH"
+        assert memo.get_or_compute("h", 3, "global-bodies", 2,
+                                   lambda: "FRESH") == "c"
         # Unknown versions drop everything for the graph.
         memo.invalidate("g")
-        assert len(memo) == 0
-
-    def test_cut_edge_supports_cached_and_selectively_evicted(
-            self, karate):
-        explorer = CExplorer(workers=2)
-        explorer.add_graph("k", karate, shards=2, partitioner="greedy")
-        gateway = explorer.truss_maintainer()
-        explorer.search("k-truss", 0, k=3, use_cache=False)
-        stats = explorer.indexes.shard_stats("k")["cut_support_cache"]
-        assert stats["entries"] > 0 and stats["misses"] > 0
-        # A fringe update far from most cut edges: the next merge
-        # should find most supports still warm.
-        graph = explorer.indexes.graph("k")
-        quiet = sorted(graph.vertices(),
-                       key=lambda v: (graph.degree(v), v))
-        u, v = next((a, b) for a in quiet for b in quiet
-                    if a < b and not graph.has_edge(a, b))
-        gateway.insert_edge(u, v)
-        explorer.search("k-truss", 0, k=3, use_cache=False)
-        after = explorer.indexes.shard_stats("k")["cut_support_cache"]
-        assert after["hits"] > stats["hits"]
-        # Exactness: results still match a plain explorer.
-        plain = CExplorer()
-        plain.add_graph("k", graph)
-        assert explorer.search("k-truss", 0, k=3, use_cache=False) == \
-            plain.search("k-truss", 0, k=3)
+        assert len(memo) == 1

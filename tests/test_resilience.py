@@ -54,9 +54,18 @@ def _graph():
     return _GRAPH
 
 
-def _explorer(shards=1, backend="thread", **kwargs):
+def _explorer(backend="thread", **kwargs):
     explorer = CExplorer(backend=backend, **kwargs)
-    explorer.add_graph("dblp", _graph(), shards=shards)
+    explorer.add_graph("dblp", _graph())
+    return explorer
+
+
+def _inline_job_explorer(**kwargs):
+    """A thread-backend explorer whose searches run as inline
+    ``full_query`` jobs: once the frozen payload is cached the planner
+    routes every built-in algorithm through the job pipeline."""
+    explorer = _explorer(**kwargs)
+    explorer.indexes.full_payload("dblp")
     return explorer
 
 
@@ -76,7 +85,7 @@ def _resilience(explorer):
 class TestFaultPlan:
     def test_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "seed=7;kill:shard@0.05;delay:full_query@0.5=0.02;"
+            "seed=7;kill:detect@0.05;delay:full_query@0.5=0.02;"
             "pool_break:*@1.0#3")
         assert plan.seed == 7
         assert [r.kind for r in plan.rules] == \
@@ -89,7 +98,7 @@ class TestFaultPlan:
     def test_json_spec(self):
         plan = FaultPlan.from_spec(json.dumps({
             "seed": 11,
-            "rules": [{"kind": "kill", "target": "shard",
+            "rules": [{"kind": "kill", "target": "full_query",
                        "rate": 0.5, "limit": 2}],
         }))
         assert plan.seed == 11
@@ -111,31 +120,44 @@ class TestFaultPlan:
         with pytest.raises(FaultSpecError):
             FaultPlan.from_spec(bad)
 
+    def test_unknown_job_class_raises(self):
+        # No job class is called "shard": a plan targeting it would
+        # silently inject nothing.
+        with pytest.raises(FaultSpecError):
+            FaultPlan.from_spec("seed=1;kill:shard@0.05")
+        with pytest.raises(FaultSpecError):
+            FaultPlan.from_spec(json.dumps({
+                "rules": [{"kind": "kill", "target": "shard*"}]}))
+        # Patterns only need to match one dispatched class, and span
+        # rules are exempt.
+        assert FaultPlan.from_spec("kill:*batch*@0.5")
+        assert FaultPlan.from_spec("error:span:anything@0.5")
+
     def test_from_env(self):
         plan = FaultPlan.from_env(
-            {"REPRO_FAULT_PLAN": "seed=3;kill:shard@1.0"})
+            {"REPRO_FAULT_PLAN": "seed=3;kill:full_query@1.0"})
         assert plan.seed == 3
         assert FaultPlan.from_env({}) is None
 
     def test_draws_are_deterministic(self):
-        spec = "seed=42;kill:shard@0.3;delay:shard@0.2=0.01"
+        spec = "seed=42;kill:full_query@0.3;delay:full_query@0.2=0.01"
         a = FaultPlan.from_spec(spec)
         b = FaultPlan.from_spec(spec)
-        assert [a.draw("shard") for _ in range(50)] == \
-            [b.draw("shard") for _ in range(50)]
+        assert [a.draw("full_query") for _ in range(50)] == \
+            [b.draw("full_query") for _ in range(50)]
         different = FaultPlan.from_spec(
-            "seed=43;kill:shard@0.3;delay:shard@0.2=0.01")
-        assert [a.draw("shard") for _ in range(50)] != \
-            [different.draw("shard") for _ in range(50)]
+            "seed=43;kill:full_query@0.3;delay:full_query@0.2=0.01")
+        assert [a.draw("full_query") for _ in range(50)] != \
+            [different.draw("full_query") for _ in range(50)]
 
     def test_rates_and_limits(self):
-        always = FaultPlan.from_spec("kill:shard@1.0")
-        assert all(always.draw("shard") == [("kill", None)]
+        always = FaultPlan.from_spec("kill:detect@1.0")
+        assert all(always.draw("detect") == [("kill", None)]
                    for _ in range(10))
-        never = FaultPlan.from_spec("kill:shard@0.0")
-        assert all(never.draw("shard") is None for _ in range(10))
-        capped = FaultPlan.from_spec("kill:shard@1.0#3")
-        fired = [capped.draw("shard") for _ in range(10)]
+        never = FaultPlan.from_spec("kill:detect@0.0")
+        assert all(never.draw("detect") is None for _ in range(10))
+        capped = FaultPlan.from_spec("kill:detect@1.0#3")
+        fired = [capped.draw("detect") for _ in range(10)]
         assert sum(1 for f in fired if f) == 3
         assert capped.injected("kill") == 3
 
@@ -143,7 +165,7 @@ class TestFaultPlan:
         plan = FaultPlan.from_spec("kill:full_query*@1.0")
         assert plan.draw("full_query")
         assert plan.draw("full_query_batch")
-        assert plan.draw("shard") is None
+        assert plan.draw("detect") is None
 
     def test_corrupt_blob_always_detectable(self):
         import pickle
@@ -162,18 +184,17 @@ class TestRetryPolicy:
     def test_backoff_caps_and_jitters_deterministically(self):
         policy = RetryPolicy(attempts=5, base_delay=0.01,
                              max_delay=0.05)
-        delays = [policy.backoff(n, token="shard:0")
+        delays = [policy.backoff(n, token="full_query:0")
                   for n in range(1, 6)]
-        assert delays == [policy.backoff(n, token="shard:0")
+        assert delays == [policy.backoff(n, token="full_query:0")
                           for n in range(1, 6)]
         # capped exponential: never above max_delay * 1.5 (jitter)
         assert all(d <= 0.05 * 1.5 for d in delays)
         assert delays[0] < delays[2]
-        assert delays != [policy.backoff(n, token="shard:1")
+        assert delays != [policy.backoff(n, token="full_query:1")
                           for n in range(1, 6)]
 
     def test_job_class_policies(self):
-        assert POLICIES["shard"].hedge
         assert POLICIES["full_query"].hedge
         assert not POLICIES["full_query_batch"].hedge
         assert not POLICIES["detect"].hedge
@@ -249,9 +270,8 @@ class TestWorkerDeadlines:
     def test_expired_deadline_ships_into_process_worker(self):
         pool = backends.ProcessBackend(workers=1)
         try:
-            future = pool.submit_job(backends.shard_full_query_job,
-                                     ("k", b"x", "acq", "v", 4, None,
-                                      None),
+            future = pool.submit_job(backends.full_query_job,
+                                     ("k", b"x", "acq", "v", 4, None),
                                      deadline=time.time() - 1.0)
             with pytest.raises(QueryTimeoutError):
                 pool.job_result(future, 10.0)
@@ -265,13 +285,13 @@ class TestWorkerDeadlines:
 
 class TestRetryAbsorption:
     def test_inline_fanout_retries_injected_kills(self):
-        baseline = _explorer(shards=2)
+        baseline = _explorer()
         expected = [_canon(baseline.search("acq", v, k=3))
                     for v in VERTICES]
-        # every shard job's first attempt dies; retries absorb all
-        chaotic = _explorer(
-            shards=2,
-            faults=FaultPlan.from_spec("seed=1;kill:shard@1.0#4"))
+        # the first four inline jobs' first attempts die; retries
+        # absorb all
+        chaotic = _inline_job_explorer(
+            faults=FaultPlan.from_spec("seed=1;kill:full_query@1.0#4"))
         got = [_canon(chaotic.search("acq", v, k=3))
                for v in VERTICES]
         assert got == expected
@@ -442,14 +462,14 @@ class TestBatchMemberIsolation:
 
 class TestChaosProperty:
     def test_seeded_kill_plan_preserves_results_no_hung_futures(self):
-        baseline = _explorer(shards=2)
+        baseline = _explorer()
         queries = [("acq", v, k) for v in VERTICES for k in (3, 4)] * 2
         expected = [_canon(baseline.search(a, v, k=k))
                     for a, v, k in queries]
-        chaotic = _explorer(
-            shards=2,
+        chaotic = _inline_job_explorer(
             faults=FaultPlan.from_spec(
-                "seed=13;kill:shard@0.05;delay:shard@0.05=0.005"))
+                "seed=13;kill:full_query@0.05;"
+                "delay:full_query@0.05=0.005"))
         engine = chaotic.engine
         futures = [engine.search(a, v, k=k, timeout=30.0)
                    for a, v, k in queries]
@@ -540,7 +560,7 @@ class TestServingSurfaces:
     def test_prometheus_exports_resilience_series(self):
         from repro.engine.tracing import render_prometheus
         explorer = _explorer(
-            faults=FaultPlan.from_spec("seed=10;kill:shard@1.0#1"))
+            faults=FaultPlan.from_spec("seed=10;kill:full_query@1.0#1"))
         explorer.search("acq", VERTICES[0], k=3)
         text = render_prometheus(
             {"engine": explorer.engine.snapshot()})
@@ -573,18 +593,18 @@ class TestServingSurfaces:
 
 class TestInstallation:
     def test_engine_picks_up_env_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=21;kill:shard@0.1")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=21;kill:full_query@0.1")
         explorer = CExplorer()
         assert explorer.engine.faults is not None
         assert explorer.engine.faults.seed == 21
 
     def test_explicit_plan_beats_env(self, monkeypatch, fault_plan):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=21;kill:shard@0.1")
-        explorer = CExplorer(faults=fault_plan("seed=5;drop:shard@0.2"))
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=21;kill:full_query@0.1")
+        explorer = CExplorer(faults=fault_plan("seed=5;drop:full_query@0.2"))
         assert explorer.engine.faults.seed == 5
 
     def test_fixture_builds_plans(self, fault_plan):
-        plan = fault_plan("seed=7;kill:shard@0.05")
+        plan = fault_plan("seed=7;kill:full_query@0.05")
         assert isinstance(plan, FaultPlan)
 
     def test_cli_fault_plan_flag(self, tmp_path, capsys):
@@ -594,7 +614,7 @@ class TestInstallation:
         write_graph_json(_graph(), str(graph_path))
         rc = cli.main(["search", "--graph", str(graph_path),
                        "--vertex", VERTICES[0], "-k", "3",
-                       "--fault-plan", "seed=2;kill:shard@1.0#1",
+                       "--fault-plan", "seed=2;kill:full_query@1.0#1",
                        "--json"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)

@@ -172,8 +172,7 @@ class TestQueryEndpoints:
         status, doc = _post(server, "/api/upload", {"path": path,
                                                     "name": "fig5"})
         assert status == 200
-        assert doc == {"name": "fig5", "vertices": 10, "edges": 11,
-                       "shards": 1}
+        assert doc == {"name": "fig5", "vertices": 10, "edges": 11}
         # Restore the dblp graph as active for other tests.
         server.explorer.select_graph("dblp")
 

@@ -81,32 +81,6 @@ class TestHistogramReservoir:
 # EngineStats
 # ----------------------------------------------------------------------
 class TestEngineStats:
-    def test_fanout_record_resets_on_shard_count_change(self):
-        stats = EngineStats()
-        stats.observe_fanout("g", [0.1, 0.2, 0.3])
-        stats.observe_fanout("g", [0.1, 0.2, 0.3])
-        rec = stats.snapshot()["sharding"]["g"]
-        assert rec["fanouts"] == 2
-        assert rec["shards"] == 3
-        # Re-registering the graph with a different shard count starts
-        # a fresh record -- stale per-shard totals would be meaningless.
-        stats.observe_fanout("g", [0.5, 0.5])
-        rec = stats.snapshot()["sharding"]["g"]
-        assert rec["fanouts"] == 1
-        assert rec["shards"] == 2
-        assert rec["total_seconds"] == [0.5, 0.5]
-
-    def test_fanout_skew_tracking(self):
-        stats = EngineStats()
-        stats.observe_fanout("g", [1.0, 1.0, 4.0])
-        rec = stats.snapshot()["sharding"]["g"]
-        assert rec["last_skew"] == 2.0
-        assert rec["max_skew"] == 2.0
-        stats.observe_fanout("g", [1.0, 1.0, 1.0])
-        rec = stats.snapshot()["sharding"]["g"]
-        assert rec["last_skew"] == 1.0
-        assert rec["max_skew"] == 2.0
-
     def test_snapshot_reports_recent_and_lifetime_throughput(self):
         stats = EngineStats()
         for _ in range(10):
@@ -140,7 +114,6 @@ class TestEngineStats:
             while not stop.is_set():
                 stats.observe("search", (i % 50) / 1000.0)
                 stats.count("queries")
-                stats.observe_fanout("g", [0.001, 0.002])
                 i += 1
 
         def reader():

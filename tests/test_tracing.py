@@ -56,7 +56,7 @@ class TestContextPropagation:
 
     def test_worker_log_collects_and_wires(self):
         with tracing.collect_worker_spans() as log:
-            with tracing.span("index_thaw", shard=1):
+            with tracing.span("index_thaw", job=1):
                 with tracing.span("core_build"):
                     pass
             tracing.add_span("algorithm", 0.25, algorithm="acq")
@@ -79,7 +79,7 @@ class TestContextPropagation:
                     pass
         trace = QueryTrace("q1", "search")
         index = trace.add_span("worker_execute", 0.5,
-                               tags={"shard": 0})
+                               tags={"job": 0})
         trace.graft(index, log.wire())
         by_name = {s.name: s for s in trace.spans}
         assert by_name["index_thaw"].parent == index
@@ -242,7 +242,7 @@ class TestWaterfall:
         trace = QueryTrace("q7", "search", tags={"graph": "g", "k": 4})
         with tracing.activate(trace):
             with tracing.span("execute"):
-                with tracing.span("merge", shards=2):
+                with tracing.span("merge", parts=2):
                     pass
         trace.finish("ok")
         text = format_waterfall(trace.to_dict())
@@ -252,7 +252,7 @@ class TestWaterfall:
         assert any(line.lstrip().startswith("execute") for line in lines)
         merge = [line for line in lines if "merge" in line][0]
         assert merge.startswith("    ")      # nested one level deeper
-        assert "shards=2" in merge
+        assert "parts=2" in merge
         assert "#" in merge
 
     def test_empty_trace(self):
@@ -306,15 +306,14 @@ class TestEngineTracing:
 
 
 # ----------------------------------------------------------------------
-# acceptance: sharded query over the process backend, via HTTP
+# acceptance: whole query over the process backend, via HTTP
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def traced_server():
     from repro.datasets import DblpConfig, generate_dblp_graph
     explorer = CExplorer(workers=2, backend="process")
     explorer.add_graph("dblp", generate_dblp_graph(
-        DblpConfig(n_authors=400, n_communities=8, seed=13)),
-        shards=3, partitioner="greedy")
+        DblpConfig(n_authors=400, n_communities=8, seed=13)))
     srv = make_server(explorer, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -338,7 +337,7 @@ def _get_json(server, path):
     return status, json.loads(body)
 
 
-class TestShardedTraceAcceptance:
+class TestProcessTraceAcceptance:
     def _run_traced_query(self, server, algorithm="acq", k=3):
         req = urllib.request.Request(
             _url(server, "/api/search"),
@@ -353,7 +352,7 @@ class TestShardedTraceAcceptance:
         assert status == 200
         return trace
 
-    def test_trace_covers_fanout_and_merge(self, traced_server):
+    def test_trace_covers_worker_execution(self, traced_server):
         trace = self._run_traced_query(traced_server)
         assert trace["status"] == "ok"
         spans = trace["spans"]
@@ -362,17 +361,14 @@ class TestShardedTraceAcceptance:
             by_name.setdefault(span["name"], []).append(i)
 
         workers = [spans[i] for i in by_name["worker_execute"]]
-        process_workers = [s for s in workers
-                           if s["tags"].get("backend") == "process"]
-        # Three structural fan-out jobs plus the whole-query finish.
-        assert {s["tags"]["shard"]
-                for s in process_workers} >= {0, 1, 2}
-        assert {spans[i]["tags"]["shard"]
-                for i in by_name["shard_ipc"]} >= {0, 1, 2}
-        assert by_name["merge"], "no merge span"
+        # The whole query runs as one job in a worker process.
+        assert [s["tags"] for s in workers] == \
+            [{"job": 0, "backend": "process"}]
+        assert [spans[i]["tags"] for i in by_name["shard_ipc"]] == \
+            [{"job": 0}]
 
         # Worker-side sub-spans were shipped back over the wire and
-        # grafted under the per-shard worker_execute spans.  A warm
+        # grafted under the job's worker_execute span.  A warm
         # worker cache can legitimately skip thaw/build spans, but
         # the ACQ finish always records its algorithm run, and only
         # known worker phases may appear.
@@ -388,7 +384,7 @@ class TestShardedTraceAcceptance:
 
     def test_top_level_spans_account_for_latency(self, traced_server):
         # k=2 keys a fresh cache entry, so this traces a full
-        # fan-out execution rather than an earlier test's cache hit.
+        # worker execution rather than an earlier test's cache hit.
         trace = self._run_traced_query(traced_server, k=2)
         top = [s for s in trace["spans"]
                if s["parent"] is None and s["name"] != "request"]

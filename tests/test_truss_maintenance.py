@@ -10,8 +10,7 @@ The load-bearing invariants:
   cached k-truss/ATC results survive updates whose support cascade is
   disjoint from their footprint, and every surviving entry is
   byte-identical to recomputation;
-* **sharded truss equivalence** -- the truss family's fan-out/merge
-  path returns exactly the unsharded result for shards in {1, 2, 4},
+* **backend equivalence** -- the truss family returns the same result
   on both execution backends;
 * **observability** -- invalidation reasons and cascade sizes surface
   through ``/api/metrics``, and the evict-all counter stays at zero
@@ -33,14 +32,6 @@ from repro.core.truss_maintenance import (
     truss_affected_vertices,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.backends import shard_truss_job
-from repro.engine.sharding import (
-    TrussShardReport,
-    ShardMergeError,
-    ShardedIndexManager,
-    merge_truss_reports,
-    verify_truss_boundary,
-)
 from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
 from repro.util.errors import QueryError
@@ -258,18 +249,17 @@ class TestSelectiveInvalidation:
         assert far == fresh.search("k-truss", 10, k=3, use_cache=False)
         assert near is not None
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     @settings(max_examples=20, deadline=None)
     @given(random_graphs(max_n=12, max_m=30, keywords=list("ab")),
            st.lists(st.tuples(st.booleans(), st.integers(0, 11),
                               st.integers(0, 11)), min_size=1,
                     max_size=6))
-    def test_surviving_entries_match_recompute(self, shards, graph, ops):
+    def test_surviving_entries_match_recompute(self, graph, ops):
         """Property: after any insert/delete sequence, every cached
         truss result that survived selective invalidation equals a
-        fresh recomputation on the mutated graph -- sharded or not."""
+        fresh recomputation on the mutated graph."""
         explorer = CExplorer()
-        explorer.add_graph("g", graph.copy(), shards=shards)
+        explorer.add_graph("g", graph.copy())
         gateway = explorer.truss_maintainer()
         live = explorer.indexes.graph("g")
         n = live.vertex_count
@@ -317,111 +307,14 @@ class TestSelectiveInvalidation:
 
 
 # ----------------------------------------------------------------------
-# merge primitives
+# backend equivalence
 # ----------------------------------------------------------------------
-class TestTrussMergePrimitives:
-    def test_merge_with_no_reports_is_full_peel(self):
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        strong, suspects = merge_truss_reports(
-            g, [], 3, extra_edges=list(g.edges()))
-        assert strong == {(0, 1), (0, 2), (1, 2)}
-        assert suspects == strong
-        verify_truss_boundary(g, strong, suspects, 3)
-
-    def test_certified_edges_are_immovable(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        report = TrussShardReport(0, {(0, 1), (0, 2), (1, 2)}, set())
-        strong, suspects = merge_truss_reports(g, [report], 3)
-        assert strong == {(0, 1), (0, 2), (1, 2)}
-        assert suspects == set()
-
-    def test_verify_raises_on_bad_merge(self):
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        with pytest.raises(ShardMergeError):
-            # (0, 3) closes no triangle: a correct 3-truss merge could
-            # never include it.
-            verify_truss_boundary(g, set(g.edges()), {(0, 3)}, 3)
-
-    def test_shard_truss_job_certifies_soundly(self, karate):
-        manager = ShardedIndexManager()
-        manager.register("k", karate, shards=2, partitioner="greedy")
-        truss = truss_decomposition(karate)
-        part = manager.partition("k")
-        for k in (3, 4):
-            for shard in range(2):
-                payload, _ = manager.shard_payload("k", shard)
-                certified, uncertain = shard_truss_job(
-                    payload.key, payload.job_arg(shipped=False), k)
-                assert all(truss[e] >= k for e in certified)
-                # Together the two classes are exactly the shard's
-                # intra-shard edges, in global ids.
-                assert sorted(certified + uncertain) == sorted(
-                    (u, v) for u, v in karate.edges()
-                    if part.owner(u) == part.owner(v) == shard)
-
-
-# ----------------------------------------------------------------------
-# sharded equivalence
-# ----------------------------------------------------------------------
-class TestShardedTrussEquivalence:
-    CONFIGS = ((1, "hash", 1), (2, "hash", 1), (4, "greedy", 2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_graphs(max_n=14, max_m=42, keywords=list("abc")),
-           st.integers(2, 4))
-    def test_sharded_equals_unsharded(self, graph, k):
-        plain = CExplorer()
-        plain.add_graph("g", graph)
-        sharded = []
-        for shards, method, workers in self.CONFIGS:
-            ex = CExplorer(workers=workers)
-            ex.add_graph("g", graph, shards=shards, partitioner=method)
-            sharded.append(ex)
-        queries = list(range(min(graph.vertex_count, 4)))
-        for q in queries:
-            for algorithm, kw in (("k-truss", None), ("atc", None),
-                                  ("atc", {"a", "b"})):
-                try:
-                    expected = plain.search(algorithm, q, k=k,
-                                            keywords=kw,
-                                            use_cache=False)
-                except QueryError as exc:
-                    expected = ("error", str(exc))
-                for ex in sharded:
-                    try:
-                        got = ex.search(algorithm, q, k=k, keywords=kw,
-                                        use_cache=False)
-                    except QueryError as exc:
-                        got = ("error", str(exc))
-                    assert got == expected, (algorithm, q, k)
-        for ex in sharded:
-            assert ex.engine.stats.get("shard_fallbacks") == 0
-
-    def test_equivalence_under_maintenance(self, karate):
-        sharded = CExplorer()
-        sharded.add_graph("k", karate.copy(), shards=2)
-        plain = CExplorer()
-        plain.add_graph("k", karate.copy())
-        ms = sharded.truss_maintainer()
-        mp = plain.truss_maintainer()
-        for u, v in ((0, 9), (4, 12), (33, 9), (0, 1)):
-            if sharded.indexes.graph("k").has_edge(u, v):
-                ms.remove_edge(u, v)
-                mp.remove_edge(u, v)
-            else:
-                ms.insert_edge(u, v)
-                mp.insert_edge(u, v)
-            for q in (0, 33):
-                for k in (3, 4):
-                    assert sharded.search("k-truss", q, k=k) == \
-                        plain.search("k-truss", q, k=k), (u, v, q, k)
-        assert sharded.engine.stats.get("shard_fallbacks") == 0
-
+class TestTrussBackendEquivalence:
     def test_process_backend_matches_thread(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, shards=2, partitioner="greedy")
+        proc.add_graph("g", dblp_small)
         try:
             jim = dblp_small.id_of("Jim Gray")
             for algorithm in ("k-truss", "atc"):
@@ -434,7 +327,7 @@ class TestShardedTrussEquivalence:
     def test_invalid_k_matches_serial_error(self, karate):
         from repro.util.errors import QueryError
         explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
+        explorer.add_graph("k", karate)
         for algorithm in ("k-truss", "atc"):
             with pytest.raises(QueryError):
                 explorer.search(algorithm, 0, k=1)
