@@ -3,15 +3,16 @@
 
 Serves the bundled synthetic DBLP graph on http://127.0.0.1:8080 --
 open it in a browser for the Figure 1 exploration UI, or talk JSON to
-the versioned /v1/* endpoints (see docs/API.md for the contract; the
-legacy /api/* paths still answer, with a Deprecation header).
+the versioned /v1/* endpoints (see docs/API.md for the contract).  The
+default threaded front-end keeps HTTP/1.1 connections open, so a
+client that reuses its connection pays no reconnect per request.
 
 Run:  python examples/run_server.py [port] [--async]
 
-``--async`` serves through the asyncio front-end instead of the
-threaded one: requests are accepted without a thread per connection
-and concurrent overlapping searches are coalesced by the cross-query
-batching layer (one execution answers the whole burst).
+``--async`` serves through the asyncio front-end instead: one event
+loop, with concurrent overlapping searches coalesced by the
+cross-query batching layer.  It is kept for comparison; it does not
+beat the threaded front-end on any measured workload.
 """
 
 import sys

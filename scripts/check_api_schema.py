@@ -13,9 +13,6 @@ validates the live surface against the ``/v1`` contract in
   ``routes.ERROR_CODES`` with exactly the status registered for it,
   and the error object carries ``code`` + ``message`` (plus
   ``retry: true`` only where documented);
-* every legacy ``/api/*`` shim route answers with the bare-document
-  body (no envelope), a ``Deprecation: true`` header, and a ``Link``
-  naming its ``/v1`` successor;
 * ``docs/API.md`` itself stays in sync: it must mention every ``/v1``
   route template and every error code (and no unregistered codes).
 
@@ -37,12 +34,12 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
 def get(base, path):
-    """(status, headers, parsed JSON body) for a GET."""
+    """(status, parsed JSON body) for a GET."""
     return _fetch(urllib.request.Request(base + path))
 
 
 def post(base, path, doc=None, raw=None):
-    """(status, headers, parsed JSON body) for a JSON POST."""
+    """(status, parsed JSON body) for a JSON POST."""
     body = raw if raw is not None else json.dumps(doc or {}).encode()
     return _fetch(urllib.request.Request(
         base + path, data=body,
@@ -52,11 +49,9 @@ def post(base, path, doc=None, raw=None):
 def _fetch(request):
     try:
         with urllib.request.urlopen(request) as resp:
-            return resp.status, dict(resp.headers), \
-                json.loads(resp.read().decode("utf-8"))
+            return resp.status, json.loads(resp.read().decode("utf-8"))
     except urllib.error.HTTPError as err:
-        return err.code, dict(err.headers), \
-            json.loads(err.read().decode("utf-8"))
+        return err.code, json.loads(err.read().decode("utf-8"))
 
 
 def boot(kind):
@@ -129,7 +124,7 @@ def check_error_object(path, status, doc):
 
 
 def expect_code(probes, name, got, want_code, want_status):
-    status, _, doc = got
+    status, doc = got
     for problem in check_envelope(name, status, doc):
         probes.append(problem)
     error = (doc.get("error") or {}) if isinstance(doc, dict) else {}
@@ -144,15 +139,15 @@ def expect_code(probes, name, got, want_code, want_status):
 
 def check_search_hit(base, search, miss):
     """``/v1/search`` splices pre-encoded text into its body: the
-    repeat of a traced search (a cache hit, so untraced) and the
-    legacy shim must still parse to the same data document."""
+    repeat of a traced search (a cache hit, so untraced) must still
+    parse to the same data document."""
     want = dict(miss.get("data") or {})
     want["query"] = {key: value
                      for key, value in want.get("query", {}).items()
                      if key != "trace"}
     if not want.get("communities"):
         yield "/v1/search: the probe search found no community"
-    status, _, hit = post(base, "/v1/search", search)
+    status, hit = post(base, "/v1/search", search)
     for problem in check_envelope("/v1/search (hit)", status, hit):
         yield problem
     if "trace" in hit:
@@ -160,10 +155,6 @@ def check_search_hit(base, search, miss):
     if hit.get("data") != want:
         yield ("/v1/search (hit): data differs from the miss by more "
                "than query.trace")
-    status, _, legacy = post(base, "/api/search", search)
-    if status != 200 or legacy != want:
-        yield ("/api/search: shim body is not the /v1 data document "
-               "(HTTP {})".format(status))
 
 
 def check_server(base, kind):
@@ -174,14 +165,14 @@ def check_server(base, kind):
     for path in ("/v1/algorithms", "/v1/graphs", "/v1/graphs/smoke",
                  "/v1/stats", "/v1/metrics", "/v1/traces",
                  "/v1/health", "/v1/ready"):
-        status, _, doc = get(base, path)
+        status, doc = get(base, path)
         problems.extend(check_envelope(path, status, doc))
         if status != 200:
             problems.append("{}: HTTP {}".format(path, status))
 
     # -- a traced search: envelope + top-level trace id ----------------
     search = {"vertex": "Jim Gray", "k": 3, "session": "schema"}
-    status, _, doc = post(base, "/v1/search", search)
+    status, doc = post(base, "/v1/search", search)
     problems.extend(check_envelope("/v1/search", status, doc))
     problems.extend(check_search_hit(base, search, doc))
     trace_id = doc.get("trace")
@@ -189,7 +180,7 @@ def check_server(base, kind):
         problems.append("/v1/search: traced query has no top-level "
                         "'trace' id")
     else:
-        status, _, tdoc = get(base, "/v1/traces/{}".format(trace_id))
+        status, tdoc = get(base, "/v1/traces/{}".format(trace_id))
         problems.extend(check_envelope("/v1/traces/{id}", status, tdoc))
         if status != 200:
             problems.append("/v1/traces/{id}: HTTP %d" % status)
@@ -226,26 +217,8 @@ def check_server(base, kind):
     for name, got, code, status in cases:
         exercised.add(expect_code(problems, name, got, code, status))
 
-    # -- the legacy shim: bare bodies + deprecation headers ------------
-    status, headers, doc = get(base, "/api/graphs")
-    if status != 200 or "graphs" not in doc or "ok" in doc:
-        problems.append("/api/graphs: shim must serve the bare legacy "
-                        "document (got {})".format(sorted(doc)))
-    if headers.get("Deprecation") != "true":
-        problems.append("/api/graphs: missing Deprecation: true header")
-    link = headers.get("Link", "")
-    if "/v1/graphs" not in link or "successor-version" not in link:
-        problems.append("/api/graphs: Link header {!r} does not name "
-                        "the /v1 successor".format(link))
-    status, headers, doc = post(base, "/api/history",
-                                {"session": "none"})
-    if status != 400 or list(doc) != ["error"]:
-        problems.append("/api/history: legacy error must be HTTP 400 "
-                        "{{'error': msg}} (got {} {})".format(
-                            status, sorted(doc)))
-
     # -- template-bucketed request counters ----------------------------
-    _, _, doc = get(base, "/v1/metrics")
+    _, doc = get(base, "/v1/metrics")
     requests = (doc.get("data") or {}).get("requests", {})
     for key in requests:
         if re.search(r"/q\d|/[0-9a-f]{8}", key):

@@ -4,7 +4,7 @@
 Boots a smoke server on a small generated graph, runs one query, and
 validates both metrics surfaces against their contracts:
 
-* ``GET /api/metrics`` -- the JSON document must carry the keys the
+* ``GET /v1/metrics`` -- the JSON ``data`` document must carry the keys the
   dashboard and the Prometheus renderer read (uptime, request
   counters, engine counters/latency histograms with per-bucket data,
   cache counters, tracer occupancy);
@@ -77,7 +77,7 @@ def boot_server():
     # One real query so histograms, cache counters, and the trace
     # ring all have data to validate against.
     req = urllib.request.Request(
-        base + "/api/search",
+        base + "/v1/search",
         data=json.dumps({"vertex": "Jim Gray", "k": 3,
                          "algorithm": "global"}).encode("utf-8"),
         headers={"Content-Type": "application/json"})
@@ -86,11 +86,11 @@ def boot_server():
 
 
 def check_json_metrics(doc):
-    """Yield problem strings for the ``/api/metrics`` document."""
+    """Yield problem strings for the ``/v1/metrics`` data document."""
     for key in ("uptime_seconds", "requests", "errors", "engine",
                 "cache"):
         if key not in doc:
-            yield "/api/metrics missing key {!r}".format(key)
+            yield "/v1/metrics missing key {!r}".format(key)
     engine = doc.get("engine", {})
     for key in ENGINE_KEYS:
         if key not in engine:
@@ -241,8 +241,8 @@ def _check_histogram_series(base, samples):
 def main(argv):
     server, base = boot_server()
     try:
-        with urllib.request.urlopen(base + "/api/metrics") as resp:
-            doc = json.loads(resp.read().decode("utf-8"))
+        with urllib.request.urlopen(base + "/v1/metrics") as resp:
+            doc = json.loads(resp.read().decode("utf-8"))["data"]
         with urllib.request.urlopen(base + "/metrics") as resp:
             content_type = resp.headers.get("Content-Type", "")
             text = resp.read().decode("utf-8")

@@ -376,7 +376,7 @@ def build_parser():
         "trace", help="print a waterfall of recent query traces")
     p.add_argument("--url",
                    help="base URL of a running server (reads its "
-                        "/api/traces endpoints)")
+                        "/v1/traces endpoints)")
     p.add_argument("--graph", help="edge-list or JSON graph file "
                                    "(local mode)")
     p.add_argument("--vertex", action="append",

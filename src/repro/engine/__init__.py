@@ -6,7 +6,7 @@ Why this layer exists
 C-Explorer (Fang et al., PVLDB 2017) is an *interactive service*: many
 concurrent users issue ACQ / k-core / k-truss searches against shared
 graphs while uploads and edge edits mutate those graphs underneath.
-The seed reproduction ran every ``/api/search`` inline on its HTTP
+The seed reproduction ran every search request inline on its HTTP
 handler thread with no result reuse and ad-hoc lazy index builds --
 fine for one user, hopeless for the ROADMAP's "heavy traffic from
 millions of users".  This package is the execution layer between the

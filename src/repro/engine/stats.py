@@ -3,7 +3,7 @@
 The paper pitches C-Explorer as an *online* system ("the communities
 will be returned instantly"); once queries run through a shared worker
 pool, "instantly" has to be measured, not assumed.  This module is the
-measurement substrate the engine reports through ``/api/metrics``:
+measurement substrate the engine reports through ``/v1/metrics``:
 
 * :class:`LatencyHistogram` -- per-operation latency distribution with
   log-scale buckets (for the shape) and a bounded reservoir of recent

@@ -1,4 +1,4 @@
-"""The synchronous server: the ``/v1`` API over ``ThreadingHTTPServer``.
+"""The threaded server: the ``/v1`` API over ``ThreadingHTTPServer``.
 
 The HTTP surface is defined once, declaratively, in
 :mod:`repro.server.routes` and shared with the asyncio front-end
@@ -34,11 +34,14 @@ carry stable machine-readable codes (``engine_saturated``,
 ``deadline_exceeded``, ``graph_not_found``, ...) -- see
 ``docs/API.md`` for the full contract, which
 ``scripts/check_api_schema.py`` validates against a live server in CI.
+Any other path answers 404 ``not_found``.
 
-**Legacy shim:** every pre-``/v1`` ``/api/*`` path keeps working --
-same handlers, the historical bare-document body shape, plus a
-``Deprecation: true`` header and a ``Link`` to the ``/v1`` successor.
-New clients should use ``/v1``.
+Connections stay open: the handler speaks HTTP/1.1, so a client's
+persistent connection keeps its socket and its handler thread across
+requests, and Nagle's algorithm is off, so a response's header and
+body writes leave at once instead of waiting out the peer's delayed
+ACK.  Every request body is read before it is answered, whatever the
+answer, so the next request on the socket starts where it should.
 
 The server is threaded, but algorithm work does not run on handler
 threads: searches, detections and comparisons are submitted to the
@@ -57,6 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.explorer.cexplorer import CExplorer
 from repro.server.routes import (
+    ApiError,
     Pending,
     Raw,
     Request,
@@ -82,6 +86,9 @@ class CExplorerServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # A kept-alive connection's thread idles in a read until its client
+    # hangs up; closing the server must not wait for that.
+    block_on_close = False
 
     def __init__(self, address, explorer, query_timeout=30.0,
                  batch_window=None):
@@ -170,41 +177,53 @@ def make_server(explorer=None, host="127.0.0.1", port=8080,
 class _Handler(BaseHTTPRequestHandler):
     """Binds the shared route table to the threading transport."""
 
+    protocol_version = "HTTP/1.1"
+    # Required with keep-alive: the header and body writes are two
+    # sends, and Nagle would hold the body until the client's delayed
+    # ACK (~40 ms) for the header arrives.
+    disable_nagle_algorithm = True
+
     # Silence per-request logging; the demo prints its own status line.
     def log_message(self, fmt, *args):
         pass
 
-    def _send(self, status, body, content_type="application/json",
-              headers=()):
+    def _send(self, status, body, content_type="application/json"):
         body = (body if isinstance(body, bytes)
                 else json.dumps(body).encode("utf-8"))
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_body(self):
+        """The raw request body, read whatever the route, so the next
+        request on the connection starts after it.  A
+        ``Content-Length`` that cannot be read past closes the
+        connection after the 400."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ApiError("bad_request", "invalid Content-Length")
+        return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method):
         state = self.server.state
         path, query = parse_query_string(self.path)
         matched = match_route(method, path)
-        if matched is None:
-            state.count_request(UNKNOWN_ROUTE)
-            state.count_error()
-            legacy = not path.startswith("/v1")
-            status, body = render_error(not_found_error(path), legacy)
-            self._send(status, body)
-            return
-        route, params = matched
-        state.count_request(route.template)
+        state.count_request(matched[0].template if matched
+                            else UNKNOWN_ROUTE)
         try:
-            body = {}
-            if method == "POST":
-                length = int(self.headers.get("Content-Length") or 0)
-                body = parse_json_body(self.rfile.read(length)
-                                       if length else b"")
+            raw = self._read_body()
+            if matched is None:
+                raise not_found_error(path)
+            route, params = matched
+            body = parse_json_body(raw) if method == "POST" else {}
             request = Request(method, path, params=params, query=query,
                               body=body)
             outcome = route.handler(state, request)
@@ -212,17 +231,14 @@ class _Handler(BaseHTTPRequestHandler):
                 outcome = wait_sync(state, outcome)
             if isinstance(outcome, Raw):
                 self._send(200, outcome.body,
-                           content_type=outcome.content_type,
-                           headers=route.headers())
+                           content_type=outcome.content_type)
                 return
             response = (outcome if isinstance(outcome, Response)
                         else Response(outcome))
-            self._send(200, render_success(route, response),
-                       headers=route.headers())
+            self._send(200, render_success(response))
         except Exception as exc:  # defensive: never kill the connection
             state.count_error()
-            status, doc = render_error(exc, route.legacy)
-            self._send(status, doc, headers=route.headers())
+            self._send(*render_error(exc))
 
     def do_GET(self):
         self._dispatch("GET")

@@ -1,15 +1,11 @@
-"""The asyncio front-end: concurrent serving without thread-per-request.
+"""The asyncio front-end: the same route table over one event loop.
 
-The sync server (:mod:`repro.server.app`) parks one handler thread per
-in-flight query -- the thread does nothing but block on an
-:class:`~repro.engine.executor.EngineFuture`, yet it costs a stack,
-scheduler pressure, and GIL churn, which is the opposite of the
-ROADMAP's "millions of users" north star.  This module serves the
-**same route table** (:mod:`repro.server.routes`) over
+This module serves the **same route table** (:mod:`repro.server.routes`)
+as the threaded server (:mod:`repro.server.app`) over
 ``asyncio.start_server`` (stdlib only, no new dependencies):
 
-* requests are accepted and parsed on the event loop -- thousands of
-  idle or waiting connections cost one task each, not one thread each;
+* requests are accepted and parsed on the event loop -- idle or
+  waiting connections cost one task each, not one thread each;
 * handlers returning :class:`~repro.server.routes.Pending` are awaited
   through a small **poll/wakeup bridge** (:func:`await_future`): the
   engine's future is engine-owned and thread-resolved, so the loop
@@ -21,20 +17,24 @@ ROADMAP's "millions of users" north star.  This module serves the
   summaries, SVG rendering) run in the loop's default thread-pool
   executor so the accept path never stalls behind them;
 * **cross-query batching is on by default** (``batch_window``): the
-  admission window in :mod:`repro.engine.batching` coalesces the
-  concurrent searches this front-end is built to accept, so N
-  overlapping queries cost one cached payload round-trip and shared
-  worker-side decompositions instead of N independent executions.
+  admission window in :mod:`repro.engine.batching` coalesces
+  concurrent searches before they reach the engine.
+
+It is not the default.  Against the threaded server with HTTP/1.1
+keep-alive, this front-end is ahead only on cache hits (by about
+0.05 ms a request) and loses up to 3x on cold queries, where the batch
+window and the poll bridge add latency (see "Where each rung wins" in
+``docs/ARCHITECTURE.md``).
 
 The HTTP implementation is deliberately minimal -- HTTP/1.1,
 ``Content-Length`` bodies, keep-alive -- just enough for the JSON API
 and the bench/CI clients; it is not a general-purpose web server.
 
 Two run modes: :meth:`AsyncCExplorerServer.serve_forever` blocks the
-calling thread (the ``repro serve --server async`` path), and
-:meth:`~AsyncCExplorerServer.start_background` runs the loop in a
-daemon thread and returns once the socket is bound (tests and
-benchmarks drive it with plain blocking HTTP clients).
+calling thread, and :meth:`~AsyncCExplorerServer.start_background`
+runs the loop in a daemon thread and returns once the socket is bound
+(``repro serve --server async``, tests and benchmarks; clients talk
+plain blocking HTTP to it).
 """
 
 import asyncio
@@ -196,19 +196,19 @@ class AsyncCExplorerServer:
         length = int(headers.get("content-length") or 0)
         if length > _MAX_BODY_BYTES:
             await self._write_response(
-                writer, 413, {"error": "request body too large"}, [],
+                writer, 413, {"error": "request body too large"},
                 close=True)
             return False
         raw_body = await reader.readexactly(length) if length else b""
         close = headers.get("connection", "").lower() == "close"
-        status, body, content_type, extra = await self._dispatch(
+        status, body, content_type = await self._dispatch(
             method, target, raw_body)
-        await self._write_response(writer, status, body, extra,
+        await self._write_response(writer, status, body,
                                    content_type=content_type,
                                    close=close)
         return not close
 
-    async def _write_response(self, writer, status, body, headers,
+    async def _write_response(self, writer, status, body,
                               content_type="application/json",
                               close=False):
         if not isinstance(body, bytes):
@@ -220,8 +220,6 @@ class AsyncCExplorerServer:
             "Content-Length: {}".format(len(body)),
             "Connection: {}".format("close" if close else "keep-alive"),
         ]
-        lines.extend("{}: {}".format(name, value)
-                     for name, value in headers)
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
@@ -230,17 +228,15 @@ class AsyncCExplorerServer:
     # dispatch (the async twin of app._Handler._dispatch)
     # ------------------------------------------------------------------
     async def _dispatch(self, method, target, raw_body):
-        """``(status, body, content_type, extra headers)`` for one
-        parsed request."""
+        """``(status, body, content_type)`` for one parsed request."""
         state = self.state
         path, query = parse_query_string(target)
         matched = match_route(method, path)
         if matched is None:
             state.count_request(UNKNOWN_ROUTE)
             state.count_error()
-            legacy = not path.startswith("/v1")
-            status, body = render_error(not_found_error(path), legacy)
-            return status, body, "application/json", []
+            status, body = render_error(not_found_error(path))
+            return status, body, "application/json"
         route, params = matched
         state.count_request(route.template)
         loop = asyncio.get_running_loop()
@@ -270,16 +266,14 @@ class AsyncCExplorerServer:
                 else:
                     outcome = outcome.finish(result)
             if isinstance(outcome, Raw):
-                return (200, outcome.body, outcome.content_type,
-                        route.headers())
+                return 200, outcome.body, outcome.content_type
             response = (outcome if isinstance(outcome, Response)
                         else Response(outcome))
-            return (200, render_success(route, response),
-                    "application/json", route.headers())
+            return 200, render_success(response), "application/json"
         except Exception as exc:  # never kill the connection
             state.count_error()
-            status, doc = render_error(exc, route.legacy)
-            return status, doc, "application/json", route.headers()
+            status, doc = render_error(exc)
+            return status, doc, "application/json"
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -59,10 +59,18 @@ INDEX_HTML = """<!DOCTYPE html>
  <div id="analysis"></div>
 </div>
 <script>
+// Every /v1 answer is {ok, data, error}: resolve with data, or report
+// error.message and stop the chain.
+function unwrap(r) {
+  return r.json().then(function (d) {
+    if (!d.ok) { alert(d.error.message); throw new Error(d.error.code); }
+    return d.data;
+  });
+}
 function api(path, params) {
   return fetch(path, {method: 'POST', body: JSON.stringify(params || {}),
                       headers: {'Content-Type': 'application/json'}})
-         .then(function (r) { return r.json(); });
+         .then(unwrap);
 }
 function show(which) {
   document.getElementById('panel-explore').style.display =
@@ -71,8 +79,7 @@ function show(which) {
     which === 'analysis' ? '' : 'none';
 }
 function loadAlgorithms() {
-  fetch('/api/algorithms').then(function (r) { return r.json(); })
-  .then(function (d) {
+  fetch('/v1/algorithms').then(unwrap).then(function (d) {
     var sel = document.getElementById('algo');
     d.cs.forEach(function (name) {
       var o = document.createElement('option');
@@ -83,7 +90,7 @@ function loadAlgorithms() {
   });
 }
 function loadKeywords() {
-  api('/api/options', {vertex: document.getElementById('name').value})
+  api('/v1/options', {vertex: document.getElementById('name').value})
   .then(function (d) {
     var div = document.getElementById('keywords');
     div.innerHTML = '';
@@ -103,13 +110,12 @@ function selectedKeywords() {
   return out.length ? out : null;
 }
 function search() {
-  api('/api/search', {
+  api('/v1/search', {
     vertex: document.getElementById('name').value,
     k: parseInt(document.getElementById('k').value, 10),
     algorithm: document.getElementById('algo').value,
     keywords: selectedKeywords()
   }).then(function (d) {
-    if (d.error) { alert(d.error); return; }
     var nav = document.getElementById('communities');
     nav.textContent = 'Communities: ';
     d.communities.forEach(function (c, i) {
@@ -126,7 +132,7 @@ function view(i) {
   var c = window._last.communities[i];
   document.getElementById('theme').textContent =
     c.theme.length ? 'Theme: ' + c.theme.join(', ') : '';
-  api('/api/display', {
+  api('/v1/display', {
     vertex: window._last.query.vertex, k: window._last.query.k,
     algorithm: window._last.query.algorithm,
     keywords: window._last.query.keywords, community: i
@@ -135,7 +141,7 @@ function view(i) {
   });
 }
 function compare() {
-  api('/api/compare', {
+  api('/v1/compare', {
     vertex: document.getElementById('aname').value,
     k: parseInt(document.getElementById('ak').value, 10)
   }).then(function (d) {

@@ -1,9 +1,7 @@
 """The versioned HTTP API: one declarative route table, two servers.
 
-PRs 1-6 grew the serving surface one ``/api/*`` endpoint at a time,
-each dispatched from an if-chain in ``app.py`` with its own ad-hoc
-request/response shape.  This module redesigns that surface as a
-**versioned API** both front-ends share:
+This module defines the serving surface as a **versioned API** both
+front-ends share:
 
 * a declarative :data:`ROUTES` table -- method + path template
   (``/v1/traces/{query_id}``) + handler -- consumed by the sync
@@ -23,12 +21,7 @@ request/response shape.  This module redesigns that surface as a
   instead of mixed 4xx bodies -- ``graph_not_found``,
   ``engine_saturated``, ``deadline_exceeded``, ... -- each with a
   fixed HTTP status, documented in ``docs/API.md`` and validated
-  against a live server by ``scripts/check_api_schema.py``;
-* a **legacy shim**: every pre-existing ``/api/*`` path stays
-  registered against the same handler, rendered in the legacy body
-  shape (the bare data document; errors as ``{"error": message}``)
-  with a ``Deprecation: true`` header and a ``Link`` to its ``/v1``
-  successor, so existing clients keep working while new ones migrate.
+  against a live server by ``scripts/check_api_schema.py``.
 
 Handlers are transport-agnostic: they take ``(state, request)`` --
 :class:`~repro.server.state.ServerState` plus a parsed
@@ -94,44 +87,34 @@ ERROR_CODES = {
 
 
 class ApiError(CExplorerError):
-    """An error with a stable wire code.
+    """An error with a stable wire code."""
 
-    ``legacy_status`` lets the shim keep a historical status when the
-    ``/v1`` contract uses a better one (e.g. ``session_not_found`` is
-    404 under ``/v1`` but the legacy ``/api/history`` always answered
-    400).
-    """
-
-    def __init__(self, code, message, legacy_status=None):
+    def __init__(self, code, message):
         super().__init__(message)
         if code not in ERROR_CODES:
             raise ValueError("unregistered error code {!r}".format(code))
         self.code = code
         self.status = ERROR_CODES[code][0]
-        self.legacy_status = (legacy_status if legacy_status is not None
-                              else self.status)
 
 
 def translate_error(exc):
-    """Map any exception to ``(status, code, message, legacy_status,
-    retry)`` -- the one place wire semantics are assigned."""
+    """Map any exception to ``(status, code, message, retry)`` -- the
+    one place wire semantics are assigned."""
     if isinstance(exc, ApiError):
-        return (exc.status, exc.code, str(exc), exc.legacy_status,
-                False)
+        return exc.status, exc.code, str(exc), False
     if isinstance(exc, EngineBusyError):
-        return 429, "engine_saturated", str(exc), 429, True
+        return 429, "engine_saturated", str(exc), True
     if isinstance(exc, QueryTimeoutError):
-        return 504, "deadline_exceeded", str(exc), 504, False
+        return 504, "deadline_exceeded", str(exc), False
     if isinstance(exc, QueryCancelledError):
-        return 503, "cancelled", str(exc), 503, False
+        return 503, "cancelled", str(exc), False
     if isinstance(exc, UnknownAlgorithmError):
-        return 400, "unknown_algorithm", str(exc), 400, False
+        return 400, "unknown_algorithm", str(exc), False
     if isinstance(exc, (QueryError, UnknownVertexError)):
-        return 400, "invalid_query", str(exc), 400, False
+        return 400, "invalid_query", str(exc), False
     if isinstance(exc, CExplorerError):
-        return 400, "bad_request", str(exc), 400, False
-    return (500, "internal", "internal error: {}".format(exc), 500,
-            False)
+        return 400, "bad_request", str(exc), False
+    return 500, "internal", "internal error: {}".format(exc), False
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +135,7 @@ class Request:
 
     def int_query(self, key, default):
         """An integer query-string parameter, or ``default`` when
-        absent or malformed (the legacy ``?limit=N`` semantics)."""
+        absent or malformed."""
         values = self.query.get(key)
         if not values:
             return default
@@ -261,7 +244,7 @@ def parse_query_string(path_and_query):
 
 
 def need(body, key):
-    """A required request field (legacy-compatible message)."""
+    """A required request field."""
     value = body.get(key)
     if value is None:
         raise ApiError("missing_field",
@@ -575,11 +558,8 @@ def h_history(state, req):
     session_id = str(need(body, "session"))
     session = state.sessions.get(session_id, create_missing=False)
     if session is None:
-        # /v1 reports a proper 404; the legacy /api/history contract
-        # has always answered 400.
         raise ApiError("session_not_found",
-                       "unknown session {!r}".format(session_id),
-                       legacy_status=400)
+                       "unknown session {!r}".format(session_id))
     return {
         "session": session_id,
         "history": session.history(limit=body.get("limit")),
@@ -596,27 +576,22 @@ class Route:
     ``template`` segments of the form ``{name}`` capture one path
     segment into ``request.params``.  The template doubles as the
     request-counter key, so parameterised paths aggregate under one
-    stable bucket instead of one bucket per id.  ``legacy`` marks an
-    ``/api/*`` shim registration (legacy body shape + ``Deprecation``
-    header); ``successor`` is its ``/v1`` template, advertised in the
-    ``Link`` header.  ``blocking`` marks handlers that may do real
-    work on the calling thread (file I/O, lazy index/summary builds,
-    layout rendering) -- the async server runs those in its executor
-    instead of on the event loop.
+    stable bucket instead of one bucket per id.  ``blocking`` marks
+    handlers that may do real work on the calling thread (file I/O,
+    lazy index/summary builds, layout rendering) -- the async server
+    runs those in its executor instead of on the event loop.
     """
 
-    __slots__ = ("method", "template", "handler", "segments", "legacy",
-                 "successor", "blocking", "raw")
+    __slots__ = ("method", "template", "handler", "segments",
+                 "blocking", "raw")
 
-    def __init__(self, method, template, handler, legacy=False,
-                 successor=None, blocking=False, raw=False):
+    def __init__(self, method, template, handler, blocking=False,
+                 raw=False):
         self.method = method
         self.template = template
         self.handler = handler
         self.segments = tuple(template.strip("/").split("/")) \
             if template != "/" else ()
-        self.legacy = legacy
-        self.successor = successor
         self.blocking = blocking
         self.raw = raw
 
@@ -632,43 +607,27 @@ class Route:
                 return None
         return params
 
-    def headers(self):
-        """Per-route response headers (the deprecation contract)."""
-        if not self.legacy:
-            return []
-        headers = [("Deprecation", "true")]
-        if self.successor:
-            headers.append(
-                ("Link", '<{}>; rel="successor-version"'
-                 .format(self.successor)))
-        return headers
 
-
-# (method, /v1 template, legacy /api template or None, handler, opts)
+# (method, /v1 template, handler, opts)
 _SPECS = (
-    ("GET", "/v1/algorithms", "/api/algorithms", h_algorithms, {}),
-    ("GET", "/v1/graphs", "/api/graphs", h_graphs, {}),
-    ("GET", "/v1/graphs/{name}", None, h_graph, {}),
-    ("GET", "/v1/stats", "/api/stats", h_stats, {"blocking": True}),
-    ("GET", "/v1/metrics", "/api/metrics", h_metrics, {}),
-    ("GET", "/v1/health", None, h_health, {}),
-    ("GET", "/v1/ready", None, h_ready, {}),
-    ("GET", "/v1/traces", "/api/traces", h_traces, {}),
-    ("GET", "/v1/traces/{query_id}", "/api/traces/{query_id}",
-     h_trace, {}),
-    ("POST", "/v1/upload", "/api/upload", h_upload,
-     {"blocking": True}),
-    ("POST", "/v1/options", "/api/options", h_options,
-     {"blocking": True}),
-    ("POST", "/v1/search", "/api/search", h_search, {}),
-    ("POST", "/v1/detect", "/api/detect", h_detect, {}),
-    ("POST", "/v1/display", "/api/display", h_display,
-     {"blocking": True}),
-    ("POST", "/v1/profile", "/api/profile", h_profile, {}),
-    ("POST", "/v1/compare", "/api/compare", h_compare,
-     {"blocking": True}),
-    ("POST", "/v1/suggest", "/api/suggest", h_suggest, {}),
-    ("POST", "/v1/history", "/api/history", h_history, {}),
+    ("GET", "/v1/algorithms", h_algorithms, {}),
+    ("GET", "/v1/graphs", h_graphs, {}),
+    ("GET", "/v1/graphs/{name}", h_graph, {}),
+    ("GET", "/v1/stats", h_stats, {"blocking": True}),
+    ("GET", "/v1/metrics", h_metrics, {}),
+    ("GET", "/v1/health", h_health, {}),
+    ("GET", "/v1/ready", h_ready, {}),
+    ("GET", "/v1/traces", h_traces, {}),
+    ("GET", "/v1/traces/{query_id}", h_trace, {}),
+    ("POST", "/v1/upload", h_upload, {"blocking": True}),
+    ("POST", "/v1/options", h_options, {"blocking": True}),
+    ("POST", "/v1/search", h_search, {}),
+    ("POST", "/v1/detect", h_detect, {}),
+    ("POST", "/v1/display", h_display, {"blocking": True}),
+    ("POST", "/v1/profile", h_profile, {}),
+    ("POST", "/v1/compare", h_compare, {"blocking": True}),
+    ("POST", "/v1/suggest", h_suggest, {}),
+    ("POST", "/v1/history", h_history, {}),
 )
 
 
@@ -677,11 +636,8 @@ def _build_routes():
         Route("GET", "/", h_index_page, raw=True),
         Route("GET", "/metrics", h_prometheus, raw=True),
     ]
-    for method, v1, legacy, handler, opts in _SPECS:
-        routes.append(Route(method, v1, handler, **opts))
-        if legacy is not None:
-            routes.append(Route(method, legacy, handler, legacy=True,
-                                successor=v1, **opts))
+    for method, template, handler, opts in _SPECS:
+        routes.append(Route(method, template, handler, **opts))
     return tuple(routes)
 
 
@@ -707,33 +663,24 @@ def match_route(method, path):
 # response rendering
 # ----------------------------------------------------------------------
 
-def render_success(route, response):
-    """The success body for a route: envelope on ``/v1``, the bare
-    data document on the legacy shim.  An :class:`Encoded` document
-    comes back as the finished ``bytes`` (same text ``json.dumps`` of
-    the equivalent dict gives), anything else as the dict to encode.
+def render_success(response):
+    """The success envelope.  An :class:`Encoded` document comes back
+    as the finished ``bytes`` (same text ``json.dumps`` of the
+    equivalent dict gives), anything else as the dict to encode.
     """
     data = response.data
-    encoded = isinstance(data, Encoded)
-    if route.legacy:
-        return data.text.encode("utf-8") if encoded else data
     tail = {"error": None}
     if response.trace is not None:
         tail["trace"] = response.trace
-    if not encoded:
+    if not isinstance(data, Encoded):
         return {"ok": True, "data": data, **tail}
     return '{{"ok": true, "data": {}, {}'.format(
         data.text, json.dumps(tail)[1:]).encode("utf-8")
 
 
-def render_error(exc, legacy):
-    """``(status, body)`` for any exception, in the requested shape."""
-    status, code, message, legacy_status, retry = translate_error(exc)
-    if legacy:
-        body = {"error": message}
-        if retry:
-            body["retry"] = True
-        return legacy_status, body
+def render_error(exc):
+    """``(status, body)``: the error envelope for any exception."""
+    status, code, message, retry = translate_error(exc)
     error = {"code": code, "message": message}
     if retry:
         error["retry"] = True
@@ -741,5 +688,5 @@ def render_error(exc, legacy):
 
 
 def not_found_error(path):
-    """The unmatched-path error (legacy-compatible message)."""
+    """The unmatched-path error."""
     return ApiError("not_found", "no such endpoint: " + path)

@@ -40,7 +40,7 @@ class ServerState:
     # ------------------------------------------------------------------
     def count_request(self, template):
         """Count one request under its **route template** (e.g.
-        ``/api/traces/{query_id}``), never the raw path -- the raw
+        ``/v1/traces/{query_id}``), never the raw path -- the raw
         path embeds client-chosen ids, and counting those grew
         ``request_counts`` without bound (one bucket per trace id)."""
         with self.metrics_lock:

@@ -1,14 +1,14 @@
-"""The ``/v1`` API contract: envelope, error codes, shim, batching.
+"""The ``/v1`` API contract: envelope, error codes, batching.
 
-Covers what ``tests/test_server.py`` (the legacy surface) does not:
+Covers what ``tests/test_server.py`` (handler behaviour) does not:
 
 * every ``/v1`` response wears the uniform envelope with a stable
   machine-readable error code from the registered table;
 * the hard-to-reach codes -- ``engine_saturated`` from a wedged
   engine (a fast 429, not a hung socket, on both front-ends) and
   ``deadline_exceeded`` from a tiny server deadline;
-* the legacy ``/api/*`` shim serves the same data bare, with
-  ``Deprecation``/``Link`` headers;
+* the retired ``/api/*`` paths answer the ordinary 404 envelope, and
+  no route is marked deprecated;
 * request counters bucket by route template, never by raw path;
 * the asyncio front-end end-to-end, including cross-query batching
   coalescing a concurrent burst.
@@ -163,10 +163,10 @@ class TestErrorCodes:
     def test_remaining_codes_via_translation(self):
         # ``cancelled`` and ``internal`` need a racing shutdown or a
         # server bug; pin their wire mapping at the translation seam.
-        status, code, _, _, retry = translate_error(
+        status, code, _, retry = translate_error(
             QueryCancelledError("cancelled before running"))
         assert (status, code, retry) == (503, "cancelled", False)
-        status, code, message, _, _ = translate_error(
+        status, code, message, _ = translate_error(
             ZeroDivisionError("boom"))
         assert (status, code) == (500, "internal")
         assert "boom" in message
@@ -184,39 +184,19 @@ class TestErrorCodes:
 
 
 class TestLegacyShim:
-    def test_same_data_bare_body(self, server):
-        _, headers, legacy = _get(server, "/api/graphs")
-        _, _, v1 = _get(server, "/v1/graphs")
-        assert "ok" not in legacy
-        assert legacy == v1["data"]
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/graphs" in headers.get("Link", "")
-        assert "successor-version" in headers.get("Link", "")
+    """The pre-``/v1`` ``/api/*`` shim is gone, not deprecated."""
 
     def test_v1_routes_not_deprecated(self, server):
         _, headers, _ = _get(server, "/v1/graphs")
         assert "Deprecation" not in headers
 
     def test_legacy_error_shape(self, server):
-        status, headers, doc = _post(server, "/api/history",
-                                     {"session": "ghost"})
-        # The historical /api/history contract: 400, {"error": msg}.
-        assert status == 400
-        assert set(doc) == {"error"}
-        assert headers.get("Deprecation") == "true"
-        status, _, doc = _post(server, "/v1/history",
-                               {"session": "ghost"})
-        assert status == 404
-        assert doc["error"]["code"] == "session_not_found"
-
-    def test_search_equivalence(self, server):
-        _, _, legacy = _post(server, "/api/search",
-                             {"vertex": "jim gray", "k": 3})
-        _, _, v1 = _post(server, "/v1/search",
-                         {"vertex": "jim gray", "k": 3})
-        legacy_c = [c["vertices"] for c in legacy["communities"]]
-        v1_c = [c["vertices"] for c in v1["data"]["communities"]]
-        assert legacy_c == v1_c
+        # A retired path is an unknown path: the ordinary envelope.
+        status, headers, doc = _post(server, "/api/search",
+                                     {"vertex": "jim gray", "k": 3})
+        _assert_envelope(status, doc)
+        assert (status, doc["error"]["code"]) == (404, "not_found")
+        assert "Deprecation" not in headers
 
 
 class TestRequestCounting:

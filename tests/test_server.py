@@ -1,7 +1,11 @@
 """HTTP round-trip tests for the browser-server substrate."""
 
+import http.client
 import json
+import re
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +14,8 @@ import pytest
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.io import write_edge_list
 from repro.server.app import make_server
+from repro.server.html import INDEX_HTML
+from repro.server.routes import v1_routes
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +35,15 @@ def _url(server, path):
     return "http://127.0.0.1:{}{}".format(server.server_address[1], path)
 
 
+def _unwrap(status, doc):
+    """``(status, data)`` on success, ``(status, error object)`` on
+    failure: the envelope's payload either way."""
+    return status, doc["data"] if doc["ok"] else doc["error"]
+
+
 def _get(server, path):
     with urllib.request.urlopen(_url(server, path)) as resp:
-        return resp.status, json.loads(resp.read())
+        return _unwrap(resp.status, json.loads(resp.read()))
 
 
 def _post(server, path, doc):
@@ -40,9 +52,9 @@ def _post(server, path, doc):
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req) as resp:
-            return resp.status, json.loads(resp.read())
+            return _unwrap(resp.status, json.loads(resp.read()))
     except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read())
+        return _unwrap(err.code, json.loads(err.read()))
 
 
 class TestStaticEndpoints:
@@ -54,33 +66,39 @@ class TestStaticEndpoints:
         assert "Search" in body
 
     def test_algorithms(self, server):
-        status, doc = _get(server, "/api/algorithms")
+        status, doc = _get(server, "/v1/algorithms")
         assert status == 200
         assert "acq" in doc["cs"]
         assert "codicil" in doc["cd"]
 
     def test_graphs_listing(self, server):
-        status, doc = _get(server, "/api/graphs")
+        status, doc = _get(server, "/v1/graphs")
         assert status == 200
         assert doc["graphs"][0]["name"] == "dblp"
         assert doc["graphs"][0]["vertices"] == 400
 
     def test_unknown_endpoint_404(self, server):
-        status, doc = _post(server, "/api/nope", {})
+        status, doc = _post(server, "/v1/nope", {})
         assert status == 404
-        assert "error" in doc
+        assert doc["code"] == "not_found"
+
+    def test_page_calls_only_v1_routes(self):
+        called = set(re.findall(r"(?:fetch|api)\('([^']+)'",
+                                INDEX_HTML))
+        assert len(called) == 5
+        assert called <= {route.template for route in v1_routes()}
 
 
 class TestQueryEndpoints:
     def test_options(self, server):
-        status, doc = _post(server, "/api/options",
+        status, doc = _post(server, "/v1/options",
                             {"vertex": "jim gray"})
         assert status == 200
         assert doc["name"] == "Jim Gray"
         assert doc["keywords"]
 
     def test_search(self, server):
-        status, doc = _post(server, "/api/search",
+        status, doc = _post(server, "/v1/search",
                             {"vertex": "jim gray", "k": 3,
                              "algorithm": "acq"})
         assert status == 200
@@ -91,35 +109,35 @@ class TestQueryEndpoints:
         assert community["theme"]
 
     def test_search_with_keyword_subset(self, server):
-        _, options = _post(server, "/api/options",
+        _, options = _post(server, "/v1/options",
                            {"vertex": "jim gray"})
         subset = options["keywords"][:5]
-        status, doc = _post(server, "/api/search",
+        status, doc = _post(server, "/v1/search",
                             {"vertex": "jim gray", "k": 3,
                              "keywords": subset})
         assert status == 200
 
     def test_search_unknown_vertex_400(self, server):
-        status, doc = _post(server, "/api/search",
+        status, doc = _post(server, "/v1/search",
                             {"vertex": "nobody at all"})
         assert status == 400
-        assert "error" in doc
+        assert doc["code"] == "invalid_query"
 
     def test_search_missing_vertex_400(self, server):
-        status, doc = _post(server, "/api/search", {"k": 3})
+        status, doc = _post(server, "/v1/search", {"k": 3})
         assert status == 400
-        assert "vertex" in doc["error"]
+        assert "vertex" in doc["message"]
 
     def test_malformed_json_400(self, server):
         req = urllib.request.Request(
-            _url(server, "/api/search"), data=b"{not json",
+            _url(server, "/v1/search"), data=b"{not json",
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req)
         assert exc.value.code == 400
 
     def test_detect(self, server):
-        status, doc = _post(server, "/api/detect",
+        status, doc = _post(server, "/v1/detect",
                             {"algorithm": "label-propagation",
                              "params": {"seed": 1}})
         assert status == 200
@@ -127,7 +145,7 @@ class TestQueryEndpoints:
         assert len(doc["communities"]) <= 50
 
     def test_display(self, server):
-        status, doc = _post(server, "/api/display",
+        status, doc = _post(server, "/v1/display",
                             {"vertex": "jim gray", "k": 3,
                              "community": 0})
         assert status == 200
@@ -135,20 +153,20 @@ class TestQueryEndpoints:
         assert doc["positions"]
 
     def test_display_bad_index(self, server):
-        status, doc = _post(server, "/api/display",
+        status, doc = _post(server, "/v1/display",
                             {"vertex": "jim gray", "k": 3,
                              "community": 99})
         assert status == 400
-        assert "out of range" in doc["error"]
+        assert "out of range" in doc["message"]
 
     def test_profile(self, server):
-        status, doc = _post(server, "/api/profile",
+        status, doc = _post(server, "/v1/profile",
                             {"vertex": "Michael Stonebraker"})
         assert status == 200
         assert "Berkeley" in doc["institute"]
 
     def test_compare(self, server):
-        status, doc = _post(server, "/api/compare",
+        status, doc = _post(server, "/v1/compare",
                             {"vertex": "jim gray", "k": 3,
                              "methods": ["global", "acq"]})
         assert status == 200
@@ -160,7 +178,7 @@ class TestQueryEndpoints:
         assert doc["charts"]["cmf"].startswith("<svg")
 
     def test_compare_charts_opt_out(self, server):
-        status, doc = _post(server, "/api/compare",
+        status, doc = _post(server, "/v1/compare",
                             {"vertex": "jim gray", "k": 3,
                              "methods": ["acq"], "charts": False})
         assert status == 200
@@ -169,7 +187,7 @@ class TestQueryEndpoints:
     def test_upload(self, server, fig5, tmp_path):
         path = str(tmp_path / "fig5.txt")
         write_edge_list(fig5, path)
-        status, doc = _post(server, "/api/upload", {"path": path,
+        status, doc = _post(server, "/v1/upload", {"path": path,
                                                     "name": "fig5"})
         assert status == 200
         assert doc == {"name": "fig5", "vertices": 10, "edges": 11}
@@ -177,59 +195,59 @@ class TestQueryEndpoints:
         server.explorer.select_graph("dblp")
 
     def test_upload_missing_path(self, server):
-        status, doc = _post(server, "/api/upload", {})
+        status, doc = _post(server, "/v1/upload", {})
         assert status == 400
 
     def test_suggest(self, server):
-        status, doc = _post(server, "/api/suggest", {"prefix": "jim"})
+        status, doc = _post(server, "/v1/suggest", {"prefix": "jim"})
         assert status == 200
         assert "Jim Gray" in doc["names"]
 
     def test_suggest_empty_prefix(self, server):
-        status, doc = _post(server, "/api/suggest",
+        status, doc = _post(server, "/v1/suggest",
                             {"prefix": "", "limit": 3})
         assert status == 200
         assert len(doc["names"]) == 3
 
     def test_stats_endpoint(self, server):
-        status, doc = _get(server, "/api/stats")
+        status, doc = _get(server, "/v1/stats")
         assert status == 200
         assert doc["vertices"] == server.explorer.graph.vertex_count
         assert "core_histogram" in doc
 
     def test_session_threading_and_history(self, server):
-        status, doc = _post(server, "/api/search",
+        status, doc = _post(server, "/v1/search",
                             {"vertex": "jim gray", "k": 3})
         assert status == 200
         session_id = doc["session"]
         assert session_id
         # Second query under the same session.
-        status, doc = _post(server, "/api/search",
+        status, doc = _post(server, "/v1/search",
                             {"vertex": "jim gray", "k": 2,
                              "session": session_id})
         assert doc["session"] == session_id
-        status, doc = _post(server, "/api/history",
+        status, doc = _post(server, "/v1/history",
                             {"session": session_id})
         assert status == 200
         assert len(doc["history"]) == 2
         assert doc["history"][0]["k"] == 2  # most recent first
 
     def test_metrics_endpoint(self, server):
-        _post(server, "/api/search", {"vertex": "jim gray", "k": 3})
-        status, doc = _get(server, "/api/metrics")
+        _post(server, "/v1/search", {"vertex": "jim gray", "k": 3})
+        status, doc = _get(server, "/v1/metrics")
         assert status == 200
         assert doc["uptime_seconds"] >= 0
-        assert doc["requests"].get("/api/search", 0) >= 1
+        assert doc["requests"].get("/v1/search", 0) >= 1
         assert "cache" in doc
         assert doc["cache"]["capacity"] > 0
 
     def test_metrics_engine_block(self, server):
-        """/api/metrics surfaces the query engine: pool shape, queue
+        """/v1/metrics surfaces the query engine: pool shape, queue
         depth, cache hit rate, and latency percentiles."""
         # One repeated search guarantees at least one miss and one hit.
-        _post(server, "/api/search", {"vertex": "jim gray", "k": 4})
-        _post(server, "/api/search", {"vertex": "jim gray", "k": 4})
-        status, doc = _get(server, "/api/metrics")
+        _post(server, "/v1/search", {"vertex": "jim gray", "k": 4})
+        _post(server, "/v1/search", {"vertex": "jim gray", "k": 4})
+        status, doc = _get(server, "/v1/metrics")
         assert status == 200
         engine = doc["engine"]
         assert engine["workers"] >= 1
@@ -247,30 +265,31 @@ class TestQueryEndpoints:
     def test_search_runs_on_engine_workers(self, server):
         """A search increments the engine's completed counter (the
         work left the handler thread)."""
-        before = _get(server, "/api/metrics")[1]["engine"]["counters"]
-        _post(server, "/api/search",
+        before = _get(server, "/v1/metrics")[1]["engine"]["counters"]
+        _post(server, "/v1/search",
               {"vertex": "michael stonebraker", "k": 5})
-        after = _get(server, "/api/metrics")[1]["engine"]["counters"]
+        after = _get(server, "/v1/metrics")[1]["engine"]["counters"]
         assert after["completed"] >= before.get("completed", 0)
         assert after["submitted"] > before.get("submitted", 0)
 
     def test_metrics_counts_errors(self, server):
-        before = _get(server, "/api/metrics")[1]["errors"]
-        _post(server, "/api/search", {"vertex": "nobody here"})
-        after = _get(server, "/api/metrics")[1]["errors"]
+        before = _get(server, "/v1/metrics")[1]["errors"]
+        _post(server, "/v1/search", {"vertex": "nobody here"})
+        after = _get(server, "/v1/metrics")[1]["errors"]
         assert after == before + 1
 
     def test_display_includes_inferred_theme(self, server):
-        status, doc = _post(server, "/api/display",
+        status, doc = _post(server, "/v1/display",
                             {"vertex": "jim gray", "k": 3,
                              "algorithm": "global", "community": 0})
         assert status == 200
         assert doc["theme"], "structural community gets inferred theme"
 
     def test_history_unknown_session(self, server):
-        status, doc = _post(server, "/api/history", {"session": "nope"})
-        assert status == 400
-        assert "unknown session" in doc["error"]
+        status, doc = _post(server, "/v1/history", {"session": "nope"})
+        assert status == 404
+        assert doc["code"] == "session_not_found"
+        assert "unknown session" in doc["message"]
 
     def test_concurrent_queries(self, server):
         """The threaded server must answer parallel searches correctly."""
@@ -279,7 +298,7 @@ class TestQueryEndpoints:
 
         def worker():
             try:
-                results.append(_post(server, "/api/search",
+                results.append(_post(server, "/v1/search",
                                      {"vertex": "jim gray", "k": 3}))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -293,3 +312,83 @@ class TestQueryEndpoints:
         assert len(results) == 8
         first = results[0][1]["communities"]
         assert all(r[1]["communities"] == first for r in results)
+
+
+def _connect(server):
+    return http.client.HTTPConnection("127.0.0.1",
+                                      server.server_address[1],
+                                      timeout=10)
+
+
+def _exchange(conn, method, path, body=None):
+    """``(status, Connection header, envelope)`` of one request."""
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    return (resp.status, resp.getheader("Connection"),
+            json.loads(resp.read()))
+
+
+class TestPersistentConnections:
+    """One client socket carries many requests, each answered whole."""
+
+    SEARCH = json.dumps({"vertex": "jim gray", "k": 3})
+
+    def test_one_socket_across_errors(self, server):
+        conn = _connect(server)
+        try:
+            status, _, doc = _exchange(conn, "POST", "/v1/search",
+                                       self.SEARCH)
+            assert status == 200 and doc["data"]["communities"]
+            sock = conn.sock
+            assert sock is not None, "the server closed the connection"
+            # An unmatched route still consumes its body, and so does
+            # a body that fails to parse.
+            status, _, doc = _exchange(conn, "POST", "/v1/nope",
+                                       b'{"pad": "' + b"x" * 512 + b'"}')
+            assert (status, doc["error"]["code"]) == (404, "not_found")
+            assert conn.sock is sock
+            status, _, doc = _exchange(conn, "POST", "/v1/search",
+                                       b"{not json")
+            assert (status, doc["error"]["code"]) == (400,
+                                                     "invalid_json")
+            assert conn.sock is sock
+            status, connection, doc = _exchange(conn, "POST",
+                                                "/v1/search",
+                                                self.SEARCH)
+            assert status == 200 and doc["data"]["communities"]
+            assert connection is None and conn.sock is sock
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["many", "-5"])
+    def test_bad_content_length_closes(self, server, length):
+        conn = _connect(server)
+        try:
+            conn.putrequest("POST", "/v1/search")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+            assert resp.status == 400
+            assert doc["error"]["code"] == "bad_request"
+            assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+    def test_no_nagle_stall(self, server):
+        """With Nagle on, a kept-alive response's body write waits out
+        the client's delayed ACK: ~40 ms a request instead of well
+        under one."""
+        conn = _connect(server)
+        try:
+            _exchange(conn, "POST", "/v1/search", self.SEARCH)
+            times = []
+            for _ in range(30):
+                start = time.perf_counter()
+                status, _, _ = _exchange(conn, "POST", "/v1/search",
+                                         self.SEARCH)
+                times.append(time.perf_counter() - start)
+                assert status == 200
+            assert statistics.median(times) < 0.010
+        finally:
+            conn.close()

@@ -2,7 +2,7 @@
 
 * ``Community.to_json()`` is an encoding cache of ``to_dict()``: the
   two agree byte for byte, on hostile labels too, and ``/v1/search``
-  (both front-ends, the legacy shim) writes exactly the bytes
+  (both front-ends) writes exactly the bytes
   ``json.dumps`` of the rebuilt envelope would;
 * every ``global`` query inside one connected k-core component gets
   the same :class:`~repro.core.community.CommunityBody`, and a
@@ -139,11 +139,11 @@ def _post_raw(server, path, doc):
         return resp.read()
 
 
-def _rebuilt(server, body, legacy=False):
+def _rebuilt(server, body):
     """``body`` re-encoded with its communities taken from
     ``to_dict()`` of the engine's (cached) answer."""
     doc = json.loads(body)
-    data = doc if legacy else doc["data"]
+    data = doc["data"]
     query = data["query"]
     communities = server.explorer.search(
         query["algorithm"], query["vertex"], k=query["k"],
@@ -172,16 +172,6 @@ class TestSearchBytes:
         if algorithm == "global":
             assert HOSTILE in hit_doc["data"]["communities"][0][
                 "vertices"]
-
-    @pytest.mark.parametrize("algorithm", ["acq", "global"])
-    def test_legacy_shim_is_the_bare_data_document(self, server,
-                                                   algorithm):
-        request = {"vertex": "jim gray", "k": 3, "algorithm": algorithm,
-                   "session": "shim"}
-        legacy = _post_raw(server, "/api/search", request)
-        assert legacy == _rebuilt(server, legacy, legacy=True)[1]
-        v1 = json.loads(_post_raw(server, "/v1/search", request))
-        assert json.loads(legacy) == v1["data"]
 
     def test_empty_result_encodes_an_empty_list(self, server):
         body = _post_raw(server, "/v1/search",

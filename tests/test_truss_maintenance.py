@@ -13,7 +13,7 @@ The load-bearing invariants:
 * **backend equivalence** -- the truss family returns the same result
   on both execution backends;
 * **observability** -- invalidation reasons and cascade sizes surface
-  through ``/api/metrics``, and the evict-all counter stays at zero
+  through ``/v1/metrics``, and the evict-all counter stays at zero
   for maintained updates.
 """
 
@@ -386,10 +386,10 @@ class TestMetricsSurface:
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
-            url = "http://127.0.0.1:{}/api/metrics".format(
+            url = "http://127.0.0.1:{}/v1/metrics".format(
                 srv.server_address[1])
             with urllib.request.urlopen(url) as resp:
-                doc = json.loads(resp.read())
+                doc = json.loads(resp.read())["data"]
         finally:
             srv.shutdown()
         assert "truss_invalidations" in doc
