@@ -373,40 +373,38 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
 
 
 def test_concurrent_serving(benchmark, dblp, quick):
-    """The serving acceptance shape: the asyncio front-end with
-    cross-query batching answers a concurrent overlapping workload
-    >= 1.5x faster than the thread-per-request baseline.
+    """The serving acceptance shape: a thundering herd costs one
+    search per round on the default server.
 
-    The workload is the thundering herd the batcher exists for: in
-    each round, every client POSTs the same ``/v1/search`` at the
-    same instant (a barrier), so none of them can be saved by the
-    result cache -- the baseline pays one full search per client,
-    the batched server one per round.  Both variants run over real
-    HTTP against a fresh explorer; responses must be identical.
+    In each round every client POSTs the same cold ``/v1/search`` at
+    the same instant (a barrier) to ``make_server(explorer)`` with no
+    options, so none of them can be saved by a result the cache
+    already holds.  The engine's single-flight miss path must run the
+    algorithm once per round, counted through the ``acq`` registry
+    entry, and every client's answer must be byte-identical to a
+    serial search.
     """
     import json as _json
     import threading
     import urllib.request
 
     from repro.server.app import make_server
-    from repro.server.async_app import make_async_server
 
     clients = 4 if quick else 8
     rounds = 2 if quick else 4
     pool = pick_query_vertices(dblp, K, rounds, seed=41)
+    serial = CExplorer()
+    serial.add_graph("dblp", dblp)
+    expected = [_json.dumps([c.to_dict() for c in
+                             serial.search("acq", q, k=K)])
+                for q in pool]
 
-    def run_variant(kind):
-        explorer = CExplorer(workers=2,
-                             max_queue=clients * rounds + 8)
+    def run():
+        explorer = CExplorer()
         explorer.add_graph("dblp", dblp, build="eager")
-        if kind == "async_batched":
-            server = make_async_server(explorer, port=0,
-                                       batch_window=0.02)
-            server.start_background()
-        else:
-            server = make_server(explorer, port=0)  # batching off
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
+        server = make_server(explorer, port=0)
+        threading.Thread(target=server.serve_forever,
+                         daemon=True).start()
         base = "http://127.0.0.1:{}".format(server.server_address[1])
         barrier = threading.Barrier(clients + 1)
         answers = [[] for _ in range(clients)]
@@ -420,73 +418,54 @@ def test_concurrent_serving(benchmark, dblp, quick):
                     headers={"Content-Type": "application/json"})
                 with urllib.request.urlopen(req, timeout=120) as resp:
                     doc = _json.loads(resp.read())
-                answers[i].append(_json.dumps(
-                    doc["data"]["communities"], sort_keys=True))
+                answers[i].append(_json.dumps(doc["data"]["communities"]))
 
+        acq = get_cs_algorithm("acq")
+        computed = []
+        search = acq.func
+
+        def counted(*args, **kwargs):
+            computed.append(1)
+            return search(*args, **kwargs)
+        acq.func = counted
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(clients)]
-        for t in threads:
-            t.start()
-        start = time.perf_counter()
-        for _ in pool:
-            barrier.wait()                   # release one round
-        for t in threads:
-            t.join()
-        seconds = time.perf_counter() - start
-        stats = explorer.engine.stats
-        shared = stats.get("shared_answers")
-        batches = stats.get("batches")
         try:
-            server.shutdown()
+            for t in threads:
+                t.start()
+            start = time.perf_counter()
+            for _ in pool:
+                barrier.wait()                   # release one round
+            for t in threads:
+                t.join()
+            seconds = time.perf_counter() - start
         finally:
+            acq.func = search
+            server.shutdown()
             explorer.engine.shutdown()
-        return seconds, answers, {"shared_answers": shared,
-                                  "batches": batches}
-
-    def run():
-        baseline_s, baseline_out, _ = run_variant("thread_per_request")
-        batched_s, batched_out, stats = run_variant("async_batched")
-        assert baseline_out == batched_out
+        assert all(out == expected for out in answers)
         return {
             "clients": clients,
             "rounds": rounds,
             "requests": clients * rounds,
-            "thread_per_request_seconds": round(baseline_s, 6),
-            "async_batched_seconds": round(batched_s, 6),
-            "speedup": round(baseline_s / batched_s, 2) if batched_s
-            else float("inf"),
-            "batching": stats,
+            "seconds": round(seconds, 6),
+            "computations": len(computed),
+            "shared_answers": explorer.engine.stats.get("shared_answers"),
         }
 
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    # The batcher really coalesced the herd: most answers were shared
-    # from a leader's execution rather than recomputed.
-    assert doc["batching"]["shared_answers"] >= \
-        (clients - 1) * rounds // 2, doc
-    # The acceptance floor: >= 1.5x serving throughput for >= 8
-    # concurrent overlapping clients.  The quick herd (4 clients x 2
-    # rounds) is too small to amortise its two 20 ms batch windows, so
-    # it only guards against gross loss -- and its floor follows the
-    # ACQ kernel, because the ratio's numerator is eight cold
-    # searches: 0.38-0.48 at PR 14 (three fresh-process runs on one
-    # pinned CPU) and 0.21-0.32 with PR 15's 3.4x faster kernel (nine
-    # runs); a batched round costs 26-32 ms, an unbatched one 7 ms.
-    assert doc["speedup"] >= (0.15 if quick else 1.5), doc
+    assert doc["computations"] == rounds, doc
     write_artifact("serving.json", json.dumps(doc, indent=2))
     update_bench_trajectory("serving", {
         "clients": clients,
         "rounds": rounds,
-        "seconds": {
-            "thread_per_request": doc["thread_per_request_seconds"],
-            "async_batched": doc["async_batched_seconds"],
-        },
-        "shared_answers": doc["batching"]["shared_answers"],
+        "seconds": doc["seconds"],
+        "shared_answers": doc["shared_answers"],
         # The no-regression gate's serving metric: the share of the
-        # herd's followers answered from a leader's execution.  Unlike
-        # ``speedup`` it does not move with the kernel's speed.
-        "coalesced_share": round(doc["batching"]["shared_answers"]
-                                 / ((clients - 1) * rounds), 3),
-        "speedup": doc["speedup"],
+        # herd's followers that did not recompute the answer.
+        "coalesced_share": round(
+            (clients * rounds - doc["computations"])
+            / ((clients - 1) * rounds), 3),
     }, quick=quick)
 
 

@@ -10,9 +10,8 @@ client that reuses its connection pays no reconnect per request.
 Run:  python examples/run_server.py [port] [--async]
 
 ``--async`` serves through the asyncio front-end instead: one event
-loop, with concurrent overlapping searches coalesced by the
-cross-query batching layer.  It is kept for comparison; it does not
-beat the threaded front-end on any measured workload.
+loop polling the engine's futures.  It is kept for comparison; it
+does not beat the threaded front-end on any measured workload.
 """
 
 import sys

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """API contract checker (the CI docs job).
 
-Boots both front-ends -- the threaded server and the asyncio one
-(cross-query batching on) -- over a small generated graph and
+Boots both front-ends -- the threaded server and the asyncio one --
+over a small generated graph and
 validates the live surface against the ``/v1`` contract in
 ``docs/API.md``:
 

@@ -13,28 +13,24 @@ compute, which hold their meaning across pool sizes and runners:
 * ``truss_maintenance.warm_hit_rate.selective`` -- selective
   invalidation's warm hit rate (higher is better);
 * ``serving.coalesced_share`` -- the share of a thundering herd's
-  followers the batcher answered from a leader's execution instead of
-  recomputing (higher is better; 1.0 when every round coalesced);
+  followers answered from a leader's computation instead of
+  recomputing (higher is better; 1.0 when every round computed once);
 * ``resilience.success_rate`` / ``resilience.identical_rate`` --
   queries answered, and answered byte-identically to the fault-free
   run, under the seeded 5% worker-kill plan (higher is better;
   both should be 1.0).
 
-Two ratios the trajectory records are deliberately **not** gated:
+One ratio the trajectory records is deliberately **not** gated:
 ``engine.speedup_warm_vs_direct`` (direct ACQ seconds / warm-cache
-seconds) and ``serving.speedup`` (thread-per-request seconds /
-async+batched seconds, the former being one full search per client).
-Their numerator is the cold kernel -- the very thing a kernel PR
-optimises -- so a 5x faster ACQ drops both while the path they were
-meant to watch (the cache hit, the batcher) has not moved: a ratio
-whose numerator is the quantity being optimised cannot be a health
-metric.  What they stood for is still checked.  The bench asserts
-``hits >= len(pool)`` and warm at least 2x/10x faster than direct,
-and the hit path's absolute cost is gated end to end by the
-``browse_hot`` workload of ``BENCHMARK.json``.  For serving the bench
-keeps its own floors on the ratio (>= 1.5 full, a measured gross-loss
-floor quick), and the gate watches the batcher through a quantity the
-kernel's speed cannot move: ``serving.coalesced_share``.
+seconds).  Its numerator is the cold kernel -- the very thing a kernel
+PR optimises -- so a 5x faster ACQ drops it while the path it was
+meant to watch (the cache hit) has not moved: a ratio whose numerator
+is the quantity being optimised cannot be a health metric.  What it
+stood for is still checked.  The bench asserts ``hits >= len(pool)``
+and warm at least 2x/10x faster than direct, and the hit path's
+absolute cost is gated end to end by the ``browse_hot`` workload of
+``BENCHMARK.json``.  Serving is watched through a quantity the
+kernel's speed cannot move either: ``serving.coalesced_share``.
 
 Usage: ``python scripts/check_bench_regression.py [--threshold 0.2]``
 (run after the bench has written the current commit's entry).  Exits
@@ -63,7 +59,7 @@ METRICS = (
     (("truss_maintenance", "warm_hit_rate", "selective"),
      "selective truss warm hit rate"),
     (("serving", "coalesced_share"),
-     "herd followers answered from a leader's execution"),
+     "herd followers answered from a leader's computation"),
     (("resilience", "success_rate"),
      "query success rate under 5% worker-kill plan"),
     (("resilience", "identical_rate"),

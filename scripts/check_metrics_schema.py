@@ -55,7 +55,7 @@ RESILIENCE_KEYS = ("counters", "breakers", "quarantined", "degraded")
 RESILIENCE_COUNTERS = ("retries", "retry_exhausted", "hedges",
                        "hedges_won", "hedges_lost", "quarantines",
                        "breaker_rejections", "payload_retries",
-                       "batch_member_retries", "faults_injected")
+                       "faults_injected")
 BREAKER_KEYS = ("state", "consecutive_failures", "opens", "probes",
                 "promotions", "degraded_seconds")
 BREAKER_STATES = ("closed", "open", "half_open")

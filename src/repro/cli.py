@@ -203,20 +203,15 @@ def _cmd_trace(args):
 def _cmd_serve(args):
     explorer = _load_explorer(args)
     explorer.index()
-    window = args.batch_window if args.batch_window >= 0 else None
     if args.server == "async":
         from repro.server.async_app import make_async_server
 
-        server = make_async_server(
-            explorer, host=args.host, port=args.port,
-            batch_window=window if window is not None else 0.005)
+        server = make_async_server(explorer, host=args.host,
+                                   port=args.port)
         server.start_background()
         host, port = server.server_address
-        print("C-Explorer serving on http://{}:{}/ (asyncio, "
-              "batch window {:.1f}ms)".format(
-                  host, port,
-                  (server.state.batcher.window * 1000)
-                  if server.state.batcher else 0.0))
+        print("C-Explorer serving on http://{}:{}/ (asyncio)".format(
+            host, port))
         try:
             import time as _time
             while True:
@@ -224,8 +219,7 @@ def _cmd_serve(args):
         except KeyboardInterrupt:
             server.shutdown()
         return 0
-    server = make_server(explorer, host=args.host, port=args.port,
-                         batch_window=window)
+    server = make_server(explorer, host=args.host, port=args.port)
     host, port = server.server_address
     print("C-Explorer serving on http://{}:{}/".format(host, port))
     try:
@@ -365,11 +359,7 @@ def build_parser():
     p.add_argument("--server", default="sync",
                    choices=["sync", "async"],
                    help="'async' serves through the asyncio front-end "
-                        "with cross-query batching on (default sync)")
-    p.add_argument("--batch-window", type=float, default=-1.0,
-                   help="admission window in seconds for cross-query "
-                        "batching; negative (default) means off for "
-                        "--server sync and 0.005 for --server async")
+                        "(default sync)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

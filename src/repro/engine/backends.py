@@ -16,8 +16,8 @@ frozen payload.  This module holds both halves of that contract:
   structural work, and :class:`InlineBackend`, the calling thread
   (under the GIL a thread fan-out measured no faster, see
   ``docs/ARCHITECTURE.md``);
-* the **job functions** -- whole searches and batches of them, CD
-  detections, index builds.  A payload travels in
+* the **job functions** -- whole searches, CD detections, index
+  builds.  A payload travels in
   a job's arguments as a *handle* :func:`_loads_payload` resolves: a
   shared-memory ref is attached, pickled bytes are unpickled, an
   in-process object is used as is;
@@ -276,47 +276,6 @@ def full_query_job(key, payload, algorithm, q, k, keywords=None):
             result = get_cs_algorithm(algorithm)(frozen, q, k,
                                                  keywords=keywords)
     return [community.to_wire() for community in result]
-
-
-def batch_full_query_job(key, payload, specs, member_faults=None):
-    """Run a whole *group* of community searches in one worker job.
-
-    ``specs`` is a tuple of ``(algorithm, q, k, keywords)`` wire
-    specs, all against the same frozen whole-graph snapshot: one
-    payload ship, one worker-cache entry, every lazily built derived
-    structure (core numbers, CL-tree, truss map) shared across the
-    group -- the engine-side half of cross-query batching
-    (:mod:`repro.engine.batching`).  Each spec still runs the exact
-    :func:`full_query_job` pipeline, so per-query results are
-    byte-identical to serial execution.
-
-    Returns one ``("ok", wire-form community list)`` or ``("error",
-    description)`` outcome per spec, in spec order: a member that
-    fails (bad data surviving planning, or an injected fault from
-    ``member_faults``) reports its own error instead of poisoning the
-    clique -- the batching layer retries it solo.  Deadline expiry is
-    the exception: it aborts the whole group, since every remaining
-    member's caller has already given up.
-    """
-    check_deadline()
-    answers = []
-    for i, (algorithm, q, k, keywords) in enumerate(specs):
-        check_deadline()
-        keywords = set(keywords) if keywords is not None else None
-        try:
-            fault_injection.apply_worker_actions(
-                member_faults[i] if member_faults else None)
-            with tracing.span("batch_member", algorithm=algorithm,
-                              k=k):
-                answers.append(("ok", full_query_job(
-                    key, payload, algorithm, q, k,
-                    keywords=keywords)))
-        except QueryTimeoutError:
-            raise
-        except Exception as exc:
-            answers.append(("error", "{}: {}".format(
-                type(exc).__name__, exc)))
-    return answers
 
 
 def component_detect_job(key, payload, algorithm, component, params):

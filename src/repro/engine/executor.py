@@ -24,7 +24,7 @@ algorithms (the Polynesia argument in PAPERS.md):
   updates selectively evict stale entries;
 * **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
   path every unit of engine work below a query takes (whole queries,
-  query batches, detections, CL-tree builds): a job is a module-level
+  detections, CL-tree builds): a job is a module-level
   function over an immutable frozen payload, dispatched on the
   substrate the resilience plane's ``process -> inline`` ladder picks
   (see :mod:`repro.engine.backends`), with fault injection, retries,
@@ -68,7 +68,6 @@ from repro.engine.stats import EngineStats
 from repro.engine import tracing
 from repro.engine.tracing import TraceRecorder
 from repro.util.errors import (
-    BatchMemberError,
     CExplorerError,
     EngineBusyError,
     JobPayloadError,
@@ -222,8 +221,8 @@ def _engine_worker(engine_ref, work_queue):
             engine._run_job(job)
         finally:
             # Unbind before blocking on the next get(): a job whose
-            # fn is a bound method (batch groups) would otherwise
-            # keep the engine strongly reachable from this frame.
+            # fn is a bound method would otherwise keep the engine
+            # strongly reachable from this frame.
             del engine, job
 
 
@@ -509,7 +508,7 @@ class QueryEngine:
     def run_jobs(self, jobs, op):
         """Run ``(fn, args)`` jobs and return their results in job
         order -- the engine's one fan-out.  Every unit of engine work
-        (whole queries, query batches, detections, index builds) is
+        (whole queries, detections, index builds) is
         such a job, and ``op`` names its job class -- the latency
         histogram, retry policy and fault-plan target it answers to.
         A job is a module-level function over picklable arguments, a
@@ -746,18 +745,17 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # whole-query worker execution
     # ------------------------------------------------------------------
-    def full_query_capable(self, name):
-        """Whether whole-query worker execution pays for ``name``.
+    def full_query_capable(self):
+        """Whether whole-query worker execution pays.
 
-        True under the process backend (the pipeline is what lets a
-        query escape the GIL entirely) and whenever a current frozen
-        payload is already cached (the snapshot cost is sunk, so even
-        the thread backend profits from the CSR fast paths).
+        Only under the process backend, where the pipeline is what
+        lets a query escape the GIL.  The thread backend stays on the
+        live graph even when a frozen payload happens to be cached (a
+        persistent store caches one at every index write-through):
+        the frozen copy gets no shared ``global`` body and is
+        re-frozen after every update.
         """
-        if self.backend == "process":
-            return True
-        ready = getattr(self.indexes, "full_payload_ready", None)
-        return bool(ready is not None and ready(name))
+        return self.backend == "process"
 
     def _with_fresh_payload_retry(self, name, op, make_jobs):
         """Run ``make_jobs(payload key, payload handle)`` over graph
@@ -806,47 +804,6 @@ class QueryEngine:
         self.stats.count("worker_full_query")
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires[0]]
-
-    def search_full_query_batch(self, name, specs):
-        """Run a group of whole community searches against **one**
-        cached frozen payload round-trip of graph ``name``.
-
-        ``specs`` is a sequence of ``(algorithm, q, k, keywords)``
-        tuples; the group ships as a single
-        :func:`~repro.engine.backends.batch_full_query_job`, so the
-        payload is transferred (and every worker-side derived
-        structure built) once for the whole group instead of once per
-        query.  Returns one community list per spec, in spec order --
-        each byte-identical to what :meth:`search_full_query` would
-        return for that spec (the batching layer's tested invariant).
-        """
-        from repro.engine.backends import batch_full_query_job
-
-        def jobs(key, handle):
-            member_faults = None
-            if self.faults is not None:
-                drawn = [fault_injection.worker_actions(
-                            self.faults.draw("batch_member"))
-                         for _ in specs]
-                member_faults = drawn if any(drawn) else None
-            return [(batch_full_query_job,
-                     (key, handle, tuple(specs), member_faults))]
-        wires = self._with_fresh_payload_retry(
-            name, "full_query_batch", jobs)
-        self.stats.count("worker_full_query", len(specs))
-        graph = self.indexes.graph(name)
-        results = []
-        for outcome in wires[0]:
-            status, value = outcome
-            if status == "ok":
-                results.append([Community.from_wire(graph, wire)
-                                for wire in value])
-            else:
-                # One member's failure stays that member's failure:
-                # the batching layer retries it solo outside the
-                # group (blast-radius isolation).
-                results.append(BatchMemberError(value))
-        return results
 
     def detect(self, name, algorithm, params=None, per_component=False):
         """Run one whole-graph CD detection on the frozen payload.

@@ -75,10 +75,8 @@ FAULT_KINDS = ("kill", "drop", "delay", "duplicate", "corrupt",
 WORKER_KINDS = ("kill", "drop", "delay", "duplicate", "error")
 
 #: the job classes the engine draws faults for: the ``op`` of every
-#: :meth:`~repro.engine.executor.QueryEngine.run_jobs` dispatch, plus
-#: ``batch_member`` (one draw per query inside a batch job).
-JOB_CLASSES = ("full_query", "full_query_batch", "batch_member",
-               "detect", "index_build")
+#: :meth:`~repro.engine.executor.QueryEngine.run_jobs` dispatch.
+JOB_CLASSES = ("full_query", "detect", "index_build")
 
 
 class FaultSpecError(EngineError):

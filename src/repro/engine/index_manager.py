@@ -434,15 +434,6 @@ class IndexManager:
         for payload in stale:
             payload.release()
 
-    def full_payload_ready(self, name):
-        """Whether a current-version whole-graph payload is cached."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                return False
-            cached = self._full_payloads.get(name)
-            return cached is not None and cached.version == entry.version
-
     def snapshot(self, name, rebuild=False):
         """The current :class:`IndexSnapshot`, building when needed.
 

@@ -8,7 +8,7 @@ them "start another attempt" and "wait for that attempt" as callables
 
 * :class:`RetryPolicy` / :meth:`ResiliencePlane.retrying_result` --
   per-job-class retry budgets.  Every engine job class
-  (``full_query``, ``full_query_batch``, ``detect``, ``index_build``)
+  (``full_query``, ``detect``, ``index_build``)
   is a pure function of an immutable frozen payload, so retries are
   always safe; the
   policy only decides *how many* and *how spaced* (capped exponential
@@ -129,13 +129,8 @@ class RetryPolicy:
 
 
 #: per-job-class policies; job classes not named here use DEFAULT.
-#: ``full_query_batch`` does not hedge: duplicating a whole group's
-#: job doubles the largest unit of work in the system for one
-#: straggling member -- the batching layer's solo-retry is the better
-#: tool there.
 POLICIES = {
     "full_query": RetryPolicy(attempts=3, hedge=True),
-    "full_query_batch": RetryPolicy(attempts=3, hedge=False),
     "detect": RetryPolicy(attempts=2, hedge=False),
 }
 
@@ -272,7 +267,7 @@ class ResiliencePlane:
     COUNTER_KEYS = ("retries", "retry_exhausted", "hedges",
                     "hedges_won", "hedges_lost", "quarantines",
                     "breaker_rejections", "payload_retries",
-                    "batch_member_retries", "faults_injected")
+                    "faults_injected")
 
     def __init__(self, stats, breaker_cooldown=5.0,
                  hedge_alpha=HEDGE_ALPHA,

@@ -416,7 +416,15 @@ class CExplorer:
     def _search_planned(self, trace, name, algorithm, vertex, k,
                         keywords, use_cache, params):
         """The traced body of :meth:`search` (``trace`` may be
-        ``None`` when the recorder is disabled)."""
+        ``None`` when the recorder is disabled).
+
+        A cacheable miss runs single-flight: the first caller computes
+        under an in-flight entry keyed by the cache key and the index
+        version, and a concurrent caller of the same key waits for it
+        and answers from the cache (counted as ``shared_answers`` and
+        traced ``shared=true``).  If the leader failed, the waiter
+        computes the answer itself.
+        """
         graph = self.graph
         q = self._resolve_query(vertex)
         with tracing.span("plan", graph=name):
@@ -424,17 +432,46 @@ class CExplorer:
                                index_ready=self.indexes.built(name),
                                keywords=keywords,
                                full_payload=self.engine
-                               .full_query_capable(name))
+                               .full_query_capable())
         algo = get_cs_algorithm(plan.algorithm)
         if trace is not None:
             trace.tag(graph=name, algorithm=plan.algorithm, k=k,
                       worker_full_query=plan.worker_full_query)
-        cache_key = None
-        if use_cache and not params:
-            cache_key = self.cache.key(name, algo.name, q, k, keywords)
-            cached = self.cache.get(cache_key)
+        if not use_cache or params:
+            return self._run_search(trace, name, graph, plan, algo, q,
+                                    k, keywords, params)
+        cache_key = self.cache.key(name, algo.name, q, k, keywords)
+        cached = self.cache.get(cache_key)
+        if cached is not None:
+            return cached
+        version = self.indexes.version(name)
+        event, leader = self.cache.begin_flight(cache_key, version)
+        if not leader:
+            event.wait()
+            cached = self.cache.get(cache_key, record_miss=False)
             if cached is not None:
+                self.engine.stats.count("shared_answers")
+                if trace is not None:
+                    trace.tag(shared=True)
                 return cached
+        try:
+            result = self._run_search(trace, name, graph, plan, algo,
+                                      q, k, keywords, params)
+            # A one-community answer's footprint is its (possibly
+            # shared) member frozenset, not a copy of it per entry.
+            footprint = result[0].vertices if len(result) == 1 \
+                else {v for c in result for v in c}
+            self.cache.put(cache_key, result, vertices=footprint)
+            return result
+        finally:
+            if leader:
+                self.cache.end_flight(cache_key, version)
+
+    def _run_search(self, trace, name, graph, plan, algo, q, k,
+                    keywords, params):
+        """Compute one planned search: on the frozen payload when the
+        plan says so, from the shared ``global`` body when one holds
+        the query vertex, by the registered algorithm otherwise."""
         result = None
         if plan.worker_full_query and not params:
             # Whole-query worker execution: the entire search --
@@ -484,12 +521,6 @@ class CExplorer:
             result = algo(graph, q, k, keywords=keywords, **params)
             if bodies is not None and result:
                 bodies.append(result[0].body)
-        if cache_key is not None:
-            # A one-community answer's footprint is its (possibly
-            # shared) member frozenset, not a copy of it per entry.
-            footprint = result[0].vertices if len(result) == 1 \
-                else {v for c in result for v in c}
-            self.cache.put(cache_key, result, vertices=footprint)
         return result
 
     def _component_bodies(self, name, k):
@@ -515,9 +546,8 @@ class CExplorer:
         """Run a CD algorithm on the whole active graph.
 
         Detections route through the engine's frozen-payload pipeline
-        whenever that pays (always under the process backend -- the
-        whole detection escapes the GIL; under the thread backend once
-        a payload is cached): the worker runs the registered algorithm
+        under the process backend, where the whole detection escapes
+        the GIL: the worker runs the registered algorithm
         against the CSR snapshot and ships plain results back, byte-
         identical to inline execution.  ``per_component=True``
         additionally fans the detection out as one worker job per
@@ -531,7 +561,7 @@ class CExplorer:
         with self.engine.tracer.trace(
                 "detect", graph=name, algorithm=algo.name,
                 per_component=per_component or None):
-            if per_component or self.engine.full_query_capable(name):
+            if per_component or self.engine.full_query_capable():
                 try:
                     return self.engine.detect(
                         name, algo.name, params=params,

@@ -49,10 +49,8 @@ explorer's :class:`~repro.engine.executor.QueryEngine` -- a bounded
 worker pool with an admission-controlled queue.  A full queue rejects
 immediately with **429** ``engine_saturated``; a query exceeding the
 server deadline returns **504** ``deadline_exceeded``.  Cache hits
-short-circuit the queue entirely.  ``make_server(...,
-batch_window=...)`` additionally coalesces concurrent searches
-through the cross-query :class:`~repro.engine.batching.QueryBatcher`
-(the asyncio front-end enables this by default).
+short-circuit the queue entirely, and concurrent identical misses
+share one computation (the engine's single-flight miss path).
 """
 
 import json
@@ -90,10 +88,8 @@ class CExplorerServer(ThreadingHTTPServer):
     # hangs up; closing the server must not wait for that.
     block_on_close = False
 
-    def __init__(self, address, explorer, query_timeout=30.0,
-                 batch_window=None):
-        self.state = ServerState(explorer, query_timeout=query_timeout,
-                                 batch_window=batch_window)
+    def __init__(self, address, explorer, query_timeout=30.0):
+        self.state = ServerState(explorer, query_timeout=query_timeout)
         super().__init__(address, _Handler)
 
     # -- the historical embedding surface, delegated to the state ------
@@ -149,11 +145,6 @@ class CExplorerServer(ThreadingHTTPServer):
         kwargs.setdefault("timeout", self.state.query_timeout)
         return self.state.engine.execute(fn, *args, **kwargs)
 
-    def server_close(self):
-        """Close the server state (engine included), then the socket."""
-        self.state.close()
-        super().server_close()
-
 
 def make_server(explorer=None, host="127.0.0.1", port=8080,
                 query_timeout=30.0, batch_window=None):
@@ -162,16 +153,21 @@ def make_server(explorer=None, host="127.0.0.1", port=8080,
     ``port=0`` picks a free port; read it back from
     ``server.server_address``.  Worker-pool sizing belongs to the
     explorer (``CExplorer(workers=..., max_queue=...)``).
-    ``batch_window`` (seconds) enables cross-query batching for
-    ``/v1/search`` / ``/v1/display``: concurrent queries arriving
-    within the window are deduplicated and QIG-grouped before hitting
-    the engine (``None`` = off, the historical behaviour).
+
+    ``batch_window`` accepts only ``None``: concurrent identical
+    searches already share one computation on the default path, so
+    there is no admission window to set.  The keyword stays because
+    the end-to-end benchmark's launcher passes ``batch_window=None``
+    on every run; any other value raises :class:`ValueError`.
     """
+    if batch_window is not None:
+        raise ValueError("batch_window is not supported (concurrent "
+                         "identical searches already share one "
+                         "computation); pass None")
     if explorer is None:
         explorer = CExplorer()
     return CExplorerServer((host, port), explorer,
-                           query_timeout=query_timeout,
-                           batch_window=batch_window)
+                           query_timeout=query_timeout)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -15,15 +15,12 @@ as the threaded server (:mod:`repro.server.app`) over
   exactly as they are;
 * routes marked ``blocking`` (upload's file I/O, lazily built
   summaries, SVG rendering) run in the loop's default thread-pool
-  executor so the accept path never stalls behind them;
-* **cross-query batching is on by default** (``batch_window``): the
-  admission window in :mod:`repro.engine.batching` coalesces
-  concurrent searches before they reach the engine.
+  executor so the accept path never stalls behind them.
 
 It is not the default.  Against the threaded server with HTTP/1.1
 keep-alive, this front-end is ahead only on cache hits (by about
-0.05 ms a request) and loses up to 3x on cold queries, where the batch
-window and the poll bridge add latency (see "Where each rung wins" in
+0.05 ms a request) and loses up to 3x on cold queries, where the poll
+bridge adds latency (see "Where each rung wins" in
 ``docs/ARCHITECTURE.md``).
 
 The HTTP implementation is deliberately minimal -- HTTP/1.1,
@@ -59,17 +56,12 @@ from repro.server.state import ServerState
 from repro.util.errors import QueryTimeoutError
 
 # The poll/wakeup bridge's backoff: start fine-grained so cache hits
-# and batched answers are picked up almost immediately, decay toward
+# and shared answers are picked up almost immediately, decay toward
 # the ceiling so a long-running query costs a handful of wakeups per
 # second, not thousands.
 _POLL_INITIAL = 0.0005
 _POLL_CEILING = 0.01
 _POLL_GROWTH = 1.5
-
-# Default admission window for the batcher this front-end enables:
-# long enough to coalesce a concurrent burst, short enough to be
-# invisible next to any real query.
-DEFAULT_BATCH_WINDOW = 0.005
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -112,14 +104,12 @@ class AsyncCExplorerServer:
     :class:`~repro.server.state.ServerState`."""
 
     def __init__(self, explorer=None, host="127.0.0.1", port=8080,
-                 query_timeout=30.0,
-                 batch_window=DEFAULT_BATCH_WINDOW):
+                 query_timeout=30.0):
         if explorer is None:
             explorer = CExplorer()
         self.host = host
         self.port = port
-        self.state = ServerState(explorer, query_timeout=query_timeout,
-                                 batch_window=batch_window)
+        self.state = ServerState(explorer, query_timeout=query_timeout)
         self.server_address = (host, port)
         self._loop = None
         self._server = None
@@ -333,7 +323,6 @@ class AsyncCExplorerServer:
             loop.call_soon_threadsafe(self._stop_on_loop)
         if self._thread is not None and self._thread.is_alive():
             self._thread.join(timeout=10.0)
-        self.state.close()
 
     def _stop_on_loop(self):
         if self._server is not None:
@@ -359,17 +348,14 @@ class AsyncCExplorerServer:
 
 
 def make_async_server(explorer=None, host="127.0.0.1", port=8080,
-                      query_timeout=30.0,
-                      batch_window=DEFAULT_BATCH_WINDOW):
+                      query_timeout=30.0):
     """Create (not start) an :class:`AsyncCExplorerServer`.
 
     ``port=0`` picks a free port; read it back from
     ``server.server_address`` after :meth:`~AsyncCExplorerServer.
     start_background` (or :meth:`~AsyncCExplorerServer.serve`) binds.
-    ``batch_window=None`` disables cross-query batching.
     """
     if explorer is None:
         explorer = CExplorer()
     return AsyncCExplorerServer(explorer, host=host, port=port,
-                                query_timeout=query_timeout,
-                                batch_window=batch_window)
+                                query_timeout=query_timeout)

@@ -404,11 +404,11 @@ def _search_pending(state, req, finish_data):
     """Submit the request's search and defer ``finish_data``.
 
     The shared front half of ``search`` and ``display``: parse, submit
-    through the state's search path (the batcher when one is enabled,
-    the engine's plan/cache path otherwise), and build the query echo
-    document.  ``finish_data(communities, query)`` produces the
-    route-specific payload once the future resolves; the request-level
-    span and trace id are attached here, identically for both.
+    through the state's search path (the engine's plan/cache path),
+    and build the query echo document.  ``finish_data(communities,
+    query)`` produces the route-specific payload once the future
+    resolves; the request-level span and trace id are attached here,
+    identically for both.
     """
     body = req.body
     vertex = need(body, "vertex")

@@ -4,10 +4,9 @@ The sync :mod:`~repro.server.app` (``ThreadingHTTPServer``) and the
 async :mod:`~repro.server.async_app` (``asyncio``) serve the same
 route table (:mod:`repro.server.routes`) over the same explorer; this
 class is the substrate they share -- sessions, request counters, the
-write lock, the metrics document, and the search submission path
-(optionally through a cross-query
-:class:`~repro.engine.batching.QueryBatcher`) -- so "two servers" is
-purely a transport decision, not two serving stacks.
+write lock, the metrics document, and the search submission path --
+so "two servers" is purely a transport decision, not two serving
+stacks.
 """
 
 import threading
@@ -19,7 +18,7 @@ from repro.explorer.sessions import SessionStore
 class ServerState:
     """One serving deployment's shared state around a CExplorer."""
 
-    def __init__(self, explorer, query_timeout=30.0, batch_window=None):
+    def __init__(self, explorer, query_timeout=30.0):
         self.explorer = explorer
         self.engine = explorer.engine
         self.query_timeout = query_timeout
@@ -30,10 +29,6 @@ class ServerState:
         self.metrics_lock = threading.Lock()
         # The upload endpoint mutates the explorer; serialise writers.
         self.write_lock = threading.Lock()
-        self.batcher = None
-        if batch_window is not None:
-            from repro.engine.batching import QueryBatcher
-            self.batcher = QueryBatcher(explorer, window=batch_window)
 
     # ------------------------------------------------------------------
     # request accounting
@@ -59,24 +54,14 @@ class ServerState:
         """One community search as an
         :class:`~repro.engine.executor.EngineFuture`.
 
-        Routes through the cross-query batcher when one is enabled
-        (the admission window coalesces concurrent queries; cache hits
-        still resolve immediately) and through the engine's plan/cache
-        path otherwise -- per-query results are identical either way.
+        Routes through the engine's plan/cache path: cache hits
+        resolve immediately, and concurrent identical misses share
+        one computation (see :meth:`CExplorer.search
+        <repro.explorer.cexplorer.CExplorer.search>`).
         """
-        if self.batcher is not None:
-            return self.batcher.submit(algorithm, vertex, k=k,
-                                       keywords=keywords,
-                                       timeout=self.query_timeout)
         return self.engine.search(algorithm, vertex, k=k,
                                   keywords=keywords,
                                   timeout=self.query_timeout)
-
-    def close(self):
-        """Stop serving-owned machinery (the batcher's flusher); the
-        explorer and engine belong to the caller and are left alone."""
-        if self.batcher is not None:
-            self.batcher.close()
 
     # ------------------------------------------------------------------
     # observability
@@ -89,9 +74,7 @@ class ServerState:
         reported by the attached maintainers) vs ``evict-all`` (the
         conservative fallback); ``truss_invalidations`` and
         ``truss_cascade_size`` summarise the truss maintenance
-        subsystem.  With batching enabled, ``batching`` carries the
-        admission-window occupancy next to the engine's ``batches`` /
-        ``shared_answers`` counters.
+        subsystem.
         """
         with self.metrics_lock:
             requests = dict(self.request_counts)
@@ -99,7 +82,7 @@ class ServerState:
         cache = self.explorer.cache.stats()
         cache["by_graph"] = self.explorer.cache.entries_by_graph()
         truss = self.explorer.indexes.truss_stats()
-        doc = {
+        return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "requests": requests,
             "errors": errors,
@@ -115,6 +98,3 @@ class ServerState:
             },
             "engine": self.engine.snapshot(),
         }
-        if self.batcher is not None:
-            doc["batching"] = self.batcher.stats()
-        return doc

@@ -312,11 +312,8 @@ class TestWorkerState:
                             and inserted < 5:
                         maintainer.insert_edge(u, v)
                         inserted += 1
-                        # Cache the new version's payload so the
-                        # search runs as a job on either substrate.
-                        explorer.indexes.full_payload("g")
-                        assert explorer.search(
-                            "acq", "jim gray", k=3, use_cache=False)
+                        assert engine.search_full_query(
+                            "g", "acq", graph.id_of("Jim Gray"), 3)
             assert inserted == 5
             (cache, attached), = engine.run_jobs(
                 [(_worker_state, ())], op="probe")

@@ -303,27 +303,34 @@ class TestPayloadAndMemo:
         assert fresh
         again, fresh = explorer.indexes.full_payload("k")
         assert not fresh and again is payload
-        assert explorer.indexes.full_payload_ready("k")
         maintainer = explorer.maintainer()
         u, v = next((u, v) for u in karate.vertices()
                     for v in karate.vertices()
                     if u < v and not karate.has_edge(u, v))
         maintainer.insert_edge(u, v)
-        assert not explorer.indexes.full_payload_ready("k")
         rebuilt, fresh = explorer.indexes.full_payload("k")
         assert fresh and rebuilt.version != payload.version
 
-    def test_thread_backend_uses_payload_once_cached(self, karate):
-        explorer = CExplorer(workers=2)
+    def test_thread_backend_stays_on_live_graph_with_store(
+            self, karate, tmp_path):
+        # A persistent store caches a frozen payload at the first
+        # index write-through; the thread backend must not start
+        # answering from that copy.
+        explorer = CExplorer(workers=2, store_dir=str(tmp_path))
         explorer.add_graph("k", karate)
-        assert not explorer.engine.full_query_capable("k")
-        explorer.indexes.full_payload("k")
-        assert explorer.engine.full_query_capable("k")
+        explorer.index()
+        assert "k" in explorer.indexes._full_payloads
+        assert not explorer.engine.full_query_capable()
         plain = CExplorer()
         plain.add_graph("k", karate)
-        assert explorer.search("global", 0, k=2, use_cache=False) == \
-            plain.search("global", 0, k=2, use_cache=False)
-        assert explorer.engine.stats.get("worker_full_query") == 1
+        for q in (0, 1):
+            assert explorer.search("global", q, k=2) == \
+                plain.search("global", q, k=2)
+        # The second vertex's miss is answered from the first one's
+        # shared body, which only the live-graph path has.
+        trace = explorer.engine.tracer.traces(limit=1)[0]
+        assert trace.to_dict()["tags"]["shared_body"] is True
+        assert explorer.engine.stats.get("worker_full_query") == 0
 
     def test_memo_invalidation_is_version_aware(self):
         from repro.engine.cache import SubproblemMemo

@@ -35,7 +35,6 @@ from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import (
     CExplorerError,
     FaultInjectedError,
-    PayloadCorruptionError,
     QueryTimeoutError,
     WorkerKilledError,
 )
@@ -60,13 +59,12 @@ def _explorer(backend="thread", **kwargs):
     return explorer
 
 
-def _inline_job_explorer(**kwargs):
-    """A thread-backend explorer whose searches run as inline
-    ``full_query`` jobs: once the frozen payload is cached the planner
-    routes every built-in algorithm through the job pipeline."""
-    explorer = _explorer(**kwargs)
-    explorer.indexes.full_payload("dblp")
-    return explorer
+def _full_query(explorer, vertex, k):
+    """One whole ``acq`` query as a ``full_query`` job.  The thread
+    backend answers searches on the live graph, so this drives the job
+    pipeline directly: on that backend the job runs inline."""
+    return explorer.engine.search_full_query(
+        "dblp", "acq", explorer.resolve_vertex(vertex), k)
 
 
 def _canon(communities):
@@ -130,7 +128,7 @@ class TestFaultPlan:
                 "rules": [{"kind": "kill", "target": "shard*"}]}))
         # Patterns only need to match one dispatched class, and span
         # rules are exempt.
-        assert FaultPlan.from_spec("kill:*batch*@0.5")
+        assert FaultPlan.from_spec("kill:*query*@0.5")
         assert FaultPlan.from_spec("error:span:anything@0.5")
 
     def test_from_env(self):
@@ -164,7 +162,6 @@ class TestFaultPlan:
     def test_target_pattern_scopes_ops(self):
         plan = FaultPlan.from_spec("kill:full_query*@1.0")
         assert plan.draw("full_query")
-        assert plan.draw("full_query_batch")
         assert plan.draw("detect") is None
 
     def test_corrupt_blob_always_detectable(self):
@@ -196,7 +193,6 @@ class TestRetryPolicy:
 
     def test_job_class_policies(self):
         assert POLICIES["full_query"].hedge
-        assert not POLICIES["full_query_batch"].hedge
         assert not POLICIES["detect"].hedge
         assert all(issubclass(exc, CExplorerError) for exc in RETRYABLE)
 
@@ -290,10 +286,9 @@ class TestRetryAbsorption:
                     for v in VERTICES]
         # the first four inline jobs' first attempts die; retries
         # absorb all
-        chaotic = _inline_job_explorer(
+        chaotic = _explorer(
             faults=FaultPlan.from_spec("seed=1;kill:full_query@1.0#4"))
-        got = [_canon(chaotic.search("acq", v, k=3))
-               for v in VERTICES]
+        got = [_canon(_full_query(chaotic, v, 3)) for v in VERTICES]
         assert got == expected
         counters = _resilience(chaotic)["counters"]
         assert counters["retries"] >= 4
@@ -425,36 +420,6 @@ class TestHedging:
         finally:
             engine.shutdown()
 
-    def test_batch_jobs_never_hedge(self):
-        assert not POLICIES["full_query_batch"].hedge
-
-
-# ----------------------------------------------------------------------
-# blast radius: batch member isolation
-# ----------------------------------------------------------------------
-
-class TestBatchMemberIsolation:
-    def test_failed_member_retried_solo_group_survives(self):
-        from repro.engine.batching import QueryBatcher
-        baseline = _explorer()
-        queries = [("acq", v, 3) for v in VERTICES[:4]]
-        expected = [_canon(baseline.search(a, v, k=k))
-                    for a, v, k in queries]
-        explorer = _explorer(
-            backend="process",
-            faults=FaultPlan.from_spec("seed=9;kill:batch_member@0.5"))
-        batcher = QueryBatcher(explorer, window=0.02)
-        try:
-            futures = [batcher.submit(a, v, k=k)
-                       for a, v, k in queries]
-            got = [_canon(f.result(60.0)) for f in futures]
-            assert got == expected
-            counters = _resilience(explorer)["counters"]
-            assert counters["batch_member_retries"] >= 1
-        finally:
-            batcher.close()
-            explorer.engine.shutdown()
-
 
 # ----------------------------------------------------------------------
 # the chaos property: 5% worker kills, identity or stable failure
@@ -466,13 +431,14 @@ class TestChaosProperty:
         queries = [("acq", v, k) for v in VERTICES for k in (3, 4)] * 2
         expected = [_canon(baseline.search(a, v, k=k))
                     for a, v, k in queries]
-        chaotic = _inline_job_explorer(
+        chaotic = _explorer(
             faults=FaultPlan.from_spec(
                 "seed=13;kill:full_query@0.05;"
                 "delay:full_query@0.05=0.005"))
         engine = chaotic.engine
-        futures = [engine.search(a, v, k=k, timeout=30.0)
-                   for a, v, k in queries]
+        futures = [engine.submit(_full_query, chaotic, v, k,
+                                 op="search", timeout=30.0)
+                   for _, v, k in queries]
         identical = 0
         failures = []
         for future, want in zip(futures, expected):
