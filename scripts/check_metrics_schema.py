@@ -109,9 +109,6 @@ def check_json_metrics(doc):
     for key in PAYLOAD_KEYS:
         if key not in payloads:
             yield "engine.payloads missing key {!r}".format(key)
-    spill = doc.get("cache", {}).get("spill")
-    if not isinstance(spill, dict) or "enabled" not in spill:
-        yield "cache doc missing 'spill' sub-document"
     counters = resilience.get("counters", {})
     for key in RESILIENCE_COUNTERS:
         if key not in counters:

@@ -153,8 +153,9 @@ def _steiner_adapter(graph, q, k=None, keywords=None, **params):
     return steiner_community_search(graph, qs, k=k, **params)
 
 
-def _newman_girvan_adapter(graph, **params):
-    communities, _ = newman_girvan(graph, **params)
+def _newman_girvan_adapter(graph, max_removals=None, target_clusters=None):
+    communities, _ = newman_girvan(graph, max_removals=max_removals,
+                                   target_clusters=target_clusters)
     return communities
 
 

@@ -8,8 +8,6 @@ Subcommands mirror the paper's API (Figure 4) plus operational verbs::
     python -m repro detect   --graph dblp.json --algorithm codicil
     python -m repro index    --graph dblp.json --out dblp.cltree.json
     python -m repro profile  --name "Michael Stonebraker"
-    python -m repro cache    --store ./store
-    python -m repro cache    --store ./store --clear
     python -m repro serve    --graph dblp.json --port 8080
     python -m repro serve    --graph dblp.json --server async
     python -m repro trace    --graph dblp.json --vertex "jim gray"
@@ -41,8 +39,7 @@ from repro.util.errors import CExplorerError
 def _load_explorer(args):
     explorer = CExplorer(workers=getattr(args, "workers", 2),
                          backend=getattr(args, "backend", "thread"),
-                         faults=_fault_plan(args),
-                         store_dir=getattr(args, "store", None))
+                         faults=_fault_plan(args))
     explorer.upload(args.graph, name="cli")
     if getattr(args, "index", None):
         tree = load_cltree(args.index, explorer.graph)
@@ -229,45 +226,6 @@ def _cmd_serve(args):
     return 0
 
 
-def _cmd_cache(args):
-    """Inspect (or clear) the persistent warm store."""
-    import os
-
-    from repro.engine.payloads import ENV_STORE, GraphStore
-    store_dir = args.store or os.environ.get(ENV_STORE)
-    if not store_dir:
-        print("error: no store directory (give --store or set "
-              "REPRO_STORE_DIR)", file=sys.stderr)
-        return 2
-    store = GraphStore(store_dir)
-    if args.clear:
-        removed = store.clear()
-        if args.json:
-            print(json.dumps({"path": store.root, "cleared": removed}))
-        else:
-            print("cleared {} stored graph(s) from {}".format(
-                removed, store.root))
-        return 0
-    doc = store.describe()
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0
-    print("store: {}".format(doc["path"]))
-    if not doc["graphs"]:
-        print("  (empty)")
-        return 0
-    rows = [{"graph": g["graph"], "payload": g["payload_bytes"],
-             "cltree": g["cltree_bytes"], "results": g["result_entries"],
-             "spilled": g["result_bytes"],
-             "fingerprint": g["fingerprint"][:12]}
-            for g in doc["graphs"]]
-    print(format_table(rows, columns=("graph", "payload", "cltree",
-                                      "results", "spilled",
-                                      "fingerprint")))
-    print("total: {} bytes".format(doc["total_bytes"]))
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -301,11 +259,6 @@ def build_parser():
                             "'seed=7;kill:full_query@0.05' or a path to a "
                             "JSON plan file (default: the "
                             "REPRO_FAULT_PLAN environment variable)")
-        p.add_argument("--store",
-                       help="persistent warm-store directory: frozen "
-                            "payloads, CL-trees, and spilled results "
-                            "survive restarts (default: the "
-                            "REPRO_STORE_DIR environment variable)")
         if with_vertex:
             p.add_argument("--vertex", required=True)
             p.add_argument("-k", type=int, default=4,
@@ -336,16 +289,6 @@ def build_parser():
     common(p, with_vertex=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
-
-    p = sub.add_parser(
-        "cache", help="inspect or clear the persistent warm store")
-    p.add_argument("--store",
-                   help="store directory (default: the REPRO_STORE_DIR "
-                        "environment variable)")
-    p.add_argument("--clear", action="store_true",
-                   help="delete every stored graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser("profile", help="show an author profile card")
     p.add_argument("--name", required=True)

@@ -16,20 +16,17 @@ rest of the system:
   engine-indexed callers reuse the versioned decomposition instead of
   recomputing O(n + m) per query.
 
-:func:`peel_to_min_degree` and :func:`connected_k_core` are written
-once, against the unchecked neighbour accessor
+All three are written once, against the unchecked neighbour accessor
 :func:`~repro.graph.frozen.neighbor_function` returns for either
-representation.  :func:`core_decomposition` has two code paths with
-identical results (a tested invariant): the seed **adjacency-set**
-path for mutable graphs, and a **CSR fast path** for frozen snapshots
-walking the flat ``indptr``/``indices`` arrays.  When NumPy is
-importable the CSR case is vectorised as level-synchronous peeling
-(remove every vertex below the current level at once, decrement
-neighbours with one scatter-add) -- the same peeling order as
-Batagelj-Zaversnik, so core numbers are identical, but each round is
-a handful of array ops instead of a Python loop over edges;
-:func:`peel_to_min_degree` borrows the trick for the induced degrees
-of large candidate sets over a frozen graph.
+representation.  The one other algorithm is the NumPy kernel
+:func:`core_decomposition` uses for frozen (CSR) snapshots when NumPy
+is importable: level-synchronous peeling (remove every vertex below
+the current level at once, decrement neighbours with one scatter-add)
+-- the same peeling order as Batagelj-Zaversnik, so core numbers are
+identical (a tested invariant), but each round is a handful of array
+ops instead of a Python loop over edges.  :func:`peel_to_min_degree`
+borrows the trick for the induced degrees of large candidate sets over
+a frozen graph.
 """
 
 from repro.graph.frozen import neighbor_function
@@ -44,17 +41,27 @@ except ImportError:  # pragma: no cover - the container ships numpy
 def core_decomposition(graph):
     """Return ``core`` with ``core[v]`` = core number of vertex ``v``.
 
-    Implements the Batagelj-Zaversnik O(n + m) algorithm: vertices are
-    kept in an array sorted by current degree with bucket boundaries,
-    and each removal decrements neighbours in place.  Frozen (CSR)
-    graphs take the flat-array fast path instead.
+    Frozen (CSR) graphs take the vectorised NumPy kernel when NumPy is
+    importable; everything else -- mutable graphs, and frozen ones
+    without NumPy -- runs the one Batagelj-Zaversnik loop.  Both
+    return the same core numbers as a plain list.
     """
-    if hasattr(graph, "csr"):
-        return core_decomposition_csr(graph)
-    n = graph.vertex_count
-    if n == 0:
+    if graph.vertex_count == 0:
         return []
-    degree = [graph.degree(v) for v in graph.vertices()]
+    csr_numpy = getattr(graph, "csr_numpy", None)
+    csr = csr_numpy() if csr_numpy is not None else None
+    if csr is not None:
+        return _core_csr_numpy(*csr)
+    return _core_bz(graph)
+
+
+def _core_bz(graph):
+    """Batagelj-Zaversnik O(n + m) bucket peeling: vertices are kept
+    in an array sorted by current degree with bucket boundaries, and
+    each removal decrements neighbours in place."""
+    n = graph.vertex_count
+    neighbors = neighbor_function(graph)
+    degree = [graph.degree(v) for v in range(n)]
     max_degree = max(degree)
 
     # bin_start[d] = index in `order` of the first vertex of degree d.
@@ -79,36 +86,20 @@ def core_decomposition(graph):
     for i in range(n):
         v = order[i]
         core_v = core[v]
-        for u in graph.neighbors(v):
-            if core[u] > core_v:
+        for u in neighbors(v):
+            cu = core[u]
+            if cu > core_v:
                 # Move u one bucket down: swap it with the first vertex
                 # of its current bucket, then shift the boundary.
-                du = core[u]
                 pu = position[u]
-                pw = bin_start[du]
+                pw = bin_start[cu]
                 w = order[pw]
                 if u != w:
                     order[pu], order[pw] = w, u
                     position[u], position[w] = pw, pu
-                bin_start[du] += 1
-                core[u] -= 1
+                bin_start[cu] += 1
+                core[u] = cu - 1
     return core
-
-
-def core_decomposition_csr(graph):
-    """Core numbers of a CSR (frozen) graph.
-
-    Dispatches to the vectorised NumPy kernel when available, else the
-    pure-Python flat-array kernel; both return the exact Batagelj-
-    Zaversnik core numbers as a plain list.
-    """
-    if len(graph.indptr) <= 1:
-        return []
-    if _np is not None:
-        csr = graph.csr_numpy()
-        if csr is not None:
-            return _core_csr_numpy(*csr)
-    return _core_csr_python(*graph.csr())
 
 
 def _core_csr_numpy(indptr, indices):
@@ -147,44 +138,6 @@ def _core_csr_numpy(indptr, indices):
                 + _np.repeat(starts - offs, counts)
             _np.subtract.at(deg, indices[pos], 1)
     return core.tolist()
-
-
-def _core_csr_python(indptr, indices):
-    """Pure-Python BZ bucket peeling over the flat CSR arrays."""
-    n = len(indptr) - 1
-    degree = [indptr[v + 1] - indptr[v] for v in range(n)]
-    max_degree = max(degree)
-    bin_count = [0] * (max_degree + 1)
-    for d in degree:
-        bin_count[d] += 1
-    bin_start = [0] * (max_degree + 1)
-    total = 0
-    for d in range(max_degree + 1):
-        bin_start[d] = total
-        total += bin_count[d]
-    order = [0] * n
-    position = [0] * n
-    fill = list(bin_start)
-    for v in range(n):
-        position[v] = fill[degree[v]]
-        order[position[v]] = v
-        fill[degree[v]] += 1
-    core = list(degree)
-    for i in range(n):
-        v = order[i]
-        core_v = core[v]
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            cu = core[u]
-            if cu > core_v:
-                pu = position[u]
-                pw = bin_start[cu]
-                w = order[pw]
-                if u != w:
-                    order[pu], order[pw] = w, u
-                    position[u], position[w] = pw, pu
-                bin_start[cu] += 1
-                core[u] = cu - 1
-    return core
 
 
 def max_core_number(graph):

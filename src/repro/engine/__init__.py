@@ -11,7 +11,7 @@ handler thread with no result reuse and ad-hoc lazy index builds --
 fine for one user, hopeless for the ROADMAP's "heavy traffic from
 millions of users".  This package is the execution layer between the
 server and the algorithms; every later scaling step (an async
-server, a process backend, a persistent cache) plugs into it.
+server, a process backend) plugs into it.
 
 Every graph is held whole: one versioned CL-tree / k-core index per
 graph, the paper's design.

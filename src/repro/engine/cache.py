@@ -113,13 +113,6 @@ class ResultCache:
         self.invalidations = 0
         self.invalidations_by_reason = {
             reason: 0 for reason in INVALIDATION_REASONS}
-        # Optional second tier: a
-        # :class:`repro.engine.payloads.ResultSpill` the engine wires
-        # in when it has a persistent store.  LRU evictees spill to
-        # disk instead of vanishing; misses probe the spill and
-        # readmit lazily.  ``None`` keeps the cache purely in-memory.
-        self.spill = None
-        self.spill_hits = 0
         # In-flight misses: ``(key, index version) -> Event``.
         self._flights = {}
 
@@ -173,24 +166,10 @@ class ResultCache:
             else:
                 self._data.move_to_end(key)
                 self.hits += 1
-        spilled = False
-        if entry is None and self.spill is not None:
-            found = self.spill.fetch(key)
-            if found is not None:
-                value, vertices = found
-                entry = _Entry(value, vertices)
-                spilled = True
-                with self._lock:
-                    self.spill_hits += 1
-                    self._data[key] = entry
-                    self._data.move_to_end(key)
-                    evicted = self._evict_over_capacity()
-                self._spill_entries(evicted)
         if trace is not None:
             trace.add_span("cache_lookup",
                            time.perf_counter() - start,
                            tags={"hit": entry is not None,
-                                 "spill": spilled,
                                  "algorithm": key[1]})
         return entry.value if entry is not None else None
 
@@ -203,43 +182,15 @@ class ResultCache:
         with self._lock:
             self._data[key] = _Entry(value, vertices)
             self._data.move_to_end(key)
-            evicted = self._evict_over_capacity()
-        self._spill_entries(evicted)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+                self.evictions += 1
         if trace is not None:
             trace.add_span("cache_store",
                            time.perf_counter() - start,
                            tags={"algorithm": key[1],
                                  "footprint": len(vertices)
                                  if vertices else 0})
-
-    def _evict_over_capacity(self):
-        """Pop LRU entries past capacity (lock held by the caller);
-        returns the evicted ``(key, entry)`` pairs so they can spill
-        to disk outside the lock."""
-        evicted = []
-        while len(self._data) > self.capacity:
-            evicted.append(self._data.popitem(last=False))
-            self.evictions += 1
-        return evicted
-
-    def _spill_entries(self, pairs):
-        """Offer evicted entries to the spill tier (no-op without
-        one).  Runs outside the cache lock: spill writes hit disk."""
-        if self.spill is None or not pairs:
-            return
-        for key, entry in pairs:
-            self.spill.offer(key, entry.value, entry.vertices)
-
-    def flush_spill(self):
-        """Write every live entry through to the spill tier (engine
-        shutdown: the next process readmits the warm set lazily).
-        Returns the number of entries offered."""
-        if self.spill is None:
-            return 0
-        with self._lock:
-            pairs = list(self._data.items())
-        self._spill_entries(pairs)
-        return len(pairs)
 
     def invalidate(self, graph_name=None, affected=None,
                    truss_affected=None):
@@ -320,9 +271,6 @@ class ResultCache:
                 "invalidations": self.invalidations,
                 "invalidations_by_reason":
                     dict(self.invalidations_by_reason),
-                "spill_hits": self.spill_hits,
-                "spill": self.spill.stats() if self.spill is not None
-                else {"enabled": False},
             }
 
 

@@ -7,7 +7,9 @@ the GIL, and nothing bounded the damage a traffic spike could do.
 This engine is the dedicated execution path between the server and the
 algorithms (the Polynesia argument in PAPERS.md):
 
-* a **bounded worker pool** (threads are started lazily on first use);
+* a **bounded worker pool** (threads are started lazily on first
+  use); every admitted job's future resolves, with the exception when
+  anything raised, and no job takes its worker down;
 * an **admission-controlled queue** -- when ``max_queue`` requests are
   already waiting, new work is rejected *immediately* with
   :class:`~repro.util.errors.EngineBusyError`, which the HTTP layer
@@ -238,7 +240,7 @@ class QueryEngine:
                  default_timeout=None, cache_size=512,
                  index_manager=None, memo_size=128, backend="thread",
                  trace_capacity=256, slow_query_seconds=1.0,
-                 tracing_enabled=True, faults=None, store=None):
+                 tracing_enabled=True, faults=None):
         if workers < 1:
             raise ValueError("workers must be positive")
         if max_queue < 1:
@@ -252,13 +254,6 @@ class QueryEngine:
             else IndexManager()
         self.cache = ResultCache(cache_size)
         self.memo = SubproblemMemo(memo_size)
-        # Optional persistent warm store: result-cache entries spill
-        # to disk on eviction/shutdown and readmit lazily, keyed
-        # ``(graph, version, query)`` -- see repro.engine.payloads.
-        self.store = store
-        if store is not None:
-            self.cache.spill = payload_plane.ResultSpill(
-                store, self._graph_version, self._rebind_wires)
         self.stats = EngineStats()
         # Fault injection (None in production unless REPRO_FAULT_PLAN
         # is set -- the CI chaos job's hook) and the resilience plane:
@@ -336,10 +331,8 @@ class QueryEngine:
     def shutdown(self, wait=True):
         """Stop accepting work and (optionally) join the workers.
 
-        Also flushes warm state out and zero-copy state away: cached
-        results spill to the store (so a restarted server readmits
-        them), and every payload segment is released -- a clean
-        shutdown leaves zero shared-memory segments behind.
+        Also releases every payload segment: a clean shutdown leaves
+        zero shared-memory segments behind.
         """
         if self._span_hook is not None:
             tracing.clear_fault_hook(self._span_hook)
@@ -356,7 +349,6 @@ class QueryEngine:
             # resurrect a pool nothing would ever close.
             if self.indexes.build_executor == self._build_in_process:
                 self.indexes.build_executor = None
-        self.cache.flush_spill()
         release = getattr(self.indexes, "release_payloads", None)
         if release is not None:
             release()
@@ -690,21 +682,6 @@ class QueryEngine:
                         payload_plane.lose_segment(value)
         return args
 
-    def _graph_version(self, name):
-        """Current index-manager version of ``name``, or ``None`` when
-        the graph is not registered (spill entries for it are then
-        unaddressable and simply skipped)."""
-        try:
-            return self.indexes.version(name)
-        except CExplorerError:
-            return None
-
-    def _rebind_wires(self, name, wires):
-        """Rebind wire-format communities spilled to disk back onto
-        the live registered graph object."""
-        graph = self.indexes.graph(name)
-        return [Community.from_wire(graph, wire) for wire in wires]
-
     def _quarantine_if_corrupt(self, exc):
         """Quarantine the payload a corruption error names: the
         resilience plane remembers the identity (so the event is
@@ -750,8 +727,7 @@ class QueryEngine:
 
         Only under the process backend, where the pipeline is what
         lets a query escape the GIL.  The thread backend stays on the
-        live graph even when a frozen payload happens to be cached (a
-        persistent store caches one at every index write-through):
+        live graph even when a frozen payload happens to be cached:
         the frozen copy gets no shared ``global`` body and is
         re-frozen after every update.
         """
@@ -865,7 +841,21 @@ class QueryEngine:
 
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
-        weakref-holding :func:`_engine_worker` loop)."""
+        weakref-holding :func:`_engine_worker` loop).
+
+        Nothing escapes: an exception the job's own handling did not
+        absorb -- one raised before the job runs, say by a malformed
+        trace -- resolves the job's future with it, so every admitted
+        future resolves and the worker lives on to take the next job.
+        """
+        try:
+            self._execute_job(job)
+        except Exception as exc:
+            self.stats.count("errors")
+            if not job.future.done():
+                job.future.set_exception(exc)
+
+    def _execute_job(self, job):
         future = job.future
         trace = job.trace
         if not future.set_running():

@@ -387,22 +387,6 @@ class IndexManager:
             replaced.release()
         return payload, True
 
-    def seed_payload(self, name, frozen):
-        """Adopt ``frozen`` (e.g. an mmap-loaded store snapshot) as
-        the current whole-graph payload -- the warm-restart path that
-        skips the freeze.  Returns the seeded :class:`GraphPayload`.
-        """
-        with self._lock:
-            entry = self._entry(name)
-            payload = GraphPayload(
-                (self._payload_epoch, name, "full", entry.version),
-                entry.version, frozen, 0.0)
-            replaced = self._full_payloads.get(name)
-            self._full_payloads[name] = payload
-        if replaced is not None:
-            replaced.release()
-        return payload
-
     def discard_payload(self, key):
         """Drop any cached payload whose identity is ``key``.
 

@@ -1,5 +1,4 @@
-"""The zero-copy payload plane: shared-memory CSR segments and the
-persistent warm store.
+"""The zero-copy payload plane: shared-memory CSR segments.
 
 The process backend used to ship every :class:`~repro.graph.frozen.
 FrozenGraph` payload to workers as a pickled blob -- one serialize /
@@ -30,23 +29,14 @@ quarantine -> ``discard_payload`` (which unlinks the segment) -> one
 retry against a freshly frozen and published payload.  The chaos
 plane's ``segment_loss`` fault exercises exactly this recovery.
 
-Persistence rides on the same byte layout: :class:`GraphStore` writes
-the packed payload to ``frozen.bin`` (re-loaded via ``mmap``, also
-zero-copy) next to the serialized CL-tree and a fingerprint, and
-:class:`ResultSpill` spills :class:`~repro.engine.cache.ResultCache`
-entries to disk keyed by ``(graph, version, query)`` -- together they
-let a restarted server come up warm instead of rebuilding indexes and
-caches from nothing.
+Nothing here outlives the process: a restarted server re-freezes its
+graphs and rebuilds its CL-trees, which measured as fast as restoring
+them from disk (``docs/ARCHITECTURE.md``, "Where each rung wins").
 """
 
 import atexit
-import hashlib
-import json
-import mmap
 import os
 import pickle
-import re
-import shutil
 import struct
 import threading
 from array import array
@@ -63,16 +53,13 @@ except ImportError:  # pragma: no cover - always present on CPython 3.8+
 ENV_TRANSPORT = "REPRO_PAYLOAD_TRANSPORT"
 TRANSPORTS = ("shm", "pickle")
 
-# Packed payload layout: magic, then byte lengths of the four parts
-# (raw int32 indptr, raw int32 indices, a reserved slot holding a
-# pickled ``None`` -- kept so stored ``frozen.bin`` files stay
-# readable -- and the pickled keyword/label sidecar), then the parts
-# themselves.  The sidecar stays *undecoded in the buffer* until a vertex
-# attribute is actually read -- structural kernels never pay for it.
-# Identical for shm segments and on-disk ``frozen.bin`` files, so
-# attach and mmap-load share one decoder.
-_MAGIC = b"RPP2"
-_HEADER = struct.Struct("<4sQQQQ")
+# Packed payload layout: magic, then byte lengths of the three parts
+# (raw int32 indptr, raw int32 indices, the pickled keyword/label
+# sidecar), then the parts themselves.  The sidecar stays *undecoded in
+# the buffer* until a vertex attribute is actually read -- structural
+# kernels never pay for it.
+_MAGIC = b"RPP3"
+_HEADER = struct.Struct("<4sQQQ")
 
 _lock = threading.RLock()
 _segments = {}            # name -> Segment (parent-side owners)
@@ -82,7 +69,6 @@ _segments = {}            # name -> Segment (parent-side owners)
 # closes) its predecessor, so version churn never accumulates
 # mappings in a long-lived worker.
 _attached = {}
-_mmaps = []               # (mmap, file) keep-alive for store loads
 _shm_ok = True            # poisoned when segment creation fails
 _seq = 0
 _attach_failures = 0
@@ -110,7 +96,7 @@ def configure(transport):
 
 
 # ----------------------------------------------------------------------
-# packing / unpacking (shared by shm segments and the disk store)
+# packing / unpacking
 # ----------------------------------------------------------------------
 def _array_bytes(arr):
     """Raw little-endian int32 bytes of a CSR array (array or view)."""
@@ -120,22 +106,21 @@ def _array_bytes(arr):
 
 
 def pack_payload(frozen):
-    """Pack a frozen graph into the flat segment/file layout.  Returns
-    a list of byte chunks."""
+    """Pack a frozen graph into the flat segment layout.  Returns a
+    list of byte chunks."""
     frozen._ensure_sidecar()
     indptr = _array_bytes(frozen.indptr)
     indices = _array_bytes(frozen.indices)
-    meta = pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL)
     sidecar = pickle.dumps((frozen._keywords, frozen._labels),
                            protocol=pickle.HIGHEST_PROTOCOL)
     header = _HEADER.pack(_MAGIC, len(indptr), len(indices),
-                          len(meta), len(sidecar))
-    return [header, indptr, indices, meta, sidecar]
+                          len(sidecar))
+    return [header, indptr, indices, sidecar]
 
 
 def unpack_payload(buf, key=None):
     """Decode a packed payload from ``buf`` (a memoryview over a shm
-    segment or mmap).  The CSR arrays stay *views into the buffer* --
+    segment).  The CSR arrays stay *views into the buffer* --
     this is the zero-copy attach -- and the keyword/label sidecar is
     handed to the snapshot as a lazy loader over its buffer slice, so
     a structural query never unpickles it.  Returns the
@@ -144,17 +129,17 @@ def unpack_payload(buf, key=None):
     from repro.graph.frozen import FrozenGraph
 
     try:
-        magic, n_indptr, n_indices, n_meta, n_sidecar = \
+        magic, n_indptr, n_indices, n_sidecar = \
             _HEADER.unpack_from(buf, 0)
         if magic != _MAGIC:
             raise ValueError("bad payload magic: {!r}".format(magic))
         off = _HEADER.size
-        if off + n_indptr + n_indices + n_meta + n_sidecar > len(buf):
+        if off + n_indptr + n_indices + n_sidecar > len(buf):
             raise ValueError("payload buffer is truncated")
         indptr = buf[off:off + n_indptr].cast("i")
         off += n_indptr
         indices = buf[off:off + n_indices].cast("i")
-        off += n_indices + n_meta
+        off += n_indices
         side = buf[off:off + n_sidecar]
     except PayloadCorruptionError:
         raise
@@ -163,7 +148,7 @@ def unpack_payload(buf, key=None):
             "payload segment decode failed: {}".format(exc), key=key)
 
     def load_sidecar(view=side, key=key):
-        # The closed-over view pins the segment/mmap mapping alive
+        # The closed-over view pins the segment mapping alive
         # for as long as the snapshot may still need it.
         try:
             return pickle.loads(bytes(view))
@@ -218,7 +203,7 @@ if _shared_memory is not None:
         """``SharedMemory`` that tolerates live exported views.
 
         A zero-copy consumer in *this* process (inline fallback,
-        thread backend, mmap twin) holds memoryviews into the
+        thread backend) holds memoryviews into the
         mapping, so ``close`` during an unlink -- or ``__del__`` at
         interpreter shutdown -- would raise ``BufferError: cannot
         close exported pointers exist``.  Swallowing it is correct:
@@ -492,309 +477,3 @@ def _sweep():
         owned = [seg for seg in _segments.values() if seg._pid == pid]
     for seg in owned:
         seg.destroy()
-
-
-# ----------------------------------------------------------------------
-# the persistent warm store
-# ----------------------------------------------------------------------
-STORE_FORMAT = "c-explorer-store"
-STORE_VERSION = 2  # 2: RPP2 split-sidecar frozen.bin layout
-ENV_STORE = "REPRO_STORE_DIR"
-
-
-def _atomic_write(path, data):
-    tmp = "{}.tmp.{}".format(path, os.getpid())
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
-
-
-def _stable(value):
-    """A deterministic, order-independent form of a cache key part
-    (frozenset iteration order varies across interpreter runs)."""
-    if isinstance(value, (set, frozenset)):
-        return ("set",) + tuple(sorted(_stable(v) for v in value))
-    if isinstance(value, (list, tuple)):
-        return tuple(_stable(v) for v in value)
-    return value
-
-
-def fingerprint(frozen):
-    """A restart-stable identity for a frozen graph: CSR bytes plus a
-    canonical rendering of labels and keyword sets.  Pickle bytes are
-    *not* stable across runs (hash-randomised set ordering), so the
-    sidecar is hashed in sorted form instead."""
-    digest = hashlib.sha256()
-    digest.update(_array_bytes(frozen.indptr))
-    digest.update(b"|")
-    digest.update(_array_bytes(frozen.indices))
-    digest.update(b"|")
-    for v in range(frozen.vertex_count):
-        digest.update(repr((frozen.label(v),
-                            sorted(frozen.keywords(v)))).encode("utf-8"))
-    return digest.hexdigest()
-
-
-def load_frozen_mmap(path, key=None):
-    """Memory-map a packed payload file and decode it zero-copy (the
-    warm-restart twin of a shm attach).  The mapping is pinned for the
-    process lifetime -- the returned graph's CSR arrays are views into
-    it."""
-    handle = open(path, "rb")
-    try:
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except Exception:
-        handle.close()
-        raise
-    with _lock:
-        _mmaps.append((mapping, handle))
-    return unpack_payload(memoryview(mapping), key=key)
-
-
-class GraphStore:
-    """Per-graph on-disk store: packed frozen payload, serialized
-    CL-tree (the :mod:`repro.core.persistence` JSON format), metadata
-    with a content fingerprint, and the result-spill directory.
-
-    Layout::
-
-        <root>/<slug>/meta.json      identity + fingerprint
-        <root>/<slug>/frozen.bin     packed payload (mmap-loaded)
-        <root>/<slug>/cltree.json    c-explorer-cltree document
-        <root>/<slug>/results/<version>/<keyhash>.pkl
-    """
-
-    def __init__(self, root):
-        self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
-
-    # -- paths ---------------------------------------------------------
-    def _slug(self, name):
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)[:48]
-        tag = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
-        return "{}-{}".format(safe, tag)
-
-    def graph_dir(self, name, create=False):
-        path = os.path.join(self.root, self._slug(name))
-        if create:
-            os.makedirs(path, exist_ok=True)
-        return path
-
-    def results_dir(self, name, version, create=False):
-        path = os.path.join(self.graph_dir(name), "results", str(version))
-        if create:
-            os.makedirs(path, exist_ok=True)
-        return path
-
-    # -- save / load ---------------------------------------------------
-    def save(self, name, frozen, cltree=None):
-        """Persist ``name``'s frozen payload (and CL-tree, when built)
-        with its fingerprint.  Atomic per file: a crashed save leaves
-        the previous generation readable."""
-        from repro.core import persistence
-
-        base = self.graph_dir(name, create=True)
-        _atomic_write(os.path.join(base, "frozen.bin"),
-                      b"".join(pack_payload(frozen)))
-        if cltree is not None:
-            doc = json.dumps(persistence.cltree_to_dict(cltree),
-                             indent=0, sort_keys=True)
-            _atomic_write(os.path.join(base, "cltree.json"),
-                          doc.encode("utf-8"))
-        meta = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "graph": name,
-            "fingerprint": fingerprint(frozen),
-            "vertex_count": frozen.vertex_count,
-            "edge_count": frozen.edge_count,
-            "has_cltree": cltree is not None or self.has_cltree(name),
-        }
-        _atomic_write(os.path.join(base, "meta.json"),
-                      json.dumps(meta, indent=2).encode("utf-8"))
-        return meta
-
-    def meta(self, name):
-        """The stored metadata for ``name`` or ``None``."""
-        path = os.path.join(self.graph_dir(name), "meta.json")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if doc.get("format") != STORE_FORMAT:
-            return None
-        return doc
-
-    def has_cltree(self, name):
-        return os.path.exists(os.path.join(self.graph_dir(name),
-                                           "cltree.json"))
-
-    def matches(self, name, frozen):
-        """Whether the stored snapshot is byte-identical to
-        ``frozen`` (the warm-restart admission check)."""
-        meta = self.meta(name)
-        return (meta is not None
-                and meta.get("fingerprint") == fingerprint(frozen))
-
-    def load_frozen(self, name):
-        """The stored payload as an mmap-backed frozen graph."""
-        return load_frozen_mmap(
-            os.path.join(self.graph_dir(name), "frozen.bin"))
-
-    def load_cltree(self, name, graph):
-        """Deserialize the stored CL-tree bound to ``graph``."""
-        from repro.core import persistence
-
-        return persistence.load_cltree(
-            os.path.join(self.graph_dir(name), "cltree.json"), graph)
-
-    # -- inspection / maintenance (the ``repro cache`` CLI) ------------
-    def describe(self):
-        """Occupancy report: per-graph payload/CL-tree/result bytes."""
-        graphs = []
-        total_bytes = 0
-        for entry in sorted(os.listdir(self.root)):
-            base = os.path.join(self.root, entry)
-            meta_path = os.path.join(base, "meta.json")
-            if not os.path.isfile(meta_path):
-                continue
-            try:
-                with open(meta_path, encoding="utf-8") as handle:
-                    meta = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            sizes = {}
-            for fname in ("frozen.bin", "cltree.json"):
-                path = os.path.join(base, fname)
-                sizes[fname] = (os.path.getsize(path)
-                                if os.path.exists(path) else 0)
-            result_entries = 0
-            result_bytes = 0
-            results = os.path.join(base, "results")
-            if os.path.isdir(results):
-                for dirpath, _dirs, files in os.walk(results):
-                    for fname in files:
-                        result_entries += 1
-                        result_bytes += os.path.getsize(
-                            os.path.join(dirpath, fname))
-            doc = {
-                "graph": meta.get("graph", entry),
-                "fingerprint": meta.get("fingerprint"),
-                "payload_bytes": sizes["frozen.bin"],
-                "cltree_bytes": sizes["cltree.json"],
-                "result_entries": result_entries,
-                "result_bytes": result_bytes,
-            }
-            total_bytes += (sizes["frozen.bin"] + sizes["cltree.json"]
-                            + result_bytes)
-            graphs.append(doc)
-        return {"path": self.root, "graphs": graphs,
-                "total_bytes": total_bytes}
-
-    def clear(self):
-        """Delete every stored graph.  Returns the number removed."""
-        removed = 0
-        for entry in list(os.listdir(self.root)):
-            base = os.path.join(self.root, entry)
-            if os.path.isdir(base) and os.path.isfile(
-                    os.path.join(base, "meta.json")):
-                shutil.rmtree(base, ignore_errors=True)
-                removed += 1
-        return removed
-
-
-class ResultSpill:
-    """Disk spill for the result cache, keyed ``(graph, version,
-    query)``.
-
-    Entries are written in the graph-free :meth:`Community.to_wire`
-    form (values that are not community lists stay memory-only), so
-    readmission just rebinds to the live graph.  Version is part of
-    the path: a maintenance bump orphans old entries instead of
-    requiring coordinated invalidation, and a warm restart readmits
-    only results for the exact stored snapshot.
-    """
-
-    def __init__(self, store, version_of, rebind):
-        self._store = store
-        self._version_of = version_of
-        self._rebind = rebind
-        self._io_lock = threading.Lock()
-        self.writes = 0
-        self.hits = 0
-        self.misses = 0
-        self.errors = 0
-        self.bytes_written = 0
-
-    def _path(self, key, version, create=False):
-        token = repr(_stable(key)).encode("utf-8")
-        digest = hashlib.sha256(token).hexdigest()
-        directory = self._store.results_dir(key[0], version, create=create)
-        return os.path.join(directory, digest + ".pkl")
-
-    def _encode(self, value):
-        if not isinstance(value, list) or not value:
-            return None
-        wires = []
-        for item in value:
-            to_wire = getattr(item, "to_wire", None)
-            if to_wire is None:
-                return None
-            wires.append(to_wire())
-        return wires
-
-    def offer(self, key, value, vertices):
-        """Spill one evicted/flushed entry; silently skips values with
-        no wire form and graphs with no known version."""
-        wires = self._encode(value)
-        if wires is None:
-            return False
-        version = self._version_of(key[0])
-        if version is None:
-            return False
-        blob = pickle.dumps(
-            {"wires": wires,
-             "vertices": sorted(vertices) if vertices else None},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            with self._io_lock:
-                _atomic_write(self._path(key, version, create=True), blob)
-        except OSError:
-            self.errors += 1
-            return False
-        self.writes += 1
-        self.bytes_written += len(blob)
-        return True
-
-    def fetch(self, key):
-        """Readmit a spilled entry for the graph's *current* version,
-        or ``None``.  Returns ``(value, vertices)``."""
-        version = self._version_of(key[0])
-        if version is None:
-            self.misses += 1
-            return None
-        path = self._path(key, version)
-        try:
-            with open(path, "rb") as handle:
-                doc = pickle.loads(handle.read())
-            value = self._rebind(key[0], doc["wires"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.errors += 1
-            return None
-        self.hits += 1
-        vertices = doc.get("vertices")
-        return value, (set(vertices) if vertices is not None else None)
-
-    def stats(self):
-        return {
-            "enabled": True,
-            "writes": self.writes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "errors": self.errors,
-            "bytes_written": self.bytes_written,
-        }

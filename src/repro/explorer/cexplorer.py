@@ -22,10 +22,10 @@ Execution runs through :mod:`repro.engine`: searches are planned
 :class:`~repro.engine.cache.ResultCache` (with selective invalidation
 when maintenance mutates a graph), and the facade's
 :attr:`CExplorer.engine` exposes the bounded worker pool the server
-submits concurrent queries through.
+submits concurrent queries through.  All of that state lives in
+memory: a restarted process registers its graphs and builds their
+CL-trees again.
 """
-
-import os
 
 from repro.algorithms.registry import (
     get_cd_algorithm,
@@ -38,7 +38,6 @@ from repro.analysis.graph_stats import graph_summary
 from repro.analysis.metrics import cmf, community_conductance, \
     community_density, cpj
 from repro.core.community import Community
-from repro.engine import payloads as payload_plane
 from repro.engine import tracing
 from repro.engine.executor import QueryEngine
 from repro.engine.index_manager import IndexManager
@@ -80,23 +79,11 @@ class CExplorer:
     """
 
     def __init__(self, profiles=None, cache_size=256, workers=2,
-                 max_queue=64, backend="thread", faults=None,
-                 store_dir=None):
+                 max_queue=64, backend="thread", faults=None):
         self._graphs = {}
         self._current = None
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.indexes = IndexManager()
-        # Persistent warm store: ``store_dir`` (or REPRO_STORE_DIR)
-        # names an on-disk :class:`~repro.engine.payloads.GraphStore`.
-        # Registered graphs whose fingerprint matches a stored
-        # snapshot restart warm -- the frozen payload mmaps in and the
-        # serialised CL-tree installs without a rebuild -- and the
-        # engine's result cache spills evicted entries there.
-        if store_dir is None:
-            store_dir = os.environ.get(payload_plane.ENV_STORE)
-        self.store = payload_plane.GraphStore(store_dir) \
-            if store_dir else None
-        self._persisted = {}
         # ``backend="process"`` runs whole queries and CL-tree
         # builds in a multiprocessing pool over frozen CSR snapshots
         # (see repro.engine.backends); results are identical to the
@@ -108,8 +95,7 @@ class CExplorer:
                                   cache_size=cache_size,
                                   index_manager=self.indexes,
                                   backend=backend,
-                                  faults=faults,
-                                  store=self.store)
+                                  faults=faults)
         # The engine owns the result cache; exposed here because the
         # facade has always published ``explorer.cache``.
         self.cache = self.engine.cache
@@ -152,40 +138,9 @@ class CExplorer:
         # and memoized subproblems.
         self.indexes.register(name, graph, build=build)
         self._graphs[name] = _GraphEntry(name, graph)
-        if self.store is not None:
-            self._warm_restore(name, graph)
         if select or self._current is None:
             self._current = name
         return name
-
-    def _warm_restore(self, name, graph):
-        """Warm restart from the persistent store: when the stored
-        snapshot's fingerprint matches the live graph, adopt the
-        mmap-loaded frozen payload (workers attach it without a
-        freeze) and install the serialised CL-tree without a rebuild.
-        Any mismatch or read error simply leaves the cold path --
-        correctness never depends on the store.
-        """
-        from repro.graph.frozen import FrozenGraph
-        try:
-            frozen = FrozenGraph.from_graph(graph)
-            if not self.store.matches(name, frozen):
-                return
-            mapped = self.store.load_frozen(name)
-            self.indexes.seed_payload(name, mapped)
-            if self.store.has_cltree(name):
-                cltree = self.store.load_cltree(name, graph)
-                # Compatibility: callers historically read build time
-                # off the tree; a restored tree paid none.
-                cltree.build_seconds = 0.0
-                self.indexes.install(name, cltree,
-                                     core=list(cltree.core))
-            self._persisted[name] = self.indexes.version(name)
-            self.engine.stats.count("warm_restores")
-        except Exception:
-            # Deliberately broad: a torn artefact, a format drift, a
-            # filesystem error -- the upload must still succeed cold.
-            self.engine.stats.count("warm_restore_failures")
 
     def select_graph(self, name):
         """Switch the active graph (the UI's dataset picker)."""
@@ -213,30 +168,11 @@ class CExplorer:
         Delegates to the engine's versioned
         :class:`~repro.engine.index_manager.IndexManager`; maintenance
         updates mark the snapshot stale so the next call rebuilds.
-        With a persistent store attached, a freshly built tree is
-        written through (frozen payload + serialised CL-tree) so the
-        next process restarts warm.
+        Nothing is written to disk: a restarted process builds the
+        tree again (``repro index --out`` saves one explicitly).
         """
         name = self._require_current()
-        cltree = self.indexes.snapshot(name, rebuild=rebuild).cltree
-        self._persist_index(name, cltree)
-        return cltree
-
-    def _persist_index(self, name, cltree):
-        """Write the built index through to the persistent store,
-        once per graph version."""
-        if self.store is None:
-            return
-        try:
-            version = self.indexes.version(name)
-            if self._persisted.get(name) == version:
-                return
-            payload, _ = self.indexes.full_payload(name)
-            self.store.save(name, payload.frozen, cltree)
-            self._persisted[name] = version
-            self.engine.stats.count("store_saves")
-        except Exception:
-            self.engine.stats.count("store_errors")
+        return self.indexes.snapshot(name, rebuild=rebuild).cltree
 
     def core_numbers(self):
         """Core decomposition of the active graph (cached, and kept

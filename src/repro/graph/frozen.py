@@ -29,9 +29,10 @@ Properties the rest of the system relies on:
   ``multiprocessing`` worker in one cheap memcpy-style hop (see
   :mod:`repro.engine.backends`);
 * **kernel-friendly** -- :meth:`FrozenGraph.csr` exposes the flat
-  arrays for the pure-Python CSR kernels in :mod:`repro.core.kcore`,
-  and :meth:`FrozenGraph.csr_numpy` lazily materialises (and caches)
-  int64 NumPy copies for the vectorised level-peeling kernel when
+  arrays for :func:`neighbor_function` and the triangle-support merge
+  in :mod:`repro.core.ktruss`, and :meth:`FrozenGraph.csr_numpy`
+  lazily materialises (and caches) int64 NumPy copies for the
+  vectorised level-peeling kernel in :mod:`repro.core.kcore` when
   NumPy is importable -- the fast path the ``bench_engine`` kernel
   trajectory measures;
 * **read-API compatible** -- the inspection surface of

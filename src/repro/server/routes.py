@@ -34,10 +34,12 @@ handler thread (:func:`wait_sync`), the async server polls the future
 from the event loop.
 """
 
+import inspect
 import json
 import time
 from urllib.parse import parse_qs
 
+from repro.algorithms.registry import get_cd_algorithm
 from repro.engine.tracing import render_prometheus
 from repro.server.html import INDEX_HTML
 from repro.util.errors import (
@@ -494,14 +496,42 @@ def h_display(state, req):
     return _search_pending(state, req, finish_data)
 
 
+def _detect_params(algorithm, params):
+    """Check a ``/v1/detect`` ``params`` object against the keywords
+    the registered CD function of ``algorithm`` takes after the
+    graph."""
+    if not isinstance(params, dict):
+        raise ApiError("invalid_parameter",
+                       "'params' must be a JSON object")
+    func = get_cd_algorithm(algorithm).func
+    taken = list(inspect.signature(func).parameters.values())[1:]
+    if any(p.kind is p.VAR_KEYWORD for p in taken):
+        return
+    unknown = sorted(set(params) - {
+        p.name for p in taken
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)})
+    if unknown:
+        raise ApiError("invalid_parameter",
+                       "{} takes no parameter(s) {}".format(
+                           algorithm, ", ".join(map(repr, unknown))))
+
+
 def h_detect(state, req):
-    """``POST /v1/detect``: run a CD algorithm on the active graph."""
+    """``POST /v1/detect``: run a CD algorithm on the active graph.
+
+    ``params`` go to the algorithm alone: they never reach
+    :meth:`~repro.engine.executor.QueryEngine.submit`'s own keywords.
+    """
     body = req.body
     algorithm = body.get("algorithm", "codicil")
-    params = body.get("params") or {}
-    future = state.engine.submit(state.explorer.detect, algorithm,
-                                 op="detect",
-                                 timeout=state.query_timeout, **params)
+    params = body.get("params")
+    if params is None:
+        params = {}
+    _detect_params(algorithm, params)
+    explorer = state.explorer
+    future = state.engine.submit(
+        lambda: explorer.detect(algorithm, **params),
+        op="detect", timeout=state.query_timeout)
 
     def finish(communities):
         return {

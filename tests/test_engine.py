@@ -309,6 +309,28 @@ class TestQueryEnginePool:
         finally:
             engine.shutdown()
 
+    def test_job_failing_before_it_runs_keeps_workers(self, dblp_small):
+        # A malformed trace raises in the worker before the job's own
+        # try block.  Its future must still resolve with the error, and
+        # neither worker may die with it.
+        explorer = CExplorer(workers=2)
+        explorer.add_graph("dblp", dblp_small)
+        engine = explorer.engine
+        try:
+            futures = [engine.submit(lambda: None, trace=7)
+                       for _ in range(2)]
+            for future in futures:
+                with pytest.raises(AttributeError):
+                    future.result(5)
+            assert engine.stats.get("errors") == 2
+            assert all(thread.is_alive() for thread in engine._threads)
+            answer = engine.search_sync("acq", dblp_small.label(10), k=4,
+                                        timeout=5)
+            assert answer == explorer.search("acq", dblp_small.label(10),
+                                             k=4, use_cache=False)
+        finally:
+            engine.shutdown()
+
     def test_run_batch_preserves_order(self):
         engine = QueryEngine(workers=4)
         try:

@@ -6,10 +6,10 @@ The load-bearing invariants:
 * **representation equivalence** -- a :class:`FrozenGraph` answers the
   whole read API exactly like the mutable graph it snapshots
   (property-tested over random attributed graphs);
-* **kernel equivalence** -- every CSR kernel (NumPy-vectorised and
-  pure-Python alike) returns byte-identical results to the seed
-  adjacency-set path: core numbers, peels, connected k-cores, CL-tree
-  community structure;
+* **kernel equivalence** -- every kernel returns byte-identical
+  results on a frozen snapshot and on the mutable graph: core numbers
+  (the NumPy kernel and the Batagelj-Zaversnik loop alike), peels,
+  connected k-cores, CL-tree community structure;
 * **pickle round-trip** -- a frozen graph survives pickling (the
   process-backend transport) with all queries intact;
 * **immutability** -- mutators raise, so derived structures can trust
@@ -23,10 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cltree import build_cltree
 from repro.core.kcore import (
-    _core_csr_python,
+    _core_bz,
     connected_k_core,
     core_decomposition,
-    core_decomposition_csr,
     peel_to_min_degree,
 )
 from repro.graph.frozen import FrozenGraph, freeze
@@ -129,12 +128,11 @@ class TestCsrKernels:
     def test_core_decomposition_equivalence(self, graph):
         expected = core_decomposition(graph)
         frozen = freeze(graph)
-        # The dispatching entry point, the explicit CSR entry point,
-        # and the pure-Python kernel (the no-NumPy fallback) must all
-        # agree with the seed adjacency-set path.
+        # The NumPy kernel the frozen graph dispatches to, and the
+        # Batagelj-Zaversnik loop over the same snapshot with NumPy
+        # bypassed, must agree with the loop over the mutable graph.
         assert core_decomposition(frozen) == expected
-        assert core_decomposition_csr(frozen) == expected
-        assert _core_csr_python(*frozen.csr()) == expected
+        assert _core_bz(frozen) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=20, max_m=60), st.integers(0, 4))

@@ -5,10 +5,7 @@ payload to a worker -- pickled bytes or a shared-memory segment
 attached zero-copy -- query results are identical; (2) segments are
 reference-counted and unlinked on version bumps, quarantine discards,
 and engine shutdown, so no run leaks ``/dev/shm`` entries; (3) a lost segment (the
-``segment_loss`` chaos fault) is absorbed by the re-freeze ladder;
-(4) the persistent store round-trips frozen payloads and CL-trees so
-a restarted explorer comes up warm without rebuilding, and spilled
-results readmit identically.
+``segment_loss`` chaos fault) is absorbed by the re-freeze ladder.
 """
 
 import gc
@@ -18,13 +15,10 @@ import pytest
 from conftest import random_graphs
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.cltree import build_cltree
-from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
-from repro.graph.frozen import FrozenGraph, freeze
-from repro.graph.io import write_graph_json
+from repro.graph.frozen import freeze
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
 TRANSPORTS = ("pickle", "shm")
@@ -279,122 +273,3 @@ def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
     assert counters["faults_injected"] > 0
     assert counters["quarantines"] >= 1
     assert payload_plane.live_segments() == 0
-
-
-# ----------------------------------------------------------------------
-# the persistent warm store
-# ----------------------------------------------------------------------
-def _small_graph():
-    return generate_dblp_graph(DblpConfig(n_authors=200,
-                                          n_communities=6, seed=7))
-
-
-def test_graph_store_roundtrip(tmp_path):
-    graph = _small_graph()
-    frozen = freeze(graph)
-    cltree = build_cltree(graph)
-    store = payload_plane.GraphStore(str(tmp_path))
-    store.save("g", frozen, cltree)
-    assert store.matches("g", frozen)
-    assert store.has_cltree("g")
-    loaded = store.load_frozen("g")
-    assert _csr_lists(loaded) == _csr_lists(frozen)
-    assert _attributes(loaded) == _attributes(frozen)
-    tree = store.load_cltree("g", graph)
-    assert list(tree.core) == list(cltree.core)
-    described = store.describe()
-    assert [doc["graph"] for doc in described["graphs"]] == ["g"]
-    assert described["graphs"][0]["payload_bytes"] > 0
-    assert described["graphs"][0]["cltree_bytes"] > 0
-    assert described["total_bytes"] > 0
-    assert store.clear() > 0
-    assert store.describe()["graphs"] == []
-
-
-def test_store_mismatch_stays_cold(tmp_path):
-    store = payload_plane.GraphStore(str(tmp_path))
-    store.save("g", freeze(_small_graph()))
-    other = generate_dblp_graph(DblpConfig(n_authors=180,
-                                           n_communities=5, seed=9))
-    assert not store.matches("g", freeze(other))
-
-
-def test_warm_restart_skips_rebuild(tmp_path):
-    graph = _small_graph()
-    vertex = graph.label(15)
-
-    cold = CExplorer(workers=2, store_dir=str(tmp_path))
-    try:
-        cold.add_graph("g", graph)
-        cold.index()
-        cold_answer = cold.search("acq", vertex, k=4)
-        assert cold.engine.stats.get("store_saves") == 1
-    finally:
-        cold.engine.shutdown()
-
-    warm = CExplorer(workers=2, store_dir=str(tmp_path))
-    try:
-        warm.add_graph("g", graph)
-        assert warm.engine.stats.get("warm_restores") == 1
-        assert warm.engine.stats.get("warm_restore_failures") == 0
-        # The restored CL-tree installs without a build; querying and
-        # re-requesting the index must not trigger one either.
-        warm.index()
-        warm_answer = warm.search("acq", vertex, k=4, use_cache=False)
-        assert warm.indexes.stats("g")["builds"] == 0
-        assert warm_answer == cold_answer
-    finally:
-        warm.engine.shutdown()
-
-
-def test_uploaded_graph_restarts_warm(tmp_path):
-    """A graph loaded through ``upload`` is written through to the
-    store and restored whole on the next upload."""
-    graph = _small_graph()
-    path = str(tmp_path / "dblp.json")
-    write_graph_json(graph, path)
-    store = str(tmp_path / "store")
-    vertex = graph.label(15)
-
-    cold = CExplorer(workers=2, store_dir=store)
-    try:
-        assert cold.upload(path) == "dblp"
-        cold.index()
-        cold_answer = cold.search("acq", vertex, k=4)
-        assert cold.engine.stats.get("store_saves") == 1
-    finally:
-        cold.engine.shutdown()
-
-    warm = CExplorer(workers=2, store_dir=store)
-    try:
-        warm.upload(path, shards=1)
-        assert warm.engine.stats.get("warm_restores") == 1
-        assert warm.search("acq", vertex, k=4,
-                           use_cache=False) == cold_answer
-        assert warm.indexes.stats("dblp")["builds"] == 0
-    finally:
-        warm.engine.shutdown()
-
-
-def test_result_spill_readmission(tmp_path):
-    graph = _small_graph()
-    vertex = graph.label(15)
-
-    first = CExplorer(workers=2, store_dir=str(tmp_path))
-    try:
-        first.add_graph("g", graph)
-        first.index()
-        answer = first.search("acq", vertex, k=4)
-    finally:
-        first.engine.shutdown()  # flushes live cache entries to disk
-
-    second = CExplorer(workers=2, store_dir=str(tmp_path))
-    try:
-        second.add_graph("g", graph)
-        readmitted = second.search("acq", vertex, k=4)
-        assert readmitted == answer
-        stats = second.engine.cache.stats()
-        assert stats["spill_hits"] == 1
-        assert stats["spill"]["hits"] == 1
-    finally:
-        second.engine.shutdown()

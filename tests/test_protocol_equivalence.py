@@ -311,14 +311,14 @@ class TestPayloadAndMemo:
         rebuilt, fresh = explorer.indexes.full_payload("k")
         assert fresh and rebuilt.version != payload.version
 
-    def test_thread_backend_stays_on_live_graph_with_store(
-            self, karate, tmp_path):
-        # A persistent store caches a frozen payload at the first
-        # index write-through; the thread backend must not start
-        # answering from that copy.
-        explorer = CExplorer(workers=2, store_dir=str(tmp_path))
+    def test_thread_backend_stays_on_live_graph_with_stored_payload(
+            self, karate):
+        # With a frozen payload stored in the index manager's payload
+        # cache, the thread backend must not start answering from
+        # that copy.
+        explorer = CExplorer(workers=2)
         explorer.add_graph("k", karate)
-        explorer.index()
+        explorer.indexes.full_payload("k")
         assert "k" in explorer.indexes._full_payloads
         assert not explorer.engine.full_query_capable()
         plain = CExplorer()

@@ -89,6 +89,52 @@ class TestStaticEndpoints:
         assert called <= {route.template for route in v1_routes()}
 
 
+class TestDetectParams:
+    @pytest.fixture(scope="class")
+    def detect_server(self):
+        # Its own two-worker server with a short deadline, so a worker
+        # lost to one case shows up as a timed-out search, not as a
+        # failure of some unrelated test.
+        from repro.datasets import DblpConfig, generate_dblp_graph
+        explorer = CExplorer(workers=2)
+        explorer.add_graph("dblp", generate_dblp_graph(
+            DblpConfig(n_authors=400, n_communities=8, seed=13)))
+        srv = make_server(explorer, port=0, query_timeout=5.0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        yield srv
+        srv.shutdown()
+        explorer.engine.shutdown()
+
+    @pytest.mark.parametrize("i, body", list(enumerate([
+        {"params": {"trace": 7}},
+        {"params": {"trace": 7}},
+        {"params": {"timeout": 1}},
+        {"params": {"op": "x"}},
+        {"params": [1]},
+        {"params": "seed"},
+        {"params": {"foo": 1}},
+        {"algorithm": "newman-girvan", "params": {"foo": 1}},
+        {"algorithm": "label-propagation",
+         "params": {"per_component": True}},
+    ])))
+    def test_detect_rejects_params_the_algorithm_does_not_take(
+            self, detect_server, i, body):
+        # Client params reach only the CD function: none of them can
+        # set the engine's own submit keywords, and every key the
+        # function does not take is a 400 before anything is queued.
+        status, doc = _post(detect_server, "/v1/detect", body)
+        assert status == 400
+        assert doc["code"] == "invalid_parameter"
+        # The engine's workers are all still serving: a cache miss
+        # that has to go through the queue answers.
+        label = detect_server.state.explorer.graph.label(100 + i)
+        status, doc = _post(detect_server, "/v1/search",
+                            {"vertex": label, "k": 1,
+                             "algorithm": "global"})
+        assert status == 200
+        assert doc["communities"]
+
+
 class TestQueryEndpoints:
     def test_options(self, server):
         status, doc = _post(server, "/v1/options",
