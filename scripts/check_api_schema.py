@@ -169,6 +169,11 @@ def check_server(base, kind):
         problems.extend(check_envelope(path, status, doc))
         if status != 200:
             problems.append("{}: HTTP {}".format(path, status))
+    status, doc = get(base, "/v1/health")
+    if set(doc.get("data") or {}) != {"status", "uptime_seconds",
+                                      "backend"}:
+        problems.append("/v1/health: data keys are {}".format(
+            sorted(doc.get("data") or {})))
 
     # -- a traced search: envelope + top-level trace id ----------------
     search = {"vertex": "Jim Gray", "k": 3, "session": "schema"}

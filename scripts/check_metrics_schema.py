@@ -40,7 +40,7 @@ LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 # The JSON metrics keys the dashboard and renderer contractually read.
 ENGINE_KEYS = ("queue_depth", "in_flight", "workers", "counters",
-               "latency", "traces", "resilience", "payloads")
+               "latency", "traces", "fault_plan", "payloads")
 # The payload-plane block (see repro.engine.payloads.plane_stats).
 PAYLOAD_KEYS = ("transport", "shm_available", "shm_segments",
                 "payload_bytes", "attach_failures")
@@ -49,16 +49,9 @@ TRACE_KEYS = ("enabled", "capacity", "buffered", "recorded",
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",
                   "total_seconds", "buckets")
 CACHE_KEYS = ("hits", "misses", "evictions", "invalidations", "entries")
-# The resilience block the Prometheus renderer and the chaos CI job
-# read (see repro.engine.retry.ResiliencePlane.snapshot).
-RESILIENCE_KEYS = ("counters", "breakers", "quarantined", "degraded")
-RESILIENCE_COUNTERS = ("retries", "retry_exhausted", "hedges",
-                       "hedges_won", "hedges_lost", "quarantines",
-                       "breaker_rejections", "payload_retries",
-                       "faults_injected")
-BREAKER_KEYS = ("state", "consecutive_failures", "opens", "probes",
-                "promotions", "degraded_seconds")
-BREAKER_STATES = ("closed", "open", "half_open")
+# Engine counters present from boot, bumped or not: the failure
+# rule's inline reruns (see QueryEngine.run_jobs).
+ENGINE_COUNTERS = ("job_inline_fallbacks",)
 
 
 def boot_server():
@@ -101,33 +94,18 @@ def check_json_metrics(doc):
     for key in CACHE_KEYS:
         if key not in doc.get("cache", {}):
             yield "cache doc missing key {!r}".format(key)
-    resilience = engine.get("resilience", {})
-    for key in RESILIENCE_KEYS:
-        if key not in resilience:
-            yield "engine.resilience missing key {!r}".format(key)
     payloads = engine.get("payloads", {})
     for key in PAYLOAD_KEYS:
         if key not in payloads:
             yield "engine.payloads missing key {!r}".format(key)
-    counters = resilience.get("counters", {})
-    for key in RESILIENCE_COUNTERS:
+    counters = engine.get("counters", {})
+    for key in ENGINE_COUNTERS:
         if key not in counters:
-            yield ("resilience counters missing key "
-                   "{!r}".format(key))
+            yield "engine.counters missing key {!r}".format(key)
         elif not isinstance(counters.get(key), int) \
                 or counters.get(key) < 0:
-            yield ("resilience counter {!r} is {!r}, not a "
+            yield ("engine counter {!r} is {!r}, not a "
                    "non-negative int".format(key, counters.get(key)))
-    breaker = resilience.get("breakers", {}).get("process")
-    if breaker is None:
-        yield "no 'process' circuit breaker in resilience doc"
-    else:
-        for key in BREAKER_KEYS:
-            if key not in breaker:
-                yield "breaker 'process' missing key {!r}".format(key)
-        if breaker.get("state") not in BREAKER_STATES:
-            yield "breaker 'process' has unknown state {!r}".format(
-                breaker.get("state"))
     latency = engine.get("latency", {})
     if "search" not in latency:
         yield "no 'search' latency histogram after a search request"
@@ -250,15 +228,18 @@ def main(argv):
         problems.append(
             "/metrics Content-Type is {!r}".format(content_type))
     problems.extend(check_exposition(text))
-    for family in ("repro_resilience_events_total",
-                   "repro_breaker_state",
-                   "repro_quarantined_payloads",
+    for family in ("repro_engine_events_total",
                    "repro_shm_segments",
                    "repro_payload_bytes",
                    "repro_payload_attach_failures_total"):
         if "\n# TYPE {} ".format(family) not in text:
             problems.append(
                 "exposition missing family {!r}".format(family))
+    for event in ENGINE_COUNTERS:
+        if 'repro_engine_events_total{{event="{}"}}'.format(event) \
+                not in text:
+            problems.append(
+                "exposition missing engine event {!r}".format(event))
     for problem in problems:
         print("SCHEMA: {}".format(problem))
     if problems:

@@ -56,14 +56,15 @@ The modules
     :class:`~repro.engine.stats.EngineStats`: latency histograms
     (p50/p95) and throughput counters behind ``/v1/metrics``.
 
-``backends``, ``retry``, ``payloads``
+``backends``, ``faults``, ``payloads``
     The job pipeline under
     :meth:`~repro.engine.executor.QueryEngine.run_jobs`: the two
     substrates a job runs on (worker process, calling thread) and the
-    picklable job functions; the retry / hedge / circuit-breaker
-    policy applied to every dispatch; and the zero-copy transport
-    (shared-memory segments, pickle where none can be created) that
-    carries :class:`~repro.graph.frozen.FrozenGraph` payloads.
+    picklable job functions; the seeded fault plans that exercise its
+    one failure rule (a job the pool cannot finish runs once more
+    inline); and the zero-copy transport (shared-memory segments,
+    pickle where none can be created) that carries
+    :class:`~repro.graph.frozen.FrozenGraph` payloads.
 
 Choosing a backend
 ==================
@@ -76,8 +77,9 @@ queries, detections, CL-tree builds) to worker processes over frozen
 :class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the GIL
 -- pick it for multi-core hosts where cold structural queries and
 index builds dominate.  Results are identical either way (a
-property-tested invariant); the process backend transparently falls
-back inline on any pool failure, and its overheads are observable as
+property-tested invariant); a job the pool cannot finish runs once
+more inline (``job_inline_fallbacks``), and its overheads are
+observable as
 ``snapshot_build`` / ``shard_ipc`` / ``index_build_ipc`` latency ops
 in ``/v1/metrics``::
 
@@ -119,17 +121,11 @@ from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.index_manager import IndexManager, IndexSnapshot
 from repro.engine.plans import QueryPlan, plan_search
-from repro.engine.retry import (
-    CircuitBreaker,
-    ResiliencePlane,
-    RetryPolicy,
-)
 from repro.engine.stats import EngineStats, LatencyHistogram
 from repro.engine.tracing import QueryTrace, TraceRecorder
 
 __all__ = [
     "BACKENDS",
-    "CircuitBreaker",
     "EngineFuture",
     "EngineStats",
     "FaultPlan",
@@ -142,9 +138,7 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "QueryTrace",
-    "ResiliencePlane",
     "ResultCache",
-    "RetryPolicy",
     "SubproblemMemo",
     "TraceRecorder",
     "plan_search",

@@ -6,16 +6,14 @@ there.  A unit of engine work below that is a **job**: a module-level
 function plus picklable arguments, a pure function of an immutable
 frozen payload.  This module holds both halves of that contract:
 
-* the two **substrates** a job can run on, each exposing
-  ``submit_job(fn, args, fault, deadline) -> future`` and
-  ``job_result(future, budget)`` and each executing
-  :func:`_timed_job` -- so fault application, the cooperative
+* the two **substrates** a job can run on, both executing
+  :func:`timed_job` -- so fault application, the cooperative
   deadline, worker-span collection and child timing are written once:
   :class:`ProcessBackend`, a lazily started process pool (``fork``
   context where available) that escapes the GIL for CPU-bound
-  structural work, and :class:`InlineBackend`, the calling thread
-  (under the GIL a thread fan-out measured no faster, see
-  ``docs/ARCHITECTURE.md``);
+  structural work, and the calling thread, where the engine calls
+  :func:`timed_job` directly (under the GIL a thread fan-out measured
+  no faster, see ``docs/ARCHITECTURE.md``);
 * the **job functions** -- whole searches, CD detections, index
   builds.  A payload travels in
   a job's arguments as a *handle* :func:`_loads_payload` resolves: a
@@ -37,8 +35,8 @@ snapshots -- real parallelism for CPU-bound structural work on
 multi-core hosts, at the cost of payload shipping (reported as
 ``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``; the latter
 name predates the job pipeline and now prices every shipped job).  Results are
-identical either way (a tested invariant); every process failure
-falls back to inline execution rather than failing the query.
+identical either way (a tested invariant); a job the pool cannot
+finish runs once more inline rather than failing the query.
 """
 
 import pickle
@@ -58,7 +56,6 @@ from repro.util.errors import (
     EngineError,
     JobPayloadError,
     PayloadCorruptionError,
-    QueryCancelledError,
     QueryTimeoutError,
 )
 
@@ -74,8 +71,8 @@ _WORKER_CACHE_MAX = 64
 
 
 class ProcessBackendError(EngineError):
-    """The process pool could not run a job (broken pool, unpicklable
-    payload); callers fall back to in-process execution."""
+    """The process pool could not run a job (broken or shut-down
+    pool); the engine reruns the job inline."""
 
 
 def validate_backend(backend):
@@ -93,7 +90,7 @@ def validate_backend(backend):
 
 # Per-execution-context job environment.  In a worker process jobs run
 # one at a time so this is effectively process-global; in the parent
-# (inline substrate) it is per-thread, which is exactly the job
+# (inline jobs) it is per-thread, which is exactly the job
 # granularity there.  Wall-clock based: the deadline
 # crosses a process boundary, where perf_counter epochs differ.
 _job_env = threading.local()
@@ -110,8 +107,8 @@ def check_deadline():
 
     Raises :class:`~repro.util.errors.QueryTimeoutError` once the
     caller's deadline has passed -- so an orphaned job (its parent
-    already timed out, or it lost a hedge race) self-cancels at the
-    next phase boundary instead of burning a worker to completion.
+    already timed out) self-cancels at the next phase boundary
+    instead of burning a worker to completion.
     """
     deadline = getattr(_job_env, "deadline", None)
     if deadline is not None and time.time() > deadline:
@@ -123,7 +120,7 @@ def check_deadline():
 # job functions (top-level: process jobs must pickle by reference)
 # ----------------------------------------------------------------------
 
-def _timed_job(fn, args, fault=None, deadline=None):
+def timed_job(fn, args, fault=None, deadline=None):
     """Run ``fn(*args)`` and return ``(child_seconds, spans,
     result)``.
 
@@ -159,7 +156,8 @@ def _loads_payload(key, handle):
     unpickled, and an in-process payload object is already it.  Any
     failure -- torn segment, undecodable bytes -- becomes
     :class:`~repro.util.errors.PayloadCorruptionError` carrying the
-    payload identity, the signal the engine's quarantine keys on."""
+    payload identity, which the engine discards before rerunning the
+    job inline."""
     if payload_plane.is_ref(handle):
         with tracing.span("index_thaw", zero_copy=True):
             return payload_plane.attach(handle)
@@ -326,68 +324,19 @@ def build_index_job(frozen, core=None):
 
 
 # ----------------------------------------------------------------------
-# the substrates
+# the process substrate
 # ----------------------------------------------------------------------
-
-class _InlineFuture:
-    """A job the inline substrate accepted.  It runs, once, on the
-    thread that asks for its result -- so the unstarted siblings of a
-    failed fan-out can still be cancelled, exactly like jobs waiting
-    in a pool's queue."""
-
-    __slots__ = ("_call",)
-
-    def __init__(self, call):
-        self._call = call
-
-    def cancel(self):
-        self._call = None
-
-    def done(self):
-        return self._call is None
-
-    def run(self):
-        call, self._call = self._call, None
-        if call is None:
-            raise QueryCancelledError("inline job was cancelled")
-        return _timed_job(*call)
-
-
-class InlineBackend:
-    """The substrate that always works: jobs run on the calling
-    thread, through the same :func:`_timed_job` wrapper a worker
-    process uses (drawn faults, cooperative deadline, span collection,
-    child timing) -- the floor of the ``process -> inline`` ladder and
-    the only substrate under ``backend="thread"``."""
-
-    name = "inline"
-
-    @staticmethod
-    def submit_job(fn, args, fault=None, deadline=None):
-        """Accept one job; it runs when its result is first asked
-        for (see :class:`_InlineFuture`)."""
-        return _InlineFuture((fn, args, fault, deadline))
-
-    @staticmethod
-    def job_result(future, budget=None):
-        """Run the job and return its ``(child_seconds, spans,
-        result)``; whatever it raises propagates as itself.  There
-        is nothing to wait on, so ``budget`` is moot: the job's own
-        cooperative deadline bounds it."""
-        return future.run()
-
 
 class ProcessBackend:
     """A lazily started process pool with per-job child timing.
 
-    Thin by design: admission control, deadlines, retries, fan-out
-    and stats stay in the :class:`~repro.engine.executor.QueryEngine`;
-    this class only ships one picklable job at a time and reports its
-    ``(child_seconds, spans, result)`` so the engine can separate
-    compute from transport.
+    Thin by design: admission control, deadlines, the failure rule,
+    fan-out and stats stay in the
+    :class:`~repro.engine.executor.QueryEngine`; this class only ships
+    one picklable job at a time and reports its ``(child_seconds,
+    spans, result)`` so the engine can separate compute from
+    transport.
     """
-
-    name = "process"
 
     def __init__(self, workers):
         self.workers = max(1, int(workers))
@@ -419,7 +368,7 @@ class ProcessBackend:
         """
         pool = self._ensure()
         try:
-            return pool.submit(_timed_job, fn, args, fault, deadline)
+            return pool.submit(timed_job, fn, args, fault, deadline)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise JobPayloadError(
                 "job payload did not pickle: {}".format(exc)) from exc
@@ -433,28 +382,32 @@ class ProcessBackend:
         error taxonomy callers dispatch on: :class:`QueryTimeoutError`
         past ``budget``, :class:`ProcessBackendError` for pool death
         (breaking the pool so the next use starts fresh),
-        :class:`~repro.util.errors.JobPayloadError` for a payload that
+        :class:`~repro.util.errors.JobPayloadError` for a job that
         failed to pickle in the feeder thread (the pool survives; only
-        this job fails -- unpicklable payloads used to take the whole
-        fan-out down with a pool fallback), and any worker-raised
-        exception as itself."""
+        this job fails), and any worker-raised exception as itself."""
         try:
-            return future.result(budget)
+            exc = future.exception(budget)
         except _FutureTimeout:
             raise QueryTimeoutError(
                 "process job did not finish within "
                 "{:.3f}s".format(budget)) from None
-        except BrokenProcessPool as exc:
+        if exc is None:
+            return future.result()
+        if isinstance(exc, BrokenProcessPool):
             self._break()
             raise ProcessBackendError(
                 "process pool died mid job: {}".format(exc)) from exc
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            # An unpicklable payload surfaces on the future, not at
-            # submit (the pool pickles in a feeder thread) -- and as
-            # whatever the pickler raised (a local function is an
-            # AttributeError, an unpicklable value a TypeError).
+        # The pool pickles a job in a feeder thread after submit; what
+        # the pickler raised there (AttributeError for a local
+        # function, TypeError for an unpicklable value) was raised in
+        # this process and keeps its traceback.  A worker's exception
+        # arrives unpickled, without one, and is the job's own -- both
+        # carry the pool's remote traceback as their cause.
+        if exc.__traceback__ is not None and isinstance(
+                exc, (pickle.PicklingError, AttributeError, TypeError)):
             raise JobPayloadError(
                 "job payload did not pickle: {}".format(exc)) from exc
+        raise exc
 
     def _break(self):
         """Drop a broken pool so the next use starts a fresh one."""

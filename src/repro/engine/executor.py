@@ -27,17 +27,16 @@ algorithms (the Polynesia argument in PAPERS.md):
 * **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
   path every unit of engine work below a query takes (whole queries,
   detections, CL-tree builds): a job is a module-level
-  function over an immutable frozen payload, dispatched on the
-  substrate the resilience plane's ``process -> inline`` ladder picks
-  (see :mod:`repro.engine.backends`), with fault injection, retries,
-  hedging, demotion, deadlines and the ``op`` / ``shard_ipc`` /
+  function over an immutable frozen payload, run on the engine's
+  substrate (see :mod:`repro.engine.backends`) with fault injection,
+  deadlines, one failure rule and the ``op`` / ``shard_ipc`` /
   ``worker_execute`` accounting applied once;
 * an **execution backend** (``backend="thread" | "process"``) --
   with the process backend, jobs ship to a ``multiprocessing`` pool
   as frozen-graph payloads (zero-copy shared-memory refs, see
   :mod:`repro.engine.payloads`), dodging the GIL for CPU-bound
-  structural work; any pool failure falls back to inline execution
-  with identical results;
+  structural work; a job the pool cannot finish runs once more
+  inline, with identical results;
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
   ``/v1/metrics``, including the ``snapshot_build`` / ``shard_ipc``
   payload overheads (``shard_ipc`` is the historical name of the
@@ -56,32 +55,81 @@ import weakref
 from repro.core.community import Community
 from repro.engine import faults as fault_injection
 from repro.engine.backends import (
-    InlineBackend,
     ProcessBackend,
     ProcessBackendError,
+    timed_job,
     validate_backend,
 )
 from repro.engine.cache import ResultCache, SubproblemMemo
 from repro.engine.faults import FaultPlan
-from repro.engine.index_manager import IndexManager
+from repro.engine.index_manager import GraphPayload, IndexManager
 from repro.engine import payloads as payload_plane
-from repro.engine.retry import Attempt, ResiliencePlane
 from repro.engine.stats import EngineStats
 from repro.engine import tracing
 from repro.engine.tracing import TraceRecorder
 from repro.util.errors import (
     CExplorerError,
     EngineBusyError,
+    FaultInjectedError,
     JobPayloadError,
     PayloadCorruptionError,
     QueryCancelledError,
     QueryTimeoutError,
+    WorkerKilledError,
 )
 
 # The deadline of the engine job the current thread is executing
-# (perf_counter based); fan-outs read it so retries, hedges and
-# shipped worker deadlines never outlive the caller's budget.
+# (perf_counter based); fan-outs read it so pool waits and shipped
+# worker deadlines never outlive the caller's budget.
 _job_context = threading.local()
+
+# What a job's attempt can die of that says nothing about the job
+# itself: a dead or unusable pool, a job that would not pickle, a
+# killed worker, an injected fault, a payload that failed to resolve.
+# Each earns the job one more run, inline and fault-free.
+_INFRASTRUCTURE_ERRORS = (ProcessBackendError, JobPayloadError,
+                          WorkerKilledError, FaultInjectedError,
+                          PayloadCorruptionError)
+
+
+class Attempt:
+    """One job submitted to the process pool: its future, when it was
+    submitted and -- stamped by the future's done callback -- when it
+    completed, both on this process's ``perf_counter``."""
+
+    __slots__ = ("pool", "future", "started", "done_at")
+
+    def __init__(self, pool, future):
+        self.pool = pool
+        self.future = future
+        self.started = time.perf_counter()
+        self.done_at = None
+        future.add_done_callback(self._stamp)
+
+    def _stamp(self, _future):
+        self.done_at = time.perf_counter()
+
+    def result(self, budget):
+        """The job's ``(child_seconds, spans, value)`` (see
+        :meth:`~repro.engine.backends.ProcessBackend.job_result`)."""
+        return self.pool.job_result(self.future, budget)
+
+
+def _handles(args, shipped):
+    """``args`` with each :class:`GraphPayload` replaced by the handle
+    an attempt carries: a shared-memory ref (else the pickled blob)
+    for the pool, the frozen snapshot itself in this process."""
+    return tuple(arg.job_arg(shipped=shipped)
+                 if isinstance(arg, GraphPayload) else arg
+                 for arg in args)
+
+
+def _remaining(deadline):
+    """Seconds left until a ``perf_counter`` deadline (``None`` when
+    unbounded, never negative)."""
+    if deadline is None:
+        return None
+    return max(deadline - time.perf_counter(), 0.0)
 
 _PENDING, _RUNNING, _DONE, _CANCELLED = range(4)
 
@@ -255,12 +303,12 @@ class QueryEngine:
         self.cache = ResultCache(cache_size)
         self.memo = SubproblemMemo(memo_size)
         self.stats = EngineStats()
-        # Fault injection (None in production unless REPRO_FAULT_PLAN
-        # is set -- the CI chaos job's hook) and the resilience plane:
-        # retry policies, substrate breakers, payload quarantine.
+        # Declared up front so /v1/metrics always carries it.
+        self.stats.count("job_inline_fallbacks", 0)
+        # Fault injection: None in production unless REPRO_FAULT_PLAN
+        # is set (the CI chaos job's hook).
         self.faults = faults if faults is not None \
             else FaultPlan.from_env()
-        self.resilience = ResiliencePlane(self.stats)
         self._span_hook = None
         if self.faults is not None and self.faults.has_span_rules():
             self._span_hook = self.faults.span_fault
@@ -273,7 +321,6 @@ class QueryEngine:
         self._in_flight = 0
         self._lifecycle = threading.Lock()
         self._shutdown = False
-        self._inline = InlineBackend()
         self._process = None
         self._last_detect_parallelism = 0
         if self.backend == "process":
@@ -502,142 +549,130 @@ class QueryEngine:
         order -- the engine's one fan-out.  Every unit of engine work
         (whole queries, detections, index builds) is
         such a job, and ``op`` names its job class -- the latency
-        histogram, retry policy and fault-plan target it answers to.
-        A job is a module-level function over picklable arguments, a
-        pure function of an immutable frozen payload.
+        histogram and fault-plan target it answers to.  A job is a
+        module-level function over picklable arguments, a pure
+        function of an immutable frozen payload; a
+        :class:`~repro.engine.index_manager.GraphPayload` argument
+        travels as the handle each attempt needs.
 
-        The substrate comes from the resilience plane's ``process ->
-        inline`` ladder: without a pool, or while its breaker is open,
-        jobs run inline on the calling thread; a pool death mid
-        fan-out feeds the breaker, counts ``process_fallbacks`` and
-        finishes the jobs not yet collected inline -- same results,
-        less parallelism.  Each job retries transient failures with
-        backoff within the caller's remaining deadline (which also
-        ships into the worker for cooperative self-cancellation), a
-        straggler gets one hedged duplicate, an unpicklable job runs
-        inline without disturbing its siblings
-        (``job_inline_fallbacks``), a corrupt payload is quarantined,
-        and a failed job cancels the siblings that have not started.
+        **The failure rule.**  A job runs once on the engine's
+        substrate -- the pool under ``backend="process"``, the calling
+        thread otherwise -- with its drawn faults and the caller's
+        remaining deadline.  If that attempt dies of an
+        infrastructure error (``ProcessBackendError``,
+        ``JobPayloadError``, ``WorkerKilledError``,
+        ``FaultInjectedError``, ``PayloadCorruptionError``), the job
+        runs once more, inline, on the in-process payload object, with
+        no faults, and ``job_inline_fallbacks`` counts it; a corrupt
+        payload is also discarded, so the next query re-publishes it.
+        Any other exception -- the job's own error, or the caller's
+        deadline -- propagates as itself and cancels the siblings that
+        have not started.
         """
         jobs = list(jobs)
-        deadline = self._fanout_deadline()
-        # One fault draw per job for the whole dispatch -- however the
-        # substrate ladder reroutes it, the injection stream stays
-        # aligned with the (op, invocation) counter, so a plan replays
-        # identically whatever the breaker is doing.
+        # An index build ships no deadline, as on the thread backend
+        # (where it is no job at all): a slow pool build must not
+        # leave its graph unbuildable.
+        deadline = None if op == "index_build" \
+            else self._fanout_deadline()
+        wall = self._wall_deadline(deadline)
+        # One fault draw per job per dispatch, so a plan replays
+        # identically whatever the jobs then meet.
         faults = [self.faults.draw(op) if self.faults is not None
                   else None for _ in jobs]
-        outcomes = []
         pool = self._process
-        if pool is not None \
-                and self.resilience.substrate("process")[0] == "process":
-            healthy = True
-            try:
-                self._collect(pool, jobs, faults, outcomes, op,
-                              deadline)
-            except ProcessBackendError:
-                healthy = False
-                self.stats.count("process_fallbacks")
-            finally:
-                # Also on a job's own failure: the pool did its part,
-                # and a half-open probe must always report back.
-                self.resilience.record("process", healthy)
-        if len(outcomes) < len(jobs):
-            self._collect(self._inline, jobs, faults, outcomes, op,
-                          deadline)
-        return [value for _, value in outcomes]
-
-    def _collect(self, substrate, jobs, faults, outcomes, op,
-                 deadline, stop=None):
-        """Start ``jobs[len(outcomes):stop]`` on ``substrate``, then
-        collect them in order, appending ``(child_seconds, value)``
-        to ``outcomes`` -- the ordered-collection loop every job
-        passes through, where its ``op`` / ``shard_ipc`` latency and
-        its ``worker_execute`` span are recorded."""
-        shipped = substrate is not self._inline
-        wall = self._wall_deadline(deadline)
-        trace = tracing.current_trace()
-        ipc_op = "index_build_ipc" if op == "index_build" \
-            else "shard_ipc"
-
-        def start(i, actions=None):
-            fn, args = jobs[i]
-            if shipped:
-                args = self._apply_parent_faults(actions, args)
-            return Attempt(substrate.submit_job(
-                fn, args, fault=fault_injection.worker_actions(actions),
-                deadline=wall))
-
-        def wait(attempt, budget):
-            return substrate.job_result(attempt.future, budget)
-
-        base = len(outcomes)
-        pending = []
+        attempts = []
+        values = []
         try:
-            for i in range(base, len(jobs) if stop is None else stop):
-                try:
-                    pending.append(start(i, faults[i]))
-                except JobPayloadError:
-                    pending.append(None)
-            for i, attempt in enumerate(pending, base):
-                outcome = None
-                if attempt is not None:
-                    try:
-                        # Retries and hedges resubmit the pristine
-                        # job: its injected faults were one-shot.
-                        outcome, attempt = \
-                            self.resilience.retrying_result(
-                                op, i, attempt,
-                                lambda i=i: start(i), wait, deadline,
-                                self._quarantine_if_corrupt)
-                    except JobPayloadError:
-                        # Pickling failed in the pool's feeder thread
-                        # (it surfaces on the future, not at submit).
-                        pass
-                if outcome is None:
-                    # This job cannot ship: run it inline, leave the
-                    # pool (and every sibling) alone.
-                    self.stats.count("job_inline_fallbacks")
-                    self._collect(self._inline, jobs, faults, outcomes,
-                                  op, deadline, stop=i + 1)
-                    continue
-                child, spans, value = outcome
-                ipc = 0.0
-                if shipped:
-                    # Collection is serial, so "collection time minus
-                    # child" would charge sibling compute skew to
-                    # ``shard_ipc``; the done-callback stamp does not.
-                    done = attempt.done_at or time.perf_counter()
-                    ipc = max(done - attempt.started - child, 0.0)
-                # Payload resolution inside the job (``index_thaw``:
-                # unpickling a blob, attaching a segment) is transport
-                # cost, not query compute: ``shard_ipc`` prices what
-                # the transport pays, the op histogram the algorithm.
-                thaw = min(child, sum(
-                    s[2] for s in spans if s[0] == "index_thaw"))
-                self.stats.observe(op, child - thaw)
-                self.stats.observe(ipc_op, ipc + thaw)
-                if trace is not None:
-                    index = trace.add_span(
-                        "worker_execute", child,
-                        tags={"job": i, "backend": substrate.name})
-                    trace.graft(index, spans)
-                    trace.add_span("shard_ipc", ipc + thaw,
-                                   tags={"job": i})
-                outcomes.append((child, value))
+            if pool is not None:
+                for job, actions in zip(jobs, faults):
+                    attempts.append(
+                        self._submit(pool, job, actions, wall))
+            for i, job in enumerate(jobs):
+                values.append(self._collect(
+                    i, job, faults[i],
+                    attempts[i] if attempts else None, op, deadline,
+                    wall))
         except BaseException:
             # Don't leave the rest of the fan-out running for nobody:
             # cancel what has not started (running jobs self-cancel
             # at their next cooperative deadline check).
-            for later in pending[len(outcomes) - base:]:
-                if later is not None:
-                    later.future.cancel()
+            for attempt in attempts[len(values):]:
+                if isinstance(attempt, Attempt):
+                    attempt.future.cancel()
             raise
+        return values
+
+    def _submit(self, pool, job, actions, wall):
+        """Submit one job to the pool with its drawn faults.  An
+        infrastructure error at submission is returned in the
+        attempt's place, for :meth:`_collect` to treat like one the
+        pool reports later."""
+        fn, args = job
+        try:
+            args = self._apply_parent_faults(
+                actions, _handles(args, shipped=True))
+            return Attempt(pool, pool.submit_job(
+                fn, args, fault=fault_injection.worker_actions(actions),
+                deadline=wall))
+        except _INFRASTRUCTURE_ERRORS as exc:
+            return exc
+
+    def _collect(self, i, job, actions, attempt, op, deadline, wall):
+        """Job ``i``'s value under the failure rule, with its ``op`` /
+        ``shard_ipc`` latency and its ``worker_execute`` span recorded.
+        ``attempt`` is what :meth:`_submit` returned, or ``None`` when
+        there is no pool and the first attempt runs right here."""
+        fn, args = job
+        try:
+            if attempt is None:
+                outcome = timed_job(
+                    fn, _handles(args, shipped=False),
+                    fault_injection.worker_actions(actions), wall)
+            elif isinstance(attempt, Exception):
+                raise attempt
+            else:
+                outcome = attempt.result(_remaining(deadline))
+        except _INFRASTRUCTURE_ERRORS as exc:
+            if isinstance(exc, PayloadCorruptionError) \
+                    and exc.key is not None:
+                self.indexes.discard_payload(exc.key)
+            self.stats.count("job_inline_fallbacks")
+            attempt = None
+            outcome = timed_job(fn, _handles(args, shipped=False),
+                                None, wall)
+        child, spans, value = outcome
+        ipc = 0.0
+        if attempt is not None:
+            # Collection is serial, so "collection time minus child"
+            # would charge sibling compute skew to ``shard_ipc``; the
+            # done-callback stamp does not.
+            done = attempt.done_at or time.perf_counter()
+            ipc = max(done - attempt.started - child, 0.0)
+        # Payload resolution inside the job (``index_thaw``: unpickling
+        # a blob, attaching a segment) is transport cost, not query
+        # compute: ``shard_ipc`` prices what the transport pays, the op
+        # histogram the algorithm.
+        thaw = min(child, sum(s[2] for s in spans if s[0] == "index_thaw"))
+        self.stats.observe(op, child - thaw)
+        self.stats.observe(
+            "index_build_ipc" if op == "index_build" else "shard_ipc",
+            ipc + thaw)
+        trace = tracing.current_trace()
+        if trace is not None:
+            index = trace.add_span(
+                "worker_execute", child,
+                tags={"job": i,
+                      "backend": "inline" if attempt is None
+                      else "process"})
+            trace.graft(index, spans)
+            trace.add_span("shard_ipc", ipc + thaw, tags={"job": i})
+        return value
 
     def _fanout_deadline(self):
         """The executing job's deadline (perf_counter based), falling
-        back to ``default_timeout`` from now -- the budget every
-        retry, hedge and shipped worker deadline lives within."""
+        back to ``default_timeout`` from now -- the budget every pool
+        wait and shipped worker deadline lives within."""
         deadline = getattr(_job_context, "deadline", None)
         if deadline is not None:
             return deadline
@@ -658,11 +693,11 @@ class QueryEngine:
         pool: ``pool_break`` fails the submission as a dead pool
         would, ``corrupt`` poisons each shipped payload -- a flipped
         byte in a pickled blob, a detectably-corrupted locator for a
-        zero-copy ref (both on copies: retries resubmit the pristine
-        original) -- and ``segment_loss`` unlinks the shared-memory
-        segment a ref points at *in place*, simulating a torn
-        attachment the worker only discovers at attach time.  None
-        applies to a job that runs inline."""
+        zero-copy ref (both on copies: the inline rerun reads the
+        pristine payload) -- and ``segment_loss`` unlinks the
+        shared-memory segment a ref points at *in place*, simulating a
+        torn attachment the worker only discovers at attach time.
+        None applies to a job that runs inline."""
         if not actions:
             return args
         for kind, _ in actions:
@@ -682,31 +717,14 @@ class QueryEngine:
                         payload_plane.lose_segment(value)
         return args
 
-    def _quarantine_if_corrupt(self, exc):
-        """Quarantine the payload a corruption error names: the
-        resilience plane remembers the identity (so the event is
-        visible) and the index manager drops its cached copy (so the
-        next query re-freezes from the live graph).  Corruption never
-        feeds the breaker -- one poisoned payload must not condemn
-        the backend for every other graph."""
-        if not isinstance(exc, PayloadCorruptionError):
-            return
-        key = exc.key
-        if key is None:
-            return
-        if self.resilience.quarantine(key):
-            discard = getattr(self.indexes, "discard_payload", None)
-            if discard is not None:
-                discard(key)
-
     def _build_in_process(self, graph, core=None):
         """Index-build executor wired into the
         :class:`~repro.engine.index_manager.IndexManager` when the
         process backend is active: freeze the graph, build core
         numbers + CL-tree as one :func:`~repro.engine.backends.
-        build_index_job` through :meth:`run_jobs`, rebind the tree to
-        the live graph object.  If it raises, the manager falls back
-        to its own in-process build."""
+        build_index_job` through :meth:`run_jobs` (so a build the pool
+        cannot finish runs inline), rebind the tree to the live graph
+        object."""
         from repro.engine.backends import build_index_job
         from repro.graph.frozen import FrozenGraph
 
@@ -733,35 +751,14 @@ class QueryEngine:
         """
         return self.backend == "process"
 
-    def _with_fresh_payload_retry(self, name, op, make_jobs):
-        """Run ``make_jobs(payload key, payload handle)`` over graph
-        ``name``'s whole-graph payload, retrying once from a freshly
-        frozen payload when corruption escaped the per-job retries.
-        The quarantine hook already discarded the cached copy, so the
-        second pass re-freezes from the live graph -- the one
-        recovery that helps when the cached bytes themselves (not a
-        transient transport) are what is poisoned."""
-        def run():
-            payload, fresh = self.indexes.full_payload(name)
-            return self.run_jobs(
-                make_jobs(payload.key,
-                          self.payload_arg(payload, fresh)), op=op)
-        try:
-            return run()
-        except PayloadCorruptionError:
-            self.stats.count("payload_retries")
-            return run()
-
-    def payload_arg(self, payload, fresh):
-        """The handle a job should carry for ``payload``: a zero-copy
-        locator (or pickled blob, if no segment could be created)
-        when jobs ship to worker processes, the payload object itself
-        when they run in-process.  ``fresh`` says the payload was
-        just frozen -- its build time is then recorded under the
-        ``snapshot_build`` latency op."""
+    def _payload(self, name):
+        """Graph ``name``'s cached whole-graph payload; a fresh
+        freeze's build time is recorded under the ``snapshot_build``
+        latency op."""
+        payload, fresh = self.indexes.full_payload(name)
         if fresh:
             self.stats.observe("snapshot_build", payload.build_seconds)
-        return payload.job_arg(shipped=self._process is not None)
+        return payload
 
     def search_full_query(self, name, algorithm, q, k, keywords=None):
         """Run one whole community search against the cached frozen
@@ -773,13 +770,14 @@ class QueryEngine:
         """
         from repro.engine.backends import full_query_job
 
-        wires = self._with_fresh_payload_retry(
-            name, "full_query", lambda key, handle: [
-                (full_query_job,
-                 (key, handle, algorithm, q, k, keywords))])
+        payload = self._payload(name)
+        wires, = self.run_jobs(
+            [(full_query_job,
+              (payload.key, payload, algorithm, q, k, keywords))],
+            op="full_query")
         self.stats.count("worker_full_query")
         graph = self.indexes.graph(name)
-        return [Community.from_wire(graph, wire) for wire in wires[0]]
+        return [Community.from_wire(graph, wire) for wire in wires]
 
     def detect(self, name, algorithm, params=None, per_component=False):
         """Run one whole-graph CD detection on the frozen payload.
@@ -811,11 +809,11 @@ class QueryEngine:
         self.stats.count("detect_jobs", len(components))
         self._last_detect_parallelism = len(components)
 
-        wires = self._with_fresh_payload_retry(
-            name, "detect", lambda key, handle: [
-                (component_detect_job,
-                 (key, handle, algorithm, component, wire_params))
-                for component in components])
+        payload = self._payload(name)
+        wires = self.run_jobs(
+            [(component_detect_job,
+              (payload.key, payload, algorithm, component, wire_params))
+             for component in components], op="detect")
         communities = []
         for wire_list in wires:
             communities.extend(Community.from_wire(graph, wire)
@@ -930,8 +928,6 @@ class QueryEngine:
                 "runs": self.stats.get("detect_runs"),
                 "jobs": self.stats.get("detect_jobs"),
             },
-            "index_build_fallbacks": getattr(self.indexes,
-                                             "build_fallbacks", 0),
             "workers": self.workers,
             "started": bool(self._threads),
             "queue_depth": self.queue_depth,
@@ -941,7 +937,9 @@ class QueryEngine:
             "memo": self.memo.stats(),
             "truss": self.indexes.truss_stats(),
             "traces": self.tracer.stats(),
-            "resilience": self.resilience.snapshot(faults=self.faults),
+            # The installed fault plan's rules and what fired, per kind.
+            "fault_plan": self.faults.snapshot()
+            if self.faults is not None else None,
             "payloads": payload_plane.plane_stats(),
         })
         if self.explorer is not None:

@@ -1,9 +1,10 @@
-"""Deterministic fault injection: the testable half of resilience.
+"""Deterministic fault injection: the testable half of the failure rule.
 
-A fault-tolerant execution plane is unfalsifiable without a way to
-*cause* the faults it claims to survive.  This module provides the
-seeded :class:`FaultPlan` that the chaos suite, the CI ``chaos`` job
-and the resilience benchmark all drive: a plan can kill worker jobs,
+The engine's one failure rule -- a job the pool cannot finish runs
+once more inline -- is unfalsifiable without a way to *cause* the
+faults it claims to survive.  This module provides the seeded
+:class:`FaultPlan` that the chaos suite, the CI ``chaos`` job and the
+fault-injection benchmark all drive: a plan can kill worker jobs,
 delay/duplicate/drop engine jobs, corrupt pickled payloads, break the
 process pool, and raise inside named tracing spans -- each with a
 deterministic, seed-derived decision per injection site, so a failing
@@ -38,7 +39,7 @@ pattern that matches none of them is rejected, since it could never
 inject anything; ``rate`` is the
 injection probability; ``param`` is kind-specific (sleep seconds for
 ``delay``, message for ``error``); ``#limit`` caps total injections
-from that rule (how tests let a breaker's probe eventually succeed).
+from that rule.
 """
 
 import json
@@ -56,15 +57,15 @@ from repro.util.errors import (
 ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: kinds a rule may inject.  ``kill`` and ``drop`` abort the job with a
-#: retryable :class:`~repro.util.errors.WorkerKilledError` (``drop``
+#: :class:`~repro.util.errors.WorkerKilledError` (``drop``
 #: models a lost result, ``kill`` a dead worker -- distinguished only
 #: in counters); ``delay`` sleeps; ``duplicate`` runs the (idempotent)
 #: job twice; ``corrupt`` poisons the shipped payload parent-side (a
 #: flipped byte of a pickled blob, a corrupted locator for a
 #: zero-copy payload ref); ``segment_loss`` unlinks the shared-memory
 #: segment behind a payload ref at the dispatch site, so the worker
-#: discovers the loss at attach time (exercises the re-pickle
-#: fallback); ``pool_break`` fails dispatch as if the process pool
+#: discovers the loss at attach time; ``pool_break`` fails dispatch
+#: as if the process pool
 #: died; ``error`` raises a :class:`FaultInjectedError` (inside a span
 #: for ``span:*`` targets, at job start otherwise).
 FAULT_KINDS = ("kill", "drop", "delay", "duplicate", "corrupt",
@@ -358,7 +359,7 @@ def corrupt_blob(blob, seed=0):
     blob that still unpickles -- to silently wrong values, which the
     corruption-detection path could never catch.  Flipping the
     protocol opcode makes every unpickle fail loudly, which is the
-    failure mode quarantine exists for.  ``seed`` is accepted for
+    failure the inline rerun exists for.  ``seed`` is accepted for
     signature stability but the corruption is always detectable.
     """
     del seed

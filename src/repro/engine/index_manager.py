@@ -149,7 +149,7 @@ class GraphPayload:
 
     def release(self):
         """Drop this payload's segment reference (unlinks at zero).
-        Idempotent; called on version bump, eviction, quarantine
+        Idempotent; called on version bump, eviction, corruption
         discard, unregister, and engine shutdown."""
         with self._transport_lock:
             segment, self._segment = self._segment, None
@@ -196,13 +196,8 @@ class IndexManager:
         # Optional build delegate ``(graph, core=None) -> (core,
         # cltree)``; the engine's process backend installs one so
         # CL-tree builds run in worker processes instead of under the
-        # GIL.  Any executor failure falls back to the in-process
-        # build below.
+        # GIL (a build the pool cannot finish reruns inline there).
         self.build_executor = None
-        # How many delegated builds failed and fell back locally --
-        # surfaced through the engine snapshot so a permanently broken
-        # process-backend build path cannot degrade silently.
-        self.build_fallbacks = 0
         # Size of the most recent truss cascade across *all* maintained
         # graphs (per-maintainer counters cannot say which update was
         # last when several graphs are maintained).
@@ -390,13 +385,13 @@ class IndexManager:
     def discard_payload(self, key):
         """Drop any cached payload whose identity is ``key``.
 
-        The corruption-quarantine hook: when a worker reports a
-        payload that failed to attach or unpickle, the engine discards
-        exactly that ``(epoch, graph, ..., version)`` entry -- and
-        unlinks its shared-memory segment -- so the next query
-        re-freezes and re-publishes from the live graph instead of
-        re-shipping poisoned bytes.  Returns whether anything was
-        dropped.
+        The corruption hook: when a worker reports a payload that
+        failed to attach or unpickle, the engine discards exactly that
+        ``(epoch, graph, ..., version)`` entry -- and unlinks its
+        shared-memory segment -- before rerunning the job inline, so
+        the next query re-freezes and re-publishes from the live graph
+        instead of re-shipping poisoned bytes.  Returns whether
+        anything was dropped.
         """
         with self._lock:
             stale = None
@@ -509,21 +504,13 @@ class IndexManager:
             version = entry.version
             cached_core = entry.core
         start = time.perf_counter()
-        core = cltree = None
         executor = self.build_executor
         if executor is not None:
-            try:
-                # Delegated (process-backend) build: core numbers are
-                # computed in the worker too when not already cached,
-                # so a cold build pays nothing GIL-bound here.
-                core, cltree = executor(graph, core=cached_core)
-            except Exception:
-                # Deliberately broad: whatever broke the delegate
-                # (pool death, pickling, timeout), the build must
-                # still succeed locally -- but visibly.
-                self.build_fallbacks += 1
-                core = cltree = None
-        if cltree is None:
+            # Delegated (process-backend) build: core numbers are
+            # computed in the worker too when not already cached, so a
+            # cold build pays nothing GIL-bound here.
+            core, cltree = executor(graph, core=cached_core)
+        else:
             core = self.core(name)
             cltree = build_cltree(graph, core=core)
         build_seconds = time.perf_counter() - start

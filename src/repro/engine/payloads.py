@@ -24,10 +24,10 @@ Transport ladder (the first rung degrades to the second by itself):
 
 A failed attach in a worker raises
 :class:`~repro.util.errors.PayloadCorruptionError` carrying the
-payload key, which plugs into the existing resilience ladder:
-quarantine -> ``discard_payload`` (which unlinks the segment) -> one
-retry against a freshly frozen and published payload.  The chaos
-plane's ``segment_loss`` fault exercises exactly this recovery.
+payload key: the engine then calls ``discard_payload`` (which unlinks
+the segment, so the next query re-freezes and re-publishes) and
+reruns the job inline on the in-process payload.  The chaos plane's
+``segment_loss`` fault exercises exactly this recovery.
 
 Nothing here outlives the process: a restarted server re-freezes its
 graphs and rebuilds its CL-trees, which measured as fast as restoring
@@ -189,8 +189,8 @@ def is_ref(obj):
 def corrupt_ref(ref):
     """A detectably-corrupted copy of ``ref`` (the chaos plane's
     ``corrupt`` fault on zero-copy transport): attaching it raises
-    :class:`PayloadCorruptionError` with the *real* key, so quarantine
-    targets the right payload."""
+    :class:`PayloadCorruptionError` with the *real* key, so the engine
+    discards the right payload."""
     return ShmPayloadRef(ref.segment, ref.key, ref.nbytes,
                          corrupted=True)
 
@@ -202,7 +202,7 @@ if _shared_memory is not None:
     class _QuietSharedMemory(_shared_memory.SharedMemory):
         """``SharedMemory`` that tolerates live exported views.
 
-        A zero-copy consumer in *this* process (inline fallback,
+        A zero-copy consumer in *this* process (inline rerun,
         thread backend) holds memoryviews into the
         mapping, so ``close`` during an unlink -- or ``__del__`` at
         interpreter shutdown -- would raise ``BufferError: cannot
@@ -354,9 +354,8 @@ def attach(ref):
     """Resolve a payload ref to the payload object, zero-copy.
 
     Any failure -- corrupted ref, unlinked segment -- raises
-    :class:`PayloadCorruptionError` carrying the payload key, which
-    the engine's quarantine/retry ladder turns into a fresh payload
-    on the next attempt.
+    :class:`PayloadCorruptionError` carrying the payload key; the
+    engine discards that payload and reruns the job inline.
 
     The process keeps one attachment per payload identity
     (``key[:3]``: manager epoch, graph, ``"full"``): repeat jobs against

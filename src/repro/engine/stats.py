@@ -154,16 +154,6 @@ class EngineStats:
         while self._completions and self._completions[0] < horizon:
             self._completions.popleft()
 
-    def latency_probe(self, op):
-        """``(sample count, p95 seconds)`` for one operation -- the
-        cheap read the hedging policy makes before calling a running
-        job a straggler (see :mod:`repro.engine.retry`)."""
-        with self._lock:
-            hist = self._histograms.get(op)
-            if hist is None:
-                return 0, 0.0
-            return hist.count, hist.percentile(95)
-
     def snapshot(self):
         """One JSON-friendly dict: counters, latency, throughput."""
         with self._lock:

@@ -668,43 +668,6 @@ def render_prometheus(metrics_doc, prefix="repro"):
             (cache.get("invalidations_by_reason") or {}).items()):
         exp.sample(name, {"reason": _sanitize(reason)}, count)
 
-    resilience = engine.get("resilience") or {}
-    name = prefix + "_resilience_events_total"
-    exp.header(name, "counter",
-               "Resilience events (retries, hedges, quarantines, ...).")
-    for event, count in sorted(
-            (resilience.get("counters") or {}).items()):
-        exp.sample(name, {"event": _sanitize(event)}, count)
-    breakers = resilience.get("breakers") or {}
-    name = prefix + "_breaker_state"
-    exp.header(name, "gauge",
-               "Circuit breaker state per substrate "
-               "(0=closed, 1=half_open, 2=open).")
-    state_codes = {"closed": 0, "half_open": 1, "open": 2}
-    for backend in sorted(breakers):
-        exp.sample(name, {"backend": _sanitize(backend)},
-                   state_codes.get(breakers[backend].get("state"), 0))
-    name = prefix + "_breaker_degraded_seconds_total"
-    exp.header(name, "counter",
-               "Seconds each substrate's breaker has spent "
-               "open or half-open.")
-    for backend in sorted(breakers):
-        exp.sample(name, {"backend": _sanitize(backend)},
-                   float(breakers[backend].get("degraded_seconds",
-                                               0.0)))
-    name = prefix + "_breaker_transitions_total"
-    exp.header(name, "counter",
-               "Breaker state transitions per substrate, by kind.")
-    for backend in sorted(breakers):
-        doc = breakers[backend]
-        for kind in ("opens", "probes", "promotions"):
-            exp.sample(name, {"backend": _sanitize(backend),
-                              "kind": kind}, doc.get(kind, 0))
-    name = prefix + "_quarantined_payloads"
-    exp.header(name, "gauge",
-               "Payload identities currently quarantined.")
-    exp.sample(name, {}, resilience.get("quarantined", 0))
-
     payloads = engine.get("payloads") or {}
     name = prefix + "_shm_segments"
     exp.header(name, "gauge",

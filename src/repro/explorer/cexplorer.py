@@ -46,7 +46,7 @@ from repro.explorer.autocomplete import NameIndex
 from repro.explorer.profiles import ProfileStore
 from repro.graph.io import load_graph
 from repro.graph.validation import validate_graph
-from repro.util.errors import CExplorerError, EngineError, QueryError
+from repro.util.errors import CExplorerError, QueryError
 from repro.viz.layout import circular_layout, ego_layout, spring_layout
 from repro.viz.render import render_ascii, render_svg
 
@@ -408,55 +408,39 @@ class CExplorer:
         """Compute one planned search: on the frozen payload when the
         plan says so, from the shared ``global`` body when one holds
         the query vertex, by the registered algorithm otherwise."""
-        result = None
         if plan.worker_full_query and not params:
             # Whole-query worker execution: the entire search --
             # structural phase included -- runs against the cached
             # frozen payload (in a worker process under the process
-            # backend).  Any pipeline failure falls through to the
-            # inline path below; results are identical either way.
-            try:
-                result = self.engine.search_full_query(
-                    name, plan.algorithm, q, k, keywords=keywords)
-            except (QueryError, EngineError):
-                # Validation and admission-control errors are
-                # identical inline; surface them directly.
-                raise
-            except (CExplorerError, IndexError, KeyError,
-                    RuntimeError):
-                # Unregistered-name race, or a snapshot torn by a
-                # concurrent out-of-gateway mutation: run inline,
-                # visibly.
-                self.engine.stats.count("full_query_fallbacks")
+            # backend; a job the pool cannot finish reruns inline).
+            return self.engine.search_full_query(
+                name, plan.algorithm, q, k, keywords=keywords)
         bodies = None
-        if result is None and algo.name == "global" and not params \
-                and isinstance(q, int):
+        if algo.name == "global" and not params and isinstance(q, int):
             bodies = self._component_bodies(name, k)
             body = next((b for b in bodies if q in b.vertices), None)
             if trace is not None:
                 trace.tag(shared_body=body is not None)
             if body is not None:
-                result = [Community(graph, body, method="Global",
-                                    query_vertices=(q,), k=k)]
-        if result is None:
-            if plan.use_index and algo.name.startswith("acq") \
-                    and "index" not in params:
-                params["index"] = self.index()
-            elif algo.name == "global" and "core" not in params:
-                # Global's answer is the connected k-core component;
-                # hand it the versioned decomposition (cached per
-                # graph version, patched by maintenance) so it skips
-                # the O(n + m) whole-graph peel per query.
-                params["core"] = self.indexes.core(name)
-            elif algo.name == "k-truss" and "truss" not in params:
-                # Same reuse for the triangle family: the versioned
-                # truss index (patched in place by an attached truss
-                # maintainer) replaces the per-query O(m^1.5)
-                # decomposition.
-                params["truss"] = self.indexes.truss(name)
-            result = algo(graph, q, k, keywords=keywords, **params)
-            if bodies is not None and result:
-                bodies.append(result[0].body)
+                return [Community(graph, body, method="Global",
+                                  query_vertices=(q,), k=k)]
+        if plan.use_index and algo.name.startswith("acq") \
+                and "index" not in params:
+            params["index"] = self.index()
+        elif algo.name == "global" and "core" not in params:
+            # Global's answer is the connected k-core component; hand
+            # it the versioned decomposition (cached per graph version,
+            # patched by maintenance) so it skips the O(n + m)
+            # whole-graph peel per query.
+            params["core"] = self.indexes.core(name)
+        elif algo.name == "k-truss" and "truss" not in params:
+            # Same reuse for the triangle family: the versioned truss
+            # index (patched in place by an attached truss maintainer)
+            # replaces the per-query O(m^1.5) decomposition.
+            params["truss"] = self.indexes.truss(name)
+        result = algo(graph, q, k, keywords=keywords, **params)
+        if bodies is not None and result:
+            bodies.append(result[0].body)
         return result
 
     def _component_bodies(self, name, k):
@@ -490,7 +474,7 @@ class CExplorer:
         connected component -- a deterministic plan of its own whose
         output concatenates the per-component results (identical to
         the whole-graph output exactly when the graph is connected).
-        Any pipeline failure falls back to inline detection.
+        A job the pool cannot finish reruns inline.
         """
         algo = get_cd_algorithm(algorithm)
         name = self._require_current()
@@ -498,25 +482,9 @@ class CExplorer:
                 "detect", graph=name, algorithm=algo.name,
                 per_component=per_component or None):
             if per_component or self.engine.full_query_capable():
-                try:
-                    return self.engine.detect(
-                        name, algo.name, params=params,
-                        per_component=per_component)
-                except (QueryError, EngineError):
-                    raise
-                except (CExplorerError, TypeError, IndexError,
-                        KeyError, RuntimeError):
-                    # Per-component output is a plan of its own (it
-                    # only coincides with whole-graph detection on
-                    # connected graphs), so an explicit request for it
-                    # must never silently degrade to the inline
-                    # whole-graph run.
-                    if per_component:
-                        raise
-                    # Unregistered-name race, unpicklable params, or a
-                    # snapshot torn by an out-of-gateway mutation: run
-                    # inline, visibly.
-                    self.engine.stats.count("full_query_fallbacks")
+                return self.engine.detect(
+                    name, algo.name, params=params,
+                    per_component=per_component)
             return algo(self.graph, **params)
 
     # ------------------------------------------------------------------

@@ -322,18 +322,11 @@ def h_metrics(state, req):
 
 
 def h_health(state, req):
-    """Liveness: answers 200 whenever the process can serve at all.
-
-    ``degraded`` flags an open/half-open backend breaker -- the
-    server is still alive (queries run on a fallback substrate), but
-    an operator dashboard should notice.
-    """
-    resilience = state.engine.resilience
+    """Liveness: answers 200 whenever the process can serve at all."""
     return {
         "status": "ok",
         "uptime_seconds": round(time.time() - state.started_at, 3),
         "backend": state.engine.backend,
-        "degraded": bool(resilience.snapshot()["degraded"]),
     }
 
 

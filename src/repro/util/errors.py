@@ -54,27 +54,24 @@ class QueryCancelledError(EngineError):
 class WorkerKilledError(EngineError):
     """A worker died (or was killed by fault injection) mid-job.
 
-    The job itself is idempotent, so the retry policy treats this as
-    transient: the engine re-runs the job with backoff instead of
-    failing the query.
+    The job itself is idempotent, so the engine runs it once more,
+    inline, instead of failing the query.
     """
 
 
 class FaultInjectedError(EngineError):
     """An error raised deliberately by an active
     :class:`~repro.engine.faults.FaultPlan` (``error`` rules firing
-    inside spans or job dispatch).  Retryable, like any transient
-    worker failure."""
+    inside spans or job dispatch).  Inside a job it earns the job one
+    inline rerun, like any other infrastructure failure."""
 
 
 class PayloadCorruptionError(EngineError):
-    """A shipped payload failed to unpickle in the worker.
+    """A shipped payload failed to resolve in the worker.
 
-    Carries the payload ``key`` so the engine can quarantine exactly
-    the ``(graph, version)`` payload at fault instead of condemning
-    the whole backend -- corruption is a *data* problem, pool death an
-    *infrastructure* problem, and the circuit breaker only cares about
-    the latter.
+    Carries the payload ``key`` so the engine can discard exactly the
+    ``(graph, version)`` payload at fault before it reruns the job
+    inline on the in-process copy.
     """
 
     def __init__(self, message, key=None):
@@ -86,20 +83,12 @@ class PayloadCorruptionError(EngineError):
 
 
 class JobPayloadError(EngineError):
-    """A single job's payload would not pickle for process shipping.
+    """A single job would not pickle for process shipping.
 
     Unlike :class:`~repro.engine.backends.ProcessBackendError` this
-    fails only the offending job -- the pool stays up and sibling jobs
-    keep running (the unpicklable payload will not become picklable on
-    a fresh pool).
+    concerns only the offending job -- the pool stays up and sibling
+    jobs keep running there, while this one runs inline.
     """
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
-
-    def __reduce__(self):
-        return (self.__class__, (self.args[0], self.key))
 
 
 class UnknownAlgorithmError(CExplorerError, KeyError):

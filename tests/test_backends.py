@@ -11,8 +11,8 @@ The load-bearing invariants:
 * **index builds** -- eager/background CL-tree builds route through
   the process pool and install snapshots equivalent to local builds;
 * **fallback** -- a thread-backend engine runs the same jobs
-  inline, and pool failures degrade to in-process execution instead
-  of failing the query.
+  inline, and a job the pool cannot finish runs once more in-process
+  instead of failing the query.
 
 The dispatch contract both substrates share is
 ``test_job_pipeline.py``'s.
@@ -243,22 +243,25 @@ class TestFallbacks:
         plain = CExplorer()
         plain.add_graph("k", karate)
         assert result == plain.search("global", 0, k=2)
-        assert proc.engine.stats.get("process_fallbacks") >= 1
+        assert proc.engine.stats.get("job_inline_fallbacks") >= 1
         proc.engine.shutdown()
 
     def test_broken_build_executor_counts_and_builds_locally(
             self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate)
+        from repro.core.cltree import build_cltree
+        from repro.engine.faults import FaultPlan
 
-        def exploding_build(graph, core=None):
-            raise RuntimeError("boom")
-
-        explorer.indexes.build_executor = exploding_build
-        snap = explorer.indexes.snapshot("k")     # local fallback
-        assert snap.cltree is not None
-        assert explorer.indexes.build_fallbacks == 1
-        assert explorer.engine.snapshot()["index_build_fallbacks"] == 1
+        proc = CExplorer(workers=1, backend="process",
+                         faults=FaultPlan.from_spec(
+                             "pool_break:index_build@1.0"))
+        proc.add_graph("k", karate)
+        try:
+            tree = proc.indexes.snapshot("k").cltree   # built inline
+            assert proc.engine.stats.get("job_inline_fallbacks") == 1
+            assert tree.graph is karate
+            assert tree.describe() == build_cltree(karate).describe()
+        finally:
+            proc.engine.shutdown()
 
     def test_shutdown_detaches_process_pool(self, karate):
         proc = CExplorer(workers=2, backend="process")
@@ -269,7 +272,6 @@ class TestFallbacks:
         # A post-shutdown build runs locally instead of resurrecting
         # a pool nothing would ever close.
         assert proc.indexes.snapshot("k").cltree is not None
-        assert proc.indexes.build_fallbacks == 0
 
     def test_pool_recovers_after_break(self, karate):
         backend = ProcessBackend(workers=1)

@@ -1,18 +1,18 @@
 """The substrate contract of ``QueryEngine.run_jobs``.
 
-Every unit of engine work below a query -- whole queries, query
-batches, detections, index builds -- is a ``(function,
-args)`` job dispatched by one method onto one of two substrates: a
-worker process (``backend="process"``) or the calling thread
-(``backend="thread"``, and the floor the process substrate demotes
-to).  This suite states what a dispatch promises *whichever substrate
-runs it*: same values, same spans, the same latency accounting, the
-same deadline, fault, retry and escape-hatch behaviour.  The jobs
-leave their evidence in files, the one side channel that works across
-a process boundary.
+Every unit of engine work below a query -- whole queries, detections,
+index builds -- is a ``(function, args)`` job dispatched by one method
+onto one of two substrates: a worker process (``backend="process"``)
+or the calling thread (``backend="thread"``, and where a job the pool
+cannot finish runs once more).  This suite states what a dispatch
+promises *whichever substrate runs it*: same values, same spans, the
+same latency accounting, the same deadline, fault and failure-rule
+behaviour.  The jobs leave their evidence in files, the one side
+channel that works across a process boundary.
 """
 
 import os
+import signal
 import time
 
 import pytest
@@ -21,7 +21,6 @@ from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import backends
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan, FaultRule
-from repro.engine.retry import DEFAULT_POLICY
 from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import QueryTimeoutError, WorkerKilledError
 
@@ -35,10 +34,13 @@ def substrate(request):
 
 @pytest.fixture
 def make_engine(substrate):
-    """Engines on the substrate under test, shut down afterwards."""
+    """Engines on the substrate under test, shut down afterwards.
+    Unless a test installs its own plan, none is installed -- not even
+    one from the environment -- so fallback counts are exact."""
     engines = []
 
     def make(**kwargs):
+        kwargs.setdefault("faults", FaultPlan())
         explorer = CExplorer(workers=2, backend=SUBSTRATES[substrate],
                              **kwargs)
         engines.append(explorer.engine)
@@ -68,6 +70,27 @@ def _mark_then_die(path):
     raise WorkerKilledError("this job never survives")
 
 
+def _mark_then_type_error(path):
+    _mark(path)
+    return 1 + "x"
+
+
+_PARENT_PID = os.getpid()
+
+
+def _slow_mark(path, value):
+    time.sleep(0.2)
+    return _mark(path, value)
+
+
+def _mark_then_kill_worker(path, value):
+    """Kill the worker process running this job (never the parent)."""
+    _mark(path)
+    if os.getpid() != _PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
 def _runs(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -91,10 +114,6 @@ def _probe_plan(seed, kind, rate, param=None, limit=None):
     match a job class the engine itself dispatches."""
     return FaultPlan(seed, [FaultRule(kind, "probe", rate, param=param,
                                       limit=limit)])
-
-
-def _counters(engine):
-    return engine.snapshot()["resilience"]["counters"]
 
 
 # ----------------------------------------------------------------------
@@ -172,13 +191,23 @@ class TestDeadline:
         assert engine.run_jobs([(_job_deadline, ())],
                                op="probe") == [None]
 
+    def test_index_build_ships_no_deadline(self, make_engine, karate):
+        """A build slower than its caller's deadline still finishes:
+        the graph must not become unbuildable."""
+        engine = make_engine(faults=FaultPlan.from_spec(
+            "delay:index_build@1.0=0.2"))
+        future = engine.submit(engine._build_in_process, karate,
+                               timeout=0.05)
+        _, tree = future.result(30.0)
+        assert tree.graph is karate
+
 
 def _job_deadline():
     return getattr(backends._job_env, "deadline", None)
 
 
 # ----------------------------------------------------------------------
-# faults and retries
+# faults and the failure rule
 # ----------------------------------------------------------------------
 class TestFaultsAndRetries:
     def test_injected_fault_is_one_shot_across_retries(
@@ -186,14 +215,13 @@ class TestFaultsAndRetries:
         engine = make_engine(
             faults=_probe_plan(3, "error", 1.0))
         marker = str(tmp_path / "ran")
-        # Attempt 1 dies to the injected fault *before* the job body;
-        # the retry resubmits the pristine job and succeeds.
+        # The first attempt dies to the injected fault *before* the job
+        # body; the inline rerun carries no faults and succeeds.
         assert engine.run_jobs([(_mark, (marker,))], op="probe") \
             == ["ran"]
         assert _runs(marker) == 1
-        counters = _counters(engine)
-        assert counters["retries"] == 1
-        assert counters["faults_injected"] == 1
+        assert engine.stats.get("job_inline_fallbacks") == 1
+        assert engine.faults.injected() == 1
 
     def test_one_fault_draw_per_job_per_dispatch(self, make_engine):
         engine = make_engine(
@@ -213,15 +241,25 @@ class TestFaultsAndRetries:
         with pytest.raises(WorkerKilledError):
             engine.run_jobs([(_mark_then_die, (marker,)),
                              (_mark, (sibling,))], op="probe")
-        # Unknown job classes get DEFAULT_POLICY's budget.
-        assert _runs(marker) == DEFAULT_POLICY.attempts
-        counters = _counters(engine)
-        assert counters["retries"] == DEFAULT_POLICY.attempts - 1
-        assert counters["retry_exhausted"] == 1
+        # One attempt on the substrate, one inline rerun, no more.
+        assert _runs(marker) == 2
+        assert engine.stats.get("job_inline_fallbacks") == 1
+
+    def test_worker_type_error_is_the_jobs_own(self, make_engine,
+                                               tmp_path):
+        """A ``TypeError`` the job body raises is not a pickling
+        failure: it propagates as itself, and the body ran once."""
+        engine = make_engine()
+        marker = str(tmp_path / "ran")
+        with pytest.raises(TypeError):
+            engine.run_jobs([(_mark_then_type_error, (marker,))],
+                            op="probe")
+        assert _runs(marker) == 1
+        assert engine.stats.get("job_inline_fallbacks") == 0
 
 
 # ----------------------------------------------------------------------
-# the ladder: process -> inline
+# the failure rule on the pool: one inline rerun per failed job
 # ----------------------------------------------------------------------
 class TestLadder:
     def test_unpicklable_job_runs_inline_pool_intact(
@@ -239,8 +277,6 @@ class TestLadder:
         shipped = substrate == "process"
         assert engine.stats.get("job_inline_fallbacks") == \
             (1 if shipped else 0)
-        assert engine.stats.get("process_fallbacks") == 0
-        assert engine.resilience.breakers["process"].state == "closed"
         if shipped:
             # The siblings still ran in the pool, not here.
             with open(marker, encoding="utf-8") as handle:
@@ -248,45 +284,45 @@ class TestLadder:
 
     def test_pool_break_demotes_then_probe_promotes(
             self, make_engine, substrate, tmp_path):
+        """Each job the broken pool refuses is demoted to one inline
+        run; every dispatch tries the pool first, so the first one
+        after the faults stop is back on it."""
         engine = make_engine(
             faults=_probe_plan(5, "pool_break", 1.0, limit=5))
-        breaker = engine.resilience.breakers["process"]
-        breaker.cooldown = 0.2
         marker = str(tmp_path / "ran")
         jobs = [(_mark, (marker,))] * 2
         for _ in range(3):
             assert engine.run_jobs(jobs, op="probe") == ["ran"] * 2
         assert _runs(marker) == 6     # every job ran exactly once
-        if substrate == "inline":
-            # Nothing ships, so a pool fault has nothing to break.
-            assert breaker.state == "closed"
-            assert engine.stats.get("process_fallbacks") == 0
-            return
-        assert breaker.state == "open"
-        assert engine.stats.get("process_fallbacks") == 3
+        # Nothing ships inline, so a pool fault has nothing to break.
+        broken = 5 if substrate == "process" else 0
+        assert engine.stats.get("job_inline_fallbacks") == broken
+        # The plan is spent: the next dispatch runs on the pool again.
         assert engine.run_jobs(jobs, op="probe") == ["ran"] * 2
-        assert _counters(engine)["breaker_rejections"] >= 1
-        time.sleep(0.25)
-        assert engine.run_jobs(jobs, op="probe") == ["ran"] * 2
-        assert breaker.state == "closed"
-        assert breaker.snapshot()["promotions"] == 1
+        assert engine.stats.get("job_inline_fallbacks") == broken
 
-    def test_failed_job_still_reports_the_probe(self, tmp_path):
-        """A half-open breaker's probe fan-out must report back even
-        when one of its *jobs* fails -- the pool did its part."""
-        engine = CExplorer(workers=1, backend="process").engine
+    def test_worker_death_reruns_inline_on_a_fresh_pool(self,
+                                                        tmp_path):
+        """A job that SIGKILLs its worker between two slow siblings:
+        the pool dies under all three, each reruns inline, and the
+        next dispatch gets a fresh pool."""
+        engine = CExplorer(workers=2, backend="process",
+                           faults=FaultPlan()).engine
+        markers = [str(tmp_path / "job{}".format(i)) for i in range(3)]
         try:
-            breaker = engine.resilience.breakers["process"]
-            breaker.cooldown = 0.0
-            for _ in range(breaker.failure_threshold):
-                breaker.record_failure()
-            with pytest.raises(WorkerKilledError):
-                engine.run_jobs(
-                    [(_mark_then_die, (str(tmp_path / "ran"),))],
-                    op="probe")
-            assert breaker.state == "closed"
+            assert engine.run_jobs(
+                [(_slow_mark, (markers[0], 1)),
+                 (_mark_then_kill_worker, (markers[1], 2)),
+                 (_slow_mark, (markers[2], 3))], op="probe") == [1, 2, 3]
+            assert all(_runs(marker) >= 1 for marker in markers)
+            fallbacks = engine.stats.get("job_inline_fallbacks")
+            assert fallbacks >= 1
+            assert engine.run_jobs([(_square, (4,))], op="probe") \
+                == [16]
+            assert engine.stats.get("job_inline_fallbacks") == fallbacks
         finally:
             engine.shutdown()
+        assert payload_plane.live_segments() == 0
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +332,11 @@ class TestWorkerState:
     def test_version_bumps_replace_worker_entries(self, substrate):
         graph = generate_dblp_graph(
             DblpConfig(n_authors=300, n_communities=6, seed=7))
+        # No faults: a job killed on its last dispatch would rerun in
+        # the parent, leaving the worker one version behind.
         explorer = CExplorer(workers=1,
-                             backend=SUBSTRATES[substrate])
+                             backend=SUBSTRATES[substrate],
+                             faults=FaultPlan())
         engine = explorer.engine
         try:
             explorer.add_graph("g", graph)

@@ -26,6 +26,7 @@ from repro.algorithms.registry import (
 from repro.core.community import Community
 from repro.core.kcore import core_decomposition
 from repro.datasets import generate_planted_partition
+from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.attributed import AttributedGraph
 from repro.graph.frozen import freeze
@@ -180,7 +181,8 @@ class TestWholeQueryWorkers:
 
     def test_process_backend_runs_whole_queries(self, plain,
                                                 dblp_small):
-        proc = CExplorer(workers=2, backend="process")
+        proc = CExplorer(workers=2, backend="process",
+                         faults=FaultPlan())
         proc.add_graph("g", dblp_small)
         try:
             queries = _cs_queries(dblp_small)
@@ -192,8 +194,7 @@ class TestWholeQueryWorkers:
                         (name, q)
             snapshot = proc.engine.snapshot()
             assert snapshot["worker_full_query"] > 0
-            assert proc.engine.stats.get("full_query_fallbacks") == 0
-            assert proc.engine.stats.get("process_fallbacks") == 0
+            assert proc.engine.stats.get("job_inline_fallbacks") == 0
         finally:
             proc.engine.shutdown()
 

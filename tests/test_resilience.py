@@ -1,15 +1,14 @@
-"""The fault-tolerant execution plane: chaos properties.
+"""The engine's failure rule under chaos.
 
-The load-bearing claim: under a seeded fault plan, every query either
-returns a result **byte-identical** to fault-free execution (retries,
-hedges and substrate fallbacks absorbed the fault) or fails fast with
-a stable error from the registered taxonomy -- and no future is ever
-left hanging.  Plus the machinery itself: deterministic fault plans,
-retry backoff, circuit-breaker demotion/re-promotion, payload
-quarantine, cooperative worker deadlines, and the health/readiness
-serving surfaces.  (How one dispatch applies them -- one-shot faults,
-retry budgets, deadlines, the unpicklable-job escape -- is the
-substrate contract in ``test_job_pipeline.py``.)
+The load-bearing claim: under a seeded fault plan, every query
+returns a result **byte-identical** to fault-free execution -- a job
+whose attempt dies of an injected fault runs once more, inline and
+fault-free -- and no future is ever left hanging.  Plus the machinery
+around it: deterministic fault plans, discarding a corrupt payload,
+cooperative worker deadlines, and the health/readiness serving
+surfaces.  (How one dispatch applies the rule -- one-shot faults,
+deadlines, the unpicklable-job escape -- is the substrate contract in
+``test_job_pipeline.py``.)
 """
 
 import json
@@ -20,24 +19,14 @@ import pytest
 
 from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import backends
+from repro.engine import payloads as payload_plane
 from repro.engine.faults import (
     FaultPlan,
     FaultSpecError,
     corrupt_blob,
 )
-from repro.engine.retry import (
-    POLICIES,
-    RETRYABLE,
-    CircuitBreaker,
-    RetryPolicy,
-)
 from repro.explorer.cexplorer import CExplorer
-from repro.util.errors import (
-    CExplorerError,
-    FaultInjectedError,
-    QueryTimeoutError,
-    WorkerKilledError,
-)
+from repro.util.errors import FaultInjectedError, QueryTimeoutError
 
 VERTICES = ("jim gray", "michael stonebraker", "michael l. brodie",
             "bruce g. lindsay", "gerhard weikum")
@@ -72,8 +61,8 @@ def _canon(communities):
                       sort_keys=True)
 
 
-def _resilience(explorer):
-    return explorer.engine.snapshot()["resilience"]
+def _fallbacks(explorer):
+    return explorer.engine.stats.get("job_inline_fallbacks")
 
 
 # ----------------------------------------------------------------------
@@ -174,82 +163,6 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# retry policy + circuit breaker mechanics
-# ----------------------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_backoff_caps_and_jitters_deterministically(self):
-        policy = RetryPolicy(attempts=5, base_delay=0.01,
-                             max_delay=0.05)
-        delays = [policy.backoff(n, token="full_query:0")
-                  for n in range(1, 6)]
-        assert delays == [policy.backoff(n, token="full_query:0")
-                          for n in range(1, 6)]
-        # capped exponential: never above max_delay * 1.5 (jitter)
-        assert all(d <= 0.05 * 1.5 for d in delays)
-        assert delays[0] < delays[2]
-        assert delays != [policy.backoff(n, token="full_query:1")
-                          for n in range(1, 6)]
-
-    def test_job_class_policies(self):
-        assert POLICIES["full_query"].hedge
-        assert not POLICIES["detect"].hedge
-        assert all(issubclass(exc, CExplorerError) for exc in RETRYABLE)
-
-
-class TestCircuitBreaker:
-    def test_opens_probes_and_promotes(self):
-        breaker = CircuitBreaker("process", failure_threshold=3,
-                                 cooldown=0.05)
-        assert breaker.allow() is True
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.allow() is False
-        time.sleep(0.06)
-        assert breaker.allow() == "probe"
-        # only one probe in flight
-        assert breaker.allow() is False
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow() is True
-        doc = breaker.snapshot()
-        assert doc["opens"] == 1
-        assert doc["promotions"] == 1
-        assert doc["degraded_seconds"] > 0
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker("process", failure_threshold=2,
-                                 cooldown=0.05)
-        breaker.record_failure()
-        breaker.record_failure()
-        time.sleep(0.06)
-        assert breaker.allow() == "probe"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.allow() is False
-
-    def test_success_resets_consecutive_count(self):
-        # sparse failures (well under the windowed error rate) never
-        # open the breaker, however many accumulate in total
-        breaker = CircuitBreaker("process", failure_threshold=3)
-        for _ in range(10):
-            breaker.record_failure()
-            breaker.record_success()
-            breaker.record_success()
-            breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_windowed_error_rate_opens_without_consecutive(self):
-        breaker = CircuitBreaker("process", failure_threshold=3,
-                                 window=8, error_rate=0.5)
-        for _ in range(8):
-            breaker.record_failure()
-            breaker.record_success()
-        assert breaker.state == "open"
-
-
-# ----------------------------------------------------------------------
 # cooperative worker deadlines
 # ----------------------------------------------------------------------
 
@@ -276,7 +189,7 @@ class TestWorkerDeadlines:
 
 
 # ----------------------------------------------------------------------
-# retries absorb injected faults (identity preserved)
+# one inline rerun absorbs an injected fault (identity preserved)
 # ----------------------------------------------------------------------
 
 class TestRetryAbsorption:
@@ -284,15 +197,14 @@ class TestRetryAbsorption:
         baseline = _explorer()
         expected = [_canon(baseline.search("acq", v, k=3))
                     for v in VERTICES]
-        # the first four inline jobs' first attempts die; retries
-        # absorb all
+        # the first four jobs' first attempts die; one fault-free
+        # rerun each absorbs them all
         chaotic = _explorer(
             faults=FaultPlan.from_spec("seed=1;kill:full_query@1.0#4"))
         got = [_canon(_full_query(chaotic, v, 3)) for v in VERTICES]
         assert got == expected
-        counters = _resilience(chaotic)["counters"]
-        assert counters["retries"] >= 4
-        assert counters["faults_injected"] == 4
+        assert _fallbacks(chaotic) == 4
+        assert chaotic.engine.faults.injected() == 4
 
     def test_process_full_query_retries_injected_kills(self):
         baseline = _explorer()
@@ -303,8 +215,7 @@ class TestRetryAbsorption:
         try:
             assert _canon(chaotic.search("acq", VERTICES[0], k=3)) \
                 == expected
-            counters = _resilience(chaotic)["counters"]
-            assert counters["retries"] >= 1
+            assert _fallbacks(chaotic) == 1
         finally:
             chaotic.engine.shutdown()
 
@@ -322,51 +233,42 @@ class TestRetryAbsorption:
 
 
 # ----------------------------------------------------------------------
-# degradation ladder: process -> inline -> promotion back
+# a broken pool: each refused job runs inline, the pool comes back
 # ----------------------------------------------------------------------
 
 class TestBreakerDegradation:
     def test_pool_breaks_demote_then_probe_promotes(self):
+        """Every query the broken pool refuses still answers, from one
+        inline rerun; every dispatch tries the pool first, so once
+        the faults stop the pool serves again."""
         explorer = _explorer(
             backend="process",
             faults=FaultPlan.from_spec(
                 "seed=5;pool_break:full_query@1.0#3"))
         engine = explorer.engine
-        breaker = engine.resilience.breakers["process"]
-        breaker.cooldown = 0.2
         baseline = _explorer()
         expected = {v: _canon(baseline.search("acq", v, k=3))
                     for v in VERTICES}
         try:
-            # three broken dispatches: every query still answers
-            # (inline fallback), then the breaker is open
             for v in VERTICES[:3]:
                 assert _canon(explorer.search("acq", v, k=3)) \
                     == expected[v]
-            assert breaker.state == "open"
-            # while open: the process pool is skipped, results intact
-            assert _canon(explorer.search("acq", VERTICES[3], k=3)) \
-                == expected[VERTICES[3]]
-            assert _resilience(explorer)["degraded"]
-            # after the cooldown the probe fan-out re-promotes
-            time.sleep(0.25)
-            assert _canon(explorer.search("acq", VERTICES[4], k=3)) \
-                == expected[VERTICES[4]]
-            assert breaker.state == "closed"
-            doc = breaker.snapshot()
-            assert doc["opens"] == 1
-            assert doc["promotions"] == 1
-            assert not _resilience(explorer)["degraded"]
+            assert _fallbacks(explorer) == 3
+            for v in VERTICES[3:]:
+                assert _canon(explorer.search("acq", v, k=3)) \
+                    == expected[v]
+            assert _fallbacks(explorer) == 3
         finally:
             engine.shutdown()
+        assert payload_plane.live_segments() == 0
 
 
 # ----------------------------------------------------------------------
-# corruption: quarantine, not breaker food
+# corruption: the payload is discarded, the job reruns inline
 # ----------------------------------------------------------------------
 
 class TestCorruptionQuarantine:
-    def test_corrupt_payload_quarantined_and_query_recovers(self):
+    def test_corrupt_payload_discarded_and_query_recovers(self):
         baseline = _explorer()
         expected = _canon(baseline.search("acq", VERTICES[0], k=3))
         explorer = _explorer(
@@ -377,13 +279,13 @@ class TestCorruptionQuarantine:
         try:
             assert _canon(explorer.search("acq", VERTICES[0], k=3)) \
                 == expected
-            doc = _resilience(explorer)
-            assert doc["counters"]["quarantines"] == 1
-            assert doc["quarantined"] == 1
-            # corruption must NOT have condemned the substrate
-            assert doc["breakers"]["process"]["state"] == "closed"
+            assert _fallbacks(explorer) == 1
+            # the poisoned payload is gone: the next query re-freezes
+            _, fresh = engine.indexes.full_payload("dblp")
+            assert fresh
         finally:
             engine.shutdown()
+        assert payload_plane.live_segments() == 0
 
     def test_discard_payload_drops_cached_copy(self):
         explorer = _explorer()
@@ -394,35 +296,7 @@ class TestCorruptionQuarantine:
 
 
 # ----------------------------------------------------------------------
-# hedging
-# ----------------------------------------------------------------------
-
-class TestHedging:
-    def test_straggler_gets_hedged_duplicate(self):
-        explorer = _explorer(
-            backend="process",
-            faults=FaultPlan.from_spec(
-                "seed=8;delay:full_query@1.0=0.4#1"))
-        engine = explorer.engine
-        try:
-            # warm the latency history so p95 is trusted (and tiny)
-            for _ in range(25):
-                engine.stats.observe("full_query", 0.002)
-            start = time.perf_counter()
-            explorer.search("acq", VERTICES[0], k=3)
-            elapsed = time.perf_counter() - start
-            counters = _resilience(explorer)["counters"]
-            assert counters["hedges"] == 1
-            assert counters["hedges_won"] \
-                + counters["hedges_lost"] == 1
-            # the hedge answered well before the 0.4s delay resolved
-            assert elapsed < 0.4
-        finally:
-            engine.shutdown()
-
-
-# ----------------------------------------------------------------------
-# the chaos property: 5% worker kills, identity or stable failure
+# the chaos property: worker kills and delays, identity every time
 # ----------------------------------------------------------------------
 
 class TestChaosProperty:
@@ -439,28 +313,18 @@ class TestChaosProperty:
         futures = [engine.submit(_full_query, chaotic, v, k,
                                  op="search", timeout=30.0)
                    for _, v, k in queries]
-        identical = 0
-        failures = []
-        for future, want in zip(futures, expected):
-            try:
-                got = _canon(future.result(30.0))
-            except CExplorerError as exc:
-                failures.append(exc)
-            else:
-                identical += got == want
-        # every future resolved one way or the other: nothing hangs
+        got = [_canon(future.result(30.0)) for future in futures]
+        # A rerun is pristine, so no injected fault can surface: every
+        # answer is the fault-free one.
+        assert got == expected
         assert all(f.done() for f in futures)
-        assert identical / len(queries) >= 0.99
-        for exc in failures:
-            assert isinstance(exc, (WorkerKilledError,
-                                    QueryTimeoutError))
-        doc = _resilience(chaotic)
-        assert doc["fault_plan"]["injected"]
-        assert doc["counters"]["faults_injected"] > 0
+        snapshot = engine.snapshot()
+        assert snapshot["fault_plan"]["injected"]
+        assert engine.faults.injected() > 0
 
 
 # ----------------------------------------------------------------------
-# serving surfaces: /v1/health, /v1/ready, resilience metrics
+# serving surfaces: /v1/health, /v1/ready, failure-rule metrics
 # ----------------------------------------------------------------------
 
 def _serve(explorer):
@@ -490,7 +354,8 @@ class TestServingSurfaces:
             status, doc = _get(server, "/v1/health")
             assert status == 200
             assert doc["data"]["status"] == "ok"
-            assert doc["data"]["degraded"] is False
+            assert set(doc["data"]) == {"status", "uptime_seconds",
+                                        "backend"}
             status, doc = _get(server, "/v1/ready")
             assert status == 200
             assert doc["data"]["ready"] is True
@@ -512,28 +377,27 @@ class TestServingSurfaces:
             server.shutdown()
 
     def test_metrics_resilience_block_schema(self):
-        from repro.engine.retry import ResiliencePlane
-        explorer = _explorer()
-        doc = explorer.engine.snapshot()["resilience"]
-        assert set(doc["counters"]) == set(ResiliencePlane.COUNTER_KEYS)
-        assert set(doc["breakers"]) == {"process"}
-        for breaker in doc["breakers"].values():
-            assert {"state", "opens", "probes", "promotions",
-                    "degraded_seconds"} <= set(breaker)
-        assert doc["quarantined"] == 0
-        assert doc["degraded"] is False
+        """What is left of the resilience block: the rerun counter
+        among the engine counters, and the installed plan."""
+        doc = _explorer(faults=FaultPlan()).engine.snapshot()
+        assert "resilience" not in doc
+        assert doc["counters"]["job_inline_fallbacks"] == 0
+        assert doc["fault_plan"] == {"seed": 0, "rules": [],
+                                     "injected": {}}
+        plan = FaultPlan.from_spec("seed=3;kill:detect@0.5")
+        doc = _explorer(faults=plan).engine.snapshot()
+        assert doc["fault_plan"]["rules"] == ["kill:detect@0.5"]
 
     def test_prometheus_exports_resilience_series(self):
         from repro.engine.tracing import render_prometheus
         explorer = _explorer(
             faults=FaultPlan.from_spec("seed=10;kill:full_query@1.0#1"))
-        explorer.search("acq", VERTICES[0], k=3)
+        _full_query(explorer, VERTICES[0], 3)
         text = render_prometheus(
             {"engine": explorer.engine.snapshot()})
-        assert "repro_resilience_events_total" in text
-        assert 'repro_breaker_state{backend="process"}' in text
-        assert "repro_breaker_degraded_seconds_total" in text
-        assert "repro_quarantined_payloads" in text
+        assert 'repro_engine_events_total{event="job_inline_fallbacks"}' \
+            ' 1\n' in text
+        assert "repro_resilience" not in text
 
     def test_engine_busy_queue_makes_not_ready(self):
         explorer = CExplorer(workers=1, max_queue=1)

@@ -311,7 +311,11 @@ class TestEngineTracing:
 @pytest.fixture(scope="module")
 def traced_server():
     from repro.datasets import DblpConfig, generate_dblp_graph
-    explorer = CExplorer(workers=2, backend="process")
+    from repro.engine.faults import FaultPlan
+    # No faults: a killed job reruns inline, not in the pool these
+    # tests trace.
+    explorer = CExplorer(workers=2, backend="process",
+                         faults=FaultPlan())
     explorer.add_graph("dblp", generate_dblp_graph(
         DblpConfig(n_authors=400, n_communities=8, seed=13)))
     srv = make_server(explorer, port=0)

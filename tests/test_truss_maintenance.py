@@ -32,6 +32,7 @@ from repro.core.truss_maintenance import (
     truss_affected_vertices,
 )
 from repro.engine.cache import ResultCache
+from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
 from repro.util.errors import QueryError
@@ -313,14 +314,15 @@ class TestTrussBackendEquivalence:
     def test_process_backend_matches_thread(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
-        proc = CExplorer(workers=2, backend="process")
+        proc = CExplorer(workers=2, backend="process",
+                         faults=FaultPlan())
         proc.add_graph("g", dblp_small)
         try:
             jim = dblp_small.id_of("Jim Gray")
             for algorithm in ("k-truss", "atc"):
                 assert proc.search(algorithm, jim, k=3) == \
                     plain.search(algorithm, jim, k=3)
-            assert proc.engine.stats.get("process_fallbacks") == 0
+            assert proc.engine.stats.get("job_inline_fallbacks") == 0
         finally:
             proc.engine.shutdown()
 
