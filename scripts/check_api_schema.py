@@ -9,6 +9,8 @@ validates the live surface against the ``/v1`` contract in
 * every ``/v1`` route in the route table answers, and every response
   wears the uniform envelope (``ok`` / ``data`` / ``error`` with the
   documented types, ``trace`` only on traced queries);
+* ``/v1/compare`` after a search of the same query answers that
+  method from the cache;
 * every error path emits a **registered** code from
   ``routes.ERROR_CODES`` with exactly the status registered for it,
   and the error object carries ``code`` + ``message`` (plus
@@ -157,6 +159,33 @@ def check_search_hit(base, search, miss):
                "than query.trace")
 
 
+def check_compare(base, search):
+    """``/v1/compare`` answers each method through the search path:
+    after ``search`` its ``acq`` row is a cache hit, and the compare
+    is one traced query."""
+    def hits():
+        return (get(base, "/v1/metrics")[1].get("data") or {}) \
+            .get("cache", {}).get("hits", 0)
+
+    before = hits()
+    status, doc = post(base, "/v1/compare", {
+        "vertex": search["vertex"], "k": search["k"],
+        "methods": ["acq", "global"]})
+    for problem in check_envelope("/v1/compare", status, doc):
+        yield problem
+    data = doc.get("data") or {}
+    keys = {"query_vertex", "k", "table", "quality", "timings",
+            "communities", "charts"}
+    if status != 200 or set(data) != keys:
+        yield "/v1/compare: HTTP {}, data keys {}".format(
+            status, sorted(data))
+    if not doc.get("trace"):
+        yield "/v1/compare: no top-level 'trace' id"
+    if hits() <= before:
+        yield ("/v1/compare: the acq row after the same search was "
+               "not a cache hit")
+
+
 def check_server(base, kind):
     """Probe one live server; yield problem strings."""
     problems = []
@@ -190,6 +219,8 @@ def check_server(base, kind):
         if status != 200:
             problems.append("/v1/traces/{id}: HTTP %d" % status)
 
+    problems.extend(check_compare(base, search))
+
     # -- every documented client-visible error code --------------------
     exercised = set()
     cases = (
@@ -212,6 +243,27 @@ def check_server(base, kind):
          "unknown_algorithm", 400),
         ("POST /v1/search (bad vertex)",
          post(base, "/v1/search", {"vertex": "not a real author"}),
+         "invalid_query", 400),
+        ("POST /v1/search (keywords not a list)",
+         post(base, "/v1/search", {"vertex": "Jim Gray",
+                                   "keywords": "data"}),
+         "invalid_parameter", 400),
+        ("POST /v1/compare (methods not a list)",
+         post(base, "/v1/compare", {"vertex": "Jim Gray",
+                                    "methods": "acq"}),
+         "invalid_parameter", 400),
+        ("POST /v1/compare (a method not a string)",
+         post(base, "/v1/compare", {"vertex": "Jim Gray",
+                                    "methods": [1]}),
+         "invalid_parameter", 400),
+        ("POST /v1/compare (keywords not a list)",
+         post(base, "/v1/compare", {"vertex": "Jim Gray",
+                                    "methods": ["acq"],
+                                    "keywords": "data"}),
+         "invalid_parameter", 400),
+        ("POST /v1/compare (negative k)",
+         post(base, "/v1/compare", {"vertex": "Jim Gray", "k": -1,
+                                    "methods": ["acq"]}),
          "invalid_query", 400),
         ("POST /v1/search (bad json)",
          post(base, "/v1/search", raw=b"{nope"), "invalid_json", 400),

@@ -211,7 +211,10 @@ def codicil_community(graph, q, partition=None, **kwargs):
     """The CODICIL community containing ``q`` (Figure 6 usage).
 
     ``partition`` lets callers reuse a precomputed :func:`codicil`
-    result; otherwise the pipeline runs with ``kwargs``.
+    result; otherwise the pipeline runs with ``kwargs``.  The answer
+    shares its partition community's
+    :class:`~repro.core.community.CommunityBody`, so every query
+    vertex of one cluster reuses the members' derived statistics.
     """
     if q not in graph:
         raise QueryError("query vertex {!r} not in graph".format(q))
@@ -219,6 +222,6 @@ def codicil_community(graph, q, partition=None, **kwargs):
         partition = codicil(graph, **kwargs)
     for community in partition:
         if q in community:
-            return [Community(graph, community.vertices, method="CODICIL",
+            return [Community(graph, community.body, method="CODICIL",
                               query_vertices=(q,))]
     return []

@@ -3,13 +3,21 @@
 Runs several CR algorithms on the same query and assembles everything
 the analysis screen shows: the statistics table, the CPJ/CMF bar data,
 pairwise overlap between methods' communities, and the per-method
-community lists for the "view" links.
+community lists for the "view" links.  :func:`report` is the one loop;
+:func:`compare_methods` feeds it straight from the algorithm registry,
+and :meth:`CExplorer.compare
+<repro.explorer.cexplorer.CExplorer.compare>` feeds it one
+:meth:`~repro.explorer.cexplorer.CExplorer.search` per method.
 """
 
 import time
 
 from repro.algorithms.registry import get_cs_algorithm
 from repro.analysis.statistics import format_table, statistics_table
+from repro.util.errors import QueryError
+
+# The four methods of the paper's Figure 6 screen.
+DEFAULT_METHODS = ("global", "local", "codicil", "acq")
 
 
 class ComparisonReport:
@@ -90,28 +98,48 @@ class ComparisonReport:
         }
 
 
-def compare_methods(graph, q, k, methods=("global", "local", "codicil",
-                                          "acq"), keywords=None,
+def report(q, k, methods, run, keywords=None):
+    """Answer each method by ``run(method, q, k, keywords=keywords)``
+    and build the report.
+
+    ``timings`` is what each call took.  The error rule:
+
+    * a negative ``k`` or an unregistered method name is the
+      request's error and raises before any method runs;
+    * a method that raises :class:`~repro.util.errors.QueryError`
+      (k-truss below k=2, say) is recorded with an empty result,
+      mirroring the UI's per-method error chips;
+    * anything else -- an engine timeout, a bug -- propagates.
+    """
+    if k is not None and k < 0:
+        raise QueryError("degree constraint k must be >= 0")
+    for name in methods:
+        get_cs_algorithm(name)
+    results = {}
+    timings = {}
+    for name in methods:
+        start = time.perf_counter()
+        try:
+            communities = run(name, q, k, keywords=keywords)
+        except QueryError:
+            communities = []
+        timings[name] = time.perf_counter() - start
+        results[name] = communities
+    return ComparisonReport(q, k, results, timings)
+
+
+def compare_methods(graph, q, k, methods=DEFAULT_METHODS, keywords=None,
                     method_params=None):
     """Run each named CS algorithm on ``(q, k)`` and build the report.
 
     ``method_params`` maps method name -> extra kwargs (e.g. a prebuilt
     CL-tree for ``acq`` or a precomputed partition for ``codicil``).
-    Methods that raise are recorded with an empty result rather than
-    aborting the whole comparison, mirroring the UI's per-method error
-    chips.
+    Errors follow :func:`report`'s rule.
     """
     method_params = method_params or {}
-    results = {}
-    timings = {}
-    for name in methods:
-        algo = get_cs_algorithm(name)
-        params = dict(method_params.get(name, {}))
-        start = time.perf_counter()
-        try:
-            communities = algo(graph, q, k, keywords=keywords, **params)
-        except Exception:
-            communities = []
-        timings[name] = time.perf_counter() - start
-        results[name] = communities
-    return ComparisonReport(q, k, results, timings)
+
+    def run(name, q, k, keywords=None):
+        return get_cs_algorithm(name)(graph, q, k, keywords=keywords,
+                                      **method_params.get(name, {}))
+
+    return report(q, k, methods, run, keywords=keywords)

@@ -9,6 +9,21 @@ panel can chart.
 from repro.analysis.metrics import cmf, community_density, cpj
 
 
+def body_cpj(community):
+    """``cpj(community)`` at the default sample, computed once per
+    :class:`~repro.core.community.CommunityBody`.
+
+    CPJ depends on the member set alone, and a body belongs to one
+    version of one graph, so every community sharing the body -- every
+    ``global`` answer of one k-core component, a cached answer read by
+    a second compare -- reuses the first value.
+    """
+    body = community.body
+    if body.cpj is None:
+        body.cpj = cpj(community)
+    return body.cpj
+
+
 def community_statistics(communities, query_vertex=None):
     """Aggregate statistics for one method's result list.
 
@@ -28,7 +43,7 @@ def community_statistics(communities, query_vertex=None):
     vertices = sum(len(c) for c in communities) / count
     edges = sum(c.edge_count for c in communities) / count
     degree = sum(c.average_degree for c in communities) / count
-    cpj_avg = sum(cpj(c) for c in communities) / count
+    cpj_avg = sum(body_cpj(c) for c in communities) / count
     density = sum(community_density(c) for c in communities) / count
     row = {
         "communities": count,

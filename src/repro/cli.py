@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 
+from repro.analysis.comparison import DEFAULT_METHODS
 from repro.analysis.statistics import format_table
 from repro.core.persistence import load_cltree, save_cltree
 from repro.datasets import DblpConfig, generate_dblp_graph
@@ -276,7 +277,7 @@ def build_parser():
     p = sub.add_parser("compare", help="Figure 6 comparison analysis")
     common(p)
     p.add_argument("--methods", nargs="+",
-                   default=["global", "local", "codicil", "acq"])
+                   default=list(DEFAULT_METHODS))
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("detect", help="whole-graph community detection")

@@ -25,10 +25,12 @@ class CommunityBody:
     graph on first use and kept; they describe the graph as it was
     then.  A body is therefore shared only between communities
     extracted from one version of one graph -- the engine keys the
-    bodies it shares by index version.
+    bodies it shares by index version.  ``cpj`` is the same kind of
+    derived value, kept here by :mod:`repro.analysis.statistics`
+    (``None`` until first read).
     """
 
-    __slots__ = ("graph", "vertices", "_names", "_edge_count",
+    __slots__ = ("graph", "vertices", "cpj", "_names", "_edge_count",
                  "_encoded")
 
     def __init__(self, graph, vertices):
@@ -36,6 +38,7 @@ class CommunityBody:
         self.vertices = frozenset(vertices)
         if not self.vertices:
             raise ValueError("a community cannot be empty")
+        self.cpj = None
         self._names = None
         self._edge_count = None
         self._encoded = None

@@ -94,6 +94,12 @@ class Span:
         self.parent = parent
         self.tags = tags
 
+    def tag(self, **tags):
+        """Merge result tags (``None`` values are dropped), as
+        :meth:`QueryTrace.tag` does for a whole trace."""
+        self.tags.update((key, value) for key, value in tags.items()
+                         if value is not None)
+
     def to_dict(self):
         """The span as a JSON-friendly dict."""
         doc = {

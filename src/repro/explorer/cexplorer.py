@@ -33,10 +33,11 @@ from repro.algorithms.registry import (
     list_cd_algorithms,
     list_cs_algorithms,
 )
-from repro.analysis.comparison import compare_methods
+from repro.analysis.comparison import DEFAULT_METHODS, report
 from repro.analysis.graph_stats import graph_summary
 from repro.analysis.metrics import cmf, community_conductance, \
-    community_density, cpj
+    community_density
+from repro.analysis.statistics import body_cpj
 from repro.core.community import Community
 from repro.engine import tracing
 from repro.engine.executor import QueryEngine
@@ -341,18 +342,29 @@ class CExplorer:
         Every search runs under a query trace: when the engine's
         queue path submitted this call its trace is already active on
         the thread; direct library calls open (and finish) a root
-        trace of their own through the engine's recorder.
+        trace of their own through the engine's recorder.  A search
+        inside another operation's trace (one method of a
+        :meth:`compare`) is a child ``search`` span of it, and its
+        tags go on that span, not on the root.
         """
         name = self._require_current()
         with self.engine.tracer.trace("search", graph=name,
                                       algorithm=algorithm, k=k) as trace:
-            return self._search_planned(trace, name, algorithm, vertex,
-                                        k, keywords, use_cache, params)
+            if trace is None or trace.op == "search":
+                return self._search_planned(trace, name, algorithm,
+                                            vertex, k, keywords,
+                                            use_cache, params)
+            with trace.span("search", algorithm=algorithm,
+                            k=k) as span:
+                return self._search_planned(span, name, algorithm,
+                                            vertex, k, keywords,
+                                            use_cache, params)
 
-    def _search_planned(self, trace, name, algorithm, vertex, k,
+    def _search_planned(self, tagged, name, algorithm, vertex, k,
                         keywords, use_cache, params):
-        """The traced body of :meth:`search` (``trace`` may be
-        ``None`` when the recorder is disabled).
+        """The traced body of :meth:`search`.  ``tagged`` is the
+        trace or span this search's tags go on (``None`` when the
+        recorder is disabled).
 
         A cacheable miss runs single-flight: the first caller computes
         under an in-flight entry keyed by the cache key and the index
@@ -370,11 +382,11 @@ class CExplorer:
                                full_payload=self.engine
                                .full_query_capable())
         algo = get_cs_algorithm(plan.algorithm)
-        if trace is not None:
-            trace.tag(graph=name, algorithm=plan.algorithm, k=k,
-                      worker_full_query=plan.worker_full_query)
+        if tagged is not None:
+            tagged.tag(graph=name, algorithm=plan.algorithm, k=k,
+                       worker_full_query=plan.worker_full_query)
         if not use_cache or params:
-            return self._run_search(trace, name, graph, plan, algo, q,
+            return self._run_search(tagged, name, graph, plan, algo, q,
                                     k, keywords, params)
         cache_key = self.cache.key(name, algo.name, q, k, keywords)
         cached = self.cache.get(cache_key)
@@ -387,11 +399,11 @@ class CExplorer:
             cached = self.cache.get(cache_key, record_miss=False)
             if cached is not None:
                 self.engine.stats.count("shared_answers")
-                if trace is not None:
-                    trace.tag(shared=True)
+                if tagged is not None:
+                    tagged.tag(shared=True)
                 return cached
         try:
-            result = self._run_search(trace, name, graph, plan, algo,
+            result = self._run_search(tagged, name, graph, plan, algo,
                                       q, k, keywords, params)
             # A one-community answer's footprint is its (possibly
             # shared) member frozenset, not a copy of it per entry.
@@ -403,7 +415,7 @@ class CExplorer:
             if leader:
                 self.cache.end_flight(cache_key, version)
 
-    def _run_search(self, trace, name, graph, plan, algo, q, k,
+    def _run_search(self, tagged, name, graph, plan, algo, q, k,
                     keywords, params):
         """Compute one planned search: on the frozen payload when the
         plan says so, from the shared ``global`` body when one holds
@@ -419,8 +431,8 @@ class CExplorer:
         if algo.name == "global" and not params and isinstance(q, int):
             bodies = self._component_bodies(name, k)
             body = next((b for b in bodies if q in b.vertices), None)
-            if trace is not None:
-                trace.tag(shared_body=body is not None)
+            if tagged is not None:
+                tagged.tag(shared_body=body is not None)
             if body is not None:
                 return [Community(graph, body, method="Global",
                                   query_vertices=(q,), k=k)]
@@ -438,6 +450,12 @@ class CExplorer:
             # index (patched in place by an attached truss maintainer)
             # replaces the per-query O(m^1.5) decomposition.
             params["truss"] = self.indexes.truss(name)
+        elif algo.name == "codicil" and not params:
+            # CODICIL is a whole-graph detection: partition the graph
+            # once per version and answer every query vertex from it.
+            params["partition"] = self.engine.memo.get_or_compute(
+                name, self.indexes.version(name), "codicil", (),
+                lambda: get_cd_algorithm("codicil")(graph))
         result = algo(graph, q, k, keywords=keywords, **params)
         if bodies is not None and result:
             bodies.append(result[0].body)
@@ -499,7 +517,7 @@ class CExplorer:
             "min_internal_degree": community.minimum_internal_degree(),
             "density": round(community_density(community), 4),
             "conductance": round(community_conductance(community), 4),
-            "cpj": round(cpj(community), 4),
+            "cpj": round(body_cpj(community), 4),
         }
         qv = query_vertex
         if qv is None and community.query_vertices:
@@ -508,18 +526,26 @@ class CExplorer:
             metrics["cmf"] = round(cmf(community, query_vertex=qv), 4)
         return metrics
 
-    def compare(self, vertex, k=4, methods=("global", "local", "codicil",
-                                            "acq"), keywords=None,
-                method_params=None):
-        """The Comparison Analysis screen (Figure 6) as a report object."""
-        q = self.resolve_vertex(vertex)
-        params = dict(method_params or {})
-        if any(m.startswith("acq") for m in methods):
-            for m in methods:
-                if m.startswith("acq"):
-                    params.setdefault(m, {}).setdefault("index", self.index())
-        return compare_methods(self.graph, q, k, methods=methods,
-                               keywords=keywords, method_params=params)
+    def compare(self, vertex, k=4, methods=DEFAULT_METHODS,
+                keywords=None):
+        """The Comparison Analysis screen (Figure 6) as a report object.
+
+        Each method is one :meth:`search` of ``(vertex, k, keywords)``
+        on the calling thread -- never a job on the engine queue, which
+        a compare already occupies -- so a cached answer costs its
+        lookup, ``global`` reads the shared body and concurrent
+        identical misses compute once.  The compare is one root trace
+        with a child ``search`` span per method.  Errors follow
+        :func:`~repro.analysis.comparison.report`'s rule: a negative
+        ``k``, an unknown vertex or method raises, a method raising
+        :class:`~repro.util.errors.QueryError` gets an empty row.
+        """
+        name = self._require_current()
+        with self.engine.tracer.trace("compare") as trace:
+            if trace is not None:
+                trace.tag(graph=name, k=k)
+            q = self.resolve_vertex(vertex)
+            return report(q, k, methods, self.search, keywords=keywords)
 
     # ------------------------------------------------------------------
     # display / profiles

@@ -40,6 +40,7 @@ import time
 from urllib.parse import parse_qs
 
 from repro.algorithms.registry import get_cd_algorithm
+from repro.analysis.comparison import DEFAULT_METHODS
 from repro.engine.tracing import render_prometheus
 from repro.server.html import INDEX_HTML
 from repro.util.errors import (
@@ -265,6 +266,21 @@ def as_int(value, name, default=None):
                        "{!r} must be an integer".format(name)) from None
 
 
+def as_strings(value, name, nonempty=False):
+    """A list-of-strings request field (``None`` when absent) with a
+    typed error: a bare string would otherwise be read as its
+    characters."""
+    if value is None:
+        return None
+    if (not isinstance(value, list)
+            or not all(isinstance(item, str) for item in value)
+            or (nonempty and not value)):
+        raise ApiError("invalid_parameter",
+                       "{!r} must be a {}list of strings".format(
+                           name, "non-empty " if nonempty else ""))
+    return value
+
+
 # ----------------------------------------------------------------------
 # handlers
 # ----------------------------------------------------------------------
@@ -409,7 +425,7 @@ def _search_pending(state, req, finish_data):
     vertex = need(body, "vertex")
     k = as_int(body.get("k", 4), "k")
     algorithm = body.get("algorithm", "acq")
-    keywords = body.get("keywords")
+    keywords = as_strings(body.get("keywords"), "keywords")
     started = time.time()
     start = time.perf_counter()
     future = state.submit_search(algorithm, vertex, k=k,
@@ -542,24 +558,28 @@ def h_profile(state, req):
 
 
 def h_compare(state, req):
-    """``POST /v1/compare``: the Figure 6 comparison report."""
+    """``POST /v1/compare``: the Figure 6 comparison report, one
+    search per method on the compare's worker (see
+    :meth:`~repro.explorer.cexplorer.CExplorer.compare`)."""
     body = req.body
     vertex = need(body, "vertex")
     k = as_int(body.get("k", 4), "k")
-    methods = body.get("methods") or ("global", "local", "codicil",
-                                     "acq")
-    future = state.engine.submit(state.explorer.compare, vertex, k=k,
-                                 methods=tuple(methods),
-                                 keywords=body.get("keywords"),
-                                 op="compare",
-                                 timeout=state.query_timeout)
+    methods = as_strings(body.get("methods"), "methods", nonempty=True)
+    keywords = as_strings(body.get("keywords"), "keywords")
+    engine = state.engine
+    trace = engine.tracer.begin("compare", vertex=str(vertex), k=k)
+    future = engine.submit(state.explorer.compare, vertex, k=k,
+                           methods=tuple(methods or DEFAULT_METHODS),
+                           keywords=keywords, op="compare",
+                           timeout=state.query_timeout, trace=trace)
 
     def finish(report):
         doc = report.to_dict()
         if body.get("charts", True):
             from repro.viz.charts import render_quality_charts
             doc["charts"] = render_quality_charts(report)
-        return doc
+        return Response(doc, trace=None if trace is None
+                        else trace.query_id)
 
     return Pending(future, finish)
 

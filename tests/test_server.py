@@ -46,15 +46,20 @@ def _get(server, path):
         return _unwrap(resp.status, json.loads(resp.read()))
 
 
-def _post(server, path, doc):
+def _post_envelope(server, path, doc):
+    """``(status, whole envelope)`` of a JSON POST."""
     req = urllib.request.Request(
         _url(server, path), data=json.dumps(doc).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req) as resp:
-            return _unwrap(resp.status, json.loads(resp.read()))
+            return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
-        return _unwrap(err.code, json.loads(err.read()))
+        return err.code, json.loads(err.read())
+
+
+def _post(server, path, doc):
+    return _unwrap(*_post_envelope(server, path, doc))
 
 
 class TestStaticEndpoints:
@@ -358,6 +363,62 @@ class TestQueryEndpoints:
         assert len(results) == 8
         first = results[0][1]["communities"]
         assert all(r[1]["communities"] == first for r in results)
+
+
+class TestCompareEndpoint:
+    @pytest.mark.parametrize("path, field, value", [
+        ("/v1/compare", "methods", "acq"),
+        ("/v1/compare", "methods", [1]),
+        ("/v1/compare", "methods", []),
+        ("/v1/compare", "keywords", "data"),
+        ("/v1/search", "keywords", "data"),
+        ("/v1/search", "keywords", ["data", 2]),
+        ("/v1/display", "keywords", "data"),
+    ])
+    def test_list_fields_take_only_lists_of_strings(self, server, path,
+                                                    field, value):
+        status, doc = _post(server, path, {"vertex": "jim gray", "k": 3,
+                                           field: value})
+        assert status == 400
+        assert doc["code"] == "invalid_parameter"
+        assert repr(field) in doc["message"]
+
+    @pytest.mark.parametrize("path", ["/v1/compare", "/v1/search"])
+    def test_negative_k_is_invalid_query(self, server, path):
+        status, doc = _post(server, path, {"vertex": "jim gray", "k": -1,
+                                           "methods": ["global", "acq"]})
+        assert (status, doc["code"]) == (400, "invalid_query")
+
+    def test_unexpected_method_failure_is_internal(self, server,
+                                                   monkeypatch):
+        from repro.algorithms.registry import get_cs_algorithm
+
+        def broken(graph, q, k, keywords=None, **params):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(get_cs_algorithm("local"), "func", broken)
+        status, doc = _post(server, "/v1/compare",
+                            {"vertex": "michael stonebraker", "k": 2,
+                             "methods": ["local"], "charts": False})
+        assert (status, doc["code"]) == (500, "internal")
+        assert "kernel bug" in doc["message"]
+
+    def test_compare_after_search_hits_the_cache(self, server):
+        query = {"vertex": "michael stonebraker", "k": 3}
+        assert _post(server, "/v1/search", query)[0] == 200
+        hits = _get(server, "/v1/metrics")[1]["cache"]["hits"]
+        status, envelope = _post_envelope(
+            server, "/v1/compare",
+            dict(query, methods=["acq", "local"], charts=False))
+        assert status == 200
+        assert _get(server, "/v1/metrics")[1]["cache"]["hits"] > hits
+        status, trace = _get(server,
+                             "/v1/traces/" + envelope["trace"])
+        assert status == 200 and trace["op"] == "compare"
+        assert "algorithm" not in trace["tags"]
+        methods = [s["tags"]["algorithm"] for s in trace["spans"]
+                   if s["name"] == "search"]
+        assert methods == ["acq", "local"]
 
 
 def _connect(server):
