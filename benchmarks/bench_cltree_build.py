@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.cltree import build_cltree, build_cltree_basic
 
-from bench_common import dblp_sized, write_artifact
+from bench_common import best_of, dblp_sized, write_artifact
 
 SIZES = [500, 1000, 2000, 4000, 8000]
 
@@ -34,24 +34,28 @@ def test_cltree_build_scaling(benchmark, n):
 
 
 def test_cltree_linearity_shape(benchmark):
-    """One pass over the sweep inside a single bench: assert that
-    time/(n+m) at the largest scale is within 8x of the smallest
+    """The sweep inside a single bench (best of three passes): assert
+    that time/(n+m) at the largest scale is within 8x of the smallest
     (i.e. growth is near-linear, not quadratic), and write the table."""
 
-    def sweep():
-        rows = []
-        for n in SIZES:
-            graph = dblp_sized(n)
-            start = time.perf_counter()
-            tree = build_cltree(graph)
-            elapsed = time.perf_counter() - start
-            size = graph.vertex_count + graph.edge_count
-            rows.append((n, graph.edge_count, elapsed,
-                         elapsed / size * 1e6,
-                         tree.index_size()["postings"]))
-        return rows
+    graphs = [dblp_sized(n) for n in SIZES]
+    trees = {}
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    def sweep():
+        timings = []
+        for n, graph in zip(SIZES, graphs):
+            start = time.perf_counter()
+            trees[n] = build_cltree(graph)
+            timings.append(time.perf_counter() - start)
+        return tuple(timings)
+
+    seconds = benchmark.pedantic(best_of, args=(sweep,), rounds=1,
+                                 iterations=1)
+    rows = []
+    for n, graph, elapsed in zip(SIZES, graphs, seconds):
+        size = graph.vertex_count + graph.edge_count
+        rows.append((n, graph.edge_count, elapsed, elapsed / size * 1e6,
+                     trees[n].index_size()["postings"]))
     per_unit = [r[3] for r in rows]
     assert per_unit[-1] < 8 * per_unit[0], \
         "build time per (n+m) grew superlinearly: {}".format(per_unit)
@@ -80,6 +84,7 @@ def test_cltree_advanced_vs_basic(benchmark):
         basic = time.perf_counter() - start
         return advanced, basic
 
-    advanced, basic = benchmark.pedantic(both, rounds=3, iterations=1)
+    advanced, basic = benchmark.pedantic(best_of, args=(both,), rounds=1,
+                                         iterations=1)
     # Allow noise, but advanced must not be drastically slower.
     assert advanced < 3 * basic

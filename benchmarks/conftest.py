@@ -1,40 +1,23 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-fidelity benchmarks.
 
-Every benchmark regenerates one of the paper's figures/tables (see the
-experiment index in DESIGN.md).  Numbers are machine-dependent; the
-*shape* assertions (who wins, what scales how) are what reproduce the
-paper.  Each bench also writes a human-readable artefact into
-``benchmarks/out/`` so the regenerated tables can be inspected after a
-run (they are the inputs to EXPERIMENTS.md).
+Every ``bench_*`` file reproduces one of the paper's figures or claims;
+the README's "Benchmarks" section lists them, E1-E12, each with the
+figure or sentence it reproduces.  Timings are machine-dependent, so
+each bench asserts the figure's *shape* (who wins, which way a curve
+bends, what the structure is), and writes a human-readable artefact
+into ``benchmarks/out/`` so the regenerated tables can be inspected
+after a run.
 
 Only fixtures live here; helpers that benchmarks import by name
 (``write_artifact``, ``dblp_sized``) are in :mod:`bench_common`, so
 this conftest never collides with ``tests/conftest.py``.
 """
 
-import os
-
 import pytest
 
 from repro.core.cltree import build_cltree
 from repro.datasets import generate_dblp_graph
 from repro.explorer.cexplorer import CExplorer
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick", action="store_true", default=False,
-        help="capped bench mode for CI smoke jobs: smaller query "
-             "pools, relaxed shape assertions (also enabled by "
-             "REPRO_BENCH_QUICK=1)")
-
-
-@pytest.fixture(scope="session")
-def quick(request):
-    """Whether the capped CI smoke mode is on (flag or env)."""
-    return bool(request.config.getoption("--quick")
-                or os.environ.get("REPRO_BENCH_QUICK", "").lower()
-                in ("1", "true", "yes", "on"))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Reproduce every paper artefact in one run (fast mode).
 
-Walks the experiment index of DESIGN.md (E1-E12) end to end on the
-default synthetic DBLP workload and prints a compact paper-vs-measured
-report -- a lighter-weight companion to the full benchmark harness
-(`pytest benchmarks/ --benchmark-only`), useful for a quick smoke of
-the whole reproduction.
+Walks the experiment index in the README's "Benchmarks" section
+(E1-E12) end to end on the default synthetic DBLP workload and prints
+a compact paper-vs-measured report -- a lighter-weight companion to
+the paper-fidelity benches (`pytest benchmarks/ --ignore=benchmarks/e2e`),
+useful for a quick smoke of the whole reproduction.
 
 Run:  python examples/reproduce_paper.py
 """

@@ -11,6 +11,8 @@ validates the live surface against the ``/v1`` contract in
   documented types, ``trace`` only on traced queries);
 * ``/v1/compare`` after a search of the same query answers that
   method from the cache;
+* a ``null`` integer field takes its default, and a float or bool
+  one is a 400;
 * every error path emits a **registered** code from
   ``routes.ERROR_CODES`` with exactly the status registered for it,
   and the error object carries ``code`` + ``message`` (plus
@@ -186,6 +188,29 @@ def check_compare(base, search):
                "not a cache hit")
 
 
+def check_null_fields(base):
+    """A ``null`` integer field means absent (the HTML client sends
+    one when the k box is empty): each route answers with its
+    default."""
+    probes = (
+        ("/v1/search", {"vertex": "Jim Gray", "k": None}),
+        ("/v1/display", {"vertex": "Jim Gray", "k": None,
+                         "community": None}),
+        ("/v1/compare", {"vertex": "Jim Gray", "k": None,
+                         "methods": ["acq"], "charts": False}),
+        ("/v1/suggest", {"prefix": "j", "limit": None}),
+        ("/v1/history", {"session": "schema", "limit": None}),
+    )
+    for path, body in probes:
+        status, doc = post(base, path, body)
+        for problem in check_envelope(path + " (null field)", status,
+                                      doc):
+            yield problem
+        if status != 200:
+            yield "{} (null field): HTTP {}, expected 200".format(
+                path, status)
+
+
 def check_server(base, kind):
     """Probe one live server; yield problem strings."""
     problems = []
@@ -220,6 +245,7 @@ def check_server(base, kind):
             problems.append("/v1/traces/{id}: HTTP %d" % status)
 
     problems.extend(check_compare(base, search))
+    problems.extend(check_null_fields(base))
 
     # -- every documented client-visible error code --------------------
     exercised = set()
@@ -237,6 +263,18 @@ def check_server(base, kind):
         ("POST /v1/search (bad k)",
          post(base, "/v1/search", {"vertex": "Jim Gray", "k": "many"}),
          "invalid_parameter", 400),
+        ("POST /v1/search (float k)",
+         post(base, "/v1/search", {"vertex": "Jim Gray", "k": 3.9}),
+         "invalid_parameter", 400),
+        ("POST /v1/search (bool k)",
+         post(base, "/v1/search", {"vertex": "Jim Gray", "k": True}),
+         "invalid_parameter", 400),
+        ("POST /v1/history (limit not an integer)",
+         post(base, "/v1/history", {"session": "schema",
+                                    "limit": "x"}),
+         "invalid_parameter", 400),
+        ("GET /v1/traces (limit not an integer)",
+         get(base, "/v1/traces?limit=x"), "invalid_parameter", 400),
         ("POST /v1/search (bad algorithm)",
          post(base, "/v1/search",
               {"vertex": "Jim Gray", "algorithm": "nope"}),

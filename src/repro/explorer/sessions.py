@@ -8,10 +8,9 @@
 * :class:`QueryCache` -- the original LRU cache over
   (graph, algorithm, q, k, S) keys.  The server path now uses the
   engine's :class:`~repro.engine.cache.ResultCache` (which adds
-  eviction counters and footprint-based selective invalidation);
-  QueryCache remains as the minimal standalone substrate -- the
-  microbenchmark baseline in ``bench_substrates.py`` and a
-  dependency-free cache for embedders who want one.
+  eviction counters and footprint-based selective invalidation).
+  QueryCache has no caller outside its own tests; it is due for
+  deletion together with them.
 """
 
 import threading

@@ -33,8 +33,7 @@ Properties the rest of the system relies on:
   in :mod:`repro.core.ktruss`, and :meth:`FrozenGraph.csr_numpy`
   lazily materialises (and caches) int64 NumPy copies for the
   vectorised level-peeling kernel in :mod:`repro.core.kcore` when
-  NumPy is importable -- the fast path the ``bench_engine`` kernel
-  trajectory measures;
+  NumPy is importable;
 * **read-API compatible** -- the inspection surface of
   ``AttributedGraph`` (``vertices``, ``neighbors``, ``degree``,
   ``keywords``, ``label``, ``connected_component``, ...) is

@@ -137,15 +137,10 @@ class Request:
         self.body = body if body is not None else {}
 
     def int_query(self, key, default):
-        """An integer query-string parameter, or ``default`` when
-        absent or malformed."""
+        """An integer query-string parameter under ``as_int``'s rule:
+        ``default`` when absent, a 400 when malformed."""
         values = self.query.get(key)
-        if not values:
-            return default
-        try:
-            return int(values[0])
-        except ValueError:
-            return default
+        return as_int(values[0] if values else None, key, default)
 
 
 class Response:
@@ -256,14 +251,24 @@ def need(body, key):
 
 
 def as_int(value, name, default=None):
-    """Coerce one request field to ``int`` with a typed error."""
+    """One integer request field with a typed error.
+
+    ``null`` means absent, so ``default`` applies (as ``as_strings``
+    reads ``keywords: null``); an integer or an integer string is
+    accepted; anything else, a bool or a float included, is a 400
+    rather than silently truncated.
+    """
     if value is None:
         return default
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ApiError("invalid_parameter",
-                       "{!r} must be an integer".format(name)) from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ApiError("invalid_parameter",
+                   "{!r} must be an integer".format(name))
 
 
 def as_strings(value, name, nonempty=False):
@@ -423,7 +428,7 @@ def _search_pending(state, req, finish_data):
     """
     body = req.body
     vertex = need(body, "vertex")
-    k = as_int(body.get("k", 4), "k")
+    k = as_int(body.get("k"), "k", 4)
     algorithm = body.get("algorithm", "acq")
     keywords = as_strings(body.get("keywords"), "keywords")
     started = time.time()
@@ -482,7 +487,7 @@ def h_display(state, req):
     body = req.body
 
     def finish_data(communities, query):
-        idx = as_int(body.get("community", 0), "community")
+        idx = as_int(body.get("community"), "community", 0)
         if not 0 <= idx < len(communities):
             raise ApiError("invalid_parameter",
                            "community index {} out of range (have {})"
@@ -563,7 +568,7 @@ def h_compare(state, req):
     :meth:`~repro.explorer.cexplorer.CExplorer.compare`)."""
     body = req.body
     vertex = need(body, "vertex")
-    k = as_int(body.get("k", 4), "k")
+    k = as_int(body.get("k"), "k", 4)
     methods = as_strings(body.get("methods"), "methods", nonempty=True)
     keywords = as_strings(body.get("keywords"), "keywords")
     engine = state.engine
@@ -588,7 +593,7 @@ def h_suggest(state, req):
     """``POST /v1/suggest``: name autocompletion for the query box."""
     body = req.body
     prefix = str(body.get("prefix", ""))
-    limit = as_int(body.get("limit", 10), "limit")
+    limit = as_int(body.get("limit"), "limit", 10)
     return {
         "prefix": prefix,
         "names": state.explorer.suggest_names(prefix, limit=limit),
@@ -605,7 +610,8 @@ def h_history(state, req):
                        "unknown session {!r}".format(session_id))
     return {
         "session": session_id,
-        "history": session.history(limit=body.get("limit")),
+        "history": session.history(
+            limit=as_int(body.get("limit"), "limit")),
     }
 
 

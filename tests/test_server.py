@@ -421,6 +421,94 @@ class TestCompareEndpoint:
         assert methods == ["acq", "local"]
 
 
+class TestNumericFields:
+    """One rule for every integer request field: ``null`` is absent
+    (the default applies), an integer or an integer string is taken,
+    and a bool or a float is a 400 rather than a truncated value."""
+
+    BASE = {"vertex": "jim gray", "methods": ["local", "acq"],
+            "charts": False}
+
+    @pytest.mark.parametrize("path", ["/v1/search", "/v1/display",
+                                      "/v1/compare"])
+    def test_null_k_means_the_default(self, server, path):
+        status, doc = _post(server, path, dict(self.BASE, k=None))
+        assert status == 200
+        echoed = doc["k"] if path == "/v1/compare" else doc["query"]["k"]
+        assert echoed == 4
+
+    def test_null_community_means_the_first(self, server):
+        status, doc = _post(server, "/v1/display",
+                            dict(self.BASE, k=3, community=None))
+        first = _post(server, "/v1/display", dict(self.BASE, k=3))[1]
+        assert status == 200
+        assert doc["community"] == first["community"]
+
+    def test_null_suggest_limit_means_the_default(self, server):
+        status, doc = _post(server, "/v1/suggest",
+                            {"prefix": "", "limit": None})
+        assert status == 200
+        assert len(doc["names"]) == 10
+
+    @pytest.mark.parametrize("path", ["/v1/search", "/v1/display",
+                                      "/v1/compare"])
+    @pytest.mark.parametrize("k", [3.9, 3.0, True, False, "3.9", [3]])
+    def test_k_that_is_not_an_integer_is_invalid(self, server, path, k):
+        status, doc = _post(server, path, dict(self.BASE, k=k))
+        assert (status, doc["code"]) == (400, "invalid_parameter")
+        assert "'k'" in doc["message"]
+
+    @pytest.mark.parametrize("path, field, value", [
+        ("/v1/display", "community", 0.5),
+        ("/v1/display", "community", True),
+        ("/v1/suggest", "limit", 2.5),
+        ("/v1/suggest", "limit", True),
+    ])
+    def test_other_fields_that_are_not_integers_are_invalid(
+            self, server, path, field, value):
+        status, doc = _post(server, path,
+                            dict(self.BASE, k=3, prefix="j",
+                                 **{field: value}))
+        assert (status, doc["code"]) == (400, "invalid_parameter")
+        assert repr(field) in doc["message"]
+
+    @pytest.mark.parametrize("limit", ["x", 1.5, True])
+    def test_history_limit_that_is_not_an_integer_is_invalid(
+            self, server, limit):
+        session = _post(server, "/v1/search",
+                        {"vertex": "jim gray", "k": 3})[1]["session"]
+        status, doc = _post(server, "/v1/history",
+                            {"session": session, "limit": limit})
+        assert (status, doc["code"]) == (400, "invalid_parameter")
+
+    def test_history_limit_null_and_integer_string(self, server):
+        session = _post(server, "/v1/search",
+                        {"vertex": "jim gray", "k": 3})[1]["session"]
+        _post(server, "/v1/search",
+              {"vertex": "jim gray", "k": 2, "session": session})
+        status, doc = _post(server, "/v1/history",
+                            {"session": session, "limit": None})
+        assert status == 200 and len(doc["history"]) == 2
+        status, doc = _post(server, "/v1/history",
+                            {"session": session, "limit": "1"})
+        assert status == 200 and len(doc["history"]) == 1
+
+    def test_integer_strings_are_accepted(self, server):
+        status, doc = _post(server, "/v1/search",
+                            {"vertex": "jim gray", "k": "3"})
+        assert status == 200
+        assert doc["query"]["k"] == 3
+
+    @pytest.mark.parametrize("limit", ["x", "1.5"])
+    def test_traces_limit_that_is_not_an_integer_is_invalid(
+            self, server, limit):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(server, "/v1/traces?limit=" + limit)
+        status, doc = _unwrap(err.value.code, json.loads(err.value.read()))
+        assert (status, doc["code"]) == (400, "invalid_parameter")
+        assert "'limit'" in doc["message"]
+
+
 def _connect(server):
     return http.client.HTTPConnection("127.0.0.1",
                                       server.server_address[1],

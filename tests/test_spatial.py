@@ -100,6 +100,22 @@ class TestSpatialSearch:
         overlap = len(communities[0].vertices & home)
         assert overlap / len(communities[0]) > 0.7
 
+    def test_tighter_than_the_structure_only_community(self):
+        """SAC's headline shape (ref [3]): at the same degree
+        constraint, its covering radius around q is far smaller than
+        that of the plain connected k-core community."""
+        from repro.algorithms.global_search import global_search
+        graph, coords, _ = generate_spatial_graph(n=600, communities=8,
+                                                  seed=21)
+        q, k = 0, 2
+        sac, radius = spatial_community_search(graph, coords, q, k)
+        glob = global_search(graph, q, k)
+        assert sac and glob
+        global_radius = max(euclidean(coords[v], coords[q])
+                            for v in glob[0])
+        assert radius < 0.5 * global_radius
+        assert len(sac[0]) < len(glob[0])
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 50), st.integers(1, 3))
     def test_result_invariants(self, q_pick, k):

@@ -292,6 +292,45 @@ class TestSelectiveInvalidation:
                                                        keywords={"a"})
                 assert cached == expected, (algorithm, q, k)
 
+    def test_maintenance_drip_keeps_warm_hits_evict_all_loses(
+            self, dblp_small):
+        """Under a drip of edge inserts among the quietest vertices, a
+        warm k-truss pool re-queried after every insert keeps strictly
+        more cache hits with the truss maintainer attached than
+        without it (where every update evicts all truss entries); with
+        both maintainers attached no eviction is an evict-all."""
+        from repro.analysis.batch import pick_query_vertices
+        pool = pick_query_vertices(dblp_small, 4, 6, seed=31)
+
+        def requery_hits(truss_aware):
+            explorer = CExplorer(workers=1)
+            explorer.add_graph("d", dblp_small.copy())
+            gateway = (explorer.truss_maintainer() if truss_aware
+                       else explorer.maintainer())
+            live = explorer.indexes.graph("d")
+            quiet = sorted(live.vertices(),
+                           key=lambda v: (live.degree(v), v))[:80]
+            drip = [(u, v) for u in quiet for v in quiet
+                    if u < v and not live.has_edge(u, v)][:4]
+            for q in pool:
+                explorer.search("k-truss", q, k=4)
+            warm = explorer.cache.stats()["hits"]
+            for u, v in drip:
+                gateway.insert_edge(u, v)
+                for q in pool:
+                    explorer.search("k-truss", q, k=4)
+            stats = explorer.cache.stats()
+            explorer.engine.shutdown()
+            return stats["hits"] - warm, stats["invalidations_by_reason"]
+
+        selective, selective_reasons = requery_hits(True)
+        evict_all, evict_all_reasons = requery_hits(False)
+        assert selective > evict_all == 0
+        assert selective_reasons["evict-all"] == 0
+        assert selective_reasons["truss-cascade"] > 0
+        assert evict_all_reasons["truss-cascade"] == 0
+        assert evict_all_reasons["evict-all"] > 0
+
     def test_core_only_entries_unaffected_by_truss_wiring(self, karate):
         """ACQ/global entries keep their core-cascade selectivity when
         a truss maintainer is attached."""
