@@ -189,25 +189,6 @@ class CLTree:
                 result.update(lst)
         return result
 
-    def vertices_with_keywords(self, root, keywords):
-        """Subtree vertices containing *all* of ``keywords``.
-
-        Computed by intersecting inverted lists, starting from the
-        rarest keyword so intermediate sets stay small.
-        """
-        keywords = list(keywords)
-        if not keywords:
-            return set(root.subtree_vertices())
-        support = self.keyword_support(root, keywords)
-        keywords.sort(key=lambda w: support[w])
-        result = self.vertices_with_keyword(root, keywords[0])
-        graph = self.graph
-        for w in keywords[1:]:
-            if not result:
-                break
-            result = {v for v in result if w in graph.keywords(v)}
-        return result
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -170,20 +170,6 @@ class CoreMaintainer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _region(self, roots, k):
-        """Core-``k`` vertices reachable from ``roots`` through
-        core-``k`` vertices (the full subcore; kept for diagnostics)."""
-        core = self._core
-        seen = {r for r in roots if core[r] == k}
-        stack = list(seen)
-        while stack:
-            w = stack.pop()
-            for x in self.graph.neighbors(w):
-                if core[x] == k and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return seen
-
     def _promotable_region(self, roots, k):
         """The pruned subcore: candidates for promotion past ``k``.
 

@@ -32,13 +32,14 @@ The modules
     hit/miss/eviction/invalidation counters and footprint-based
     *selective* invalidation, plus
     :class:`~repro.engine.cache.SubproblemMemo` for intermediates
-    (core decompositions, CL-tree keyword lookups) shared across
+    (``global`` bodies, CODICIL partitions) shared across
     overlapping queries.
 
 ``index_manager``
     :class:`~repro.engine.index_manager.IndexManager`: explicit
-    CL-tree/k-core/truss lifecycle -- build on upload, eagerly, or in
-    the background; versioned immutable snapshots (the truss index is
+    CL-tree/k-core/truss lifecycle -- built on the first query that
+    needs it, once per version however many queries ask at once;
+    versioned immutable snapshots (the truss index is
     versioned independently); invalidation hooks wired into
     :class:`~repro.core.maintenance.CoreMaintainer` and
     :class:`~repro.core.truss_maintenance.TrussMaintainer` so

@@ -15,9 +15,9 @@ overlapping queries (PAPERS.md) is the win this module captures:
   misses (many users landing on the same hub author at once) share one
   computation instead of each paying for it.
 
-* :class:`SubproblemMemo` -- memoized shared subproblems (core
-  decompositions, CL-tree keyword candidate lists, k-core membership
-  sets) keyed by ``(graph, index version, kind, key)``, so overlapping
+* :class:`SubproblemMemo` -- memoized shared subproblems (the
+  ``global`` answers' shared bodies, CODICIL's whole-graph partition)
+  keyed by ``(graph, index version, kind, key)``, so overlapping
   queries rebuild none of the expensive intermediates.
 
 Keys are produced by :func:`query_key`, which canonicalises parameter
@@ -97,6 +97,11 @@ class ResultCache:
     ids); :meth:`invalidate` with an ``affected`` set then keeps
     entries provably untouched by the update.  Entries stored without
     a footprint are always dropped on invalidation.
+
+    :meth:`invalidate` also records the graph version it was told of,
+    and a ``put`` carrying the version its computation began at is
+    dropped when a bump has landed since: an answer that straddled an
+    update may describe either side of it.
     """
 
     key = staticmethod(query_key)
@@ -115,6 +120,8 @@ class ResultCache:
             reason: 0 for reason in INVALIDATION_REASONS}
         # In-flight misses: ``(key, index version) -> Event``.
         self._flights = {}
+        # graph name -> the version the last invalidation announced.
+        self._versions = {}
 
     def begin_flight(self, key, version):
         """Claim the computation of a missed ``key`` at index
@@ -173,13 +180,19 @@ class ResultCache:
                                  "algorithm": key[1]})
         return entry.value if entry is not None else None
 
-    def put(self, key, value, vertices=None):
+    def put(self, key, value, vertices=None, version=None):
         """Insert ``value``; ``vertices`` is the optional footprint
-        that enables selective invalidation for this entry.  Recorded
-        as a ``cache_store`` span when a query trace is active."""
+        that enables selective invalidation for this entry.  With the
+        graph ``version`` the computation began at, the entry is
+        dropped instead when an invalidation has announced another
+        version of the graph since.  Recorded as a ``cache_store`` span
+        when a query trace is active."""
         trace = tracing.current_trace()
         start = time.perf_counter() if trace is not None else 0.0
         with self._lock:
+            if version is not None \
+                    and self._versions.get(key[0], version) != version:
+                return
             self._data[key] = _Entry(value, vertices)
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
@@ -193,20 +206,25 @@ class ResultCache:
                                  if vertices else 0})
 
     def invalidate(self, graph_name=None, affected=None,
-                   truss_affected=None):
+                   truss_affected=None, version=None):
         """Evict entries made stale by an update to ``graph_name``.
 
-        ``graph_name=None`` clears everything.  ``affected`` is the
-        core-cascade vertex region: entries of the minimum-degree
-        families survive when their recorded footprint is disjoint
-        from it.  ``truss_affected`` is the triangle-support cascade
-        region a :class:`~repro.core.truss_maintenance.TrussMaintainer`
-        reports: k-truss/ATC entries survive when their footprint is
-        disjoint from *it*.  A family whose region was not supplied is
-        dropped conservatively (the ``evict-all`` fallback, counted
-        per reason in :meth:`stats`).  Returns the eviction count.
+        ``graph_name=None`` clears everything.  ``version`` is the
+        graph's version after the update (``None``: unregistered);
+        later puts computed at any other version are dropped.
+        ``affected`` is the core-cascade vertex region: entries of the
+        minimum-degree families survive when their recorded footprint
+        is disjoint from it.  ``truss_affected`` is the
+        triangle-support cascade region a
+        :class:`~repro.core.truss_maintenance.TrussMaintainer` reports:
+        k-truss/ATC entries survive when their footprint is disjoint
+        from *it*.  A family whose region was not supplied is dropped
+        conservatively (the ``evict-all`` fallback, counted per reason
+        in :meth:`stats`).  Returns the eviction count.
         """
         with self._lock:
+            if graph_name is not None:
+                self._versions[graph_name] = version
             stale = []
             reasons = []
             for key, entry in self._data.items():

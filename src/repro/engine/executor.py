@@ -332,35 +332,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def configure(self, workers=None, max_queue=None,
-                  default_timeout=None, backend=None):
-        """Adjust pool sizing / backend before the first submission."""
-        with self._lifecycle:
-            if self._threads:
-                raise RuntimeError(
-                    "cannot reconfigure a started engine")
-            if workers is not None:
-                if workers < 1:
-                    raise ValueError("workers must be positive")
-                self.workers = workers
-            if max_queue is not None:
-                if max_queue < 1:
-                    raise ValueError("max_queue must be positive")
-                self.max_queue = max_queue
-                self._queue = queue.Queue(max_queue)
-            if default_timeout is not None:
-                self.default_timeout = default_timeout
-            if backend is not None and backend != self.backend:
-                self.backend = validate_backend(backend)
-                if self._process is not None:
-                    self._process.close()
-                    self._process = None
-                    self.indexes.build_executor = None
-                if self.backend == "process":
-                    self._process = ProcessBackend(self.workers)
-                    self.indexes.build_executor = self._build_in_process
-        return self
-
     def _ensure_started(self):
         if self._threads:
             return
@@ -834,7 +805,8 @@ class QueryEngine:
         older version (or any, once ``version`` is ``None``) go.
         """
         self.cache.invalidate(name, affected=affected,
-                              truss_affected=truss_affected)
+                              truss_affected=truss_affected,
+                              version=version)
         self.memo.invalidate(name, version=version)
 
     def _run_job(self, job):

@@ -6,12 +6,11 @@ nothing noticed when maintenance mutated the graph underneath.  The
 :class:`IndexManager` makes the lifecycle explicit, the way Polynesia
 (PAPERS.md) separates index maintenance from the query path:
 
-* **register** a graph with a build policy -- ``lazy`` (first query
-  pays), ``eager`` (build-on-upload, synchronously), or
-  ``background`` (a builder thread runs while queries fall back to
-  index-free execution);
+* **register** a graph; nothing is built until a query needs it;
 * **snapshot** returns an immutable :class:`IndexSnapshot` (core
-  numbers + CL-tree) at a specific *version*;
+  numbers + CL-tree) at a specific *version*, building it on the
+  calling thread when needed -- concurrent first readers share one
+  build;
 * **invalidate** bumps the version, marks the snapshot stale, and
   notifies subscribers (the engine's result cache selectively evicts);
 * **attach_maintainer** wires a
@@ -72,7 +71,7 @@ class IndexSnapshot:
 
 class _IndexEntry:
     __slots__ = ("name", "graph", "version", "snapshot", "core",
-                 "maintainer", "builder", "build_count",
+                 "maintainer", "build_lock", "build_count",
                  "truss_maintainer", "truss", "truss_version",
                  "truss_built_version")
 
@@ -83,7 +82,7 @@ class _IndexEntry:
         self.snapshot = None
         self.core = None            # core numbers, possibly sans cltree
         self.maintainer = None
-        self.builder = None         # in-flight background build thread
+        self.build_lock = threading.Lock()  # held while one builds
         self.build_count = 0
         self.truss_maintainer = None
         self.truss = None           # cached {edge: truss} map
@@ -172,8 +171,6 @@ def _release_orphaned(lock, payloads_by_name):
 class IndexManager:
     """Versioned, invalidation-aware index store for many graphs."""
 
-    BUILD_MODES = ("lazy", "eager", "background")
-
     # Distinguishes payloads of same-named graphs held by *different*
     # managers: worker-side caches key on the payload identity, and an
     # in-process (fallback) execution shares one cache across every
@@ -206,16 +203,12 @@ class IndexManager:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, name, graph, build="lazy"):
+    def register(self, name, graph):
         """Register (or replace) ``name``; returns the new version.
 
         Replacing a graph bumps the version and notifies subscribers,
         so every cache keyed on this graph is invalidated.
         """
-        if build not in self.BUILD_MODES:
-            raise CExplorerError(
-                "unknown build mode {!r}; choose from {}".format(
-                    build, self.BUILD_MODES))
         with self._lock:
             old = self._entries.get(name)
             entry = _IndexEntry(name, graph)
@@ -225,10 +218,6 @@ class IndexManager:
             self._entries[name] = entry
             version = entry.version
         self._notify(name, version, None)
-        if build == "eager":
-            self.snapshot(name)
-        elif build == "background":
-            self.build_async(name)
         return version
 
     def unregister(self, name):
@@ -268,9 +257,16 @@ class IndexManager:
     def built(self, name):
         """Whether a current-version snapshot exists right now."""
         with self._lock:
-            entry = self._entry(name)
-            return (entry.snapshot is not None
-                    and entry.snapshot.version == entry.version)
+            return self._current_snapshot(self._entry(name)) is not None
+
+    @staticmethod
+    def _current_snapshot(entry):
+        """``entry``'s snapshot if it is at the entry's version, else
+        ``None`` (call under the manager lock)."""
+        snap = entry.snapshot
+        if snap is not None and snap.version == entry.version:
+            return snap
+        return None
 
     def core(self, name):
         """Current core numbers (cheap path: no CL-tree build).
@@ -413,42 +409,36 @@ class IndexManager:
         for payload in stale:
             payload.release()
 
-    def snapshot(self, name, rebuild=False):
+    def snapshot(self, name):
         """The current :class:`IndexSnapshot`, building when needed.
 
-        ``rebuild=True`` forces a fresh build at the same version (the
-        explorer's ``index(rebuild=True)``).  Lazy builds are
-        deduplicated: concurrent first queries share one builder
-        thread instead of each constructing the same CL-tree.
+        The build runs on the calling thread, so its ``index_build``
+        span lands in the caller's trace.  Concurrent first readers
+        share one build: they queue on the entry's build lock, and
+        whoever gets it after the builder finds the snapshot already
+        published.
         """
         with self._lock:
             entry = self._entry(name)
-            snap = entry.snapshot
-            if (snap is not None and snap.version == entry.version
-                    and not rebuild):
+            snap = self._current_snapshot(entry)
+        if snap is not None:
+            return snap
+        with entry.build_lock:
+            with self._lock:
+                snap = self._current_snapshot(entry)
+            if snap is not None:
                 return snap
-        if rebuild:
             return self._build(name)
-        self.build_async(name).join()
-        with self._lock:
-            fresh = self._entries.get(name)
-            if fresh is not None:
-                snap = fresh.snapshot
-                if snap is not None and snap.version == fresh.version:
-                    return snap
-        # The build raced a version bump; build at the new version.
-        return self._build(name)
 
-    def cltree(self, name, rebuild=False):
+    def cltree(self, name):
         """The current CL-tree (building the snapshot when needed)."""
-        return self.snapshot(name, rebuild=rebuild).cltree
+        return self.snapshot(name).cltree
 
     def stats(self, name):
         """Lifecycle stats for the metrics endpoint."""
         with self._lock:
             entry = self._entry(name)
             snap = entry.snapshot
-            current = snap is not None and snap.version == entry.version
             tm = entry.truss_maintainer
             truss = {
                 "version": entry.truss_version,
@@ -463,8 +453,8 @@ class IndexManager:
                 truss["max_cascade_size"] = tm.max_cascade_size
             return {
                 "version": entry.version,
-                "built": current,
-                "building": entry.builder is not None,
+                "built": self._current_snapshot(entry) is not None,
+                "building": entry.build_lock.locked(),
                 "builds": entry.build_count,
                 "build_seconds": round(snap.build_seconds, 6)
                 if snap else None,
@@ -542,41 +532,6 @@ class IndexManager:
             entry.snapshot = snap
             entry.core = core
             return snap
-
-    def build_async(self, name):
-        """Kick off (or join onto) a background build; returns the
-        builder thread."""
-        with self._lock:
-            entry = self._entry(name)
-            if entry.builder is not None:
-                return entry.builder
-
-            def run():
-                """Builder-thread body: build, then clear the slot."""
-                try:
-                    self._build(name)
-                finally:
-                    with self._lock:
-                        fresh = self._entries.get(name)
-                        if fresh is entry:
-                            fresh.builder = None
-
-            thread = threading.Thread(
-                target=run, name="cltree-build-{}".format(name),
-                daemon=True)
-            entry.builder = thread
-            # Start before publishing (i.e. before releasing the
-            # lock): a concurrent caller must never receive a thread
-            # it cannot join yet.
-            thread.start()
-        return thread
-
-    def wait(self, name, timeout=None):
-        """Block until any in-flight background build finishes."""
-        with self._lock:
-            builder = self._entry(name).builder
-        if builder is not None:
-            builder.join(timeout)
 
     # ------------------------------------------------------------------
     # invalidation

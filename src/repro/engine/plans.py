@@ -7,8 +7,8 @@ the right one depends on state the *user* should not have to know:
 whether the CL-tree for this graph is built yet, how big the graph is,
 whether the query constrains keywords at all.  This module is the
 small planner that makes that call, so the server can accept
-``"algorithm": "auto"`` and so explicit ACQ queries degrade gracefully
-to index-free execution while a background build is still running.
+``"algorithm": "auto"``; on a large graph whose CL-tree is not built
+yet, ``auto`` runs index-free instead of paying the build.
 
 A plan is data, not behaviour: the engine executes it, the metrics
 endpoint can explain it.
@@ -88,7 +88,8 @@ def plan_search(algorithm, graph, index_ready=False, keywords=None,
       build is cheap enough to do on the query path;
     * large graphs with a ready index run ACQ over the CL-tree;
     * large graphs without one fall back to index-free local search
-      and let a background build upgrade later queries.
+      (an explicit ACQ query, or
+      :meth:`~repro.explorer.cexplorer.CExplorer.index`, builds it).
 
     Explicit ACQ-family requests always use the managed index (one
     amortised build); with ``index=None`` the implementations would

@@ -410,20 +410,6 @@ class TraceRecorder:
         self.recorded = 0
         self.slow_queries = 0
 
-    def configure(self, capacity=None, slow_seconds=None, enabled=None):
-        """Adjust buffer sizing / threshold / enablement in place."""
-        with self._lock:
-            if capacity is not None:
-                if capacity < 1:
-                    raise ValueError("capacity must be positive")
-                self.capacity = capacity
-                self._ring = deque(self._ring, maxlen=capacity)
-            if slow_seconds is not None:
-                self.slow_seconds = slow_seconds
-            if enabled is not None:
-                self.enabled = enabled
-        return self
-
     def begin(self, op, **tags):
         """Start one trace (``None`` when tracing is disabled)."""
         if not self.enabled:

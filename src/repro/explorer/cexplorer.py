@@ -124,20 +124,17 @@ class CExplorer:
             name = str(file_path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
         return self.add_graph(name, graph)
 
-    def add_graph(self, name, graph, select=True, build="lazy"):
+    def add_graph(self, name, graph, select=True):
         """Register an in-memory graph under ``name``.
 
         Re-registering a name replaces the graph, bumps its index
-        version, and invalidates every cached result for it.  ``build``
-        picks the index policy: ``"lazy"`` (first query pays),
-        ``"eager"`` (build-on-upload), or ``"background"`` (a builder
-        thread runs while queries fall back to index-free plans).
+        version, and invalidates every cached result for it.  Nothing
+        is built here: the first query that needs the CL-tree builds
+        it (:meth:`index` builds it up front).
         """
-        # Register indexes first: a rejected build mode must not leave
-        # a phantom half-registered graph behind.  Registration
-        # notifies the engine, which evicts the graph's cached results
-        # and memoized subproblems.
-        self.indexes.register(name, graph, build=build)
+        # Registration notifies the engine, which evicts the graph's
+        # cached results and memoized subproblems.
+        self.indexes.register(name, graph)
         self._graphs[name] = _GraphEntry(name, graph)
         if select or self._current is None:
             self._current = name
@@ -163,7 +160,7 @@ class CExplorer:
     # ------------------------------------------------------------------
     # indexing module
     # ------------------------------------------------------------------
-    def index(self, rebuild=False):
+    def index(self):
         """The CL-tree of the active graph, built on first use.
 
         Delegates to the engine's versioned
@@ -173,7 +170,7 @@ class CExplorer:
         tree again (``repro index --out`` saves one explicitly).
         """
         name = self._require_current()
-        return self.indexes.snapshot(name, rebuild=rebuild).cltree
+        return self.indexes.cltree(name)
 
     def core_numbers(self):
         """Core decomposition of the active graph (cached, and kept
@@ -212,24 +209,6 @@ class CExplorer:
                                  .format(name))
         self.indexes.attach_truss_maintainer(name)
         return self.indexes.attach_maintainer(name)
-
-    def keyword_candidates(self, vertex, k, keyword):
-        """Vertices carrying ``keyword`` in the query vertex's k-core
-        component -- the CL-tree inverted-index lookup, memoized in the
-        engine so overlapping queries share it."""
-        name = self._require_current()
-        q = self.resolve_vertex(vertex)
-        version = self.indexes.version(name)
-
-        def compute():
-            tree = self.index()
-            root = tree.component_root(q, k)
-            if root is None:
-                return ()
-            return tuple(tree.vertices_with_keyword(root, keyword))
-
-        return self.engine.memo.get_or_compute(
-            name, version, "cltree-keyword", (q, k, keyword), compute)
 
     def name_index(self):
         """Prefix index over the active graph's names (lazy)."""
@@ -370,8 +349,10 @@ class CExplorer:
         under an in-flight entry keyed by the cache key and the index
         version, and a concurrent caller of the same key waits for it
         and answers from the cache (counted as ``shared_answers`` and
-        traced ``shared=true``).  If the leader failed, the waiter
-        computes the answer itself.
+        traced ``shared=true``).  The answer is stored at the flight's
+        version only: an update landing mid-computation drops the
+        store.  A waiter that finds nothing stored (the leader failed
+        or its store was dropped) computes the answer itself.
         """
         graph = self.graph
         q = self._resolve_query(vertex)
@@ -409,7 +390,8 @@ class CExplorer:
             # shared) member frozenset, not a copy of it per entry.
             footprint = result[0].vertices if len(result) == 1 \
                 else {v for c in result for v in c}
-            self.cache.put(cache_key, result, vertices=footprint)
+            self.cache.put(cache_key, result, vertices=footprint,
+                           version=version)
             return result
         finally:
             if leader:

@@ -76,12 +76,9 @@ from repro.server.state import ServerState
 
 
 class CExplorerServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to a shared :class:`ServerState`.
-
-    The state attributes (``explorer``, ``engine``, ``sessions``,
-    ``request_counts``, ...) stay addressable on the server object --
-    the embedding API this class has always had.
-    """
+    """ThreadingHTTPServer bound to a shared :class:`ServerState`
+    (``server.state``: the explorer, its engine, the sessions and the
+    request counters)."""
 
     daemon_threads = True
     # A kept-alive connection's thread idles in a read until its client
@@ -91,59 +88,6 @@ class CExplorerServer(ThreadingHTTPServer):
     def __init__(self, address, explorer, query_timeout=30.0):
         self.state = ServerState(explorer, query_timeout=query_timeout)
         super().__init__(address, _Handler)
-
-    # -- the historical embedding surface, delegated to the state ------
-    @property
-    def explorer(self):
-        """The :class:`CExplorer` being served."""
-        return self.state.explorer
-
-    @property
-    def engine(self):
-        """The explorer's :class:`QueryEngine`."""
-        return self.state.engine
-
-    @property
-    def query_timeout(self):
-        """The per-query server deadline, in seconds."""
-        return self.state.query_timeout
-
-    @property
-    def sessions(self):
-        """The server's session store."""
-        return self.state.sessions
-
-    @property
-    def started_at(self):
-        """Wall-clock time the server state was created."""
-        return self.state.started_at
-
-    @property
-    def request_counts(self):
-        """Request counters by route template."""
-        return self.state.request_counts
-
-    @property
-    def error_count(self):
-        """How many requests ended in an error body."""
-        return self.state.error_count
-
-    @property
-    def write_lock(self):
-        """The lock graph mutations are applied under."""
-        return self.state.write_lock
-
-    def metrics(self):
-        """The ``/v1/metrics`` document (see
-        :meth:`ServerState.metrics`)."""
-        return self.state.metrics()
-
-    def submit(self, fn, *args, **kwargs):
-        """Run ``fn`` on the engine's worker pool, blocking the
-        calling thread (cheap: it only waits) until the result or the
-        server deadline."""
-        kwargs.setdefault("timeout", self.state.query_timeout)
-        return self.state.engine.execute(fn, *args, **kwargs)
 
 
 def make_server(explorer=None, host="127.0.0.1", port=8080,

@@ -117,22 +117,6 @@ class AsyncCExplorerServer:
         self._started = threading.Event()
         self._startup_error = None
 
-    # -- conveniences mirroring the sync server's embedding surface ----
-    @property
-    def explorer(self):
-        """The :class:`CExplorer` being served."""
-        return self.state.explorer
-
-    @property
-    def engine(self):
-        """The explorer's :class:`QueryEngine`."""
-        return self.state.engine
-
-    def metrics(self):
-        """The ``/v1/metrics`` document (see
-        :meth:`ServerState.metrics`)."""
-        return self.state.metrics()
-
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------

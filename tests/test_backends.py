@@ -67,15 +67,6 @@ class TestBackendConfig:
         assert proc.engine.snapshot()["backend"] == "process"
         proc.engine.shutdown()
 
-    def test_configure_switches_backend(self):
-        explorer = CExplorer()
-        explorer.engine.configure(backend="process")
-        assert explorer.engine.backend == "process"
-        assert explorer.indexes.build_executor is not None
-        explorer.engine.configure(backend="thread")
-        assert explorer.engine.backend == "thread"
-        assert explorer.indexes.build_executor is None
-
 
 # ----------------------------------------------------------------------
 # job functions (in-process: they are plain picklable functions)
@@ -196,9 +187,11 @@ class TestProcessBackendEquivalence:
 
     def test_process_index_builds(self, dblp_small):
         plain = CExplorer()
-        plain.add_graph("g", dblp_small, build="eager")
+        plain.add_graph("g", dblp_small)
+        plain.index()
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, build="eager")
+        proc.add_graph("g", dblp_small)
+        proc.index()
         assert proc.indexes.built("g")
         jim = dblp_small.id_of("Jim Gray")
         assert proc.search("acq", jim, k=3) == \

@@ -63,8 +63,6 @@ class TestIndexing:
     def test_index_cached(self, explorer):
         first = explorer.index()
         assert explorer.index() is first
-        rebuilt = explorer.index(rebuild=True)
-        assert rebuilt is not first
 
     def test_index_tracks_build_time(self, explorer):
         index = explorer.index()

@@ -108,19 +108,6 @@ class TestQueries:
         got = {fig5.label(v) for v in tree.vertices_with_keyword(root, "y")}
         assert got == {"A", "C", "D", "E", "F", "G"}
 
-    def test_vertices_with_keywords_intersection(self, fig5):
-        tree = build_cltree(fig5)
-        root = tree.component_root(fig5.id_of("A"), 1)
-        got = {fig5.label(v)
-               for v in tree.vertices_with_keywords(root, ["x", "y"])}
-        assert got == {"A", "C", "D", "G"}
-
-    def test_vertices_with_keywords_empty_keywords(self, fig5):
-        tree = build_cltree(fig5)
-        root = tree.component_root(fig5.id_of("H"), 1)
-        got = tree.vertices_with_keywords(root, [])
-        assert {fig5.label(v) for v in got} == {"H", "I"}
-
     def test_index_size_counts(self, fig5):
         sizes = build_cltree(fig5).index_size()
         assert sizes["vertex_entries"] == 10

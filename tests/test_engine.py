@@ -164,21 +164,39 @@ class TestIndexManager:
         assert fresh is not snap
         assert fresh.version == snap.version + 1
 
-    def test_background_build(self, fig5):
-        manager = IndexManager()
-        manager.register("g", fig5, build="background")
-        manager.wait("g", timeout=10)
-        assert manager.built("g")
+    def test_concurrent_first_readers_share_one_build(
+            self, dblp_small, monkeypatch):
+        """Eight threads ask a cold graph for its snapshot at once: one
+        of them builds, the rest wait for it and get the same
+        snapshot."""
+        from repro.engine import index_manager
 
-    def test_eager_build(self, fig5):
-        manager = IndexManager()
-        manager.register("g", fig5, build="eager")
-        assert manager.built("g")
+        builds = []
+        original = index_manager.build_cltree
 
-    def test_unknown_build_mode(self, fig5):
+        def slow_build(graph, core=None):
+            builds.append(graph)
+            time.sleep(0.05)        # every reader arrives mid-build
+            return original(graph, core=core)
+        monkeypatch.setattr(index_manager, "build_cltree", slow_build)
         manager = IndexManager()
-        with pytest.raises(CExplorerError):
-            manager.register("g", fig5, build="psychic")
+        manager.register("g", dblp_small)
+        barrier = threading.Barrier(8, timeout=10)
+        snapshots = [None] * 8
+
+        def reader(i):
+            barrier.wait()
+            snapshots[i] = manager.snapshot("g")
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert len(builds) == 1
+        assert manager.stats("g")["builds"] == 1
+        assert manager.stats("g")["building"] is False
+        assert all(snap is snapshots[0] for snap in snapshots)
 
     def test_unknown_graph(self):
         manager = IndexManager()
@@ -344,15 +362,6 @@ class TestQueryEnginePool:
         assert future.done()
         assert future.result(0) == 7
 
-    def test_configure_after_start_refused(self):
-        engine = QueryEngine(workers=1)
-        try:
-            engine.execute(lambda: None)
-            with pytest.raises(RuntimeError):
-                engine.configure(workers=8)
-        finally:
-            engine.shutdown()
-
     def test_snapshot_shape(self):
         engine = QueryEngine(workers=2)
         try:
@@ -451,7 +460,7 @@ class TestExplorerEngineIntegration:
         from repro.server.app import make_server
 
         explorer = CExplorer()
-        explorer.add_graph("karate", karate, build="eager")
+        explorer.add_graph("karate", karate)
         explorer.index()
         version = explorer.indexes.version("karate")
         v = explorer.maintainer().add_vertex("new author",
@@ -484,14 +493,6 @@ class TestExplorerEngineIntegration:
         finally:
             server.shutdown()
             server.server_close()
-
-    def test_keyword_candidates_memoized(self, fig5):
-        explorer = CExplorer()
-        explorer.add_graph("fig5", fig5)
-        keyword = sorted(fig5.keywords(0))[0]
-        first = explorer.keyword_candidates(0, 1, keyword)
-        assert explorer.keyword_candidates(0, 1, keyword) is first
-        assert explorer.engine.memo.stats()["hits"] >= 1
 
     def test_concurrent_hammer_no_lost_or_duplicated_results(
             self, dblp_small):

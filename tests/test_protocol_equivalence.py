@@ -336,7 +336,7 @@ class TestPayloadAndMemo:
     def test_memo_invalidation_is_version_aware(self):
         from repro.engine.cache import SubproblemMemo
         memo = SubproblemMemo()
-        memo.get_or_compute("g", 3, "cltree-keyword", (0,), lambda: "a")
+        memo.get_or_compute("g", 3, "codicil", (), lambda: "a")
         memo.get_or_compute("g", 4, "global-bodies", 2, lambda: "b")
         memo.get_or_compute("h", 3, "global-bodies", 2, lambda: "c")
         # g moved to version 4: only g's current-version entry
@@ -344,7 +344,7 @@ class TestPayloadAndMemo:
         memo.invalidate("g", version=4)
         assert memo.get_or_compute("g", 4, "global-bodies", 2,
                                    lambda: "FRESH") == "b"
-        assert memo.get_or_compute("g", 3, "cltree-keyword", (0,),
+        assert memo.get_or_compute("g", 3, "codicil", (),
                                    lambda: "FRESH") == "FRESH"
         assert memo.get_or_compute("h", 3, "global-bodies", 2,
                                    lambda: "FRESH") == "c"

@@ -243,7 +243,7 @@ class TestQueryEndpoints:
         assert status == 200
         assert doc == {"name": "fig5", "vertices": 10, "edges": 11}
         # Restore the dblp graph as active for other tests.
-        server.explorer.select_graph("dblp")
+        server.state.explorer.select_graph("dblp")
 
     def test_upload_missing_path(self, server):
         status, doc = _post(server, "/v1/upload", {})
@@ -263,7 +263,7 @@ class TestQueryEndpoints:
     def test_stats_endpoint(self, server):
         status, doc = _get(server, "/v1/stats")
         assert status == 200
-        assert doc["vertices"] == server.explorer.graph.vertex_count
+        assert doc["vertices"] == server.state.explorer.graph.vertex_count
         assert "core_histogram" in doc
 
     def test_session_threading_and_history(self, server):

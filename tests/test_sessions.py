@@ -1,93 +1,6 @@
-"""Tests for the query cache and exploration sessions."""
+"""Tests for exploration sessions and the explorer's result cache."""
 
-import threading
-
-import pytest
-
-from repro.explorer.sessions import (
-    ExplorationSession,
-    QueryCache,
-    SessionStore,
-)
-
-
-class TestQueryCache:
-    def test_put_get(self):
-        cache = QueryCache()
-        key = cache.key("g", "acq", 3, 4)
-        assert cache.get(key) is None
-        cache.put(key, ["result"])
-        assert cache.get(key) == ["result"]
-
-    def test_key_normalises_vertex_collections(self):
-        cache = QueryCache()
-        assert cache.key("g", "acq", [3, 1], 4) == \
-            cache.key("g", "acq", (1, 3), 4)
-        assert cache.key("g", "acq", 1, 4, {"a", "b"}) == \
-            cache.key("g", "acq", 1, 4, ["b", "a"])
-
-    def test_lru_eviction(self):
-        cache = QueryCache(capacity=2)
-        k1, k2, k3 = (("g", "a", i, 0, None) for i in range(3))
-        cache.put(k1, 1)
-        cache.put(k2, 2)
-        cache.get(k1)        # refresh k1: k2 becomes the LRU entry
-        cache.put(k3, 3)
-        assert cache.get(k1) == 1
-        assert cache.get(k2) is None
-        assert cache.get(k3) == 3
-
-    def test_invalidate_single_graph(self):
-        cache = QueryCache()
-        cache.put(cache.key("g1", "acq", 1, 2), "a")
-        cache.put(cache.key("g2", "acq", 1, 2), "b")
-        cache.invalidate("g1")
-        assert cache.get(cache.key("g1", "acq", 1, 2)) is None
-        assert cache.get(cache.key("g2", "acq", 1, 2)) == "b"
-
-    def test_invalidate_all(self):
-        cache = QueryCache()
-        cache.put(cache.key("g", "acq", 1, 2), "a")
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_stats(self):
-        cache = QueryCache(capacity=8)
-        key = cache.key("g", "acq", 1, 2)
-        cache.get(key)
-        cache.put(key, "x")
-        cache.get(key)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-        assert stats["entries"] == 1
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            QueryCache(capacity=0)
-
-    def test_thread_safety_smoke(self):
-        cache = QueryCache(capacity=64)
-        errors = []
-
-        def worker(wid):
-            try:
-                for i in range(200):
-                    key = cache.key("g", "acq", i % 40, wid % 3)
-                    cache.put(key, i)
-                    cache.get(key)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 64
+from repro.explorer.sessions import ExplorationSession, SessionStore
 
 
 class TestExplorationSession:

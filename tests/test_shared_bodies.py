@@ -145,7 +145,7 @@ def _rebuilt(server, body):
     doc = json.loads(body)
     data = doc["data"]
     query = data["query"]
-    communities = server.explorer.search(
+    communities = server.state.explorer.search(
         query["algorithm"], query["vertex"], k=query["k"],
         keywords=query["keywords"])
     data["communities"] = [c.to_dict() for c in communities]

@@ -256,6 +256,40 @@ class TestFlights:
         assert counted.calls == 2
         assert explorer.cache._flights == {}
         assert answer == _canon(_explorer(graph).search("acq", HUB, k=3))
+        # The cached entry is the post-update answer: the pre-update
+        # leader's store, whenever it lands, is dropped.
+        assert explorer.peek_cached("acq", HUB, k=3) is after.result(0)
+
+    def test_straddling_answer_is_not_cached(self, dblp_small,
+                                             monkeypatch):
+        """A search computed before an update and stored after it must
+        not be served from the cache: ``global`` answers for the hub,
+        the hub's edges are stripped, then the answer is stored."""
+        graph = dblp_small.copy()
+        explorer = _explorer(graph)
+        entry = get_cs_algorithm("global")
+        computed = threading.Event()
+        release = threading.Event()
+        kernel = entry.func
+
+        def held(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            computed.set()
+            assert release.wait(10.0)
+            return result
+        monkeypatch.setattr(entry, "func", held)
+        leader = explorer.engine.search("global", HUB, k=3)
+        assert computed.wait(10.0)
+        hub = graph.id_of("Jim Gray")
+        maintainer = explorer.maintainer()
+        for neighbor in sorted(graph.neighbors(hub)):
+            maintainer.remove_edge(hub, neighbor)
+        release.set()
+        assert leader.result(10.0)          # the pre-update answer
+        cached = explorer.search("global", HUB, k=3)
+        fresh = explorer.search("global", HUB, k=3, use_cache=False)
+        assert _canon(cached) == _canon(fresh) == "[]"
+        assert explorer.cache._flights == {}
 
     def test_uncacheable_searches_never_join(self, dblp_small,
                                              count_acq, monkeypatch):

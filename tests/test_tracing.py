@@ -118,9 +118,9 @@ class TestTraceRecorder:
         assert stats["slow_queries"] == 1
         assert recorder.traces(slow=True)[0].query_id == "q1"
         # A fast query under a real threshold stays out of the log.
-        recorder.configure(slow_seconds=60.0)
+        recorder = TraceRecorder(slow_seconds=60.0)
         recorder.finish(recorder.begin("search"))
-        assert recorder.stats()["slow_queries"] == 1
+        assert recorder.stats()["slow_queries"] == 0
 
     def test_disabled_recorder_is_noops(self):
         recorder = TraceRecorder(enabled=False)
@@ -154,7 +154,7 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
         with pytest.raises(ValueError):
-            TraceRecorder().configure(capacity=-1)
+            TraceRecorder(capacity=-1)
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +292,20 @@ class TestEngineTracing:
             assert hit.trace is None
             assert explorer.engine.tracer.stats()["recorded"] == \
                 recorded
+        finally:
+            explorer.engine.shutdown()
+
+    def test_cold_acq_miss_traces_its_index_build(self, fig5):
+        """The CL-tree build a cold ACQ miss pays runs on the thread
+        executing the query, so it shows in that query's trace."""
+        explorer = CExplorer(workers=1)
+        explorer.add_graph("fig5", fig5)
+        try:
+            future = explorer.engine.search("acq", 0, k=1)
+            future.result(30)
+            names = [s.name for s in future.trace.spans]
+            assert "index_build" in names
+            assert explorer.indexes.stats("fig5")["builds"] == 1
         finally:
             explorer.engine.shutdown()
 
