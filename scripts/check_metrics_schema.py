@@ -2,16 +2,19 @@
 """Metrics-plane schema checker (the CI docs job).
 
 Boots a smoke server on a small generated graph, runs one query, and
-validates both metrics surfaces against their contracts:
+validates both metrics surfaces against their contracts, which
+``repro.engine.tracing.METRICS`` declares once:
 
-* ``GET /v1/metrics`` -- the JSON ``data`` document must carry the keys the
-  dashboard and the Prometheus renderer read (uptime, request
-  counters, engine counters/latency histograms with per-bucket data,
-  cache counters, tracer occupancy);
+* ``GET /v1/metrics`` -- the JSON ``data`` document must resolve every
+  ``METRICS`` row's path, plus the keys no row renders (``UNRENDERED``,
+  the failure rule's counter, histogram fields with per-bucket data);
 * ``GET /metrics`` -- the Prometheus text exposition (format 0.0.4)
-  must parse line by line: legal metric/label names, a ``# TYPE``
-  header before any sample of that family, cumulative ``le`` buckets
-  ending in ``+Inf``, and ``_count`` equal to the ``+Inf`` bucket.
+  must carry a ``# TYPE`` line for every row's family and parse line
+  by line: legal metric/label names, a ``# TYPE`` header before any
+  sample of that family, cumulative ``le`` buckets ending in
+  ``+Inf``, and ``_count`` equal to the ``+Inf`` bucket;
+* ``docs/API.md`` -- its ``GET /metrics`` table must list exactly the
+  rows' families, types and paths.
 
 Runs entirely in-process (no network dependency beyond loopback), so
 a schema drift between the JSON plane and the exposition renderer
@@ -30,6 +33,8 @@ import urllib.request
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.engine.tracing import METRICS  # noqa: E402
+
 METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 SAMPLE = re.compile(
@@ -38,17 +43,17 @@ SAMPLE = re.compile(
     r" (?P<value>[^ ]+)(?: [0-9]+)?$")
 LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
-# The JSON metrics keys the dashboard and renderer contractually read.
-ENGINE_KEYS = ("queue_depth", "in_flight", "workers", "counters",
-               "latency", "traces", "fault_plan", "payloads")
-# The payload-plane block (see repro.engine.payloads.plane_stats).
-PAYLOAD_KEYS = ("transport", "shm_available", "shm_segments",
-                "payload_bytes", "attach_failures")
-TRACE_KEYS = ("enabled", "capacity", "buffered", "recorded",
-              "slow_queries", "slow_threshold_seconds")
+DOCS_ROW = re.compile(r"^\| `(repro_\w+)` \| (\w+) \| `([\w.]+)` \|",
+                      re.MULTILINE)
+
+# /v1/metrics keys no METRICS row renders, as dotted paths.
+UNRENDERED = ("engine.fault_plan", "engine.payloads.transport",
+              "engine.payloads.shm_available", "engine.traces.enabled",
+              "engine.traces.capacity", "engine.traces.buffered",
+              "engine.traces.slow_threshold_seconds")
+FAULT_PLAN_KEYS = ("seed", "rules", "injected")
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",
                   "total_seconds", "buckets")
-CACHE_KEYS = ("hits", "misses", "evictions", "invalidations", "entries")
 # Engine counters present from boot, bumped or not: the failure
 # rule's inline reruns (see QueryEngine.run_jobs).
 ENGINE_COUNTERS = ("job_inline_fallbacks",)
@@ -80,24 +85,19 @@ def boot_server():
 
 def check_json_metrics(doc):
     """Yield problem strings for the ``/v1/metrics`` data document."""
-    for key in ("uptime_seconds", "requests", "errors", "engine",
-                "cache"):
-        if key not in doc:
-            yield "/v1/metrics missing key {!r}".format(key)
+    for path in [metric.path for metric in METRICS] + list(UNRENDERED):
+        node = doc
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                yield "/v1/metrics missing key {!r}".format(path)
+                break
+            node = node[key]
     engine = doc.get("engine", {})
-    for key in ENGINE_KEYS:
-        if key not in engine:
-            yield "engine doc missing key {!r}".format(key)
-    for key in TRACE_KEYS:
-        if key not in engine.get("traces", {}):
-            yield "engine.traces missing key {!r}".format(key)
-    for key in CACHE_KEYS:
-        if key not in doc.get("cache", {}):
-            yield "cache doc missing key {!r}".format(key)
-    payloads = engine.get("payloads", {})
-    for key in PAYLOAD_KEYS:
-        if key not in payloads:
-            yield "engine.payloads missing key {!r}".format(key)
+    fault_plan = engine.get("fault_plan")
+    if fault_plan is not None:
+        for key in FAULT_PLAN_KEYS:
+            if key not in fault_plan:
+                yield "engine.fault_plan missing key {!r}".format(key)
     counters = engine.get("counters", {})
     for key in ENGINE_COUNTERS:
         if key not in counters:
@@ -178,6 +178,10 @@ def check_exposition(text):
                 lineno, match.group("value"))
             continue
         series.setdefault(base, []).append((name, labels, value))
+    for metric in METRICS:
+        if typed.get(metric.name) != metric.kind:
+            yield "exposition has no '# TYPE {} {}' line".format(
+                metric.name, metric.kind)
     for base, kind in typed.items():
         if kind != "histogram":
             continue
@@ -213,6 +217,22 @@ def _check_histogram_series(base, samples):
                 base, dict(ident), counts[0], buckets[-1][1])
 
 
+def check_docs():
+    """Yield problem strings for ``docs/API.md``'s ``GET /metrics``
+    table: its rows must be exactly the ``METRICS`` families."""
+    with open(os.path.join(REPO_ROOT, "docs", "API.md"),
+              encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.partition("### `GET /metrics`")[2].partition("\n#")[0]
+    documented = DOCS_ROW.findall(section)
+    declared = [(m.name, m.kind, m.path) for m in METRICS]
+    for row in sorted(set(declared) - set(documented)):
+        yield "docs/API.md /metrics table lacks {} {} `{}`".format(*row)
+    for row in sorted(set(documented) - set(declared)):
+        yield "docs/API.md /metrics table has undeclared {} {} `{}`" \
+            .format(*row)
+
+
 def main(argv):
     server, base = boot_server()
     try:
@@ -228,13 +248,7 @@ def main(argv):
         problems.append(
             "/metrics Content-Type is {!r}".format(content_type))
     problems.extend(check_exposition(text))
-    for family in ("repro_engine_events_total",
-                   "repro_shm_segments",
-                   "repro_payload_bytes",
-                   "repro_payload_attach_failures_total"):
-        if "\n# TYPE {} ".format(family) not in text:
-            problems.append(
-                "exposition missing family {!r}".format(family))
+    problems.extend(check_docs())
     for event in ENGINE_COUNTERS:
         if 'repro_engine_events_total{{event="{}"}}'.format(event) \
                 not in text:
@@ -248,7 +262,7 @@ def main(argv):
     samples = sum(1 for line in text.splitlines()
                   if line and not line.startswith("#"))
     print("metrics ok: JSON keys complete, {} exposition sample(s) "
-          "parse".format(samples))
+          "parse, docs/API.md in sync".format(samples))
     return 0
 
 

@@ -143,20 +143,6 @@ class CLTree:
     # ------------------------------------------------------------------
     # keyword operations (what makes it a *CL* tree)
     # ------------------------------------------------------------------
-    def keyword_support(self, root, keywords):
-        """Count, per keyword, the vertices in ``root``'s subtree with it.
-
-        Used by the ACQ algorithms to discard keywords that cannot be
-        part of any attributed community (support < k + 1).
-        """
-        counts = {w: 0 for w in keywords}
-        for node in root.subtree_nodes():
-            for w in keywords:
-                lst = node.inverted.get(w)
-                if lst:
-                    counts[w] += len(lst)
-        return counts
-
     def keyword_vertex_sets(self, q, k, keywords):
         """``{w: vertices of q's k-core component carrying w}``.
 
@@ -179,15 +165,6 @@ class CLTree:
                 if homed:
                     members.update(homed)
         return sets
-
-    def vertices_with_keyword(self, root, keyword):
-        """Set of subtree vertices whose keyword set contains ``keyword``."""
-        result = set()
-        for node in root.subtree_nodes():
-            lst = node.inverted.get(keyword)
-            if lst:
-                result.update(lst)
-        return result
 
     # ------------------------------------------------------------------
     # reporting

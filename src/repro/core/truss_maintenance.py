@@ -89,7 +89,7 @@ class TrussMaintainer:
 
     ``updates`` counts patched operations; ``promotions``/``demotions``
     count edges whose truss number moved; the ``*_cascade_size``
-    counters feed the ``truss_cascade_size`` metric.
+    counters feed ``/v1/metrics``' ``engine.truss``.
     """
 
     def __init__(self, graph):

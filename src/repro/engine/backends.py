@@ -276,37 +276,19 @@ def full_query_job(key, payload, algorithm, q, k, keywords=None):
     return [community.to_wire() for community in result]
 
 
-def component_detect_job(key, payload, algorithm, component, params):
-    """Run one CD detection (or one component's slice of it) in a
-    worker process.
+def detect_job(key, payload, algorithm, params):
+    """Run one whole-graph CD detection in a worker process.
 
-    ``component`` is ``None`` for the whole graph, or the sorted
-    global vertex ids of one connected component -- the worker carves
-    the induced frozen subgraph straight out of the cached CSR
-    snapshot and maps the resulting communities back to global ids.
     ``params`` is the detection's keyword arguments as a sorted item
     tuple (canonical and picklable).  Returns wire-form communities.
     """
     from repro.algorithms.registry import get_cd_algorithm
 
     check_deadline()
-    entry = _payload_entry(key, payload)
-    frozen = entry["frozen"]
-    old_ids = None
-    if component is not None:
-        frozen, _ = frozen.induced_subgraph(component)
-        old_ids = list(component)  # sorted: the id map is monotone
-    with tracing.span("algorithm", algorithm=algorithm,
-                      component=len(old_ids) if old_ids else None):
+    frozen = _payload_entry(key, payload)["frozen"]
+    with tracing.span("algorithm", algorithm=algorithm):
         result = get_cd_algorithm(algorithm)(frozen, **dict(params))
-    wires = []
-    for community in result:
-        vertices, method, query_vertices, k, shared = \
-            community.to_wire()
-        if old_ids is not None:
-            vertices = tuple(old_ids[v] for v in vertices)
-        wires.append((vertices, method, query_vertices, k, shared))
-    return wires
+    return [community.to_wire() for community in result]
 
 
 def build_index_job(frozen, core=None):

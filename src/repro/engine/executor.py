@@ -322,7 +322,6 @@ class QueryEngine:
         self._lifecycle = threading.Lock()
         self._shutdown = False
         self._process = None
-        self._last_detect_parallelism = 0
         if self.backend == "process":
             self._process = ProcessBackend(workers)
             # CL-tree builds route through the pool too.
@@ -750,46 +749,20 @@ class QueryEngine:
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires]
 
-    def detect(self, name, algorithm, params=None, per_component=False):
-        """Run one whole-graph CD detection on the frozen payload.
-
-        With ``per_component=True`` the detection fans out as one
-        worker job per connected component (each carves its induced
-        frozen subgraph from the cached payload); results are the
-        concatenation in component order.  Connected graphs degrade
-        to the single whole-graph job, whose result is byte-identical
-        to inline detection (the frozen equivalence the protocol
-        suite proves).  Per-component execution is a *different,
-        deterministic plan*: component-local algorithm state (RNG
-        sweeps, TF-IDF document frequencies) sees one component
-        instead of the union, which only coincides with whole-graph
-        output when the graph is connected.
+    def detect(self, name, algorithm, params=None):
+        """Run one whole-graph CD detection on the frozen payload, as
+        one ``detect`` job; the result is byte-identical to inline
+        detection (the frozen equivalence the protocol suite proves).
         """
-        from repro.engine.backends import component_detect_job
-
-        graph = self.indexes.graph(name)
-        wire_params = tuple(sorted(dict(params or {}).items()))
-        components = [None]
-        if per_component:
-            components = sorted(
-                tuple(sorted(component))
-                for component in graph.connected_components())
-            if len(components) == 1:
-                components = [None]
-        self.stats.count("detect_runs")
-        self.stats.count("detect_jobs", len(components))
-        self._last_detect_parallelism = len(components)
+        from repro.engine.backends import detect_job
 
         payload = self._payload(name)
-        wires = self.run_jobs(
-            [(component_detect_job,
-              (payload.key, payload, algorithm, component, wire_params))
-             for component in components], op="detect")
-        communities = []
-        for wire_list in wires:
-            communities.extend(Community.from_wire(graph, wire)
-                               for wire in wire_list)
-        return communities
+        wires, = self.run_jobs(
+            [(detect_job, (payload.key, payload, algorithm,
+                           tuple(sorted(dict(params or {}).items()))))],
+            op="detect")
+        graph = self.indexes.graph(name)
+        return [Community.from_wire(graph, wire) for wire in wires]
 
     # ------------------------------------------------------------------
     # internals
@@ -865,7 +838,7 @@ class QueryEngine:
         finally:
             _job_context.deadline = None
             elapsed = time.perf_counter() - start
-            self.stats.observe(job.op, elapsed)
+            self.stats.observe(job.op, elapsed, completion=True)
             with self._lifecycle:
                 self._in_flight -= 1
 
@@ -892,20 +865,13 @@ class QueryEngine:
         doc.update({
             "backend": self.backend,
             # Whole-query worker execution: how many searches ran
-            # end-to-end on a frozen payload, and how wide the last
-            # CD detection fanned out per component.
+            # end-to-end on a frozen payload.
             "worker_full_query": self.stats.get("worker_full_query"),
-            "detect_parallelism": {
-                "last_jobs": self._last_detect_parallelism,
-                "runs": self.stats.get("detect_runs"),
-                "jobs": self.stats.get("detect_jobs"),
-            },
             "workers": self.workers,
             "started": bool(self._threads),
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "in_flight": self._in_flight,
-            "cache": self.cache.stats(),
             "memo": self.memo.stats(),
             "truss": self.indexes.truss_stats(),
             "traces": self.tracer.stats(),

@@ -465,7 +465,7 @@ class IndexManager:
     def truss_stats(self):
         """Aggregate truss-maintenance counters across every graph.
 
-        Feeds the server's ``truss_cascade_size`` metric: how many
+        Feeds ``/v1/metrics``' ``engine.truss``: how many
         updates the attached truss maintainers absorbed and how large
         their trussness cascades were.
         """

@@ -123,6 +123,7 @@ class EngineStats:
         self._lock = threading.Lock()
         self._counters = {}
         self._histograms = {}
+        self._completed = 0
         self._completions = deque()
         self.started_at = time.time()
 
@@ -136,16 +137,21 @@ class EngineStats:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def observe(self, op, seconds):
-        """Record one ``op`` execution that took ``seconds``."""
+    def observe(self, op, seconds, completion=False):
+        """Record one ``op`` execution that took ``seconds``.  Only a
+        ``completion`` -- an admitted engine job finishing -- counts
+        toward throughput; a step inside one (a job's ``shard_ipc``, a
+        snapshot build) is latency only."""
         now = time.time()
         with self._lock:
             hist = self._histograms.get(op)
             if hist is None:
                 hist = self._histograms[op] = LatencyHistogram()
             hist.record(seconds)
-            self._completions.append(now)
-            self._prune(now)
+            if completion:
+                self._completed += 1
+                self._completions.append(now)
+                self._prune(now)
 
     def _prune(self, now):
         """Drop completion timestamps older than the recent window
@@ -159,12 +165,11 @@ class EngineStats:
         with self._lock:
             now = time.time()
             elapsed = max(now - self.started_at, 1e-9)
-            completed = sum(h.count for h in self._histograms.values())
             self._prune(now)
             window = max(min(elapsed, RECENT_WINDOW_SECONDS), 1e-9)
             return {
                 "uptime_seconds": round(elapsed, 3),
-                "throughput_per_second": round(completed / elapsed, 4),
+                "throughput_per_second": round(self._completed / elapsed, 4),
                 "throughput_recent_per_second": round(
                     len(self._completions) / window, 4),
                 "counters": dict(self._counters),

@@ -45,7 +45,7 @@ import itertools
 import logging
 import threading
 import time
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import contextmanager
 
 logger = logging.getLogger("repro.engine.tracing")
@@ -545,146 +545,126 @@ def _sanitize(name):
     return "".join(out) or "_"
 
 
-class _Exposition:
-    """Accumulates HELP/TYPE headers and samples in order."""
+Metric = namedtuple("Metric", "name kind path help label default",
+                    defaults=(None, 0))
 
-    def __init__(self):
-        self.lines = []
+#: Every family ``GET /metrics`` exposes, in exposition order: name,
+#: type, dotted path into the ``/v1/metrics`` document, help text.  A
+#: dict-valued family names the ``label`` its keys become; a missing
+#: scalar renders ``default``.  ``scripts/check_metrics_schema.py``
+#: holds the live document and ``docs/API.md`` to this table.
+METRICS = (
+    Metric("repro_uptime_seconds", "gauge", "uptime_seconds",
+           "Server uptime in seconds.", default=0.0),
+    Metric("repro_requests_total", "counter", "requests",
+           "HTTP requests served, by path.", label="path"),
+    Metric("repro_request_errors_total", "counter", "errors",
+           "HTTP requests answered with an error."),
+    Metric("repro_engine_events_total", "counter", "engine.counters",
+           "Engine lifecycle events (submitted, completed, ...).",
+           label="event"),
+    Metric("repro_engine_throughput_per_second", "gauge",
+           "engine.throughput_recent_per_second",
+           "Completions per second over the recent window.",
+           default=0.0),
+    Metric("repro_engine_queue_depth", "gauge", "engine.queue_depth",
+           "Jobs waiting for an engine worker."),
+    Metric("repro_engine_in_flight", "gauge", "engine.in_flight",
+           "Jobs currently executing."),
+    Metric("repro_engine_workers", "gauge", "engine.workers",
+           "Engine worker pool size."),
+    Metric("repro_latency_seconds", "histogram", "engine.latency",
+           "Per-operation latency (log-scale buckets).", label="op"),
+    Metric("repro_cache_hits_total", "counter", "cache.hits",
+           "Result-cache hits."),
+    Metric("repro_cache_misses_total", "counter", "cache.misses",
+           "Result-cache misses."),
+    Metric("repro_cache_evictions_total", "counter", "cache.evictions",
+           "Result-cache capacity evictions."),
+    Metric("repro_cache_invalidations_total", "counter",
+           "cache.invalidations", "Result-cache invalidation evictions."),
+    Metric("repro_cache_entries", "gauge", "cache.entries",
+           "Result-cache occupancy."),
+    Metric("repro_cache_invalidations_by_reason_total", "counter",
+           "cache.invalidations_by_reason",
+           "Result-cache invalidations, by eviction reason.",
+           label="reason"),
+    Metric("repro_shm_segments", "gauge", "engine.payloads.shm_segments",
+           "Live shared-memory payload segments owned by this process."),
+    Metric("repro_payload_bytes", "gauge",
+           "engine.payloads.payload_bytes",
+           "Bytes held in live shared-memory payload segments."),
+    Metric("repro_payload_attach_failures_total", "counter",
+           "engine.payloads.attach_failures",
+           "Zero-copy payload attach failures (workers fell back to "
+           "the pickled path)."),
+    Metric("repro_traces_recorded_total", "counter",
+           "engine.traces.recorded", "Query traces recorded."),
+    Metric("repro_slow_queries_total", "counter",
+           "engine.traces.slow_queries",
+           "Traces that crossed the slow-query threshold."),
+)
 
-    def header(self, name, kind, help_text):
-        """Emit the ``# HELP`` / ``# TYPE`` pair for ``name``."""
-        self.lines.append("# HELP {} {}".format(name, help_text))
-        self.lines.append("# TYPE {} {}".format(name, kind))
 
-    def sample(self, name, labels, value):
-        """Emit one sample line."""
-        self.lines.append("{}{} {}".format(
-            name, _labels(labels), _metric_value(value)))
-
-    def text(self):
-        """The full exposition body (trailing newline included)."""
-        return "\n".join(self.lines) + "\n"
+def metric_value(doc, path):
+    """The value at dotted ``path`` in a ``/v1/metrics`` document, or
+    ``None`` where a key is missing."""
+    for key in path.split("."):
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key)
+    return doc
 
 
-def render_prometheus(metrics_doc, prefix="repro"):
-    """Render the ``/v1/metrics`` document as Prometheus text format.
+def _sample(name, labels, value):
+    """One sample line."""
+    return "{}{} {}".format(name, _labels(labels), _metric_value(value))
 
-    Everything is derived from the JSON metrics document the server
-    already builds -- the histograms' log-scale ``buckets`` (exported
-    by :meth:`~repro.engine.stats.LatencyHistogram.snapshot`) become
-    cumulative ``_bucket`` series with the mandatory ``+Inf`` bound,
-    counters become ``_total`` counters, occupancy numbers become
-    gauges.  The output parses under the text exposition format
+
+def _histogram_samples(name, labels, hist):
+    """A histogram's cumulative ``_bucket`` series (ending in the
+    mandatory ``+Inf`` bound), ``_sum`` and ``_count``."""
+    buckets = hist.get("buckets") or [(None, hist.get("count", 0))]
+    cumulative = 0
+    for edge, count in buckets:
+        cumulative += count
+        bound = "+Inf" if edge is None else "{:g}".format(edge)
+        yield _sample(name + "_bucket", dict(labels, le=bound), cumulative)
+    yield _sample(name + "_sum", labels,
+                  float(hist.get("total_seconds", 0.0)))
+    yield _sample(name + "_count", labels, hist.get("count", 0))
+
+
+def render_prometheus(metrics_doc):
+    """Render the ``/v1/metrics`` document as Prometheus text format,
+    one family per :data:`METRICS` row.
+
+    The histograms' log-scale ``buckets`` (exported by
+    :meth:`~repro.engine.stats.LatencyHistogram.snapshot`) become
+    cumulative ``_bucket`` series.  Label values are sanitised to
+    name-safe tokens, except request paths, which are kept verbatim
+    (escaped).  The output parses under the text exposition format
     version 0.0.4 (``scripts/check_metrics_schema.py`` enforces it in
     CI).
     """
-    exp = _Exposition()
-    engine = metrics_doc.get("engine", {})
-
-    name = prefix + "_uptime_seconds"
-    exp.header(name, "gauge", "Server uptime in seconds.")
-    exp.sample(name, {}, float(metrics_doc.get("uptime_seconds", 0.0)))
-
-    requests = metrics_doc.get("requests", {})
-    name = prefix + "_requests_total"
-    exp.header(name, "counter", "HTTP requests served, by path.")
-    for path in sorted(requests):
-        exp.sample(name, {"path": path}, requests[path])
-
-    name = prefix + "_request_errors_total"
-    exp.header(name, "counter", "HTTP requests answered with an error.")
-    exp.sample(name, {}, metrics_doc.get("errors", 0))
-
-    counters = engine.get("counters", {})
-    name = prefix + "_engine_events_total"
-    exp.header(name, "counter",
-               "Engine lifecycle events (submitted, completed, ...).")
-    for event in sorted(counters):
-        exp.sample(name, {"event": _sanitize(event)}, counters[event])
-
-    name = prefix + "_engine_throughput_per_second"
-    exp.header(name, "gauge",
-               "Completions per second over the recent window.")
-    exp.sample(name, {},
-               float(engine.get("throughput_recent_per_second",
-                                engine.get("throughput_per_second",
-                                           0.0))))
-
-    for gauge, help_text in (
-            ("queue_depth", "Jobs waiting for an engine worker."),
-            ("in_flight", "Jobs currently executing."),
-            ("workers", "Engine worker pool size."),
-    ):
-        name = "{}_engine_{}".format(prefix, gauge)
-        exp.header(name, "gauge", help_text)
-        exp.sample(name, {}, engine.get(gauge, 0))
-
-    name = prefix + "_latency_seconds"
-    exp.header(name, "histogram",
-               "Per-operation latency (log-scale buckets).")
-    latency = engine.get("latency", {})
-    for op in sorted(latency):
-        hist = latency[op]
-        labels = {"op": _sanitize(op)}
-        cumulative = 0
-        buckets = hist.get("buckets") or []
-        for edge, count in buckets:
-            cumulative += count
-            bound = "+Inf" if edge is None else "{:g}".format(edge)
-            exp.sample(name + "_bucket",
-                       dict(labels, le=bound), cumulative)
-        if not buckets:
-            exp.sample(name + "_bucket", dict(labels, le="+Inf"),
-                       hist.get("count", 0))
-        exp.sample(name + "_sum", labels,
-                   float(hist.get("total_seconds", 0.0)))
-        exp.sample(name + "_count", labels, hist.get("count", 0))
-
-    cache = metrics_doc.get("cache") or engine.get("cache") or {}
-    for counter, help_text in (
-            ("hits", "Result-cache hits."),
-            ("misses", "Result-cache misses."),
-            ("evictions", "Result-cache capacity evictions."),
-            ("invalidations", "Result-cache invalidation evictions."),
-    ):
-        name = "{}_cache_{}_total".format(prefix, counter)
-        exp.header(name, "counter", help_text)
-        exp.sample(name, {}, cache.get(counter, 0))
-    name = prefix + "_cache_entries"
-    exp.header(name, "gauge", "Result-cache occupancy.")
-    exp.sample(name, {}, cache.get("entries", 0))
-    name = prefix + "_cache_invalidations_by_reason_total"
-    exp.header(name, "counter",
-               "Result-cache invalidations, by eviction reason.")
-    for reason, count in sorted(
-            (cache.get("invalidations_by_reason") or {}).items()):
-        exp.sample(name, {"reason": _sanitize(reason)}, count)
-
-    payloads = engine.get("payloads") or {}
-    name = prefix + "_shm_segments"
-    exp.header(name, "gauge",
-               "Live shared-memory payload segments owned by this "
-               "process.")
-    exp.sample(name, {}, payloads.get("shm_segments", 0))
-    name = prefix + "_payload_bytes"
-    exp.header(name, "gauge",
-               "Bytes held in live shared-memory payload segments.")
-    exp.sample(name, {}, payloads.get("payload_bytes", 0))
-    name = prefix + "_payload_attach_failures_total"
-    exp.header(name, "counter",
-               "Zero-copy payload attach failures (workers fell back "
-               "to the pickled path).")
-    exp.sample(name, {}, payloads.get("attach_failures", 0))
-
-    traces = engine.get("traces", {})
-    name = prefix + "_traces_recorded_total"
-    exp.header(name, "counter", "Query traces recorded.")
-    exp.sample(name, {}, traces.get("recorded", 0))
-    name = prefix + "_slow_queries_total"
-    exp.header(name, "counter",
-               "Traces that crossed the slow-query threshold.")
-    exp.sample(name, {}, traces.get("slow_queries", 0))
-    return exp.text()
+    lines = []
+    for metric in METRICS:
+        lines.append("# HELP {} {}".format(metric.name, metric.help))
+        lines.append("# TYPE {} {}".format(metric.name, metric.kind))
+        value = metric_value(metrics_doc, metric.path)
+        if metric.label is None:
+            samples = [({}, metric.default if value is None else value)]
+        else:
+            samples = [({metric.label: key if metric.label == "path"
+                         else _sanitize(key)}, value[key])
+                       for key in sorted(value or {})]
+        for labels, sample in samples:
+            if metric.kind == "histogram":
+                lines.extend(_histogram_samples(metric.name, labels,
+                                                sample))
+            else:
+                lines.append(_sample(metric.name, labels, sample))
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -462,29 +462,22 @@ class CExplorer:
         return self.engine.memo.get_or_compute(
             name, self.indexes.version(name), "global-bodies", k, list)
 
-    def detect(self, algorithm, per_component=False, **params):
+    def detect(self, algorithm, **params):
         """Run a CD algorithm on the whole active graph.
 
         Detections route through the engine's frozen-payload pipeline
         under the process backend, where the whole detection escapes
         the GIL: the worker runs the registered algorithm
         against the CSR snapshot and ships plain results back, byte-
-        identical to inline execution.  ``per_component=True``
-        additionally fans the detection out as one worker job per
-        connected component -- a deterministic plan of its own whose
-        output concatenates the per-component results (identical to
-        the whole-graph output exactly when the graph is connected).
-        A job the pool cannot finish reruns inline.
+        identical to inline execution.  A job the pool cannot finish
+        reruns inline.
         """
         algo = get_cd_algorithm(algorithm)
         name = self._require_current()
         with self.engine.tracer.trace(
-                "detect", graph=name, algorithm=algo.name,
-                per_component=per_component or None):
-            if per_component or self.engine.full_query_capable():
-                return self.engine.detect(
-                    name, algo.name, params=params,
-                    per_component=per_component)
+                "detect", graph=name, algorithm=algo.name):
+            if self.engine.full_query_capable():
+                return self.engine.detect(name, algo.name, params=params)
             return algo(self.graph, **params)
 
     # ------------------------------------------------------------------

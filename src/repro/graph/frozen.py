@@ -254,11 +254,6 @@ class FrozenGraph:
                               for w, vs in postings.items()}
         return self._postings
 
-    def vertices_with_keyword(self, keyword):
-        """All vertex ids carrying ``keyword`` (a frozenset; possibly
-        empty)."""
-        return self.keyword_postings().get(keyword, frozenset())
-
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------

@@ -72,29 +72,19 @@ class ServerState:
         ``cache.invalidations_by_reason`` breaks evictions down into
         ``core-cascade`` / ``truss-cascade`` (footprint-scoped,
         reported by the attached maintainers) vs ``evict-all`` (the
-        conservative fallback); ``truss_invalidations`` and
-        ``truss_cascade_size`` summarise the truss maintenance
-        subsystem.
+        conservative fallback); ``engine.truss`` summarises the truss
+        maintenance subsystem.
         """
         with self.metrics_lock:
             requests = dict(self.request_counts)
             errors = self.error_count
         cache = self.explorer.cache.stats()
         cache["by_graph"] = self.explorer.cache.entries_by_graph()
-        truss = self.explorer.indexes.truss_stats()
         return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "requests": requests,
             "errors": errors,
             "sessions": len(self.sessions),
             "cache": cache,
-            "truss_invalidations":
-                cache["invalidations_by_reason"]["truss-cascade"],
-            "truss_cascade_size": {
-                "last": truss["last_cascade_size"],
-                "max": truss["max_cascade_size"],
-                "total": truss["changed_edges"],
-                "updates": truss["updates"],
-            },
             "engine": self.engine.snapshot(),
         }

@@ -95,18 +95,21 @@ class TestQueries:
         j = fig5.id_of("J")
         assert tree.community_vertices(j, 0) == {j}
 
-    def test_keyword_support(self, fig5):
+    def test_keyword_vertex_sets(self, fig5):
         tree = build_cltree(fig5)
-        root = tree.component_root(fig5.id_of("A"), 2)
-        support = tree.keyword_support(root, ["x", "y", "w", "nope"])
+        sets = tree.keyword_vertex_sets(fig5.id_of("A"), 2,
+                                        ["x", "y", "w", "nope"])
         # In {A,B,C,D,E}: x on A,B,C,D; y on A,C,D,E; w on A.
-        assert support == {"x": 4, "y": 4, "w": 1, "nope": 0}
+        assert {w: {fig5.label(v) for v in vs}
+                for w, vs in sets.items()} == {
+            "x": {"A", "B", "C", "D"}, "y": {"A", "C", "D", "E"},
+            "w": {"A"}, "nope": set()}
 
-    def test_vertices_with_keyword(self, fig5):
+    def test_keyword_vertex_sets_spans_the_k_core(self, fig5):
         tree = build_cltree(fig5)
-        root = tree.component_root(fig5.id_of("A"), 1)
-        got = {fig5.label(v) for v in tree.vertices_with_keyword(root, "y")}
-        assert got == {"A", "C", "D", "E", "F", "G"}
+        sets = tree.keyword_vertex_sets(fig5.id_of("A"), 1, ["y"])
+        assert {fig5.label(v) for v in sets["y"]} == \
+            {"A", "C", "D", "E", "F", "G"}
 
     def test_index_size_counts(self, fig5):
         sizes = build_cltree(fig5).index_size()

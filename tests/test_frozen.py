@@ -174,11 +174,9 @@ class TestCsrKernels:
         frozen = freeze(karate)
         tree = build_cltree(frozen)
         oracle = build_cltree(karate)
-        root = tree.component_root(0, 2)
-        oracle_root = oracle.component_root(0, 2)
-        for keyword in sorted(karate.keyword_vocabulary()):
-            assert tree.vertices_with_keyword(root, keyword) == \
-                oracle.vertices_with_keyword(oracle_root, keyword)
+        keywords = sorted(karate.keyword_vocabulary())
+        assert tree.keyword_vertex_sets(0, 2, keywords) == \
+            oracle.keyword_vertex_sets(0, 2, keywords)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import backends
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan, FaultRule
+from repro.engine.stats import RECENT_WINDOW_SECONDS
 from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import QueryTimeoutError, WorkerKilledError
 
@@ -149,6 +150,20 @@ class TestDispatch:
         doc = engine.snapshot()
         assert doc["latency"]["probe"]["count"] == 3
         assert doc["latency"]["shard_ipc"]["count"] == 3
+
+    def test_only_admitted_jobs_count_toward_throughput(self,
+                                                        make_engine):
+        engine = make_engine()
+        engine.execute(lambda: engine.run_jobs(
+            [(_square, (n,)) for n in range(3)], op="probe"))
+        engine.stats.started_at -= RECENT_WINDOW_SECONDS
+        doc = engine.snapshot()
+        # The dispatched jobs and their ``shard_ipc`` are latency
+        # samples inside the one admitted job, not completions.
+        assert doc["latency"]["probe"]["count"] == 3
+        assert doc["latency"]["shard_ipc"]["count"] == 3
+        assert doc["throughput_recent_per_second"] == \
+            round(1 / RECENT_WINDOW_SECONDS, 4)
 
     def test_index_build_is_a_job(self, make_engine, karate):
         engine = make_engine()

@@ -84,7 +84,7 @@ class TestEngineStats:
     def test_snapshot_reports_recent_and_lifetime_throughput(self):
         stats = EngineStats()
         for _ in range(10):
-            stats.observe("search", 0.001)
+            stats.observe("search", 0.001, completion=True)
         snap = stats.snapshot()
         assert snap["throughput_per_second"] > 0
         # All ten completions happened inside the recent window, and
@@ -95,7 +95,7 @@ class TestEngineStats:
 
     def test_recent_throughput_drops_stale_completions(self):
         stats = EngineStats()
-        stats.observe("search", 0.001)
+        stats.observe("search", 0.001, completion=True)
         # Backdate the completion beyond the window; the next snapshot
         # must prune it, while lifetime counters keep it.
         stats._completions[0] -= RECENT_WINDOW_SECONDS + 10
