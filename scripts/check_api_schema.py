@@ -13,6 +13,9 @@ validates the live surface against the ``/v1`` contract in
   method from the cache;
 * a ``null`` integer field takes its default, and a float or bool
   one is a 400;
+* ``/v1/stats`` follows updates: after an edge insert through the
+  mutation gateway it counts the vertices and edges
+  ``/v1/graphs/smoke`` counts;
 * every error path emits a **registered** code from
   ``routes.ERROR_CODES`` with exactly the status registered for it,
   and the error object carries ``code`` + ``message`` (plus
@@ -211,7 +214,27 @@ def check_null_fields(base):
                 path, status)
 
 
-def check_server(base, kind):
+def check_stats_follow_updates(server, base):
+    """The dataset panel describes the current graph version: after
+    one edge insert through the mutation gateway (once ``/v1/stats``
+    has been read), it counts what ``/v1/graphs/smoke`` counts."""
+    explorer = server.state.explorer
+    graph = explorer.graph
+    u, v = next((u, v) for u in graph.vertices()
+                for v in graph.vertices()
+                if u < v and not graph.has_edge(u, v))
+    with server.state.write_lock:
+        explorer.maintainer().insert_edge(u, v)
+    stats = get(base, "/v1/stats")[1].get("data") or {}
+    listed = get(base, "/v1/graphs/smoke")[1].get("data") or {}
+    for key in ("vertices", "edges"):
+        if stats.get(key) != listed.get(key):
+            yield ("/v1/stats: {} is {!r} after an update, "
+                   "/v1/graphs/smoke says {!r}".format(
+                       key, stats.get(key), listed.get(key)))
+
+
+def check_server(server, base, kind):
     """Probe one live server; yield problem strings."""
     problems = []
 
@@ -324,6 +347,8 @@ def check_server(base, kind):
         problems.append("no '/v1/traces/{query_id}' counter bucket "
                         "after fetching a trace")
 
+    problems.extend(check_stats_follow_updates(server, base))
+
     return ["[{}] {}".format(kind, p) for p in problems], exercised
 
 
@@ -371,7 +396,7 @@ def main(argv):
     for kind in ("sync", "async"):
         server, base = boot(kind)
         try:
-            problems, codes = check_server(base, kind)
+            problems, codes = check_server(server, base, kind)
         finally:
             server.shutdown()
         all_problems.extend(problems)

@@ -36,14 +36,14 @@ The modules
     overlapping queries.
 
 ``index_manager``
-    :class:`~repro.engine.index_manager.IndexManager`: explicit
-    CL-tree/k-core/truss lifecycle -- built on the first query that
-    needs it, once per version however many queries ask at once;
-    versioned immutable snapshots (the truss index is
-    versioned independently); invalidation hooks wired into
+    :class:`~repro.engine.index_manager.IndexManager`: the registry
+    of graphs, one record per graph version holding its core numbers,
+    CL-tree, truss map and frozen payload -- each built on the first
+    query that needs it, the CL-tree once per version however many
+    queries ask at once; invalidation hooks wired into
     :class:`~repro.core.maintenance.CoreMaintainer` and
     :class:`~repro.core.truss_maintenance.TrussMaintainer` so
-    incremental edge updates bump the versions and selectively evict
+    incremental edge updates bump the version and selectively evict
     cached results -- with both maintainers attached, even k-truss/ATC
     entries survive updates disjoint from their footprint.
 
@@ -120,7 +120,7 @@ from repro.engine.backends import (
 from repro.engine.cache import ResultCache, SubproblemMemo, query_key
 from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.faults import FaultPlan, FaultRule
-from repro.engine.index_manager import IndexManager, IndexSnapshot
+from repro.engine.index_manager import IndexManager
 from repro.engine.plans import QueryPlan, plan_search
 from repro.engine.stats import EngineStats, LatencyHistogram
 from repro.engine.tracing import QueryTrace, TraceRecorder
@@ -132,7 +132,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "IndexManager",
-    "IndexSnapshot",
     "LatencyHistogram",
     "ProcessBackend",
     "ProcessBackendError",

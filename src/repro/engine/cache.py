@@ -210,8 +210,8 @@ class ResultCache:
         """Evict entries made stale by an update to ``graph_name``.
 
         ``graph_name=None`` clears everything.  ``version`` is the
-        graph's version after the update (``None``: unregistered);
-        later puts computed at any other version are dropped.
+        graph's version after the update; later puts computed at any
+        other version are dropped.
         ``affected`` is the core-cascade vertex region: entries of the
         minimum-degree families survive when their recorded footprint
         is disjoint from it.  ``truss_affected`` is the

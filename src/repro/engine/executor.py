@@ -285,10 +285,8 @@ class QueryEngine:
     """
 
     def __init__(self, explorer=None, workers=2, max_queue=64,
-                 default_timeout=None, cache_size=512,
-                 index_manager=None, memo_size=128, backend="thread",
-                 trace_capacity=256, slow_query_seconds=1.0,
-                 tracing_enabled=True, faults=None):
+                 cache_size=512, index_manager=None, backend="thread",
+                 faults=None):
         if workers < 1:
             raise ValueError("workers must be positive")
         if max_queue < 1:
@@ -296,12 +294,11 @@ class QueryEngine:
         self.explorer = explorer
         self.workers = workers
         self.max_queue = max_queue
-        self.default_timeout = default_timeout
         self.backend = validate_backend(backend)
         self.indexes = index_manager if index_manager is not None \
             else IndexManager()
         self.cache = ResultCache(cache_size)
-        self.memo = SubproblemMemo(memo_size)
+        self.memo = SubproblemMemo()
         self.stats = EngineStats()
         # Declared up front so /v1/metrics always carries it.
         self.stats.count("job_inline_fallbacks", 0)
@@ -313,9 +310,7 @@ class QueryEngine:
         if self.faults is not None and self.faults.has_span_rules():
             self._span_hook = self.faults.span_fault
             tracing.set_fault_hook(self._span_hook)
-        self.tracer = TraceRecorder(capacity=trace_capacity,
-                                    slow_seconds=slow_query_seconds,
-                                    enabled=tracing_enabled)
+        self.tracer = TraceRecorder()
         self._queue = queue.Queue(max_queue)
         self._threads = []
         self._in_flight = 0
@@ -383,14 +378,13 @@ class QueryEngine:
         :class:`EngineFuture`.
 
         Keyword-only extras: ``op`` labels the latency histogram,
-        ``timeout`` sets the deadline (falls back to
-        ``default_timeout``), ``trace`` attaches a
-        :class:`~repro.engine.tracing.QueryTrace` that the executing
-        worker will activate and finish.  Raises
+        ``timeout`` sets the deadline (none by default), ``trace``
+        attaches a :class:`~repro.engine.tracing.QueryTrace` that the
+        executing worker will activate and finish.  Raises
         :class:`EngineBusyError` at once when the queue is full.
         """
         op = kwargs.pop("op", "job")
-        timeout = kwargs.pop("timeout", self.default_timeout)
+        timeout = kwargs.pop("timeout", None)
         trace = kwargs.pop("trace", None)
         if self._shutdown:
             self.tracer.finish(trace, "rejected")
@@ -413,7 +407,7 @@ class QueryEngine:
     def execute(self, fn, *args, **kwargs):
         """Synchronous :meth:`submit`: block for the result, honouring
         the same deadline while waiting."""
-        timeout = kwargs.get("timeout", self.default_timeout)
+        timeout = kwargs.get("timeout")
         future = self.submit(fn, *args, **kwargs)
         try:
             return future.result(timeout)
@@ -494,7 +488,6 @@ class QueryEngine:
     def search_sync(self, algorithm, vertex, k=4, keywords=None,
                     timeout=None, **params):
         """Blocking :meth:`search` with deadline enforcement."""
-        timeout = timeout if timeout is not None else self.default_timeout
         future = self.search(algorithm, vertex, k=k, keywords=keywords,
                              timeout=timeout, **params)
         try:
@@ -540,11 +533,12 @@ class QueryEngine:
         have not started.
         """
         jobs = list(jobs)
-        # An index build ships no deadline, as on the thread backend
-        # (where it is no job at all): a slow pool build must not
-        # leave its graph unbuildable.
+        # The executing job's deadline (perf_counter based) bounds
+        # every pool wait and shipped worker deadline.  An index build
+        # ships none, as on the thread backend (where it is no job at
+        # all): a slow pool build must not leave its graph unbuildable.
         deadline = None if op == "index_build" \
-            else self._fanout_deadline()
+            else getattr(_job_context, "deadline", None)
         wall = self._wall_deadline(deadline)
         # One fault draw per job per dispatch, so a plan replays
         # identically whatever the jobs then meet.
@@ -638,17 +632,6 @@ class QueryEngine:
             trace.graft(index, spans)
             trace.add_span("shard_ipc", ipc + thaw, tags={"job": i})
         return value
-
-    def _fanout_deadline(self):
-        """The executing job's deadline (perf_counter based), falling
-        back to ``default_timeout`` from now -- the budget every pool
-        wait and shipped worker deadline lives within."""
-        deadline = getattr(_job_context, "deadline", None)
-        if deadline is not None:
-            return deadline
-        if self.default_timeout is not None:
-            return time.perf_counter() + self.default_timeout
-        return None
 
     @staticmethod
     def _wall_deadline(deadline):
@@ -775,7 +758,7 @@ class QueryEngine:
         ``truss_affected`` (reported by an attached truss maintainer)
         for the triangle families; either being ``None`` makes its
         families' eviction conservative.  Memo entries keyed at an
-        older version (or any, once ``version`` is ``None``) go.
+        older version go.
         """
         self.cache.invalidate(name, affected=affected,
                               truss_affected=truss_affected,

@@ -1,38 +1,38 @@
-"""Explicit index lifecycle: versioned CL-tree/k-core snapshots.
+"""Explicit index lifecycle: one record per graph version.
 
-The seed system built indexes lazily and ad hoc: whichever request
-first touched a graph paid the CL-tree build on its own thread, and
-nothing noticed when maintenance mutated the graph underneath.  The
-:class:`IndexManager` makes the lifecycle explicit, the way Polynesia
-(PAPERS.md) separates index maintenance from the query path:
+The :class:`IndexManager` is the registry of every graph the system
+serves, and of what each graph's current version has derived so far --
+the way Polynesia (PAPERS.md) separates index maintenance from the
+query path and lets analytics read one consistent version:
 
 * **register** a graph; nothing is built until a query needs it;
-* **snapshot** returns an immutable :class:`IndexSnapshot` (core
-  numbers + CL-tree) at a specific *version*, building it on the
-  calling thread when needed -- concurrent first readers share one
-  build;
-* **invalidate** bumps the version, marks the snapshot stale, and
-  notifies subscribers (the engine's result cache selectively evicts);
+* each graph holds one :class:`VersionRecord` per *version*: the core
+  numbers, the CL-tree (carrying its build time), the ``{edge: truss}``
+  map behind the triangle families and the frozen whole-graph payload.
+  Each is computed on first use, on the reader's thread, and stored on
+  the record it was read from; concurrent first readers of a version
+  share one CL-tree build;
+* **invalidate** swaps in the next version's record, releases the
+  superseded record's payload segment and notifies subscribers (the
+  engine's result cache selectively evicts).  A superseded record is
+  never handed to a new reader, so a structure computed for an older
+  version is never read as current;
 * **attach_maintainer** wires a
   :class:`~repro.core.maintenance.CoreMaintainer` so that every
   incremental edge update bumps the version automatically, hands the
-  patched core numbers to the next rebuild for free, and reports the
+  patched core numbers to the new record for free, and reports the
   affected region (changed vertices + their neighbourhoods) for
   selective cache eviction;
 * **attach_truss_maintainer** additionally wires a
   :class:`~repro.core.truss_maintenance.TrussMaintainer` behind the
   same mutation gateway: each applied update patches per-edge support
-  and trussness incrementally and reports the *truss-affected* region,
-  so cached k-truss/ATC results survive unrelated updates instead of
-  being evicted wholesale.
+  and trussness incrementally -- the next record reads its truss map
+  off the maintainer instead of recomputing it -- and reports the
+  *truss-affected* region, so cached k-truss/ATC results survive
+  unrelated updates instead of being evicted wholesale.
 
 Versions are per-graph monotonic integers; anything keyed by
-``(graph, version)`` is immune to stale reads by construction.  The
-**truss index** (the ``{edge: truss}`` map behind the triangle
-families) is versioned independently of the CL-tree snapshot: it has
-its own monotonic ``truss_version``, and with a truss maintainer
-attached it never goes stale under maintenance -- updates patch it in
-place while the CL-tree snapshot is rebuilt lazily.
+``(graph, version)`` is immune to stale reads by construction.
 """
 
 import itertools
@@ -54,40 +54,37 @@ from repro.graph.frozen import FrozenGraph
 from repro.util.errors import CExplorerError
 
 
-class IndexSnapshot:
-    """One immutable build of a graph's derived index structures."""
+class VersionRecord:
+    """One version of a graph and what has been derived from it so far.
 
-    __slots__ = ("name", "version", "core", "cltree", "built_at",
-                 "build_seconds")
+    ``core``, ``cltree``, ``truss`` and ``payload`` stay ``None`` until
+    a reader first needs them; the CL-tree carries its build time as
+    ``cltree.build_seconds``.
+    """
 
-    def __init__(self, name, version, core, cltree, build_seconds):
-        self.name = name
+    __slots__ = ("version", "core", "cltree", "truss", "payload")
+
+    def __init__(self, version, core=None, truss=None):
         self.version = version
         self.core = core
-        self.cltree = cltree
-        self.built_at = time.time()
-        self.build_seconds = build_seconds
+        self.cltree = None
+        self.truss = truss
+        self.payload = None
 
 
 class _IndexEntry:
-    __slots__ = ("name", "graph", "version", "snapshot", "core",
-                 "maintainer", "build_lock", "build_count",
-                 "truss_maintainer", "truss", "truss_version",
-                 "truss_built_version")
+    """A registered graph: what lives across its versions."""
 
-    def __init__(self, name, graph):
-        self.name = name
+    __slots__ = ("graph", "maintainer", "truss_maintainer",
+                 "build_lock", "build_count", "record")
+
+    def __init__(self, graph, version):
         self.graph = graph
-        self.version = 1
-        self.snapshot = None
-        self.core = None            # core numbers, possibly sans cltree
         self.maintainer = None
+        self.truss_maintainer = None
         self.build_lock = threading.Lock()  # held while one builds
         self.build_count = 0
-        self.truss_maintainer = None
-        self.truss = None           # cached {edge: truss} map
-        self.truss_version = 1      # independent truss-index version
-        self.truss_built_version = 0
+        self.record = VersionRecord(version)
 
 
 class GraphPayload:
@@ -106,7 +103,8 @@ class GraphPayload:
     """
 
     __slots__ = ("key", "version", "frozen", "_blob", "_segment",
-                 "_transport_lock", "build_seconds")
+                 "_unlink", "_transport_lock", "build_seconds",
+                 "__weakref__")
 
     def __init__(self, key, version, frozen, build_seconds):
         self.key = key
@@ -114,6 +112,7 @@ class GraphPayload:
         self.frozen = frozen
         self._blob = None
         self._segment = None
+        self._unlink = None
         self._transport_lock = threading.Lock()
         self.build_seconds = build_seconds
 
@@ -129,10 +128,15 @@ class GraphPayload:
     def ref(self):
         """The payload-plane locator, publishing on first use (one
         segment per payload, guarded against concurrent queries).
-        ``None`` when no segment can be created."""
+        The segment is released by :meth:`release` or, at the latest,
+        when the payload is collected.  ``None`` when no segment can
+        be created."""
         with self._transport_lock:
             if self._segment is None:
                 self._segment = payloads.publish(self.key, self.frozen)
+                if self._segment is not None:
+                    self._unlink = weakref.finalize(
+                        self, self._segment.release)
             return self._segment.ref if self._segment is not None \
                 else None
 
@@ -148,28 +152,17 @@ class GraphPayload:
 
     def release(self):
         """Drop this payload's segment reference (unlinks at zero).
-        Idempotent; called on version bump, eviction, corruption
-        discard, unregister, and engine shutdown."""
+        Idempotent; called on version bump, corruption discard and
+        engine shutdown."""
         with self._transport_lock:
-            segment, self._segment = self._segment, None
-        if segment is not None:
-            segment.release()
-
-
-def _release_orphaned(lock, payloads_by_name):
-    """GC finalizer for a manager dropped without ``shutdown()``: its
-    cached payloads must not pin shared-memory segments until the
-    atexit sweep.  ``payloads_by_name`` is the manager's payload dict,
-    captured without a reference to the manager itself."""
-    with lock:
-        stale = list(payloads_by_name.values())
-        payloads_by_name.clear()
-    for payload in stale:
-        payload.release()
+            self._segment = None
+            unlink, self._unlink = self._unlink, None
+        if unlink is not None:
+            unlink()
 
 
 class IndexManager:
-    """Versioned, invalidation-aware index store for many graphs."""
+    """The registry of graphs and of each graph's current version."""
 
     # Distinguishes payloads of same-named graphs held by *different*
     # managers: worker-side caches key on the payload identity, and an
@@ -181,15 +174,7 @@ class IndexManager:
         self._entries = {}
         self._lock = threading.RLock()
         self._subscribers = []
-        # name -> GraphPayload, valid while the entry's version
-        # matches; one latest payload per graph, so the cache is
-        # bounded by the number of registered graphs.
-        self._full_payloads = {}
         self._payload_epoch = next(self._payload_epochs)
-        # Drained when this manager is collected without an explicit
-        # ``release_payloads`` (an engine dropped without shutdown).
-        self._payload_finalizer = weakref.finalize(
-            self, _release_orphaned, self._lock, self._full_payloads)
         # Optional build delegate ``(graph, core=None) -> (core,
         # cltree)``; the engine's process backend installs one so
         # CL-tree builds run in worker processes instead of under the
@@ -211,26 +196,15 @@ class IndexManager:
         """
         with self._lock:
             old = self._entries.get(name)
-            entry = _IndexEntry(name, graph)
-            if old is not None:
-                entry.version = old.version + 1
-                entry.truss_version = old.truss_version + 1
-            self._entries[name] = entry
-            version = entry.version
+            version = old.record.version + 1 if old is not None else 1
+            self._entries[name] = _IndexEntry(graph, version)
+        if old is not None:
+            self._drop_payload(old.record)
         self._notify(name, version, None)
         return version
 
-    def unregister(self, name):
-        """Drop ``name`` and notify subscribers (caches evict)."""
-        with self._lock:
-            self._entries.pop(name, None)
-            stale = self._full_payloads.pop(name, None)
-        if stale is not None:
-            stale.release()
-        self._notify(name, None, None)
-
     def names(self):
-        """Sorted names of every registered index entry."""
+        """Sorted names of every registered graph."""
         with self._lock:
             return sorted(self._entries)
 
@@ -241,223 +215,174 @@ class IndexManager:
             raise CExplorerError(
                 "no graph named {!r} registered".format(name)) from None
 
+    def _current(self, name):
+        """``(entry, record)`` of ``name``'s current version."""
+        with self._lock:
+            entry = self._entry(name)
+            return entry, entry.record
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def version(self, name):
-        """The current (monotonic) index version of ``name``."""
+        """The current (monotonic) version of ``name``."""
         with self._lock:
-            return self._entry(name).version
+            return self._entry(name).record.version
 
     def graph(self, name):
-        """The registered graph object for ``name``."""
-        with self._lock:
-            return self._entry(name).graph
+        """The registered graph object for ``name``.  Lock-free: an
+        entry's graph never changes (re-registering swaps the entry),
+        and every cache probe reads it."""
+        return self._entry(name).graph
 
     def built(self, name):
-        """Whether a current-version snapshot exists right now."""
+        """Whether the current version's CL-tree exists right now."""
         with self._lock:
-            return self._current_snapshot(self._entry(name)) is not None
+            return self._entry(name).record.cltree is not None
 
-    @staticmethod
-    def _current_snapshot(entry):
-        """``entry``'s snapshot if it is at the entry's version, else
-        ``None`` (call under the manager lock)."""
-        snap = entry.snapshot
-        if snap is not None and snap.version == entry.version:
-            return snap
-        return None
+    def _derive(self, record, slot, compute):
+        """``record``'s ``slot``, calling ``compute()`` when it is
+        missing and storing the result on ``record``.  ``compute`` runs
+        outside the manager lock, so version/built probes (every
+        request's cache fast path) never stall behind a cold
+        computation; the first store wins, so concurrent first readers
+        return one object.  Returns ``(value, computed)``."""
+        value = getattr(record, slot)
+        if value is not None:
+            return value, False
+        value = compute()
+        with self._lock:
+            if getattr(record, slot) is None:
+                setattr(record, slot, value)
+            return getattr(record, slot), True
+
+    def _core(self, entry, record):
+        """Core numbers of ``record``: the attached maintainer's
+        incrementally patched array, else one decomposition."""
+        maintainer = entry.maintainer
+        return self._derive(
+            record, "core",
+            lambda: maintainer.core_numbers() if maintainer is not None
+            else core_decomposition(entry.graph))[0]
 
     def core(self, name):
-        """Current core numbers (cheap path: no CL-tree build).
-
-        With a maintainer attached this is the incrementally patched
-        array; otherwise it is computed once per version and cached.
-        The decomposition itself runs outside the manager lock so
-        version/built probes (every request's cache fast path) never
-        stall behind a cold build.
-        """
-        with self._lock:
-            entry = self._entry(name)
-            if entry.core is not None:
-                return entry.core
-            maintainer = entry.maintainer
-            graph = entry.graph
-            version = entry.version
-        if maintainer is not None:
-            core = maintainer.core_numbers()
-        else:
-            core = core_decomposition(graph)
-        with self._lock:
-            fresh = self._entries.get(name)
-            if fresh is entry and entry.version == version:
-                if entry.core is None:
-                    entry.core = core
-                return entry.core
-        return core
+        """Current core numbers (cheap path: no CL-tree build)."""
+        return self._core(*self._current(name))
 
     def truss(self, name):
         """Current truss numbers ``{(u, v): t}`` of graph ``name``.
 
         The triangle-family counterpart of :meth:`core`: with a truss
-        maintainer attached this is the incrementally patched map;
-        otherwise it is recomputed once per truss version and cached.
-        Callers must treat the returned map as read-only.  The
-        decomposition runs outside the manager lock so version probes
-        never stall behind a cold build.
+        maintainer attached this is its incrementally patched map,
+        otherwise one decomposition per version.  Callers must treat
+        the returned map as read-only.
         """
-        with self._lock:
-            entry = self._entry(name)
-            if (entry.truss is not None
-                    and entry.truss_built_version == entry.truss_version):
-                return entry.truss
-            maintainer = entry.truss_maintainer
-            graph = entry.graph
-            tversion = entry.truss_version
-        if maintainer is not None:
-            truss = maintainer.truss_numbers()
-        else:
-            truss = truss_decomposition(graph)
-        with self._lock:
-            fresh = self._entries.get(name)
-            if fresh is entry and entry.truss_version == tversion:
-                entry.truss = truss
-                entry.truss_built_version = tversion
-                return entry.truss
-        return truss
-
-    def truss_version(self, name):
-        """The independent truss-index version of ``name``."""
-        with self._lock:
-            return self._entry(name).truss_version
+        entry, record = self._current(name)
+        maintainer = entry.truss_maintainer
+        return self._derive(
+            record, "truss",
+            lambda: maintainer.truss_numbers() if maintainer is not None
+            else truss_decomposition(entry.graph))[0]
 
     def full_payload(self, name):
-        """The whole-graph frozen payload, cached per
-        ``(graph, version)``.
+        """The current version's whole-graph frozen payload.
 
         Returns ``(payload, fresh)`` where ``fresh`` says the snapshot
-        was (re)built by this call (the engine records the build time
+        was frozen by this call (the engine records the freeze time
         under the ``snapshot_build`` latency op).  This is what the
         whole-query execution path ships to workers: one immutable CSR
         snapshot per graph version, against which a worker runs an
         entire search or detection and caches every derived structure
         (core numbers, CL-tree, truss map) under the payload's
-        identity.  Maintenance invalidates it exactly when it bumps
-        the graph's version.
+        identity.
         """
-        start = time.perf_counter()
+        entry, record = self._current(name)
+
+        def freeze():
+            start = time.perf_counter()
+            with tracing.span("payload_freeze", graph=name):
+                frozen = FrozenGraph.from_graph(entry.graph)
+            return GraphPayload(
+                (self._payload_epoch, name, "full", record.version),
+                record.version, frozen, time.perf_counter() - start)
+        return self._derive(record, "payload", freeze)
+
+    def _drop_payload(self, record, key=None):
+        """Detach ``record``'s payload -- only if its identity is
+        ``key``, when given -- and release its segment.  Returns
+        whether one was dropped."""
         with self._lock:
-            entry = self._entry(name)
-            version = entry.version
-            graph = entry.graph
-            cached = self._full_payloads.get(name)
-            if cached is not None and cached.version == version:
-                return cached, False
-        # Freeze outside the lock: an O(V + E) snapshot must not
-        # stall every concurrent version/built probe.  The manager
-        # lock would not serialise graph mutations anyway (the
-        # maintainer gateway mutates the parent graph before its
-        # listeners take this lock); the version-checked publish
-        # below keeps the cache coherent, and a racing bump simply
-        # leaves the payload unpublished -- the in-flight query may
-        # still use its consistent snapshot of the prior state.
-        with tracing.span("payload_freeze", graph=name):
-            frozen = FrozenGraph.from_graph(graph)
-        payload = GraphPayload(
-            (self._payload_epoch, name, "full", version), version,
-            frozen, 0.0)
-        payload.build_seconds = time.perf_counter() - start
-        replaced = None
-        with self._lock:
-            fresh = self._entries.get(name)
-            if fresh is not None and fresh.graph is graph \
-                    and fresh.version == version:
-                replaced = self._full_payloads.get(name)
-                self._full_payloads[name] = payload
-        if replaced is not None:
-            replaced.release()
-        return payload, True
+            payload = record.payload
+            if payload is None or key not in (None, payload.key):
+                return False
+            record.payload = None
+        payload.release()
+        return True
 
     def discard_payload(self, key):
-        """Drop any cached payload whose identity is ``key``.
+        """Drop the current payload whose identity is ``key``.
 
         The corruption hook: when a worker reports a payload that
         failed to attach or unpickle, the engine discards exactly that
-        ``(epoch, graph, ..., version)`` entry -- and unlinks its
+        ``(epoch, graph, "full", version)`` payload -- and unlinks its
         shared-memory segment -- before rerunning the job inline, so
         the next query re-freezes and re-publishes from the live graph
         instead of re-shipping poisoned bytes.  Returns whether
         anything was dropped.
         """
         with self._lock:
-            stale = None
-            for name, payload in list(self._full_payloads.items()):
-                if payload.key == key:
-                    stale = self._full_payloads.pop(name)
-                    break
-        if stale is not None:
-            stale.release()
-            return True
-        return False
+            entry = self._entries.get(key[1])
+        return entry is not None and self._drop_payload(entry.record, key)
 
     def release_payloads(self):
-        """Drop every cached payload and unlink its segment (engine
-        shutdown: nothing may leak into ``/dev/shm``)."""
+        """Drop every payload and unlink its segment (engine shutdown:
+        nothing may leak into ``/dev/shm``)."""
         with self._lock:
-            stale = list(self._full_payloads.values())
-            self._full_payloads.clear()
-        for payload in stale:
-            payload.release()
+            records = [entry.record for entry in self._entries.values()]
+        for record in records:
+            self._drop_payload(record)
 
     def snapshot(self, name):
-        """The current :class:`IndexSnapshot`, building when needed.
+        """The current :class:`VersionRecord`, with its CL-tree built.
 
         The build runs on the calling thread, so its ``index_build``
         span lands in the caller's trace.  Concurrent first readers
-        share one build: they queue on the entry's build lock, and
-        whoever gets it after the builder finds the snapshot already
-        published.
+        of one version share one build: they queue on the entry's
+        build lock, and whoever gets it after the builder finds the
+        tree already on the record.
         """
-        with self._lock:
-            entry = self._entry(name)
-            snap = self._current_snapshot(entry)
-        if snap is not None:
-            return snap
-        with entry.build_lock:
-            with self._lock:
-                snap = self._current_snapshot(entry)
-            if snap is not None:
-                return snap
-            return self._build(name)
+        entry, record = self._current(name)
+        if record.cltree is None:
+            with entry.build_lock:
+                if record.cltree is None:
+                    self._build(name, entry, record)
+        return record
 
     def cltree(self, name):
-        """The current CL-tree (building the snapshot when needed)."""
+        """The current CL-tree (building it when needed)."""
         return self.snapshot(name).cltree
 
     def stats(self, name):
-        """Lifecycle stats for the metrics endpoint."""
+        """Lifecycle stats of the current version, for
+        ``/v1/graphs/{name}`` and the metrics endpoint."""
         with self._lock:
             entry = self._entry(name)
-            snap = entry.snapshot
+            record = entry.record
             tm = entry.truss_maintainer
-            truss = {
-                "version": entry.truss_version,
-                "built": (entry.truss is not None
-                          and entry.truss_built_version
-                          == entry.truss_version),
-                "maintained": tm is not None,
-            }
+            truss = {"built": record.truss is not None,
+                     "maintained": tm is not None}
             if tm is not None:
                 truss["cascades"] = tm.updates
                 truss["last_cascade_size"] = tm.last_cascade_size
                 truss["max_cascade_size"] = tm.max_cascade_size
+            cltree = record.cltree
             return {
-                "version": entry.version,
-                "built": self._current_snapshot(entry) is not None,
+                "version": record.version,
+                "built": cltree is not None,
                 "building": entry.build_lock.locked(),
                 "builds": entry.build_count,
-                "build_seconds": round(snap.build_seconds, 6)
-                if snap else None,
+                "build_seconds": round(cltree.build_seconds, 6)
+                if cltree is not None else None,
                 "maintained": entry.maintainer is not None,
                 "truss": truss,
             }
@@ -487,51 +412,38 @@ class IndexManager:
     # ------------------------------------------------------------------
     # builds
     # ------------------------------------------------------------------
-    def _build(self, name):
-        with self._lock:
-            entry = self._entry(name)
-            graph = entry.graph
-            version = entry.version
-            cached_core = entry.core
+    def _build(self, name, entry, record):
+        """Build ``record``'s CL-tree (call under the build lock)."""
         start = time.perf_counter()
         executor = self.build_executor
         if executor is not None:
             # Delegated (process-backend) build: core numbers are
-            # computed in the worker too when not already cached, so a
+            # computed in the worker too when not already derived, so a
             # cold build pays nothing GIL-bound here.
-            core, cltree = executor(graph, core=cached_core)
+            core, cltree = executor(entry.graph, core=record.core)
         else:
-            core = self.core(name)
-            cltree = build_cltree(graph, core=core)
-        build_seconds = time.perf_counter() - start
-        tracing.add_span("index_build", build_seconds, graph=name)
-        # Compatibility: callers historically read build time off the
-        # tree itself.
-        cltree.build_seconds = build_seconds
-        snap = IndexSnapshot(name, version, core, cltree, build_seconds)
+            core = self._core(entry, record)
+            cltree = build_cltree(entry.graph, core=core)
+        cltree.build_seconds = time.perf_counter() - start
+        tracing.add_span("index_build", cltree.build_seconds, graph=name)
         with self._lock:
-            entry = self._entries.get(name)
-            # Only publish when nothing newer happened while building.
-            if entry is not None and entry.version == version:
-                entry.snapshot = snap
-                entry.build_count += 1
-                if entry.core is None:
-                    entry.core = core
-        return snap
+            if record.core is None:
+                record.core = core
+            record.cltree = cltree
+            entry.build_count += 1
 
     def install(self, name, cltree, core=None, build_seconds=0.0):
-        """Install a prebuilt CL-tree (e.g. loaded from disk) as the
-        current snapshot, skipping the build."""
+        """Install a prebuilt CL-tree (e.g. loaded from disk) on the
+        current record, skipping the build."""
+        entry, record = self._current(name)
+        if core is None:
+            core = getattr(cltree, "core", None) \
+                or self._core(entry, record)
+        cltree.build_seconds = build_seconds
         with self._lock:
-            entry = self._entry(name)
-            if core is None:
-                core = getattr(cltree, "core", None) \
-                    or core_decomposition(entry.graph)
-            snap = IndexSnapshot(name, entry.version, core, cltree,
-                                 build_seconds)
-            entry.snapshot = snap
-            entry.core = core
-            return snap
+            record.core = core
+            record.cltree = cltree
+        return record
 
     # ------------------------------------------------------------------
     # invalidation
@@ -543,28 +455,21 @@ class IndexManager:
         ``affected`` is the vertex region the mutation could have
         touched (forwarded to subscribers for selective eviction);
         ``core`` optionally carries already-patched core numbers so the
-        next snapshot build skips the decomposition.  ``truss_affected``
-        is the triangle-support cascade region a truss maintainer
-        reported (``None`` means unknown: subscribers must evict
-        triangle-family entries conservatively), and ``truss``
-        optionally carries the already-patched truss map so the truss
-        index stays built across the bump.
+        new record skips the decomposition.  ``truss_affected`` is the
+        triangle-support cascade region a truss maintainer reported
+        (``None`` means unknown: subscribers must evict triangle-family
+        entries conservatively), and ``truss`` optionally carries the
+        already-patched truss map.
         """
         with self._lock:
             entry = self._entry(name)
-            entry.version += 1
-            entry.core = core
-            entry.truss_version += 1
-            entry.truss = truss
-            if truss is not None:
-                entry.truss_built_version = entry.truss_version
-            version = entry.version
-            # The cached payload is now one version behind: release
-            # it (and its shared-memory segment) eagerly instead of
-            # leaving the unlink to the next full_payload replacement.
-            stale = self._full_payloads.pop(name, None)
-        if stale is not None:
-            stale.release()
+            superseded = entry.record
+            entry.record = VersionRecord(superseded.version + 1,
+                                         core=core, truss=truss)
+            version = entry.record.version
+        # The superseded payload is one version behind: release it (and
+        # its shared-memory segment) now rather than at collection.
+        self._drop_payload(superseded)
         self._notify(name, version, affected, truss_affected)
         return version
 
@@ -591,7 +496,7 @@ class IndexManager:
             if maintainer is None:
                 maintainer = CoreMaintainer(entry.graph)
             entry.maintainer = maintainer
-            entry.core = maintainer.core_numbers()
+            entry.record.core = maintainer.core_numbers()
 
         def on_update(event):
             """Per-update hook: patch truss state, then invalidate."""
@@ -606,9 +511,9 @@ class IndexManager:
                 # The core maintainer already applied the edge update
                 # to the graph; patch the truss structures for it and
                 # collect the support cascade's vertex footprint.  The
-                # patched map itself is *not* copied here -- the next
-                # :meth:`truss` read refetches it from the maintainer
-                # lazily, so an update costs its cascade, not O(m).
+                # patched map itself is *not* copied here -- the new
+                # record's first :meth:`truss` read copies it from the
+                # maintainer, so an update costs its cascade, not O(m).
                 # (A vertex event has no edge and nothing to patch;
                 # triangle-family entries are evicted conservatively.)
                 truss_event = tm.apply(event["kind"], *event["edge"])
@@ -651,8 +556,7 @@ class IndexManager:
         with self._lock:
             entry = self._entry(name)
             entry.truss_maintainer = maintainer
-            entry.truss = maintainer.truss_numbers()
-            entry.truss_built_version = entry.truss_version
+            entry.record.truss = maintainer.truss_numbers()
         return maintainer
 
     def _truss_maintainer_for(self, name, graph):
@@ -668,9 +572,8 @@ class IndexManager:
 
     def subscribe(self, callback):
         """``callback(name, version, affected, truss_affected)`` runs
-        after every version bump (``version=None`` means unregistered;
-        ``truss_affected=None`` means triangle-family caches must be
-        evicted conservatively)."""
+        after every version bump (``truss_affected=None`` means
+        triangle-family caches must be evicted conservatively)."""
         self._subscribers.append(callback)
 
     def _notify(self, name, version, affected, truss_affected=None):

@@ -14,8 +14,9 @@ Transport ladder (the first rung degrades to the second by itself):
 
 1. **shm** -- ``multiprocessing.shared_memory`` segments.  One
    refcounted :class:`Segment` per ``(graph, version)`` payload,
-   owned by the parent; unlinked on version bump, eviction, engine
-   shutdown, and (backstop) at interpreter exit, so no
+   owned by the parent; unlinked on version bump, corruption
+   discard, engine shutdown, when its payload is collected, and
+   (backstop) at interpreter exit, so no
    ``resource_tracker`` leak warnings survive a clean run.
 2. **pickle** -- the pickled-blob path: the only transport on hosts
    without ``/dev/shm`` (segment creation failing poisons the shm

@@ -7,6 +7,8 @@ are case-insensitive, matching how the demo accepts "jim gray" for
 "Jim Gray".
 """
 
+import threading
+
 
 class _TrieNode:
     __slots__ = ("children", "name")
@@ -27,13 +29,29 @@ class NameIndex:
     def __init__(self, names=()):
         self._root = _TrieNode()
         self._count = 0
+        self._covered = 0       # graph vertices indexed by extend()
+        self._extend_lock = threading.Lock()
         for name in names:
             self.add(name)
 
     @classmethod
     def from_graph(cls, graph):
         """Index every display name of ``graph``."""
-        return cls(graph.display_name(v) for v in graph.vertices())
+        index = cls()
+        index.extend(graph)
+        return index
+
+    def extend(self, graph):
+        """Index the display names of the vertices appended to
+        ``graph`` since the last call.  Vertex ids are dense and only
+        ever appended, so the vertices already covered need no
+        second look."""
+        count = graph.vertex_count
+        if self._covered < count:
+            with self._extend_lock:
+                for v in range(self._covered, count):
+                    self.add(graph.display_name(v))
+                self._covered = max(self._covered, count)
 
     def __len__(self):
         return self._count

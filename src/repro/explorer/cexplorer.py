@@ -52,23 +52,6 @@ from repro.viz.layout import circular_layout, ego_layout, spring_layout
 from repro.viz.render import render_ascii, render_svg
 
 
-class _GraphEntry:
-    """A registered graph plus its lazily built derived structures.
-
-    Index structures (core numbers, the CL-tree) live in the engine's
-    :class:`~repro.engine.index_manager.IndexManager`; only the purely
-    presentational lazies stay here.
-    """
-
-    __slots__ = ("name", "graph", "names", "summary")
-
-    def __init__(self, name, graph):
-        self.name = name
-        self.graph = graph
-        self.names = None
-        self.summary = None
-
-
 class CExplorer:
     """The C-Explorer system facade.
 
@@ -81,8 +64,11 @@ class CExplorer:
 
     def __init__(self, profiles=None, cache_size=256, workers=2,
                  max_queue=64, backend="thread", faults=None):
-        self._graphs = {}
         self._current = None
+        # graph name -> its autocomplete index, extended as vertices
+        # are appended (every other per-graph structure lives in
+        # ``self.indexes``, the registry of graphs).
+        self._name_indexes = {}
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.indexes = IndexManager()
         # ``backend="process"`` runs whole queries and CL-tree
@@ -135,27 +121,24 @@ class CExplorer:
         # Registration notifies the engine, which evicts the graph's
         # cached results and memoized subproblems.
         self.indexes.register(name, graph)
-        self._graphs[name] = _GraphEntry(name, graph)
+        self._name_indexes.pop(name, None)
         if select or self._current is None:
             self._current = name
         return name
 
     def select_graph(self, name):
         """Switch the active graph (the UI's dataset picker)."""
-        if name not in self._graphs:
-            raise CExplorerError("no graph named {!r} uploaded".format(name))
+        self.indexes.graph(name)        # raises for an unknown name
         self._current = name
 
     def graph_names(self):
         """Names of the uploaded graphs, sorted."""
-        return sorted(self._graphs)
+        return self.indexes.names()
 
     @property
     def graph(self):
         """The active graph."""
-        if self._current is None:
-            raise CExplorerError("no graph uploaded yet")
-        return self._graphs[self._current].graph
+        return self.indexes.graph(self._require_current())
 
     # ------------------------------------------------------------------
     # indexing module
@@ -184,9 +167,6 @@ class CExplorer:
         results (the mutation gateway for online graphs)."""
         if name is None:
             name = self._require_current()
-        if name not in self._graphs:
-            raise CExplorerError("no graph named {!r} uploaded"
-                                 .format(name))
         return self.indexes.attach_maintainer(name)
 
     def truss_maintainer(self, name=None):
@@ -204,29 +184,33 @@ class CExplorer:
         """
         if name is None:
             name = self._require_current()
-        if name not in self._graphs:
-            raise CExplorerError("no graph named {!r} uploaded"
-                                 .format(name))
         self.indexes.attach_truss_maintainer(name)
         return self.indexes.attach_maintainer(name)
 
     def name_index(self):
-        """Prefix index over the active graph's names (lazy)."""
-        entry = self._graphs[self._require_current()]
-        if entry.names is None:
-            entry.names = NameIndex.from_graph(entry.graph)
-        return entry.names
+        """Prefix index over the active graph's names: built on first
+        use, then extended by the vertices appended since (vertex ids
+        only ever grow, so nothing indexed goes stale)."""
+        name = self._require_current()
+        index = self._name_indexes.get(name)
+        if index is None:
+            index = self._name_indexes[name] = NameIndex()
+        index.extend(self.indexes.graph(name))
+        return index
 
     def suggest_names(self, prefix, limit=10):
         """Autocomplete for the query box."""
         return self.name_index().suggest(prefix, limit=limit)
 
     def summary(self):
-        """The dataset panel (whole-graph statistics), cached."""
-        entry = self._graphs[self._require_current()]
-        if entry.summary is None:
-            entry.summary = graph_summary(entry.graph)
-        return entry.summary
+        """The dataset panel (whole-graph statistics) of the active
+        graph's current version, memoized per version like the
+        ``global`` bodies."""
+        name = self._require_current()
+        graph = self.indexes.graph(name)
+        return self.engine.memo.get_or_compute(
+            name, self.indexes.version(name), "summary", (),
+            lambda: graph_summary(graph))
 
     # ------------------------------------------------------------------
     # the left panel: query construction helpers

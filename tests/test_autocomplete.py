@@ -47,6 +47,17 @@ class TestNameIndex:
         assert len(index) == 10
         assert index.suggest("a") == ["A"]
 
+    def test_extend_indexes_appended_vertices(self, fig5):
+        graph = fig5.copy()
+        index = NameIndex.from_graph(graph)
+        graph.add_vertex("Zed Newauthor")
+        assert index.suggest("zed") == []
+        index.extend(graph)
+        assert index.suggest("zed") == ["Zed Newauthor"]
+        assert len(index) == 11
+        index.extend(graph)             # nothing appended since
+        assert len(index) == 11
+
     def test_dblp_lookup(self, dblp_small):
         index = NameIndex.from_graph(dblp_small)
         assert "Jim Gray" in index.suggest("jim")

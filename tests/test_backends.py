@@ -129,13 +129,6 @@ class TestGraphPayloads:
         assert fresh                  # version bumped: re-frozen
         assert rebuilt.key != payload.key
 
-    def test_unregister_drops_payloads(self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate)
-        explorer.indexes.full_payload("k")
-        explorer.indexes.unregister("k")
-        assert explorer.indexes._full_payloads == {}
-
 
 # ----------------------------------------------------------------------
 # end-to-end equivalence

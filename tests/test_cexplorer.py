@@ -72,6 +72,36 @@ class TestIndexing:
         assert explorer.core_numbers() is explorer.core_numbers()
 
 
+class TestPanelsFollowUpdates:
+    """The dataset panel and the name box describe the current graph
+    version: updates through the mutation gateway show in both."""
+
+    def test_summary_after_gateway_inserts(self, dblp_small):
+        graph = dblp_small.copy()
+        ex = CExplorer()
+        ex.add_graph("dblp", graph)
+        before = ex.summary()
+        gateway = ex.maintainer()
+        pairs = [(u, v) for u in range(40) for v in range(u + 1, 40)
+                 if not graph.has_edge(u, v)][:50]
+        for u, v in pairs:
+            gateway.insert_edge(u, v)
+        after = ex.summary()
+        assert after["edges"] == before["edges"] + len(pairs) \
+            == graph.edge_count
+        assert ex.summary() is after        # memoized per version
+
+    def test_suggest_finds_gateway_vertex(self, dblp_small, fig5):
+        ex = CExplorer()
+        ex.add_graph("dblp", dblp_small.copy())
+        assert ex.suggest_names("Zed") == []
+        vid = ex.maintainer().add_vertex(label="Zed Newauthor")
+        assert ex.suggest_names("Zed") == ["Zed Newauthor"]
+        assert ex.resolve_vertex("Zed Newauthor") == vid
+        ex.add_graph("dblp", fig5)          # a replaced graph: new names
+        assert ex.suggest_names("Zed") == []
+
+
 class TestVertexResolution:
     def test_resolve_by_id_label_and_case(self, explorer):
         vid = explorer.graph.id_of("Jim Gray")

@@ -198,6 +198,32 @@ class TestIndexManager:
         assert manager.stats("g")["building"] is False
         assert all(snap is snapshots[0] for snap in snapshots)
 
+    def test_structure_straddling_a_bump_stays_on_its_record(
+            self, fig5, monkeypatch):
+        """A decomposition that an update overtakes is stored on the
+        record it was read from; the new version's first reader
+        computes its own."""
+        from repro.engine import index_manager
+
+        manager = IndexManager()
+        manager.register("g", fig5)
+        stale = manager.snapshot("g")
+        calls = []
+        original = index_manager.truss_decomposition
+
+        def overtaken(graph):
+            calls.append(graph)
+            if len(calls) == 1:
+                manager.invalidate("g")     # lands mid-decomposition
+            return original(graph)
+        monkeypatch.setattr(index_manager, "truss_decomposition",
+                            overtaken)
+        first = manager.truss("g")
+        assert stale.truss is first and stale.version == 1
+        assert manager.truss("g") is not first
+        assert len(calls) == 2
+        assert manager.snapshot("g").version == 2
+
     def test_unknown_graph(self):
         manager = IndexManager()
         with pytest.raises(CExplorerError):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan
+from repro.engine.index_manager import GraphPayload
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.frozen import freeze
 from repro.util.errors import CExplorerError, PayloadCorruptionError
@@ -239,6 +240,33 @@ def test_invalidate_releases_segments(transport_mode, dblp_small):
     finally:
         explorer.engine.shutdown()
     assert payload_plane.live_segments() == 0
+
+
+def test_reregister_releases_segment(transport_mode, karate):
+    """Replacing a graph supersedes its record: the old version's
+    payload segment goes at once."""
+    explorer = CExplorer()
+    explorer.add_graph("k", karate)
+    payload, _ = explorer.indexes.full_payload("k")
+    before = payload_plane.live_segments()
+    assert payload.ref() is not None
+    assert payload_plane.live_segments() == before + 1
+    explorer.add_graph("k", karate.copy())
+    assert payload_plane.live_segments() == before
+    assert explorer.indexes.full_payload("k")[0] is not payload
+
+
+def test_collected_payload_releases_segment(transport_mode, karate):
+    """A payload nothing releases explicitly -- one frozen for a
+    version superseded meanwhile, or held by an engine dropped without
+    shutdown -- unlinks its segment when it is collected."""
+    payload = GraphPayload(("t", "k", "full", 1), 1, freeze(karate), 0.0)
+    before = payload_plane.live_segments()
+    assert payload.ref() is not None
+    assert payload_plane.live_segments() == before + 1
+    del payload
+    gc.collect()
+    assert payload_plane.live_segments() == before
 
 
 def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
