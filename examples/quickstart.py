@@ -10,7 +10,8 @@ from repro.datasets import generate_dblp_graph
 
 def main():
     # 1. Stand up the system with the bundled DBLP-like network
-    #    (the paper demos on a real DBLP snapshot; see DESIGN.md).
+    #    (the paper demos on a real DBLP snapshot; repro.datasets.dblp
+    #    generates a synthetic stand-in).
     explorer = CExplorer()
     explorer.add_graph("dblp", generate_dblp_graph())
     graph = explorer.graph

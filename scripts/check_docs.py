@@ -12,6 +12,11 @@ contains a ``/`` and starts with a top-level directory (``src/``,
 ``.github/``) must exist, so a doc cannot keep naming a deleted file.
 A ``::test`` or ``:line`` suffix is ignored; globs are skipped.
 
+The other direction is checked as well: every ``*.md`` name a Python
+file under ``src/`` or ``examples/`` cites (``docs/API.md``,
+``PAPERS.md``) must exist relative to the repo root, so a docstring
+cannot point readers at a document that is gone.
+
 Usage: python scripts/check_docs.py [file.md ...]
 Defaults to README.md and everything under docs/.
 """
@@ -32,6 +37,9 @@ CODE = re.compile(r"`([^`]+)`")
 TOP_DIRS = ("src", "tests", "scripts", "benchmarks", "examples", "docs",
             ".github")
 GLOB_CHARS = set("*?[{<")
+
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+CITING_DIRS = ("src", "examples")
 
 
 def repo_paths(span):
@@ -63,6 +71,20 @@ def check_file(path):
                         yield lineno, "missing path `{}`".format(target)
 
 
+def missing_md_citations():
+    """Yield (path, line_number, name) for every ``*.md`` name cited
+    in a Python file under :data:`CITING_DIRS` that does not exist."""
+    for top in CITING_DIRS:
+        for path in sorted(glob.glob(os.path.join(REPO_ROOT, top, "**",
+                                                  "*.py"), recursive=True)):
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, 1):
+                    for name in MD_NAME.findall(line):
+                        if not os.path.exists(os.path.join(REPO_ROOT,
+                                                           name)):
+                            yield path, lineno, name
+
+
 def main(argv):
     files = argv or sorted(
         [os.path.join(REPO_ROOT, "README.md")]
@@ -78,11 +100,16 @@ def main(argv):
             print("{}:{}: {}".format(
                 os.path.relpath(path, REPO_ROOT), lineno, problem))
             broken += 1
+    for path, lineno, name in missing_md_citations():
+        print("{}:{}: cites missing `{}`".format(
+            os.path.relpath(path, REPO_ROOT), lineno, name))
+        broken += 1
     if broken:
-        print("{} broken link(s) or path(s)".format(broken))
+        print("{} broken link(s), path(s) or citation(s)".format(broken))
         return 1
     print("docs ok: {} file(s), all relative links and backticked "
-          "repo paths resolve".format(len(files)))
+          "repo paths resolve, and every *.md name cited under {} "
+          "exists".format(len(files), "/".join(CITING_DIRS)))
     return 0
 
 

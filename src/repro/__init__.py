@@ -15,7 +15,7 @@ Quickstart::
     for community in explorer.search("acq", "Jim Gray", k=4):
         print(community.theme(), community.member_names()[:5])
 
-Layering (see DESIGN.md):
+Layering (see docs/ARCHITECTURE.md):
 
 * :mod:`repro.graph` -- the attributed-graph substrate;
 * :mod:`repro.core` -- k-core/k-truss decompositions, the CL-tree

@@ -4,9 +4,10 @@ C-Explorer ships the ACQ engine plus three other community-retrieval
 methods (Section 2/3): the community-*search* baselines ``Global``
 (Sozio & Gionis) and ``Local`` (Cui et al.), and the community-
 *detection* baseline ``CODICIL`` (Ruan et al.).  This subpackage
-implements them, plus the k-truss community search and Newman-Girvan
-detection the paper cites as alternatives, and the registry behind the
-"plug in your own CR solution" API (Section 3.1).
+implements them, plus the alternatives the paper cites -- k-truss
+and attributed k-truss search, Steiner connectivity search,
+Newman-Girvan and label-propagation detection -- and the registry
+behind the "plug in your own CR solution" API (Section 3.1).
 """
 
 from repro.algorithms.attributed_truss import attributed_truss_search
@@ -24,10 +25,6 @@ from repro.algorithms.registry import (
     list_cs_algorithms,
     register_cd_algorithm,
     register_cs_algorithm,
-)
-from repro.algorithms.spatial import (
-    register_spatial_algorithm,
-    spatial_community_search,
 )
 from repro.algorithms.steiner import (
     steiner_community_search,
@@ -53,8 +50,6 @@ __all__ = [
     "newman_girvan",
     "register_cd_algorithm",
     "register_cs_algorithm",
-    "register_spatial_algorithm",
-    "spatial_community_search",
     "steiner_community_search",
     "steiner_max_core",
     "truss_community_search",

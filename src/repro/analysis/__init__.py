@@ -1,4 +1,4 @@
-"""Comparison-analysis facilities (Section 4, Figure 6).
+"""Analysis of communities and graphs (Section 4, Figure 6).
 
 * :mod:`repro.analysis.metrics` -- the CPJ and CMF community-quality
   metrics of the ACQ paper, plus density/conductance/modularity
@@ -6,14 +6,15 @@
 * :mod:`repro.analysis.statistics` -- the per-method statistics table
   (communities, vertices, edges, average degree);
 * :mod:`repro.analysis.comparison` -- the module that runs several CR
-  algorithms on one query and assembles the full Figure 6 report.
+  algorithms on one query and assembles the full Figure 6 report;
+* :mod:`repro.analysis.themes` -- the "Theme:" line for communities
+  that carry no shared keyword set;
+* :mod:`repro.analysis.graph_stats` -- the dataset panel's
+  whole-graph summary;
+* :mod:`repro.analysis.ground_truth` -- F1/NMI/ARI of a partition or
+  community against planted ground truth.
 """
 
-from repro.analysis.batch import (
-    batch_evaluate,
-    format_batch_table,
-    pick_query_vertices,
-)
 from repro.analysis.comparison import ComparisonReport, compare_methods
 from repro.analysis.graph_stats import graph_summary
 from repro.analysis.ground_truth import (
@@ -37,12 +38,9 @@ from repro.analysis.themes import infer_theme, theme_of
 __all__ = [
     "ComparisonReport",
     "ari",
-    "batch_evaluate",
     "cmf",
-    "format_batch_table",
     "graph_summary",
     "infer_theme",
-    "pick_query_vertices",
     "theme_of",
     "evaluate_partition",
     "f1_score",

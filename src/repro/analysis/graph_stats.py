@@ -2,22 +2,13 @@
 
 When a user uploads a graph, C-Explorer's UI summarises it before any
 query runs (Figure 3's "Graph database" pane).  This module computes
-the summary: size, degree distribution, clustering, core-number
+the summary: size, degree statistics, clustering, core-number
 distribution and component structure -- all exact, all O(n + m) except
 clustering (which is triangle-counting bound) and all serialisable for
 the HTTP layer.
 """
 
 from repro.core.kcore import core_decomposition
-
-
-def degree_histogram(graph):
-    """``{degree: vertex_count}`` over the whole graph."""
-    hist = {}
-    for v in graph.vertices():
-        d = graph.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
 
 
 def local_clustering(graph, v):

@@ -45,7 +45,7 @@ class CLTreeNode:
     """One CL-tree node: a connected component of the ``k``-core."""
 
     __slots__ = ("k", "vertices", "children", "parent", "inverted",
-                 "node_id", "_subtree_size")
+                 "node_id")
 
     def __init__(self, node_id, k, vertices, graph):
         self.node_id = node_id
@@ -53,25 +53,12 @@ class CLTreeNode:
         self.vertices = sorted(vertices)
         self.children = []
         self.parent = None
-        self._subtree_size = None
         # Inverted keyword index over homed vertices (Fig. 5(b)).
         inverted = {}
         for v in self.vertices:
             for w in graph.keywords(v):
                 inverted.setdefault(w, []).append(v)
         self.inverted = inverted
-
-    def subtree_size(self):
-        """Total number of vertices in this node's component."""
-        if self._subtree_size is None:
-            total = 0
-            stack = [self]
-            while stack:
-                node = stack.pop()
-                total += len(node.vertices)
-                stack.extend(node.children)
-            self._subtree_size = total
-        return self._subtree_size
 
     def subtree_nodes(self):
         """Iterate this node and all descendants (preorder)."""

@@ -416,35 +416,6 @@ class QueryEngine:
             self.stats.count("timeouts")
             raise
 
-    def run_batch(self, calls, op="batch", timeout=None):
-        """Submit many ``(fn, args, kwargs)`` triples and gather.
-
-        Returns results in submission order; a call that raised yields
-        its exception object instead (the batch harness decides how to
-        aggregate failures).  Jobs the queue rejects are executed
-        inline -- the batch caller wants throughput, not load shedding.
-        """
-        futures = []
-        for fn, args, kwargs in calls:
-            try:
-                futures.append(self.submit(fn, *args, op=op,
-                                           timeout=timeout, **kwargs))
-            except EngineBusyError:
-                try:
-                    futures.append(EngineFuture.resolved(
-                        fn(*args, **kwargs)))
-                except Exception as exc:
-                    failed = EngineFuture()
-                    failed.set_exception(exc)
-                    futures.append(failed)
-        results = []
-        for future in futures:
-            try:
-                results.append(future.result(timeout))
-            except Exception as exc:
-                results.append(exc)
-        return results
-
     # ------------------------------------------------------------------
     # the search path
     # ------------------------------------------------------------------

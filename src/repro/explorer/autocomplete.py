@@ -19,7 +19,8 @@ class _TrieNode:
 
 
 class NameIndex:
-    """Prefix index over vertex display names.
+    """Prefix index over vertex display names, plus the
+    case-insensitive label lookup behind "jim gray" (:meth:`find`).
 
     >>> index = NameIndex(["Jim Gray", "Jennifer Widom"])
     >>> index.suggest("ji")
@@ -30,6 +31,8 @@ class NameIndex:
         self._root = _TrieNode()
         self._count = 0
         self._covered = 0       # graph vertices indexed by extend()
+        self._folded = {}       # lowercased label -> first vertex id
+        self._folded_covered = 0  # graph vertices folded by find()
         self._extend_lock = threading.Lock()
         for name in names:
             self.add(name)
@@ -52,6 +55,24 @@ class NameIndex:
                 for v in range(self._covered, count):
                     self.add(graph.display_name(v))
                 self._covered = max(self._covered, count)
+
+    def find(self, graph, name):
+        """The id of the first vertex of ``graph`` whose label equals
+        ``name`` up to case and surrounding whitespace, or ``None``.
+
+        The lowercase map is built on the first call and afterwards
+        extended, like the trie, by the vertices appended since.  An
+        unlabelled vertex's ``v<id>`` display name never matches.
+        """
+        count = graph.vertex_count
+        if self._folded_covered < count:
+            with self._extend_lock:
+                for v in range(self._folded_covered, count):
+                    label = graph.label(v)
+                    if label is not None:
+                        self._folded.setdefault(label.lower(), v)
+                self._folded_covered = max(self._folded_covered, count)
+        return self._folded.get(name.strip().lower())
 
     def __len__(self):
         return self._count

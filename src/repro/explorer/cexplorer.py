@@ -65,9 +65,10 @@ class CExplorer:
     def __init__(self, profiles=None, cache_size=256, workers=2,
                  max_queue=64, backend="thread", faults=None):
         self._current = None
-        # graph name -> its autocomplete index, extended as vertices
-        # are appended (every other per-graph structure lives in
-        # ``self.indexes``, the registry of graphs).
+        # graph name -> its name index (autocomplete and the
+        # case-insensitive lookup), extended as vertices are appended
+        # (every other per-graph structure lives in ``self.indexes``,
+        # the registry of graphs).
         self._name_indexes = {}
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.indexes = IndexManager()
@@ -192,10 +193,14 @@ class CExplorer:
         use, then extended by the vertices appended since (vertex ids
         only ever grow, so nothing indexed goes stale)."""
         name = self._require_current()
+        index = self._name_index_of(name)
+        index.extend(self.indexes.graph(name))
+        return index
+
+    def _name_index_of(self, name):
         index = self._name_indexes.get(name)
         if index is None:
             index = self._name_indexes[name] = NameIndex()
-        index.extend(self.indexes.graph(name))
         return index
 
     def suggest_names(self, prefix, limit=10):
@@ -218,20 +223,22 @@ class CExplorer:
     def resolve_vertex(self, vertex):
         """Accept a vertex id, exact label, or case-insensitive label.
 
-        The demo lets the user type "jim gray"; this does that lookup.
+        The demo lets the user type "jim gray"; this does that lookup
+        (through the graph's :class:`NameIndex`, whose lowercase map is
+        built on the first such lookup).
         """
-        graph = self.graph
+        name = self._require_current()
+        graph = self.indexes.graph(name)
         if isinstance(vertex, int):
             if vertex not in graph:
                 raise QueryError("vertex id {} out of range".format(vertex))
             return vertex
         if graph.has_label(vertex):
             return graph.id_of(vertex)
-        lowered = str(vertex).strip().lower()
-        for label, vid in graph.labels().items():
-            if label.lower() == lowered:
-                return vid
-        raise QueryError("no author named {!r}".format(vertex))
+        vid = self._name_index_of(name).find(graph, str(vertex))
+        if vid is None:
+            raise QueryError("no author named {!r}".format(vertex))
+        return vid
 
     def query_options(self, vertex):
         """What the left panel shows once a name is typed (Figure 1):

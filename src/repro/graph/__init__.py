@@ -8,15 +8,12 @@ author name) and a set of keywords (Section 3.2 of the paper,
 ``W(v)``).  :class:`FrozenGraph` (:func:`freeze`) is its immutable
 CSR counterpart: a flat-array snapshot the structural kernels walk
 without set lookups and the process execution backend ships across
-process boundaries as one compact pickle.
+process boundaries as one compact pickle.  :mod:`repro.graph.io`
+reads and writes both on-disk formats (edge list and JSON), and
+:func:`validate_graph` checks an upload before it is indexed.
 """
 
 from repro.graph.attributed import AttributedGraph
-from repro.graph.export import (
-    read_graphml,
-    write_community_csv,
-    write_graphml,
-)
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.io import (
     load_graph,
@@ -26,20 +23,15 @@ from repro.graph.io import (
     write_graph_json,
 )
 from repro.graph.validation import validate_graph
-from repro.graph.views import SubgraphView
 
 __all__ = [
     "AttributedGraph",
     "FrozenGraph",
-    "SubgraphView",
     "freeze",
     "load_graph",
     "read_edge_list",
     "read_graph_json",
-    "read_graphml",
     "validate_graph",
-    "write_community_csv",
     "write_edge_list",
     "write_graph_json",
-    "write_graphml",
 ]

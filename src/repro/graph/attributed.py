@@ -48,9 +48,11 @@ class AttributedGraph:
             raise GraphFormatError(
                 "duplicate vertex label: {!r}".format(label))
         vid = len(self._adj)
-        self._adj.append(set())
         self._keywords.append(frozenset(keywords))
         self._labels.append(label)
+        # Appending the adjacency set makes the vertex count: a reader
+        # racing this call (the name index) must find its label there.
+        self._adj.append(set())
         if label is not None:
             self._label_to_id[label] = vid
         return vid
@@ -149,8 +151,7 @@ class AttributedGraph:
         """Return the (live) neighbour set of ``v``.
 
         The returned set is the internal one; callers must not mutate
-        it.  Algorithms that shrink neighbourhoods work on copies or on
-        a :class:`~repro.graph.views.SubgraphView`.
+        it.  Algorithms that shrink neighbourhoods work on copies.
         """
         self._check_vertex(v)
         return self._adj[v]

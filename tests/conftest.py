@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.kcore import core_decomposition
 from repro.datasets import (
     DblpConfig,
     figure5_graph,
@@ -10,6 +11,7 @@ from repro.datasets import (
     karate_club_graph,
 )
 from repro.graph.attributed import AttributedGraph
+from repro.util.rng import make_rng
 
 
 @pytest.fixture
@@ -57,6 +59,20 @@ def build_graph(n, edge_pairs, keyword_map=None):
         if u != v and not g.has_edge(u, v):
             g.add_edge(u, v)
     return g
+
+
+def sample_query_vertices(graph, k, count, seed=0):
+    """``count`` seeded-random query vertices of core number >= k (all
+    of them, in id order, when there are no more than ``count``).
+
+    Every method has some answer for such a vertex, so an aggregate
+    over the pool measures quality rather than failure rate.
+    """
+    core = core_decomposition(graph)
+    eligible = [v for v in graph.vertices() if core[v] >= k]
+    if count >= len(eligible):
+        return eligible
+    return make_rng(seed).sample(eligible, count)
 
 
 @st.composite

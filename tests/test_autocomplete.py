@@ -1,8 +1,12 @@
 """Tests for the author-name prefix index."""
 
+import sys
+import threading
+
 from hypothesis import given, strategies as st
 
 from repro.explorer.autocomplete import NameIndex
+from repro.graph.attributed import AttributedGraph
 
 
 class TestNameIndex:
@@ -81,3 +85,55 @@ class TestNameIndex:
              if key.startswith(prefix)),
             key=str.lower)
         assert index.suggest(prefix, limit=100) == expected[:100]
+
+
+def test_find_races_appends_without_losing_a_label():
+    """Readers race the lowercase map's first fill while a writer
+    appends labelled vertices: every lookup answers, none raises, and
+    no appended label is skipped."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            _race_find_against_appends()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _race_find_against_appends():
+    graph = AttributedGraph()
+    for i in range(2000):
+        graph.add_vertex("Name {}".format(i))
+    index = NameIndex()
+    errors = []
+    start = threading.Barrier(8)
+
+    def read(offset):
+        start.wait()
+        try:
+            for i in range(offset, 2000, 7):
+                if index.find(graph, "name {}".format(i)) != i:
+                    errors.append(i)
+        except Exception as exc:
+            errors.append(exc)
+
+    def write():
+        start.wait()
+        try:
+            for i in range(2000, 2400):
+                graph.add_vertex("Name {}".format(i))
+                index.find(graph, "name 0")
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read, args=(offset,))
+               for offset in range(7)]
+    threads.append(threading.Thread(target=write))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(index.find(graph, "NAME {}".format(i)) == i
+               for i in range(2400))

@@ -110,6 +110,31 @@ class TestVertexResolution:
         assert explorer.resolve_vertex("jim gray") == vid
         assert explorer.resolve_vertex("  JIM GRAY ") == vid
 
+    def test_case_insensitive_lookup_copies_no_labels(self, dblp_small,
+                                                      monkeypatch):
+        """"jim gray" resolves through a lowercase map, not a copy of
+        every label per call; the map follows gateway additions, the
+        first id wins among labels equal up to case, and an unlabelled
+        vertex's ``v<id>`` display name does not match."""
+        ex = CExplorer()
+        ex.add_graph("dblp", dblp_small.copy())
+        graph = ex.graph
+
+        def no_copy():
+            raise AssertionError("graph.labels() copied")
+
+        monkeypatch.setattr(graph, "labels", no_copy)
+        assert ex.resolve_vertex("jim gray") == graph.id_of("Jim Gray")
+        gateway = ex.maintainer()
+        first = gateway.add_vertex(label="Ada Case")
+        second = gateway.add_vertex(label="ADA CASE")
+        unlabelled = gateway.add_vertex()
+        assert ex.resolve_vertex(" ada case ") == first
+        assert ex.resolve_vertex("ADA CASE") == second
+        assert ex.resolve_vertex("Ada CASE") == first
+        with pytest.raises(QueryError, match="no author named"):
+            ex.resolve_vertex(graph.display_name(unlabelled))
+
     def test_unknown_name(self, explorer):
         with pytest.raises(QueryError, match="no author named"):
             explorer.resolve_vertex("Nobody Atall")

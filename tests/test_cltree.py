@@ -55,12 +55,6 @@ class TestFigure5:
         assert sorted(fig5.label(v) for v in node3.inverted["w"]) == ["A"]
         assert "z" in node3.inverted  # D carries z
 
-    def test_subtree_size(self, fig5):
-        tree = build_cltree(fig5)
-        assert tree.roots[0].subtree_size() == 10
-        node1 = tree.node_of(fig5.id_of("F"))
-        assert node1.subtree_size() == 7  # A..G
-
     def test_node_count(self, fig5):
         assert build_cltree(fig5).node_count() == 5
 

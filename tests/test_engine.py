@@ -375,14 +375,6 @@ class TestQueryEnginePool:
         finally:
             engine.shutdown()
 
-    def test_run_batch_preserves_order(self):
-        engine = QueryEngine(workers=4)
-        try:
-            calls = [(lambda i=i: i * i, (), {}) for i in range(20)]
-            assert engine.run_batch(calls) == [i * i for i in range(20)]
-        finally:
-            engine.shutdown()
-
     def test_resolved_future(self):
         future = EngineFuture.resolved(7)
         assert future.done()

@@ -7,21 +7,11 @@ from hypothesis import given, settings
 from repro.analysis.graph_stats import (
     average_clustering,
     core_histogram,
-    degree_histogram,
     graph_summary,
     local_clustering,
 )
 
 from conftest import build_graph, random_graphs
-
-
-class TestDegreeHistogram:
-    def test_star(self):
-        g = build_graph(5, [(0, i) for i in range(1, 5)])
-        assert degree_histogram(g) == {4: 1, 1: 4}
-
-    def test_empty(self):
-        assert degree_histogram(build_graph(0, [])) == {}
 
 
 class TestClustering:

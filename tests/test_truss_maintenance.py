@@ -37,7 +37,7 @@ from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
 from repro.util.errors import QueryError
 
-from conftest import build_graph, random_graphs
+from conftest import build_graph, random_graphs, sample_query_vertices
 
 
 def _triangle_graph():
@@ -299,8 +299,7 @@ class TestSelectiveInvalidation:
         more cache hits with the truss maintainer attached than
         without it (where every update evicts all truss entries); with
         both maintainers attached no eviction is an evict-all."""
-        from repro.analysis.batch import pick_query_vertices
-        pool = pick_query_vertices(dblp_small, 4, 6, seed=31)
+        pool = sample_query_vertices(dblp_small, 4, 6, seed=31)
 
         def requery_hits(truss_aware):
             explorer = CExplorer(workers=1)
