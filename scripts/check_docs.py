@@ -17,16 +17,24 @@ file under ``src/`` or ``examples/`` cites (``docs/API.md``,
 ``PAPERS.md``) must exist relative to the repo root, so a docstring
 cannot point readers at a document that is gone.
 
+Docstring cross-references are resolved too: every ``:class:``,
+``:func:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:`` or ``:exc:``
+target under ``src/`` that starts with ``repro.`` (a leading ``~``
+and line breaks inside the target are allowed) must import, so a
+docstring cannot keep naming a deleted or renamed object.
+
 Usage: python scripts/check_docs.py [file.md ...]
 Defaults to README.md and everything under docs/.
 """
 
 import glob
+import importlib
 import os
 import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO_ROOT, "src")
 
 # [text](target) -- excluding images' inner ! is irrelevant, same rule.
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -40,6 +48,9 @@ GLOB_CHARS = set("*?[{<")
 
 MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 CITING_DIRS = ("src", "examples")
+
+XREF = re.compile(
+    r":(?:class|func|meth|mod|attr|data|exc):`~?(repro\.[\w.\s]*?)`")
 
 
 def repo_paths(span):
@@ -85,6 +96,39 @@ def missing_md_citations():
                             yield path, lineno, name
 
 
+def resolves(target):
+    """Whether the dotted ``target`` names an importable module or an
+    attribute path below one."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def unresolved_xrefs():
+    """Yield (path, line_number, target) for every ``repro.``
+    cross-reference under ``src/`` that does not resolve."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for match in XREF.finditer(text):
+            target = re.sub(r"\s+", "", match.group(1))
+            if not resolves(target):
+                yield (path, text.count("\n", 0, match.start()) + 1,
+                       target)
+
+
 def main(argv):
     files = argv or sorted(
         [os.path.join(REPO_ROOT, "README.md")]
@@ -104,12 +148,18 @@ def main(argv):
         print("{}:{}: cites missing `{}`".format(
             os.path.relpath(path, REPO_ROOT), lineno, name))
         broken += 1
+    for path, lineno, target in unresolved_xrefs():
+        print("{}:{}: unresolved reference `{}`".format(
+            os.path.relpath(path, REPO_ROOT), lineno, target))
+        broken += 1
     if broken:
-        print("{} broken link(s), path(s) or citation(s)".format(broken))
+        print("{} broken link(s), path(s), citation(s) or "
+              "reference(s)".format(broken))
         return 1
     print("docs ok: {} file(s), all relative links and backticked "
-          "repo paths resolve, and every *.md name cited under {} "
-          "exists".format(len(files), "/".join(CITING_DIRS)))
+          "repo paths resolve, every *.md name cited under {} "
+          "exists, and every repro.* docstring reference under src/ "
+          "imports".format(len(files), "/".join(CITING_DIRS)))
     return 0
 
 

@@ -30,17 +30,15 @@ The modules
     :class:`~repro.engine.cache.ResultCache`: an LRU over
     ``(graph, algorithm, normalized query params)`` with
     hit/miss/eviction/invalidation counters and footprint-based
-    *selective* invalidation, plus
-    :class:`~repro.engine.cache.SubproblemMemo` for intermediates
-    (``global`` bodies, CODICIL partitions) shared across
-    overlapping queries.
+    *selective* invalidation.
 
 ``index_manager``
     :class:`~repro.engine.index_manager.IndexManager`: the registry
     of graphs, one record per graph version holding its core numbers,
-    CL-tree, truss map and frozen payload -- each built on the first
-    query that needs it, the CL-tree once per version however many
-    queries ask at once; invalidation hooks wired into
+    CL-tree, truss map, frozen payload and derived values (``global``
+    bodies, CODICIL partitions) shared across overlapping queries --
+    each computed on the first query that needs it, once per version
+    however many queries ask at once; invalidation hooks wired into
     :class:`~repro.core.maintenance.CoreMaintainer` and
     :class:`~repro.core.truss_maintenance.TrussMaintainer` so
     incremental edge updates bump the version and selectively evict
@@ -117,7 +115,7 @@ from repro.engine.backends import (
     ProcessBackend,
     ProcessBackendError,
 )
-from repro.engine.cache import ResultCache, SubproblemMemo, query_key
+from repro.engine.cache import ResultCache, query_key
 from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.index_manager import IndexManager
@@ -139,7 +137,6 @@ __all__ = [
     "QueryPlan",
     "QueryTrace",
     "ResultCache",
-    "SubproblemMemo",
     "TraceRecorder",
     "plan_search",
     "query_key",

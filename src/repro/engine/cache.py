@@ -1,4 +1,4 @@
-"""The engine's result cache and memoized subproblem store.
+"""The engine's result cache.
 
 Interactive exploration repeats itself: every ``display`` click
 re-runs its search, compare screens re-run each method, and many users
@@ -14,11 +14,6 @@ overlapping queries (PAPERS.md) is the win this module captures:
   keeps the *flights* of misses being computed, so concurrent identical
   misses (many users landing on the same hub author at once) share one
   computation instead of each paying for it.
-
-* :class:`SubproblemMemo` -- memoized shared subproblems (the
-  ``global`` answers' shared bodies, CODICIL's whole-graph partition)
-  keyed by ``(graph, index version, kind, key)``, so overlapping
-  queries rebuild none of the expensive intermediates.
 
 Keys are produced by :func:`query_key`, which canonicalises parameter
 order (multi-vertex queries and keyword sets are order-insensitive).
@@ -289,78 +284,4 @@ class ResultCache:
                 "invalidations": self.invalidations,
                 "invalidations_by_reason":
                     dict(self.invalidations_by_reason),
-            }
-
-
-class SubproblemMemo:
-    """LRU memo for expensive intermediates shared across queries.
-
-    Keys carry the owning graph and its index *version*, so a
-    maintenance update orphans old entries without any coordination;
-    :meth:`invalidate` reclaims the memory eagerly.
-    """
-
-    def __init__(self, capacity=128):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, graph_name, version, kind, key, compute):
-        """Return the memoized value, computing (and storing) on miss.
-
-        ``compute`` runs outside the lock; concurrent first callers may
-        compute twice but the result is consistent (last write wins).
-        """
-        full_key = (graph_name, version, kind, _canonical(key))
-        with self._lock:
-            if full_key in self._data:
-                self._data.move_to_end(full_key)
-                self.hits += 1
-                return self._data[full_key]
-            self.misses += 1
-        value = compute()
-        with self._lock:
-            self._data[full_key] = value
-            self._data.move_to_end(full_key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-        return value
-
-    def invalidate(self, graph_name=None, version=None):
-        """Drop stale entries (or everything, when nothing is known).
-
-        ``graph_name=None`` clears the whole memo.  With only a graph
-        name, every entry of that graph goes.  With the graph's
-        *current* ``version`` supplied, an entry survives exactly when
-        it is keyed at that version.
-        """
-        with self._lock:
-            if graph_name is None:
-                self._data.clear()
-                return
-            stale = []
-            for key in self._data:
-                if key[0] == graph_name and key[1] != version:
-                    stale.append(key)
-            for key in stale:
-                del self._data[key]
-
-    def __len__(self):
-        with self._lock:
-            return len(self._data)
-
-    def stats(self):
-        """Occupancy and hit-rate counters for the metrics endpoint."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "entries": len(self._data),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": round(self.hits / total, 4) if total else 0.0,
             }

@@ -20,9 +20,8 @@ algorithms (the Polynesia argument in PAPERS.md):
 * **cancellation** -- best-effort: a request still in the queue is
   dropped, a running one finishes but its result is discarded (Python
   threads cannot be killed);
-* the engine-level :class:`~repro.engine.cache.ResultCache` and
-  :class:`~repro.engine.cache.SubproblemMemo`, wired to the
-  :class:`~repro.engine.index_manager.IndexManager` so maintenance
+* the engine-level :class:`~repro.engine.cache.ResultCache`, wired to
+  the :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
 * **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
   path every unit of engine work below a query takes (whole queries,
@@ -42,7 +41,7 @@ algorithms (the Polynesia argument in PAPERS.md):
   payload overheads (``shard_ipc`` is the historical name of the
   per-job transport histogram).
 
-Synchronous callers (library users, the batch harness) use
+Synchronous callers (library users) use
 :meth:`QueryEngine.execute`; the server uses :meth:`submit` /
 :meth:`search` and waits with a timeout.
 """
@@ -60,7 +59,7 @@ from repro.engine.backends import (
     timed_job,
     validate_backend,
 )
-from repro.engine.cache import ResultCache, SubproblemMemo
+from repro.engine.cache import ResultCache
 from repro.engine.faults import FaultPlan
 from repro.engine.index_manager import GraphPayload, IndexManager
 from repro.engine import payloads as payload_plane
@@ -276,11 +275,25 @@ def _engine_worker(engine_ref, work_queue):
             del engine, job
 
 
+class _LauncherMemo:
+    """``QueryEngine.memo``, kept only because the end-to-end
+    benchmark's launcher calls ``engine.memo.invalidate()`` at every
+    pass reset, like ``CExplorer.upload(shards=1)``.  ROADMAP items 2
+    and 3 remove it."""
+
+    __slots__ = ("invalidate",)
+
+    def __init__(self, indexes):
+        # Drops every graph's current derived values; core numbers,
+        # CL-trees and truss maps stay.
+        self.invalidate = indexes.drop_derived
+
+
 class QueryEngine:
     """Bounded-concurrency execution front-end for a CExplorer.
 
-    ``explorer`` may be ``None`` for a bare worker pool (the batch
-    harness hands it plain callables); with an explorer attached,
+    ``explorer`` may be ``None`` for a bare worker pool that runs
+    plain callables; with an explorer attached,
     :meth:`search` adds planning, result caching, and index reuse.
     """
 
@@ -298,7 +311,7 @@ class QueryEngine:
         self.indexes = index_manager if index_manager is not None \
             else IndexManager()
         self.cache = ResultCache(cache_size)
-        self.memo = SubproblemMemo()
+        self.memo = _LauncherMemo(self.indexes)
         self.stats = EngineStats()
         # Declared up front so /v1/metrics always carries it.
         self.stats.count("job_inline_fallbacks", 0)
@@ -361,9 +374,7 @@ class QueryEngine:
             # resurrect a pool nothing would ever close.
             if self.indexes.build_executor == self._build_in_process:
                 self.indexes.build_executor = None
-        release = getattr(self.indexes, "release_payloads", None)
-        if release is not None:
-            release()
+        self.indexes.release_payloads()
         for _ in threads:
             self._queue.put(_SHUTDOWN)
         if wait:
@@ -723,18 +734,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _on_index_event(self, name, version, affected,
                         truss_affected=None):
-        """Index version bump: evict stale results and memo entries.
+        """Index version bump: evict stale results.
 
         ``affected`` scopes eviction for the minimum-degree families,
         ``truss_affected`` (reported by an attached truss maintainer)
         for the triangle families; either being ``None`` makes its
-        families' eviction conservative.  Memo entries keyed at an
-        older version go.
+        families' eviction conservative.
         """
         self.cache.invalidate(name, affected=affected,
                               truss_affected=truss_affected,
                               version=version)
-        self.memo.invalidate(name, version=version)
 
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
@@ -826,7 +835,6 @@ class QueryEngine:
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "in_flight": self._in_flight,
-            "memo": self.memo.stats(),
             "truss": self.indexes.truss_stats(),
             "traces": self.tracer.stats(),
             # The installed fault plan's rules and what fired, per kind.

@@ -16,7 +16,7 @@ Determinism is the design constraint.  Every decision is drawn
 state: the same plan against the same query sequence injects the same
 faults regardless of scheduling, pool size, or which worker picks a
 job up.  The drawn actions ship *with* the job (see
-:func:`~repro.engine.backends._timed_job`) and fire inside the worker.
+:func:`~repro.engine.backends.timed_job`) and fire inside the worker.
 
 Plans are installable three ways, all equivalent:
 

@@ -8,15 +8,19 @@ query path and lets analytics read one consistent version:
 * **register** a graph; nothing is built until a query needs it;
 * each graph holds one :class:`VersionRecord` per *version*: the core
   numbers, the CL-tree (carrying its build time), the ``{edge: truss}``
-  map behind the triangle families and the frozen whole-graph payload.
-  Each is computed on first use, on the reader's thread, and stored on
-  the record it was read from; concurrent first readers of a version
-  share one CL-tree build;
+  map behind the triangle families, the frozen whole-graph payload and
+  the ``derived`` values shared answers are built from (the dataset
+  panel, the CODICIL partition, the ``global`` bodies).  Each is
+  computed on first use, on the reader's thread, and stored on the
+  record it was read from; concurrent first readers of one value share
+  one computation (:meth:`IndexManager._derive`, the only compute-once
+  path);
 * **invalidate** swaps in the next version's record, releases the
   superseded record's payload segment and notifies subscribers (the
   engine's result cache selectively evicts).  A superseded record is
-  never handed to a new reader, so a structure computed for an older
-  version is never read as current;
+  never handed to a new reader, so a value derived from an older
+  version is never read as current, and nothing derived needs
+  invalidating;
 * **attach_maintainer** wires a
   :class:`~repro.core.maintenance.CoreMaintainer` so that every
   incremental edge update bumps the version automatically, hands the
@@ -59,10 +63,12 @@ class VersionRecord:
 
     ``core``, ``cltree``, ``truss`` and ``payload`` stay ``None`` until
     a reader first needs them; the CL-tree carries its build time as
-    ``cltree.build_seconds``.
+    ``cltree.build_seconds``.  ``derived`` maps ``(kind, key)`` to the
+    values :meth:`IndexManager.derived` computed for this version.
     """
 
-    __slots__ = ("version", "core", "cltree", "truss", "payload")
+    __slots__ = ("version", "core", "cltree", "truss", "payload",
+                 "derived")
 
     def __init__(self, version, core=None, truss=None):
         self.version = version
@@ -70,19 +76,28 @@ class VersionRecord:
         self.cltree = None
         self.truss = truss
         self.payload = None
+        self.derived = {}
+
+
+def _held(record, slot):
+    """What ``record`` holds for ``slot`` (``None`` when nothing): a
+    structure attribute named by a string, or the ``derived`` value
+    of a ``(kind, key)`` tuple."""
+    if type(slot) is str:
+        return getattr(record, slot)
+    return record.derived.get(slot)
 
 
 class _IndexEntry:
     """A registered graph: what lives across its versions."""
 
     __slots__ = ("graph", "maintainer", "truss_maintainer",
-                 "build_lock", "build_count", "record")
+                 "build_count", "record")
 
     def __init__(self, graph, version):
         self.graph = graph
         self.maintainer = None
         self.truss_maintainer = None
-        self.build_lock = threading.Lock()  # held while one builds
         self.build_count = 0
         self.record = VersionRecord(version)
 
@@ -173,6 +188,8 @@ class IndexManager:
     def __init__(self):
         self._entries = {}
         self._lock = threading.RLock()
+        # (record, slot) -> Event of the computation in flight.
+        self._flights = {}
         self._subscribers = []
         self._payload_epoch = next(self._payload_epochs)
         # Optional build delegate ``(graph, core=None) -> (core,
@@ -242,19 +259,44 @@ class IndexManager:
 
     def _derive(self, record, slot, compute):
         """``record``'s ``slot``, calling ``compute()`` when it is
-        missing and storing the result on ``record``.  ``compute`` runs
-        outside the manager lock, so version/built probes (every
-        request's cache fast path) never stall behind a cold
-        computation; the first store wins, so concurrent first readers
-        return one object.  Returns ``(value, computed)``."""
-        value = getattr(record, slot)
+        missing and storing the result on ``record``; a ``slot`` is a
+        structure attribute's name or a ``(kind, key)`` of
+        ``record.derived``.  Returns ``(value, computed)``.
+
+        A value already held is a lock-free read.  Otherwise the first
+        reader leads a flight and computes outside the manager lock, so
+        version/built probes (every request's cache fast path) never
+        stall behind a cold computation; concurrent readers of the same
+        ``(record, slot)`` wait for the flight and return the leader's
+        value.  A leader that raises ends its flight, and a waiter then
+        finds nothing stored and computes itself.
+        """
+        value = _held(record, slot)
         if value is not None:
             return value, False
-        value = compute()
-        with self._lock:
-            if getattr(record, slot) is None:
-                setattr(record, slot, value)
-            return getattr(record, slot), True
+        flight_key = (record, slot)
+        while True:
+            with self._lock:
+                value = _held(record, slot)
+                if value is not None:
+                    return value, False
+                flight = self._flights.get(flight_key)
+                if flight is None:
+                    flight = self._flights[flight_key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            value = compute()
+            with self._lock:
+                if type(slot) is str:
+                    setattr(record, slot, value)
+                else:
+                    record.derived[slot] = value
+        finally:
+            with self._lock:
+                del self._flights[flight_key]
+            flight.set()
+        return value, True
 
     def _core(self, entry, record):
         """Core numbers of ``record``: the attached maintainer's
@@ -307,6 +349,22 @@ class IndexManager:
                 record.version, frozen, time.perf_counter() - start)
         return self._derive(record, "payload", freeze)
 
+    def derived(self, name, kind, key, compute):
+        """The current version's ``(kind, key)`` value: ``compute()``
+        once per version, shared by every reader of that version (the
+        dataset panel, the CODICIL partition, the ``global`` bodies).
+        A version bump swaps the record, so a value never outlives its
+        version."""
+        return self._derive(self._current(name)[1], (kind, key),
+                            compute)[0]
+
+    def drop_derived(self):
+        """Forget every graph's current ``derived`` values; core
+        numbers, CL-trees, truss maps and payloads stay."""
+        with self._lock:
+            for entry in self._entries.values():
+                entry.record.derived = {}
+
     def _drop_payload(self, record, key=None):
         """Detach ``record``'s payload -- only if its identity is
         ``key``, when given -- and release its segment.  Returns
@@ -347,15 +405,11 @@ class IndexManager:
 
         The build runs on the calling thread, so its ``index_build``
         span lands in the caller's trace.  Concurrent first readers
-        of one version share one build: they queue on the entry's
-        build lock, and whoever gets it after the builder finds the
-        tree already on the record.
+        of one version share one build.
         """
         entry, record = self._current(name)
-        if record.cltree is None:
-            with entry.build_lock:
-                if record.cltree is None:
-                    self._build(name, entry, record)
+        self._derive(record, "cltree",
+                     lambda: self._build(name, entry, record))
         return record
 
     def cltree(self, name):
@@ -379,7 +433,7 @@ class IndexManager:
             return {
                 "version": record.version,
                 "built": cltree is not None,
-                "building": entry.build_lock.locked(),
+                "building": (record, "cltree") in self._flights,
                 "builds": entry.build_count,
                 "build_seconds": round(cltree.build_seconds, 6)
                 if cltree is not None else None,
@@ -413,7 +467,8 @@ class IndexManager:
     # builds
     # ------------------------------------------------------------------
     def _build(self, name, entry, record):
-        """Build ``record``'s CL-tree (call under the build lock)."""
+        """Build and return ``record``'s CL-tree (the compute of its
+        ``cltree`` flight)."""
         start = time.perf_counter()
         executor = self.build_executor
         if executor is not None:
@@ -429,8 +484,8 @@ class IndexManager:
         with self._lock:
             if record.core is None:
                 record.core = core
-            record.cltree = cltree
             entry.build_count += 1
+        return cltree
 
     def install(self, name, cltree, core=None, build_seconds=0.0):
         """Install a prebuilt CL-tree (e.g. loaded from disk) on the

@@ -10,8 +10,8 @@ small planner that makes that call, so the server can accept
 ``"algorithm": "auto"``; on a large graph whose CL-tree is not built
 yet, ``auto`` runs index-free instead of paying the build.
 
-A plan is data, not behaviour: the engine executes it, the metrics
-endpoint can explain it.
+A plan is data, not behaviour: the engine executes it, and a search's
+trace carries its ``reason``.
 """
 
 # Below this size every strategy is interactive; prefer the exact one.
@@ -51,16 +51,6 @@ class QueryPlan:
         self.use_index = use_index
         self.reason = reason
         self.worker_full_query = worker_full_query
-
-    def explain(self):
-        """The plan as a JSON-friendly dict (the metrics endpoint's
-        view of why a strategy was chosen)."""
-        return {
-            "algorithm": self.algorithm,
-            "use_index": self.use_index,
-            "reason": self.reason,
-            "worker_full_query": self.worker_full_query,
-        }
 
     def __repr__(self):
         return ("QueryPlan({!r}, use_index={}, "

@@ -9,7 +9,7 @@ measurement substrate the engine reports through ``/v1/metrics``:
   log-scale buckets (for the shape) and a bounded reservoir of recent
   samples (for accurate p50/p95 over the live window);
 * :class:`EngineStats` -- named counters plus one histogram per
-  operation kind (``search``, ``detect``, ``compare``, ``batch``),
+  operation kind (``search``, ``detect``, ``compare``, ...),
   thread-safe, snapshotted as one JSON-friendly dict.
 
 Counters are monotonic; histograms age out naturally as the reservoir

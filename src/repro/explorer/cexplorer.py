@@ -120,7 +120,7 @@ class CExplorer:
         it (:meth:`index` builds it up front).
         """
         # Registration notifies the engine, which evicts the graph's
-        # cached results and memoized subproblems.
+        # cached results; the new version starts with nothing derived.
         self.indexes.register(name, graph)
         self._name_indexes.pop(name, None)
         if select or self._current is None:
@@ -213,9 +213,8 @@ class CExplorer:
         ``global`` bodies."""
         name = self._require_current()
         graph = self.indexes.graph(name)
-        return self.engine.memo.get_or_compute(
-            name, self.indexes.version(name), "summary", (),
-            lambda: graph_summary(graph))
+        return self.indexes.derived(name, "summary", (),
+                                    lambda: graph_summary(graph))
 
     # ------------------------------------------------------------------
     # the left panel: query construction helpers
@@ -355,7 +354,8 @@ class CExplorer:
                                .full_query_capable())
         algo = get_cs_algorithm(plan.algorithm)
         if tagged is not None:
-            tagged.tag(graph=name, algorithm=plan.algorithm, k=k,
+            tagged.tag(graph=name, algorithm=plan.algorithm,
+                       reason=plan.reason, k=k,
                        worker_full_query=plan.worker_full_query)
         if not use_cache or params:
             return self._run_search(tagged, name, graph, plan, algo, q,
@@ -426,8 +426,8 @@ class CExplorer:
         elif algo.name == "codicil" and not params:
             # CODICIL is a whole-graph detection: partition the graph
             # once per version and answer every query vertex from it.
-            params["partition"] = self.engine.memo.get_or_compute(
-                name, self.indexes.version(name), "codicil", (),
+            params["partition"] = self.indexes.derived(
+                name, "codicil", (),
                 lambda: get_cd_algorithm("codicil")(graph))
         result = algo(graph, q, k, keywords=keywords, **params)
         if bodies is not None and result:
@@ -442,16 +442,16 @@ class CExplorer:
 
         Connected k-core components partition the k-core, so every
         query vertex of one component has the same members and its
-        answer is *the* body that contains it.  The list lives in the
-        engine's memo under ``(graph, version, k)``: a maintenance
-        update bumps the version, which orphans it whole.  It is
-        keyed by membership, not by CL-tree node, so reading it needs
-        no current tree -- a ``global`` read after an update never
-        pays an index rebuild.  Two threads racing a component's
-        first query may each append a body; either one is correct.
+        answer is *the* body that contains it.  The list is a derived
+        value of the current version record, keyed ``("global-bodies",
+        k)``: a maintenance update swaps the record, which orphans it
+        whole.  It is keyed by membership, not by CL-tree node, so
+        reading it needs no current tree -- a ``global`` read after an
+        update never pays an index rebuild.  Two threads racing a
+        component's first query may each append a body; either one is
+        correct.
         """
-        return self.engine.memo.get_or_compute(
-            name, self.indexes.version(name), "global-bodies", k, list)
+        return self.indexes.derived(name, "global-bodies", k, list)
 
     def detect(self, algorithm, **params):
         """Run a CD algorithm on the whole active graph.

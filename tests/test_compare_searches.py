@@ -2,8 +2,8 @@
 
 A compare answers each method through :meth:`CExplorer.search` on its
 own thread, so it shares the result cache, the shared ``global``
-bodies, single-flight and the version-scoped memo with ordinary
-searches -- and its report must equal the registry-direct
+bodies, single-flight and the version record's derived values with
+ordinary searches -- and its report must equal the registry-direct
 :func:`compare_methods` one.
 """
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache, SubproblemMemo, query_key
+from repro.engine.cache import ResultCache, query_key
 from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -108,31 +108,6 @@ class TestResultCache:
         assert cache.get(query_key("g", "acq", 1, 4),
                          record_miss=False) is None
         assert cache.stats()["misses"] == 0
-
-
-class TestSubproblemMemo:
-    def test_memoizes_per_version(self):
-        memo = SubproblemMemo()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "core"
-
-        assert memo.get_or_compute("g", 1, "core", None, compute) == "core"
-        assert memo.get_or_compute("g", 1, "core", None, compute) == "core"
-        assert len(calls) == 1
-        # A version bump is a different key: recompute.
-        memo.get_or_compute("g", 2, "core", None, compute)
-        assert len(calls) == 2
-        assert memo.stats()["hits"] == 1
-
-    def test_invalidate_by_graph(self):
-        memo = SubproblemMemo()
-        memo.get_or_compute("g", 1, "core", None, lambda: 1)
-        memo.get_or_compute("h", 1, "core", None, lambda: 2)
-        memo.invalidate("g")
-        assert len(memo) == 1
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +364,7 @@ class TestQueryEnginePool:
             assert doc["queue_depth"] == 0
             assert doc["counters"]["completed"] == 1
             assert doc["latency"]["search"]["count"] == 1
-            assert "memo" in doc and "cache" not in doc
+            assert "memo" not in doc and "cache" not in doc
         finally:
             engine.shutdown()
 
@@ -574,12 +549,6 @@ class TestPlans:
         plan = plan_search("k-truss", dblp_small, index_ready=True)
         assert plan.algorithm == "k-truss"
         assert not plan.use_index
-
-    def test_explain_is_json_friendly(self, dblp_small):
-        doc = plan_search("auto", dblp_small).explain()
-        assert set(doc) == {"algorithm", "use_index", "reason",
-                            "worker_full_query"}
-        assert doc["worker_full_query"] is False
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ top of it:
 * whole-query worker execution (process backend) equal to inline
   execution for every CS algorithm;
 * engine detections identical between inline and worker execution;
-* the payload and memo caches behind the pipeline.
+* the payload cache behind the pipeline.
 """
 
 import pytest
@@ -305,22 +305,3 @@ class TestPayloadAndMemo:
         trace = explorer.engine.tracer.traces(limit=1)[0]
         assert trace.to_dict()["tags"]["shared_body"] is True
         assert explorer.engine.stats.get("worker_full_query") == 0
-
-    def test_memo_invalidation_is_version_aware(self):
-        from repro.engine.cache import SubproblemMemo
-        memo = SubproblemMemo()
-        memo.get_or_compute("g", 3, "codicil", (), lambda: "a")
-        memo.get_or_compute("g", 4, "global-bodies", 2, lambda: "b")
-        memo.get_or_compute("h", 3, "global-bodies", 2, lambda: "c")
-        # g moved to version 4: only g's current-version entry
-        # survives, and other graphs are untouched.
-        memo.invalidate("g", version=4)
-        assert memo.get_or_compute("g", 4, "global-bodies", 2,
-                                   lambda: "FRESH") == "b"
-        assert memo.get_or_compute("g", 3, "codicil", (),
-                                   lambda: "FRESH") == "FRESH"
-        assert memo.get_or_compute("h", 3, "global-bodies", 2,
-                                   lambda: "FRESH") == "c"
-        # Unknown versions drop everything for the graph.
-        memo.invalidate("g")
-        assert len(memo) == 1

@@ -309,6 +309,20 @@ class TestEngineTracing:
         finally:
             explorer.engine.shutdown()
 
+    def test_search_trace_says_why_its_plan_was_chosen(self, fig5):
+        from repro.engine.plans import plan_search
+        explorer = CExplorer(workers=1)
+        explorer.add_graph("fig5", fig5)
+        try:
+            future = explorer.engine.search("auto", 0, k=1)
+            future.result(30)
+            tags = future.trace.to_dict()["tags"]
+            plan = plan_search("auto", fig5)
+            assert tags["algorithm"] == plan.algorithm == "acq"
+            assert tags["reason"] == plan.reason
+        finally:
+            explorer.engine.shutdown()
+
     def test_snapshot_reports_tracer_stats(self):
         explorer = CExplorer(workers=1)
         try:
