@@ -48,8 +48,8 @@ DOCS_ROW = re.compile(r"^\| `(repro_\w+)` \| (\w+) \| `([\w.]+)` \|",
 
 # /v1/metrics keys no METRICS row renders, as dotted paths.
 UNRENDERED = ("engine.fault_plan", "engine.payloads.transport",
-              "engine.payloads.shm_available", "engine.traces.enabled",
-              "engine.traces.capacity", "engine.traces.buffered",
+              "engine.payloads.shm_available", "engine.traces.capacity",
+              "engine.traces.buffered",
               "engine.traces.slow_threshold_seconds")
 FAULT_PLAN_KEYS = ("seed", "rules", "injected")
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",

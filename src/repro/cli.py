@@ -180,9 +180,9 @@ def _cmd_trace(args):
             raise CExplorerError(
                 "trace needs either --url or --graph with --vertex")
         explorer = _load_explorer(args)
+        engine = explorer.engine
         for vertex in args.vertex:
-            explorer.engine.search_sync(args.algorithm, vertex,
-                                        k=args.k)
+            engine.wait(engine.search(args.algorithm, vertex, k=args.k))
         docs = [trace.to_dict()
                 for trace in explorer.engine.tracer.traces(
                     limit=args.last)]

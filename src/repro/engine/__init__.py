@@ -116,7 +116,7 @@ from repro.engine.backends import (
     ProcessBackendError,
 )
 from repro.engine.cache import ResultCache, query_key
-from repro.engine.executor import EngineFuture, QueryEngine
+from repro.engine.executor import QueryEngine
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import QueryPlan, plan_search
@@ -125,7 +125,6 @@ from repro.engine.tracing import QueryTrace, TraceRecorder
 
 __all__ = [
     "BACKENDS",
-    "EngineFuture",
     "EngineStats",
     "FaultPlan",
     "FaultRule",

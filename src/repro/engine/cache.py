@@ -10,10 +10,11 @@ overlapping queries (PAPERS.md) is the win this module captures:
   *selective* invalidation: entries record the vertex footprint of
   their result, so a maintenance update only evicts entries whose
   footprint touches the affected region (for algorithm families where
-  that is sound; everything else is dropped conservatively).  It also
-  keeps the *flights* of misses being computed, so concurrent identical
-  misses (many users landing on the same hub author at once) share one
-  computation instead of each paying for it.
+  that is sound; everything else is dropped conservatively).
+  Concurrent identical misses (many users landing on the same hub
+  author at once) share one computation through the index manager's
+  flight table (:meth:`~repro.engine.index_manager.IndexManager.once`),
+  not through the cache.
 
 Keys are produced by :func:`query_key`, which canonicalises parameter
 order (multi-vertex queries and keyword sets are order-insensitive).
@@ -46,11 +47,6 @@ TRUSS_SELECTIVE_ALGORITHMS = frozenset({"k-truss", "atc"})
 # the metrics endpoint surfaces these so a deployment can see whether
 # evictions are precise cascades or blind evict-alls.
 INVALIDATION_REASONS = ("core-cascade", "truss-cascade", "evict-all")
-
-# The flight of a key whose answer is already stored: nothing to wait
-# for (see ResultCache.begin_flight).
-_LANDED = threading.Event()
-_LANDED.set()
 
 
 def _canonical(value):
@@ -113,38 +109,8 @@ class ResultCache:
         self.invalidations = 0
         self.invalidations_by_reason = {
             reason: 0 for reason in INVALIDATION_REASONS}
-        # In-flight misses: ``(key, index version) -> Event``.
-        self._flights = {}
         # graph name -> the version the last invalidation announced.
         self._versions = {}
-
-    def begin_flight(self, key, version):
-        """Claim the computation of a missed ``key`` at index
-        ``version``.
-
-        Returns ``(event, leader)``.  The leader computes, stores the
-        answer with :meth:`put` and then calls :meth:`end_flight`,
-        whether or not it succeeded; any other caller waits on
-        ``event`` and re-reads the cache.  The version is part of the flight, so a query
-        admitted after a maintenance update never waits for an answer
-        computed before it.  A key stored since the caller's miss
-        returns an event that is already set.
-        """
-        flight = (key, version)
-        with self._lock:
-            event = self._flights.get(flight)
-            if event is not None:
-                return event, False
-            if key in self._data:
-                return _LANDED, False
-            event = self._flights[flight] = threading.Event()
-        return event, True
-
-    def end_flight(self, key, version):
-        """Close the leader's flight and wake its waiters."""
-        with self._lock:
-            event = self._flights.pop((key, version))
-        event.set()
 
     def get(self, key, record_miss=True):
         """The cached value or ``None``; refreshes LRU recency.

@@ -8,18 +8,20 @@ This engine is the dedicated execution path between the server and the
 algorithms (the Polynesia argument in PAPERS.md):
 
 * a **bounded worker pool** (threads are started lazily on first
-  use); every admitted job's future resolves, with the exception when
-  anything raised, and no job takes its worker down;
+  use); every admitted job's :class:`concurrent.futures.Future`
+  resolves, with the exception when anything raised, and no job takes
+  its worker down;
 * an **admission-controlled queue** -- when ``max_queue`` requests are
   already waiting, new work is rejected *immediately* with
   :class:`~repro.util.errors.EngineBusyError`, which the HTTP layer
   maps to a fast 429 instead of letting latency collapse;
 * **per-query deadlines** -- a queued request past its deadline is
-  dropped without running; a caller waiting on a future gets
-  :class:`~repro.util.errors.QueryTimeoutError`;
-* **cancellation** -- best-effort: a request still in the queue is
-  dropped, a running one finishes but its result is discarded (Python
-  threads cannot be killed);
+  dropped without running; :meth:`QueryEngine.wait`, the one blocking
+  wait, raises :class:`~repro.util.errors.QueryTimeoutError` when its
+  budget runs out;
+* **cancellation** -- a wait that times out cancels its future: a
+  request still in the queue is dropped, a running one finishes but
+  its result is discarded (Python threads cannot be killed);
 * the engine-level :class:`~repro.engine.cache.ResultCache`, wired to
   the :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
@@ -41,11 +43,11 @@ algorithms (the Polynesia argument in PAPERS.md):
   payload overheads (``shard_ipc`` is the historical name of the
   per-job transport histogram).
 
-Synchronous callers (library users) use
-:meth:`QueryEngine.execute`; the server uses :meth:`submit` /
-:meth:`search` and waits with a timeout.
+Callers submit with :meth:`QueryEngine.submit` or
+:meth:`QueryEngine.search` and block with :meth:`QueryEngine.wait`.
 """
 
+import concurrent.futures
 import queue
 import threading
 import time
@@ -72,7 +74,6 @@ from repro.util.errors import (
     FaultInjectedError,
     JobPayloadError,
     PayloadCorruptionError,
-    QueryCancelledError,
     QueryTimeoutError,
     WorkerKilledError,
 )
@@ -130,94 +131,6 @@ def _remaining(deadline):
         return None
     return max(deadline - time.perf_counter(), 0.0)
 
-_PENDING, _RUNNING, _DONE, _CANCELLED = range(4)
-
-
-class EngineFuture:
-    """A minimal future for engine jobs (stdlib-free by design: the
-    queue needs admission control ``concurrent.futures`` lacks)."""
-
-    __slots__ = ("_event", "_lock", "_state", "_value", "_exception",
-                 "trace")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._state = _PENDING
-        self._value = None
-        self._exception = None
-        # The QueryTrace attached by the search path (None for plain
-        # submissions or when tracing is disabled); the HTTP layer
-        # reads it back to add the request-level span and return the
-        # query id to the client.
-        self.trace = None
-
-    @classmethod
-    def resolved(cls, value):
-        """An already-completed future (the cache-hit fast path)."""
-        future = cls()
-        future.set_result(value)
-        return future
-
-    # -- state transitions (engine side) --------------------------------
-    def set_running(self):
-        """Claim the job (run-once CAS); False when already claimed,
-        cancelled or done."""
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _RUNNING
-            return True
-
-    def set_result(self, value):
-        """Resolve the future with ``value`` (no-op when cancelled)."""
-        with self._lock:
-            if self._state == _CANCELLED:
-                return
-            self._value = value
-            self._state = _DONE
-        self._event.set()
-
-    def set_exception(self, exc):
-        """Resolve the future with an exception (no-op when
-        cancelled)."""
-        with self._lock:
-            if self._state == _CANCELLED:
-                return
-            self._exception = exc
-            self._state = _DONE
-        self._event.set()
-
-    # -- caller side ----------------------------------------------------
-    def cancel(self):
-        """Cancel if not yet running; returns whether it worked."""
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _CANCELLED
-        self._event.set()
-        return True
-
-    def cancelled(self):
-        """Whether the job was cancelled before it ran."""
-        return self._state == _CANCELLED
-
-    def done(self):
-        """Whether the job finished (result, exception or cancel)."""
-        return self._state in (_DONE, _CANCELLED)
-
-    def result(self, timeout=None):
-        """Block for the value; raises the job's exception, or
-        :class:`QueryTimeoutError` when ``timeout`` elapses first."""
-        if not self._event.wait(timeout):
-            raise QueryTimeoutError(
-                "query did not finish within {:.3f}s".format(timeout))
-        if self._state == _CANCELLED:
-            raise QueryCancelledError("query was cancelled")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
 
 class _Job:
     __slots__ = ("fn", "args", "kwargs", "future", "op", "deadline",
@@ -227,7 +140,10 @@ class _Job:
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
-        self.future = EngineFuture()
+        self.future = concurrent.futures.Future()
+        # The QueryTrace the search path attached (None for plain
+        # submissions); the HTTP layer reads it back to add the
+        # request-level span and return the query id to the client.
         self.future.trace = trace
         self.op = op
         self.deadline = deadline
@@ -263,8 +179,9 @@ def _engine_worker(engine_ref, work_queue):
             return
         engine = engine_ref()
         if engine is None:
-            job.future.set_exception(CExplorerError(
-                "query engine was discarded with jobs still queued"))
+            if job.future.set_running_or_notify_cancel():
+                job.future.set_exception(CExplorerError(
+                    "query engine was discarded with jobs still queued"))
             return
         try:
             engine._run_job(job)
@@ -385,8 +302,9 @@ class QueryEngine:
     # generic submission
     # ------------------------------------------------------------------
     def submit(self, fn, *args, **kwargs):
-        """Queue ``fn(*args, **kwargs)``; returns an
-        :class:`EngineFuture`.
+        """Queue ``fn(*args, **kwargs)``; returns its
+        :class:`concurrent.futures.Future`, with the attached trace as
+        ``future.trace``.
 
         Keyword-only extras: ``op`` labels the latency histogram,
         ``timeout`` sets the deadline (none by default), ``trace``
@@ -415,17 +333,21 @@ class QueryEngine:
                 .format(self.max_queue)) from None
         return job.future
 
-    def execute(self, fn, *args, **kwargs):
-        """Synchronous :meth:`submit`: block for the result, honouring
-        the same deadline while waiting."""
-        timeout = kwargs.get("timeout")
-        future = self.submit(fn, *args, **kwargs)
+    def wait(self, future, timeout=None):
+        """Block for ``future``'s result -- the engine's one blocking
+        wait -- re-raising the job's exception.  When ``timeout``
+        seconds pass first, the future is cancelled (a queued job is
+        dropped without running), counted once under ``timeouts`` and
+        :class:`QueryTimeoutError` raised.  A job the worker dropped
+        for its own expired deadline was counted there."""
         try:
             return future.result(timeout)
-        except QueryTimeoutError:
+        except concurrent.futures.TimeoutError:
             future.cancel()
             self.stats.count("timeouts")
-            raise
+            raise QueryTimeoutError(
+                "query did not finish within {:.3f}s".format(timeout)) \
+                from None
 
     # ------------------------------------------------------------------
     # the search path
@@ -439,51 +361,40 @@ class QueryEngine:
         control.  Requires an attached explorer.
 
         Cache misses record a :class:`~repro.engine.tracing.
-        QueryTrace` (unless the recorder is disabled), attached to the
-        returned future as ``future.trace`` and handed to the
-        executing worker through the job.  Cache *hits* deliberately
-        skip tracing: a hit is answered in microseconds and the full
-        trace lifecycle (allocation, locks, ring publish) would
-        multiply its cost -- and traces exist to attribute slow
-        queries, which a warm hit never is.  ``future.trace`` is
-        ``None`` on the hit path.
+        QueryTrace`, attached to the returned future as
+        ``future.trace`` and handed to the executing worker through
+        the job.  Cache *hits* deliberately skip tracing: a hit is
+        answered in microseconds and the full trace lifecycle
+        (allocation, locks, ring publish) would multiply its cost --
+        and traces exist to attribute slow queries, which a warm hit
+        never is.  A hit returns a future already resolved, with
+        ``future.trace`` ``None``.
         """
         explorer = self._require_explorer()
         probe_started = time.perf_counter()
         cached = explorer.peek_cached(algorithm, vertex, k=k,
                                       keywords=keywords, **params)
         if cached is not None:
-            return EngineFuture.resolved(cached)
+            future = concurrent.futures.Future()
+            future.set_result(cached)
+            future.trace = None
+            return future
         trace = self.tracer.begin("search", algorithm=algorithm,
-                                  vertex=str(vertex), k=k)
-        if trace is not None:
-            trace.tag(cache="miss")
-            # The pre-submit plan + cache probe, measured cheaply
-            # outside any trace context and attached post hoc.
-            trace.add_span("cache_lookup",
-                           time.perf_counter() - probe_started,
-                           parent=None, tags={"hit": False})
+                                  vertex=str(vertex), k=k, cache="miss")
+        # The pre-submit plan + cache probe, measured cheaply outside
+        # any trace context and attached post hoc.
+        trace.add_span("cache_lookup",
+                       time.perf_counter() - probe_started,
+                       parent=None, tags={"hit": False})
         return self.submit(explorer.search, algorithm, vertex, k=k,
                            keywords=keywords, op="search",
                            timeout=timeout, trace=trace, **params)
-
-    def search_sync(self, algorithm, vertex, k=4, keywords=None,
-                    timeout=None, **params):
-        """Blocking :meth:`search` with deadline enforcement."""
-        future = self.search(algorithm, vertex, k=k, keywords=keywords,
-                             timeout=timeout, **params)
-        try:
-            return future.result(timeout)
-        except QueryTimeoutError:
-            future.cancel()
-            self.stats.count("timeouts")
-            raise
 
     def _require_explorer(self):
         if self.explorer is None:
             raise RuntimeError(
                 "this QueryEngine has no attached explorer; "
-                "use submit()/execute() with explicit callables")
+                "use submit() with explicit callables")
         return self.explorer
 
     # ------------------------------------------------------------------
@@ -753,6 +664,8 @@ class QueryEngine:
         absorb -- one raised before the job runs, say by a malformed
         trace -- resolves the job's future with it, so every admitted
         future resolves and the worker lives on to take the next job.
+        A future is claimed before anything can raise, so a cancel
+        cannot land between ``done()`` and ``set_exception``.
         """
         try:
             self._execute_job(job)
@@ -764,7 +677,7 @@ class QueryEngine:
     def _execute_job(self, job):
         future = job.future
         trace = job.trace
-        if not future.set_running():
+        if not future.set_running_or_notify_cancel():
             # Cancelled by the caller while it waited in the queue.
             self.stats.count("cancelled")
             self.tracer.finish(trace, "cancelled")

@@ -13,8 +13,8 @@ query path and lets analytics read one consistent version:
   panel, the CODICIL partition, the ``global`` bodies).  Each is
   computed on first use, on the reader's thread, and stored on the
   record it was read from; concurrent first readers of one value share
-  one computation (:meth:`IndexManager._derive`, the only compute-once
-  path);
+  one computation (:meth:`IndexManager.once`, the only compute-once
+  primitive, which concurrent identical search misses share too);
 * **invalidate** swaps in the next version's record, releases the
   superseded record's payload segment and notifies subscribers (the
   engine's result cache selectively evicts).  A superseded record is
@@ -188,7 +188,9 @@ class IndexManager:
     def __init__(self):
         self._entries = {}
         self._lock = threading.RLock()
-        # (record, slot) -> Event of the computation in flight.
+        # The one flight table (see once): key -> Event of the
+        # computation in flight; ``(record, slot)`` for a derived
+        # value, ``(cache key, version)`` for a search miss.
         self._flights = {}
         self._subscribers = []
         self._payload_epoch = next(self._payload_epochs)
@@ -257,46 +259,66 @@ class IndexManager:
         with self._lock:
             return self._entry(name).record.cltree is not None
 
+    def once(self, key, held, compute):
+        """``held()``, or else ``compute()`` run by one caller per
+        ``key`` at a time -- the one compute-once primitive, behind
+        every derived value (:meth:`_derive`) and every cacheable
+        search miss (:meth:`CExplorer.search
+        <repro.explorer.cexplorer.CExplorer.search>`).  Returns
+        ``(value, computed)``.
+
+        ``held()`` reads what is stored for ``key`` (``None`` for
+        nothing) under the manager lock, so it must be a cheap read;
+        ``compute()`` stores what ``held()`` reads.  The first caller
+        that finds nothing held opens ``key``'s flight and computes
+        outside the lock, so version/built probes (every request's
+        cache fast path) never stall behind a cold computation; a
+        concurrent caller waits for the flight to land and reads
+        ``held()`` again.  A leader that raises lands its flight all
+        the same, and the next caller that finds nothing held
+        computes.
+        """
+        while True:
+            with self._lock:
+                value = held()
+                if value is not None:
+                    return value, False
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            return compute(), True
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.set()
+
     def _derive(self, record, slot, compute):
         """``record``'s ``slot``, calling ``compute()`` when it is
         missing and storing the result on ``record``; a ``slot`` is a
         structure attribute's name or a ``(kind, key)`` of
         ``record.derived``.  Returns ``(value, computed)``.
 
-        A value already held is a lock-free read.  Otherwise the first
-        reader leads a flight and computes outside the manager lock, so
-        version/built probes (every request's cache fast path) never
-        stall behind a cold computation; concurrent readers of the same
-        ``(record, slot)`` wait for the flight and return the leader's
-        value.  A leader that raises ends its flight, and a waiter then
-        finds nothing stored and computes itself.
+        A value already held is a lock-free read; otherwise concurrent
+        first readers of one ``(record, slot)`` share one computation
+        through :meth:`once`.
         """
         value = _held(record, slot)
         if value is not None:
             return value, False
-        flight_key = (record, slot)
-        while True:
-            with self._lock:
-                value = _held(record, slot)
-                if value is not None:
-                    return value, False
-                flight = self._flights.get(flight_key)
-                if flight is None:
-                    flight = self._flights[flight_key] = threading.Event()
-                    break
-            flight.wait()
-        try:
+
+        def compute_and_store():
             value = compute()
             with self._lock:
                 if type(slot) is str:
                     setattr(record, slot, value)
                 else:
                     record.derived[slot] = value
-        finally:
-            with self._lock:
-                del self._flights[flight_key]
-            flight.set()
-        return value, True
+            return value
+        return self.once((record, slot), lambda: _held(record, slot),
+                         compute_and_store)
 
     def _core(self, entry, record):
         """Core numbers of ``record``: the attached maintainer's

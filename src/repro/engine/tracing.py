@@ -391,18 +391,14 @@ class TraceRecorder:
     separate slow log (and logged through the stdlib ``logging``
     channel ``repro.engine.tracing``), so one burst of fast traffic
     cannot rotate a pathological query out of the buffer before
-    anyone looks at it.  ``enabled=False`` turns the whole subsystem
-    into no-ops (:meth:`begin` returns ``None`` and every helper
-    short-circuits on that).
+    anyone looks at it.
     """
 
-    def __init__(self, capacity=256, slow_seconds=1.0, slow_capacity=64,
-                 enabled=True):
+    def __init__(self, capacity=256, slow_seconds=1.0, slow_capacity=64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.slow_seconds = slow_seconds
-        self.enabled = enabled
         self._ring = deque(maxlen=capacity)
         self._slow = deque(maxlen=slow_capacity)
         self._lock = threading.Lock()
@@ -411,9 +407,7 @@ class TraceRecorder:
         self.slow_queries = 0
 
     def begin(self, op, **tags):
-        """Start one trace (``None`` when tracing is disabled)."""
-        if not self.enabled:
-            return None
+        """Start one trace."""
         return QueryTrace("q{}".format(next(self._ids)), op, tags=tags)
 
     def finish(self, trace, status="ok"):
@@ -456,9 +450,6 @@ class TraceRecorder:
             yield existing
             return
         trace = self.begin(op, **tags)
-        if trace is None:
-            yield None
-            return
         status = "ok"
         try:
             with activate(trace), trace.span("execute", op=op):
@@ -493,7 +484,6 @@ class TraceRecorder:
         """Occupancy/threshold counters for the metrics endpoint."""
         with self._lock:
             return {
-                "enabled": self.enabled,
                 "capacity": self.capacity,
                 "buffered": len(self._ring),
                 "recorded": self.recorded,

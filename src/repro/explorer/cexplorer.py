@@ -319,7 +319,7 @@ class CExplorer:
         name = self._require_current()
         with self.engine.tracer.trace("search", graph=name,
                                       algorithm=algorithm, k=k) as trace:
-            if trace is None or trace.op == "search":
+            if trace.op == "search":
                 return self._search_planned(trace, name, algorithm,
                                             vertex, k, keywords,
                                             use_cache, params)
@@ -332,17 +332,19 @@ class CExplorer:
     def _search_planned(self, tagged, name, algorithm, vertex, k,
                         keywords, use_cache, params):
         """The traced body of :meth:`search`.  ``tagged`` is the
-        trace or span this search's tags go on (``None`` when the
-        recorder is disabled).
+        trace or span this search's tags go on.
 
-        A cacheable miss runs single-flight: the first caller computes
-        under an in-flight entry keyed by the cache key and the index
-        version, and a concurrent caller of the same key waits for it
-        and answers from the cache (counted as ``shared_answers`` and
-        traced ``shared=true``).  The answer is stored at the flight's
-        version only: an update landing mid-computation drops the
-        store.  A waiter that finds nothing stored (the leader failed
-        or its store was dropped) computes the answer itself.
+        A cacheable miss runs single-flight, through the index
+        manager's one flight table
+        (:meth:`~repro.engine.index_manager.IndexManager.once`): the
+        first caller computes under the flight of the cache key at the
+        index version its miss began at, and a concurrent caller of
+        the same key waits for it and answers from the cache (counted
+        as ``shared_answers`` and traced ``shared=true``).  The answer
+        is stored at the flight's version only: an update landing
+        mid-computation drops the store.  A waiter that finds nothing
+        stored (the leader failed or its store was dropped) computes
+        the answer itself.
         """
         graph = self.graph
         q = self._resolve_query(vertex)
@@ -353,10 +355,9 @@ class CExplorer:
                                full_payload=self.engine
                                .full_query_capable())
         algo = get_cs_algorithm(plan.algorithm)
-        if tagged is not None:
-            tagged.tag(graph=name, algorithm=plan.algorithm,
-                       reason=plan.reason, k=k,
-                       worker_full_query=plan.worker_full_query)
+        tagged.tag(graph=name, algorithm=plan.algorithm,
+                   reason=plan.reason, k=k,
+                   worker_full_query=plan.worker_full_query)
         if not use_cache or params:
             return self._run_search(tagged, name, graph, plan, algo, q,
                                     k, keywords, params)
@@ -365,16 +366,8 @@ class CExplorer:
         if cached is not None:
             return cached
         version = self.indexes.version(name)
-        event, leader = self.cache.begin_flight(cache_key, version)
-        if not leader:
-            event.wait()
-            cached = self.cache.get(cache_key, record_miss=False)
-            if cached is not None:
-                self.engine.stats.count("shared_answers")
-                if tagged is not None:
-                    tagged.tag(shared=True)
-                return cached
-        try:
+
+        def compute():
             result = self._run_search(tagged, name, graph, plan, algo,
                                       q, k, keywords, params)
             # A one-community answer's footprint is its (possibly
@@ -384,9 +377,14 @@ class CExplorer:
             self.cache.put(cache_key, result, vertices=footprint,
                            version=version)
             return result
-        finally:
-            if leader:
-                self.cache.end_flight(cache_key, version)
+        result, computed = self.indexes.once(
+            (cache_key, version),
+            lambda: self.cache.get(cache_key, record_miss=False),
+            compute)
+        if not computed:
+            self.engine.stats.count("shared_answers")
+            tagged.tag(shared=True)
+        return result
 
     def _run_search(self, tagged, name, graph, plan, algo, q, k,
                     keywords, params):
@@ -404,8 +402,7 @@ class CExplorer:
         if algo.name == "global" and not params and isinstance(q, int):
             bodies = self._component_bodies(name, k)
             body = next((b for b in bodies if q in b.vertices), None)
-            if tagged is not None:
-                tagged.tag(shared_body=body is not None)
+            tagged.tag(shared_body=body is not None)
             if body is not None:
                 return [Community(graph, body, method="Global",
                                   query_vertices=(q,), k=k)]
@@ -508,8 +505,7 @@ class CExplorer:
         """
         name = self._require_current()
         with self.engine.tracer.trace("compare") as trace:
-            if trace is not None:
-                trace.tag(graph=name, k=k)
+            trace.tag(graph=name, k=k)
             q = self.resolve_vertex(vertex)
             return report(q, k, methods, self.search, keywords=keywords)
 

@@ -46,11 +46,13 @@ answer, so the next request on the socket starts where it should.
 The server is threaded, but algorithm work does not run on handler
 threads: searches, detections and comparisons are submitted to the
 explorer's :class:`~repro.engine.executor.QueryEngine` -- a bounded
-worker pool with an admission-controlled queue.  A full queue rejects
-immediately with **429** ``engine_saturated``; a query exceeding the
-server deadline returns **504** ``deadline_exceeded``.  Cache hits
-short-circuit the queue entirely, and concurrent identical misses
-share one computation (the engine's single-flight miss path).
+worker pool with an admission-controlled queue -- and the handler
+thread blocks in :meth:`~repro.engine.executor.QueryEngine.wait` for
+the job's future.  A full queue rejects immediately with **429**
+``engine_saturated``; a query exceeding the server deadline returns
+**504** ``deadline_exceeded``.  Cache hits short-circuit the queue
+entirely, and concurrent identical misses share one computation (the
+engine's single-flight miss path).
 """
 
 import json
@@ -70,7 +72,6 @@ from repro.server.routes import (
     parse_query_string,
     render_error,
     render_success,
-    wait_sync,
 )
 from repro.server.state import ServerState
 
@@ -168,7 +169,8 @@ class _Handler(BaseHTTPRequestHandler):
                               body=body)
             outcome = route.handler(state, request)
             if isinstance(outcome, Pending):
-                outcome = wait_sync(state, outcome)
+                outcome = outcome.finish(state.engine.wait(
+                    outcome.future, state.query_timeout))
             if isinstance(outcome, Raw):
                 self._send(200, outcome.body,
                            content_type=outcome.content_type)

@@ -8,11 +8,11 @@ as the threaded server (:mod:`repro.server.app`) over
   waiting connections cost one task each, not one thread each;
 * handlers returning :class:`~repro.server.routes.Pending` are awaited
   through a small **poll/wakeup bridge** (:func:`await_future`): the
-  engine's future is engine-owned and thread-resolved, so the loop
-  polls ``future.done()`` on an adaptive backoff (sub-millisecond at
-  first -- warm results wake up fast -- decaying to a few milliseconds
-  for long-running queries).  The worker pool and executor stay
-  exactly as they are;
+  engine's :class:`concurrent.futures.Future` is resolved on a worker
+  thread, so the loop polls ``future.done()`` on an adaptive backoff
+  (sub-millisecond at first -- warm results wake up fast -- decaying
+  to a few milliseconds for long-running queries).  The worker pool
+  and executor stay exactly as they are;
 * routes marked ``blocking`` (upload's file I/O, lazily built
   summaries, SVG rendering) run in the loop's default thread-pool
   executor so the accept path never stalls behind them.
@@ -73,16 +73,17 @@ _STATUS_TEXT = {
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-async def await_future(future, timeout):
-    """Await an :class:`~repro.engine.executor.EngineFuture` from the
-    event loop: the poll/wakeup bridge.
+async def await_future(engine, future, timeout):
+    """Await one of ``engine``'s futures from the event loop: the
+    poll/wakeup bridge.
 
-    The engine's future is resolved by worker threads and offers no
-    loop callback, so the bridge polls ``future.done()`` with an
-    adaptive sleep.  On timeout the future is cancelled (a queued job
-    is dropped without running) and
-    :class:`~repro.util.errors.QueryTimeoutError` is raised --
-    identical semantics to the sync server's blocking wait.
+    The future is resolved by worker threads, so the bridge polls
+    ``future.done()`` with an adaptive sleep.  It keeps the rule of
+    :meth:`~repro.engine.executor.QueryEngine.wait`, the sync server's
+    blocking wait: when the bridge's own budget runs out, the future
+    is cancelled (a queued job is dropped without running), counted
+    once under ``timeouts`` and
+    :class:`~repro.util.errors.QueryTimeoutError` raised.
     """
     loop = asyncio.get_running_loop()
     deadline = (loop.time() + timeout) if timeout is not None else None
@@ -90,13 +91,15 @@ async def await_future(future, timeout):
     while not future.done():
         if deadline is not None and loop.time() >= deadline:
             future.cancel()
+            engine.stats.count("timeouts")
             raise QueryTimeoutError(
                 "query did not finish within {:.3f}s".format(timeout))
         await asyncio.sleep(delay)
         delay = min(delay * _POLL_GROWTH, _POLL_CEILING)
-    # result(0) never blocks on a done future; it re-raises the job's
-    # exception (or QueryCancelledError) exactly like the sync path.
-    return future.result(0)
+    # A done future never blocks: this returns the value or re-raises
+    # the job's exception (the stdlib CancelledError for a cancelled
+    # one) exactly like the sync path.
+    return future.result()
 
 
 class AsyncCExplorerServer:
@@ -227,13 +230,8 @@ class AsyncCExplorerServer:
             else:
                 outcome = route.handler(state, request)
             if isinstance(outcome, Pending):
-                timeout = (outcome.timeout if outcome.timeout is not None
-                           else state.query_timeout)
-                try:
-                    result = await await_future(outcome.future, timeout)
-                except QueryTimeoutError:
-                    state.engine.stats.count("timeouts")
-                    raise
+                result = await await_future(state.engine, outcome.future,
+                                            state.query_timeout)
                 if route.blocking:
                     outcome = await loop.run_in_executor(
                         None, outcome.finish, result)

@@ -27,13 +27,15 @@ Handlers are transport-agnostic: they take ``(state, request)`` --
 :class:`~repro.server.state.ServerState` plus a parsed
 :class:`Request` -- and return plain data (or an :class:`Encoded`
 document: data already rendered as JSON text), a :class:`Response`, a
-:class:`Raw` byte body, or a :class:`Pending` wrapping an
-:class:`~repro.engine.executor.EngineFuture`.  How a ``Pending`` is
-awaited is the *only* per-server decision: the sync server blocks its
-handler thread (:func:`wait_sync`), the async server polls the future
-from the event loop.
+:class:`Raw` byte body, or a :class:`Pending` wrapping the engine's
+:class:`concurrent.futures.Future`.  How a ``Pending`` is awaited is
+the *only* per-server decision: the sync server blocks its handler
+thread in :meth:`QueryEngine.wait
+<repro.engine.executor.QueryEngine.wait>`, the async server polls the
+future from the event loop.
 """
 
+import concurrent.futures
 import inspect
 import json
 import time
@@ -46,7 +48,6 @@ from repro.server.html import INDEX_HTML
 from repro.util.errors import (
     CExplorerError,
     EngineBusyError,
-    QueryCancelledError,
     QueryError,
     QueryTimeoutError,
     UnknownAlgorithmError,
@@ -109,8 +110,9 @@ def translate_error(exc):
         return 429, "engine_saturated", str(exc), True
     if isinstance(exc, QueryTimeoutError):
         return 504, "deadline_exceeded", str(exc), False
-    if isinstance(exc, QueryCancelledError):
-        return 503, "cancelled", str(exc), False
+    if isinstance(exc, concurrent.futures.CancelledError):
+        # The stdlib exception carries no message of its own.
+        return 503, "cancelled", "query was cancelled", False
     if isinstance(exc, UnknownAlgorithmError):
         return 400, "unknown_algorithm", str(exc), False
     if isinstance(exc, (QueryError, UnknownVertexError)):
@@ -182,33 +184,17 @@ class Encoded:
 class Pending:
     """A handler outcome still executing on the engine.
 
-    ``future`` is the :class:`~repro.engine.executor.EngineFuture` to
-    await (each server its own way), ``finish(result)`` builds the
-    final data/:class:`Response` once it resolves, ``timeout`` is the
-    wait budget (``None`` -> the server's ``query_timeout``).
+    ``future`` is the engine's :class:`concurrent.futures.Future` to
+    await (each server its own way, within the server's
+    ``query_timeout``), ``finish(result)`` builds the final
+    data/:class:`Response` once it resolves.
     """
 
-    __slots__ = ("future", "finish", "timeout")
+    __slots__ = ("future", "finish")
 
-    def __init__(self, future, finish, timeout=None):
+    def __init__(self, future, finish):
         self.future = future
         self.finish = finish
-        self.timeout = timeout
-
-
-def wait_sync(state, pending):
-    """Block on a :class:`Pending` with deadline enforcement: the
-    sync server's awaiter.  A timed-out future is cancelled (a queued
-    job is dropped without running) and counted."""
-    timeout = pending.timeout if pending.timeout is not None \
-        else state.query_timeout
-    try:
-        result = pending.future.result(timeout)
-    except QueryTimeoutError:
-        pending.future.cancel()
-        state.engine.stats.count("timeouts")
-        raise
-    return pending.finish(result)
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +406,9 @@ def _search_pending(state, req, finish_data):
     """Submit the request's search and defer ``finish_data``.
 
     The shared front half of ``search`` and ``display``: parse, submit
-    through the state's search path (the engine's plan/cache path),
-    and build the query echo document.  ``finish_data(communities,
+    through the engine's plan/cache path (a cache hit resolves at
+    once; concurrent identical misses share one computation), and
+    build the query echo document.  ``finish_data(communities,
     query)`` produces the route-specific payload once the future
     resolves; the request-level span and trace id are attached here,
     identically for both.
@@ -433,8 +420,9 @@ def _search_pending(state, req, finish_data):
     keywords = as_strings(body.get("keywords"), "keywords")
     started = time.time()
     start = time.perf_counter()
-    future = state.submit_search(algorithm, vertex, k=k,
-                                 keywords=keywords)
+    future = state.engine.search(algorithm, vertex, k=k,
+                                 keywords=keywords,
+                                 timeout=state.query_timeout)
     query = {"vertex": vertex, "k": k, "algorithm": algorithm,
              "keywords": keywords}
 
@@ -583,8 +571,7 @@ def h_compare(state, req):
         if body.get("charts", True):
             from repro.viz.charts import render_quality_charts
             doc["charts"] = render_quality_charts(report)
-        return Response(doc, trace=None if trace is None
-                        else trace.query_id)
+        return Response(doc, trace=trace.query_id)
 
     return Pending(future, finish)
 

@@ -4,9 +4,9 @@ The sync :mod:`~repro.server.app` (``ThreadingHTTPServer``) and the
 async :mod:`~repro.server.async_app` (``asyncio``) serve the same
 route table (:mod:`repro.server.routes`) over the same explorer; this
 class is the substrate they share -- sessions, request counters, the
-write lock, the metrics document, and the search submission path --
-so "two servers" is purely a transport decision, not two serving
-stacks.
+write lock, the metrics document, and the engine with the
+``query_timeout`` every engine future is awaited within -- so "two
+servers" is purely a transport decision, not two serving stacks.
 """
 
 import threading
@@ -46,22 +46,6 @@ class ServerState:
         """Count one request answered with an error status."""
         with self.metrics_lock:
             self.error_count += 1
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def submit_search(self, algorithm, vertex, k=4, keywords=None):
-        """One community search as an
-        :class:`~repro.engine.executor.EngineFuture`.
-
-        Routes through the engine's plan/cache path: cache hits
-        resolve immediately, and concurrent identical misses share
-        one computation (see :meth:`CExplorer.search
-        <repro.explorer.cexplorer.CExplorer.search>`).
-        """
-        return self.engine.search(algorithm, vertex, k=k,
-                                  keywords=keywords,
-                                  timeout=self.query_timeout)
 
     # ------------------------------------------------------------------
     # observability

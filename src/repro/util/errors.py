@@ -47,10 +47,6 @@ class QueryTimeoutError(EngineError):
     """A submitted query exceeded its deadline."""
 
 
-class QueryCancelledError(EngineError):
-    """A submitted query was cancelled before it ran."""
-
-
 class WorkerKilledError(EngineError):
     """A worker died (or was killed by fault injection) mid-job.
 

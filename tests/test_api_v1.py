@@ -17,6 +17,7 @@ Covers what ``tests/test_server.py`` (handler behaviour) does not:
 
 import json
 import threading
+import concurrent.futures
 import time
 import urllib.error
 import urllib.request
@@ -27,7 +28,6 @@ from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
 from repro.server.async_app import make_async_server
 from repro.server.routes import ERROR_CODES, translate_error
-from repro.util.errors import QueryCancelledError
 
 
 def _graph():
@@ -162,10 +162,14 @@ class TestErrorCodes:
         assert status == ERROR_CODES[code][0]
 
     def test_remaining_codes_via_translation(self):
-        # ``cancelled`` and ``internal`` need a racing shutdown or a
+        # ``cancelled`` and ``internal`` need a racing cancel or a
         # server bug; pin their wire mapping at the translation seam.
-        status, code, _, retry = translate_error(
-            QueryCancelledError("cancelled before running"))
+        # ``cancelled`` is what a cancelled engine future raises.
+        future = concurrent.futures.Future()
+        assert future.cancel()
+        with pytest.raises(concurrent.futures.CancelledError) as raised:
+            future.result()
+        status, code, _, retry = translate_error(raised.value)
         assert (status, code, retry) == (503, "cancelled", False)
         status, code, message, _ = translate_error(
             ZeroDivisionError("boom"))

@@ -103,11 +103,12 @@ class TestCompareSharesTheSearchPath:
     def test_compare_never_queues_a_job(self, dblp_small):
         explorer = CExplorer(workers=1, max_queue=1)
         explorer.add_graph("g", dblp_small)
+        engine = explorer.engine
         try:
-            report = explorer.engine.execute(
+            report = engine.wait(engine.submit(
                 explorer.compare, "Jim Gray", k=3,
                 methods=("global", "local", "acq"), op="compare",
-                timeout=60)
+                timeout=60), 60)
             counters = explorer.engine.snapshot()["counters"]
         finally:
             explorer.engine.shutdown()

@@ -1,12 +1,14 @@
 """Tests for the query execution engine (repro.engine)."""
 
+import asyncio
+import concurrent.futures
 import threading
 import time
 
 import pytest
 
 from repro.engine.cache import ResultCache, query_key
-from repro.engine.executor import EngineFuture, QueryEngine
+from repro.engine.executor import QueryEngine
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
 from repro.engine.stats import EngineStats, LatencyHistogram
@@ -14,9 +16,9 @@ from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import (
     CExplorerError,
     EngineBusyError,
-    QueryCancelledError,
     QueryTimeoutError,
 )
+from repro.server.async_app import await_future
 
 from conftest import build_graph
 
@@ -242,7 +244,8 @@ class TestQueryEnginePool:
     def test_execute_runs_on_worker(self):
         engine = QueryEngine(workers=1)
         try:
-            assert engine.execute(lambda a, b: a + b, 20, 22) == 42
+            assert engine.wait(engine.submit(lambda a, b: a + b,
+                                             20, 22)) == 42
             assert engine.stats.get("completed") == 1
         finally:
             engine.shutdown()
@@ -276,9 +279,39 @@ class TestQueryEnginePool:
         release = threading.Event()
         try:
             engine.submit(lambda: release.wait(10))
-            with pytest.raises(QueryTimeoutError):
-                engine.execute(lambda: "starved", timeout=0.05)
-            assert engine.stats.get("timeouts") >= 1
+            with pytest.raises(QueryTimeoutError,
+                               match="did not finish within 0.050s"):
+                engine.wait(engine.submit(lambda: "starved",
+                                          timeout=0.05), 0.05)
+            assert engine.stats.get("timeouts") == 1
+        finally:
+            release.set()
+            engine.shutdown()
+
+    @pytest.mark.parametrize("front", ["sync", "async"])
+    def test_timed_out_query_counts_once(self, front):
+        # The worker is busy past the job's 0.05 s deadline but frees
+        # up inside the caller's 1 s budget: the worker drops the
+        # expired job and counts it, and the wait -- the engine's, or
+        # the asyncio front-end's poll bridge -- re-raises that error
+        # without counting it again.
+        engine = QueryEngine(workers=1)
+        release = threading.Event()
+        started = threading.Event()
+        try:
+            engine.submit(lambda: (started.set(), release.wait(10)))
+            assert started.wait(10)
+            late = engine.submit(lambda: "late", timeout=0.05)
+            timer = threading.Timer(0.2, release.set)
+            timer.start()
+            with pytest.raises(QueryTimeoutError,
+                               match="waiting in the queue"):
+                if front == "sync":
+                    engine.wait(late, 1.0)
+                else:
+                    asyncio.run(await_future(engine, late, 1.0))
+            timer.join()
+            assert engine.stats.get("timeouts") == 1
         finally:
             release.set()
             engine.shutdown()
@@ -308,7 +341,7 @@ class TestQueryEnginePool:
             queued = engine.submit(lambda: ran.append(1))
             assert queued.cancel()
             release.set()
-            with pytest.raises(QueryCancelledError):
+            with pytest.raises(concurrent.futures.CancelledError):
                 queued.result(10)
             assert not ran
         finally:
@@ -323,7 +356,7 @@ class TestQueryEnginePool:
 
         try:
             with pytest.raises(ValueError, match="kaboom"):
-                engine.execute(boom)
+                engine.wait(engine.submit(boom))
             assert engine.stats.get("errors") == 1
         finally:
             engine.shutdown()
@@ -343,22 +376,33 @@ class TestQueryEnginePool:
                     future.result(5)
             assert engine.stats.get("errors") == 2
             assert all(thread.is_alive() for thread in engine._threads)
-            answer = engine.search_sync("acq", dblp_small.label(10), k=4,
-                                        timeout=5)
+            answer = engine.wait(engine.search(
+                "acq", dblp_small.label(10), k=4, timeout=5), 5)
             assert answer == explorer.search("acq", dblp_small.label(10),
                                              k=4, use_cache=False)
         finally:
             engine.shutdown()
 
-    def test_resolved_future(self):
-        future = EngineFuture.resolved(7)
-        assert future.done()
-        assert future.result(0) == 7
+    def test_resolved_future(self, dblp_small):
+        # A cache hit's future is a stdlib Future resolved before it is
+        # returned: the engine's wait takes it even with a zero budget.
+        explorer = CExplorer()
+        explorer.add_graph("dblp", dblp_small)
+        first = explorer.search("acq", "jim gray", k=3)
+        engine = explorer.engine
+        try:
+            future = engine.search("acq", "jim gray", k=3)
+            assert isinstance(future, concurrent.futures.Future)
+            assert future.trace is None
+            assert engine.wait(future, 0) is first
+            assert engine.stats.get("timeouts") == 0
+        finally:
+            engine.shutdown()
 
     def test_snapshot_shape(self):
         engine = QueryEngine(workers=2)
         try:
-            engine.execute(lambda: None, op="search")
+            engine.wait(engine.submit(lambda: None, op="search"))
             doc = engine.snapshot()
             assert doc["workers"] == 2
             assert doc["queue_depth"] == 0
@@ -499,8 +543,8 @@ class TestExplorerEngineIntegration:
         def hammer():
             for _ in range(25):
                 try:
-                    value = explorer.engine.search_sync(
-                        "acq", "jim gray", k=3, timeout=30)
+                    value = explorer.engine.wait(explorer.engine.search(
+                        "acq", "jim gray", k=3, timeout=30), 30)
                 except Exception as exc:  # pragma: no cover
                     with lock:
                         errors.append(exc)

@@ -154,8 +154,8 @@ class TestDispatch:
     def test_only_admitted_jobs_count_toward_throughput(self,
                                                         make_engine):
         engine = make_engine()
-        engine.execute(lambda: engine.run_jobs(
-            [(_square, (n,)) for n in range(3)], op="probe"))
+        engine.wait(engine.submit(lambda: engine.run_jobs(
+            [(_square, (n,)) for n in range(3)], op="probe")))
         engine.stats.started_at -= RECENT_WINDOW_SECONDS
         doc = engine.snapshot()
         # The dispatched jobs and their ``shard_ipc`` are latency
@@ -201,7 +201,8 @@ class TestDeadline:
         def remaining():
             return engine.run_jobs([(_job_deadline, ())], op="probe")
 
-        (wall,), = [engine.execute(remaining, timeout=30.0)]
+        (wall,), = [engine.wait(engine.submit(remaining, timeout=30.0),
+                                30.0)]
         assert 0 < wall - time.time() <= 30.0
         assert engine.run_jobs([(_job_deadline, ())],
                                op="probe") == [None]

@@ -226,7 +226,7 @@ class TestRetryAbsorption:
         engine = explorer.engine
         assert tracing._fault_hook is not None
         with pytest.raises(FaultInjectedError):
-            engine.execute(lambda: 1, op="probe")
+            engine.wait(engine.submit(lambda: 1, op="probe"))
         engine.shutdown()
         # shutdown uninstalls only its own hook
         assert tracing._fault_hook is None

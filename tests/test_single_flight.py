@@ -1,6 +1,7 @@
 """Concurrent identical cache misses share one computation.
 
-``CExplorer.search`` runs a cacheable miss single-flight: the first
+``CExplorer.search`` runs a cacheable miss single-flight, through the
+index manager's one flight table (``IndexManager.once``): the first
 caller of a missed ``(cache key, index version)`` computes, and a
 concurrent caller of the same key waits for it and answers from the
 cache.  Covered here:
@@ -25,6 +26,7 @@ import urllib.request
 import pytest
 
 from repro.algorithms.registry import get_cs_algorithm
+from repro.engine.index_manager import VersionRecord
 from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
 from repro.server.async_app import make_async_server
@@ -87,17 +89,26 @@ def _explorer(graph, **kwargs):
 
 
 def _joins(monkeypatch, explorer):
-    """An event set whenever a search joins someone else's flight."""
+    """An event set whenever a search joins someone else's answer
+    flight (a derived value's flight, keyed by its record, does not
+    count)."""
     joined = threading.Event()
-    begin = explorer.cache.begin_flight
+    indexes = explorer.indexes
+    once = indexes.once
 
-    def spy(key, version):
-        event, leader = begin(key, version)
-        if not leader:
+    def spy(key, held, compute):
+        if not isinstance(key[0], VersionRecord) \
+                and key in indexes._flights:
             joined.set()
-        return event, leader
-    monkeypatch.setattr(explorer.cache, "begin_flight", spy)
+        return once(key, held, compute)
+    monkeypatch.setattr(indexes, "once", spy)
     return joined
+
+
+def _assert_no_flight_open(explorer):
+    """No computation is in flight in the explorer's one flight
+    table: neither a search miss nor a derived value."""
+    assert explorer.indexes._flights == {}
 
 
 def _canon(communities):
@@ -168,7 +179,7 @@ class TestHerd:
             if front == "sync":
                 server.server_close()
         assert explorer.engine.stats.get("shared_answers") >= 1
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +203,7 @@ class TestFlights:
         assert engine.stats.get("shared_answers") == 1
         assert waiter.trace.to_dict()["tags"]["shared"] is True
         assert "shared" not in leader.trace.to_dict()["tags"]
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
     def test_distinct_keys_run_concurrently(self, dblp_small,
                                             count_acq, monkeypatch):
@@ -209,7 +220,7 @@ class TestFlights:
         counted.release.set()
         assert [_canon(f.result(10.0)) for f in futures] == expected
         assert not joined.is_set()
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
     def test_failed_leader_leaves_the_waiter_to_compute(
             self, dblp_small, count_acq, monkeypatch):
@@ -229,7 +240,7 @@ class TestFlights:
         assert _canon(waiter.result(10.0)) == expected
         assert counted.calls == 2
         assert engine.stats.get("shared_answers") == 0
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
     def test_update_starts_a_new_flight(self, dblp_small, count_acq,
                                         monkeypatch):
@@ -254,7 +265,7 @@ class TestFlights:
         answer = _canon(after.result(10.0))
         before.result(10.0)
         assert counted.calls == 2
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
         assert answer == _canon(_explorer(graph).search("acq", HUB, k=3))
         # The cached entry is the post-update answer: the pre-update
         # leader's store, whenever it lands, is dropped.
@@ -289,7 +300,7 @@ class TestFlights:
         cached = explorer.search("global", HUB, k=3)
         fresh = explorer.search("global", HUB, k=3, use_cache=False)
         assert _canon(cached) == _canon(fresh) == "[]"
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
     def test_uncacheable_searches_never_join(self, dblp_small,
                                              count_acq, monkeypatch):
@@ -309,7 +320,7 @@ class TestFlights:
         answers = [_canon(f.result(10.0)) for f in futures]
         assert len(set(answers)) == 1
         assert counted.calls == 3
-        assert explorer.cache._flights == {}
+        _assert_no_flight_open(explorer)
 
 
 def test_make_server_accepts_only_a_none_batch_window(dblp_small):
@@ -354,4 +365,4 @@ def test_stress_one_computation_per_key(dblp_small, count_acq):
         sys.setswitchinterval(interval)
     assert all(got == expected for got in answers)
     assert counted.calls == len(keys)
-    assert explorer.cache._flights == {}
+    _assert_no_flight_open(explorer)
