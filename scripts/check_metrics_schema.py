@@ -55,7 +55,7 @@ FAULT_PLAN_KEYS = ("seed", "rules", "injected")
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",
                   "total_seconds", "buckets")
 # Engine counters present from boot, bumped or not: the failure
-# rule's inline reruns (see QueryEngine.run_jobs).
+# rule's inline reruns (see QueryEngine.run_job).
 ENGINE_COUNTERS = ("job_inline_fallbacks",)
 
 

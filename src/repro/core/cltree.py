@@ -198,8 +198,9 @@ def build_cltree(graph, core=None):
 
     Accepts either a mutable :class:`AttributedGraph` or a frozen CSR
     snapshot; the frozen case walks the flat ``indptr``/``indices``
-    arrays directly (the process-backend builds ship frozen
-    snapshots, see :mod:`repro.engine.backends`).
+    arrays directly (a process-backend worker builds its CL-tree over
+    the frozen snapshot it was shipped, see
+    :mod:`repro.engine.backends`).
     """
     if core is None:
         core = core_decomposition(graph)

@@ -179,13 +179,6 @@ class Community:
             for v in members
         )
 
-    def internal_degree(self, v):
-        """Degree of ``v`` counting only community-internal edges."""
-        if v not in self._body.vertices:
-            raise KeyError(v)
-        members = self._body.vertices
-        return sum(1 for u in self._body.graph.neighbors(v) if u in members)
-
     # ------------------------------------------------------------------
     # presentation
     # ------------------------------------------------------------------

@@ -23,8 +23,8 @@ The modules
     :class:`~repro.engine.executor.QueryEngine`: a bounded worker pool
     with an admission-controlled request queue (full queue -> immediate
     :class:`~repro.util.errors.EngineBusyError`, surfaced as HTTP 429),
-    per-query deadlines, best-effort cancellation, and a synchronous
-    ``execute`` path for library callers.
+    per-query deadlines, best-effort cancellation, and one blocking
+    wait (``QueryEngine.wait``).
 
 ``cache``
     :class:`~repro.engine.cache.ResultCache`: an LRU over
@@ -56,14 +56,15 @@ The modules
     (p50/p95) and throughput counters behind ``/v1/metrics``.
 
 ``backends``, ``faults``, ``payloads``
-    The job pipeline under
-    :meth:`~repro.engine.executor.QueryEngine.run_jobs`: the two
-    substrates a job runs on (worker process, calling thread) and the
-    picklable job functions; the seeded fault plans that exercise its
-    one failure rule (a job the pool cannot finish runs once more
-    inline); and the zero-copy transport (shared-memory segments,
-    pickle where none can be created) that carries
-    :class:`~repro.graph.frozen.FrozenGraph` payloads.
+    The one-job pipeline under
+    :meth:`~repro.engine.executor.QueryEngine.run_job`, which runs a
+    whole ACQ-family search: the two substrates the job runs on
+    (worker process, calling thread) and the picklable job function;
+    the seeded fault plans that exercise its one failure rule (a job
+    the pool cannot finish runs once more inline); and the zero-copy
+    transport (shared-memory segments, pickle where none can be
+    created) that carries :class:`~repro.graph.frozen.FrozenGraph`
+    payloads.
 
 Choosing a backend
 ==================
@@ -71,16 +72,16 @@ Choosing a backend
 ``QueryEngine(backend="thread")`` (default) keeps everything
 in-process: shared memory, no serialisation, lowest latency -- the
 right choice for small graphs, warm-cache interactive traffic, and
-single-core hosts.  ``backend="process"`` ships CPU-bound work (whole
-queries, detections, CL-tree builds) to worker processes over frozen
-:class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the GIL
--- pick it for multi-core hosts where cold structural queries and
-index builds dominate.  Results are identical either way (a
-property-tested invariant); a job the pool cannot finish runs once
-more inline (``job_inline_fallbacks``), and its overheads are
-observable as
-``snapshot_build`` / ``shard_ipc`` / ``index_build_ipc`` latency ops
-in ``/v1/metrics``::
+single-core hosts.  ``backend="process"`` ships whole ACQ-family
+searches (``acq``, ``acq-inc-s``, ``acq-inc-t``) to worker processes
+over frozen :class:`~repro.graph.frozen.FrozenGraph` snapshots,
+dodging the GIL -- the one route measured winning there, distinct
+cold ACQ misses on a multi-core host.  Every other search, every
+detection and every CL-tree build runs on the engine's threads under
+either backend.  Results are identical either way (a property-tested
+invariant); a job the pool cannot finish runs once more inline
+(``job_inline_fallbacks``), and its overheads are observable as
+``snapshot_build`` / ``shard_ipc`` latency ops in ``/v1/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
     explorer.add_graph("dblp", generate_dblp_graph())

@@ -1,42 +1,45 @@
-"""Execution substrates and job functions: where engine work runs.
+"""Execution substrates and the job function: where a whole ACQ
+search runs.
 
 The :class:`~repro.engine.executor.QueryEngine` always owns a bounded
 *thread* pool -- admission control, deadlines and cancellation live
-there.  A unit of engine work below that is a **job**: a module-level
-function plus picklable arguments, a pure function of an immutable
-frozen payload.  This module holds both halves of that contract:
+there.  Under ``backend="process"`` one kind of work leaves it: a whole
+ACQ-family search, run as a **job** -- a module-level function plus
+picklable arguments, a pure function of an immutable frozen payload.
+This module holds both halves of that contract:
 
 * the two **substrates** a job can run on, both executing
   :func:`timed_job` -- so fault application, the cooperative
   deadline, worker-span collection and child timing are written once:
-  :class:`ProcessBackend`, a lazily started process pool (``fork``
-  context where available) that escapes the GIL for CPU-bound
-  structural work, and the calling thread, where the engine calls
-  :func:`timed_job` directly (under the GIL a thread fan-out measured
-  no faster, see ``docs/ARCHITECTURE.md``);
-* the **job functions** -- whole searches, CD detections, index
-  builds.  A payload travels in
-  a job's arguments as a *handle* :func:`_loads_payload` resolves: a
+  :class:`ProcessBackend`, a process pool (``fork`` context where
+  available) that escapes the GIL, and the calling
+  thread, where the engine calls :func:`timed_job` directly (the
+  inline rerun of a job the pool could not finish);
+* the **job function**, :func:`full_query_job`.  A payload travels in
+  its arguments as a *handle* :func:`_loads_payload` resolves: a
   shared-memory ref is attached, pickled bytes are unpickled, an
   in-process object is used as is;
 * the **worker-side payload cache**, one entry per payload identity
   ``(manager epoch, graph, "full")``: repeated jobs against an
-  unchanged payload skip the resolve and every derived decomposition,
-  and a newer version of an identity evicts its predecessor.
+  unchanged payload skip the resolve and the core numbers and CL-tree
+  built over it, and a newer version of an identity evicts its
+  predecessor.
 
 Choosing a backend
 ==================
 
-``backend="thread"`` (default): jobs run inline on the engine's
+``backend="thread"`` (default): everything runs on the engine's
 admission threads -- lowest latency, no payload shipping.  Right for
 small graphs, cache-heavy interactive traffic, or single-core hosts.
-``backend="process"``: jobs ship to worker processes over frozen CSR
-snapshots -- real parallelism for CPU-bound structural work on
-multi-core hosts, at the cost of payload shipping (reported as
-``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``; the latter
-name predates the job pipeline and now prices every shipped job).  Results are
-identical either way (a tested invariant); a job the pool cannot
-finish runs once more inline rather than failing the query.
+``backend="process"``: ACQ-family searches ship to worker processes
+over frozen CSR snapshots -- parallel cold ACQ misses on multi-core
+hosts, at the cost of payload shipping (reported as
+``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``).  Every other
+search, every detection and every CL-tree build runs on the engine's
+threads under either backend: none of those routes was measured
+winning in the pool.  Results are identical either way (a tested
+invariant); a job the pool cannot finish runs once more inline rather
+than failing the query.
 """
 
 import pickle
@@ -48,7 +51,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.cltree import build_cltree
 from repro.core.kcore import core_decomposition
-from repro.core.ktruss import truss_decomposition
 from repro.engine import faults as fault_injection
 from repro.engine import payloads as payload_plane
 from repro.engine import tracing
@@ -63,7 +65,7 @@ BACKENDS = ("thread", "process")
 
 # Worker-side cache: payload identity (manager epoch, name, "full")
 # -> (version, entry), where the entry holds the resolved payload and
-# its lazily built decompositions.  One entry per identity, so version
+# its lazily built core numbers and CL-tree.  One entry per identity, so version
 # churn on a long-lived worker replaces instead of accumulating; the
 # cap only bounds how many distinct graphs stay resident.
 _WORKER_CACHE = {}
@@ -177,8 +179,8 @@ def _payload_entry(key, handle):
 
     ``key`` is ``(manager epoch, graph, "full", version)``.
     The returned dict holds the resolved snapshot (``frozen``) and,
-    lazily, every derived structure a job may need -- core numbers,
-    the CL-tree, the truss map -- so an unchanged payload pays each
+    lazily, the structures a job builds over it -- core numbers and
+    the CL-tree -- so an unchanged payload pays each
     once per worker, not once per query.  The cache keeps one entry
     per identity ``key[:3]``: a newer version evicts its predecessor
     (before resolving, so the attach can close the old mapping), and
@@ -221,88 +223,29 @@ def _entry_cltree(entry):
     return tree
 
 
-def _entry_truss(entry):
-    """Truss map of the entry's snapshot (computed once)."""
-    truss = entry.get("truss")
-    if truss is None:
-        with tracing.span("truss_build"):
-            truss = entry["truss"] = truss_decomposition(
-                entry["frozen"])
-    return truss
-
-
 def full_query_job(key, payload, algorithm, q, k, keywords=None):
-    """Run one **whole** community search in a worker process.
+    """Run one **whole** ACQ-family search (``acq``, ``acq-inc-s``,
+    ``acq-inc-t``) in a worker process.
 
     The worker executes the complete query -- structural phase,
     keyword enumeration, verification -- against the cached frozen
-    whole-graph snapshot; derived structures (core numbers, CL-tree,
-    truss map) are cached per payload identity.  Returns the
-    communities in :meth:`~repro.core.community.Community.to_wire`
-    form; the parent rebinds them to its live graph object.
-    Results are byte-identical to parent-side execution (the frozen
-    equivalence the protocol suite proves).
+    whole-graph snapshot; its core numbers and CL-tree are cached per
+    payload identity.  Returns the communities in
+    :meth:`~repro.core.community.Community.to_wire` form; the parent
+    rebinds them to its live graph object.  Results are byte-identical
+    to parent-side execution (the frozen equivalence the protocol
+    suite proves).
     """
-    from repro.algorithms.global_search import global_search
-    from repro.algorithms.registry import get_cs_algorithm
-    from repro.algorithms.truss_search import truss_community_search
     from repro.core.acq import acq_search
 
     check_deadline()
     entry = _payload_entry(key, payload)
-    frozen = entry["frozen"]
-    q0 = q if isinstance(q, int) else tuple(q)[0]
-    if algorithm in ("acq", "acq-inc-s", "acq-inc-t"):
-        variant = "dec" if algorithm == "acq" \
-            else algorithm[len("acq-"):]
-        index = _entry_cltree(entry)
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = acq_search(frozen, q, k, keywords=keywords,
-                                algorithm=variant, index=index)
-    elif algorithm == "global":
-        core = _entry_core(entry)
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = global_search(frozen, q0, k, core=core)
-    elif algorithm == "k-truss":
-        truss = _entry_truss(entry)
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = truss_community_search(frozen, q0, k, truss=truss)
-    else:
-        # Every other registered CS algorithm takes the plain
-        # protocol call (atc, codicil, local, steiner, plug-ins).
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = get_cs_algorithm(algorithm)(frozen, q, k,
-                                                 keywords=keywords)
-    return [community.to_wire() for community in result]
-
-
-def detect_job(key, payload, algorithm, params):
-    """Run one whole-graph CD detection in a worker process.
-
-    ``params`` is the detection's keyword arguments as a sorted item
-    tuple (canonical and picklable).  Returns wire-form communities.
-    """
-    from repro.algorithms.registry import get_cd_algorithm
-
-    check_deadline()
-    frozen = _payload_entry(key, payload)["frozen"]
+    variant = "dec" if algorithm == "acq" else algorithm[len("acq-"):]
+    index = _entry_cltree(entry)
     with tracing.span("algorithm", algorithm=algorithm):
-        result = get_cd_algorithm(algorithm)(frozen, **dict(params))
+        result = acq_search(entry["frozen"], q, k, keywords=keywords,
+                            algorithm=variant, index=index)
     return [community.to_wire() for community in result]
-
-
-def build_index_job(frozen, core=None):
-    """Build ``(core numbers, CL-tree)`` over a frozen graph.
-
-    The returned tree's ``graph`` attribute still points at the frozen
-    snapshot; the parent rebinds it to the live graph object before
-    installing the snapshot (node structure, homed vertices and
-    inverted lists are graph-object independent).
-    """
-    if core is None:
-        core = core_decomposition(frozen)
-    tree = build_cltree(frozen, core=core)
-    return core, tree
 
 
 # ----------------------------------------------------------------------
@@ -310,10 +253,18 @@ def build_index_job(frozen, core=None):
 # ----------------------------------------------------------------------
 
 class ProcessBackend:
-    """A lazily started process pool with per-job child timing.
+    """A process pool with per-job child timing.
 
-    Thin by design: admission control, deadlines, the failure rule,
-    fan-out and stats stay in the
+    Its workers fork when it is created -- in practice when the engine
+    is built, before the program around it starts threads of its own
+    -- not at the first job.  A fork while another thread holds a lock
+    leaves the child stuck on it: every ``multiprocessing`` child
+    closes ``sys.stdin`` first, so a main thread blocked reading stdin
+    (a launcher's command loop) would hang each worker before its
+    first job.  A pool replaced after a break forks at its next job.
+
+    Thin by design: admission control, deadlines, the failure rule
+    and stats stay in the
     :class:`~repro.engine.executor.QueryEngine`; this class only ships
     one picklable job at a time and reports its ``(child_seconds,
     spans, result)`` so the engine can separate compute from
@@ -323,6 +274,7 @@ class ProcessBackend:
     def __init__(self, workers):
         self.workers = max(1, int(workers))
         self._pool = None
+        self._ensure()
 
     def _ensure(self):
         if self._pool is None:
@@ -333,6 +285,9 @@ class ProcessBackend:
                 context = None
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context)
+            # A fork-context pool forks every worker at its first
+            # submission: make that one now.
+            self._pool.submit(int)
         return self._pool
 
     def submit_job(self, fn, args, fault=None, deadline=None):
@@ -346,7 +301,7 @@ class ProcessBackend:
         work (broken/shut down -- the substrate is at fault) and
         :class:`~repro.util.errors.JobPayloadError` when this job's
         arguments will not pickle (the job is at fault; the pool stays
-        up and siblings are unaffected).
+        up and other jobs are unaffected).
         """
         pool = self._ensure()
         try:

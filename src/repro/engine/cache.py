@@ -115,16 +115,17 @@ class ResultCache:
     def get(self, key, record_miss=True):
         """The cached value or ``None``; refreshes LRU recency.
 
-        ``record_miss=False`` keeps a speculative probe (the engine's
-        fast-path peek, which falls through to a real lookup) from
-        double-counting misses.
+        ``record_miss=False`` marks a probe beside a real lookup (the
+        engine's fast-path peek before it, the single-flight re-read
+        after it): it counts a hit but no miss, and records no span,
+        so a miss is counted and traced once.
 
-        When a query trace is active on this thread the lookup is
+        When a query trace is active on this thread a real lookup is
         recorded as a ``cache_lookup`` span tagged with the outcome
         (timing is only measured while traced -- the warm fast path
         pays one thread-local read otherwise).
         """
-        trace = tracing.current_trace()
+        trace = tracing.current_trace() if record_miss else None
         start = time.perf_counter() if trace is not None else 0.0
         with self._lock:
             entry = self._data.get(key)

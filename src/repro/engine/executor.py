@@ -25,19 +25,20 @@ algorithms (the Polynesia argument in PAPERS.md):
 * the engine-level :class:`~repro.engine.cache.ResultCache`, wired to
   the :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
-* **the job pipeline** -- :meth:`QueryEngine.run_jobs` is the one
-  path every unit of engine work below a query takes (whole queries,
-  detections, CL-tree builds): a job is a module-level
-  function over an immutable frozen payload, run on the engine's
-  substrate (see :mod:`repro.engine.backends`) with fault injection,
-  deadlines, one failure rule and the ``op`` / ``shard_ipc`` /
-  ``worker_execute`` accounting applied once;
+* **the job pipeline** -- :meth:`QueryEngine.run_job` runs one whole
+  ACQ-family search (job class ``full_query``) as a module-level
+  function over an immutable frozen payload, on the engine's substrate
+  (see :mod:`repro.engine.backends`), with fault injection, the
+  caller's deadline, one failure rule and the ``full_query`` /
+  ``shard_ipc`` / ``worker_execute`` accounting;
 * an **execution backend** (``backend="thread" | "process"``) --
-  with the process backend, jobs ship to a ``multiprocessing`` pool
-  as frozen-graph payloads (zero-copy shared-memory refs, see
-  :mod:`repro.engine.payloads`), dodging the GIL for CPU-bound
-  structural work; a job the pool cannot finish runs once more
-  inline, with identical results;
+  with the process backend, ACQ-family searches ship to a
+  ``multiprocessing`` pool as frozen-graph payloads (zero-copy
+  shared-memory refs, see :mod:`repro.engine.payloads`), dodging the
+  GIL; a job the pool cannot finish runs once more inline, with
+  identical results.  Everything else -- the other searches,
+  detections, CL-tree builds -- runs on the engine's threads under
+  either backend;
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
   ``/v1/metrics``, including the ``snapshot_build`` / ``shard_ipc``
   payload overheads (``shard_ipc`` is the historical name of the
@@ -91,28 +92,9 @@ _INFRASTRUCTURE_ERRORS = (ProcessBackendError, JobPayloadError,
                           WorkerKilledError, FaultInjectedError,
                           PayloadCorruptionError)
 
-
-class Attempt:
-    """One job submitted to the process pool: its future, when it was
-    submitted and -- stamped by the future's done callback -- when it
-    completed, both on this process's ``perf_counter``."""
-
-    __slots__ = ("pool", "future", "started", "done_at")
-
-    def __init__(self, pool, future):
-        self.pool = pool
-        self.future = future
-        self.started = time.perf_counter()
-        self.done_at = None
-        future.add_done_callback(self._stamp)
-
-    def _stamp(self, _future):
-        self.done_at = time.perf_counter()
-
-    def result(self, budget):
-        """The job's ``(child_seconds, spans, value)`` (see
-        :meth:`~repro.engine.backends.ProcessBackend.job_result`)."""
-        return self.pool.job_result(self.future, budget)
+# The one job class: the latency op and fault-plan target of every
+# job.
+JOB_CLASS, = fault_injection.JOB_CLASSES
 
 
 def _handles(args, shipped):
@@ -249,8 +231,6 @@ class QueryEngine:
         self._process = None
         if self.backend == "process":
             self._process = ProcessBackend(workers)
-            # CL-tree builds route through the pool too.
-            self.indexes.build_executor = self._build_in_process
         self.indexes.subscribe(self._on_index_event)
 
     # ------------------------------------------------------------------
@@ -286,11 +266,6 @@ class QueryEngine:
             process, self._process = self._process, None
         if process is not None:
             process.close()
-            # Detach the build delegate (if it is still ours): a
-            # post-shutdown index build must run locally, not
-            # resurrect a pool nothing would ever close.
-            if self.indexes.build_executor == self._build_in_process:
-                self.indexes.build_executor = None
         self.indexes.release_payloads()
         for _ in threads:
             self._queue.put(_SHUTDOWN)
@@ -400,18 +375,16 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # the job pipeline
     # ------------------------------------------------------------------
-    def run_jobs(self, jobs, op):
-        """Run ``(fn, args)`` jobs and return their results in job
-        order -- the engine's one fan-out.  Every unit of engine work
-        (whole queries, detections, index builds) is
-        such a job, and ``op`` names its job class -- the latency
-        histogram and fault-plan target it answers to.  A job is a
-        module-level function over picklable arguments, a pure
-        function of an immutable frozen payload; a
+    def run_job(self, fn, args):
+        """Run one job, ``fn(*args)``, and return its value -- the
+        path of every whole ACQ search on the frozen payload (job class
+        ``full_query``: the latency histogram and fault-plan target it
+        answers to).  A job is a module-level function over picklable
+        arguments, a pure function of an immutable frozen payload; a
         :class:`~repro.engine.index_manager.GraphPayload` argument
-        travels as the handle each attempt needs.
+        travels as the handle its attempt needs.
 
-        **The failure rule.**  A job runs once on the engine's
+        **The failure rule.**  The job runs once on the engine's
         substrate -- the pool under ``backend="process"``, the calling
         thread otherwise -- with its drawn faults and the caller's
         remaining deadline.  If that attempt dies of an
@@ -422,108 +395,55 @@ class QueryEngine:
         no faults, and ``job_inline_fallbacks`` counts it; a corrupt
         payload is also discarded, so the next query re-publishes it.
         Any other exception -- the job's own error, or the caller's
-        deadline -- propagates as itself and cancels the siblings that
-        have not started.
+        deadline -- propagates as itself.
         """
-        jobs = list(jobs)
-        # The executing job's deadline (perf_counter based) bounds
-        # every pool wait and shipped worker deadline.  An index build
-        # ships none, as on the thread backend (where it is no job at
-        # all): a slow pool build must not leave its graph unbuildable.
-        deadline = None if op == "index_build" \
-            else getattr(_job_context, "deadline", None)
+        # The executing job's deadline (perf_counter based) bounds the
+        # pool wait and the shipped worker deadline.
+        deadline = getattr(_job_context, "deadline", None)
         wall = self._wall_deadline(deadline)
-        # One fault draw per job per dispatch, so a plan replays
-        # identically whatever the jobs then meet.
-        faults = [self.faults.draw(op) if self.faults is not None
-                  else None for _ in jobs]
+        actions = self.faults.draw(JOB_CLASS) \
+            if self.faults is not None else None
+        worker_faults = fault_injection.worker_actions(actions)
         pool = self._process
-        attempts = []
-        values = []
+        ipc = 0.0
         try:
-            if pool is not None:
-                for job, actions in zip(jobs, faults):
-                    attempts.append(
-                        self._submit(pool, job, actions, wall))
-            for i, job in enumerate(jobs):
-                values.append(self._collect(
-                    i, job, faults[i],
-                    attempts[i] if attempts else None, op, deadline,
-                    wall))
-        except BaseException:
-            # Don't leave the rest of the fan-out running for nobody:
-            # cancel what has not started (running jobs self-cancel
-            # at their next cooperative deadline check).
-            for attempt in attempts[len(values):]:
-                if isinstance(attempt, Attempt):
-                    attempt.future.cancel()
-            raise
-        return values
-
-    def _submit(self, pool, job, actions, wall):
-        """Submit one job to the pool with its drawn faults.  An
-        infrastructure error at submission is returned in the
-        attempt's place, for :meth:`_collect` to treat like one the
-        pool reports later."""
-        fn, args = job
-        try:
-            args = self._apply_parent_faults(
-                actions, _handles(args, shipped=True))
-            return Attempt(pool, pool.submit_job(
-                fn, args, fault=fault_injection.worker_actions(actions),
-                deadline=wall))
-        except _INFRASTRUCTURE_ERRORS as exc:
-            return exc
-
-    def _collect(self, i, job, actions, attempt, op, deadline, wall):
-        """Job ``i``'s value under the failure rule, with its ``op`` /
-        ``shard_ipc`` latency and its ``worker_execute`` span recorded.
-        ``attempt`` is what :meth:`_submit` returned, or ``None`` when
-        there is no pool and the first attempt runs right here."""
-        fn, args = job
-        try:
-            if attempt is None:
-                outcome = timed_job(
-                    fn, _handles(args, shipped=False),
-                    fault_injection.worker_actions(actions), wall)
-            elif isinstance(attempt, Exception):
-                raise attempt
+            if pool is None:
+                outcome = timed_job(fn, _handles(args, shipped=False),
+                                    worker_faults, wall)
             else:
-                outcome = attempt.result(_remaining(deadline))
+                shipped = self._apply_parent_faults(
+                    actions, _handles(args, shipped=True))
+                future = pool.submit_job(fn, shipped, fault=worker_faults,
+                                         deadline=wall)
+                started = time.perf_counter()
+                outcome = pool.job_result(future, _remaining(deadline))
+                # What the round trip cost beyond the job's own run.
+                ipc = max(time.perf_counter() - started - outcome[0],
+                          0.0)
         except _INFRASTRUCTURE_ERRORS as exc:
             if isinstance(exc, PayloadCorruptionError) \
                     and exc.key is not None:
                 self.indexes.discard_payload(exc.key)
             self.stats.count("job_inline_fallbacks")
-            attempt = None
+            pool = None
             outcome = timed_job(fn, _handles(args, shipped=False),
                                 None, wall)
         child, spans, value = outcome
-        ipc = 0.0
-        if attempt is not None:
-            # Collection is serial, so "collection time minus child"
-            # would charge sibling compute skew to ``shard_ipc``; the
-            # done-callback stamp does not.
-            done = attempt.done_at or time.perf_counter()
-            ipc = max(done - attempt.started - child, 0.0)
         # Payload resolution inside the job (``index_thaw``: unpickling
         # a blob, attaching a segment) is transport cost, not query
         # compute: ``shard_ipc`` prices what the transport pays, the op
         # histogram the algorithm.
         thaw = min(child, sum(s[2] for s in spans if s[0] == "index_thaw"))
-        self.stats.observe(op, child - thaw)
-        self.stats.observe(
-            "index_build_ipc" if op == "index_build" else "shard_ipc",
-            ipc + thaw)
+        self.stats.observe(JOB_CLASS, child - thaw)
+        self.stats.observe("shard_ipc", ipc + thaw)
         trace = tracing.current_trace()
         if trace is not None:
             index = trace.add_span(
                 "worker_execute", child,
-                tags={"job": i,
-                      "backend": "inline" if attempt is None
+                tags={"backend": "inline" if pool is None
                       else "process"})
             trace.graft(index, spans)
-            trace.add_span("shard_ipc", ipc + thaw, tags={"job": i})
+            trace.add_span("shard_ipc", ipc + thaw)
         return value
 
     @staticmethod
@@ -563,80 +483,37 @@ class QueryEngine:
                         payload_plane.lose_segment(value)
         return args
 
-    def _build_in_process(self, graph, core=None):
-        """Index-build executor wired into the
-        :class:`~repro.engine.index_manager.IndexManager` when the
-        process backend is active: freeze the graph, build core
-        numbers + CL-tree as one :func:`~repro.engine.backends.
-        build_index_job` through :meth:`run_jobs` (so a build the pool
-        cannot finish runs inline), rebind the tree to the live graph
-        object."""
-        from repro.engine.backends import build_index_job
-        from repro.graph.frozen import FrozenGraph
-
-        start = time.perf_counter()
-        frozen = FrozenGraph.from_graph(graph)
-        self.stats.observe("snapshot_build",
-                           time.perf_counter() - start)
-        (core, cltree), = self.run_jobs(
-            [(build_index_job, (frozen, core))], op="index_build")
-        cltree.graph = graph
-        return core, cltree
-
     # ------------------------------------------------------------------
     # whole-query worker execution
     # ------------------------------------------------------------------
     def full_query_capable(self):
-        """Whether whole-query worker execution pays.
-
-        Only under the process backend, where the pipeline is what
-        lets a query escape the GIL.  The thread backend stays on the
-        live graph even when a frozen payload happens to be cached:
-        the frozen copy gets no shared ``global`` body and is
-        re-frozen after every update.
+        """Whether whole-query worker execution pays: only under the
+        process backend, and the planner offers it only to ACQ-family
+        searches, the one route measured winning in the pool.  The
+        thread backend stays on the live graph even when a frozen
+        payload happens to be cached: the frozen copy is re-frozen
+        after every update.
         """
         return self.backend == "process"
 
-    def _payload(self, name):
-        """Graph ``name``'s cached whole-graph payload; a fresh
-        freeze's build time is recorded under the ``snapshot_build``
-        latency op."""
-        payload, fresh = self.indexes.full_payload(name)
-        if fresh:
-            self.stats.observe("snapshot_build", payload.build_seconds)
-        return payload
-
     def search_full_query(self, name, algorithm, q, k, keywords=None):
-        """Run one whole community search against the cached frozen
+        """Run one whole ACQ-family search against the cached frozen
         payload of graph ``name`` -- in a worker process under the
-        process backend, in-process (same pipeline, same results)
-        otherwise.  Returns live
+        process backend, in-process (same job, same results)
+        otherwise.  A fresh freeze's time is recorded under the
+        ``snapshot_build`` latency op.  Returns live
         :class:`~repro.core.community.Community` objects bound to the
         registered graph.
         """
         from repro.engine.backends import full_query_job
 
-        payload = self._payload(name)
-        wires, = self.run_jobs(
-            [(full_query_job,
-              (payload.key, payload, algorithm, q, k, keywords))],
-            op="full_query")
+        payload, fresh = self.indexes.full_payload(name)
+        if fresh:
+            self.stats.observe("snapshot_build", payload.build_seconds)
+        wires = self.run_job(
+            full_query_job,
+            (payload.key, payload, algorithm, q, k, keywords))
         self.stats.count("worker_full_query")
-        graph = self.indexes.graph(name)
-        return [Community.from_wire(graph, wire) for wire in wires]
-
-    def detect(self, name, algorithm, params=None):
-        """Run one whole-graph CD detection on the frozen payload, as
-        one ``detect`` job; the result is byte-identical to inline
-        detection (the frozen equivalence the protocol suite proves).
-        """
-        from repro.engine.backends import detect_job
-
-        payload = self._payload(name)
-        wires, = self.run_jobs(
-            [(detect_job, (payload.key, payload, algorithm,
-                           tuple(sorted(dict(params or {}).items()))))],
-            op="detect")
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires]
 

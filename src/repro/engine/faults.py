@@ -2,13 +2,15 @@
 
 The engine's one failure rule -- a job the pool cannot finish runs
 once more inline -- is unfalsifiable without a way to *cause* the
-faults it claims to survive.  This module provides the seeded
-:class:`FaultPlan` that the chaos suite, the CI ``chaos`` job and the
-fault-injection benchmark all drive: a plan can kill worker jobs,
-delay/duplicate/drop engine jobs, corrupt pickled payloads, break the
-process pool, and raise inside named tracing spans -- each with a
-deterministic, seed-derived decision per injection site, so a failing
-chaos run replays bit-for-bit.
+faults it claims to survive.  There is one job class, ``full_query``:
+a whole ACQ-family search, run by
+:meth:`~repro.engine.executor.QueryEngine.run_job`.  This module
+provides the seeded :class:`FaultPlan` that the chaos suite and the
+CI ``chaos`` job drive: a plan can kill worker jobs, delay, duplicate
+or drop jobs, corrupt pickled payloads, break the process pool, and
+raise inside named tracing spans -- each with a deterministic,
+seed-derived decision per injection site, so a failing chaos run
+replays bit-for-bit.
 
 Determinism is the design constraint.  Every decision is drawn
 **parent-side at dispatch time** from a counter-indexed PRNG stream
@@ -75,9 +77,10 @@ FAULT_KINDS = ("kill", "drop", "delay", "duplicate", "corrupt",
 # rest act at the parent's dispatch site.
 WORKER_KINDS = ("kill", "drop", "delay", "duplicate", "error")
 
-#: the job classes the engine draws faults for: the ``op`` of every
-#: :meth:`~repro.engine.executor.QueryEngine.run_jobs` dispatch.
-JOB_CLASSES = ("full_query", "detect", "index_build")
+#: the job classes the engine draws faults for: one, the whole ACQ
+#: search every :meth:`~repro.engine.executor.QueryEngine.run_job`
+#: call runs.
+JOB_CLASSES = ("full_query",)
 
 
 class FaultSpecError(EngineError):

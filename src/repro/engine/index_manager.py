@@ -112,9 +112,9 @@ class GraphPayload:
     a shared-memory segment) or, when no segment can be created, the
     pickled ``blob``.  ``key`` is the ``(manager epoch, graph,
     "full", version)`` identity workers cache the resolved payload --
-    and every derived structure (core numbers, CL-tree, truss map) --
-    under, so repeated jobs against an unchanged graph pay neither
-    the transfer nor the decompositions.
+    and the core numbers and CL-tree built over it -- under, so
+    repeated jobs against an unchanged graph pay neither the transfer
+    nor the builds.
     """
 
     __slots__ = ("key", "version", "frozen", "_blob", "_segment",
@@ -194,11 +194,6 @@ class IndexManager:
         self._flights = {}
         self._subscribers = []
         self._payload_epoch = next(self._payload_epochs)
-        # Optional build delegate ``(graph, core=None) -> (core,
-        # cltree)``; the engine's process backend installs one so
-        # CL-tree builds run in worker processes instead of under the
-        # GIL (a build the pool cannot finish reruns inline there).
-        self.build_executor = None
         # Size of the most recent truss cascade across *all* maintained
         # graphs (per-maintainer counters cannot say which update was
         # last when several graphs are maintained).
@@ -356,9 +351,8 @@ class IndexManager:
         under the ``snapshot_build`` latency op).  This is what the
         whole-query execution path ships to workers: one immutable CSR
         snapshot per graph version, against which a worker runs an
-        entire search or detection and caches every derived structure
-        (core numbers, CL-tree, truss map) under the payload's
-        identity.
+        entire ACQ search and caches the core numbers and CL-tree it
+        builds under the payload's identity.
         """
         entry, record = self._current(name)
 
@@ -492,20 +486,10 @@ class IndexManager:
         """Build and return ``record``'s CL-tree (the compute of its
         ``cltree`` flight)."""
         start = time.perf_counter()
-        executor = self.build_executor
-        if executor is not None:
-            # Delegated (process-backend) build: core numbers are
-            # computed in the worker too when not already derived, so a
-            # cold build pays nothing GIL-bound here.
-            core, cltree = executor(entry.graph, core=record.core)
-        else:
-            core = self._core(entry, record)
-            cltree = build_cltree(entry.graph, core=core)
+        cltree = build_cltree(entry.graph, core=self._core(entry, record))
         cltree.build_seconds = time.perf_counter() - start
         tracing.add_span("index_build", cltree.build_seconds, graph=name)
         with self._lock:
-            if record.core is None:
-                record.core = core
             entry.build_count += 1
         return cltree
 

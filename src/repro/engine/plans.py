@@ -11,7 +11,10 @@ small planner that makes that call, so the server can accept
 yet, ``auto`` runs index-free instead of paying the build.
 
 A plan is data, not behaviour: the engine executes it, and a search's
-trace carries its ``reason``.
+trace carries its ``reason``.  It also says where the search runs:
+under the process backend an ACQ-family search is marked
+``worker_full_query`` and runs whole in the process pool; every other
+search runs on the engine's threads against the live graph.
 """
 
 # Below this size every strategy is interactive; prefer the exact one.
@@ -19,19 +22,13 @@ SMALL_GRAPH_VERTICES = 2_000
 
 ACQ_FAMILY = ("acq", "acq-inc-s", "acq-inc-t")
 
-# The triangle-cohesive family: their structural phase is the global
-# k-truss edge set rather than a connected k-core component.
-TRUSS_FAMILY = ("k-truss", "atc")
-
-# Algorithms the whole-query worker pipeline can run end-to-end
-# against a cached frozen snapshot (repro.engine.backends.
-# full_query_job): every built-in CS method -- the graph read
-# protocol guarantees each accepts a FrozenGraph with byte-identical
-# results.  Plug-ins registered after import are dispatched through
-# the same generic protocol call, but the planner only volunteers the
-# worker path for names it knows satisfy it.
-FULL_QUERY_ALGORITHMS = frozenset(ACQ_FAMILY) | frozenset(TRUSS_FAMILY) \
-    | {"global", "local", "codicil", "steiner"}
+# Algorithms the whole-query worker path runs end-to-end against a
+# cached frozen snapshot (repro.engine.backends.full_query_job): the
+# ACQ family only, the one route measured winning in the process pool
+# (distinct cold ACQ misses).  Every other algorithm runs on the live
+# graph, where it shares the version record's derived values (the
+# ``global`` bodies, the CODICIL partition, the truss map).
+FULL_QUERY_ALGORITHMS = frozenset(ACQ_FAMILY)
 
 
 class QueryPlan:
@@ -65,10 +62,9 @@ def plan_search(algorithm, graph, index_ready=False, keywords=None,
 
     ``algorithm`` may be a registered CS name (passed through, with
     the index decision made here for the ACQ family) or ``"auto"``.
-    ``full_payload`` says a frozen whole-graph payload exists (or the
-    engine's backend makes building one worthwhile); the plan then
-    marks protocol-capable algorithms for whole-query worker
-    execution.
+    ``full_payload`` says the engine's backend makes whole-query
+    worker execution worthwhile; the plan then marks ACQ-family
+    searches (:data:`FULL_QUERY_ALGORITHMS`) for it.
 
     Auto rules, in order:
 

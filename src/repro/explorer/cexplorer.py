@@ -392,10 +392,11 @@ class CExplorer:
         plan says so, from the shared ``global`` body when one holds
         the query vertex, by the registered algorithm otherwise."""
         if plan.worker_full_query and not params:
-            # Whole-query worker execution: the entire search --
-            # structural phase included -- runs against the cached
-            # frozen payload (in a worker process under the process
-            # backend; a job the pool cannot finish reruns inline).
+            # Whole-query worker execution (ACQ family, process
+            # backend): the entire search -- structural phase
+            # included -- runs against the cached frozen payload in a
+            # worker process; a job the pool cannot finish reruns
+            # inline.
             return self.engine.search_full_query(
                 name, plan.algorithm, q, k, keywords=keywords)
         bodies = None
@@ -451,21 +452,12 @@ class CExplorer:
         return self.indexes.derived(name, "global-bodies", k, list)
 
     def detect(self, algorithm, **params):
-        """Run a CD algorithm on the whole active graph.
-
-        Detections route through the engine's frozen-payload pipeline
-        under the process backend, where the whole detection escapes
-        the GIL: the worker runs the registered algorithm
-        against the CSR snapshot and ships plain results back, byte-
-        identical to inline execution.  A job the pool cannot finish
-        reruns inline.
-        """
+        """Run a CD algorithm on the whole active graph, on the calling
+        thread, under either backend."""
         algo = get_cd_algorithm(algorithm)
         name = self._require_current()
         with self.engine.tracer.trace(
                 "detect", graph=name, algorithm=algo.name):
-            if self.engine.full_query_capable():
-                return self.engine.detect(name, algo.name, params=params)
             return algo(self.graph, **params)
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ class FrozenGraph:
     """
 
     __slots__ = ("indptr", "indices", "_m", "_keywords", "_labels",
-                 "_label_to_id", "_np_csr", "_postings", "_sidecar")
+                 "_label_to_id", "_np_csr", "_sidecar")
 
     def __init__(self, indptr, indices, keywords, labels,
                  sidecar_loader=None):
@@ -76,7 +76,6 @@ class FrozenGraph:
         self._sidecar = sidecar_loader
         self._label_to_id = None     # built lazily; excluded from pickle
         self._np_csr = None          # cached numpy views, ditto
-        self._postings = None        # lazy keyword postings, ditto
 
     # ------------------------------------------------------------------
     # construction
@@ -126,7 +125,6 @@ class FrozenGraph:
         self._sidecar = None
         self._label_to_id = None
         self._np_csr = None
-        self._postings = None
 
     # ------------------------------------------------------------------
     # kernel access
@@ -236,23 +234,6 @@ class FrozenGraph:
         for kws in self._keywords:
             vocab |= kws
         return vocab
-
-    def keyword_postings(self):
-        """The inverted keyword index ``{keyword: frozenset of ids}``.
-
-        Built lazily in one pass and cached for the snapshot's
-        lifetime (it can never go stale).  The returned dict and its
-        values must be treated as read-only.
-        """
-        if self._postings is None:
-            self._ensure_sidecar()
-            postings = {}
-            for v, kws in enumerate(self._keywords):
-                for w in kws:
-                    postings.setdefault(w, []).append(v)
-            self._postings = {w: frozenset(vs)
-                              for w, vs in postings.items()}
-        return self._postings
 
     # ------------------------------------------------------------------
     # traversal

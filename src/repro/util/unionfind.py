@@ -26,7 +26,6 @@ class UnionFind:
     def __init__(self, items=()):
         self._parent = {}
         self._rank = {}
-        self._count = 0
         for item in items:
             self.add(item)
 
@@ -35,18 +34,12 @@ class UnionFind:
         if item not in self._parent:
             self._parent[item] = item
             self._rank[item] = 0
-            self._count += 1
 
     def __contains__(self, item):
         return item in self._parent
 
     def __len__(self):
         return len(self._parent)
-
-    @property
-    def set_count(self):
-        """Number of disjoint sets currently in the forest."""
-        return self._count
 
     def find(self, item):
         """Return the canonical representative of ``item``'s set."""
@@ -75,7 +68,6 @@ class UnionFind:
         self._parent[rb] = ra
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
-        self._count -= 1
         return ra
 
     def connected(self, a, b):
@@ -113,10 +105,6 @@ class AnchoredUnionFind(UnionFind):
         super().add(item)
         if not known:
             self._anchor[item] = None
-
-    def anchor_of(self, item):
-        """Return the anchor payload of the set containing ``item``."""
-        return self._anchor[self.find(item)]
 
     def set_anchor(self, item, anchor):
         """Attach ``anchor`` to the set containing ``item``."""

@@ -8,15 +8,19 @@ The load-bearing invariants:
 * **payload lifecycle** -- whole-graph snapshots are frozen once per
   (graph, version) and invalidated exactly when maintenance bumps the
   version, so process results track mutations;
-* **index builds** -- eager/background CL-tree builds route through
-  the process pool and install snapshots equivalent to local builds;
-* **fallback** -- a thread-backend engine runs the same jobs
+* **index builds** -- CL-tree builds run on the caller's thread under
+  either backend, over the live graph;
+* **fallback** -- a thread-backend engine runs the same job
   inline, and a job the pool cannot finish runs once more in-process
   instead of failing the query.
 
 The dispatch contract both substrates share is
 ``test_job_pipeline.py``'s.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,6 @@ from repro.engine import backends
 from repro.engine.backends import (
     BACKENDS,
     ProcessBackend,
-    build_index_job,
     full_query_job,
     validate_backend,
 )
@@ -35,6 +38,35 @@ from repro.graph.frozen import freeze
 from repro.util.errors import EngineError
 
 from conftest import random_graphs
+
+
+# A launcher in miniature: the main thread blocks reading stdin while
+# a server thread answers the first ACQ search under the process
+# backend.  The parent holds stdin open until the child exits.
+_STDIN_LAUNCHER = """
+import multiprocessing, os, sys, threading
+from repro import CExplorer
+from repro.datasets import karate_club_graph
+from repro.engine.faults import FaultPlan
+
+explorer = CExplorer(workers=1, backend="process", faults=FaultPlan())
+explorer.add_graph("k", karate_club_graph())
+
+def serve():
+    engine = explorer.engine
+    try:
+        engine.wait(engine.search("acq", 0, k=2, timeout=10.0), 10.0)
+        print("answered", engine.stats.get("worker_full_query"))
+    except Exception as exc:
+        print("failed", type(exc).__name__)
+    sys.stdout.flush()
+    for child in multiprocessing.active_children():
+        child.kill()
+    os._exit(0)
+
+threading.Thread(target=serve).start()
+sys.stdin.read()
+"""
 
 
 def _equivalent(plain, other, queries, algorithms=("global", "acq")):
@@ -81,28 +113,31 @@ class TestJobFunctions:
         payload, _ = explorer.indexes.full_payload("k")
         for k in (1, 2, 3):
             expected = [c.to_wire() for c in
-                        explorer.search("global", 0, k=k,
+                        explorer.search("acq", 0, k=k,
                                         use_cache=False)]
             in_process = full_query_job(
-                payload.key, payload.job_arg(shipped=False), "global",
+                payload.key, payload.job_arg(shipped=False), "acq",
                 0, k)
             assert in_process == expected
             for handle in (payload.blob, payload.job_arg()):
                 # Each handle must be resolved, not served from the
                 # entry the previous one cached.
                 backends._WORKER_CACHE.pop(payload.key[:3])
-                assert full_query_job(payload.key, handle, "global",
+                assert full_query_job(payload.key, handle, "acq",
                                       0, k) == in_process
         explorer.engine.shutdown()
 
-    def test_build_index_job_matches_local_build(self, karate):
+    def test_worker_cltree_matches_local_build(self, karate):
+        """The CL-tree a worker builds over its frozen snapshot (and
+        caches per payload identity) answers like the live graph's."""
         from repro.core.cltree import build_cltree
-        frozen = freeze(karate)
-        core, tree = build_index_job(frozen)
-        assert core == core_decomposition(karate)
+        entry = {"frozen": freeze(karate)}
+        tree = backends._entry_cltree(entry)
+        assert backends._entry_cltree(entry) is tree
+        assert entry["core"] == core_decomposition(karate)
         oracle = build_cltree(karate)
         for v in karate.vertices():
-            for k in range(max(core) + 2):
+            for k in range(max(entry["core"]) + 2):
                 assert tree.community_vertices(v, k) == \
                     oracle.community_vertices(v, k)
 
@@ -179,18 +214,23 @@ class TestProcessBackendEquivalence:
         proc.engine.shutdown()
 
     def test_process_index_builds(self, dblp_small):
+        """``index()`` builds on the calling thread under the process
+        backend too: no job, no ``index_build`` latency op, and the
+        tree is over the live graph, not a frozen copy."""
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         plain.index()
         proc = CExplorer(workers=2, backend="process")
         proc.add_graph("g", dblp_small)
-        proc.index()
+        tree = proc.index()
         assert proc.indexes.built("g")
+        assert tree.graph is dblp_small
         jim = dblp_small.id_of("Jim Gray")
         assert proc.search("acq", jim, k=3) == \
             plain.search("acq", jim, k=3)
         ops = proc.engine.snapshot()["latency"]
-        assert "index_build_ipc" in ops
+        assert "index_build" not in ops
+        assert "snapshot_build" in ops      # the ACQ search's payload
         proc.engine.shutdown()
 
 
@@ -202,12 +242,10 @@ class TestFallbacks:
         explorer = CExplorer()           # thread backend
         explorer.add_graph("k", karate)
         payload, _ = explorer.indexes.full_payload("k")
-        results = explorer.engine.run_jobs(
-            [(full_query_job,
-              (payload.key, payload.blob, "global", 0, 2))],
-            op="full_query")
-        assert results[0] == [c.to_wire() for c in
-                              explorer.search("global", 0, k=2)]
+        result = explorer.engine.run_job(
+            full_query_job, (payload.key, payload.blob, "acq", 0, 2))
+        assert result == [c.to_wire() for c in
+                          explorer.search("acq", 0, k=2)]
 
     def test_broken_pool_falls_back_inline(self, karate):
         proc = CExplorer(workers=2, backend="process")
@@ -225,25 +263,27 @@ class TestFallbacks:
                 pass
 
         proc.engine._process._pool = _Exploding()
-        result = proc.search("global", 0, k=2, use_cache=False)
+        result = proc.search("acq", 0, k=2, use_cache=False)
         plain = CExplorer()
         plain.add_graph("k", karate)
-        assert result == plain.search("global", 0, k=2)
+        assert result == plain.search("acq", 0, k=2)
         assert proc.engine.stats.get("job_inline_fallbacks") >= 1
         proc.engine.shutdown()
 
-    def test_broken_build_executor_counts_and_builds_locally(
-            self, karate):
+    def test_broken_pool_leaves_index_builds_alone(self, karate):
+        """A CL-tree build never touches the pool, so a pool that
+        breaks on every job costs it nothing."""
         from repro.core.cltree import build_cltree
         from repro.engine.faults import FaultPlan
 
         proc = CExplorer(workers=1, backend="process",
                          faults=FaultPlan.from_spec(
-                             "pool_break:index_build@1.0"))
+                             "pool_break:full_query@1.0"))
         proc.add_graph("k", karate)
         try:
-            tree = proc.indexes.snapshot("k").cltree   # built inline
-            assert proc.engine.stats.get("job_inline_fallbacks") == 1
+            tree = proc.indexes.snapshot("k").cltree
+            assert proc.engine.stats.get("job_inline_fallbacks") == 0
+            assert proc.engine.faults.injected() == 0
             assert tree.graph is karate
             assert tree.describe() == build_cltree(karate).describe()
         finally:
@@ -254,10 +294,30 @@ class TestFallbacks:
         proc.add_graph("k", karate)
         proc.engine.shutdown()
         assert proc.engine._process is None
-        assert proc.indexes.build_executor is None
-        # A post-shutdown build runs locally instead of resurrecting
+        # A post-shutdown search runs inline instead of resurrecting
         # a pool nothing would ever close.
-        assert proc.indexes.snapshot("k").cltree is not None
+        assert proc.search("acq", 0, k=2)
+        assert proc.engine._process is None
+
+    def test_workers_fork_before_a_reader_blocks_stdin(self):
+        """The pool's workers fork when the engine is built.  Forked
+        later, while the main thread is blocked reading ``sys.stdin``
+        (a launcher's command loop), each child would hang closing
+        stdin before its first job, and every ACQ search would time
+        out.  Run in a child interpreter, which kills its pool on the
+        way out, so a regression fails instead of hanging the suite."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STDIN_LAUNCHER],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        try:
+            child.wait(timeout=60)
+        finally:
+            child.kill()
+            child.stdin.close()
+        assert child.stdout.read().split() == ["answered", "1"], \
+            child.stderr.read()
 
     def test_pool_recovers_after_break(self, karate):
         backend = ProcessBackend(workers=1)

@@ -52,11 +52,6 @@ class TestStatistics:
     def test_minimum_internal_degree(self, triangle_community):
         assert triangle_community.minimum_internal_degree() == 2
 
-    def test_internal_degree(self, triangle_community):
-        assert triangle_community.internal_degree(2) == 2  # edge to 3 cut
-        with pytest.raises(KeyError):
-            triangle_community.internal_degree(3)
-
     def test_induced_edges(self, triangle_community):
         assert sorted(triangle_community.induced_edges()) == \
             [(0, 1), (0, 2), (1, 2)]

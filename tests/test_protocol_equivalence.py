@@ -1,15 +1,16 @@
 """The graph read protocol and its load-bearing equivalences.
 
-The whole-query worker pipeline stands on one invariant: **every
-registered CS/CD algorithm accepts a FrozenGraph and returns results
-byte-identical to the AttributedGraph path**.  This suite proves it --
-per algorithm, property-tested over random graphs and checked on the
-DBLP/LFR workloads -- and then proves the execution layers built on
-top of it:
+The whole-query worker pipeline stands on one invariant: **a
+registered algorithm accepts a FrozenGraph and returns results
+byte-identical to the AttributedGraph path**.  This suite proves it
+for every CS/CD algorithm -- property-tested over random graphs and
+checked on the DBLP/LFR workloads -- and then proves the execution
+layers built on top of it:
 
 * whole-query worker execution (process backend) equal to inline
-  execution for every CS algorithm;
-* engine detections identical between inline and worker execution;
+  execution for the ACQ family, the only searches the pool runs; every
+  other search and every detection stays off the pool, with equal
+  answers;
 * the payload cache behind the pipeline.
 """
 
@@ -26,6 +27,7 @@ from repro.core.community import Community
 from repro.core.kcore import core_decomposition
 from repro.datasets import generate_planted_partition
 from repro.engine.faults import FaultPlan
+from repro.engine.plans import ACQ_FAMILY
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.attributed import AttributedGraph
 from repro.graph.frozen import freeze
@@ -101,14 +103,6 @@ class TestProtocol:
         assert sorted(frozen_sub.edges()) == sorted(mutable_sub.edges())
         assert [frozen_sub.keywords(v) for v in frozen_sub.vertices()] \
             == [mutable_sub.keywords(v) for v in mutable_sub.vertices()]
-
-    def test_keyword_postings(self, dblp_small):
-        frozen = freeze(dblp_small)
-        postings = frozen.keyword_postings()
-        for keyword, vertices in list(postings.items())[:25]:
-            assert vertices == {v for v in dblp_small.vertices()
-                                if keyword in dblp_small.keywords(v)}
-        assert "no-such-kw" not in postings
 
     def test_community_wire_roundtrip(self, karate):
         community = Community(karate, {0, 1, 2}, method="X",
@@ -207,8 +201,9 @@ class TestWholeQueryWorkers:
                     assert proc.search(name, q, k=k, use_cache=False) \
                         == plain.search(name, q, k=k, use_cache=False), \
                         (name, q)
+            # Only the ACQ family ran in the pool.
             snapshot = proc.engine.snapshot()
-            assert snapshot["worker_full_query"] > 0
+            assert snapshot["worker_full_query"] == 2 * len(ACQ_FAMILY)
             assert proc.engine.stats.get("job_inline_fallbacks") == 0
         finally:
             proc.engine.shutdown()
@@ -220,7 +215,7 @@ class TestWholeQueryWorkers:
         proc = CExplorer(workers=2, backend="process")
         proc.add_graph("g", dblp_small)
         try:
-            for name in ("acq", "acq-inc-s", "acq-inc-t", "atc"):
+            for name in ACQ_FAMILY:
                 k = CS_K.get(name, 3)
                 assert proc.search(name, jim, k=k, keywords=keywords) \
                     == plain.search(name, jim, k=k, keywords=keywords)
@@ -235,22 +230,65 @@ class TestWholeQueryWorkers:
         proc = CExplorer(workers=2, backend="process")
         proc.add_graph("g", graph)
         try:
-            for name in ("acq", "global", "k-truss"):
+            for name in ACQ_FAMILY:
                 k = CS_K.get(name, 1)
                 assert proc.search(name, 0, k=k, use_cache=False) == \
                     plain.search(name, 0, k=k, use_cache=False), name
         finally:
             proc.engine.shutdown()
 
+    def test_process_global_shares_component_bodies(self, karate):
+        """``global`` stays on the live graph under the process
+        backend, so two vertices of one component share one body."""
+        proc = CExplorer(workers=2, backend="process",
+                         faults=FaultPlan())
+        proc.add_graph("k", karate)
+        try:
+            first, = proc.search("global", 0, k=2)
+            second, = proc.search("global", 1, k=2)
+            assert first.body is second.body
+            assert proc.engine.stats.get("worker_full_query") == 0
+        finally:
+            proc.engine.shutdown()
+
+    def test_process_codicil_partitions_once(self, karate, monkeypatch):
+        """``codicil`` stays on the live graph under the process
+        backend: distinct query vertices share one partition per
+        version instead of each worker miss recomputing it."""
+        info = get_cd_algorithm("codicil")
+        calls = []
+        real = info.func
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(info, "func", counted)
+        plain = CExplorer()
+        plain.add_graph("k", karate)
+        expected = [plain.search("codicil", q, k=2) for q in range(4)]
+        calls.clear()
+        proc = CExplorer(workers=2, backend="process",
+                         faults=FaultPlan())
+        proc.add_graph("k", karate)
+        try:
+            assert [proc.search("codicil", q, k=2)
+                    for q in range(4)] == expected
+            assert len(calls) == 1
+            assert proc.engine.stats.get("worker_full_query") == 0
+        finally:
+            proc.engine.shutdown()
+
 
 # ----------------------------------------------------------------------
-# engine detections: inline == worker
+# detections: the same answer under either backend, off the pool
 # ----------------------------------------------------------------------
 class TestEngineDetect:
     CD_PARAMS = {"codicil": {"seed": 3},
                  "label-propagation": {"seed": 3}}
 
     def test_process_detect_equals_inline(self, dblp_small):
+        """A detection runs on the calling thread under the process
+        backend too: equal answers, and no job reaches the pool."""
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         proc = CExplorer(workers=2, backend="process")
@@ -260,8 +298,9 @@ class TestEngineDetect:
                 params = self.CD_PARAMS[name]
                 assert proc.detect(name, **params) == \
                     plain.detect(name, **params), name
-            assert proc.engine.snapshot()["latency"]["detect"][
-                "count"] == 2
+            latency = proc.engine.snapshot()["latency"]
+            assert "detect" not in latency
+            assert "full_query" not in latency
         finally:
             proc.engine.shutdown()
 

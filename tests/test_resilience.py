@@ -21,6 +21,7 @@ from repro.datasets import DblpConfig, generate_dblp_graph
 from repro.engine import backends
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import (
+    JOB_CLASSES,
     FaultPlan,
     FaultSpecError,
     corrupt_blob,
@@ -72,7 +73,7 @@ def _fallbacks(explorer):
 class TestFaultPlan:
     def test_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "seed=7;kill:detect@0.05;delay:full_query@0.5=0.02;"
+            "seed=7;kill:full_query@0.05;delay:full_query@0.5=0.02;"
             "pool_break:*@1.0#3")
         assert plan.seed == 7
         assert [r.kind for r in plan.rules] == \
@@ -115,6 +116,12 @@ class TestFaultPlan:
         with pytest.raises(FaultSpecError):
             FaultPlan.from_spec(json.dumps({
                 "rules": [{"kind": "kill", "target": "shard*"}]}))
+        # Detections and CL-tree builds are no jobs: nothing could
+        # inject into them.
+        assert JOB_CLASSES == ("full_query",)
+        for gone in ("detect", "index_build"):
+            with pytest.raises(FaultSpecError):
+                FaultPlan.from_spec("kill:{}@0.25".format(gone))
         # Patterns only need to match one dispatched class, and span
         # rules are exempt.
         assert FaultPlan.from_spec("kill:*query*@0.5")
@@ -138,20 +145,20 @@ class TestFaultPlan:
             [different.draw("full_query") for _ in range(50)]
 
     def test_rates_and_limits(self):
-        always = FaultPlan.from_spec("kill:detect@1.0")
-        assert all(always.draw("detect") == [("kill", None)]
+        always = FaultPlan.from_spec("kill:full_query@1.0")
+        assert all(always.draw("full_query") == [("kill", None)]
                    for _ in range(10))
-        never = FaultPlan.from_spec("kill:detect@0.0")
-        assert all(never.draw("detect") is None for _ in range(10))
-        capped = FaultPlan.from_spec("kill:detect@1.0#3")
-        fired = [capped.draw("detect") for _ in range(10)]
+        never = FaultPlan.from_spec("kill:full_query@0.0")
+        assert all(never.draw("full_query") is None for _ in range(10))
+        capped = FaultPlan.from_spec("kill:full_query@1.0#3")
+        fired = [capped.draw("full_query") for _ in range(10)]
         assert sum(1 for f in fired if f) == 3
         assert capped.injected("kill") == 3
 
     def test_target_pattern_scopes_ops(self):
         plan = FaultPlan.from_spec("kill:full_query*@1.0")
         assert plan.draw("full_query")
-        assert plan.draw("detect") is None
+        assert plan.draw("probe") is None
 
     def test_corrupt_blob_always_detectable(self):
         import pickle
@@ -384,9 +391,9 @@ class TestServingSurfaces:
         assert doc["counters"]["job_inline_fallbacks"] == 0
         assert doc["fault_plan"] == {"seed": 0, "rules": [],
                                      "injected": {}}
-        plan = FaultPlan.from_spec("seed=3;kill:detect@0.5")
+        plan = FaultPlan.from_spec("seed=3;kill:full_query@0.5")
         doc = _explorer(faults=plan).engine.snapshot()
-        assert doc["fault_plan"]["rules"] == ["kill:detect@0.5"]
+        assert doc["fault_plan"]["rules"] == ["kill:full_query@0.5"]
 
     def test_prometheus_exports_resilience_series(self):
         from repro.engine.tracing import render_prometheus
