@@ -27,10 +27,11 @@ The modules
     wait (``QueryEngine.wait``).
 
 ``cache``
-    :class:`~repro.engine.cache.ResultCache`: an LRU over
-    ``(graph, algorithm, normalized query params)`` with
-    hit/miss/eviction/invalidation counters and footprint-based
-    *selective* invalidation.
+    :class:`~repro.engine.cache.ResultCache`: lookups and stores of
+    the search answers each graph version's record holds -- an LRU
+    per version over ``(graph, algorithm, normalized query params)``
+    -- with hit/miss/eviction/invalidation counters, and the
+    footprint rule a version bump carries answers by.
 
 ``index_manager``
     :class:`~repro.engine.index_manager.IndexManager`: the registry
@@ -38,12 +39,14 @@ The modules
     CL-tree, truss map, frozen payload and derived values (``global``
     bodies, CODICIL partitions) shared across overlapping queries --
     each computed on the first query that needs it, once per version
-    however many queries ask at once; invalidation hooks wired into
+    however many queries ask at once -- and the search answers;
+    invalidation hooks wired into
     :class:`~repro.core.maintenance.CoreMaintainer` and
     :class:`~repro.core.truss_maintenance.TrussMaintainer` so
-    incremental edge updates bump the version and selectively evict
-    cached results -- with both maintainers attached, even k-truss/ATC
-    entries survive updates disjoint from their footprint.
+    incremental edge updates bump the version, carrying to the next
+    record the answers they did not touch -- with both maintainers
+    attached, even k-truss/ATC answers survive updates disjoint from
+    their footprint.
 
 ``plans``
     :func:`~repro.engine.plans.plan_search`: picks the CS strategy
@@ -104,11 +107,11 @@ Quickstart
 
     explorer.engine.snapshot()      # queue depth, hit rate, p50/p95
 
-Mutations route through a maintainer so caches stay honest::
+Mutations route through a maintainer so cached answers stay honest::
 
     maintainer = explorer.maintainer()      # wired CoreMaintainer
     maintainer.insert_edge(u, v)            # bumps the index version,
-                                            # selectively evicts
+                                            # carries untouched answers
 """
 
 from repro.engine.backends import (

@@ -1,16 +1,20 @@
-"""The engine's result cache.
+"""Search answers, held on the graph version they were computed from.
 
 Interactive exploration repeats itself: every ``display`` click
 re-runs its search, compare screens re-run each method, and many users
 probe the same hub authors.  FDB-style sharing of computation across
 overlapping queries (PAPERS.md) is the win this module captures:
 
-* :class:`ResultCache` -- an LRU over ``(graph, algorithm, normalized
-  query params)`` with hit/miss/eviction/invalidation counters and
-  *selective* invalidation: entries record the vertex footprint of
-  their result, so a maintenance update only evicts entries whose
-  footprint touches the affected region (for algorithm families where
-  that is sound; everything else is dropped conservatively).
+* every :class:`~repro.engine.index_manager.VersionRecord` holds the
+  answers computed against it in ``answers``: an LRU of ``query key ->
+  (communities, vertex footprint)``, bounded per graph version;
+* :class:`ResultCache` is the index manager's lookup, store and carry
+  over those maps, with hit/miss/eviction/invalidation counters.  A
+  version bump (:meth:`IndexManager.invalidate
+  <repro.engine.index_manager.IndexManager.invalidate>`) hands the
+  next record the answers the update provably did not touch -- those
+  whose footprint is disjoint from the affected region, for the
+  algorithm families where that is sound -- and drops the rest.
   Concurrent identical misses (many users landing on the same hub
   author at once) share one computation through the index manager's
   flight table (:meth:`~repro.engine.index_manager.IndexManager.once`),
@@ -20,9 +24,7 @@ Keys are produced by :func:`query_key`, which canonicalises parameter
 order (multi-vertex queries and keyword sets are order-insensitive).
 """
 
-import threading
 import time
-from collections import OrderedDict
 
 from repro.engine import tracing
 
@@ -38,9 +40,9 @@ SELECTIVE_SAFE_ALGORITHMS = frozenset(
 # Triangle-based families.  Their results cascade along triangle
 # connectivity, which only a
 # :class:`~repro.core.truss_maintenance.TrussMaintainer` tracks: when
-# an invalidation event carries the truss-affected vertex set, entries
-# whose footprint is disjoint from it survive; without one (core-only
-# maintenance) they are dropped conservatively, exactly as before.
+# a bump carries the truss-affected vertex set, answers whose
+# footprint is disjoint from it survive; without one (core-only
+# maintenance) they are dropped conservatively.
 TRUSS_SELECTIVE_ALGORITHMS = frozenset({"k-truss", "atc"})
 
 # Invalidation reason labels reported by :meth:`ResultCache.stats` --
@@ -73,7 +75,7 @@ def query_key(graph_name, algorithm, q, k, keywords=None, params=None):
     return (graph_name, algorithm, q, k, kw, extras)
 
 
-class _Entry:
+class _Answer:
     __slots__ = ("value", "vertices")
 
     def __init__(self, value, vertices):
@@ -82,37 +84,36 @@ class _Entry:
 
 
 class ResultCache:
-    """Thread-safe LRU result cache with selective invalidation.
+    """Thread-safe lookups and stores of the search answers on an
+    index manager's version records, with LRU eviction per record,
+    and selective invalidation.
 
-    ``put`` may record the result's vertex footprint (a set of vertex
-    ids); :meth:`invalidate` with an ``affected`` set then keeps
-    entries provably untouched by the update.  Entries stored without
-    a footprint are always dropped on invalidation.
-
-    :meth:`invalidate` also records the graph version it was told of,
-    and a ``put`` carrying the version its computation began at is
-    dropped when a bump has landed since: an answer that straddled an
-    update may describe either side of it.
+    ``get`` and ``put`` act on the ``record`` a search pinned, by
+    default on the current record of the key's graph.  ``put`` may
+    record the answer's vertex footprint (a set of vertex ids);
+    :meth:`invalidate` with an ``affected`` set then keeps answers
+    provably untouched by the update.  Answers stored without a
+    footprint are always dropped on invalidation.  Every operation
+    runs under the manager's lock, so a bump's carry and the swap that
+    publishes the next record are one step.
     """
 
     key = staticmethod(query_key)
 
-    def __init__(self, capacity=512):
+    def __init__(self, indexes, capacity=256):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
+        self._indexes = indexes
+        self._lock = indexes._lock
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
         self.invalidations_by_reason = {
             reason: 0 for reason in INVALIDATION_REASONS}
-        # graph name -> the version the last invalidation announced.
-        self._versions = {}
 
-    def get(self, key, record_miss=True):
+    def get(self, key, record_miss=True, record=None):
         """The cached value or ``None``; refreshes LRU recency.
 
         ``record_miss=False`` marks a probe beside a real lookup (the
@@ -128,37 +129,37 @@ class ResultCache:
         trace = tracing.current_trace() if record_miss else None
         start = time.perf_counter() if trace is not None else 0.0
         with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
+            if record is None:
+                record = self._indexes.record(key[0])
+            answer = record.answers.get(key)
+            if answer is None:
                 if record_miss:
                     self.misses += 1
             else:
-                self._data.move_to_end(key)
+                record.answers.move_to_end(key)
                 self.hits += 1
         if trace is not None:
             trace.add_span("cache_lookup",
                            time.perf_counter() - start,
-                           tags={"hit": entry is not None,
+                           tags={"hit": answer is not None,
                                  "algorithm": key[1]})
-        return entry.value if entry is not None else None
+        return answer.value if answer is not None else None
 
-    def put(self, key, value, vertices=None, version=None):
-        """Insert ``value``; ``vertices`` is the optional footprint
-        that enables selective invalidation for this entry.  With the
-        graph ``version`` the computation began at, the entry is
-        dropped instead when an invalidation has announced another
-        version of the graph since.  Recorded as a ``cache_store`` span
-        when a query trace is active."""
+    def put(self, key, value, vertices=None, record=None):
+        """Store ``value`` on ``record``; ``vertices`` is the optional
+        footprint that lets the answer survive a bump.  A put on a
+        superseded record lands where no new reader looks.  Recorded
+        as a ``cache_store`` span when a query trace is active."""
         trace = tracing.current_trace()
         start = time.perf_counter() if trace is not None else 0.0
         with self._lock:
-            if version is not None \
-                    and self._versions.get(key[0], version) != version:
-                return
-            self._data[key] = _Entry(value, vertices)
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+            if record is None:
+                record = self._indexes.record(key[0])
+            answers = record.answers
+            answers[key] = _Answer(value, vertices)
+            answers.move_to_end(key)
+            while len(answers) > self.capacity:
+                answers.popitem(last=False)
                 self.evictions += 1
         if trace is not None:
             trace.add_span("cache_store",
@@ -168,54 +169,52 @@ class ResultCache:
                                  if vertices else 0})
 
     def invalidate(self, graph_name=None, affected=None,
-                   truss_affected=None, version=None):
-        """Evict entries made stale by an update to ``graph_name``.
+                   truss_affected=None):
+        """Drop the current answers an update to ``graph_name`` could
+        have changed -- on a bump, before they move to the next record.
 
-        ``graph_name=None`` clears everything.  ``version`` is the
-        graph's version after the update; later puts computed at any
-        other version are dropped.
-        ``affected`` is the core-cascade vertex region: entries of the
+        ``graph_name=None`` applies to every graph.
+        ``affected`` is the core-cascade vertex region: answers of the
         minimum-degree families survive when their recorded footprint
         is disjoint from it.  ``truss_affected`` is the
         triangle-support cascade region a
         :class:`~repro.core.truss_maintenance.TrussMaintainer` reports:
-        k-truss/ATC entries survive when their footprint is disjoint
+        k-truss/ATC answers survive when their footprint is disjoint
         from *it*.  A family whose region was not supplied is dropped
         conservatively (the ``evict-all`` fallback, counted per reason
         in :meth:`stats`).  Returns the eviction count.
         """
+        reason_counts = {}
         with self._lock:
-            if graph_name is not None:
-                self._versions[graph_name] = version
-            stale = []
-            reasons = []
-            for key, entry in self._data.items():
-                if graph_name is not None and key[0] != graph_name:
-                    continue
-                algorithm = key[1]
-                if algorithm in TRUSS_SELECTIVE_ALGORITHMS:
-                    region, reason = truss_affected, "truss-cascade"
-                elif algorithm in SELECTIVE_SAFE_ALGORITHMS:
-                    region, reason = affected, "core-cascade"
-                else:
-                    region, reason = None, "evict-all"
-                # An *empty* footprint (a cached "no community"
-                # answer) must not count as disjoint: the update may
-                # be exactly what makes the query answerable.
-                if (region is not None and entry.vertices
-                        and entry.vertices.isdisjoint(region)):
-                    continue
-                stale.append(key)
-                reasons.append(reason if region is not None
-                               else "evict-all")
-            for key, reason in zip(stale, reasons):
-                del self._data[key]
-                self.invalidations_by_reason[reason] += 1
-            self.invalidations += len(stale)
-            evicted = len(stale)
-            reason_counts = {}
-            for reason in reasons:
-                reason_counts[reason] = reason_counts.get(reason, 0) + 1
+            if graph_name is None:
+                records = self._indexes.records().values()
+            else:
+                records = [self._indexes.record(graph_name)]
+            for record in records:
+                answers = record.answers
+                for key, answer in list(answers.items()):
+                    algorithm = key[1]
+                    if algorithm in TRUSS_SELECTIVE_ALGORITHMS:
+                        region, reason = truss_affected, "truss-cascade"
+                    elif algorithm in SELECTIVE_SAFE_ALGORITHMS:
+                        region, reason = affected, "core-cascade"
+                    else:
+                        region = None
+                    if region is None:
+                        reason = "evict-all"
+                    # An *empty* footprint (a cached "no community"
+                    # answer) must not count as disjoint: the update
+                    # may be exactly what makes the query answerable.
+                    elif answer.vertices \
+                            and answer.vertices.isdisjoint(region):
+                        continue
+                    del answers[key]
+                    reason_counts[reason] = \
+                        reason_counts.get(reason, 0) + 1
+            evicted = sum(reason_counts.values())
+            self.invalidations += evicted
+            for reason, count in reason_counts.items():
+                self.invalidations_by_reason[reason] += count
         # Attributable in traces too: a maintenance event landing
         # inside a traced request shows up with its eviction reasons.
         tracing.add_span("cache_invalidate", 0.0, evicted=evicted,
@@ -223,26 +222,27 @@ class ResultCache:
         return evicted
 
     def __len__(self):
-        with self._lock:
-            return len(self._data)
+        return sum(self.entries_by_graph().values())
 
     def entries_by_graph(self):
-        """``{graph_name: entry count}`` -- the per-graph occupancy
-        the metrics endpoint reports, so a multi-graph deployment can
-        see which graph owns the warm set."""
+        """``{graph_name: answer count}`` of each graph's current
+        version -- the per-graph occupancy the metrics endpoint
+        reports, so a multi-graph deployment can see which graph owns
+        the warm set.  Graphs holding no answers are left out."""
         with self._lock:
-            counts = {}
-            for key in self._data:
-                counts[key[0]] = counts.get(key[0], 0) + 1
-            return counts
+            return {name: len(record.answers)
+                    for name, record in self._indexes.records().items()
+                    if record.answers}
 
     def stats(self):
         """Hit/miss/eviction counters for the metrics endpoint,
-        including per-reason invalidation counts."""
+        including per-reason invalidation counts; ``entries`` counts
+        the answers of every graph's current version, ``capacity`` is
+        the bound on one version's."""
         with self._lock:
             total = self.hits + self.misses
             return {
-                "entries": len(self._data),
+                "entries": len(self),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,

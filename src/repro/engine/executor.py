@@ -22,9 +22,9 @@ algorithms (the Polynesia argument in PAPERS.md):
 * **cancellation** -- a wait that times out cancels its future: a
   request still in the queue is dropped, a running one finishes but
   its result is discarded (Python threads cannot be killed);
-* the engine-level :class:`~repro.engine.cache.ResultCache`, wired to
-  the :class:`~repro.engine.index_manager.IndexManager` so maintenance
-  updates selectively evict stale entries;
+* the index manager's :class:`~repro.engine.cache.ResultCache`
+  (``engine.cache``): search answers held on each graph version's
+  record, carried selectively across maintenance updates;
 * **the job pipeline** -- :meth:`QueryEngine.run_job` runs one whole
   ACQ-family search (job class ``full_query``) as a module-level
   function over an immutable frozen payload, on the engine's substrate
@@ -62,7 +62,6 @@ from repro.engine.backends import (
     timed_job,
     validate_backend,
 )
-from repro.engine.cache import ResultCache
 from repro.engine.faults import FaultPlan
 from repro.engine.index_manager import GraphPayload, IndexManager
 from repro.engine import payloads as payload_plane
@@ -184,7 +183,7 @@ class _LauncherMemo:
 
     def __init__(self, indexes):
         # Drops every graph's current derived values; core numbers,
-        # CL-trees and truss maps stay.
+        # CL-trees, truss maps and search answers stay.
         self.invalidate = indexes.drop_derived
 
 
@@ -197,8 +196,7 @@ class QueryEngine:
     """
 
     def __init__(self, explorer=None, workers=2, max_queue=64,
-                 cache_size=512, index_manager=None, backend="thread",
-                 faults=None):
+                 index_manager=None, backend="thread", faults=None):
         if workers < 1:
             raise ValueError("workers must be positive")
         if max_queue < 1:
@@ -209,7 +207,7 @@ class QueryEngine:
         self.backend = validate_backend(backend)
         self.indexes = index_manager if index_manager is not None \
             else IndexManager()
-        self.cache = ResultCache(cache_size)
+        self.cache = self.indexes.cache
         self.memo = _LauncherMemo(self.indexes)
         self.stats = EngineStats()
         # Declared up front so /v1/metrics always carries it.
@@ -231,7 +229,6 @@ class QueryEngine:
         self._process = None
         if self.backend == "process":
             self._process = ProcessBackend(workers)
-        self.indexes.subscribe(self._on_index_event)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -520,19 +517,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _on_index_event(self, name, version, affected,
-                        truss_affected=None):
-        """Index version bump: evict stale results.
-
-        ``affected`` scopes eviction for the minimum-degree families,
-        ``truss_affected`` (reported by an attached truss maintainer)
-        for the triangle families; either being ``None`` makes its
-        families' eviction conservative.
-        """
-        self.cache.invalidate(name, affected=affected,
-                              truss_affected=truss_affected,
-                              version=version)
-
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
         weakref-holding :func:`_engine_worker` loop).

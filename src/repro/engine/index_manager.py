@@ -10,17 +10,20 @@ query path and lets analytics read one consistent version:
   numbers, the CL-tree (carrying its build time), the ``{edge: truss}``
   map behind the triangle families, the frozen whole-graph payload and
   the ``derived`` values shared answers are built from (the dataset
-  panel, the CODICIL partition, the ``global`` bodies).  Each is
-  computed on first use, on the reader's thread, and stored on the
-  record it was read from; concurrent first readers of one value share
-  one computation (:meth:`IndexManager.once`, the only compute-once
-  primitive, which concurrent identical search misses share too);
-* **invalidate** swaps in the next version's record, releases the
-  superseded record's payload segment and notifies subscribers (the
-  engine's result cache selectively evicts).  A superseded record is
-  never handed to a new reader, so a value derived from an older
-  version is never read as current, and nothing derived needs
-  invalidating;
+  panel, the CODICIL partition, the ``global`` bodies) and the search
+  ``answers`` (:mod:`repro.engine.cache`).  Each is computed on first
+  use, on the reader's thread, and stored on the record it was read
+  from; concurrent first readers of one value share one computation
+  (:meth:`IndexManager.once`, the only compute-once primitive, which
+  concurrent identical search misses share too);
+* **invalidate** is the one version bump: under the manager lock it
+  builds the next version's record, hands it the search answers the
+  update provably did not touch (:meth:`ResultCache.invalidate
+  <repro.engine.cache.ResultCache.invalidate>` drops the rest) and
+  publishes it with one assignment; then it releases the superseded
+  record's payload segment.  A superseded record is never handed to a
+  new reader, so a value derived from an older version -- or an answer
+  stored on it after the bump -- is never read as current;
 * **attach_maintainer** wires a
   :class:`~repro.core.maintenance.CoreMaintainer` so that every
   incremental edge update bumps the version automatically, hands the
@@ -44,6 +47,7 @@ import pickle
 import threading
 import time
 import weakref
+from collections import OrderedDict
 
 from repro.core.cltree import build_cltree
 from repro.core.kcore import core_decomposition
@@ -54,6 +58,7 @@ from repro.core.truss_maintenance import (
     truss_affected_vertices,
 )
 from repro.engine import payloads, tracing
+from repro.engine.cache import ResultCache
 from repro.graph.frozen import FrozenGraph
 from repro.util.errors import CExplorerError
 
@@ -65,18 +70,22 @@ class VersionRecord:
     a reader first needs them; the CL-tree carries its build time as
     ``cltree.build_seconds``.  ``derived`` maps ``(kind, key)`` to the
     values :meth:`IndexManager.derived` computed for this version.
+    ``answers`` is the LRU of search answers
+    (:class:`~repro.engine.cache.ResultCache`) computed against this
+    version or carried to it by the bump that created it.
     """
 
     __slots__ = ("version", "core", "cltree", "truss", "payload",
-                 "derived")
+                 "derived", "answers")
 
-    def __init__(self, version, core=None, truss=None):
+    def __init__(self, version, core=None, answers=None):
         self.version = version
         self.core = core
         self.cltree = None
-        self.truss = truss
+        self.truss = None
         self.payload = None
         self.derived = {}
+        self.answers = answers if answers is not None else OrderedDict()
 
 
 def _held(record, slot):
@@ -185,14 +194,16 @@ class IndexManager:
     # engine in the parent, so (name, version) alone could collide.
     _payload_epochs = itertools.count(1)
 
-    def __init__(self):
+    def __init__(self, cache_size=256):
         self._entries = {}
         self._lock = threading.RLock()
         # The one flight table (see once): key -> Event of the
         # computation in flight; ``(record, slot)`` for a derived
-        # value, ``(cache key, version)`` for a search miss.
+        # value, ``(record, cache key)`` for a search miss.
         self._flights = {}
-        self._subscribers = []
+        # The search answers on the records, at most ``cache_size``
+        # per graph version.
+        self.cache = ResultCache(self, cache_size)
         self._payload_epoch = next(self._payload_epochs)
         # Size of the most recent truss cascade across *all* maintained
         # graphs (per-maintainer counters cannot say which update was
@@ -205,16 +216,18 @@ class IndexManager:
     def register(self, name, graph):
         """Register (or replace) ``name``; returns the new version.
 
-        Replacing a graph bumps the version and notifies subscribers,
-        so every cache keyed on this graph is invalidated.
+        Replacing a graph bumps the version and carries nothing: the
+        old version's answers are dropped (counted ``evict-all``).
         """
         with self._lock:
             old = self._entries.get(name)
-            version = old.record.version + 1 if old is not None else 1
+            version = 1
+            if old is not None:
+                self.cache.invalidate(name)
+                version = old.record.version + 1
             self._entries[name] = _IndexEntry(graph, version)
         if old is not None:
             self._drop_payload(old.record)
-        self._notify(name, version, None)
         return version
 
     def names(self):
@@ -235,6 +248,17 @@ class IndexManager:
             entry = self._entry(name)
             return entry, entry.record
 
+    def record(self, name):
+        """``name``'s current :class:`VersionRecord`, as it stands
+        (nothing is built): what a search pins."""
+        return self._current(name)[1]
+
+    def records(self):
+        """``{name: current VersionRecord}`` of every graph."""
+        with self._lock:
+            return {name: entry.record
+                    for name, entry in self._entries.items()}
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -249,18 +273,13 @@ class IndexManager:
         and every cache probe reads it."""
         return self._entry(name).graph
 
-    def built(self, name):
-        """Whether the current version's CL-tree exists right now."""
-        with self._lock:
-            return self._entry(name).record.cltree is not None
-
     def once(self, key, held, compute):
         """``held()``, or else ``compute()`` run by one caller per
         ``key`` at a time -- the one compute-once primitive, behind
         every derived value (:meth:`_derive`) and every cacheable
         search miss (:meth:`CExplorer.search
-        <repro.explorer.cexplorer.CExplorer.search>`).  Returns
-        ``(value, computed)``.
+        <repro.explorer.cexplorer.CExplorer.search>`); each ``key`` is
+        ``(record, what)``.  Returns ``(value, computed)``.
 
         ``held()`` reads what is stored for ``key`` (``None`` for
         nothing) under the manager lock, so it must be a cheap read;
@@ -411,9 +430,7 @@ class IndexManager:
     def release_payloads(self):
         """Drop every payload and unlink its segment (engine shutdown:
         nothing may leak into ``/dev/shm``)."""
-        with self._lock:
-            records = [entry.record for entry in self._entries.values()]
-        for record in records:
+        for record in self.records().values():
             self._drop_payload(record)
 
     def snapshot(self, name):
@@ -510,28 +527,34 @@ class IndexManager:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self, name, affected=None, core=None,
-                   truss_affected=None, truss=None):
-        """Bump ``name``'s version after a mutation.
+                   truss_affected=None):
+        """Bump ``name``'s version after a mutation -- the one bump.
 
-        ``affected`` is the vertex region the mutation could have
-        touched (forwarded to subscribers for selective eviction);
-        ``core`` optionally carries already-patched core numbers so the
-        new record skips the decomposition.  ``truss_affected`` is the
-        triangle-support cascade region a truss maintainer reported
-        (``None`` means unknown: subscribers must evict triangle-family
-        entries conservatively), and ``truss`` optionally carries the
-        already-patched truss map.
+        The next record receives the search answers the mutation
+        provably did not touch: ``affected`` is the vertex region it
+        could have touched, against which the minimum-degree families'
+        answers are tested, and ``truss_affected`` the triangle-support
+        cascade region a truss maintainer reported, against which the
+        triangle families' answers are (``None`` means unknown: those
+        answers are dropped).  ``core`` optionally carries
+        already-patched core numbers so the new record skips the
+        decomposition.  Returns the new version.
         """
         with self._lock:
             entry = self._entry(name)
             superseded = entry.record
+            self.cache.invalidate(name, affected=affected,
+                                  truss_affected=truss_affected)
             entry.record = VersionRecord(superseded.version + 1,
-                                         core=core, truss=truss)
+                                         core=core,
+                                         answers=superseded.answers)
+            # A put on the superseded record after this point must not
+            # land on its successor.
+            superseded.answers = OrderedDict()
             version = entry.record.version
         # The superseded payload is one version behind: release it (and
         # its shared-memory segment) now rather than at collection.
         self._drop_payload(superseded)
-        self._notify(name, version, affected, truss_affected)
         return version
 
     def attach_maintainer(self, name, maintainer=None):
@@ -630,13 +653,3 @@ class IndexManager:
         if tm is not None and tm.graph is graph:
             return tm
         return None
-
-    def subscribe(self, callback):
-        """``callback(name, version, affected, truss_affected)`` runs
-        after every version bump (``truss_affected=None`` means
-        triangle-family caches must be evicted conservatively)."""
-        self._subscribers.append(callback)
-
-    def _notify(self, name, version, affected, truss_affected=None):
-        for callback in list(self._subscribers):
-            callback(name, version, affected, truss_affected)

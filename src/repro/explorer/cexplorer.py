@@ -18,9 +18,10 @@ side), versioned CL-tree indexing per graph through the engine's
 and keyword/degree suggestions for the left panel of the UI.
 
 Execution runs through :mod:`repro.engine`: searches are planned
-(:mod:`repro.engine.plans`), cached in the engine's
-:class:`~repro.engine.cache.ResultCache` (with selective invalidation
-when maintenance mutates a graph), and the facade's
+(:mod:`repro.engine.plans`), their answers are held on the graph
+version's record through :attr:`CExplorer.cache` (a
+:class:`~repro.engine.cache.ResultCache`; a maintenance update carries
+the answers it did not touch to the next version), and the facade's
 :attr:`CExplorer.engine` exposes the bounded worker pool the server
 submits concurrent queries through.  All of that state lives in
 memory: a restarted process registers its graphs and builds their
@@ -71,7 +72,9 @@ class CExplorer:
         # the registry of graphs).
         self._name_indexes = {}
         self.profiles = profiles if profiles is not None else ProfileStore()
-        self.indexes = IndexManager()
+        # ``cache_size`` bounds the search answers held per graph
+        # version.
+        self.indexes = IndexManager(cache_size=cache_size)
         # ``backend="process"`` runs whole queries and CL-tree
         # builds in a multiprocessing pool over frozen CSR snapshots
         # (see repro.engine.backends); results are identical to the
@@ -80,13 +83,12 @@ class CExplorer:
         # testing; None reads REPRO_FAULT_PLAN from the environment.
         self.engine = QueryEngine(explorer=self, workers=workers,
                                   max_queue=max_queue,
-                                  cache_size=cache_size,
                                   index_manager=self.indexes,
                                   backend=backend,
                                   faults=faults)
-        # The engine owns the result cache; exposed here because the
-        # facade has always published ``explorer.cache``.
-        self.cache = self.engine.cache
+        # The index manager's answers; exposed here because the facade
+        # has always published ``explorer.cache``.
+        self.cache = self.indexes.cache
 
     # ------------------------------------------------------------------
     # graph management ("upload" in the paper API)
@@ -119,8 +121,8 @@ class CExplorer:
         is built here: the first query that needs the CL-tree builds
         it (:meth:`index` builds it up front).
         """
-        # Registration notifies the engine, which evicts the graph's
-        # cached results; the new version starts with nothing derived.
+        # Registration drops the graph's answers; the new version
+        # starts with nothing derived.
         self.indexes.register(name, graph)
         self._name_indexes.pop(name, None)
         if select or self._current is None:
@@ -277,16 +279,17 @@ class CExplorer:
         except CExplorerError:
             return None
         name = self._current
+        record = self.indexes.record(name)
         # Deliberately untraced: this probe runs on every cache hit,
         # where even a no-op span context costs real money; on misses
         # the engine attaches the whole probe as one post-hoc
         # ``cache_lookup`` span and the executing worker records the
         # authoritative ``plan`` span.
         plan = plan_search(algorithm, self.graph,
-                           index_ready=self.indexes.built(name),
+                           index_ready=record.cltree is not None,
                            keywords=keywords)
         key = self.cache.key(name, plan.algorithm, q, k, keywords)
-        return self.cache.get(key, record_miss=False)
+        return self.cache.get(key, record_miss=False, record=record)
 
     def search(self, algorithm, vertex, k=4, keywords=None,
                use_cache=True, **params):
@@ -296,11 +299,11 @@ class CExplorer:
         multi-vertex "+" button).  ``algorithm`` may be ``"auto"``:
         the planner picks the strategy from graph size, keyword
         constraints, and index readiness.  ACQ variants receive the
-        versioned CL-tree when the plan calls for it.  Results are
-        cached per (graph, algorithm, q, k, S) with their vertex
-        footprint recorded, so maintenance updates evict exactly the
-        entries they could have changed -- unless extra ``params`` are
-        given or ``use_cache=False``.
+        versioned CL-tree when the plan calls for it.  Answers are
+        held per (graph version, algorithm, q, k, S) with their vertex
+        footprint recorded, so a maintenance update carries to the
+        next version exactly the answers it could not have changed --
+        unless extra ``params`` are given or ``use_cache=False``.
 
         ``global`` answers for different query vertices of one
         connected k-core component are distinct communities around
@@ -334,23 +337,25 @@ class CExplorer:
         """The traced body of :meth:`search`.  ``tagged`` is the
         trace or span this search's tags go on.
 
-        A cacheable miss runs single-flight, through the index
-        manager's one flight table
-        (:meth:`~repro.engine.index_manager.IndexManager.once`): the
-        first caller computes under the flight of the cache key at the
-        index version its miss began at, and a concurrent caller of
-        the same key waits for it and answers from the cache (counted
-        as ``shared_answers`` and traced ``shared=true``).  The answer
-        is stored at the flight's version only: an update landing
-        mid-computation drops the store.  A waiter that finds nothing
-        stored (the leader failed or its store was dropped) computes
-        the answer itself.
+        A cacheable search pins the graph's current version record
+        once: the lookup, the flight and the store all use it.  A miss
+        runs single-flight, through the index manager's one flight
+        table (:meth:`~repro.engine.index_manager.IndexManager.once`):
+        the first caller computes under the flight ``(record, cache
+        key)``, and a concurrent caller of the same key on the same
+        record waits for it and answers from the record (counted as
+        ``shared_answers`` and traced ``shared=true``).  The answer is
+        stored on the pinned record: when an update lands
+        mid-computation, that record is superseded and no new reader
+        sees the store.  A waiter that finds nothing stored (the
+        leader failed) computes the answer itself.
         """
         graph = self.graph
         q = self._resolve_query(vertex)
+        record = self.indexes.record(name)
         with tracing.span("plan", graph=name):
             plan = plan_search(algorithm, graph,
-                               index_ready=self.indexes.built(name),
+                               index_ready=record.cltree is not None,
                                keywords=keywords,
                                full_payload=self.engine
                                .full_query_capable())
@@ -362,10 +367,9 @@ class CExplorer:
             return self._run_search(tagged, name, graph, plan, algo, q,
                                     k, keywords, params)
         cache_key = self.cache.key(name, algo.name, q, k, keywords)
-        cached = self.cache.get(cache_key)
+        cached = self.cache.get(cache_key, record=record)
         if cached is not None:
             return cached
-        version = self.indexes.version(name)
 
         def compute():
             result = self._run_search(tagged, name, graph, plan, algo,
@@ -375,11 +379,12 @@ class CExplorer:
             footprint = result[0].vertices if len(result) == 1 \
                 else {v for c in result for v in c}
             self.cache.put(cache_key, result, vertices=footprint,
-                           version=version)
+                           record=record)
             return result
         result, computed = self.indexes.once(
-            (cache_key, version),
-            lambda: self.cache.get(cache_key, record_miss=False),
+            (record, cache_key),
+            lambda: self.cache.get(cache_key, record_miss=False,
+                                   record=record),
             compute)
         if not computed:
             self.engine.stats.count("shared_answers")

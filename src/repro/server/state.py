@@ -53,11 +53,14 @@ class ServerState:
     def metrics(self):
         """The ``/v1/metrics`` document.
 
-        ``cache.invalidations_by_reason`` breaks evictions down into
-        ``core-cascade`` / ``truss-cascade`` (footprint-scoped,
-        reported by the attached maintainers) vs ``evict-all`` (the
-        conservative fallback); ``engine.truss`` summarises the truss
-        maintenance subsystem.
+        ``cache`` counts the search answers held on each graph's
+        current version record: ``entries`` and ``by_graph`` are their
+        occupancy, ``capacity`` the bound per version.
+        ``cache.invalidations_by_reason`` breaks the answers a version
+        bump dropped down into ``core-cascade`` / ``truss-cascade``
+        (footprint-scoped, reported by the attached maintainers) vs
+        ``evict-all`` (the conservative fallback); ``engine.truss``
+        summarises the truss maintenance subsystem.
         """
         with self.metrics_lock:
             requests = dict(self.request_counts)

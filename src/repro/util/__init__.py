@@ -15,10 +15,9 @@ from repro.util.errors import (
 )
 from repro.util.heaps import UpdatableMinHeap
 from repro.util.rng import make_rng
-from repro.util.unionfind import AnchoredUnionFind, UnionFind
+from repro.util.unionfind import UnionFind
 
 __all__ = [
-    "AnchoredUnionFind",
     "CExplorerError",
     "GraphFormatError",
     "QueryError",

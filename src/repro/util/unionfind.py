@@ -1,17 +1,9 @@
-"""Union-find (disjoint-set) forests.
+"""Union-find (disjoint-set) forest.
 
-Two variants are provided:
-
-* :class:`UnionFind` -- the classic structure with union by rank and
-  path compression, used wherever connected components are needed
-  (graph validation, CODICIL clustering, Steiner search).
-
-* :class:`AnchoredUnionFind` -- the "anchored union-find forest" used
-  by the advanced (linear-time) CL-tree construction of the ACQ paper
-  (illustrated in Figure 5(b) of the C-Explorer paper).  On top of the
-  plain structure it lets each set carry an *anchor* payload -- for the
-  CL-tree build, the id of the tree node currently representing that
-  partially-built connected component -- which survives unions.
+:class:`UnionFind` is the classic structure with union by rank and
+path compression.  The advanced CL-tree construction
+(:func:`~repro.core.cltree.build_cltree`) runs on it and keeps each
+set's anchor node in a dict beside it.
 """
 
 
@@ -69,59 +61,3 @@ class UnionFind:
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         return ra
-
-    def connected(self, a, b):
-        """Return True when ``a`` and ``b`` are in the same set."""
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self.find(a) == self.find(b)
-
-    def sets(self):
-        """Return the partition as ``{representative: set(items)}``."""
-        groups = {}
-        for item in self._parent:
-            groups.setdefault(self.find(item), set()).add(item)
-        return groups
-
-
-class AnchoredUnionFind(UnionFind):
-    """Union-find whose sets carry an *anchor* payload.
-
-    The CL-tree advanced builder processes vertices in decreasing core
-    number; each disjoint set corresponds to a partially assembled
-    subtree, and the anchor of the set is the CL-tree node that is the
-    current root of that subtree.  Unions keep exactly one anchor per
-    set; :meth:`set_anchor` re-points it when a new parent node absorbs
-    a component.
-    """
-
-    def __init__(self, items=()):
-        # _anchor must exist before the base constructor calls add().
-        self._anchor = {}
-        super().__init__(items)
-
-    def add(self, item):
-        known = item in self._parent
-        super().add(item)
-        if not known:
-            self._anchor[item] = None
-
-    def set_anchor(self, item, anchor):
-        """Attach ``anchor`` to the set containing ``item``."""
-        self._anchor[self.find(item)] = anchor
-
-    def union(self, a, b, anchor=None):
-        """Merge sets, keeping ``anchor`` if given, else the winner's."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            if anchor is not None:
-                self._anchor[ra] = anchor
-            return ra
-        anchor_a = self._anchor.get(ra)
-        anchor_b = self._anchor.get(rb)
-        root = super().union(ra, rb)
-        if anchor is not None:
-            self._anchor[root] = anchor
-        else:
-            self._anchor[root] = anchor_a if anchor_a is not None else anchor_b
-        return root

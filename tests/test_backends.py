@@ -223,7 +223,7 @@ class TestProcessBackendEquivalence:
         proc = CExplorer(workers=2, backend="process")
         proc.add_graph("g", dblp_small)
         tree = proc.index()
-        assert proc.indexes.built("g")
+        assert proc.indexes.record("g").cltree is not None
         assert tree.graph is dblp_small
         jim = dblp_small.id_of("Jim Gray")
         assert proc.search("acq", jim, k=3) == \

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache, query_key
+from repro.engine.cache import query_key
 from repro.engine.executor import QueryEngine
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -45,9 +45,17 @@ class TestQueryKey:
         assert query_key("g", "acq", 1, 4) != query_key("h", "acq", 1, 4)
 
 
+def _answers(capacity=256):
+    """The answer cache of a manager serving graphs ``g`` and ``h``."""
+    manager = IndexManager(cache_size=capacity)
+    for name in ("g", "h"):
+        manager.register(name, build_graph(2, [(0, 1)]))
+    return manager.cache
+
+
 class TestResultCache:
     def test_lru_eviction_and_counters(self):
-        cache = ResultCache(capacity=2)
+        cache = _answers(capacity=2)
         k1, k2, k3 = (query_key("g", "acq", v, 4) for v in (1, 2, 3))
         cache.put(k1, "one")
         cache.put(k2, "two")
@@ -64,10 +72,10 @@ class TestResultCache:
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            ResultCache(capacity=0)
+            IndexManager(cache_size=0)
 
     def test_invalidate_whole_graph(self):
-        cache = ResultCache()
+        cache = _answers()
         cache.put(query_key("g", "acq", 1, 4), "x")
         cache.put(query_key("h", "acq", 1, 4), "y")
         assert cache.invalidate("g") == 1
@@ -75,7 +83,7 @@ class TestResultCache:
         assert cache.get(query_key("h", "acq", 1, 4)) == "y"
 
     def test_selective_invalidation_spares_disjoint_footprints(self):
-        cache = ResultCache()
+        cache = _answers()
         touched = query_key("g", "acq", 1, 4)
         spared = query_key("g", "acq", 9, 4)
         cache.put(touched, "a", vertices={1, 2, 3})
@@ -85,7 +93,7 @@ class TestResultCache:
         assert cache.get(spared) == "b"
 
     def test_selective_invalidation_drops_unsafe_algorithms(self):
-        cache = ResultCache()
+        cache = _answers()
         # k-truss support cascades are not tracked by the core
         # maintainer, so its entries never survive an update ...
         truss = query_key("g", "k-truss", 9, 4)
@@ -99,14 +107,14 @@ class TestResultCache:
     def test_selective_invalidation_drops_empty_footprints(self):
         """A cached 'no community' answer has an empty footprint; it
         must not survive updates (the update may create the answer)."""
-        cache = ResultCache()
+        cache = _answers()
         negative = query_key("g", "acq", 5, 4)
         cache.put(negative, [], vertices=set())
         assert cache.invalidate("g", affected={99}) == 1
         assert cache.get(negative) is None
 
     def test_peek_does_not_count_misses(self):
-        cache = ResultCache()
+        cache = _answers()
         assert cache.get(query_key("g", "acq", 1, 4),
                          record_miss=False) is None
         assert cache.stats()["misses"] == 0
@@ -134,9 +142,9 @@ class TestIndexManager:
         manager.register("g", fig5)
         snap = manager.snapshot("g")
         assert manager.snapshot("g") is snap
-        assert manager.built("g")
+        assert manager.record("g").cltree is not None
         manager.invalidate("g")
-        assert not manager.built("g")
+        assert manager.record("g").cltree is None
         fresh = manager.snapshot("g")
         assert fresh is not snap
         assert fresh.version == snap.version + 1
@@ -206,32 +214,48 @@ class TestIndexManager:
         with pytest.raises(CExplorerError):
             manager.snapshot("ghost")
 
-    def test_subscribers_see_bumps(self, fig5):
+    def test_bumps_carry_answers_by_region(self, fig5):
         manager = IndexManager()
-        events = []
-        manager.subscribe(lambda *args: events.append(args))
-        manager.register("g", fig5)
-        manager.invalidate("g", affected={1, 2})
-        # Subscribers see (name, version, affected, truss_affected);
-        # without a truss maintainer the truss region is unknown.
-        assert events[0] == ("g", 1, None, None)
-        assert events[1] == ("g", 2, {1, 2}, None)
+        cache = manager.cache
+        assert manager.register("g", fig5) == 1
+        touched = query_key("g", "acq", 1, 4)
+        spared = query_key("g", "acq", 9, 4)
+        truss = query_key("g", "k-truss", 9, 4)
+        cache.put(touched, "a", vertices={1, 2, 3})
+        cache.put(spared, "b", vertices={8, 9})
+        cache.put(truss, "t", vertices={8, 9})
+        superseded = manager.record("g")
+        # The bump tests the core families against ``affected``;
+        # without a truss maintainer the truss region is unknown, so
+        # the triangle family is dropped.
+        assert manager.invalidate("g", affected={1, 2}) == 2
+        record = manager.record("g")
+        assert record.version == 2
+        assert list(record.answers) == [spared]
+        assert len(superseded.answers) == 0
+        assert cache.stats()["invalidations_by_reason"] == {
+            "core-cascade": 1, "truss-cascade": 0, "evict-all": 1}
+        # Re-registering carries nothing.
+        assert manager.register("g", fig5) == 3
+        assert len(manager.record("g").answers) == 0
+        assert cache.stats()["invalidations_by_reason"]["evict-all"] == 2
 
     def test_maintainer_bumps_version_and_reports_region(
             self, triangle_plus_tail):
         manager = IndexManager()
         manager.register("g", triangle_plus_tail)
-        events = []
-        manager.subscribe(lambda *args: events.append(args))
+        cache = manager.cache
         maintainer = manager.attach_maintainer("g")
         before = manager.version("g")
+        for v in (1, 2, 3):
+            cache.put(query_key("g", "acq", v, 1), v, vertices={v})
         maintainer.insert_edge(3, 1)
         assert manager.version("g") == before + 1
-        name, _, affected, _ = events[-1]
-        assert name == "g"
         # Vertex 3 was promoted into the 2-core; the affected region
-        # covers the edge, the promotion, and its neighbourhood.
-        assert {1, 3} <= affected
+        # covers the edge, the promotion, and its neighbourhood (0 and
+        # 1), so only the answer around vertex 2 is carried.
+        assert [cache.get(query_key("g", "acq", v, 1))
+                for v in (1, 2, 3)] == [None, 2, None]
         # The next core read reuses the maintainer's patched numbers.
         assert manager.core("g") == maintainer.core_numbers()
         assert manager.core("g")[3] == 2

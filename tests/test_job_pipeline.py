@@ -217,7 +217,7 @@ class TestDeadline:
         engine.explorer.add_graph("k", karate)
         future = engine.submit(engine.explorer.index, timeout=0.05)
         assert future.result(30.0).graph is karate
-        assert engine.indexes.built("k")
+        assert engine.indexes.record("k").cltree is not None
 
 
 def _job_deadline():

@@ -2,9 +2,9 @@
 
 ``CExplorer.search`` runs a cacheable miss single-flight, through the
 index manager's one flight table (``IndexManager.once``): the first
-caller of a missed ``(cache key, index version)`` computes, and a
+caller of a missed ``(version record, cache key)`` computes, and a
 concurrent caller of the same key waits for it and answers from the
-cache.  Covered here:
+record.  Covered here:
 
 * the herd -- eight clients released on one cold ``/v1/search``, on
   both front-ends with default arguments: the algorithm runs once per
@@ -90,15 +90,19 @@ def _explorer(graph, **kwargs):
 
 def _joins(monkeypatch, explorer):
     """An event set whenever a search joins someone else's answer
-    flight (a derived value's flight, keyed by its record, does not
-    count)."""
+    flight, keyed ``(record, cache key)`` (a derived value's flight,
+    keyed ``(record, slot)`` with a structure name or a ``(kind,
+    key)`` pair as its slot, does not count)."""
     joined = threading.Event()
     indexes = explorer.indexes
     once = indexes.once
 
     def spy(key, held, compute):
-        if not isinstance(key[0], VersionRecord) \
-                and key in indexes._flights:
+        record, what = key
+        assert isinstance(record, VersionRecord)
+        answer_flight = isinstance(what, tuple) \
+            and len(what) == len(explorer.cache.key("dblp", "acq", 0, 3))
+        if answer_flight and key in indexes._flights:
             joined.set()
         return once(key, held, compute)
     monkeypatch.setattr(indexes, "once", spy)

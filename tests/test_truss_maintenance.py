@@ -31,7 +31,7 @@ from repro.core.truss_maintenance import (
     TrussMaintainer,
     truss_affected_vertices,
 )
-from repro.engine.cache import ResultCache
+from repro.engine.index_manager import IndexManager
 from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
@@ -250,27 +250,44 @@ class TestSelectiveInvalidation:
         assert far == fresh.search("k-truss", 10, k=3, use_cache=False)
         assert near is not None
 
+    @pytest.mark.parametrize("family", ["truss", "core"])
     @settings(max_examples=20, deadline=None)
     @given(random_graphs(max_n=12, max_m=30, keywords=list("ab")),
            st.lists(st.tuples(st.booleans(), st.integers(0, 11),
                               st.integers(0, 11)), min_size=1,
                     max_size=6))
-    def test_surviving_entries_match_recompute(self, graph, ops):
-        """Property: after any insert/delete sequence, every cached
-        truss result that survived selective invalidation equals a
-        fresh recomputation on the mutated graph."""
+    def test_surviving_entries_match_recompute(self, family, graph, ops):
+        """Property: after any insert/delete sequence, every answer
+        the current version still holds equals a fresh recomputation
+        on the mutated graph -- the truss families (k-truss, ATC)
+        under the truss maintainer, the core families (ACQ, global)
+        under the core gateway alone."""
         explorer = CExplorer()
         explorer.add_graph("g", graph.copy())
-        gateway = explorer.truss_maintainer()
         live = explorer.indexes.graph("g")
+        if family == "truss":
+            gateway = explorer.truss_maintainer()
+            searches = (
+                ("k-truss", None,
+                 lambda q, k: truss_community_search(live, q, k)),
+                ("atc", {"a"},
+                 lambda q, k: attributed_truss_search(
+                     live, q, k, keywords={"a"})))
+        else:
+            gateway = explorer.maintainer()
+            searches = tuple(
+                (algorithm, None,
+                 lambda q, k, algorithm=algorithm: explorer.search(
+                     algorithm, q, k=k, use_cache=False))
+                for algorithm in ("acq", "global"))
         n = live.vertex_count
         queries = [(q, k) for q in range(min(n, 4)) for k in (2, 3)]
         for q, k in queries:
-            explorer.search("k-truss", q, k=k)
-            try:
-                explorer.search("atc", q, k=k, keywords={"a"})
-            except QueryError:
-                pass    # q does not carry keyword "a": nothing cached
+            for algorithm, kw, _ in searches:
+                try:
+                    explorer.search(algorithm, q, k=k, keywords=kw)
+                except QueryError:
+                    pass    # e.g. q lacks keyword "a": nothing cached
         for insert, a, b in ops:
             u, v = a % n, b % n
             if u == v:
@@ -280,17 +297,12 @@ class TestSelectiveInvalidation:
             elif not insert and live.has_edge(u, v):
                 gateway.remove_edge(u, v)
         for q, k in queries:
-            for algorithm, kw in (("k-truss", None), ("atc", {"a"})):
+            for algorithm, kw, recompute in searches:
                 key = explorer.cache.key("g", algorithm, q, k, kw)
                 cached = explorer.cache.get(key, record_miss=False)
                 if cached is None:
                     continue
-                if algorithm == "k-truss":
-                    expected = truss_community_search(live, q, k)
-                else:
-                    expected = attributed_truss_search(live, q, k,
-                                                       keywords={"a"})
-                assert cached == expected, (algorithm, q, k)
+                assert cached == recompute(q, k), (algorithm, q, k)
 
     def test_maintenance_drip_keeps_warm_hits_evict_all_loses(
             self, dblp_small):
@@ -376,9 +388,16 @@ class TestTrussBackendEquivalence:
 # ----------------------------------------------------------------------
 # cache unit behaviour
 # ----------------------------------------------------------------------
+def _answers():
+    """The answer cache of a manager serving one graph, ``g``."""
+    manager = IndexManager(cache_size=8)
+    manager.register("g", build_graph(2, [(0, 1)]))
+    return manager.cache
+
+
 class TestCacheReasons:
     def test_truss_entries_use_truss_region(self):
-        cache = ResultCache(8)
+        cache = _answers()
         cache.put(cache.key("g", "k-truss", 1, 3, None), "far",
                   vertices={10, 11})
         cache.put(cache.key("g", "acq", 1, 3, None), "core",
@@ -394,7 +413,7 @@ class TestCacheReasons:
                            "evict-all": 0}
 
     def test_missing_truss_region_falls_back_to_evict_all(self):
-        cache = ResultCache(8)
+        cache = _answers()
         cache.put(cache.key("g", "atc", 1, 3, None), "x",
                   vertices={10})
         cache.invalidate("g", affected={99})
@@ -402,7 +421,7 @@ class TestCacheReasons:
         assert cache.stats()["invalidations_by_reason"]["evict-all"] == 1
 
     def test_empty_footprint_never_survives(self):
-        cache = ResultCache(8)
+        cache = _answers()
         cache.put(cache.key("g", "k-truss", 1, 3, None), [],
                   vertices=set())
         cache.invalidate("g", affected={5}, truss_affected={5})

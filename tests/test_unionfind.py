@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.unionfind import AnchoredUnionFind, UnionFind
+from repro.util.unionfind import UnionFind
 
 
 def _set_count(uf, items):
@@ -11,9 +11,9 @@ def _set_count(uf, items):
     return len({uf.find(item) for item in items})
 
 
-def _anchor(uf, item):
-    """The anchor of ``item``'s set: the one its root carries."""
-    return uf._anchor[uf.find(item)]
+def _same_set(uf, a, b):
+    """Whether ``a`` and ``b`` are known and share a representative."""
+    return a in uf and b in uf and uf.find(a) == uf.find(b)
 
 
 class TestUnionFind:
@@ -26,12 +26,12 @@ class TestUnionFind:
     def test_union_merges_and_counts(self):
         uf = UnionFind(range(4))
         uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
+        assert _same_set(uf, 0, 1)
+        assert not _same_set(uf, 0, 2)
         assert _set_count(uf, range(4)) == 3
         uf.union(2, 3)
         uf.union(1, 3)
-        assert uf.connected(0, 2)
+        assert _same_set(uf, 0, 2)
         assert _set_count(uf, range(4)) == 1
 
     def test_union_is_idempotent(self):
@@ -46,7 +46,7 @@ class TestUnionFind:
     def test_items_added_lazily_by_union(self):
         uf = UnionFind()
         uf.union("a", "b")
-        assert uf.connected("a", "b")
+        assert _same_set(uf, "a", "b")
         assert len(uf) == 2
 
     def test_contains(self):
@@ -56,16 +56,21 @@ class TestUnionFind:
 
     def test_connected_unknown_items_is_false(self):
         uf = UnionFind(["x"])
-        assert not uf.connected("x", "zzz")
-        assert not uf.connected("zzz", "x")
+        assert not _same_set(uf, "x", "zzz")
+        assert not _same_set(uf, "zzz", "x")
+        with pytest.raises(KeyError):
+            uf.find("zzz")
 
     def test_sets_partition(self):
         uf = UnionFind(range(6))
         uf.union(0, 1)
         uf.union(2, 3)
         uf.union(3, 4)
-        groups = sorted(sorted(s) for s in uf.sets().values())
-        assert groups == [[0, 1], [2, 3, 4], [5]]
+        groups = {}
+        for item in range(6):
+            groups.setdefault(uf.find(item), set()).add(item)
+        assert sorted(sorted(s) for s in groups.values()) == \
+            [[0, 1], [2, 3, 4], [5]]
 
     def test_add_existing_is_noop(self):
         uf = UnionFind([1])
@@ -95,48 +100,8 @@ class TestUnionFind:
                 naive.remove(gb)
         for a in range(20):
             for b in range(20):
-                assert uf.connected(a, b) == (naive_find(a) is naive_find(b))
+                assert _same_set(uf, a, b) == (naive_find(a) is naive_find(b))
         assert _set_count(uf, range(20)) == len(naive)
-
-
-class TestAnchoredUnionFind:
-    def test_anchor_defaults_to_none(self):
-        uf = AnchoredUnionFind([1, 2])
-        assert _anchor(uf, 1) is None
-
-    def test_set_and_get_anchor(self):
-        uf = AnchoredUnionFind([1, 2])
-        uf.set_anchor(1, "node-a")
-        assert _anchor(uf, 1) == "node-a"
-        assert _anchor(uf, 2) is None
-
-    def test_union_keeps_existing_anchor(self):
-        uf = AnchoredUnionFind([1, 2])
-        uf.set_anchor(1, "node-a")
-        uf.union(1, 2)
-        assert _anchor(uf, 2) == "node-a"
-
-    def test_union_with_explicit_anchor_overrides(self):
-        uf = AnchoredUnionFind([1, 2])
-        uf.set_anchor(1, "old")
-        uf.union(1, 2, anchor="new")
-        assert _anchor(uf, 1) == "new"
-
-    def test_union_same_set_can_update_anchor(self):
-        uf = AnchoredUnionFind([1, 2])
-        uf.union(1, 2, anchor="a")
-        uf.union(1, 2, anchor="b")
-        assert _anchor(uf, 1) == "b"
-
-    def test_anchor_survives_chains_of_unions(self):
-        uf = AnchoredUnionFind(range(6))
-        uf.set_anchor(3, "x")
-        uf.union(0, 1)
-        uf.union(1, 2)
-        uf.union(2, 3)
-        uf.union(4, 5)
-        assert _anchor(uf, 0) == "x"
-        assert _anchor(uf, 5) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 100])
