@@ -24,8 +24,8 @@ Layering (see docs/ARCHITECTURE.md):
   Newman-Girvan, label propagation and the plug-in registry;
 * :mod:`repro.analysis` -- CPJ/CMF metrics and comparison analysis;
 * :mod:`repro.viz` -- layouts and SVG/ASCII rendering;
-* :mod:`repro.datasets` -- the Figure 5 example, karate club, and the
-  synthetic DBLP generator;
+* :mod:`repro.datasets` -- the Figure 5 example and the synthetic
+  DBLP generator;
 * :mod:`repro.engine` -- the query execution engine: bounded worker
   pool, result cache with selective invalidation, versioned index
   lifecycle, query planning, and latency metrics;

@@ -12,7 +12,7 @@ behind the "plug in your own CR solution" API (Section 3.1).
 
 from repro.algorithms.attributed_truss import attributed_truss_search
 from repro.algorithms.codicil import codicil, codicil_community
-from repro.algorithms.global_search import global_max_min_degree, global_search
+from repro.algorithms.global_search import global_search
 from repro.algorithms.label_propagation import label_propagation
 from repro.algorithms.local_search import local_search
 from repro.algorithms.newman_girvan import edge_betweenness, newman_girvan
@@ -41,7 +41,6 @@ __all__ = [
     "edge_betweenness",
     "get_cd_algorithm",
     "get_cs_algorithm",
-    "global_max_min_degree",
     "global_search",
     "label_propagation",
     "list_cd_algorithms",

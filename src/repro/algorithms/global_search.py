@@ -11,11 +11,7 @@ who clears the bar, with no locality or keyword pruning.
 """
 
 from repro.core.community import Community
-from repro.core.kcore import (
-    connected_k_core,
-    core_decomposition,
-    peel_to_min_degree,
-)
+from repro.core.kcore import connected_k_core, peel_to_min_degree
 from repro.util.errors import QueryError
 
 
@@ -56,21 +52,3 @@ def global_search(graph, q, k, core=None):
                 frontier.append(w)
     return [Community(graph, comp, method="Global", query_vertices=(q,),
                       k=k)]
-
-
-def global_max_min_degree(graph, q):
-    """The original (parameter-free) Global: maximise minimum degree.
-
-    The subgraph containing ``q`` whose minimum degree is as large as
-    possible is the ``core(q)``-core component of ``q`` (the best
-    achievable ``k`` equals the core number of ``q``), so this runs one
-    core decomposition plus a traversal.
-
-    Returns ``(community, k_star)``.
-    """
-    if q not in graph:
-        raise QueryError("query vertex {!r} not in graph".format(q))
-    core = core_decomposition(graph)
-    k_star = core[q]
-    result = global_search(graph, q, k_star)
-    return result[0], k_star

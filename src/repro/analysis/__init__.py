@@ -10,48 +10,32 @@
 * :mod:`repro.analysis.themes` -- the "Theme:" line for communities
   that carry no shared keyword set;
 * :mod:`repro.analysis.graph_stats` -- the dataset panel's
-  whole-graph summary;
-* :mod:`repro.analysis.ground_truth` -- F1/NMI/ARI of a partition or
-  community against planted ground truth.
+  whole-graph summary.
 """
 
 from repro.analysis.comparison import ComparisonReport, compare_methods
 from repro.analysis.graph_stats import graph_summary
-from repro.analysis.ground_truth import (
-    ari,
-    evaluate_partition,
-    f1_score,
-    nmi,
-    partition_f1,
-)
 from repro.analysis.metrics import (
     cmf,
     community_conductance,
     community_density,
     cpj,
     keyword_jaccard,
-    similarity_matrix,
 )
 from repro.analysis.statistics import community_statistics, statistics_table
 from repro.analysis.themes import infer_theme, theme_of
 
 __all__ = [
     "ComparisonReport",
-    "ari",
     "cmf",
     "graph_summary",
     "infer_theme",
     "theme_of",
-    "evaluate_partition",
-    "f1_score",
-    "nmi",
-    "partition_f1",
     "community_conductance",
     "community_density",
     "community_statistics",
     "compare_methods",
     "cpj",
     "keyword_jaccard",
-    "similarity_matrix",
     "statistics_table",
 ]

@@ -101,19 +101,3 @@ def community_conductance(community):
     if denom == 0:
         return 0.0
     return boundary / denom
-
-
-def similarity_matrix(community, limit=50):
-    """Pairwise keyword-Jaccard matrix for the analysis heat map.
-
-    Returns ``(members, rows)`` where ``rows[i][j]`` is the similarity
-    between members ``i`` and ``j``; at most ``limit`` members (by
-    vertex id) are included, since the browser view caps the matrix.
-    """
-    graph = community.graph
-    members = sorted(community.vertices)[:limit]
-    rows = []
-    for u in members:
-        rows.append([round(keyword_jaccard(graph, u, v), 4)
-                     for v in members])
-    return members, rows

@@ -23,13 +23,10 @@ from repro.core.kcore import (
     connected_k_core,
     core_decomposition,
     k_core,
-    max_core_number,
     peel_to_min_degree,
 )
 from repro.core.ktruss import (
-    connected_k_truss,
     k_truss,
-    max_truss_number,
     truss_decomposition,
 )
 from repro.core.maintenance import CoreMaintainer
@@ -47,12 +44,9 @@ __all__ = [
     "brute_force_acq",
     "build_cltree",
     "connected_k_core",
-    "connected_k_truss",
     "core_decomposition",
     "k_core",
     "k_truss",
-    "max_core_number",
-    "max_truss_number",
     "peel_to_min_degree",
     "truss_decomposition",
 ]

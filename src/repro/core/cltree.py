@@ -91,10 +91,6 @@ class CLTree:
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------
-    def node_of(self, v):
-        """The node where vertex ``v`` is homed (k == core number of v)."""
-        return self._node_of[v]
-
     def node_count(self):
         """Total number of CL-tree nodes across all roots."""
         return sum(1 for root in self.roots for _ in root.subtree_nodes())

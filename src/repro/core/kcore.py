@@ -27,6 +27,9 @@ identical (a tested invariant), but each round is a handful of array
 ops instead of a Python loop over edges.  :func:`peel_to_min_degree`
 borrows the trick for the induced degrees of large candidate sets over
 a frozen graph.
+
+:func:`k_core`, the whole (possibly disconnected) ``H_k``, is the
+reference the tests hold the peeling and the searches against.
 """
 
 from repro.graph.frozen import neighbor_function
@@ -138,12 +141,6 @@ def _core_csr_numpy(indptr, indices):
                 + _np.repeat(starts - offs, counts)
             _np.subtract.at(deg, indices[pos], 1)
     return core.tolist()
-
-
-def max_core_number(graph):
-    """Largest k such that the k-core is non-empty (0 for empty graph)."""
-    core = core_decomposition(graph)
-    return max(core) if core else 0
 
 
 def k_core(graph, k):

@@ -5,60 +5,18 @@ paper cites (Section 2, Huang et al. [7]): the largest subgraph in
 which every edge participates in at least ``k - 2`` triangles.  The
 truss-based community search built on it lives in
 :mod:`repro.algorithms.truss_search`; this module provides the
-decomposition substrate.
-
-Support counting has a CSR fast path: over a
-:class:`~repro.graph.frozen.FrozenGraph` the per-vertex neighbour
-lists are sorted flat-array slices, so each edge's triangle count is a
-sorted-merge intersection over two contiguous runs instead of hash
-probes into scattered set buckets.  That is the kernel the engine's
-process backend runs on its frozen payloads (see
-:func:`repro.engine.backends.full_query_job`).
+decomposition substrate (:func:`edge_support`,
+:func:`truss_decomposition`) and :func:`k_truss`, the edge set the
+tests hold the searches against.
 """
-
-
-def _edge_support_csr(graph):
-    """Support counting over a frozen CSR graph (sorted-merge kernel).
-
-    Each undirected edge ``(u, v)`` with ``u < v`` is visited once from
-    ``u``'s row; the triangle count is the size of the sorted-run
-    intersection of the two neighbourhoods.
-    """
-    indptr, indices = graph.csr()
-    support = {}
-    n = len(indptr) - 1
-    for u in range(n):
-        u_start, u_end = indptr[u], indptr[u + 1]
-        for i in range(u_start, u_end):
-            v = indices[i]
-            if v <= u:
-                continue
-            v_start, v_end = indptr[v], indptr[v + 1]
-            a, b = u_start, v_start
-            count = 0
-            while a < u_end and b < v_end:
-                x, y = indices[a], indices[b]
-                if x < y:
-                    a += 1
-                elif y < x:
-                    b += 1
-                else:
-                    count += 1
-                    a += 1
-                    b += 1
-            support[(u, v)] = count
-    return support
 
 
 def edge_support(graph, subset=None):
     """Number of triangles through each edge.
 
     Returns ``{(u, v): support}`` with ``u < v``.  ``subset`` restricts
-    the computation to the induced subgraph on those vertices.  Frozen
-    (CSR) graphs take the sorted-merge kernel when unrestricted.
+    the computation to the induced subgraph on those vertices.
     """
-    if subset is None and hasattr(graph, "csr"):
-        return _edge_support_csr(graph)
     members = set(subset) if subset is not None else None
 
     def nbrs(v):
@@ -142,12 +100,6 @@ def truss_decomposition(graph, support=None):
     return truss
 
 
-def max_truss_number(graph):
-    """Largest k with a non-empty k-truss (2 for any non-empty edge set)."""
-    truss = truss_decomposition(graph)
-    return max(truss.values()) if truss else 0
-
-
 def k_truss(graph, k):
     """Edge set of the k-truss: edges with truss number >= k."""
     if k < 2:
@@ -155,30 +107,3 @@ def k_truss(graph, k):
     truss = truss_decomposition(graph)
     return {e for e, t in truss.items() if t >= k}
 
-
-def connected_k_truss(graph, q, k):
-    """Vertices of the k-truss component containing ``q``.
-
-    Connectivity here is ordinary vertex connectivity restricted to
-    k-truss edges (the stronger triangle-connectivity variant lives in
-    :func:`repro.algorithms.truss_search.truss_community_search`).
-    Returns ``None`` when ``q`` touches no k-truss edge.
-    """
-    edges = k_truss(graph, k)
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    if q not in adj:
-        return None
-    seen = {q}
-    frontier = [q]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen

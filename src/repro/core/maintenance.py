@@ -33,7 +33,7 @@ class CoreMaintainer:
         maintainer = CoreMaintainer(graph)
         maintainer.insert_edge(u, v)   # graph.add_edge + core patch
         maintainer.remove_edge(u, v)
-        maintainer.core(v)             # always up to date
+        maintainer.core_numbers()      # always up to date
 
     ``updates`` counts patched operations; ``promotions``/``demotions``
     count vertices whose core number actually changed (useful in the
@@ -75,10 +75,6 @@ class CoreMaintainer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def core(self, v):
-        """Current core number of ``v``."""
-        return self._core[v]
-
     def core_numbers(self):
         """A copy of the full core-number array."""
         return list(self._core)

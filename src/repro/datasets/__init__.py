@@ -10,21 +10,11 @@
   heavy-tailed degrees, nested k-cores, and keyword/topic locality.
 """
 
-from repro.datasets.dblp import (
-    DblpConfig,
-    generate_dblp_graph,
-    seed_authors,
-)
+from repro.datasets.dblp import DblpConfig, generate_dblp_graph
 from repro.datasets.figure5 import figure5_graph
-from repro.datasets.karate import karate_club_graph, karate_factions
-from repro.datasets.lfr import generate_planted_partition
 
 __all__ = [
     "DblpConfig",
     "figure5_graph",
     "generate_dblp_graph",
-    "generate_planted_partition",
-    "karate_club_graph",
-    "karate_factions",
-    "seed_authors",
 ]

@@ -162,12 +162,6 @@ def _sample_edge_count(rng, mean):
     return 2 * mean + 1
 
 
-def seed_authors(config=None):
-    """Names of the renowned leaders present in a generated graph."""
-    n = config.n_communities if config is not None else len(SEED_AUTHORS)
-    return SEED_AUTHORS[:min(n, len(SEED_AUTHORS))]
-
-
 def generate_dblp_graph(config=None, return_communities=False):
     """Generate the synthetic co-authorship network.
 

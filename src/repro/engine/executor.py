@@ -63,7 +63,7 @@ from repro.engine.backends import (
     validate_backend,
 )
 from repro.engine.faults import FaultPlan
-from repro.engine.index_manager import GraphPayload, IndexManager
+from repro.engine.index_manager import GraphPayload
 from repro.engine import payloads as payload_plane
 from repro.engine.stats import EngineStats
 from repro.engine import tracing
@@ -190,13 +190,13 @@ class _LauncherMemo:
 class QueryEngine:
     """Bounded-concurrency execution front-end for a CExplorer.
 
-    ``explorer`` may be ``None`` for a bare worker pool that runs
-    plain callables; with an explorer attached,
-    :meth:`search` adds planning, result caching, and index reuse.
+    The engine serves ``explorer``'s graphs: it shares the explorer's
+    index manager, and :meth:`search` adds planning, result caching
+    and index reuse to :meth:`submit`.
     """
 
-    def __init__(self, explorer=None, workers=2, max_queue=64,
-                 index_manager=None, backend="thread", faults=None):
+    def __init__(self, explorer, workers=2, max_queue=64,
+                 backend="thread", faults=None):
         if workers < 1:
             raise ValueError("workers must be positive")
         if max_queue < 1:
@@ -205,8 +205,7 @@ class QueryEngine:
         self.workers = workers
         self.max_queue = max_queue
         self.backend = validate_backend(backend)
-        self.indexes = index_manager if index_manager is not None \
-            else IndexManager()
+        self.indexes = explorer.indexes
         self.cache = self.indexes.cache
         self.memo = _LauncherMemo(self.indexes)
         self.stats = EngineStats()
@@ -330,7 +329,7 @@ class QueryEngine:
 
         Cache hits resolve immediately without touching the queue, so
         a warm interactive workload is never throttled by admission
-        control.  Requires an attached explorer.
+        control.
 
         Cache misses record a :class:`~repro.engine.tracing.
         QueryTrace`, attached to the returned future as
@@ -342,7 +341,7 @@ class QueryEngine:
         never is.  A hit returns a future already resolved, with
         ``future.trace`` ``None``.
         """
-        explorer = self._require_explorer()
+        explorer = self.explorer
         probe_started = time.perf_counter()
         cached = explorer.peek_cached(algorithm, vertex, k=k,
                                       keywords=keywords, **params)
@@ -361,13 +360,6 @@ class QueryEngine:
         return self.submit(explorer.search, algorithm, vertex, k=k,
                            keywords=keywords, op="search",
                            timeout=timeout, trace=trace, **params)
-
-    def _require_explorer(self):
-        if self.explorer is None:
-            raise RuntimeError(
-                "this QueryEngine has no attached explorer; "
-                "use submit() with explicit callables")
-        return self.explorer
 
     # ------------------------------------------------------------------
     # the job pipeline
@@ -615,8 +607,7 @@ class QueryEngine:
             "fault_plan": self.faults.snapshot()
             if self.faults is not None else None,
             "payloads": payload_plane.plane_stats(),
+            "indexes": {name: self.indexes.stats(name)
+                        for name in self.indexes.names()},
         })
-        if self.explorer is not None:
-            doc["indexes"] = {name: self.indexes.stats(name)
-                              for name in self.indexes.names()}
         return doc

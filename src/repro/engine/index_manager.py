@@ -262,11 +262,6 @@ class IndexManager:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def version(self, name):
-        """The current (monotonic) version of ``name``."""
-        with self._lock:
-            return self._entry(name).record.version
-
     def graph(self, name):
         """The registered graph object for ``name``.  Lock-free: an
         entry's graph never changes (re-registering swaps the entry),

@@ -74,18 +74,9 @@ class LatencyHistogram:
 
     @staticmethod
     def _rank(ordered, p):
-        """The ``p``-th percentile from an already-sorted sample list
-        (rank clamped into the list, so p<=0 is the min and p>=100 the
-        max)."""
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(p / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
-
-    def percentile(self, p):
-        """The ``p``-th percentile (0..100) over the sample window."""
-        if not self._reservoir:
-            return 0.0
-        return self._rank(sorted(self._reservoir), p)
+        """The ``p``-th percentile (0..100, nearest rank) of a
+        non-empty, already-sorted sample list."""
+        return ordered[int(round(p / 100.0 * (len(ordered) - 1)))]
 
     def snapshot(self):
         """Count, mean, p50/p95/max (ms) and the log-scale buckets.

@@ -37,13 +37,6 @@ class NameIndex:
         for name in names:
             self.add(name)
 
-    @classmethod
-    def from_graph(cls, graph):
-        """Index every display name of ``graph``."""
-        index = cls()
-        index.extend(graph)
-        return index
-
     def extend(self, graph):
         """Index the display names of the vertices appended to
         ``graph`` since the last call.  Vertex ids are dense and only

@@ -63,28 +63,26 @@ class CExplorer:
     >>> communities = explorer.search("acq", "Jim Gray", k=4)
     """
 
-    def __init__(self, profiles=None, cache_size=256, workers=2,
-                 max_queue=64, backend="thread", faults=None):
+    def __init__(self, cache_size=256, workers=2, max_queue=64,
+                 backend="thread", faults=None):
         self._current = None
         # graph name -> its name index (autocomplete and the
         # case-insensitive lookup), extended as vertices are appended
         # (every other per-graph structure lives in ``self.indexes``,
         # the registry of graphs).
         self._name_indexes = {}
-        self.profiles = profiles if profiles is not None else ProfileStore()
+        self.profiles = ProfileStore()
         # ``cache_size`` bounds the search answers held per graph
         # version.
         self.indexes = IndexManager(cache_size=cache_size)
-        # ``backend="process"`` runs whole queries and CL-tree
-        # builds in a multiprocessing pool over frozen CSR snapshots
-        # (see repro.engine.backends); results are identical to the
+        # ``backend="process"`` runs whole ACQ-family searches in a
+        # multiprocessing pool over frozen CSR snapshots (see
+        # repro.engine.backends); results are identical to the
         # default thread backend.  ``faults`` installs a seeded
         # fault-injection plan (see repro.engine.faults) for chaos
         # testing; None reads REPRO_FAULT_PLAN from the environment.
-        self.engine = QueryEngine(explorer=self, workers=workers,
-                                  max_queue=max_queue,
-                                  index_manager=self.indexes,
-                                  backend=backend,
+        self.engine = QueryEngine(self, workers=workers,
+                                  max_queue=max_queue, backend=backend,
                                   faults=faults)
         # The index manager's answers; exposed here because the facade
         # has always published ``explorer.cache``.
@@ -128,11 +126,6 @@ class CExplorer:
         if select or self._current is None:
             self._current = name
         return name
-
-    def select_graph(self, name):
-        """Switch the active graph (the UI's dataset picker)."""
-        self.indexes.graph(name)        # raises for an unknown name
-        self._current = name
 
     def graph_names(self):
         """Names of the uploaded graphs, sorted."""

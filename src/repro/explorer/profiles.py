@@ -193,10 +193,6 @@ class ProfileStore:
     def __len__(self):
         return len(self._profiles)
 
-    def add(self, profile):
-        """Register a (possibly replacement) profile."""
-        self._profiles[profile.name] = profile
-
     def get(self, name):
         """Profile for ``name``; unknown names get a synthetic card.
 

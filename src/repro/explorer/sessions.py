@@ -42,10 +42,6 @@ class ExplorationSession:
         entries = list(reversed(self._entries))
         return entries[:limit] if limit is not None else entries
 
-    def last(self):
-        """The most recent entry, or ``None``."""
-        return self._entries[-1] if self._entries else None
-
     def __len__(self):
         return len(self._entries)
 

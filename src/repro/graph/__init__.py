@@ -9,7 +9,7 @@ author name) and a set of keywords (Section 3.2 of the paper,
 CSR counterpart: a flat-array snapshot the structural kernels walk
 without set lookups and the process execution backend ships across
 process boundaries as one compact pickle.  :mod:`repro.graph.io`
-reads and writes both on-disk formats (edge list and JSON), and
+reads both on-disk formats (edge list and JSON) and writes JSON, and
 :func:`validate_graph` checks an upload before it is indexed.
 """
 
@@ -19,7 +19,6 @@ from repro.graph.io import (
     load_graph,
     read_edge_list,
     read_graph_json,
-    write_edge_list,
     write_graph_json,
 )
 from repro.graph.validation import validate_graph
@@ -32,6 +31,5 @@ __all__ = [
     "read_edge_list",
     "read_graph_json",
     "validate_graph",
-    "write_edge_list",
     "write_graph_json",
 ]

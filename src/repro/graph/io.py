@@ -1,6 +1,6 @@
 """Graph (de)serialisation -- the ``upload`` API of the paper (Fig. 4).
 
-Two interchange formats are supported:
+Two interchange formats are read (and JSON is written):
 
 * **Edge-list format** -- the classic SNAP-style text file.  Lines are
   either ``u v`` (an edge between vertex labels) or, in the attributed
@@ -20,22 +20,6 @@ from repro.util.errors import GraphFormatError
 
 _VERTEX_PREFIX = "#v"
 _COMMENT_PREFIX = "%"
-
-
-def write_edge_list(graph, path):
-    """Write ``graph`` to ``path`` in the attributed edge-list format."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("% attributed edge list, {} vertices {} edges\n".format(
-            graph.vertex_count, graph.edge_count))
-        for v in graph.vertices():
-            kws = " ".join(sorted(graph.keywords(v)))
-            f.write("{} {} {}\n".format(
-                _VERTEX_PREFIX, _escape(graph.display_name(v)), kws).rstrip()
-                + "\n")
-        for u, v in graph.edges():
-            f.write("{} {}\n".format(
-                _escape(graph.display_name(u)),
-                _escape(graph.display_name(v))))
 
 
 def read_edge_list(path):
@@ -137,11 +121,6 @@ def load_graph(path):
     if str(path).endswith(".json"):
         return read_graph_json(path)
     return read_edge_list(path)
-
-
-def _escape(token):
-    """Encode spaces in labels so they survive whitespace tokenising."""
-    return token.replace("\\", "\\\\").replace(" ", "\\_")
 
 
 def _unescape(token):

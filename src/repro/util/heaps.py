@@ -1,9 +1,7 @@
 """Updatable min-heap keyed by item.
 
-The ``Global`` community-search baseline (Sozio & Gionis) repeatedly
-removes the vertex of minimum degree while degrees of its neighbours
-decrease; the ``Local`` baseline pops the best-scored frontier vertex
-while scores change.  Both need a priority queue supporting
+The ``Local`` community-search baseline pops the best-scored frontier
+vertex while scores change, so it needs a priority queue supporting
 decrease/increase-key, which :mod:`heapq` alone does not.  The classic
 lazy-deletion wrapper below provides it with O(log n) amortised ops.
 """
@@ -21,12 +19,10 @@ class UpdatableMinHeap:
     negate priorities at the call site.
     """
 
-    def __init__(self, items=()):
+    def __init__(self):
         self._heap = []
         self._entries = {}
         self._counter = itertools.count()
-        for item, priority in items:
-            self.push(item, priority)
 
     def __len__(self):
         return len(self._entries)
@@ -45,14 +41,6 @@ class UpdatableMinHeap:
         self._entries[item] = entry
         heapq.heappush(self._heap, entry)
 
-    # ``update`` reads better than ``push`` at call sites that know the
-    # item exists; both do the same thing.
-    update = push
-
-    def priority(self, item):
-        """Return the current priority of ``item``."""
-        return self._entries[item][0]
-
     def discard(self, item):
         """Remove ``item`` if present; no-op otherwise."""
         entry = self._entries.pop(item, None)
@@ -68,11 +56,3 @@ class UpdatableMinHeap:
                 return item, priority
         raise KeyError("pop from empty heap")
 
-    def peek(self):
-        """Return ``(item, priority)`` with smallest priority, not removing."""
-        while self._heap:
-            priority, _, item = self._heap[0]
-            if item is not _REMOVED:
-                return item, priority
-            heapq.heappop(self._heap)
-        raise KeyError("peek on empty heap")

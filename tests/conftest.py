@@ -4,14 +4,11 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.kcore import core_decomposition
-from repro.datasets import (
-    DblpConfig,
-    figure5_graph,
-    generate_dblp_graph,
-    karate_club_graph,
-)
+from repro.datasets import DblpConfig, figure5_graph, generate_dblp_graph
 from repro.graph.attributed import AttributedGraph
 from repro.util.rng import make_rng
+
+from support.karate import karate_club_graph
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
-"""Effectiveness analysis against ground-truth communities.
+"""Effectiveness against ground-truth communities: the CD-quality
+tests' reference measures.
 
-The abstract promises "functions for analyzing their effectiveness";
-when a dataset carries ground-truth communities (the synthetic DBLP
+When a dataset carries ground-truth communities (the synthetic DBLP
 generator plants them; karate has the faction split), these metrics
 quantify how well a CD partition or a single CS result matches:
 
@@ -14,7 +14,7 @@ quantify how well a CD partition or a single CS result matches:
 
 All are implemented from first principles (no external deps) and
 validated against hand-computed values and NetworkX-free identities in
-the tests.
+``test_ground_truth.py``.
 """
 
 import math

@@ -1,8 +1,8 @@
 """Zachary's karate club as a small attributed fixture.
 
 The classic 34-vertex social network (Zachary 1977), embedded verbatim
-so the library has one *real* graph with known community structure for
-tests and examples without any external dependency.  To make it an
+so the tests have one *real* graph with known community structure
+without any external dependency.  To make it an
 attributed graph, each member carries keywords derived from their
 faction plus a couple of shared hobby words, giving the ACQ engine a
 meaningful keyword signal that correlates with the ground-truth split.

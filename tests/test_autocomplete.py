@@ -9,6 +9,13 @@ from repro.explorer.autocomplete import NameIndex
 from repro.graph.attributed import AttributedGraph
 
 
+def _indexed(graph):
+    """A name index over every display name of ``graph``."""
+    index = NameIndex()
+    index.extend(graph)
+    return index
+
+
 class TestNameIndex:
     def test_basic_suggest(self):
         index = NameIndex(["Jim Gray", "Jennifer Widom", "Joe Smith"])
@@ -47,13 +54,13 @@ class TestNameIndex:
         assert index.suggest("jim") == ["Jim", "Jim Gray"]
 
     def test_from_graph(self, fig5):
-        index = NameIndex.from_graph(fig5)
+        index = _indexed(fig5)
         assert len(index) == 10
         assert index.suggest("a") == ["A"]
 
     def test_extend_indexes_appended_vertices(self, fig5):
         graph = fig5.copy()
-        index = NameIndex.from_graph(graph)
+        index = _indexed(graph)
         graph.add_vertex("Zed Newauthor")
         assert index.suggest("zed") == []
         index.extend(graph)
@@ -63,7 +70,7 @@ class TestNameIndex:
         assert len(index) == 11
 
     def test_dblp_lookup(self, dblp_small):
-        index = NameIndex.from_graph(dblp_small)
+        index = _indexed(dblp_small)
         assert "Jim Gray" in index.suggest("jim")
 
     @given(st.lists(st.text(

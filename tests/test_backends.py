@@ -46,7 +46,7 @@ from conftest import random_graphs
 _STDIN_LAUNCHER = """
 import multiprocessing, os, sys, threading
 from repro import CExplorer
-from repro.datasets import karate_club_graph
+from support.karate import karate_club_graph
 from repro.engine.faults import FaultPlan
 
 explorer = CExplorer(workers=1, backend="process", faults=FaultPlan())

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.explorer.cexplorer import CExplorer
-from repro.graph.io import write_edge_list
 from repro.util.errors import CExplorerError, QueryError
 
 from conftest import build_graph
+from support.edge_list import write_edge_list
 
 
 @pytest.fixture
@@ -47,10 +47,9 @@ class TestGraphManagement:
         ex.add_graph("karate", karate)
         assert ex.graph_names() == ["fig5", "karate"]
         assert ex.graph is karate  # last added selected
-        ex.select_graph("fig5")
+        ex.add_graph("fig5", fig5)
         assert ex.graph is fig5
-        with pytest.raises(CExplorerError):
-            ex.select_graph("missing")
+        assert ex.graph_names() == ["fig5", "karate"]
 
     def test_add_without_select(self, fig5, karate):
         ex = CExplorer()

@@ -44,11 +44,14 @@ class TestFigure5:
         tree = build_cltree(fig5)
         core = core_decomposition(fig5)
         for v in fig5.vertices():
-            assert tree.node_of(v).k == core[v]
+            # v's home: the node of its own core number that holds it.
+            home = tree.component_root(v, core[v])
+            assert home.k == core[v]
+            assert v in home.vertices
 
     def test_inverted_lists(self, fig5):
         tree = build_cltree(fig5)
-        node3 = tree.node_of(fig5.id_of("A"))
+        node3 = tree.component_root(fig5.id_of("A"), 3)
         # Keyword x appears on A, B, C, D (all homed at the k=3 node).
         assert sorted(fig5.label(v) for v in node3.inverted["x"]) == \
             ["A", "B", "C", "D"]

@@ -121,8 +121,8 @@ class TestCodicil:
         structure alone is ambiguous (mu = 0.45) but whose keywords are
         clean, content edges (alpha = 0.5) recover the truth at least
         as well as structure only (alpha = 0, no content edges)."""
-        from repro.analysis.ground_truth import partition_f1
-        from repro.datasets.lfr import generate_planted_partition
+        from support.ground_truth import partition_f1
+        from support.lfr import generate_planted_partition
         graph, truth = generate_planted_partition(
             n=240, communities=6, avg_degree=10, mu=0.45,
             keywords_per_community=6, seed=5)

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.engine.cache import query_key
-from repro.engine.executor import QueryEngine
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
 from repro.engine.stats import EngineStats, LatencyHistogram
@@ -133,7 +132,7 @@ class TestIndexManager:
     def test_register_and_version(self, fig5):
         manager = IndexManager()
         assert manager.register("g", fig5) == 1
-        assert manager.version("g") == 1
+        assert manager.record("g").version == 1
         # Replacing bumps the version.
         assert manager.register("g", fig5) == 2
 
@@ -246,11 +245,11 @@ class TestIndexManager:
         manager.register("g", triangle_plus_tail)
         cache = manager.cache
         maintainer = manager.attach_maintainer("g")
-        before = manager.version("g")
+        before = manager.record("g").version
         for v in (1, 2, 3):
             cache.put(query_key("g", "acq", v, 1), v, vertices={v})
         maintainer.insert_edge(3, 1)
-        assert manager.version("g") == before + 1
+        assert manager.record("g").version == before + 1
         # Vertex 3 was promoted into the 2-core; the affected region
         # covers the edge, the promotion, and its neighbourhood (0 and
         # 1), so only the answer around vertex 2 is carried.
@@ -264,9 +263,14 @@ class TestIndexManager:
 # ----------------------------------------------------------------------
 # executor
 # ----------------------------------------------------------------------
+def _pool(**options):
+    """A graphless explorer's engine, driven through submit() alone."""
+    return CExplorer(**options).engine
+
+
 class TestQueryEnginePool:
     def test_execute_runs_on_worker(self):
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
         try:
             assert engine.wait(engine.submit(lambda a, b: a + b,
                                              20, 22)) == 42
@@ -275,7 +279,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_queue_rejection_under_load(self):
-        engine = QueryEngine(workers=1, max_queue=1)
+        engine = _pool(workers=1, max_queue=1)
         release = threading.Event()
         started = threading.Event()
 
@@ -299,7 +303,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_timeout_while_waiting(self):
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
         release = threading.Event()
         try:
             engine.submit(lambda: release.wait(10))
@@ -319,7 +323,7 @@ class TestQueryEnginePool:
         # expired job and counts it, and the wait -- the engine's, or
         # the asyncio front-end's poll bridge -- re-raises that error
         # without counting it again.
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
         release = threading.Event()
         started = threading.Event()
         try:
@@ -341,7 +345,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_expired_deadline_skips_execution(self):
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
         release = threading.Event()
         ran = []
         try:
@@ -357,7 +361,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_cancellation_before_start(self):
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
         release = threading.Event()
         ran = []
         try:
@@ -373,7 +377,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_worker_exception_propagates(self):
-        engine = QueryEngine(workers=1)
+        engine = _pool(workers=1)
 
         def boom():
             raise ValueError("kaboom")
@@ -424,7 +428,7 @@ class TestQueryEnginePool:
             engine.shutdown()
 
     def test_snapshot_shape(self):
-        engine = QueryEngine(workers=2)
+        engine = _pool(workers=2)
         try:
             engine.wait(engine.submit(lambda: None, op="search"))
             doc = engine.snapshot()
@@ -523,10 +527,10 @@ class TestExplorerEngineIntegration:
         explorer = CExplorer()
         explorer.add_graph("karate", karate)
         explorer.index()
-        version = explorer.indexes.version("karate")
+        version = explorer.indexes.record("karate").version
         v = explorer.maintainer().add_vertex("new author",
                                              ["data", "graph"])
-        assert explorer.indexes.version("karate") == version + 1
+        assert explorer.indexes.record("karate").version == version + 1
         assert len(explorer.indexes.core("karate")) == v + 1
         assert explorer.search("acq", v, k=1) == []
         assert explorer.search("global", v, k=1) == []
@@ -628,16 +632,16 @@ class TestStats:
         for ms in range(1, 101):
             hist.record(ms / 1000.0)
         assert hist.count == 100
-        assert 0.045 <= hist.percentile(50) <= 0.055
-        assert 0.090 <= hist.percentile(95) <= 0.100
         doc = hist.snapshot()
+        assert 45 <= doc["p50_ms"] <= 55
+        assert 90 <= doc["p95_ms"] <= 100
         assert doc["count"] == 100
         assert doc["max_ms"] == 100.0
 
     def test_empty_histogram(self):
-        hist = LatencyHistogram()
-        assert hist.percentile(50) == 0.0
-        assert hist.snapshot()["count"] == 0
+        doc = LatencyHistogram().snapshot()
+        assert doc["p50_ms"] == 0.0
+        assert doc["count"] == 0
 
     def test_engine_stats_snapshot(self):
         stats = EngineStats()

@@ -163,8 +163,11 @@ class TestCsrKernels:
     def test_cltree_on_frozen_matches_mutable(self, graph):
         mutable_tree = build_cltree(graph)
         frozen_tree = build_cltree(freeze(graph))
+        assert frozen_tree.core == mutable_tree.core
         for v in range(graph.vertex_count):
-            assert frozen_tree.node_of(v).k == mutable_tree.node_of(v).k
+            k = mutable_tree.core[v]
+            assert sorted(frozen_tree.component_root(v, k).vertices) == \
+                sorted(mutable_tree.component_root(v, k).vertices)
             top = max(mutable_tree.core) if mutable_tree.core else 0
             for k in range(top + 2):
                 assert frozen_tree.community_vertices(v, k) == \

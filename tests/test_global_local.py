@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.global_search import global_max_min_degree, global_search
+from repro.algorithms.global_search import global_search
 from repro.algorithms.local_search import local_search
 from repro.core.kcore import connected_k_core, core_decomposition
 from repro.util.errors import QueryError
@@ -47,17 +47,21 @@ class TestGlobal:
                 assert result[0].vertices == frozenset(expected)
 
     def test_max_min_degree_variant(self, fig5):
-        community, k_star = global_max_min_degree(fig5, fig5.id_of("A"))
+        # The parameter-free Global (maximise the minimum degree) is
+        # Global at k = core(q).
+        q = fig5.id_of("A")
+        k_star = core_decomposition(fig5)[q]
         assert k_star == 3
+        community, = global_search(fig5, q, k_star)
         assert {fig5.label(v) for v in community} == {"A", "B", "C", "D"}
 
     @given(random_graphs())
     def test_max_min_degree_is_core_number(self, g):
         core = core_decomposition(g)
         for q in range(min(g.vertex_count, 6)):
-            community, k_star = global_max_min_degree(g, q)
-            assert k_star == core[q]
-            assert community.minimum_internal_degree() >= k_star
+            community, = global_search(g, q, core[q])
+            assert community.minimum_internal_degree() >= core[q]
+            assert global_search(g, q, core[q] + 1) == []
 
 
 class TestLocal:

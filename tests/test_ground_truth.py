@@ -3,16 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.ground_truth import (
+from repro.core.community import Community
+
+from conftest import build_graph
+from support.ground_truth import (
     ari,
     evaluate_partition,
     f1_score,
     nmi,
     partition_f1,
 )
-from repro.core.community import Community
-
-from conftest import build_graph
 
 
 class TestF1:
@@ -138,7 +138,7 @@ class TestEvaluatePartition:
         """Label propagation on a well-separated planted partition must
         recover most of the structure (F1 and NMI high)."""
         from repro.algorithms.label_propagation import label_propagation
-        from repro.datasets.lfr import generate_planted_partition
+        from support.lfr import generate_planted_partition
         graph, truth = generate_planted_partition(
             n=180, communities=6, avg_degree=10, mu=0.05, seed=4)
         found = label_propagation(graph, seed=2)
@@ -151,7 +151,7 @@ class TestEvaluatePartition:
         propagation's F1 never rises as ``mu`` grows, and the easiest
         mix beats the hardest."""
         from repro.algorithms.label_propagation import label_propagation
-        from repro.datasets.lfr import generate_planted_partition
+        from support.lfr import generate_planted_partition
         f1s = []
         for mu in (0.05, 0.2, 0.4, 0.6):
             graph, truth = generate_planted_partition(

@@ -6,9 +6,17 @@ from hypothesis import given, strategies as st
 from repro.util.heaps import UpdatableMinHeap
 
 
+def _heap(pairs):
+    """A heap holding ``(item, priority)`` pairs, pushed in order."""
+    heap = UpdatableMinHeap()
+    for item, priority in pairs:
+        heap.push(item, priority)
+    return heap
+
+
 class TestUpdatableMinHeap:
     def test_pop_returns_minimum(self):
-        heap = UpdatableMinHeap([("a", 3), ("b", 1), ("c", 2)])
+        heap = _heap([("a", 3), ("b", 1), ("c", 2)])
         assert heap.pop() == ("b", 1)
         assert heap.pop() == ("c", 2)
         assert heap.pop() == ("a", 3)
@@ -17,28 +25,14 @@ class TestUpdatableMinHeap:
         with pytest.raises(KeyError):
             UpdatableMinHeap().pop()
 
-    def test_peek_does_not_remove(self):
-        heap = UpdatableMinHeap([("a", 5)])
-        assert heap.peek() == ("a", 5)
-        assert len(heap) == 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(KeyError):
-            UpdatableMinHeap().peek()
-
     def test_push_updates_priority(self):
-        heap = UpdatableMinHeap([("a", 5), ("b", 4)])
+        heap = _heap([("a", 5), ("b", 4)])
         heap.push("a", 1)
         assert heap.pop() == ("a", 1)
         assert heap.pop() == ("b", 4)
 
-    def test_update_alias(self):
-        heap = UpdatableMinHeap([("a", 5)])
-        heap.update("a", 9)
-        assert heap.priority("a") == 9
-
     def test_discard_removes(self):
-        heap = UpdatableMinHeap([("a", 1), ("b", 2)])
+        heap = _heap([("a", 1), ("b", 2)])
         heap.discard("a")
         assert "a" not in heap
         assert heap.pop() == ("b", 2)
@@ -56,7 +50,7 @@ class TestUpdatableMinHeap:
         assert len(heap) == 1
 
     def test_contains_after_update(self):
-        heap = UpdatableMinHeap([("a", 1)])
+        heap = _heap([("a", 1)])
         heap.push("a", 10)
         assert "a" in heap
         heap.pop()

@@ -9,12 +9,12 @@ from repro.graph.io import (
     load_graph,
     read_edge_list,
     read_graph_json,
-    write_edge_list,
     write_graph_json,
 )
 from repro.util.errors import GraphFormatError
 
 from conftest import random_graphs
+from support.edge_list import write_edge_list
 
 
 def _graphs_equal(a, b):

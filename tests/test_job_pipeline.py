@@ -367,7 +367,7 @@ class TestWorkerState:
             # whatever the number of versions that passed through.
             assert set(mine) == {(epoch, "g", "full")}
             assert mine[(epoch, "g", "full")] == \
-                (explorer.indexes.version("g"),)
+                (explorer.indexes.record("g").version,)
             if substrate == "process":
                 assert [key for key in attached
                         if key[0] == epoch] == sorted(mine, key=str)

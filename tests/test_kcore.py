@@ -12,7 +12,6 @@ from repro.core.kcore import (
     connected_k_core,
     core_decomposition,
     k_core,
-    max_core_number,
     peel_to_min_degree,
 )
 from repro.graph import AttributedGraph, freeze
@@ -40,7 +39,7 @@ class TestCoreDecomposition:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert core_decomposition(g) == []
-        assert max_core_number(g) == 0
+        assert max(core_decomposition(g), default=0) == 0
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -49,14 +48,14 @@ class TestCoreDecomposition:
     def test_clique(self):
         g = build_graph(5, [(i, j) for i in range(5) for j in range(i)])
         assert core_decomposition(g) == [4] * 5
-        assert max_core_number(g) == 4
+        assert max(core_decomposition(g), default=0) == 4
 
     def test_star(self):
         g = build_graph(6, [(0, i) for i in range(1, 6)])
         assert core_decomposition(g) == [1] * 6
 
     def test_karate_max_core(self, karate):
-        assert max_core_number(karate) == 4
+        assert max(core_decomposition(karate), default=0) == 4
 
     @given(random_graphs(max_n=30, max_m=120))
     def test_matches_networkx(self, g):
@@ -80,7 +79,7 @@ class TestCoreDecomposition:
     @given(random_graphs())
     def test_cores_are_nested(self, g):
         """Property: the (k+1)-core is contained in the k-core."""
-        kmax = max_core_number(g)
+        kmax = max(core_decomposition(g), default=0)
         previous = set(g.vertices())
         for k in range(kmax + 1):
             current = k_core(g, k)
@@ -138,7 +137,7 @@ class TestPeeling:
     @given(random_graphs())
     def test_peel_equals_kcore_on_full_graph(self, g):
         """Property: peeling the whole graph to min degree k gives H_k."""
-        kmax = max_core_number(g)
+        kmax = max(core_decomposition(g), default=0)
         for k in range(kmax + 2):
             assert peel_to_min_degree(g, g.vertices(), k) == k_core(g, k)
 

@@ -4,13 +4,8 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
-from repro.core.ktruss import (
-    connected_k_truss,
-    edge_support,
-    k_truss,
-    max_truss_number,
-    truss_decomposition,
-)
+from repro.algorithms.truss_search import truss_community_search
+from repro.core.ktruss import edge_support, k_truss, truss_decomposition
 
 from conftest import build_graph, random_graphs
 
@@ -48,7 +43,6 @@ class TestEdgeSupport:
 class TestTrussDecomposition:
     def test_empty(self):
         assert truss_decomposition(build_graph(3, [])) == {}
-        assert max_truss_number(build_graph(3, [])) == 0
 
     def test_single_edge_truss_two(self):
         g = build_graph(2, [(0, 1)])
@@ -60,7 +54,6 @@ class TestTrussDecomposition:
     def test_k4_truss_four(self):
         g = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
         assert set(truss_decomposition(g).values()) == {4}
-        assert max_truss_number(g) == 4
 
     def test_triangle_with_tail(self):
         g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -105,12 +98,15 @@ class TestKTrussQueries:
             k_truss(_triangle(), 1)
 
     def test_connected_k_truss(self):
-        # Two triangles sharing no vertex.
+        # Two triangles sharing no vertex: each query vertex's k-truss
+        # community is its own triangle.
         g = build_graph(6, [(0, 1), (1, 2), (0, 2),
                             (3, 4), (4, 5), (3, 5)])
-        assert connected_k_truss(g, 0, 3) == {0, 1, 2}
-        assert connected_k_truss(g, 4, 3) == {3, 4, 5}
+        assert [c.vertices for c in truss_community_search(g, 0, 3)] == \
+            [{0, 1, 2}]
+        assert [c.vertices for c in truss_community_search(g, 4, 3)] == \
+            [{3, 4, 5}]
 
     def test_connected_k_truss_absent(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert connected_k_truss(g, 0, 3) is None
+        assert truss_community_search(g, 0, 3) == []

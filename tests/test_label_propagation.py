@@ -1,9 +1,9 @@
 """Tests for label propagation."""
 
 from repro.algorithms.label_propagation import label_propagation
-from repro.datasets.karate import karate_factions
 
 from conftest import build_graph
+from support.karate import karate_factions
 
 
 class TestLabelPropagation:

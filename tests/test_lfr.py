@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.datasets.lfr import generate_planted_partition
 from repro.graph.validation import validate_graph
+
+from support.lfr import generate_planted_partition
 
 
 class TestGenerator:
@@ -63,7 +64,7 @@ class TestGenerator:
         """End-to-end: label propagation recovers easy (mu=0.05) much
         better than hard (mu=0.5) mixtures."""
         from repro.algorithms.label_propagation import label_propagation
-        from repro.analysis.ground_truth import partition_f1
+        from support.ground_truth import partition_f1
 
         def score(mu):
             graph, truth = generate_planted_partition(

@@ -9,7 +9,6 @@ from repro.analysis.metrics import (
     community_density,
     cpj,
     keyword_jaccard,
-    similarity_matrix,
 )
 from repro.core.acq import acq_search
 from repro.core.community import Community
@@ -126,20 +125,3 @@ class TestStructuralMetrics:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert community_conductance(Community(g, {0, 1, 2})) == 0.0
 
-
-class TestSimilarityMatrix:
-    def test_shape_and_symmetry(self):
-        c = _community([{"a"}, {"a", "b"}, {"b"}])
-        members, rows = similarity_matrix(c)
-        assert members == [0, 1, 2]
-        assert len(rows) == 3 and all(len(r) == 3 for r in rows)
-        for i in range(3):
-            assert rows[i][i] == 1.0
-            for j in range(3):
-                assert rows[i][j] == rows[j][i]
-
-    def test_limit(self):
-        c = _community([{"a"}] * 10)
-        members, rows = similarity_matrix(c, limit=4)
-        assert len(members) == 4
-        assert len(rows) == 4

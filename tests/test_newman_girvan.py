@@ -9,9 +9,9 @@ from repro.algorithms.newman_girvan import (
     modularity,
     newman_girvan,
 )
-from repro.datasets.karate import karate_factions
 
 from conftest import build_graph, random_graphs
+from support.karate import karate_factions
 
 
 class TestEdgeBetweenness:

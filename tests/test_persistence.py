@@ -48,7 +48,7 @@ class TestRoundtrip:
         path = str(tmp_path / "index.json")
         save_cltree(tree, path)
         loaded = load_cltree(path, fig5)
-        node = loaded.node_of(fig5.id_of("A"))
+        node = loaded.component_root(fig5.id_of("A"), 3)
         assert sorted(fig5.label(v) for v in node.inverted["x"]) == \
             ["A", "B", "C", "D"]
 

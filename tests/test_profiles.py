@@ -1,6 +1,6 @@
 """Tests for the author profile store (Figure 2)."""
 
-from repro.explorer.profiles import AuthorProfile, ProfileStore
+from repro.explorer.profiles import ProfileStore
 
 
 class TestProfileStore:
@@ -41,8 +41,9 @@ class TestProfileStore:
         assert profile.institute == "X"
 
     def test_add_overrides(self):
-        store = ProfileStore()
-        store.add(AuthorProfile("Jim Gray", "Override", "Nowhere", "Z"))
+        store = ProfileStore(extra={
+            "Jim Gray": {"areas": "Override", "institute": "Nowhere",
+                         "interests": "Z"}})
         assert store.get("Jim Gray").areas == "Override"
 
 

@@ -25,7 +25,6 @@ from repro.algorithms.registry import (
 )
 from repro.core.community import Community
 from repro.core.kcore import core_decomposition
-from repro.datasets import generate_planted_partition
 from repro.engine.faults import FaultPlan
 from repro.engine.plans import ACQ_FAMILY
 from repro.explorer.cexplorer import CExplorer
@@ -40,6 +39,7 @@ from repro.graph.protocol import (
 from repro.util.errors import GraphFormatError
 
 from conftest import random_graphs
+from support.lfr import generate_planted_partition
 
 # Per-algorithm query parameters: the triangle family needs k >= 2,
 # codicil ignores k, everything else is happy with small k.

@@ -13,10 +13,11 @@ import pytest
 
 from repro.engine.tracing import METRICS, metric_value
 from repro.explorer.cexplorer import CExplorer
-from repro.graph.io import write_edge_list
 from repro.server.app import make_server
 from repro.server.html import INDEX_HTML
 from repro.server.routes import v1_routes
+
+from support.edge_list import write_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,8 @@ class TestQueryEndpoints:
         assert status == 200
         assert doc == {"name": "fig5", "vertices": 10, "edges": 11}
         # Restore the dblp graph as active for other tests.
-        server.state.explorer.select_graph("dblp")
+        explorer = server.state.explorer
+        explorer.add_graph("dblp", explorer.indexes.graph("dblp"))
 
     def test_upload_missing_path(self, server):
         status, doc = _post(server, "/v1/upload", {})

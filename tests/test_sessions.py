@@ -22,16 +22,17 @@ class TestExplorationSession:
 
     def test_last(self):
         session = ExplorationSession("s1")
-        assert session.last() is None
+        assert session.history(limit=1) == []
+        session.record("acq", "v", 1, 0)
         session.record("acq", "x", 1, 0)
-        assert session.last()["vertex"] == "x"
+        assert [e["vertex"] for e in session.history(limit=1)] == ["x"]
 
     def test_max_entries_trim(self):
         session = ExplorationSession("s1", max_entries=3)
         for i in range(10):
             session.record("acq", "v{}".format(i), 4, 1)
         assert len(session) == 3
-        assert session.last()["vertex"] == "v9"
+        assert session.history()[0]["vertex"] == "v9"
 
 
 class TestSessionStore:

@@ -205,7 +205,6 @@ def _assert_matches_scratch(community, graph, q, k):
 class TestSharing:
     def test_one_body_per_component_k_and_graph(self):
         explorer = CExplorer()
-        explorer.add_graph("other", _two_cliques(), select=False)
         explorer.add_graph("g", _two_cliques())
         a = explorer.search("global", 0, k=3)[0]
         b = explorer.search("global", 2, k=3)[0]
@@ -218,7 +217,7 @@ class TestSharing:
         assert c.vertices == {4, 5, 6, 7} and c.body is not a.body
         d = explorer.search("global", 0, k=2)[0]
         assert d.vertices == a.vertices and d.body is not a.body
-        explorer.select_graph("other")
+        explorer.add_graph("other", _two_cliques())
         e = explorer.search("global", 0, k=3)[0]
         assert e.vertices == a.vertices and e.body is not a.body
         assert e.graph is not a.graph

@@ -35,21 +35,10 @@ class TestHistogramReservoir:
             hist.record(1.0)
         # After wraparound only the four 1.0s samples remain, so the
         # median must ignore the hundred earlier fast queries.
-        assert hist.percentile(50) == 1.0
-
-    def test_percentile_clamped_at_zero_and_hundred(self):
-        hist = LatencyHistogram()
-        samples = [0.5, 0.1, 0.9, 0.3]
-        for s in samples:
-            hist.record(s)
-        assert hist.percentile(0) == min(samples)
-        assert hist.percentile(100) == max(samples)
-        # Out-of-range ranks clamp rather than index-error.
-        assert hist.percentile(-50) == min(samples)
-        assert hist.percentile(250) == max(samples)
+        assert hist.snapshot()["p50_ms"] == 1000.0
 
     def test_percentile_empty_reservoir(self):
-        assert LatencyHistogram().percentile(95) == 0.0
+        assert LatencyHistogram().snapshot()["p95_ms"] == 0.0
 
     def test_snapshot_exports_buckets_and_total(self):
         hist = LatencyHistogram()
@@ -69,12 +58,15 @@ class TestHistogramReservoir:
         assert sum(count for _, count in buckets) == 3
 
     def test_snapshot_percentiles_agree_with_percentile(self):
+        # Nearest rank over the sorted window: of 1..100 ms (recorded
+        # out of order), p50 is rank round(0.50 * 99) = 50, that is
+        # 51 ms, and p95 is rank round(0.95 * 99) = 94, 95 ms.
         hist = LatencyHistogram()
-        for i in range(1, 101):
+        for i in reversed(range(1, 101)):
             hist.record(i / 1000.0)
         snap = hist.snapshot()
-        assert snap["p50_ms"] == round(hist.percentile(50) * 1000, 3)
-        assert snap["p95_ms"] == round(hist.percentile(95) * 1000, 3)
+        assert snap["p50_ms"] == 51.0
+        assert snap["p95_ms"] == 95.0
 
 
 # ----------------------------------------------------------------------

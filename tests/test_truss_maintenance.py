@@ -163,12 +163,12 @@ class TestIndexWiring:
         explorer = CExplorer()
         explorer.add_graph("k", karate)
         gateway = explorer.truss_maintainer()
-        before = explorer.indexes.version("k")
+        before = explorer.indexes.record("k").version
         u, v = next(
             (u, v) for u in karate.vertices() for v in karate.vertices()
             if u < v and not karate.has_edge(u, v))
         gateway.insert_edge(u, v)
-        assert explorer.indexes.version("k") == before + 1
+        assert explorer.indexes.record("k").version == before + 1
         assert explorer.indexes.truss("k") == truss_decomposition(karate)
         gateway.remove_edge(u, v)
         assert explorer.indexes.truss("k") == truss_decomposition(karate)
