@@ -1,19 +1,16 @@
-"""Ablation -- dynamic core and truss maintenance vs full recomputation.
+"""Ablation -- dynamic core maintenance vs full recomputation.
 
 Not a paper figure.  The server keeps indexes over graphs users edit;
-this bench checks the shape that justifies the maintainers: patching
-core (or truss) numbers per edge update beats re-running the whole
-decomposition after every update by at least 5x on the DBLP workload.
-Exactness after every update is tier-1's job
-(``tests/test_maintenance.py`` and ``tests/test_truss_maintenance.py``).
+this bench checks the shape that justifies the maintainer: patching
+core numbers per edge update beats re-running the whole decomposition
+after every update by at least 5x on the DBLP workload.  Exactness
+after every update is tier-1's job (``tests/test_maintenance.py``).
 """
 
 import time
 
 from repro.core.kcore import core_decomposition
-from repro.core.ktruss import truss_decomposition
 from repro.core.maintenance import CoreMaintainer
-from repro.core.truss_maintenance import TrussMaintainer
 
 from bench_common import best_of, dblp_sized, write_artifact
 
@@ -34,18 +31,22 @@ def _churn_edges(graph, count):
     return edges
 
 
-def _assert_speedup(benchmark, graph, edges, maintainer, insert,
-                    decompose, artefact, title):
-    """Insert then remove ``edges`` once through ``maintainer`` and once
-    with ``decompose`` re-run after every update; patching must win by
-    at least 5x."""
+def test_maintenance_speedup_shape(benchmark):
+    """Shape: per-update patching beats per-update recomputation by
+    a widening margin as the graph grows (>= 5x at 4,000 authors --
+    the patch cost is bounded by the update's neighbourhood, the
+    recompute cost by n + m).  Each edge is inserted then removed
+    once through the maintainer and once with the decomposition
+    re-run after every update."""
+    graph = dblp_sized(4000)
+    edges = _churn_edges(graph, 50)
 
     def measure():
         work = graph.copy()
-        m = maintainer(work)
+        m = CoreMaintainer(work)
         start = time.perf_counter()
         for u, v in edges:
-            insert(m, u, v)
+            m.insert_edge(u, v)
         for u, v in edges:
             m.remove_edge(u, v)
         incremental = time.perf_counter() - start
@@ -55,46 +56,20 @@ def _assert_speedup(benchmark, graph, edges, maintainer, insert,
         start = time.perf_counter()
         for u, v in edges:
             work.add_edge(u, v)
-            decompose(work)
+            core_decomposition(work)
         for u, v in edges:
             work.remove_edge(u, v)
-            decompose(work)
+            core_decomposition(work)
         return incremental, time.perf_counter() - start
 
     incremental, recompute = benchmark.pedantic(
         best_of, args=(measure,), rounds=1, iterations=1)
     assert recompute > 5 * incremental, (incremental, recompute)
     write_artifact(
-        artefact,
-        "Ablation - {}\n\n"
+        "maintenance.txt",
+        "Ablation - dynamic core maintenance (100 edge updates, 4k "
+        "DBLP)\n\n"
         "  incremental patching: {:.4f}s\n"
         "  full recomputation:   {:.4f}s\n"
-        "  speedup: {:.1f}x".format(title, incremental, recompute,
+        "  speedup: {:.1f}x".format(incremental, recompute,
                                     recompute / incremental))
-
-
-def test_maintenance_speedup_shape(benchmark):
-    """Shape: per-update patching beats per-update recomputation by
-    a widening margin as the graph grows (>= 5x at 4,000 authors --
-    the patch cost is bounded by the update's neighbourhood, the
-    recompute cost by n + m)."""
-    graph = dblp_sized(4000)
-    _assert_speedup(benchmark, graph, _churn_edges(graph, 50),
-                    CoreMaintainer, CoreMaintainer.insert_edge,
-                    core_decomposition, "maintenance.txt",
-                    "dynamic core maintenance (100 edge updates, 4k "
-                    "DBLP)")
-
-
-def test_truss_maintenance_speedup_shape(benchmark):
-    """Shape: the truss maintainer's localized fixed-point patching
-    beats per-update truss recomputation by a widening margin (>= 5x
-    at 1,200 authors -- a patch touches only the triangles of the
-    affected region, a recompute pays the O(m^1.5) support pass plus
-    the full peel)."""
-    graph = dblp_sized(1200)
-    _assert_speedup(benchmark, graph, _churn_edges(graph, 20),
-                    TrussMaintainer, TrussMaintainer.add_edge,
-                    truss_decomposition, "truss_maintenance.txt",
-                    "dynamic truss maintenance (40 edge updates, 1.2k "
-                    "DBLP)")

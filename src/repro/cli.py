@@ -250,10 +250,10 @@ def build_parser():
                        help="engine worker threads (default 2)")
         p.add_argument("--backend", default="thread",
                        choices=["thread", "process"],
-                       help="execution backend: 'process' runs whole "
-                            "queries and CL-tree builds in a "
-                            "multiprocessing pool over frozen CSR "
-                            "snapshots (default thread)")
+                       help="execution backend: 'process' runs "
+                            "ACQ-family searches in a multiprocessing "
+                            "pool over frozen CSR snapshots (default "
+                            "thread)")
         p.add_argument("--fault-plan",
                        help="seeded fault-injection plan for chaos "
                             "testing: a spec string like "

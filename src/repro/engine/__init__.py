@@ -41,12 +41,9 @@ The modules
     each computed on the first query that needs it, once per version
     however many queries ask at once -- and the search answers;
     invalidation hooks wired into
-    :class:`~repro.core.maintenance.CoreMaintainer` and
-    :class:`~repro.core.truss_maintenance.TrussMaintainer` so
-    incremental edge updates bump the version, carrying to the next
-    record the answers they did not touch -- with both maintainers
-    attached, even k-truss/ATC answers survive updates disjoint from
-    their footprint.
+    :class:`~repro.core.maintenance.CoreMaintainer` so incremental
+    edge updates bump the version, carrying to the next record the
+    ACQ/``global`` answers they did not touch.
 
 ``plans``
     :func:`~repro.engine.plans.plan_search`: picks the CS strategy

@@ -14,7 +14,8 @@ overlapping queries (PAPERS.md) is the win this module captures:
   <repro.engine.index_manager.IndexManager.invalidate>`) hands the
   next record the answers the update provably did not touch -- those
   whose footprint is disjoint from the affected region, for the
-  algorithm families where that is sound -- and drops the rest.
+  minimum-degree families where that is sound -- and drops the rest
+  (the triangle families among them: no region is tracked for them).
   Concurrent identical misses (many users landing on the same hub
   author at once) share one computation through the index manager's
   flight table (:meth:`~repro.engine.index_manager.IndexManager.once`),
@@ -37,18 +38,10 @@ from repro.engine import tracing
 SELECTIVE_SAFE_ALGORITHMS = frozenset(
     {"acq", "acq-inc-s", "acq-inc-t", "global"})
 
-# Triangle-based families.  Their results cascade along triangle
-# connectivity, which only a
-# :class:`~repro.core.truss_maintenance.TrussMaintainer` tracks: when
-# a bump carries the truss-affected vertex set, answers whose
-# footprint is disjoint from it survive; without one (core-only
-# maintenance) they are dropped conservatively.
-TRUSS_SELECTIVE_ALGORITHMS = frozenset({"k-truss", "atc"})
-
 # Invalidation reason labels reported by :meth:`ResultCache.stats` --
 # the metrics endpoint surfaces these so a deployment can see whether
 # evictions are precise cascades or blind evict-alls.
-INVALIDATION_REASONS = ("core-cascade", "truss-cascade", "evict-all")
+INVALIDATION_REASONS = ("core-cascade", "evict-all")
 
 
 def _canonical(value):
@@ -168,21 +161,17 @@ class ResultCache:
                                  "footprint": len(vertices)
                                  if vertices else 0})
 
-    def invalidate(self, graph_name=None, affected=None,
-                   truss_affected=None):
+    def invalidate(self, graph_name=None, affected=None):
         """Drop the current answers an update to ``graph_name`` could
         have changed -- on a bump, before they move to the next record.
 
         ``graph_name=None`` applies to every graph.
         ``affected`` is the core-cascade vertex region: answers of the
         minimum-degree families survive when their recorded footprint
-        is disjoint from it.  ``truss_affected`` is the
-        triangle-support cascade region a
-        :class:`~repro.core.truss_maintenance.TrussMaintainer` reports:
-        k-truss/ATC answers survive when their footprint is disjoint
-        from *it*.  A family whose region was not supplied is dropped
-        conservatively (the ``evict-all`` fallback, counted per reason
-        in :meth:`stats`).  Returns the eviction count.
+        is disjoint from it.  Every other answer -- and every answer
+        when no region is supplied -- is dropped conservatively (the
+        ``evict-all`` fallback, counted per reason in :meth:`stats`).
+        Returns the eviction count.
         """
         reason_counts = {}
         with self._lock:
@@ -193,21 +182,17 @@ class ResultCache:
             for record in records:
                 answers = record.answers
                 for key, answer in list(answers.items()):
-                    algorithm = key[1]
-                    if algorithm in TRUSS_SELECTIVE_ALGORITHMS:
-                        region, reason = truss_affected, "truss-cascade"
-                    elif algorithm in SELECTIVE_SAFE_ALGORITHMS:
-                        region, reason = affected, "core-cascade"
-                    else:
-                        region = None
-                    if region is None:
+                    if affected is None or \
+                            key[1] not in SELECTIVE_SAFE_ALGORITHMS:
                         reason = "evict-all"
                     # An *empty* footprint (a cached "no community"
                     # answer) must not count as disjoint: the update
                     # may be exactly what makes the query answerable.
                     elif answer.vertices \
-                            and answer.vertices.isdisjoint(region):
+                            and answer.vertices.isdisjoint(affected):
                         continue
+                    else:
+                        reason = "core-cascade"
                     del answers[key]
                     reason_counts[reason] = \
                         reason_counts.get(reason, 0) + 1

@@ -601,7 +601,6 @@ class QueryEngine:
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "in_flight": self._in_flight,
-            "truss": self.indexes.truss_stats(),
             "traces": self.tracer.stats(),
             # The installed fault plan's rules and what fired, per kind.
             "fault_plan": self.faults.snapshot()

@@ -29,14 +29,9 @@ query path and lets analytics read one consistent version:
   incremental edge update bumps the version automatically, hands the
   patched core numbers to the new record for free, and reports the
   affected region (changed vertices + their neighbourhoods) for
-  selective cache eviction;
-* **attach_truss_maintainer** additionally wires a
-  :class:`~repro.core.truss_maintenance.TrussMaintainer` behind the
-  same mutation gateway: each applied update patches per-edge support
-  and trussness incrementally -- the next record reads its truss map
-  off the maintainer instead of recomputing it -- and reports the
-  *truss-affected* region, so cached k-truss/ATC results survive
-  unrelated updates instead of being evicted wholesale.
+  selective cache eviction.  The ``{edge: truss}`` map is not
+  maintained: each version computes it once, on first use, and a bump
+  drops the triangle families' answers.
 
 Versions are per-graph monotonic integers; anything keyed by
 ``(graph, version)`` is immune to stale reads by construction.
@@ -53,10 +48,6 @@ from repro.core.cltree import build_cltree
 from repro.core.kcore import core_decomposition
 from repro.core.ktruss import truss_decomposition
 from repro.core.maintenance import CoreMaintainer
-from repro.core.truss_maintenance import (
-    TrussMaintainer,
-    truss_affected_vertices,
-)
 from repro.engine import payloads, tracing
 from repro.engine.cache import ResultCache
 from repro.graph.frozen import FrozenGraph
@@ -100,13 +91,11 @@ def _held(record, slot):
 class _IndexEntry:
     """A registered graph: what lives across its versions."""
 
-    __slots__ = ("graph", "maintainer", "truss_maintainer",
-                 "build_count", "record")
+    __slots__ = ("graph", "maintainer", "build_count", "record")
 
     def __init__(self, graph, version):
         self.graph = graph
         self.maintainer = None
-        self.truss_maintainer = None
         self.build_count = 0
         self.record = VersionRecord(version)
 
@@ -205,10 +194,6 @@ class IndexManager:
         # per graph version.
         self.cache = ResultCache(self, cache_size)
         self._payload_epoch = next(self._payload_epochs)
-        # Size of the most recent truss cascade across *all* maintained
-        # graphs (per-maintainer counters cannot say which update was
-        # last when several graphs are maintained).
-        self.last_truss_cascade_size = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -345,17 +330,13 @@ class IndexManager:
     def truss(self, name):
         """Current truss numbers ``{(u, v): t}`` of graph ``name``.
 
-        The triangle-family counterpart of :meth:`core`: with a truss
-        maintainer attached this is its incrementally patched map,
-        otherwise one decomposition per version.  Callers must treat
-        the returned map as read-only.
+        The triangle-family counterpart of :meth:`core`: one
+        decomposition per version.  Callers must treat the returned
+        map as read-only.
         """
         entry, record = self._current(name)
-        maintainer = entry.truss_maintainer
-        return self._derive(
-            record, "truss",
-            lambda: maintainer.truss_numbers() if maintainer is not None
-            else truss_decomposition(entry.graph))[0]
+        return self._derive(record, "truss",
+                            lambda: truss_decomposition(entry.graph))[0]
 
     def full_payload(self, name):
         """The current version's whole-graph frozen payload.
@@ -450,13 +431,6 @@ class IndexManager:
         with self._lock:
             entry = self._entry(name)
             record = entry.record
-            tm = entry.truss_maintainer
-            truss = {"built": record.truss is not None,
-                     "maintained": tm is not None}
-            if tm is not None:
-                truss["cascades"] = tm.updates
-                truss["last_cascade_size"] = tm.last_cascade_size
-                truss["max_cascade_size"] = tm.max_cascade_size
             cltree = record.cltree
             return {
                 "version": record.version,
@@ -466,30 +440,8 @@ class IndexManager:
                 "build_seconds": round(cltree.build_seconds, 6)
                 if cltree is not None else None,
                 "maintained": entry.maintainer is not None,
-                "truss": truss,
+                "truss": {"built": record.truss is not None},
             }
-
-    def truss_stats(self):
-        """Aggregate truss-maintenance counters across every graph.
-
-        Feeds ``/v1/metrics``' ``engine.truss``: how many
-        updates the attached truss maintainers absorbed and how large
-        their trussness cascades were.
-        """
-        with self._lock:
-            maintainers = [entry.truss_maintainer
-                           for entry in self._entries.values()
-                           if entry.truss_maintainer is not None]
-        doc = {"maintained_graphs": len(maintainers), "updates": 0,
-               "changed_edges": 0,
-               "last_cascade_size": self.last_truss_cascade_size,
-               "max_cascade_size": 0}
-        for tm in maintainers:
-            doc["updates"] += tm.updates
-            doc["changed_edges"] += tm.total_cascade_size
-            doc["max_cascade_size"] = max(doc["max_cascade_size"],
-                                          tm.max_cascade_size)
-        return doc
 
     # ------------------------------------------------------------------
     # builds
@@ -521,25 +473,21 @@ class IndexManager:
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def invalidate(self, name, affected=None, core=None,
-                   truss_affected=None):
+    def invalidate(self, name, affected=None, core=None):
         """Bump ``name``'s version after a mutation -- the one bump.
 
         The next record receives the search answers the mutation
         provably did not touch: ``affected`` is the vertex region it
         could have touched, against which the minimum-degree families'
-        answers are tested, and ``truss_affected`` the triangle-support
-        cascade region a truss maintainer reported, against which the
-        triangle families' answers are (``None`` means unknown: those
-        answers are dropped).  ``core`` optionally carries
+        answers are tested (every other family's answers are
+        dropped).  ``core`` optionally carries
         already-patched core numbers so the new record skips the
         decomposition.  Returns the new version.
         """
         with self._lock:
             entry = self._entry(name)
             superseded = entry.record
-            self.cache.invalidate(name, affected=affected,
-                                  truss_affected=truss_affected)
+            self.cache.invalidate(name, affected=affected)
             entry.record = VersionRecord(superseded.version + 1,
                                          core=core,
                                          answers=superseded.answers)
@@ -552,9 +500,9 @@ class IndexManager:
         self._drop_payload(superseded)
         return version
 
-    def attach_maintainer(self, name, maintainer=None):
+    def attach_maintainer(self, name):
         """Route ``name``'s mutations through a
-        :class:`CoreMaintainer` wired into version bumps.
+        :class:`CoreMaintainer` wired into version bumps; returns it.
 
         Every edge insert/delete bumps the version, reuses the
         maintainer's patched core numbers, and reports the affected
@@ -566,85 +514,22 @@ class IndexManager:
         """
         with self._lock:
             entry = self._entry(name)
-            if entry.maintainer is not None and \
-                    maintainer in (None, entry.maintainer):
-                # Re-attaching (implicitly or with the already-wired
-                # maintainer) is a no-op: a second listener would bump
-                # versions twice per update.
+            if entry.maintainer is not None:
+                # Re-attaching is a no-op: a second listener would
+                # bump versions twice per update.
                 return entry.maintainer
-            if maintainer is None:
-                maintainer = CoreMaintainer(entry.graph)
-            entry.maintainer = maintainer
+            maintainer = entry.maintainer = CoreMaintainer(entry.graph)
             entry.record.core = maintainer.core_numbers()
 
         def on_update(event):
-            """Per-update hook: patch truss state, then invalidate."""
+            """Per-update hook: bump with the affected region."""
             graph = maintainer.graph
             affected = set(event["edge"])
             for w in event["changed"]:
                 affected.add(w)
                 affected.update(graph.neighbors(w))
-            truss_affected = None
-            tm = self._truss_maintainer_for(name, graph)
-            if tm is not None and event["edge"]:
-                # The core maintainer already applied the edge update
-                # to the graph; patch the truss structures for it and
-                # collect the support cascade's vertex footprint.  The
-                # patched map itself is *not* copied here -- the new
-                # record's first :meth:`truss` read copies it from the
-                # maintainer, so an update costs its cascade, not O(m).
-                # (A vertex event has no edge and nothing to patch;
-                # triangle-family entries are evicted conservatively.)
-                truss_event = tm.apply(event["kind"], *event["edge"])
-                truss_affected = truss_affected_vertices(graph,
-                                                         truss_event)
-                self.last_truss_cascade_size = len(
-                    truss_event["changed"])
             self.invalidate(name, affected=affected,
-                            core=maintainer.core_numbers(),
-                            truss_affected=truss_affected)
+                            core=maintainer.core_numbers())
 
         maintainer.add_listener(on_update)
         return maintainer
-
-    def attach_truss_maintainer(self, name, maintainer=None):
-        """Track ``name``'s triangle support and trussness incrementally.
-
-        Attaches (or creates) a
-        :class:`~repro.core.truss_maintenance.TrussMaintainer` behind
-        the graph's :class:`CoreMaintainer` mutation gateway -- one is
-        attached automatically when missing.  Every edge update through
-        the gateway then additionally patches per-edge support and
-        truss numbers and reports the truss-affected vertex region, so
-        cached k-truss/ATC results survive updates that provably cannot
-        touch them.  Returns the (idempotently attached) truss
-        maintainer; mutations must keep flowing through the core
-        gateway, never through ``TrussMaintainer.add_edge`` directly.
-        """
-        with self._lock:
-            entry = self._entry(name)
-            current = entry.truss_maintainer
-            if current is not None and maintainer in (None, current):
-                return current
-            graph = entry.graph
-        # The core maintainer is the single mutation gateway; its
-        # listener drives the truss patching (see on_update above).
-        self.attach_maintainer(name)
-        if maintainer is None:
-            maintainer = TrussMaintainer(graph)
-        with self._lock:
-            entry = self._entry(name)
-            entry.truss_maintainer = maintainer
-            entry.record.truss = maintainer.truss_numbers()
-        return maintainer
-
-    def _truss_maintainer_for(self, name, graph):
-        """The attached truss maintainer, if it still tracks ``graph``."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                return None
-            tm = entry.truss_maintainer
-        if tm is not None and tm.graph is graph:
-            return tm
-        return None

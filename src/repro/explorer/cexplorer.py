@@ -63,8 +63,8 @@ class CExplorer:
     >>> communities = explorer.search("acq", "Jim Gray", k=4)
     """
 
-    def __init__(self, cache_size=256, workers=2, max_queue=64,
-                 backend="thread", faults=None):
+    def __init__(self, workers=2, max_queue=64, backend="thread",
+                 faults=None):
         self._current = None
         # graph name -> its name index (autocomplete and the
         # case-insensitive lookup), extended as vertices are appended
@@ -72,9 +72,7 @@ class CExplorer:
         # the registry of graphs).
         self._name_indexes = {}
         self.profiles = ProfileStore()
-        # ``cache_size`` bounds the search answers held per graph
-        # version.
-        self.indexes = IndexManager(cache_size=cache_size)
+        self.indexes = IndexManager()
         # ``backend="process"`` runs whole ACQ-family searches in a
         # multiprocessing pool over frozen CSR snapshots (see
         # repro.engine.backends); results are identical to the
@@ -163,24 +161,6 @@ class CExplorer:
         results (the mutation gateway for online graphs)."""
         if name is None:
             name = self._require_current()
-        return self.indexes.attach_maintainer(name)
-
-    def truss_maintainer(self, name=None):
-        """Enable incremental truss maintenance for a graph.
-
-        Attaches a
-        :class:`~repro.core.truss_maintenance.TrussMaintainer` behind
-        the graph's :meth:`maintainer` gateway: every edge update then
-        additionally patches per-edge triangle support and truss
-        numbers and reports the truss-affected region, so cached
-        k-truss/ATC results survive unrelated updates instead of being
-        evicted wholesale.  Returns the mutation gateway (the wired
-        :class:`~repro.core.maintenance.CoreMaintainer`) -- route all
-        edge updates through it, exactly as with :meth:`maintainer`.
-        """
-        if name is None:
-            name = self._require_current()
-        self.indexes.attach_truss_maintainer(name)
         return self.indexes.attach_maintainer(name)
 
     def name_index(self):
@@ -416,8 +396,8 @@ class CExplorer:
             params["core"] = self.indexes.core(name)
         elif algo.name == "k-truss" and "truss" not in params:
             # Same reuse for the triangle family: the versioned truss
-            # index (patched in place by an attached truss maintainer)
-            # replaces the per-query O(m^1.5) decomposition.
+            # index (one decomposition per graph version) replaces the
+            # per-query O(m^1.5) decomposition.
             params["truss"] = self.indexes.truss(name)
         elif algo.name == "codicil" and not params:
             # CODICIL is a whole-graph detection: partition the graph

@@ -179,13 +179,9 @@ class AuthorProfile:
 class ProfileStore:
     """Profile lookup with deterministic synthesis for unknown names."""
 
-    def __init__(self, extra=None):
-        self._profiles = {}
-        for name, fields in _BUILTIN.items():
-            self._profiles[name] = AuthorProfile(name, **fields)
-        if extra:
-            for name, fields in extra.items():
-                self._profiles[name] = AuthorProfile(name, **fields)
+    def __init__(self):
+        self._profiles = {name: AuthorProfile(name, **fields)
+                          for name, fields in _BUILTIN.items()}
 
     def __contains__(self, name):
         return name in self._profiles

@@ -57,10 +57,9 @@ class ServerState:
         current version record: ``entries`` and ``by_graph`` are their
         occupancy, ``capacity`` the bound per version.
         ``cache.invalidations_by_reason`` breaks the answers a version
-        bump dropped down into ``core-cascade`` / ``truss-cascade``
-        (footprint-scoped, reported by the attached maintainers) vs
-        ``evict-all`` (the conservative fallback); ``engine.truss``
-        summarises the truss maintenance subsystem.
+        bump dropped down into ``core-cascade`` (footprint-scoped,
+        reported by the attached maintainer) vs ``evict-all`` (the
+        conservative fallback).
         """
         with self.metrics_lock:
             requests = dict(self.request_counts)

@@ -171,6 +171,11 @@ class TestSearchDetect:
             communities = explorer.search(algorithm, "jim gray", k=3)
             assert communities, algorithm
 
+    def test_triangle_family_rejects_k_below_two(self, explorer):
+        for algorithm in ("k-truss", "atc"):
+            with pytest.raises(QueryError):
+                explorer.search(algorithm, "jim gray", k=1)
+
     def test_detect_label_propagation(self, explorer):
         communities = explorer.detect("label-propagation", seed=1)
         covered = {v for c in communities for v in c}

@@ -6,7 +6,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.ktruss import truss_decomposition
 from repro.engine.cache import query_key
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -15,11 +17,12 @@ from repro.explorer.cexplorer import CExplorer
 from repro.util.errors import (
     CExplorerError,
     EngineBusyError,
+    QueryError,
     QueryTimeoutError,
 )
 from repro.server.async_app import await_future
 
-from conftest import build_graph
+from conftest import build_graph, random_graphs
 
 
 # ----------------------------------------------------------------------
@@ -93,15 +96,18 @@ class TestResultCache:
 
     def test_selective_invalidation_drops_unsafe_algorithms(self):
         cache = _answers()
-        # k-truss support cascades are not tracked by the core
-        # maintainer, so its entries never survive an update ...
-        truss = query_key("g", "k-truss", 9, 4)
-        cache.put(truss, "t", vertices={8, 9})
+        # No region is tracked for the triangle families, so their
+        # entries never survive an update, footprint or not ...
+        for algorithm in ("k-truss", "atc"):
+            cache.put(query_key("g", algorithm, 9, 4), "t",
+                      vertices={8, 9})
         # ... and neither does any entry without a footprint.
         blind = query_key("g", "acq", 7, 4)
         cache.put(blind, "u")
-        assert cache.invalidate("g", affected={2, 5}) == 2
+        assert cache.invalidate("g", affected={2, 5}) == 3
         assert len(cache) == 0
+        assert cache.stats()["invalidations_by_reason"] == {
+            "core-cascade": 1, "evict-all": 2}
 
     def test_selective_invalidation_drops_empty_footprints(self):
         """A cached 'no community' answer has an empty footprint; it
@@ -111,6 +117,8 @@ class TestResultCache:
         cache.put(negative, [], vertices=set())
         assert cache.invalidate("g", affected={99}) == 1
         assert cache.get(negative) is None
+        assert cache.stats()["invalidations_by_reason"] == {
+            "core-cascade": 1, "evict-all": 0}
 
     def test_peek_does_not_count_misses(self):
         cache = _answers()
@@ -224,20 +232,29 @@ class TestIndexManager:
         cache.put(spared, "b", vertices={8, 9})
         cache.put(truss, "t", vertices={8, 9})
         superseded = manager.record("g")
-        # The bump tests the core families against ``affected``;
-        # without a truss maintainer the truss region is unknown, so
-        # the triangle family is dropped.
+        # The bump tests the core families against ``affected``; no
+        # region is tracked for the triangle family, so it is dropped.
         assert manager.invalidate("g", affected={1, 2}) == 2
         record = manager.record("g")
         assert record.version == 2
         assert list(record.answers) == [spared]
         assert len(superseded.answers) == 0
         assert cache.stats()["invalidations_by_reason"] == {
-            "core-cascade": 1, "truss-cascade": 0, "evict-all": 1}
+            "core-cascade": 1, "evict-all": 1}
         # Re-registering carries nothing.
         assert manager.register("g", fig5) == 3
         assert len(manager.record("g").answers) == 0
         assert cache.stats()["invalidations_by_reason"]["evict-all"] == 2
+
+    def test_truss_map_cached_per_version(self, karate):
+        manager = IndexManager()
+        manager.register("k", karate)
+        first = manager.truss("k")
+        assert manager.truss("k") is first       # cached
+        manager.invalidate("k")
+        assert manager.truss("k") is not first   # rebuilt
+        assert manager.truss("k") == first
+        assert manager.stats("k")["truss"] == {"built": True}
 
     def test_maintainer_bumps_version_and_reports_region(
             self, triangle_plus_tail):
@@ -513,6 +530,61 @@ class TestExplorerEngineIntegration:
         hits_before = explorer.cache.stats()["hits"]
         explorer.search("global", 0, k=2)
         assert explorer.cache.stats()["hits"] == hits_before + 1
+
+    def test_update_evicts_triangle_family_answers(self, karate):
+        """Every update drops the k-truss and ATC answers (counted
+        ``evict-all``), and the next truss read decomposes the mutated
+        graph."""
+        explorer = CExplorer()
+        explorer.add_graph("k", karate)
+        explorer.search("k-truss", 0, k=3)
+        explorer.search("atc", 0, k=3)
+        assert len(explorer.cache) == 2
+        u, v = next((u, v) for u in karate.vertices()
+                    for v in karate.vertices()
+                    if u < v and not karate.has_edge(u, v))
+        explorer.maintainer().insert_edge(u, v)
+        assert len(explorer.cache) == 0
+        assert explorer.cache.stats()["invalidations_by_reason"] == {
+            "core-cascade": 0, "evict-all": 2}
+        assert karate.has_edge(u, v)
+        assert explorer.indexes.truss("k") == truss_decomposition(karate)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_graphs(max_n=12, max_m=30, keywords=list("ab")),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 11),
+                              st.integers(0, 11)), min_size=1,
+                    max_size=6))
+    def test_carried_answers_match_recompute(self, graph, ops):
+        """Property: after any insert/delete sequence through the
+        gateway, every ACQ/``global`` answer the current version still
+        holds equals a fresh recomputation on the mutated graph."""
+        explorer = CExplorer()
+        explorer.add_graph("g", graph.copy())
+        live = explorer.indexes.graph("g")
+        gateway = explorer.maintainer()
+        n = live.vertex_count
+        queries = [(algorithm, q, k) for algorithm in ("acq", "global")
+                   for q in range(min(n, 4)) for k in (2, 3)]
+        for algorithm, q, k in queries:
+            try:
+                explorer.search(algorithm, q, k=k)
+            except QueryError:
+                pass    # nothing cached
+        for insert, a, b in ops:
+            u, v = a % n, b % n
+            if u == v:
+                continue
+            if insert and not live.has_edge(u, v):
+                gateway.insert_edge(u, v)
+            elif not insert and live.has_edge(u, v):
+                gateway.remove_edge(u, v)
+        for algorithm, q, k in queries:
+            key = explorer.cache.key("g", algorithm, q, k, None)
+            cached = explorer.cache.get(key, record_miss=False)
+            if cached is not None:
+                assert cached == explorer.search(
+                    algorithm, q, k=k, use_cache=False), (algorithm, q, k)
 
     def test_added_vertex_is_versioned_and_queryable(self, karate):
         """A vertex added through the maintainer bumps the version like

@@ -32,20 +32,6 @@ class TestProfileStore:
         b = store.get("Wei Chen")
         assert a.to_dict() == b.to_dict()
 
-    def test_extra_profiles_constructor(self):
-        store = ProfileStore(extra={
-            "New Person": {"areas": "CS", "institute": "X",
-                           "interests": "Y"}})
-        profile = store.get("New Person")
-        assert not profile.synthetic
-        assert profile.institute == "X"
-
-    def test_add_overrides(self):
-        store = ProfileStore(extra={
-            "Jim Gray": {"areas": "Override", "institute": "Nowhere",
-                         "interests": "Z"}})
-        assert store.get("Jim Gray").areas == "Override"
-
 
 class TestAuthorProfile:
     def test_render_text_shape(self):
