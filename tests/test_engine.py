@@ -8,7 +8,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ktruss import truss_decomposition
 from repro.engine.cache import query_key
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -530,25 +529,6 @@ class TestExplorerEngineIntegration:
         hits_before = explorer.cache.stats()["hits"]
         explorer.search("global", 0, k=2)
         assert explorer.cache.stats()["hits"] == hits_before + 1
-
-    def test_update_evicts_triangle_family_answers(self, karate):
-        """Every update drops the k-truss and ATC answers (counted
-        ``evict-all``), and the next truss read decomposes the mutated
-        graph."""
-        explorer = CExplorer()
-        explorer.add_graph("k", karate)
-        explorer.search("k-truss", 0, k=3)
-        explorer.search("atc", 0, k=3)
-        assert len(explorer.cache) == 2
-        u, v = next((u, v) for u in karate.vertices()
-                    for v in karate.vertices()
-                    if u < v and not karate.has_edge(u, v))
-        explorer.maintainer().insert_edge(u, v)
-        assert len(explorer.cache) == 0
-        assert explorer.cache.stats()["invalidations_by_reason"] == {
-            "core-cascade": 0, "evict-all": 2}
-        assert karate.has_edge(u, v)
-        assert explorer.indexes.truss("k") == truss_decomposition(karate)
 
     @settings(max_examples=20, deadline=None)
     @given(random_graphs(max_n=12, max_m=30, keywords=list("ab")),
