@@ -31,6 +31,12 @@ paper dismisses, and as the oracle for correctness tests.
 k-core component) and, for the no-keyword fallback only,
 ``community_vertices(q, k)`` -- a :class:`~repro.core.cltree.CLTree`.
 The index must describe the graph's current edges *and* keywords.
+``Dec`` may also read its singleton communities through a
+``singletons`` lookup (see :func:`acq_dec`), the way ``global`` reads
+its core numbers through ``core=``: a ``{(k, w): [community, ...]}``
+map that every query of one graph version shares, holding the
+communities earlier queries verified for each keyword alone.  Like the
+index, it must describe the graph's current version.
 
 The multi-vertex variant (a set ``Q`` of query vertices; Section 3.2)
 is supported uniformly: every function accepts either a single vertex
@@ -160,6 +166,30 @@ def _verify(query, candidates):
         if not comp.issuperset(qs):
             return None
     return comp
+
+
+def _singleton_community(query, candidates, stored):
+    """``_verify(query, candidates)`` for one keyword ``w``'s carriers,
+    read from ``stored`` when it can be.
+
+    ``stored`` lists the communities ``w``'s carriers verified to so
+    far at this ``k``: each is the component of its vertices in the
+    k-core of ``G[carriers(w)]``, so every member ``v`` has
+    ``AC_w(v)`` equal to it.  When one holds the first query vertex,
+    it *is* the verification's answer if it holds every query vertex,
+    and no AC exists otherwise.  Only a verification that finds a
+    community appends it.  The lists are read-only to every reader:
+    a duplicate appended by two threads verifying one component at
+    once is harmless.
+    """
+    qs = query.query_vertices
+    for community in stored:
+        if qs[0] in community:
+            return community if community.issuperset(qs) else None
+    community = _verify(query, candidates)
+    if community is not None:
+        stored.append(community)
+    return community
 
 
 def _communities_from_sets(query, winning):
@@ -306,7 +336,7 @@ def acq_inc_t(query, index=None):
     return _communities_from_sets(query, best)
 
 
-def acq_dec(query, index=None):
+def acq_dec(query, index=None, singletons=None):
     """Decremental ACQ (``Dec``) -- the algorithm C-Explorer ships with.
 
     Works top-down from the full keyword set, over the index's
@@ -332,6 +362,15 @@ def acq_dec(query, index=None):
     On graphs where communities share most of their theme (the typical
     attributed-graph case) step 2 terminates within the first level or
     two, which is why ``Dec`` beats the incremental variants.
+
+    ``singletons`` is an optional ``{(k, w): [community, ...]}`` lookup
+    shared by the queries of one graph version: step 1 reads a
+    keyword's singleton community from it when a stored one holds the
+    first query vertex, and stores each one it verifies.  A singleton
+    community is a function of ``(version, k, w)`` and the component
+    it holds, not of the query (:func:`_singleton_community`), so the
+    answer is the same with or without it.  Only the singleton phase
+    reads it.
     """
     if index is None:
         index = build_cltree(query.graph)
@@ -346,7 +385,9 @@ def acq_dec(query, index=None):
     for w in sorted(by_kw):
         if len(by_kw[w]) <= k:
             continue
-        community = _verify(query, by_kw[w])
+        stored = [] if singletons is None \
+            else singletons.setdefault((k, w), [])
+        community = _singleton_community(query, by_kw[w], stored)
         if community is not None:
             singleton_hits[w] = community
 
@@ -399,7 +440,8 @@ _ALGORITHMS.update({
 })
 
 
-def acq_search(graph, q, k, keywords=None, algorithm="dec", index=None):
+def acq_search(graph, q, k, keywords=None, algorithm="dec", index=None,
+               singletons=None):
     """Run an ACQ query end to end.
 
     Parameters
@@ -423,6 +465,11 @@ def acq_search(graph, q, k, keywords=None, algorithm="dec", index=None):
         ``community_vertices`` methods) describing ``graph``'s current
         edges and keywords; ``inc-t`` and ``dec`` build one on the
         fly when omitted.
+    singletons:
+        ``dec`` only: an optional ``{(k, w): [community, ...]}``
+        lookup of singleton communities shared by the queries of
+        ``graph``'s current version (see :func:`acq_dec`); start it as
+        an empty dict and drop it when the graph changes.
 
     Returns a list of :class:`Community`, all sharing the maximal
     number of keywords from ``S``, sorted largest-theme-first.
@@ -434,4 +481,9 @@ def acq_search(graph, q, k, keywords=None, algorithm="dec", index=None):
             "unknown ACQ algorithm {!r}; choose from {}".format(
                 algorithm, sorted(_ALGORITHMS))) from None
     query = AcqQuery(graph, q, k, keywords)
-    return func(query, index=index)
+    if singletons is None:
+        return func(query, index=index)
+    if func is not acq_dec:
+        raise QueryError(
+            "only the dec algorithm reads a singleton lookup")
+    return acq_dec(query, index=index, singletons=singletons)

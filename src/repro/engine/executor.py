@@ -177,13 +177,16 @@ class _LauncherMemo:
     """``QueryEngine.memo``, kept only because the end-to-end
     benchmark's launcher calls ``engine.memo.invalidate()`` at every
     pass reset, like ``CExplorer.upload(shards=1)``.  ROADMAP items 2
-    and 3 remove it."""
+    and 3 remove it.
+
+    ``invalidate()`` drops every graph's current derived values: the
+    dataset panel, the CODICIL partition, the ``global`` bodies and
+    ACQ's singleton communities.  Core numbers, CL-trees, truss maps
+    and search answers stay."""
 
     __slots__ = ("invalidate",)
 
     def __init__(self, indexes):
-        # Drops every graph's current derived values; core numbers,
-        # CL-trees, truss maps and search answers stay.
         self.invalidate = indexes.drop_derived
 
 

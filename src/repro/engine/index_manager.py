@@ -10,12 +10,13 @@ query path and lets analytics read one consistent version:
   numbers, the CL-tree (carrying its build time), the ``{edge: truss}``
   map behind the triangle families, the frozen whole-graph payload and
   the ``derived`` values shared answers are built from (the dataset
-  panel, the CODICIL partition, the ``global`` bodies) and the search
-  ``answers`` (:mod:`repro.engine.cache`).  Each is computed on first
-  use, on the reader's thread, and stored on the record it was read
-  from; concurrent first readers of one value share one computation
-  (:meth:`IndexManager.once`, the only compute-once primitive, which
-  concurrent identical search misses share too);
+  panel, the CODICIL partition, the ``global`` bodies, ACQ's singleton
+  communities) and the search ``answers`` (:mod:`repro.engine.cache`).
+  Each is computed on first use, on the reader's thread, and stored on
+  the record it was read from; concurrent first readers of one value
+  share one computation (:meth:`IndexManager.once`, the only
+  compute-once primitive, which concurrent identical search misses
+  share too);
 * **invalidate** is the one version bump: under the manager lock it
   builds the next version's record, hands it the search answers the
   update provably did not touch (:meth:`ResultCache.invalidate
@@ -360,18 +361,25 @@ class IndexManager:
                 record.version, frozen, time.perf_counter() - start)
         return self._derive(record, "payload", freeze)
 
-    def derived(self, name, kind, key, compute):
-        """The current version's ``(kind, key)`` value: ``compute()``
-        once per version, shared by every reader of that version (the
-        dataset panel, the CODICIL partition, the ``global`` bodies).
-        A version bump swaps the record, so a value never outlives its
-        version."""
-        return self._derive(self._current(name)[1], (kind, key),
-                            compute)[0]
+    def derived(self, name, kind, key, compute, record=None):
+        """The current version's ``(kind, key)`` value -- or
+        ``record``'s, when the caller pinned one (:meth:`snapshot`):
+        ``compute()`` once per version, shared by every reader of that
+        version.  The kinds: the dataset panel (``summary``), the
+        CODICIL partition (``codicil``), the ``global`` bodies
+        (``global-bodies``, per k) and ACQ's singleton communities
+        (``acq-singletons``, a ``{(k, keyword): [community, ...]}``
+        lookup that Dec fills as it verifies).  A version bump swaps
+        the record, so a value never outlives its version."""
+        if record is None:
+            record = self._current(name)[1]
+        return self._derive(record, (kind, key), compute)[0]
 
     def drop_derived(self):
-        """Forget every graph's current ``derived`` values; core
-        numbers, CL-trees, truss maps and payloads stay."""
+        """Forget every graph's current ``derived`` values -- the
+        dataset panel, the CODICIL partition, the ``global`` bodies
+        and ACQ's singleton communities; core numbers, CL-trees, truss
+        maps, payloads and search answers stay."""
         with self._lock:
             for entry in self._entries.values():
                 entry.record.derived = {}

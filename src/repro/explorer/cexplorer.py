@@ -368,7 +368,9 @@ class CExplorer:
                     keywords, params):
         """Compute one planned search: on the frozen payload when the
         plan says so, from the shared ``global`` body when one holds
-        the query vertex, by the registered algorithm otherwise."""
+        the query vertex, by the registered algorithm otherwise --
+        ACQ's Dec reading the singleton communities the version has
+        verified so far."""
         if plan.worker_full_query and not params:
             # Whole-query worker execution (ACQ family, process
             # backend): the entire search -- structural phase
@@ -387,7 +389,14 @@ class CExplorer:
                                   query_vertices=(q,), k=k)]
         if plan.use_index and algo.name.startswith("acq") \
                 and "index" not in params:
-            params["index"] = self.index()
+            # The CL-tree and Dec's singleton communities come from one
+            # record: a bump between two reads cannot pair a version's
+            # tree with its successor's lookup.
+            record = self.indexes.snapshot(name)
+            params["index"] = record.cltree
+            if algo.name == "acq":
+                params["singletons"] = self.indexes.derived(
+                    name, "acq-singletons", (), dict, record=record)
         elif algo.name == "global" and "core" not in params:
             # Global's answer is the connected k-core component; hand
             # it the versioned decomposition (cached per graph version,

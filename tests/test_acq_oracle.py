@@ -6,7 +6,8 @@ system.  The oracle here is written from Problem 1 of the paper alone
 and imports nothing from ``repro.core``: subsets of ``S`` by decreasing
 size, naive repeated min-degree filtering over ``graph.neighbors``, a
 plain BFS.  Every ACQ variant must agree with it on either graph
-representation and through every index the engine can hand it.
+representation and through every index the engine can hand it, and
+Dec through a singleton lookup shared by a sequence of queries.
 
 The second half pins the *work* the index-driven variants do with
 deterministic call counts instead of a timing.
@@ -21,6 +22,7 @@ from repro.core.acq import acq_search
 from repro.core.cltree import build_cltree
 from repro.graph.attributed import AttributedGraph
 from repro.graph.frozen import freeze
+from repro.util.errors import QueryError
 
 from conftest import build_graph, random_graphs
 
@@ -112,6 +114,25 @@ def check_against_oracle(graph, qs, k, keywords=None):
 
 
 @st.composite
+def query_sequences(draw):
+    """One graph and a sequence of queries on it, as
+    ``(query vertices, k, keywords)`` triples."""
+    graph = draw(random_graphs(max_n=10, max_m=30, keywords=list("abc")))
+    n = graph.vertex_count
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        qs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                           unique=True))
+        shared = frozenset.intersection(
+            *(graph.keywords(q) for q in qs))
+        keywords = draw(st.one_of(
+            st.none(), st.sets(st.sampled_from(sorted(shared)))
+            if shared else st.just(set())))
+        queries.append((tuple(qs), draw(st.integers(0, 3)), keywords))
+    return graph, queries
+
+
+@st.composite
 def oracle_cases(draw):
     graph = draw(random_graphs(max_n=10, max_m=30, keywords=list("abc")))
     n = graph.vertex_count
@@ -170,6 +191,52 @@ class TestAgainstDefinition:
             members, shared = check_against_oracle(
                 graph, (0,), k, keywords)[0]
             assert members == [0, 1, 2, 3, 4] and shared == []
+
+
+class TestSharedSingletonLookup:
+    """Dec reading its singleton communities through one lookup that a
+    sequence of queries on one graph version shares."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(query_sequences())
+    def test_every_answer_equals_the_oracle(self, case):
+        graph, queries = case
+        for g in (graph, freeze(graph)):
+            tree, lookup = build_cltree(g), {}
+            for qs, k, keywords in queries:
+                shared = frozenset.intersection(
+                    *(graph.keywords(q) for q in qs))
+                expected = oracle_acq(
+                    graph, qs, k, shared if keywords is None else keywords)
+                q = qs[0] if len(qs) == 1 else list(qs)
+                got = acq_search(g, q, k, keywords=keywords, index=tree,
+                                 singletons=lookup)
+                assert _answer(got) == expected, (qs, k, keywords)
+
+    def test_second_query_vertex_outside_the_stored_community(self):
+        """Vertex 4 carries ``x`` and hangs off the ``x``-clique by one
+        edge: the query from 0 stores the clique as ``x``'s community,
+        and the query ``{0, 4}`` must find ``x`` failing from that
+        stored community and fall back to the structural one."""
+        edges = list(combinations(range(4), 2))
+        edges += [(4, 5), (5, 6), (4, 6), (3, 4), (3, 5)]
+        graph = build_graph(7, edges, {0: "xy", 1: "xy", 2: "xy",
+                                       3: "xy", 4: "x"})
+        tree, lookup = build_cltree(graph), {}
+        first = acq_search(graph, 0, 2, index=tree, singletons=lookup)
+        assert _answer(first) == oracle_acq(graph, (0,), 2, {"x", "y"}) \
+            == [([0, 1, 2, 3], ["x", "y"])]
+        assert lookup[(2, "x")] == [{0, 1, 2, 3}]
+        second = acq_search(graph, [0, 4], 2, index=tree,
+                            singletons=lookup)
+        assert _answer(second) == oracle_acq(graph, (0, 4), 2, {"x"}) \
+            == [(list(range(7)), [])]
+        assert lookup[(2, "x")] == [{0, 1, 2, 3}]
+
+    @pytest.mark.parametrize("variant", ["inc-s", "inc-t"])
+    def test_only_dec_reads_a_lookup(self, fig5, variant):
+        with pytest.raises(QueryError):
+            acq_search(fig5, 0, 2, algorithm=variant, singletons={})
 
 
 # ----------------------------------------------------------------------
@@ -248,4 +315,25 @@ class TestWorkGuard:
         result = acq_search(graph, 0, 4, keywords={"theme"},
                             algorithm=variant, index=tree)
         assert _answer(result) == [(list(range(CLIQUE)), ["theme"])]
+        assert graph.asked == set(range(CLIQUE))
+
+    def test_a_stored_singleton_community_is_not_verified_again(
+            self, themed_ring):
+        """A query from vertex 0 stores the theme's community; the same
+        query from clique member 7 through that lookup reads it and
+        asks no vertex's neighbours, where a fresh lookup asks the 30
+        clique vertices again."""
+        graph, tree = themed_ring
+        expected = [(list(range(CLIQUE)), ["theme"])]
+        lookup = {}
+        for q, asked in ((0, set(range(CLIQUE))), (7, set())):
+            graph.asked = set()
+            result = acq_search(graph, q, 4, keywords={"theme"},
+                                index=tree, singletons=lookup)
+            assert _answer(result) == expected
+            assert graph.asked == asked
+        graph.asked = set()
+        result = acq_search(graph, 7, 4, keywords={"theme"}, index=tree,
+                            singletons={})
+        assert _answer(result) == expected
         assert graph.asked == set(range(CLIQUE))

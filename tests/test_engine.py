@@ -2,12 +2,15 @@
 
 import asyncio
 import concurrent.futures
+import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.acq import acq_search
+from repro.core.cltree import build_cltree
 from repro.engine.cache import query_key
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -641,6 +644,87 @@ class TestExplorerEngineIntegration:
         assert len(results) == 8 * 25        # nothing lost
         assert all(r == expected for r in results)  # nothing mangled
         assert explorer.engine.cache.stats()["hits"] >= 1
+
+
+# ----------------------------------------------------------------------
+# ACQ's singleton communities on the version record
+# ----------------------------------------------------------------------
+SINGLETONS = ("acq-singletons", ())
+
+
+def _members(communities):
+    return [(sorted(c.vertices), sorted(c.shared_keywords))
+            for c in communities]
+
+
+@pytest.fixture
+def themed_cycle():
+    """The ``x``-carrying 6-cycle 0..5 (each vertex's ``x`` community
+    at k = 2) on an untagged triangle 6-7-8 joined to it at 0 and 3."""
+    edges = [(v, (v + 1) % 6) for v in range(6)]
+    edges += [(6, 7), (7, 8), (6, 8), (0, 6), (3, 7)]
+    return build_graph(9, edges, {v: "x" for v in range(6)})
+
+
+class TestAcqSingletons:
+    def test_a_bump_drops_the_stored_communities(self, themed_cycle):
+        """Removing cycle edge 1-2 breaks ``x``'s community: vertex 3's
+        first search after the bump must not read the one vertex 0's
+        search stored, and must equal a lookup-free Dec over a fresh
+        CL-tree of the mutated graph."""
+        explorer = CExplorer()
+        explorer.add_graph("g", themed_cycle)
+        first = explorer.search("acq", 0, k=2)
+        assert _members(first) == [(list(range(6)), ["x"])]
+        assert explorer.indexes.record("g").derived[SINGLETONS] == \
+            {(2, "x"): [set(range(6))]}
+        explorer.maintainer().remove_edge(1, 2)
+        live = explorer.indexes.graph("g")
+        expected = acq_search(live, 3, 2, index=build_cltree(live))
+        assert _members(expected) == [([0, 3, 4, 5, 6, 7, 8], [])]
+        assert explorer.search("acq", 3, k=2) == expected
+
+    def test_pass_reset_drops_the_lookup(self, themed_cycle):
+        explorer = CExplorer()
+        explorer.add_graph("g", themed_cycle)
+        explorer.search("acq", 0, k=2)
+        assert SINGLETONS in explorer.indexes.record("g").derived
+        explorer.engine.memo.invalidate()
+        assert SINGLETONS not in explorer.indexes.record("g").derived
+
+    def test_concurrent_members_match_serial_answers(self, dblp_small):
+        """Two threads released together search two members of one
+        community through one fresh lookup, round after round."""
+        serial = CExplorer()
+        serial.add_graph("dblp", dblp_small)
+        q = dblp_small.id_of("Jim Gray")
+        community = serial.search("acq", q, k=3)[0]
+        other = min(community.vertices - {q})
+        expected = [serial.search("acq", v, k=3) for v in (q, other)]
+        assert all(expected)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                explorer = CExplorer()
+                explorer.add_graph("dblp", dblp_small)
+                explorer.index()
+                barrier = threading.Barrier(2, timeout=30)
+                got = [None, None]
+
+                def search(i, v):
+                    barrier.wait()
+                    got[i] = explorer.search("acq", v, k=3)
+                threads = [threading.Thread(target=search, args=(i, v))
+                           for i, v in enumerate((q, other))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                    assert not t.is_alive()
+                assert got == expected
+        finally:
+            sys.setswitchinterval(switch)
 
 
 # ----------------------------------------------------------------------
