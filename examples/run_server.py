@@ -51,6 +51,8 @@ def main():
     except KeyboardInterrupt:
         print("\nbye")
         server.shutdown()
+        # Queued searches are dropped rather than run out at exit.
+        explorer.engine.shutdown(wait=False)
 
 
 if __name__ == "__main__":

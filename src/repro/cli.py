@@ -216,6 +216,7 @@ def _cmd_serve(args):
                 _time.sleep(3600)
         except KeyboardInterrupt:
             server.shutdown()
+            explorer.engine.shutdown(wait=False)
         return 0
     server = make_server(explorer, host=args.host, port=args.port)
     host, port = server.server_address
@@ -224,6 +225,7 @@ def _cmd_serve(args):
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
+        explorer.engine.shutdown(wait=False)
     return 0
 
 

@@ -20,11 +20,13 @@ The modules
 ===========
 
 ``executor``
-    :class:`~repro.engine.executor.QueryEngine`: a bounded worker pool
-    with an admission-controlled request queue (full queue -> immediate
+    :class:`~repro.engine.executor.QueryEngine`: a stdlib
+    ``ThreadPoolExecutor`` behind one admission count (``max_queue``
+    jobs waiting -> immediate
     :class:`~repro.util.errors.EngineBusyError`, surfaced as HTTP 429),
-    per-query deadlines, best-effort cancellation, and one blocking
-    wait (``QueryEngine.wait``).
+    per-query deadlines checked when a job starts, cancellation that
+    frees a queued job's slot at once, and one blocking wait
+    (``QueryEngine.wait``).
 
 ``cache``
     :class:`~repro.engine.cache.ResultCache`: lookups and stores of

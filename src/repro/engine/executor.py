@@ -7,12 +7,14 @@ the GIL, and nothing bounded the damage a traffic spike could do.
 This engine is the dedicated execution path between the server and the
 algorithms (the Polynesia argument in PAPERS.md):
 
-* a **bounded worker pool** (threads are started lazily on first
-  use); every admitted job's :class:`concurrent.futures.Future`
+* a **bounded worker pool** -- a stdlib
+  :class:`concurrent.futures.ThreadPoolExecutor` of ``workers``
+  threads; every admitted job's :class:`concurrent.futures.Future`
   resolves, with the exception when anything raised, and no job takes
   its worker down;
-* an **admission-controlled queue** -- when ``max_queue`` requests are
-  already waiting, new work is rejected *immediately* with
+* **admission control** -- one count of the jobs admitted and not yet
+  started; when ``max_queue`` of them are waiting, new work is
+  rejected *immediately* with
   :class:`~repro.util.errors.EngineBusyError`, which the HTTP layer
   maps to a fast 429 instead of letting latency collapse;
 * **per-query deadlines** -- a queued request past its deadline is
@@ -20,8 +22,9 @@ algorithms (the Polynesia argument in PAPERS.md):
   wait, raises :class:`~repro.util.errors.QueryTimeoutError` when its
   budget runs out;
 * **cancellation** -- a wait that times out cancels its future: a
-  request still in the queue is dropped, a running one finishes but
-  its result is discarded (Python threads cannot be killed);
+  request still in the queue leaves the admission count at once and
+  never runs, a running one finishes but its result is discarded
+  (Python threads cannot be killed);
 * the index manager's :class:`~repro.engine.cache.ResultCache`
   (``engine.cache``): search answers held on each graph version's
   record, carried selectively across maintenance updates;
@@ -49,10 +52,8 @@ Callers submit with :meth:`QueryEngine.submit` or
 """
 
 import concurrent.futures
-import queue
 import threading
 import time
-import weakref
 
 from repro.core.community import Community
 from repro.engine import faults as fault_injection
@@ -69,7 +70,6 @@ from repro.engine.stats import EngineStats
 from repro.engine import tracing
 from repro.engine.tracing import TraceRecorder
 from repro.util.errors import (
-    CExplorerError,
     EngineBusyError,
     FaultInjectedError,
     JobPayloadError,
@@ -111,66 +111,6 @@ def _remaining(deadline):
     if deadline is None:
         return None
     return max(deadline - time.perf_counter(), 0.0)
-
-
-class _Job:
-    __slots__ = ("fn", "args", "kwargs", "future", "op", "deadline",
-                 "submitted_at", "trace")
-
-    def __init__(self, fn, args, kwargs, op, deadline, trace=None):
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-        self.future = concurrent.futures.Future()
-        # The QueryTrace the search path attached (None for plain
-        # submissions); the HTTP layer reads it back to add the
-        # request-level span and return the query id to the client.
-        self.future.trace = trace
-        self.op = op
-        self.deadline = deadline
-        self.submitted_at = time.perf_counter()
-        self.trace = trace
-
-
-_SHUTDOWN = object()
-
-# How long an idle admission worker blocks on the queue before
-# re-checking that its engine still exists (see _engine_worker).
-_WORKER_IDLE_POLL = 0.5
-
-
-def _engine_worker(engine_ref, work_queue):
-    """Admission-worker loop, deliberately *outside* the engine.
-
-    Running threads are GC roots, so a ``target=self._worker`` thread
-    would pin its engine (and therefore every published shared-memory
-    segment) for the life of the process.  The loop instead holds only
-    a weakref plus the queue: an engine dropped without ``shutdown()``
-    becomes collectable, its index manager's finalizer releases the
-    payload segments, and the orphaned workers notice on their next
-    idle poll and exit."""
-    while True:
-        try:
-            job = work_queue.get(timeout=_WORKER_IDLE_POLL)
-        except queue.Empty:
-            if engine_ref() is None:
-                return
-            continue
-        if job is _SHUTDOWN:
-            return
-        engine = engine_ref()
-        if engine is None:
-            if job.future.set_running_or_notify_cancel():
-                job.future.set_exception(CExplorerError(
-                    "query engine was discarded with jobs still queued"))
-            return
-        try:
-            engine._run_job(job)
-        finally:
-            # Unbind before blocking on the next get(): a job whose
-            # fn is a bound method would otherwise keep the engine
-            # strongly reachable from this frame.
-            del engine, job
 
 
 class _LauncherMemo:
@@ -223,8 +163,10 @@ class QueryEngine:
             self._span_hook = self.faults.span_fault
             tracing.set_fault_hook(self._span_hook)
         self.tracer = TraceRecorder()
-        self._queue = queue.Queue(max_queue)
-        self._threads = []
+        self._pool = concurrent.futures.ThreadPoolExecutor(
+            workers, thread_name_prefix="query-engine")
+        # The admission count: jobs admitted and not yet started.
+        self._queued = 0
         self._in_flight = 0
         self._lifecycle = threading.Lock()
         self._shutdown = False
@@ -235,22 +177,10 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _ensure_started(self):
-        if self._threads:
-            return
-        with self._lifecycle:
-            if self._threads or self._shutdown:
-                return
-            engine_ref = weakref.ref(self)
-            for i in range(self.workers):
-                thread = threading.Thread(
-                    target=_engine_worker, args=(engine_ref, self._queue),
-                    name="query-engine-{}".format(i), daemon=True)
-                thread.start()
-                self._threads.append(thread)
-
     def shutdown(self, wait=True):
-        """Stop accepting work and (optionally) join the workers.
+        """Stop accepting work.  ``wait=True`` runs the queued jobs
+        and joins the workers; ``wait=False`` cancels every queued job
+        (each future resolves as cancelled) and returns at once.
 
         Also releases every payload segment: a clean shutdown leaves
         zero shared-memory segments behind.
@@ -261,16 +191,11 @@ class QueryEngine:
             if self._shutdown:
                 return
             self._shutdown = True
-            threads = list(self._threads)
             process, self._process = self._process, None
         if process is not None:
             process.close()
         self.indexes.release_payloads()
-        for _ in threads:
-            self._queue.put(_SHUTDOWN)
-        if wait:
-            for thread in threads:
-                thread.join()
+        self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
     # ------------------------------------------------------------------
     # generic submission
@@ -284,28 +209,36 @@ class QueryEngine:
         ``timeout`` sets the deadline (none by default), ``trace``
         attaches a :class:`~repro.engine.tracing.QueryTrace` that the
         executing worker will activate and finish.  Raises
-        :class:`EngineBusyError` at once when the queue is full.
+        :class:`EngineBusyError` at once when ``max_queue`` admitted
+        jobs are still waiting for a worker.
         """
         op = kwargs.pop("op", "job")
         timeout = kwargs.pop("timeout", None)
         trace = kwargs.pop("trace", None)
-        if self._shutdown:
-            self.tracer.finish(trace, "rejected")
-            raise EngineBusyError("engine is shut down")
-        self._ensure_started()
-        deadline = (time.perf_counter() + timeout
-                    if timeout is not None else None)
-        job = _Job(fn, args, kwargs, op, deadline, trace=trace)
-        self.stats.count("submitted")
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self.stats.count("rejected")
-            self.tracer.finish(trace, "rejected")
-            raise EngineBusyError(
-                "engine queue full ({} waiting); retry later"
-                .format(self.max_queue)) from None
-        return job.future
+        submitted_at = time.perf_counter()
+        deadline = submitted_at + timeout if timeout is not None else None
+        with self._lifecycle:
+            if self._shutdown:
+                reason = "engine is shut down"
+            else:
+                self.stats.count("submitted")
+                if self._queued < self.max_queue:
+                    future = self._pool.submit(
+                        self._run, fn, args, kwargs, op, deadline,
+                        submitted_at, trace)
+                    self._queued += 1
+                    # The QueryTrace the search path attached (None for
+                    # plain submissions); the HTTP layer reads it back
+                    # to add the request-level span and return the
+                    # query id to the client.
+                    future.trace = trace
+                    future.add_done_callback(self._on_done)
+                    return future
+                self.stats.count("rejected")
+                reason = "engine queue full ({} waiting); retry later" \
+                    .format(self.max_queue)
+        self.tracer.finish(trace, "rejected")
+        raise EngineBusyError(reason)
 
     def wait(self, future, timeout=None):
         """Block for ``future``'s result -- the engine's one blocking
@@ -512,75 +445,65 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _run_job(self, job):
-        """Claim and execute one admitted job (called from the
-        weakref-holding :func:`_engine_worker` loop).
+    def _run(self, fn, args, kwargs, op, deadline, submitted_at, trace):
+        """One admitted job, on a pool thread: leave the admission
+        count, drop the job if its deadline passed in the queue
+        (counted under ``timeouts``), else run it under its trace and
+        count it ``completed`` or ``errors``.
 
-        Nothing escapes: an exception the job's own handling did not
-        absorb -- one raised before the job runs, say by a malformed
-        trace -- resolves the job's future with it, so every admitted
-        future resolves and the worker lives on to take the next job.
-        A future is claimed before anything can raise, so a cancel
-        cannot land between ``done()`` and ``set_exception``.
+        Whatever raises -- the job, or a malformed trace before the
+        job runs -- resolves the future with it and counts under
+        ``errors``; the pool thread lives on to take the next job.
         """
-        try:
-            self._execute_job(job)
-        except Exception as exc:
-            self.stats.count("errors")
-            if not job.future.done():
-                job.future.set_exception(exc)
-
-    def _execute_job(self, job):
-        future = job.future
-        trace = job.trace
-        if not future.set_running_or_notify_cancel():
-            # Cancelled by the caller while it waited in the queue.
-            self.stats.count("cancelled")
-            self.tracer.finish(trace, "cancelled")
-            return
-        queue_wait = time.perf_counter() - job.submitted_at
-        if (job.deadline is not None
-                and time.perf_counter() > job.deadline):
-            self.stats.count("timeouts")
-            if trace is not None:
-                trace.add_span("queue_wait", queue_wait,
-                               parent=None)
-                self.tracer.finish(trace, "timeout")
-            future.set_exception(QueryTimeoutError(
-                "query spent its deadline waiting in the queue"))
-            return
-        if trace is not None:
-            trace.add_span("queue_wait", queue_wait, parent=None)
-        with self._lifecycle:
-            self._in_flight += 1
         start = time.perf_counter()
-        _job_context.deadline = job.deadline
+        with self._lifecycle:
+            self._queued -= 1
+            self._in_flight += 1
+        status = "error"
+        _job_context.deadline = deadline
         try:
+            if trace is not None:
+                trace.add_span("queue_wait", start - submitted_at,
+                               parent=None)
+            if deadline is not None and start > deadline:
+                status = "timeout"
+                raise QueryTimeoutError(
+                    "query spent its deadline waiting in the queue")
             with tracing.activate(trace), \
-                    tracing.span("execute", op=job.op):
-                result = job.fn(*job.args, **job.kwargs)
-        except BaseException as exc:
-            self.stats.count("errors")
-            self.tracer.finish(trace, "error")
-            future.set_exception(exc)
-        else:
-            self.stats.count("completed")
-            self.tracer.finish(trace, "ok")
-            future.set_result(result)
+                    tracing.span("execute", op=op):
+                result = fn(*args, **kwargs)
+            status = "ok"
+            return result
         finally:
             _job_context.deadline = None
-            elapsed = time.perf_counter() - start
-            self.stats.observe(job.op, elapsed, completion=True)
             with self._lifecycle:
                 self._in_flight -= 1
+            if status == "timeout":
+                self.stats.count("timeouts")
+            else:
+                self.stats.count("completed" if status == "ok"
+                                 else "errors")
+                self.stats.observe(op, time.perf_counter() - start,
+                                   completion=True)
+            self.tracer.finish(trace, status)
+
+    def _on_done(self, future):
+        """A job cancelled before it started -- by a timed-out wait or
+        ``shutdown(wait=False)`` -- leaves the admission count at once
+        and is counted ``cancelled``."""
+        if future.cancelled():
+            with self._lifecycle:
+                self._queued -= 1
+            self.stats.count("cancelled")
+            self.tracer.finish(future.trace, "cancelled")
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     @property
     def queue_depth(self):
-        """How many submitted jobs are waiting for a worker."""
-        return self._queue.qsize()
+        """How many admitted jobs are waiting for a worker."""
+        return self._queued
 
     @property
     def accepting(self):
@@ -589,7 +512,7 @@ class QueryEngine:
         admission-control ceiling)."""
         if self._shutdown:
             return False
-        return self._queue.qsize() < self.max_queue
+        return self._queued < self.max_queue
 
     def snapshot(self):
         """Everything ``/v1/metrics`` reports about the engine."""
@@ -600,7 +523,6 @@ class QueryEngine:
             # end-to-end on a frozen payload.
             "worker_full_query": self.stats.get("worker_full_query"),
             "workers": self.workers,
-            "started": bool(self._threads),
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "in_flight": self._in_flight,

@@ -2,9 +2,13 @@
 
 import asyncio
 import concurrent.futures
+import gc
+import os
+import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +291,22 @@ def _pool(**options):
     return CExplorer(**options).engine
 
 
+# A process that queues slow jobs behind a running one and shuts its
+# engine down without waiting: it prints how many queued jobs were
+# cancelled, then exits once the running job returns.
+_EXIT_AFTER_SHUTDOWN = """
+import threading, time
+from repro import CExplorer
+engine = CExplorer(workers=1).engine
+running = threading.Event()
+engine.submit(lambda: (running.set(), time.sleep(1.0)))
+running.wait(10)
+queued = [engine.submit(time.sleep, 1.0) for _ in range(3)]
+engine.shutdown(wait=False)
+print(sum(future.cancelled() for future in queued))
+"""
+
+
 class TestQueryEnginePool:
     def test_execute_runs_on_worker(self):
         engine = _pool(workers=1)
@@ -395,6 +415,121 @@ class TestQueryEnginePool:
             release.set()
             engine.shutdown()
 
+    def test_cancelled_queued_job_frees_its_slot(self):
+        # One worker, blocked, and one admission slot: a queued job
+        # that is cancelled gives its slot back at once, so the next
+        # submission is admitted and answers.
+        engine = _pool(workers=1, max_queue=1)
+        release = threading.Event()
+        started = threading.Event()
+        try:
+            engine.submit(lambda: (started.set(), release.wait(10)))
+            assert started.wait(10)
+            first = engine.submit(lambda: "first")
+            assert first.cancel()
+            second = engine.submit(lambda: "second")
+            assert engine.stats.get("cancelled") == 1
+            release.set()
+            assert engine.wait(second, 10) == "second"
+        finally:
+            release.set()
+            engine.shutdown()
+
+    def test_admission_count_survives_racing_cancels(self):
+        # More workers and submitters than cores, a short switch
+        # interval, and every other job cancelled as soon as it is
+        # admitted: once every future resolves, no job may still hold
+        # an admission slot or a worker, and every admitted job is
+        # counted once, as completed or cancelled.
+        engine = _pool(workers=4, max_queue=8)
+        futures, lock = [], threading.Lock()
+
+        def client():
+            for i in range(100):
+                try:
+                    future = engine.submit(sum, (i, 1))
+                except EngineBusyError:
+                    continue
+                if i % 2:
+                    future.cancel()
+                with lock:
+                    futures.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(6)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in clients)
+            concurrent.futures.wait(futures, timeout=30)
+            assert all(future.done() for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.shutdown()
+        counters = engine.snapshot()["counters"]
+        assert engine.queue_depth == 0
+        assert engine.snapshot()["in_flight"] == 0
+        assert counters.get("completed", 0) + counters.get("cancelled", 0) \
+            == len(futures) \
+            == counters["submitted"] - counters.get("rejected", 0)
+
+    def test_shutdown_without_wait_cancels_queued_jobs(self):
+        engine = _pool(workers=1, max_queue=4)
+        release = threading.Event()
+        started = threading.Event()
+        ran = []
+        try:
+            running = engine.submit(
+                lambda: (started.set(), release.wait(10))[1])
+            assert started.wait(10)
+            queued = [engine.submit(ran.append, i) for i in range(3)]
+            engine.shutdown(wait=False)
+            for future in queued:
+                with pytest.raises(concurrent.futures.CancelledError):
+                    future.result(0)
+            assert engine.stats.get("cancelled") == 3
+            assert engine.queue_depth == 0
+        finally:
+            release.set()
+        assert running.result(10) is True
+        assert not ran
+
+    def test_shutdown_without_wait_lets_the_process_exit(self):
+        # One 1 s job runs and three queue behind it; running them all
+        # would hold interpreter exit for 4 s.
+        started = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", _EXIT_AFTER_SHUTDOWN],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        elapsed = time.perf_counter() - started
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["3"]
+        assert elapsed < 2.5
+
+    def test_dropped_engine_is_collected(self):
+        # An engine dropped without shutdown() is not pinned by its
+        # idle workers: it is collected, and its threads exit.
+        before = set(threading.enumerate())
+        explorer = CExplorer(workers=2)
+        engine = explorer.engine
+        futures = [engine.submit(lambda: 1) for _ in range(4)]
+        assert [engine.wait(future, 10) for future in futures] == [1] * 4
+        threads = [thread for thread in set(threading.enumerate()) - before
+                   if thread.name.startswith("query-engine")]
+        assert threads
+        dropped = weakref.ref(engine)
+        del explorer, engine, futures
+        gc.collect()
+        assert dropped() is None
+        deadline = time.monotonic() + 3
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 0))
+        assert not any(thread.is_alive() for thread in threads)
+
     def test_worker_exception_propagates(self):
         engine = _pool(workers=1)
 
@@ -422,7 +557,6 @@ class TestQueryEnginePool:
                 with pytest.raises(AttributeError):
                     future.result(5)
             assert engine.stats.get("errors") == 2
-            assert all(thread.is_alive() for thread in engine._threads)
             answer = engine.wait(engine.search(
                 "acq", dblp_small.label(10), k=4, timeout=5), 5)
             assert answer == explorer.search("acq", dblp_small.label(10),
